@@ -17,7 +17,6 @@
 #include "fatomic/detect/experiment.hpp"
 #include "fatomic/report/json.hpp"
 #include "fatomic/report/report.hpp"
-#include "fatomic/snapshot/backend.hpp"
 #include "fatomic/unwind/provenance.hpp"
 #include "subjects/apps/apps.hpp"
 
@@ -98,10 +97,9 @@ class JsonArray {
 };
 
 /// Run metadata stamped into every bench artifact: which build produced the
-/// numbers (git describe, baked in by bench/CMakeLists.txt), under which
-/// checkpoint backend they ran (the process default honours
-/// FATOMIC_CHECKPOINT_BACKEND), and the machine's parallelism — the three
-/// knobs that make two BENCH_*.json files incomparable when they differ.
+/// numbers (git describe, baked in by bench/CMakeLists.txt) and the
+/// machine's parallelism — the knobs that make two BENCH_*.json files
+/// incomparable when they differ.
 inline std::string bench_meta_json() {
   return JsonObject{}
       // Artifact schema counter, shared with campaign_json: bumped to 2 when
@@ -112,8 +110,6 @@ inline std::string bench_meta_json() {
 #else
       .put("git", "unknown")
 #endif
-      .put("checkpoint_backend",
-           fatomic::snapshot::to_string(fatomic::snapshot::default_backend()))
       .put("jobs", std::thread::hardware_concurrency())
       .put("provenance_available", fatomic::unwind::available())
       .dump();

@@ -3,9 +3,10 @@
 // that go to masked (wrapped) methods.  The baseline method costs ~0.5us,
 // as in the paper; each cell reports the median of repeated runs.
 //
-// Also includes the ablation microbenches called out in DESIGN.md §5:
-// capture / restore / structural-compare / hash-compare as a function of
-// object size (google-benchmark section after the Figure 5 table).
+// Also includes microbenches of the three checkpoint operations the
+// wrappers perform, as a function of object size (google-benchmark section
+// after the Figure 5 table): arena capture through a recycled pool, memcmp
+// compare, and restore (decode + Restorer).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -131,14 +132,15 @@ std::string figure5() {
   return rows.dump();
 }
 
-// ---- ablation microbenches ------------------------------------------------------
+// ---- checkpoint microbenches -------------------------------------------------
 
 void BM_Capture(benchmark::State& state) {
   Payload p;
   p.resize_bytes(static_cast<std::size_t>(state.range(0)));
+  fatomic::snapshot::ArenaPool pool;
   for (auto _ : state) {
-    auto s = fatomic::snapshot::capture(p);
-    benchmark::DoNotOptimize(s);
+    auto cp = fatomic::snapshot::arena_capture(p, &pool);
+    benchmark::DoNotOptimize(cp);
   }
 }
 BENCHMARK(BM_Capture)->Arg(64)->Arg(1024)->Arg(16384);
@@ -146,37 +148,23 @@ BENCHMARK(BM_Capture)->Arg(64)->Arg(1024)->Arg(16384);
 void BM_Restore(benchmark::State& state) {
   Payload p;
   p.resize_bytes(static_cast<std::size_t>(state.range(0)));
-  auto s = fatomic::snapshot::capture(p);
+  const auto cp = fatomic::snapshot::arena_capture(p);
   for (auto _ : state) {
-    fatomic::snapshot::restore(p, s);
+    fatomic::snapshot::restore(p, cp);
   }
 }
 BENCHMARK(BM_Restore)->Arg(64)->Arg(1024)->Arg(16384);
 
-void BM_StructuralCompare(benchmark::State& state) {
+void BM_Compare(benchmark::State& state) {
   Payload p;
   p.resize_bytes(static_cast<std::size_t>(state.range(0)));
-  auto a = fatomic::snapshot::capture(p);
-  auto b = fatomic::snapshot::capture(p);
+  const auto a = fatomic::snapshot::arena_capture(p);
+  const auto b = fatomic::snapshot::arena_capture(p);
   for (auto _ : state) {
     benchmark::DoNotOptimize(a.equals(b));
   }
 }
-BENCHMARK(BM_StructuralCompare)->Arg(64)->Arg(1024)->Arg(16384);
-
-void BM_HashCompare(benchmark::State& state) {
-  // Ablation: compare via precomputed structural hashes instead of the full
-  // node-table comparison (trades exactness for speed on the equal path).
-  Payload p;
-  p.resize_bytes(static_cast<std::size_t>(state.range(0)));
-  auto a = fatomic::snapshot::capture(p);
-  const std::size_t ha = a.hash();
-  for (auto _ : state) {
-    auto b = fatomic::snapshot::capture(p);
-    benchmark::DoNotOptimize(b.hash() == ha);
-  }
-}
-BENCHMARK(BM_HashCompare)->Arg(64)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_Compare)->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_InjectionWrapperCost(benchmark::State& state) {
   // Cost of one intercepted call in the exception injector program P_I

@@ -71,19 +71,12 @@ class Config {
     return *this;
   }
   /// Shadow every partial checkpoint with a full one and count rollback
-  /// divergences (stats.validator_divergences).  Under the arena backend
-  /// this also cross-checks arena captures/verdicts against the graph
-  /// backend.
+  /// divergences (stats.validator_divergences): a partial rollback must
+  /// leave the receiver equal to the shadow.
   Config& validate_checkpoints(bool on = true) {
     settings_.validate_checkpoints = on;
     return *this;
   }
-  /// Selects the full-checkpoint backend the wrappers use (DESIGN.md §10).
-  Config& checkpoint_backend(snapshot::BackendKind kind) {
-    settings_.backend = kind;
-    return *this;
-  }
-  snapshot::BackendKind checkpoint_backend() const { return settings_.backend; }
 
   // --- recovery (DESIGN.md §14) -------------------------------------------
   /// Installs a complete recovery policy table: masked methods with an

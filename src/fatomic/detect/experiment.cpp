@@ -93,23 +93,6 @@ class ScopedPolicies {
   std::shared_ptr<const recovery::PolicyTable> saved_;
 };
 
-/// RAII: selects the full-checkpoint backend for the campaign and restores
-/// the runtime's previous selection after.  Workers inherit the selection
-/// through adopt_config().
-class ScopedBackend {
- public:
-  explicit ScopedBackend(snapshot::BackendKind kind)
-      : saved_(weave::Runtime::instance().checkpoint_backend) {
-    weave::Runtime::instance().checkpoint_backend = kind;
-  }
-  ~ScopedBackend() { weave::Runtime::instance().checkpoint_backend = saved_; }
-  ScopedBackend(const ScopedBackend&) = delete;
-  ScopedBackend& operator=(const ScopedBackend&) = delete;
-
- private:
-  snapshot::BackendKind saved_;
-};
-
 /// RAII: puts the driving runtime's trace buffer into the state this
 /// campaign wants — armed with a fresh epoch for traced campaigns, disabled
 /// otherwise (so an untraced inner campaign stays invisible to an outer
@@ -323,7 +306,6 @@ Campaign Experiment::run() {
   ScopedPlans plans(opts_.masked ? opts_.checkpoint_plans : nullptr,
                     opts_.validate_checkpoints);
   ScopedPolicies policies(opts_.masked ? opts_.recovery_policies : nullptr);
-  ScopedBackend backend(opts_.backend);
   const weave::Mode mode =
       opts_.masked ? weave::Mode::InjectMask : weave::Mode::Inject;
 

@@ -56,15 +56,7 @@ struct CampaignSettings {
 
   /// Completeness validator: shadow every partial checkpoint with a full
   /// one and count rollback divergences (stats.validator_divergences).
-  /// Under the arena backend this additionally cross-checks every arena
-  /// capture and compare verdict against the graph backend.
   bool validate_checkpoints = false;
-
-  /// Full-checkpoint representation the wrappers use (DESIGN.md §10):
-  /// Graph = node-table walk + structural compare, Arena = flat-buffer slab
-  /// + memcmp compare.  Defaults to the process default, which honours the
-  /// FATOMIC_CHECKPOINT_BACKEND environment variable.
-  snapshot::BackendKind backend = snapshot::default_backend();
 
   /// Static campaign pruning (analyze::StaticReport::prune_set feeds this):
   /// qualified names of methods the static analysis proved failure atomic.

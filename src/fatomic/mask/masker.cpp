@@ -62,7 +62,6 @@ MaskedScope::MaskedScope(weave::Runtime::WrapPredicate wrap)
       saved_(weave::Runtime::instance().wrap_predicate()),
       saved_plans_(weave::Runtime::instance().checkpoint_plans()),
       saved_validate_(weave::Runtime::instance().validate_checkpoints),
-      saved_backend_(weave::Runtime::instance().checkpoint_backend),
       saved_policies_(weave::Runtime::instance().recovery_policies()) {
   auto& rt = weave::Runtime::instance();
   rt.set_wrap_predicate(std::move(wrap));
@@ -71,13 +70,12 @@ MaskedScope::MaskedScope(weave::Runtime::WrapPredicate wrap)
 
 MaskedScope::MaskedScope(weave::Runtime::WrapPredicate wrap,
                          std::shared_ptr<const weave::PlanMap> plans,
-                         bool validate, snapshot::BackendKind backend,
+                         bool validate,
                          std::shared_ptr<const recovery::PolicyTable> policies)
     : MaskedScope(std::move(wrap)) {
   auto& rt = weave::Runtime::instance();
   rt.set_checkpoint_plans(std::move(plans));
   rt.validate_checkpoints = validate;
-  rt.checkpoint_backend = backend;
   if (policies != nullptr) rt.set_recovery_policies(std::move(policies));
 }
 
@@ -87,7 +85,6 @@ MaskedScope::~MaskedScope() {
   rt.set_wrap_predicate(std::move(saved_));
   rt.set_checkpoint_plans(std::move(saved_plans_));
   rt.validate_checkpoints = saved_validate_;
-  rt.checkpoint_backend = saved_backend_;
   rt.set_recovery_policies(std::move(saved_policies_));
 }
 
@@ -102,7 +99,6 @@ MaskVerification verify_masked_full(std::function<void()> program,
   opts.checkpoint_plans = options.plans;
   opts.validate_checkpoints = options.validate;
   opts.trace = options.trace;
-  opts.backend = options.backend;
   opts.recovery_policies = options.policies;
   detect::Experiment exp(std::move(program), std::move(opts));
   MaskVerification out;
@@ -119,7 +115,6 @@ MaskVerification verify_masked_full(std::function<void()> program,
   options.validate = s.validate_checkpoints;
   options.jobs = s.jobs;
   options.trace = s.trace;
-  options.backend = s.backend;
   options.policies = s.recovery_policies;
   return verify_masked_full(std::move(program), s.wrap, config.policy(),
                             options);

@@ -46,12 +46,11 @@ class MaskedScope {
  public:
   explicit MaskedScope(weave::Runtime::WrapPredicate wrap);
   /// P_C with field-granular checkpoints: additionally installs `plans`,
-  /// the completeness-validator flag, the full-checkpoint backend and
-  /// (optionally) a recovery policy table for the scope's lifetime.
+  /// the completeness-validator flag and (optionally) a recovery policy
+  /// table for the scope's lifetime.
   MaskedScope(weave::Runtime::WrapPredicate wrap,
               std::shared_ptr<const weave::PlanMap> plans,
               bool validate = false,
-              snapshot::BackendKind backend = snapshot::default_backend(),
               std::shared_ptr<const recovery::PolicyTable> policies = nullptr);
   ~MaskedScope();
   MaskedScope(const MaskedScope&) = delete;
@@ -62,7 +61,6 @@ class MaskedScope {
   weave::Runtime::WrapPredicate saved_;
   std::shared_ptr<const weave::PlanMap> saved_plans_;
   bool saved_validate_;
-  snapshot::BackendKind saved_backend_;
   std::shared_ptr<const recovery::PolicyTable> saved_policies_;
 };
 
@@ -82,8 +80,6 @@ struct VerifySettings {
   /// Record the structured event trace of the verification campaign
   /// (Campaign::trace).
   bool trace = false;
-  /// Full-checkpoint backend for the verification campaign (DESIGN.md §10).
-  snapshot::BackendKind backend = snapshot::default_backend();
   /// Recovery policy table installed for the verification campaign
   /// (DESIGN.md §14); null leaves the engine off.
   std::shared_ptr<const recovery::PolicyTable> policies;

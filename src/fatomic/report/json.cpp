@@ -183,7 +183,6 @@ std::string campaign_json(const detect::Campaign& campaign) {
      << ",\"partial_fallbacks\":" << campaign.stats.partial_fallbacks
      << ",\"checkpoint_units\":" << campaign.stats.checkpoint_units
      << ",\"validator_divergences\":" << campaign.stats.validator_divergences
-     << ",\"arena_checkpoints\":" << campaign.stats.arena_checkpoints
      << ",\"arena_bytes\":" << campaign.stats.arena_bytes
      << ",\"memcmp_compares\":" << campaign.stats.memcmp_compares
      << ",\"compare_fallbacks\":" << campaign.stats.compare_fallbacks

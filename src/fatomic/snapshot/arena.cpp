@@ -1,14 +1,16 @@
 #include "fatomic/snapshot/arena.hpp"
 
+#include <memory>
+
 #include "fatomic/common/error.hpp"
 
 namespace fatomic::snapshot {
 
 namespace {
 
-/// Replays the record stream into a node table.  Records were emitted in
-/// Builder's allocation order, so `next_id_` reproduces the graph backend's
-/// NodeIds and Ref records resolve to already-parsed ordinals.
+/// Replays the record stream into a node table.  Records are emitted in
+/// node-creation order, so `next_id_` reproduces the record ordinals and
+/// Ref records resolve to already-parsed nodes.
 class Reader {
  public:
   Reader(const std::vector<std::byte>& bytes,
@@ -28,13 +30,13 @@ class Reader {
         break;
       case detail::kRecObject:
       case detail::kRecSequence: {
-        // Type names are stored as pointers to their static strings.
-        const char* name = reinterpret_cast<const char*>(
+        const auto* desc = reinterpret_cast<const detail::TypeDesc*>(
             static_cast<std::uintptr_t>(u64()));
         const std::uint32_t count = u32();
         nodes()[id].kind = tag == detail::kRecObject ? NodeKind::Object
                                                      : NodeKind::Sequence;
-        nodes()[id].type_name = name;
+        nodes()[id].type_name = desc->name;
+        nodes()[id].field_names = desc->field_names;
         std::vector<NodeId> kids;
         kids.reserve(count);
         // Recursion may grow nodes(); never hold a Node& across parse().
@@ -98,7 +100,7 @@ class Reader {
         n.type_name = "string";
         const std::uint32_t len = u32();
         need(len);
-        n.value = std::string(reinterpret_cast<const char*>(p_), len);
+        n.value = std::string_view(reinterpret_cast<const char*>(p_), len);
         p_ += len;
         break;
       }
@@ -141,12 +143,30 @@ class Reader {
 
 }  // namespace
 
-Snapshot ArenaSnapshot::decode() const {
+bool ArenaSnapshot::equals(const ArenaSnapshot& o, bool* used_memcmp) const {
+  if (used_memcmp != nullptr) *used_memcmp = true;
+  if (identical(o)) return true;
+  if (bytes_.size() != o.bytes_.size()) return false;
+  // Same length, different bytes: equal graphs can still differ in a type
+  // word (one type name with two descriptors, e.g. duplicated across shared
+  // objects), so the decoded tables decide.
+  if (used_memcmp != nullptr) *used_memcmp = false;
+  return decode().equals(o.decode());
+}
+
+Snapshot ArenaSnapshot::decode() const& {
   Snapshot s;
   if (node_count_ == 0) return s;
   s.nodes_.reserve(node_count_);
   Reader r(bytes_, addrs_, s.nodes_);
   s.root_ = r.parse();
+  return s;
+}
+
+Snapshot ArenaSnapshot::decode() && {
+  auto owner = std::make_shared<const ArenaSnapshot>(std::move(*this));
+  Snapshot s = owner->decode();
+  s.slab_ = std::move(owner);
   return s;
 }
 

@@ -1,46 +1,55 @@
-// Arena flat-buffer snapshots (ROADMAP pillar 2): the fast checkpoint
-// backend behind the SnapshotBackend interface (backend.hpp).
+// Arena checkpoints: the one representation of a captured object graph
+// (the paper's deep_copy, Listing 1 line 6).
 //
-// One preorder walk — the *same* deterministic walk as Builder, with the
-// same alias keys — serializes the object graph into a contiguous byte slab
-// instead of a node table.  Each node becomes one tagged record, emitted in
-// Builder's allocation order, so record ordinals coincide with the NodeIds
-// the graph backend would have assigned and decode() reconstructs a node
-// table isomorphic to Builder::take()'s.  Because captures of structurally
-// equal graphs produce byte-identical slabs, graph equality is a single
-// memcmp; only a byte mismatch needs the structural oracle (type names are
-// encoded as pointers to their static strings, so two *equal* graphs can in
-// principle disagree on bytes, never the other way around — compare
-// Checkpoint::equals).
+// One deterministic preorder walk — field declaration order, container
+// iteration order — serializes the object graph into a contiguous byte
+// slab, one tagged record per node.  The walk is alias-aware: every captured
+// value registers its address, and a value whose address (and type tag) was
+// already captured becomes a back-reference, so shared pointees stay shared
+// exactly as Definition 1 requires; cycles resolve because a node registers
+// before its children are walked.  Record ordinals are the NodeIds of the
+// decoded view (node.hpp).  Because captures of structurally equal graphs
+// produce byte-identical slabs, graph equality is a single memcmp; only a
+// same-length byte mismatch consults the structural oracle (decode both,
+// compare the tables — see ArenaSnapshot::equals).
 //
 // Record stream grammar (little-endian, in-process only — never persisted):
 //   value   := prim | object | sequence | pointer | null | ref
 //   prim    := 0x00 code payload            (code selects tag + payload size)
-//   object  := 0x01 name:u64 count:u32 value*count
-//   sequence:= 0x02 name:u64 count:u32 value*count
+//   object  := 0x01 type:u64 count:u32 value*count
+//   sequence:= 0x02 type:u64 count:u32 value*count
 //   pointer := 0x03 owned:u8 value          (the pointee, possibly a ref)
 //   null    := 0x04
 //   ref     := 0x05 ordinal:u32             (back-reference; creates no node)
+// The type word of a composite record is the address of the type's static
+// descriptor (detail::TypeDesc): its name and, for reflected classes, its
+// field names.  decode() names fields from it — no registry, no slab bytes.
 // Source addresses (Node::src_addr, needed by the restorer's external-alias
 // fixups) live in a side vector parallel to record ordinals — deliberately
 // *outside* the slab, so address churn between runs never breaks memcmp.
 //
 // Slabs and address vectors are recycled through a per-weave::Runtime
 // ArenaPool: steady-state captures perform no allocation beyond amortized
-// vector growth, which is where the capture speedup over the node-table
-// walk comes from (bench_backend gates it).
+// vector growth.
 #pragma once
 
-#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstring>
 #include <string>
+#include <tuple>
 #include <type_traits>
-#include <typeindex>
+#include <typeinfo>
 #include <utility>
 #include <vector>
 
-#include "fatomic/snapshot/capture.hpp"
+#include "fatomic/common/error.hpp"
+#include "fatomic/memory/rc_ptr.hpp"
+#include "fatomic/reflect/reflect.hpp"
+#include "fatomic/snapshot/node.hpp"
+#include "fatomic/snapshot/poly.hpp"
+#include "fatomic/snapshot/traits.hpp"
 
 namespace fatomic::snapshot {
 
@@ -49,15 +58,57 @@ class ArenaPool;
 
 namespace detail {
 
-/// The arena's alias map: same key semantics as Builder's (address + type
-/// tag, names compared by value) — required for the ordinal/NodeId
-/// correspondence decode() relies on — but a different engine.  The alias
-/// map is the hot loop of any capture, and Builder's unordered_map pays a
-/// string hash on every find AND every emplace.  Here the hash covers the
-/// address alone (same-address different-tag entries — an object and its
-/// first member — just share a bucket chain; equality disambiguates), and
-/// find + insert collapse into one open-addressing probe returning a slot
-/// the caller fills in.  This map is most of the arena capture speedup.
+template <class>
+inline constexpr bool dependent_false = false;
+
+/// Type tag of a primitive leaf: part of its alias key and its decoded
+/// Node::type_name.
+template <class T>
+constexpr const char* prim_tag() {
+  if constexpr (std::is_same_v<T, bool>) return "bool";
+  else if constexpr (std::is_same_v<T, char>) return "char";
+  else if constexpr (std::is_enum_v<T>) return "enum";
+  else if constexpr (std::is_integral_v<T> && std::is_signed_v<T>) return "int";
+  else if constexpr (std::is_integral_v<T>) return "uint";
+  else if constexpr (std::is_floating_point_v<T>) return "float";
+  else return "string";
+}
+
+/// What a composite record's type word points at: the type's name and, for
+/// reflected classes, its field names in declaration order (null for
+/// containers, pairs, tuples and optionals).
+struct TypeDesc {
+  const char* name;
+  const char* const* field_names;
+};
+
+/// The descriptor of reflected class T, built at compile time from
+/// Reflect<T>::fields.  An inline static member, so it has one address per
+/// program.
+template <class T>
+struct ReflectedDesc {
+  static constexpr auto field_names = std::apply(
+      [](const auto&... f) {
+        return std::array<const char*, sizeof...(f)>{f.name...};
+      },
+      reflect::Reflect<T>::fields);
+  static constexpr TypeDesc desc{reflect::Reflect<T>::name,
+                                 field_names.data()};
+};
+
+inline constexpr TypeDesc kSeqDesc{"seq", nullptr};
+inline constexpr TypeDesc kMapDesc{"map", nullptr};
+inline constexpr TypeDesc kOptionalDesc{"std::optional", nullptr};
+inline constexpr TypeDesc kPairDesc{"std::pair", nullptr};
+inline constexpr TypeDesc kTupleDesc{"std::tuple", nullptr};
+
+/// The alias map of every walk over a live graph (capture and the partial
+/// walker): keyed by address + type tag, names compared by value — an
+/// object and its first member share an address and differ only by tag.
+/// The alias map is the hot loop of any capture: the hash covers the
+/// address alone (same-address different-tag entries just share a probe
+/// chain; equality disambiguates), and find + insert collapse into one
+/// open-addressing probe returning a slot the caller fills in.
 class ArenaSeenMap {
  public:
   ArenaSeenMap() = default;
@@ -111,7 +162,7 @@ class ArenaSeenMap {
   std::size_t index_of(const void* addr) const {
     auto h = static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(addr));
     h ^= h >> 33;
-    h *= 0x9E3779B97F4A7C15ull;  // golden-ratio mix, same family as AliasKeyHash
+    h *= 0x9E3779B97F4A7C15ull;  // golden-ratio mix
     h ^= h >> 29;
     return static_cast<std::size_t>(h) & (slots_.size() - 1);
   }
@@ -234,19 +285,30 @@ class ArenaSnapshot {
 
   /// The fast path: byte equality of the slabs.  Sound in one direction
   /// only — identical bytes imply equal graphs; differing bytes need the
-  /// structural oracle (see file comment).
+  /// structural oracle (see equals).
   bool identical(const ArenaSnapshot& o) const {
     return bytes_.size() == o.bytes_.size() &&
            (bytes_.empty() ||
             std::memcmp(bytes_.data(), o.bytes_.data(), bytes_.size()) == 0);
   }
 
-  /// Replays the record stream into a Snapshot node table isomorphic to the
-  /// one Builder::take() would have produced for the same live graph
-  /// (field names excepted — the slab does not store them, so diagnostic
-  /// diff paths over decoded tables use child indices).  This is how the
-  /// arena backend restores (decode + Restorer) and how compare falls back.
-  Snapshot decode() const;
+  /// Graph equality (the paper's compare): one memcmp over the slabs,
+  /// falling back to a structural compare of the decoded tables only for a
+  /// same-length byte mismatch.  A length mismatch is already conclusive —
+  /// record sizes depend only on kinds, counts and values.  `used_memcmp`,
+  /// when non-null, reports whether the memcmp alone decided (feeds
+  /// stats.memcmp_compares / stats.compare_fallbacks).
+  bool equals(const ArenaSnapshot& o, bool* used_memcmp = nullptr) const;
+
+  /// The named node-table view of this capture (node.hpp): record ordinals
+  /// become NodeIds, type words name types and fields, string leaves view
+  /// the slab.  This overload borrows — the view must not outlive *this.
+  /// Restore (decode + Restorer), the compare fallback, diffs and
+  /// footprints all read it.
+  Snapshot decode() const&;
+  /// The same view, owning this capture (snapshot::capture is
+  /// `arena_capture(root).decode()`).
+  Snapshot decode() &&;
 
  private:
   friend class ArenaEncoder;
@@ -272,11 +334,10 @@ class ArenaSnapshot {
   ArenaPool* pool_ = nullptr;
 };
 
-/// The preorder serializer.  Mirrors Builder::capture_value branch for
-/// branch — same alias keys, same registration points, same node creation
-/// order — so ordinals match the graph backend's NodeIds.  Public surface
-/// is encode_value/encode_object; the latter is the re-entry point for
-/// polymorphic dispatch (PolyOps::encode).
+/// The preorder serializer: the one capture walker.  Public surface is
+/// encode_value/encode_object; the latter is the re-entry point for
+/// polymorphic dispatch (PolyOps::encode).  tests/golden/ freezes the node
+/// tables its decoded output must reproduce.
 class ArenaEncoder {
  public:
   ArenaEncoder(ArenaSnapshot& out, detail::ArenaSeenMap& seen)
@@ -295,32 +356,35 @@ class ArenaEncoder {
     } else if constexpr (tr::is_rc_ptr<T>::value) {
       return encode_smart(v.get());
     } else if constexpr (tr::is_optional_v<T>) {
-      NodeId* slot = seen_.find_or_insert(&v, "std::optional");
+      NodeId* slot = seen_.find_or_insert(&v, detail::kOptionalDesc.name);
       if (*slot != kInvalidNode) return emit_ref(*slot);
-      NodeId id = begin_composite(detail::kRecSequence, "std::optional", &v,
-                                  v.has_value() ? 1u : 0u);
+      NodeId id = begin_composite(detail::kRecSequence, detail::kOptionalDesc,
+                                  &v, v.has_value() ? 1u : 0u);
       *slot = id;  // before children: cycles resolve to this node
       if (v.has_value()) encode_value(*v);
       return id;
     } else if constexpr (tr::is_tuple_v<T>) {
-      // Synthetic weave roots — no alias registration (capture.hpp).
-      NodeId id = begin_composite(detail::kRecObject, "std::tuple", &v,
+      // Tuples of references are the weave layer's synthetic roots
+      // (receiver + by-reference arguments); no alias registration.
+      NodeId id = begin_composite(detail::kRecObject, detail::kTupleDesc, &v,
                                   std::tuple_size_v<T>);
       std::apply([&](const auto&... elems) { (encode_value(elems), ...); }, v);
       return id;
     } else if constexpr (tr::is_pair_v<T>) {
-      NodeId* slot = seen_.find_or_insert(&v, "std::pair");
+      NodeId* slot = seen_.find_or_insert(&v, detail::kPairDesc.name);
       if (*slot != kInvalidNode) return emit_ref(*slot);
-      NodeId id = begin_composite(detail::kRecObject, "std::pair", &v, 2u);
+      NodeId id =
+          begin_composite(detail::kRecObject, detail::kPairDesc, &v, 2u);
       *slot = id;
       encode_value(v.first);
       encode_value(v.second);
       return id;
     } else if constexpr (std::is_same_v<T, std::vector<bool>>) {
       // Proxy addresses must not enter the alias map; anonymous bit nodes.
-      NodeId* slot = seen_.find_or_insert(&v, "seq");
+      NodeId* slot = seen_.find_or_insert(&v, detail::kSeqDesc.name);
       if (*slot != kInvalidNode) return emit_ref(*slot);
-      NodeId id = begin_composite(detail::kRecSequence, "seq", &v, v.size());
+      NodeId id = begin_composite(detail::kRecSequence, detail::kSeqDesc, &v,
+                                  v.size());
       *slot = id;
       for (std::size_t i = 0; i < v.size(); ++i) {
         new_node(nullptr);
@@ -329,21 +393,22 @@ class ArenaEncoder {
       return id;
     } else if constexpr (tr::is_sequence_v<T> || tr::is_std_array_v<T> ||
                          tr::is_set_v<T>) {
-      NodeId* slot = seen_.find_or_insert(&v, "seq");
+      NodeId* slot = seen_.find_or_insert(&v, detail::kSeqDesc.name);
       if (*slot != kInvalidNode) return emit_ref(*slot);
-      NodeId id = begin_composite(detail::kRecSequence, "seq", &v, v.size());
+      NodeId id = begin_composite(detail::kRecSequence, detail::kSeqDesc, &v,
+                                  v.size());
       *slot = id;
       for (const auto& e : v) encode_value(e);
       return id;
     } else if constexpr (tr::is_map_v<T>) {
-      NodeId* slot = seen_.find_or_insert(&v, "map");
+      NodeId* slot = seen_.find_or_insert(&v, detail::kMapDesc.name);
       if (*slot != kInvalidNode) return emit_ref(*slot);
-      NodeId id = begin_composite(detail::kRecSequence, "map", &v, v.size());
+      NodeId id = begin_composite(detail::kRecSequence, detail::kMapDesc, &v,
+                                  v.size());
       *slot = id;
       for (const auto& kv : v) {
-        // Entry pair nodes carry the entry address but are not registered —
-        // mirrors Builder exactly.
-        begin_composite(detail::kRecObject, "std::pair", &kv, 2u);
+        // Entry pair nodes carry the entry address but are not registered.
+        begin_composite(detail::kRecObject, detail::kPairDesc, &kv, 2u);
         encode_value(kv.first);
         encode_value(kv.second);
       }
@@ -359,10 +424,11 @@ class ArenaEncoder {
 
   template <reflect::Reflected T>
   NodeId encode_object(const T& v) {
-    const char* name = reflect::Reflect<std::remove_cv_t<T>>::name;
-    NodeId* slot = seen_.find_or_insert(&v, name);
+    const detail::TypeDesc& desc =
+        detail::ReflectedDesc<std::remove_cv_t<T>>::desc;
+    NodeId* slot = seen_.find_or_insert(&v, desc.name);
     if (*slot != kInvalidNode) return emit_ref(*slot);
-    NodeId id = begin_composite(detail::kRecObject, name, &v,
+    NodeId id = begin_composite(detail::kRecObject, desc, &v,
                                 reflect::field_count<T>());
     *slot = id;  // before children: cycles resolve to this node
     reflect::for_each_field<T>(
@@ -440,16 +506,21 @@ class ArenaEncoder {
     if constexpr (std::is_polymorphic_v<U>) {
       const PolyOps* ops = PolyRegistry::instance().find(typeid(U), typeid(*p));
       if (ops != nullptr) {
-        const void* mda = dynamic_cast<const void*>(p);
+        // The most-derived address keys the alias map, so the same object
+        // reached through different pointer types shares one node.
         // encode_object re-probes the same key (most-derived address,
         // Reflect<Derived>::name == ops->class_name) and fills the slot this
         // probe claimed — a claimed-but-unfilled slot reads as unseen.
+        const void* mda = dynamic_cast<const void*>(p);
         NodeId* slot = seen_.find_or_insert(mda, ops->class_name);
         if (*slot != kInvalidNode) return emit_ref(*slot);
         return ops->encode(static_cast<const void*>(p), *this);
       }
       if constexpr (reflect::is_reflected_v<U>) {
-        return encode_object(*p);  // sliced capture, same caveat as Builder
+        // Unregistered dynamic type: fall back to the static type (sliced
+        // capture) — mirrors the paper's "incomplete object graphs" caveat
+        // (Section 5.1); it can only under- not over-report atomicity.
+        return encode_object(*p);
       } else {
         throw SnapshotError(std::string("unregistered polymorphic pointee: ") +
                             typeid(*p).name());
@@ -475,14 +546,14 @@ class ArenaEncoder {
     u8(detail::kRecNull);
     return id;
   }
-  NodeId begin_composite(std::uint8_t record, const char* name,
+  NodeId begin_composite(std::uint8_t record, const detail::TypeDesc& desc,
                          const void* addr, std::size_t count) {
     NodeId id = new_node(addr);
     std::byte buf[13];
     buf[0] = std::byte{record};
-    const std::uint64_t nm =
-        static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(name));
-    std::memcpy(buf + 1, &nm, 8);
+    const std::uint64_t type =
+        static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(&desc));
+    std::memcpy(buf + 1, &type, 8);
     const std::uint32_t n = static_cast<std::uint32_t>(count);
     std::memcpy(buf + 9, &n, 4);
     append(buf, sizeof buf);
@@ -513,7 +584,7 @@ class ArenaEncoder {
   detail::ArenaSeenMap& seen_;
 };
 
-/// Captures the object graph rooted at `root` into an arena snapshot.  With
+/// Captures the object graph rooted at `root` (the paper's deep_copy).  With
 /// a pool, slab/address buffers and the alias map are recycled; without one
 /// (tests, ad-hoc callers) the capture owns fresh buffers.
 template <class T>

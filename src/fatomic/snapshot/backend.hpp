@@ -1,98 +1,14 @@
-// SnapshotBackend selection (tentpole of this PR): one type-erased
-// Checkpoint that the weave wrappers capture/compare/restore through,
-// backed by either the node-table graph walk (capture.hpp, the reference
-// semantics) or the arena flat-buffer serializer (arena.hpp, the fast
-// path).  Both backends implement the paper's deep_copy/compare/replace
-// triple with identical verdicts; the shadow validator and the backend
-// parity tests cross-check that claim continuously.
+// Name of the checkpoint representation, for tools that print it into run
+// metadata.  There is one representation — the arena record stream
+// (arena.hpp) — so this always reports "arena".
 #pragma once
-
-#include <cstdint>
-#include <optional>
-#include <string_view>
-#include <variant>
-
-#include "fatomic/snapshot/arena.hpp"
-#include "fatomic/snapshot/restore.hpp"
 
 namespace fatomic::snapshot {
 
-enum class BackendKind : std::uint8_t {
-  Graph,  ///< node-table walk + structural compare (capture.hpp)
-  Arena,  ///< flat-buffer slab + memcmp compare (arena.hpp)
-};
+struct CheckpointRepresentation {};
 
-const char* to_string(BackendKind k);
+constexpr CheckpointRepresentation default_backend() { return {}; }
 
-/// Parses "graph" / "arena"; nullopt for anything else.
-std::optional<BackendKind> parse_backend(std::string_view name);
-
-/// Process-wide default: FATOMIC_CHECKPOINT_BACKEND when set to a valid
-/// name, Graph otherwise.  Read once and cached.
-BackendKind default_backend();
-
-/// One full checkpoint taken through a selected backend — the object the
-/// wrappers hold between "before" and "after" (Listing 1) or across a
-/// masked call (Listing 2).  Movable, not copyable (arena slabs are
-/// pool-owned).
-class Checkpoint {
- public:
-  Checkpoint() = default;
-
-  template <class T>
-  static Checkpoint take(const T& root, BackendKind kind,
-                         ArenaPool* pool = nullptr) {
-    Checkpoint c;
-    if (kind == BackendKind::Arena)
-      c.rep_.emplace<ArenaSnapshot>(arena_capture(root, pool));
-    else
-      c.rep_.emplace<Snapshot>(Builder::take(root));
-    return c;
-  }
-
-  bool valid() const { return rep_.index() != 0; }
-  BackendKind backend() const {
-    return std::holds_alternative<ArenaSnapshot>(rep_) ? BackendKind::Arena
-                                                       : BackendKind::Graph;
-  }
-
-  /// Captured node count — the unit both backends charge to
-  /// stats.checkpoint_units.
-  std::size_t units() const;
-
-  /// Arena slab size in bytes; 0 for the graph backend.
-  std::size_t bytes() const;
-
-  /// Graph equality (the paper's compare).  Arena/arena pairs decide by one
-  /// memcmp over the slabs and fall back to a structural compare of the
-  /// decoded tables only on byte mismatch — byte-equal slabs imply equal
-  /// graphs, the converse does not hold (encoded type-name pointers may
-  /// differ between equal graphs).  `used_memcmp`, when non-null, reports
-  /// whether the fast path was conclusive (feeds stats.memcmp_compares /
-  /// stats.compare_fallbacks).
-  bool equals(const Checkpoint& other, bool* used_memcmp = nullptr) const;
-
-  /// Rolls `root` back to this checkpoint (the paper's replace).  The arena
-  /// stream restores by decoding to a node table and replaying it through
-  /// the Restorer — identical effect, backend-independent semantics.
-  template <class T>
-  void restore_to(T& root) const {
-    if (const auto* s = std::get_if<Snapshot>(&rep_)) {
-      Restorer::apply(root, *s);
-    } else if (const auto* a = std::get_if<ArenaSnapshot>(&rep_)) {
-      const Snapshot decoded = a->decode();
-      Restorer::apply(root, decoded);
-    } else {
-      throw SnapshotError("restore from an empty checkpoint");
-    }
-  }
-
-  /// The node-table view of this checkpoint (decoding when arena-backed) —
-  /// the diagnostic path: diffs, hashes, the shadow validator.
-  Snapshot graph() const;
-
- private:
-  std::variant<std::monostate, Snapshot, ArenaSnapshot> rep_;
-};
+constexpr const char* to_string(CheckpointRepresentation) { return "arena"; }
 
 }  // namespace fatomic::snapshot

@@ -1,299 +1,17 @@
-// Object-graph capture (the paper's deep_copy, Listing 1 line 6).
-//
-// Builder walks a reflected value and produces a Snapshot node table.  The
-// walk is deterministic (field declaration order, container iteration order)
-// and alias-aware: every captured value registers its address, and any
-// pointer whose pointee address was already captured reuses the existing
-// node, so shared pointees become shared nodes exactly as Definition 1
-// requires.  Cycles are handled by registering a node id before the node's
-// children are walked.
+// Object-graph capture into the named view (node.hpp): the entry point for
+// diagnostics and tests that inspect a checkpoint node by node.  The
+// wrappers keep the ArenaSnapshot itself (arena.hpp) and decode only when
+// they need names.
 #pragma once
 
-#include <string>
-#include <type_traits>
-#include <typeindex>
-#include <unordered_map>
-
-#include "fatomic/common/error.hpp"
-#include "fatomic/memory/rc_ptr.hpp"
-#include "fatomic/reflect/reflect.hpp"
-#include "fatomic/snapshot/node.hpp"
-#include "fatomic/snapshot/poly.hpp"
-#include "fatomic/snapshot/traits.hpp"
+#include "fatomic/snapshot/arena.hpp"
 
 namespace fatomic::snapshot {
 
-namespace detail {
-
-template <class>
-inline constexpr bool dependent_false = false;
-
-/// Canonical primitive conversion; see node.hpp for the rationale.
-template <class T>
-Prim to_prim(const T& v) {
-  if constexpr (std::is_same_v<T, bool>) {
-    return v;
-  } else if constexpr (std::is_same_v<T, char>) {
-    return v;
-  } else if constexpr (std::is_enum_v<T>) {
-    return static_cast<std::int64_t>(
-        static_cast<std::underlying_type_t<T>>(v));
-  } else if constexpr (std::is_integral_v<T> && std::is_signed_v<T>) {
-    return static_cast<std::int64_t>(v);
-  } else if constexpr (std::is_integral_v<T>) {
-    return static_cast<std::uint64_t>(v);
-  } else if constexpr (std::is_same_v<T, float>) {
-    // Bitwise, not widened: float->double conversion canonicalizes NaN
-    // payloads and loses denormal identity, which would make two distinct
-    // states compare equal (state identity, node.hpp).
-    return F32Bits{std::bit_cast<std::uint32_t>(v)};
-  } else if constexpr (std::is_floating_point_v<T>) {
-    return F64Bits{std::bit_cast<std::uint64_t>(static_cast<double>(v))};
-  } else {
-    static_assert(std::is_same_v<T, std::string>);
-    return v;
-  }
-}
-
-template <class T>
-constexpr const char* prim_tag() {
-  if constexpr (std::is_same_v<T, bool>) return "bool";
-  else if constexpr (std::is_same_v<T, char>) return "char";
-  else if constexpr (std::is_enum_v<T>) return "enum";
-  else if constexpr (std::is_integral_v<T> && std::is_signed_v<T>) return "int";
-  else if constexpr (std::is_integral_v<T>) return "uint";
-  else if constexpr (std::is_floating_point_v<T>) return "float";
-  else return "string";
-}
-
-struct AliasKey {
-  const void* addr;
-  const char* type_name;
-  friend bool operator==(const AliasKey& a, const AliasKey& b) {
-    return a.addr == b.addr &&
-           std::string_view(a.type_name) == std::string_view(b.type_name);
-  }
-};
-
-struct AliasKeyHash {
-  std::size_t operator()(const AliasKey& k) const {
-    // Proper hash combine (golden-ratio mix, same recipe as node.cpp).  The
-    // old `hash(addr) ^ (hash(type) << 1)` folded the two hashes linearly:
-    // subobjects sharing a base address — the common case for first-member
-    // structs and every map entry — collided whenever the type-hash
-    // difference happened to cancel the address difference, degrading the
-    // alias map to a linked list on large graphs.
-    std::size_t seed = std::hash<const void*>{}(k.addr);
-    seed ^= std::hash<std::string_view>{}(k.type_name) +
-            0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2);
-    return seed;
-  }
-};
-
-}  // namespace detail
-
-class Builder {
- public:
-  /// Captures the object graph rooted at `root` (the paper's deep_copy).
-  template <class T>
-  static Snapshot take(const T& root) {
-    Builder b;
-    b.snap_.root_ = b.capture_value(root, /*owned=*/false);
-    return std::move(b.snap_);
-  }
-
-  /// Captures one value and returns its node id (reusing an existing node if
-  /// this address was already captured).  `owned` applies only when T is a
-  /// raw pointer type.
-  template <class T>
-  NodeId capture_value(const T& v, bool owned = false) {
-    namespace tr = traits;
-    if constexpr (tr::is_primitive_v<T>) {
-      return capture_primitive(v);
-    } else if constexpr (std::is_pointer_v<T>) {
-      return capture_raw_pointer(v, owned);
-    } else if constexpr (tr::is_unique_ptr<T>::value ||
-                         tr::is_shared_ptr<T>::value) {
-      return capture_smart(v.get());
-    } else if constexpr (tr::is_rc_ptr<T>::value) {
-      return capture_smart(v.get());
-    } else if constexpr (tr::is_optional_v<T>) {
-      detail::AliasKey key{&v, "std::optional"};
-      if (auto it = seen_.find(key); it != seen_.end()) return it->second;
-      NodeId id = alloc(NodeKind::Sequence, "std::optional", &v);
-      seen_.emplace(key, id);
-      if (v.has_value()) {
-        NodeId c = capture_value(*v);
-        snap_.nodes_[id].children.push_back(c);
-      }
-      return id;
-    } else if constexpr (tr::is_tuple_v<T>) {
-      // Tuples of references are the weave layer's synthetic roots
-      // (receiver + by-reference arguments); no alias registration.
-      NodeId id = alloc(NodeKind::Object, "std::tuple", &v);
-      std::vector<NodeId> kids;
-      std::apply([&](const auto&... elems) { (kids.push_back(capture_value(elems)), ...); },
-                 v);
-      snap_.nodes_[id].children = std::move(kids);
-      return id;
-    } else if constexpr (tr::is_pair_v<T>) {
-      detail::AliasKey key{&v, "std::pair"};
-      if (auto it = seen_.find(key); it != seen_.end()) return it->second;
-      NodeId id = alloc(NodeKind::Object, "std::pair", &v);
-      seen_.emplace(key, id);
-      NodeId a = capture_value(v.first);
-      NodeId b = capture_value(v.second);
-      snap_.nodes_[id].children = {a, b};
-      return id;
-    } else if constexpr (std::is_same_v<T, std::vector<bool>>) {
-      // vector<bool> iteration yields proxies/temporaries whose addresses
-      // must not enter the alias map; capture the bits directly.
-      detail::AliasKey key{&v, "seq"};
-      if (auto it = seen_.find(key); it != seen_.end()) return it->second;
-      NodeId id = alloc(NodeKind::Sequence, "seq", &v);
-      seen_.emplace(key, id);
-      std::vector<NodeId> kids;
-      kids.reserve(v.size());
-      for (std::size_t i = 0; i < v.size(); ++i) {
-        NodeId b = alloc(NodeKind::Primitive, "bool", nullptr);
-        snap_.nodes_[b].value = static_cast<bool>(v[i]);
-        kids.push_back(b);
-      }
-      snap_.nodes_[id].children = std::move(kids);
-      return id;
-    } else if constexpr (tr::is_sequence_v<T> || tr::is_std_array_v<T> ||
-                         tr::is_set_v<T>) {
-      detail::AliasKey key{&v, "seq"};
-      if (auto it = seen_.find(key); it != seen_.end()) return it->second;
-      NodeId id = alloc(NodeKind::Sequence, "seq", &v);
-      seen_.emplace(key, id);
-      std::vector<NodeId> kids;
-      for (const auto& e : v) kids.push_back(capture_value(e));
-      snap_.nodes_[id].children = std::move(kids);
-      return id;
-    } else if constexpr (tr::is_map_v<T>) {
-      detail::AliasKey key{&v, "map"};
-      if (auto it = seen_.find(key); it != seen_.end()) return it->second;
-      NodeId id = alloc(NodeKind::Sequence, "map", &v);
-      seen_.emplace(key, id);
-      std::vector<NodeId> kids;
-      for (const auto& kv : v) {
-        NodeId pid = alloc(NodeKind::Object, "std::pair", &kv);
-        NodeId k = capture_value(kv.first);
-        NodeId m = capture_value(kv.second);
-        snap_.nodes_[pid].children = {k, m};
-        kids.push_back(pid);
-      }
-      snap_.nodes_[id].children = std::move(kids);
-      return id;
-    } else if constexpr (reflect::is_reflected_v<T>) {
-      return capture_object(v);
-    } else {
-      static_assert(detail::dependent_false<T>,
-                    "type is not capturable: register it with FAT_REFLECT or "
-                    "use a supported container/pointer/primitive type");
-    }
-  }
-
-  /// Captures a reflected object; public because polymorphic dispatch
-  /// (PolyOps) re-enters the builder here with the concrete derived type.
-  template <reflect::Reflected T>
-  NodeId capture_object(const T& v) {
-    const char* name = reflect::Reflect<std::remove_cv_t<T>>::name;
-    detail::AliasKey key{&v, name};
-    if (auto it = seen_.find(key); it != seen_.end()) return it->second;
-    NodeId id = alloc(NodeKind::Object, name, &v);
-    seen_.emplace(key, id);  // before children: cycles resolve to this node
-    std::vector<NodeId> kids;
-    std::vector<const char*> names;
-    kids.reserve(reflect::field_count<T>());
-    names.reserve(reflect::field_count<T>());
-    reflect::for_each_field<T>([&](const auto& f) {
-      kids.push_back(capture_value(v.*(f.member), f.owned));
-      names.push_back(f.name);
-    });
-    snap_.nodes_[id].children = std::move(kids);
-    snap_.nodes_[id].child_names = std::move(names);
-    return id;
-  }
-
- private:
-  NodeId alloc(NodeKind kind, const char* type_name, const void* addr) {
-    NodeId id = static_cast<NodeId>(snap_.nodes_.size());
-    Node n;
-    n.kind = kind;
-    n.type_name = type_name;
-    n.src_addr = addr;
-    snap_.nodes_.push_back(std::move(n));
-    return id;
-  }
-
-  template <class T>
-  NodeId capture_primitive(const T& v) {
-    const char* tag = detail::prim_tag<T>();
-    detail::AliasKey key{&v, tag};
-    if (auto it = seen_.find(key); it != seen_.end()) return it->second;
-    NodeId id = alloc(NodeKind::Primitive, tag, &v);
-    seen_.emplace(key, id);
-    snap_.nodes_[id].value = detail::to_prim(v);
-    return id;
-  }
-
-  template <class U>
-  NodeId capture_raw_pointer(U* p, bool owned) {
-    if (p == nullptr) return alloc(NodeKind::NullPointer, "nullptr", nullptr);
-    NodeId id = alloc(NodeKind::Pointer, owned ? "owned_ptr" : "ptr", nullptr);
-    snap_.nodes_[id].owned_edge = owned;
-    NodeId pointee = capture_pointee(const_cast<const U*>(p));
-    snap_.nodes_[id].pointee = pointee;
-    return id;
-  }
-
-  template <class U>
-  NodeId capture_smart(const U* p) {
-    if (p == nullptr) return alloc(NodeKind::NullPointer, "nullptr", nullptr);
-    NodeId id = alloc(NodeKind::Pointer, "owned_ptr", nullptr);
-    snap_.nodes_[id].owned_edge = true;
-    NodeId pointee = capture_pointee(p);
-    snap_.nodes_[id].pointee = pointee;
-    return id;
-  }
-
-  template <class U>
-  NodeId capture_pointee(const U* p) {
-    if constexpr (std::is_polymorphic_v<U>) {
-      const PolyOps* ops =
-          PolyRegistry::instance().find(typeid(U), typeid(*p));
-      if (ops != nullptr) {
-        // Most-derived address keys the alias map, so the same object
-        // reached through different pointer types shares one node.
-        const void* mda = dynamic_cast<const void*>(p);
-        detail::AliasKey key{mda, ops->class_name};
-        if (auto it = seen_.find(key); it != seen_.end()) return it->second;
-        return ops->capture(static_cast<const void*>(p), *this);
-      }
-      if constexpr (reflect::is_reflected_v<U>) {
-        // Unregistered dynamic type: fall back to the static type (sliced
-        // capture) — mirrors the paper's "incomplete object graphs" caveat
-        // (Section 5.1); it can only under- not over-report atomicity.
-        return capture_object(*p);
-      } else {
-        throw SnapshotError(std::string("unregistered polymorphic pointee: ") +
-                            typeid(*p).name());
-      }
-    } else {
-      return capture_value(*p);
-    }
-  }
-
-  std::unordered_map<detail::AliasKey, NodeId, detail::AliasKeyHash> seen_;
-  Snapshot snap_;
-};
-
-/// Convenience entry point: capture the object graph of `root`.
+/// Captures the object graph of `root` and decodes it into an owning view.
 template <class T>
 Snapshot capture(const T& root) {
-  return Builder::take(root);
+  return arena_capture(root).decode();
 }
 
 }  // namespace fatomic::snapshot

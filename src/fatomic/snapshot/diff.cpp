@@ -16,7 +16,7 @@ struct PrimPrinter {
   void operator()(std::uint64_t v) { os << v; }
   void operator()(F32Bits v) { os << v.value(); }
   void operator()(F64Bits v) { os << v.value(); }
-  void operator()(const std::string& v) { os << '"' << v << '"'; }
+  void operator()(std::string_view v) { os << '"' << v << '"'; }
 };
 
 std::string render(const Snapshot& s, NodeId id) {
@@ -94,9 +94,9 @@ class Differ {
         }
         for (std::size_t i = 0; i < x.children.size(); ++i) {
           std::string child = path;
-          if (i < x.child_names.size()) {
+          if (x.field_names != nullptr) {
             child += '.';
-            child += x.child_names[i];
+            child += x.field_names[i];
           } else {
             child += "." + std::to_string(i);
           }

@@ -35,7 +35,7 @@ struct PrimPrinter {
   void operator()(std::uint64_t v) { os << v << 'u'; }
   void operator()(F32Bits v) { os << v.value() << 'f'; }
   void operator()(F64Bits v) { os << v.value(); }
-  void operator()(const std::string& v) { os << '"' << v << '"'; }
+  void operator()(std::string_view v) { os << '"' << v << '"'; }
 };
 
 struct PrimHasher {
@@ -53,8 +53,8 @@ struct PrimHasher {
   std::size_t operator()(F64Bits v) const {
     return std::hash<std::uint64_t>{}(v.bits);
   }
-  std::size_t operator()(const std::string& v) const {
-    return std::hash<std::string>{}(v);
+  std::size_t operator()(std::string_view v) const {
+    return std::hash<std::string_view>{}(v);
   }
 };
 

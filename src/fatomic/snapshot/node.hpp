@@ -1,17 +1,20 @@
-// Snapshot node table: the concrete representation of an object graph
-// (Definition 1 in the paper).
+// Snapshot node table: the named, decoded view of a checkpoint (Definition 1
+// in the paper).
 //
-// A Snapshot is a flat table of nodes; node ids are assigned in deterministic
-// depth-first pre-order of the capture walk (field declaration order for
-// objects, iteration order for containers).  Two captures of structurally
-// equal object graphs therefore produce identical tables, so object-graph
-// equality — including pointer-sharing structure — reduces to an elementwise
-// table comparison.
+// Checkpoints are arena record streams (arena.hpp); ArenaSnapshot::decode()
+// turns one into this flat table of nodes.  Node ids follow the capture
+// walk's deterministic depth-first pre-order (field declaration order for
+// objects, iteration order for containers), so two captures of structurally
+// equal object graphs decode to identical tables, and object-graph equality
+// — including pointer-sharing structure — reduces to an elementwise table
+// comparison.  Diffs, footprints, the structural compare fallback and the
+// restorer all read this view.
 #pragma once
 
 #include <bit>
 #include <cstdint>
-#include <string>
+#include <memory>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -40,9 +43,11 @@ struct F64Bits {
 /// Canonical storage for primitive leaves.  All signed integral types map to
 /// int64_t, unsigned to uint64_t, floating point to a bitwise image (F32Bits
 /// for float, F64Bits for everything wider); this keeps comparison exact
-/// while bounding the variant size.
+/// while bounding the variant size.  String leaves are views into the slab
+/// the table was decoded from: decoding never copies a string payload, and
+/// restore copies it once, straight into the live object.
 using Prim = std::variant<bool, char, std::int64_t, std::uint64_t, F32Bits,
-                          F64Bits, std::string>;
+                          F64Bits, std::string_view>;
 
 enum class NodeKind : std::uint8_t {
   Primitive,    ///< leaf value
@@ -60,10 +65,11 @@ struct Node {
   const char* type_name = "";
   Prim value{};                   ///< Primitive only
   std::vector<NodeId> children;   ///< Object / Sequence only
-  /// Field names parallel to `children` (Object kind only; static strings
-  /// from the reflection descriptors).  Not part of equality — two nodes
-  /// with the same type_name always have the same field names.
-  std::vector<const char*> child_names;
+  /// Field names parallel to `children` for reflected objects, from the
+  /// type's descriptor (Reflect<T>::fields); null for every other node.
+  /// Not part of equality — two nodes with the same type_name always have
+  /// the same field names.
+  const char* const* field_names = nullptr;
   NodeId pointee = kInvalidNode;  ///< Pointer only
   bool owned_edge = false;        ///< Pointer only: edge owns the pointee
   /// Address of the live value this node was captured from.  Not part of
@@ -80,7 +86,11 @@ struct Node {
   }
 };
 
-/// An immutable checkpoint of an object graph.
+class ArenaSnapshot;
+
+/// The decoded, immutable view of one checkpoint.  A view decoded from an
+/// lvalue ArenaSnapshot borrows its string payloads and must not outlive it;
+/// one decoded from an rvalue (snapshot::capture) owns the slab.
 class Snapshot {
  public:
   Snapshot() = default;
@@ -97,18 +107,18 @@ class Snapshot {
     return root_ == other.root_ && nodes_ == other.nodes_;
   }
 
-  /// Structural hash; equal snapshots hash equally.  Used by the fast-path
-  /// comparison ablation in bench_fig5.
+  /// Structural hash; equal snapshots hash equally.
   std::size_t hash() const;
 
   /// Human-readable dump for diagnostics and tests.
   std::string to_string() const;
 
  private:
-  friend class Builder;
-  friend class ArenaSnapshot;  // decode() rebuilds a node table (arena.cpp)
+  friend class ArenaSnapshot;  // decode() builds the table (arena.cpp)
   std::vector<Node> nodes_;
   NodeId root_ = kInvalidNode;
+  /// The slab string leaves point into, when this view owns it.
+  std::shared_ptr<const ArenaSnapshot> slab_;
 };
 
 }  // namespace fatomic::snapshot

@@ -23,15 +23,17 @@
 // cost reduction comes from on deep structures.
 #pragma once
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "fatomic/common/error.hpp"
-#include "fatomic/snapshot/capture.hpp"
+#include "fatomic/snapshot/arena.hpp"
 
 namespace fatomic::snapshot {
 
@@ -50,17 +52,46 @@ struct CheckpointPlan {
 /// Human-readable one-line form ("partial{capture=a,b prune=c}" / "full").
 std::string to_string(const CheckpointPlan& plan);
 
+/// One recorded leaf.  Same canonical forms as the decoded view's Prim
+/// (node.hpp), but strings are owned: the live field keeps changing after
+/// the capture.
+using Leaf = std::variant<bool, char, std::int64_t, std::uint64_t, F32Bits,
+                          F64Bits, std::string>;
+
 /// The recorded leaves of one partial capture, in deterministic walk order.
 struct PartialSnapshot {
   bool ok = false;  ///< capture completed; false → use a full snapshot
-  std::vector<Prim> values;
+  std::vector<Leaf> values;
 };
 
 namespace detail {
 
-/// Inverse of to_prim — mirrors Restorer::restore_primitive.
 template <class T>
-void from_prim(T& dst, const Prim& v) {
+Leaf to_leaf(const T& v) {
+  if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, char>) {
+    return v;
+  } else if constexpr (std::is_enum_v<T>) {
+    return static_cast<std::int64_t>(
+        static_cast<std::underlying_type_t<T>>(v));
+  } else if constexpr (std::is_integral_v<T> && std::is_signed_v<T>) {
+    return static_cast<std::int64_t>(v);
+  } else if constexpr (std::is_integral_v<T>) {
+    return static_cast<std::uint64_t>(v);
+  } else if constexpr (std::is_same_v<T, float>) {
+    // Bitwise, not widened: float->double conversion canonicalizes NaN
+    // payloads and loses denormal identity (state identity, node.hpp).
+    return F32Bits{std::bit_cast<std::uint32_t>(v)};
+  } else if constexpr (std::is_floating_point_v<T>) {
+    return F64Bits{std::bit_cast<std::uint64_t>(static_cast<double>(v))};
+  } else {
+    static_assert(std::is_same_v<T, std::string>);
+    return v;
+  }
+}
+
+/// Inverse of to_leaf.
+template <class T>
+void from_leaf(T& dst, const Leaf& v) {
   if constexpr (std::is_same_v<T, bool>) {
     dst = std::get<bool>(v);
   } else if constexpr (std::is_same_v<T, char>) {
@@ -88,7 +119,7 @@ class PartialWalker {
   enum class Mode { Capture, Restore };
 
   PartialWalker(const CheckpointPlan& plan, Mode mode,
-                std::vector<Prim>& values)
+                std::vector<Leaf>& values)
       : plan_(plan), mode_(mode), values_(values) {}
 
   bool failed() const { return failed_; }
@@ -185,19 +216,22 @@ class PartialWalker {
       fail("captured field reachable only through const storage");
     } else {
       if (mode_ == Mode::Capture) {
-        values_.push_back(to_prim(v));
+        values_.push_back(to_leaf(v));
       } else {
         if (cursor_ >= values_.size())
           throw SnapshotError("partial restore: more leaves than captured");
-        from_prim(v, values_[cursor_++]);
+        from_leaf(v, values_[cursor_++]);
       }
     }
   }
 
-  /// Alias/cycle guard, same keys as Builder's alias map.  Returns false
-  /// when this object was already visited.
+  /// Alias/cycle guard, same keys as the capture walk.  Returns false when
+  /// this object was already visited.
   bool enter(const void* addr, const char* type_name) {
-    return seen_.emplace(AliasKey{addr, type_name}, true).second;
+    NodeId* slot = seen_.find_or_insert(addr, type_name);
+    if (*slot != kInvalidNode) return false;
+    *slot = 0;
+    return true;
   }
 
   void fail(const char* why) {
@@ -208,17 +242,17 @@ class PartialWalker {
 
   const CheckpointPlan& plan_;
   Mode mode_;
-  std::vector<Prim>& values_;
+  std::vector<Leaf>& values_;
   std::size_t cursor_ = 0;
   bool failed_ = false;
-  std::unordered_map<AliasKey, bool, AliasKeyHash> seen_;
+  ArenaSeenMap seen_;
 };
 
 }  // namespace detail
 
 /// Captures the leaves `plan` names from the graph rooted at `root`.  A
 /// non-partial plan or any walk-time surprise yields `ok == false` — the
-/// caller must fall back to snapshot::capture.
+/// caller must fall back to a full arena_capture.
 template <class T>
 PartialSnapshot partial_capture(const T& root, const CheckpointPlan& plan) {
   PartialSnapshot out;
@@ -240,7 +274,7 @@ template <class T>
 void partial_restore(T& root, const PartialSnapshot& snap,
                      const CheckpointPlan& plan) {
   if (!snap.ok) throw SnapshotError("partial restore of a failed capture");
-  auto& values = const_cast<std::vector<Prim>&>(snap.values);
+  auto& values = const_cast<std::vector<Leaf>&>(snap.values);
   detail::PartialWalker w(plan, detail::PartialWalker::Mode::Restore, values);
   w.visit(root);
   w.finish();

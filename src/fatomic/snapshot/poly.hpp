@@ -1,4 +1,4 @@
-// Registry of polymorphic (Base, Derived) pairs for the snapshot walkers.
+// Registry of polymorphic (Base, Derived) pairs for capture and restore.
 //
 // The paper's Java prototype relies on runtime reflection to checkpoint
 // objects through base-class references; in C++ we register each concrete
@@ -18,19 +18,16 @@
 namespace fatomic::snapshot {
 
 class ArenaEncoder;
-class Builder;
 class Restorer;
 
 /// Type-erased operations for one registered (Base, Derived) pair.  All
 /// void* values are Base* in disguise.
 struct PolyOps {
   const char* class_name;
-  NodeId (*capture)(const void* base_ptr, Builder& b);
+  NodeId (*encode)(const void* base_ptr, ArenaEncoder& e);
   void* (*create)();  // new Derived, returned as Base*
   void (*restore)(void* base_ptr, Restorer& r, NodeId object_node);
   void (*destroy)(void* base_ptr);
-  /// Arena-backend counterpart of `capture` (arena.hpp).
-  NodeId (*encode)(const void* base_ptr, ArenaEncoder& e);
 };
 
 class PolyRegistry {

@@ -1,5 +1,6 @@
 // Object-graph restore (the paper's replace, Listing 2 line 6): rolls a live
-// object back to a previously captured Snapshot.
+// object back to a previously captured checkpoint, read through its decoded
+// view (node.hpp).
 //
 // The restore proceeds in four phases:
 //   0. collect — walk the *current* live graph and schedule every owned
@@ -31,7 +32,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "fatomic/snapshot/arena.hpp"
 #include "fatomic/snapshot/capture.hpp"
 
 namespace fatomic::snapshot {
@@ -52,6 +52,7 @@ class Restorer {
   /// inconsistency into a use-after-free.  (Leaking them is the safe side.)
   template <class T>
   static void apply(T& root, const Snapshot& s) {
+    if (s.empty()) throw SnapshotError("restore from an empty snapshot");
     Restorer r;
     r.snap_ = &s;
     r.collect_value(root, /*owned=*/false);
@@ -187,7 +188,9 @@ class Restorer {
     } else if constexpr (std::is_floating_point_v<T>) {
       dst = static_cast<T>(std::get<F64Bits>(n.value).value());
     } else {
-      dst = std::get<std::string>(n.value);
+      // One copy, from the slab straight into the live string.
+      const std::string_view v = std::get<std::string_view>(n.value);
+      dst.assign(v.data(), v.size());
     }
   }
 
@@ -408,10 +411,16 @@ class Restorer {
   std::unordered_set<const void*> visited_;
 };
 
-/// Convenience entry point mirroring capture(): roll `root` back to `s`.
+/// Rolls `root` back to the decoded view `s`.
 template <class T>
 void restore(T& root, const Snapshot& s) {
   Restorer::apply(root, s);
+}
+
+/// Rolls `root` back to checkpoint `cp`: decode + Restorer.
+template <class T>
+void restore(T& root, const ArenaSnapshot& cp) {
+  Restorer::apply(root, cp.decode());
 }
 
 // ---- polymorphic registration ---------------------------------------------
@@ -420,9 +429,9 @@ namespace detail {
 
 template <class Base, class Derived>
 struct PolyOpsFor {
-  static NodeId capture_fn(const void* bp, Builder& b) {
+  static NodeId encode_fn(const void* bp, ArenaEncoder& e) {
     const Base* base = static_cast<const Base*>(bp);
-    return b.capture_object(*static_cast<const Derived*>(base));
+    return e.encode_object(*static_cast<const Derived*>(base));
   }
   static void* create_fn() {
     return static_cast<void*>(static_cast<Base*>(new Derived()));
@@ -433,10 +442,6 @@ struct PolyOpsFor {
   }
   static void destroy_fn(void* bp) {
     delete static_cast<Derived*>(static_cast<Base*>(bp));
-  }
-  static NodeId encode_fn(const void* bp, ArenaEncoder& e) {
-    const Base* base = static_cast<const Base*>(bp);
-    return e.encode_object(*static_cast<const Derived*>(base));
   }
 };
 
@@ -451,11 +456,10 @@ int register_poly() {
                 "register the derived class with FAT_REFLECT first");
   static const PolyOps ops{
       reflect::Reflect<Derived>::name,
-      &detail::PolyOpsFor<Base, Derived>::capture_fn,
+      &detail::PolyOpsFor<Base, Derived>::encode_fn,
       &detail::PolyOpsFor<Base, Derived>::create_fn,
       &detail::PolyOpsFor<Base, Derived>::restore_fn,
       &detail::PolyOpsFor<Base, Derived>::destroy_fn,
-      &detail::PolyOpsFor<Base, Derived>::encode_fn,
   };
   PolyRegistry::instance().add(typeid(Base), typeid(Derived), &ops);
   return 0;

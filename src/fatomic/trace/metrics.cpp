@@ -131,7 +131,6 @@ MetricsRegistry campaign_metrics(const detect::Campaign& campaign) {
   m.add("stats.partial_fallbacks", s.partial_fallbacks);
   m.add("stats.checkpoint_units", s.checkpoint_units);
   m.add("stats.validator_divergences", s.validator_divergences);
-  m.add("stats.arena_checkpoints", s.arena_checkpoints);
   m.add("stats.arena_bytes", s.arena_bytes);
   m.add("stats.memcmp_compares", s.memcmp_compares);
   m.add("stats.compare_fallbacks", s.compare_fallbacks);
@@ -199,16 +198,6 @@ MetricsRegistry campaign_metrics(const detect::Campaign& campaign) {
         break;
       case EventKind::Compare:
         m.histogram("compare_ns").observe(e.dur_ns);
-        break;
-      case EventKind::ArenaCapture:
-        m.histogram("arena_snapshot_ns").observe(e.dur_ns);
-        if (e.method != nullptr)
-          m.add("checkpoint_units." + e.method->qualified_name(), e.value);
-        break;
-      case EventKind::ArenaCompare:
-        m.histogram("arena_compare_ns").observe(e.dur_ns);
-        m.add(e.value != 0 ? "arena_compares.memcmp"
-                           : "arena_compares.fallback");
         break;
       case EventKind::PlanLookup:
         m.add(e.value != 0 ? "plan_lookups.hit" : "plan_lookups.miss");

@@ -39,7 +39,7 @@ enum class EventKind : std::uint8_t {
   Baseline,           ///< span: the Count-mode baseline run (threshold 0)
   Run,                ///< span: one injector run; value = marks recorded
   Injection,          ///< instant: an exception was injected at `method`
-  Snapshot,           ///< span: full deep checkpoint; value = nodes built
+  Snapshot,           ///< span: full checkpoint (arena capture); value = nodes
   PartialCheckpoint,  ///< span: field-granular checkpoint; value = leaves
   PartialFallback,    ///< instant: partial capture bailed, full copy follows
   Compare,            ///< span: post-exception graph compare; value = atomic
@@ -47,8 +47,10 @@ enum class EventKind : std::uint8_t {
   PlanLookup,         ///< instant: wrap consulted the plan map; value = hit
   MaskScope,          ///< instant: MaskedScope entered (1) / left (0)
   Validator,          ///< instant: shadow-checkpoint divergence detected
-  ArenaCapture,       ///< span: arena flat-buffer checkpoint; value = nodes
-  ArenaCompare,       ///< span: arena compare; value = memcmp decided (1/0)
+  ArenaCapture,       ///< never emitted: captures are Snapshot spans; kept
+                      ///< so trace readers that switch on it still compile
+  ArenaCompare,       ///< never emitted: compares are Compare spans; kept
+                      ///< for the same reason
   RestoreFailure,     ///< instant: rollback failed mid-replay (RestoreError)
   ThrowSite,          ///< instant: captured throw backtrace; value = stack id
   Recovery,           ///< span: policy-engine recovery; detail = action tag

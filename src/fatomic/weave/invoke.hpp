@@ -22,7 +22,7 @@
 
 #include "fatomic/common/error.hpp"
 #include "fatomic/recovery/policy.hpp"
-#include "fatomic/snapshot/backend.hpp"
+#include "fatomic/snapshot/arena.hpp"
 #include "fatomic/snapshot/diff.hpp"
 #include "fatomic/snapshot/partial.hpp"
 #include "fatomic/snapshot/restore.hpp"
@@ -54,28 +54,18 @@ inline void fire_injection_points(const MethodInfo& mi, Runtime& rt) {
   for (const ExceptionSpec& e : rt.runtime_exceptions()) fire(e);
 }
 
-/// Takes one full checkpoint through the runtime-selected backend and
-/// charges the backend-specific counters/trace events.  Shared by the
-/// atomicity wrapper's checkpoint and the injection wrapper's before/after
-/// captures, so a campaign's full-checkpoint accounting is uniform.
+/// Takes one full checkpoint of `root` through the runtime's arena pool and
+/// charges it (snapshots_taken, arena_bytes, a Snapshot span).  Shared by
+/// the atomicity wrapper's checkpoint and the injection wrapper's
+/// before-capture, so a campaign's full-checkpoint accounting is uniform.
 template <class Root>
-snapshot::Checkpoint take_full_checkpoint(const MethodInfo& mi,
-                                          const Root& root, Runtime& rt,
-                                          snapshot::BackendKind kind,
-                                          bool count_snapshot) {
-  const bool arena = kind == snapshot::BackendKind::Arena;
+snapshot::ArenaSnapshot take_full_checkpoint(const MethodInfo& mi,
+                                             const Root& root, Runtime& rt) {
   const std::uint64_t t0 = rt.trace.begin_span();
-  snapshot::Checkpoint cp = snapshot::Checkpoint::take(root, kind, &rt.arena_pool);
-  if (count_snapshot) {
-    ++rt.stats.snapshots_taken;
-    if (arena) {
-      ++rt.stats.arena_checkpoints;
-      rt.stats.arena_bytes += cp.bytes();
-    }
-  }
-  rt.trace.span(
-      arena ? trace::EventKind::ArenaCapture : trace::EventKind::Snapshot, t0,
-      &mi, cp.units());
+  snapshot::ArenaSnapshot cp = snapshot::arena_capture(root, &rt.arena_pool);
+  ++rt.stats.snapshots_taken;
+  rt.stats.arena_bytes += cp.byte_size();
+  rt.trace.span(trace::EventKind::Snapshot, t0, &mi, cp.node_count());
   return cp;
 }
 
@@ -96,13 +86,13 @@ struct EngineScope {
 /// anything at that point would hide corruption).
 template <class Root>
 void rollback_to(const MethodInfo& mi, Root& root,
-                 const snapshot::Checkpoint& cp, Runtime& rt) {
+                 const snapshot::ArenaSnapshot& cp, Runtime& rt) {
   try {
     // Restoring containers of instrumented objects re-runs their
     // constructors; those entries must not fire injection points of their
     // own (the engine would sabotage its own rollback).
     EngineScope engine(rt);
-    cp.restore_to(root);
+    snapshot::restore(root, cp);
   } catch (const RestoreError&) {
     ++rt.stats.restore_errors;
     rt.trace.instant(trace::EventKind::RestoreFailure, &mi);
@@ -110,6 +100,19 @@ void rollback_to(const MethodInfo& mi, Root& root,
   }
   ++rt.stats.rollbacks;
   rt.trace.instant(trace::EventKind::Rollback, &mi, /*partial=*/0);
+}
+
+/// Completeness validator (Runtime::validate_checkpoints): after a partial
+/// rollback the receiver must equal `shadow`, the full checkpoint taken
+/// next to the partial one.
+template <class Root>
+void validate_partial_restore(const MethodInfo& mi, const Root& root,
+                              const snapshot::ArenaSnapshot& shadow,
+                              Runtime& rt) {
+  if (!shadow.equals(snapshot::arena_capture(root, &rt.arena_pool))) {
+    ++rt.stats.validator_divergences;
+    rt.trace.instant(trace::EventKind::Validator, &mi);
+  }
 }
 
 /// Production-mode fault source (DESIGN.md §14): raises an
@@ -165,8 +168,8 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
 
   for (unsigned attempt = 0;; ++attempt) {
     std::optional<snapshot::PartialSnapshot> partial;
-    std::optional<snapshot::Checkpoint> full;
-    snapshot::Snapshot shadow;  // validate_checkpoints shadow for partials
+    std::optional<snapshot::ArenaSnapshot> full;
+    snapshot::ArenaSnapshot shadow;  // validate_checkpoints shadow for partials
     if (need_checkpoint) {
       if (plan != nullptr) {
         const std::uint64_t t0 = rt.trace.begin_span();
@@ -176,7 +179,8 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
           rt.stats.checkpoint_units += partial->values.size();
           rt.trace.span(trace::EventKind::PartialCheckpoint, t0, &mi,
                         partial->values.size());
-          if (rt.validate_checkpoints) shadow = snapshot::capture(root);
+          if (rt.validate_checkpoints)
+            shadow = snapshot::arena_capture(root, &rt.arena_pool);
         } else {
           partial.reset();
           ++rt.stats.partial_fallbacks;
@@ -184,9 +188,8 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
         }
       }
       if (!partial) {
-        full.emplace(take_full_checkpoint(mi, root, rt, rt.checkpoint_backend,
-                                          /*count_snapshot=*/true));
-        rt.stats.checkpoint_units += full->units();
+        full.emplace(take_full_checkpoint(mi, root, rt));
+        rt.stats.checkpoint_units += full->node_count();
       }
     }
 
@@ -198,13 +201,8 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
         }
         ++rt.stats.rollbacks;
         rt.trace.instant(trace::EventKind::Rollback, &mi, /*partial=*/1);
-        if (rt.validate_checkpoints) {
-          snapshot::Snapshot restored = snapshot::capture(root);
-          if (!shadow.equals(restored)) {
-            ++rt.stats.validator_divergences;
-            rt.trace.instant(trace::EventKind::Validator, &mi);
-          }
-        }
+        if (rt.validate_checkpoints)
+          validate_partial_restore(mi, root, shadow, rt);
       } else if (full) {
         rollback_to(mi, root, *full, rt);
       }
@@ -277,11 +275,9 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
           // corrupted-state verdict is never masked.
           bool intact = false;
           if (full) {
-            snapshot::Checkpoint after = snapshot::Checkpoint::take(
-                root, full->backend(), &rt.arena_pool);
             ++rt.stats.comparisons;
-            bool used_memcmp = false;
-            intact = full->equals(after, &used_memcmp);
+            intact =
+                full->equals(snapshot::arena_capture(root, &rt.arena_pool));
           }
           if constexpr (kNeutralReturn) {
             if (intact) {
@@ -354,8 +350,9 @@ decltype(auto) masked_call(const MethodInfo& mi, Root& root, Fn&& body,
         rt.stats.checkpoint_units += partial.values.size();
         rt.trace.span(trace::EventKind::PartialCheckpoint, t0, &mi,
                       partial.values.size());
-        snapshot::Snapshot shadow;
-        if (rt.validate_checkpoints) shadow = snapshot::capture(root);
+        snapshot::ArenaSnapshot shadow;
+        if (rt.validate_checkpoints)
+          shadow = snapshot::arena_capture(root, &rt.arena_pool);
         try {
           maybe_inject_fault(mi, rt);
           return body();
@@ -366,32 +363,16 @@ decltype(auto) masked_call(const MethodInfo& mi, Root& root, Fn&& body,
           }
           ++rt.stats.rollbacks;
           rt.trace.instant(trace::EventKind::Rollback, &mi, /*partial=*/1);
-          if (rt.validate_checkpoints) {
-            snapshot::Snapshot restored = snapshot::capture(root);
-            if (!shadow.equals(restored)) {
-              ++rt.stats.validator_divergences;
-              rt.trace.instant(trace::EventKind::Validator, &mi);
-            }
-          }
+          if (rt.validate_checkpoints)
+            validate_partial_restore(mi, root, shadow, rt);
           throw;
         }
       }
       ++rt.stats.partial_fallbacks;
       rt.trace.instant(trace::EventKind::PartialFallback, &mi);
     }
-    snapshot::Checkpoint checkpoint = take_full_checkpoint(
-        mi, root, rt, rt.checkpoint_backend, /*count_snapshot=*/true);
-    rt.stats.checkpoint_units += checkpoint.units();
-    // Backend shadow validator: under validate_checkpoints every arena
-    // checkpoint is cross-checked against a graph capture of the same live
-    // state — the two backends must agree on what they recorded.
-    if (rt.validate_checkpoints &&
-        checkpoint.backend() == snapshot::BackendKind::Arena) {
-      if (!snapshot::capture(root).equals(checkpoint.graph())) {
-        ++rt.stats.validator_divergences;
-        rt.trace.instant(trace::EventKind::Validator, &mi, 0, "backend");
-      }
-    }
+    snapshot::ArenaSnapshot checkpoint = take_full_checkpoint(mi, root, rt);
+    rt.stats.checkpoint_units += checkpoint.node_count();
     try {
       maybe_inject_fault(mi, rt);
       return body();
@@ -417,48 +398,21 @@ decltype(auto) injected_call(const MethodInfo& mi, Root& root, Fn&& body,
     explicit DepthGuard(Runtime& r) : rt(r) { ++rt.depth; }
     ~DepthGuard() { --rt.depth; }
   } depth_guard(rt);
-  // Diff recording renders field names, which only the graph backend's node
-  // tables carry (the arena slab stores none — they are type-determined);
-  // record_diffs campaigns therefore pin the injection wrapper to graph
-  // captures.  It is already the "pay for diagnostics" knob.
-  const snapshot::BackendKind kind = rt.record_diffs || rt.record_footprints
-                                         ? snapshot::BackendKind::Graph
-                                         : rt.checkpoint_backend;
-  const bool arena = kind == snapshot::BackendKind::Arena;
-  snapshot::Checkpoint before =
-      take_full_checkpoint(mi, root, rt, kind, /*count_snapshot=*/true);
-  // Verdict cross-check (shadow validator): under validate_checkpoints the
-  // graph backend independently captures the same states and must reach the
-  // same atomic/non-atomic verdict as the arena compare.
-  snapshot::Snapshot before_shadow;
-  if (arena && rt.validate_checkpoints) before_shadow = snapshot::capture(root);
+  const snapshot::ArenaSnapshot before = take_full_checkpoint(mi, root, rt);
   try {
     return inner();
   } catch (...) {
     const std::uint64_t c0 = rt.trace.begin_span();
-    snapshot::Checkpoint after =
-        snapshot::Checkpoint::take(root, kind, &rt.arena_pool);
+    const snapshot::ArenaSnapshot after =
+        snapshot::arena_capture(root, &rt.arena_pool);
     ++rt.stats.comparisons;
     bool used_memcmp = false;
     const bool atomic = before.equals(after, &used_memcmp);
-    if (arena) {
-      if (used_memcmp)
-        ++rt.stats.memcmp_compares;
-      else
-        ++rt.stats.compare_fallbacks;
-      rt.trace.span(trace::EventKind::ArenaCompare, c0, &mi,
-                    used_memcmp ? 1 : 0);
-      if (rt.validate_checkpoints &&
-          before_shadow.equals(snapshot::capture(root)) != atomic) {
-        ++rt.stats.validator_divergences;
-        rt.trace.instant(trace::EventKind::Validator, &mi, 0, "backend");
-      }
-    } else {
-      rt.trace.span(trace::EventKind::Compare, c0, &mi, atomic ? 1 : 0);
-    }
+    ++(used_memcmp ? rt.stats.memcmp_compares : rt.stats.compare_fallbacks);
+    rt.trace.span(trace::EventKind::Compare, c0, &mi, atomic ? 1 : 0);
     std::string detail;
     if (!atomic && rt.record_diffs)
-      detail = snapshot::first_difference(before.graph(), after.graph());
+      detail = snapshot::first_difference(before.decode(), after.decode());
     // Episode accounting: marks are appended in propagation order and
     // within one episode depths strictly decrease, so this wrapper is the
     // first observer of a new exception exactly when the previous mark sits
@@ -484,7 +438,7 @@ decltype(auto) injected_call(const MethodInfo& mi, Root& root, Fn&& body,
     Mark mark{&mi, atomic, rt.injection_point, rt.depth, std::move(detail),
               current_exception_type_name(), throw_stack, {}};
     if (!atomic && rt.record_footprints) {
-      for (auto& d : snapshot::diff(before.graph(), after.graph(), 256))
+      for (auto& d : snapshot::diff(before.decode(), after.decode(), 256))
         mark.footprint.push_back(std::move(d.path));
     }
     rt.marks.push_back(std::move(mark));

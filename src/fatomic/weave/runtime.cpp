@@ -51,7 +51,6 @@ void Runtime::adopt_config(const Runtime& src) {
   policy_memo_.clear();
   fault_period = src.fault_period;
   validate_checkpoints = src.validate_checkpoints;
-  checkpoint_backend = src.checkpoint_backend;
   if (src.trace.enabled())
     trace.enable(src.trace.epoch());
   else

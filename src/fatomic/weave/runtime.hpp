@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "fatomic/recovery/policy.hpp"
-#include "fatomic/snapshot/backend.hpp"
+#include "fatomic/snapshot/arena.hpp"
 #include "fatomic/snapshot/partial.hpp"
 #include "fatomic/trace/trace.hpp"
 #include "fatomic/weave/method_info.hpp"
@@ -95,21 +95,15 @@ struct RuntimeStats {
   /// summed over all checkpoints — the quantity field-granular plans shrink.
   std::uint64_t checkpoint_units = 0;
   /// Completeness-validator divergences: partial restore left the receiver
-  /// in a state differing from the shadow full checkpoint's restore, or the
-  /// arena and graph backends disagreed on a capture or compare.  Any
-  /// nonzero value indicates an unsound write set or a backend bug.
+  /// in a state differing from the shadow full checkpoint taken at entry.
+  /// Any nonzero value indicates an unsound write set.
   std::uint64_t validator_divergences = 0;
-  /// Full checkpoints served by the arena flat-buffer backend (always a
-  /// subset of snapshots_taken, which counts full checkpoints of either
-  /// backend).
-  std::uint64_t arena_checkpoints = 0;
-  /// Total arena slab bytes captured.
+  /// Total arena slab bytes captured by full checkpoints.
   std::uint64_t arena_bytes = 0;
-  /// Arena comparisons decided by the memcmp fast path alone.
+  /// Comparisons decided by the memcmp fast path alone.
   std::uint64_t memcmp_compares = 0;
-  /// Arena comparisons that fell back to decoding + structural compare
-  /// (byte mismatch on equal-length slabs — possible for equal graphs whose
-  /// interned type-name pointers differ).
+  /// Comparisons that fell back to decoding + structural compare (byte
+  /// mismatch on equal-length slabs).
   std::uint64_t compare_fallbacks = 0;
   /// Rollbacks that failed mid-replay (snapshot::RestoreError): the
   /// receiver may be partially restored.  Surfaced in campaign JSON so a
@@ -156,7 +150,6 @@ inline RuntimeStats& operator+=(RuntimeStats& a, const RuntimeStats& b) {
   a.partial_fallbacks += b.partial_fallbacks;
   a.checkpoint_units += b.checkpoint_units;
   a.validator_divergences += b.validator_divergences;
-  a.arena_checkpoints += b.arena_checkpoints;
   a.arena_bytes += b.arena_bytes;
   a.memcmp_compares += b.memcmp_compares;
   a.compare_fallbacks += b.compare_fallbacks;
@@ -185,7 +178,6 @@ inline RuntimeStats operator-(RuntimeStats after, const RuntimeStats& before) {
   after.partial_fallbacks -= before.partial_fallbacks;
   after.checkpoint_units -= before.checkpoint_units;
   after.validator_divergences -= before.validator_divergences;
-  after.arena_checkpoints -= before.arena_checkpoints;
   after.arena_bytes -= before.arena_bytes;
   after.memcmp_compares -= before.memcmp_compares;
   after.compare_fallbacks -= before.compare_fallbacks;
@@ -350,20 +342,14 @@ class Runtime {
   std::uint64_t fault_counter = 0;
 
   /// Debug completeness validator: when set, every partial checkpoint also
-  /// takes a shadow full checkpoint, and a rollback re-checks the restored
-  /// receiver against the shadow (stats.validator_divergences counts
-  /// mismatches).  Under the arena backend the shadow additionally
-  /// cross-checks the two backends: every arena capture is shadowed by a
-  /// graph capture and every compare verdict must agree.  Costs a full
-  /// capture per wrapped call — off by default.
+  /// takes a shadow full checkpoint, and a rollback compares the restored
+  /// receiver with the shadow (stats.validator_divergences counts
+  /// mismatches).  Costs a full capture per partial checkpoint — off by
+  /// default.
   bool validate_checkpoints = false;
 
-  // --- checkpoint backend (DESIGN.md §10) -----------------------------------
-  /// Which full-checkpoint representation the wrappers use.  Defaults to
-  /// the process default (FATOMIC_CHECKPOINT_BACKEND env var, else graph).
-  snapshot::BackendKind checkpoint_backend = snapshot::default_backend();
-  /// Capture scratch for the arena backend — slabs, address vectors and the
-  /// alias map are recycled across this runtime's captures.
+  /// Capture scratch for full checkpoints (DESIGN.md §10) — slabs, address
+  /// vectors and the alias map are recycled across this runtime's captures.
   snapshot::ArenaPool arena_pool;
 
   RuntimeStats stats;

@@ -1,8 +1,10 @@
-// Checkpoint backend parity: the arena flat-buffer backend must agree with
-// the graph backend on every shape the snapshot engine supports — aliases,
-// cycles, polymorphism, sliced fallback — and both must detect the same
-// structural mutations.  Also hosts the snapshot-layer regression tests for
-// the alias-key hash, bitwise float identity and restore exception safety.
+// Checkpoint encoder tests.  The golden witness (tests/golden/, frozen from
+// the node-table walker the arena encoder replaced) pins the exact table
+// every capture must decode to — aliases, cycles, polymorphism, the sliced
+// fallback, float bit patterns and one driven receiver per subject family —
+// and the mutation cases check that compare sees each change and restore
+// undoes it.  Also hosts the snapshot-layer regression tests for the alias
+// map, bitwise float identity and restore exception safety.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,8 +12,8 @@
 #include <limits>
 #include <memory>
 #include <new>
+#include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "fatomic/detect/campaign.hpp"
@@ -21,6 +23,7 @@
 #include "fatomic/snapshot/capture.hpp"
 #include "fatomic/snapshot/restore.hpp"
 #include "testing/types.hpp"
+#include "testing/witness.hpp"
 
 namespace snap = fatomic::snapshot;
 using namespace testing_types;
@@ -30,83 +33,111 @@ FAT_POLY(Shape, Rect);
 
 namespace {
 
-/// Both backends must produce the same logical graph: the decoded arena
-/// table equals the graph capture, node for node.
+/// The decoded capture of `value` must reproduce the committed witness
+/// `name` line for line, field names and float bits included.
 template <class T>
-void expect_parity(const T& value) {
-  snap::Snapshot graph = snap::capture(value);
-  snap::ArenaSnapshot arena = snap::arena_capture(value);
-  ASSERT_EQ(graph.node_count(), arena.node_count());
-  EXPECT_TRUE(graph.equals(arena.decode()))
-      << "decoded arena table diverges from the graph capture";
-
-  // Checkpoint-level mixed compare takes the same decode path.
-  auto g = snap::Checkpoint::take(value, snap::BackendKind::Graph);
-  auto a = snap::Checkpoint::take(value, snap::BackendKind::Arena);
-  EXPECT_TRUE(g.equals(a));
-  EXPECT_TRUE(a.equals(g));
+void expect_witness(const T& value, const std::string& name) {
+  const std::string expected = witness::golden(name);
+  ASSERT_FALSE(expected.empty()) << "missing tests/golden/" << name << ".txt";
+  EXPECT_EQ(witness::dump(snap::arena_capture(value).decode()), expected)
+      << "decoded capture diverges from the witness " << name;
 }
 
-/// Mutations must flip the verdict of BOTH backends, and restoring from the
-/// arena checkpoint must bring the graph verdict back to equal.
+/// A mutation must flip the compare verdict, and restoring the checkpoint
+/// must bring the live graph back to a byte-identical capture.
 template <class T, class Mutate>
 void expect_mutation_detected(T& value, Mutate&& mutate) {
-  auto g = snap::Checkpoint::take(value, snap::BackendKind::Graph);
-  auto a = snap::Checkpoint::take(value, snap::BackendKind::Arena);
+  const snap::ArenaSnapshot before = snap::arena_capture(value);
   mutate(value);
-  EXPECT_FALSE(g.equals(snap::Checkpoint::take(value, snap::BackendKind::Graph)));
-  EXPECT_FALSE(a.equals(snap::Checkpoint::take(value, snap::BackendKind::Arena)));
-  a.restore_to(value);
-  EXPECT_TRUE(g.equals(snap::Checkpoint::take(value, snap::BackendKind::Graph)))
-      << "arena restore must reproduce the checkpointed graph";
+  EXPECT_FALSE(before.equals(snap::arena_capture(value)));
+  snap::restore(value, before);
+  EXPECT_TRUE(before.identical(snap::arena_capture(value)))
+      << "restore must reproduce the checkpointed graph";
+}
+
+const std::vector<std::string> kWitnessCases = {
+    "plain", "nested", "floats", "floats32", "link_list", "alias_pair",
+    "ring", "rc_list", "rc_ring", "shared_diamond", "drawing",
+    "sliced_zoo", "first_member", "collections_rbmap", "xml_document",
+    "regexp", "selfstar_chain", "net_server"};
+
+/// Every witness fixture, captured and decoded once per test binary.
+const std::vector<std::pair<std::string, std::string>>& decoded_cases() {
+  static const auto cases = witness::cases(
+      [](const auto& v) { return snap::arena_capture(v).decode(); });
+  return cases;
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Parity: aliases, cycles, polymorphism.
+// Golden witness: decode() reproduces the frozen node tables.
+
+class GoldenWitness : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(GoldenWitness, DecodeReproducesFrozenTable) {
+  const std::string expected = witness::golden(GetParam());
+  ASSERT_FALSE(expected.empty())
+      << "missing tests/golden/" << GetParam() << ".txt";
+  for (const auto& [name, decoded] : decoded_cases())
+    if (name == GetParam()) {
+      EXPECT_EQ(decoded, expected);
+      return;
+    }
+  FAIL() << "no witness fixture named " << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllFixtures, GoldenWitness, ::testing::ValuesIn(kWitnessCases),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
+
+TEST(GoldenWitnessCases, ListCoversEveryFixture) {
+  std::set<std::string> built;
+  for (const auto& c : decoded_cases()) built.insert(c.first);
+  EXPECT_EQ(built, std::set<std::string>(kWitnessCases.begin(),
+                                         kWitnessCases.end()));
+}
+
+// ---------------------------------------------------------------------------
+// Parity with the witness, plus mutation detection and restore: aliases,
+// cycles, polymorphism.
 
 TEST(BackendParity, PrimitivesAndContainers) {
   Nested n;
-  n.inner = {7, 2.5, true, "abc"};
-  n.values = {1, 2, 3};
-  n.table = {{"k", 1}, {"z", 2}};
-  n.opt = 42;
-  expect_parity(n);
+  witness::fill(n);
+  expect_witness(n, "nested");
   expect_mutation_detected(n, [](Nested& v) { v.table["k"] = 9; });
   EXPECT_EQ(n.table["k"], 1);
 }
 
 TEST(BackendParity, RawPointerAliases) {
   AliasPair ap;
-  ap.owner = std::make_unique<Plain>(Plain{1, 1.0, false, "p"});
-  ap.alias = ap.owner.get();
-  expect_parity(ap);
+  witness::fill(ap);
+  expect_witness(ap, "alias_pair");
   expect_mutation_detected(ap, [](AliasPair& v) { v.owner->i = 99; });
   EXPECT_EQ(ap.alias->i, 1);
 }
 
 TEST(BackendParity, OwnedPointerCycle) {
   Ring ring;
-  ring.insert(1);
-  ring.insert(2);
-  ring.insert(3);
-  expect_parity(ring);
+  witness::fill(ring);
+  expect_witness(ring, "ring");
   expect_mutation_detected(ring, [](Ring& v) { v.entry->value = -1; });
 }
 
 TEST(BackendParity, RcPtrSharingAndCycles) {
   RcList list;
-  list.push_front(1);
-  list.push_front(2);
-  expect_parity(list);
+  witness::fill(list);
+  expect_witness(list, "rc_list");
 
-  // Close the list into a cycle: head -> a -> b -> head.
+  // Close the list into a cycle: head -> a -> head.
   auto tail = list.head->next;
   tail->next = list.head;
-  expect_parity(list);
+  expect_witness(list, "rc_ring");
   expect_mutation_detected(list, [](RcList& v) { v.head->value = 7; });
-  // restore_to rebuilt the ring out of fresh nodes; break both the old ring
+  // restore rebuilt the ring out of fresh nodes; break both the old ring
   // (still pinned by `tail`) and the restored one so refcounts reach zero.
   tail->next.reset();
   list.head->next->next.reset();
@@ -114,69 +145,33 @@ TEST(BackendParity, RcPtrSharingAndCycles) {
 
 TEST(BackendParity, SharedPtrDiamond) {
   SharedDiamond d;
-  d.left = std::make_shared<Plain>(Plain{3, 0.5, true, "shared"});
-  d.right = d.left;
-  expect_parity(d);
+  witness::fill(d);
+  expect_witness(d, "shared_diamond");
   expect_mutation_detected(d, [](SharedDiamond& v) { v.right->s = "bent"; });
   EXPECT_EQ(d.left->s, "shared");
 }
 
 TEST(BackendParity, RegisteredPolymorphicPointees) {
   Drawing dr;
-  dr.title = "scene";
-  auto c = std::make_unique<Circle>();
-  c->id = 1;
-  c->radius = 2.0;
-  auto r = std::make_unique<Rect>();
-  r->id = 2;
-  r->w = 3.0;
-  r->h = 4.0;
-  dr.shapes.push_back(std::move(c));
-  dr.shapes.push_back(std::move(r));
-  expect_parity(dr);
+  witness::fill(dr);
+  expect_witness(dr, "drawing");
   expect_mutation_detected(dr, [](Drawing& v) {
     static_cast<Circle*>(v.shapes[0].get())->radius = 9.0;
   });
 }
 
-namespace fallback_types {
-
-/// Reflected base with a derived type that is deliberately NOT registered
-/// with FAT_POLY: both backends must take the sliced-capture fallback.
-struct Creature {
-  virtual ~Creature() = default;
-  int legs = 0;
-};
-struct Spider : Creature {
-  bool venomous = false;
-};
-struct Zoo {
-  std::unique_ptr<Creature> star;
-};
-
-}  // namespace fallback_types
-
-FAT_REFLECT(fallback_types::Creature,
-            FAT_FIELD(fallback_types::Creature, legs));
-FAT_REFLECT(fallback_types::Spider, FAT_FIELD(fallback_types::Spider, legs),
-            FAT_FIELD(fallback_types::Spider, venomous));
-FAT_REFLECT(fallback_types::Zoo, FAT_FIELD(fallback_types::Zoo, star));
-
 TEST(BackendParity, UnregisteredPolymorphicSlicedFallback) {
-  fallback_types::Zoo zoo;
-  auto s = std::make_unique<fallback_types::Spider>();
-  s->legs = 8;
-  s->venomous = true;
-  zoo.star = std::move(s);
-  expect_parity(zoo);
+  witness_types::Zoo zoo;
+  witness::fill(zoo);
+  expect_witness(zoo, "sliced_zoo");
 
-  // The slice only sees Creature::legs, on both backends alike.
-  snap::ArenaSnapshot a = snap::arena_capture(zoo);
-  static_cast<fallback_types::Spider*>(zoo.star.get())->venomous = false;
-  EXPECT_TRUE(a.decode().equals(snap::capture(zoo)))
+  // The slice only sees Creature::legs.
+  const snap::ArenaSnapshot a = snap::arena_capture(zoo);
+  static_cast<witness_types::Spider*>(zoo.star.get())->venomous = false;
+  EXPECT_TRUE(a.equals(snap::arena_capture(zoo)))
       << "derived-only state must be invisible to the sliced capture";
   zoo.star->legs = 6;
-  EXPECT_FALSE(a.decode().equals(snap::capture(zoo)));
+  EXPECT_FALSE(a.equals(snap::arena_capture(zoo)));
 }
 
 // ---------------------------------------------------------------------------
@@ -186,15 +181,15 @@ TEST(ArenaCompare, MemcmpDecidesEqualAndSizeMismatch) {
   Nested n;
   n.values = {1, 2, 3};
   n.inner.s = "steady";
-  auto a = snap::Checkpoint::take(n, snap::BackendKind::Arena);
-  auto b = snap::Checkpoint::take(n, snap::BackendKind::Arena);
+  const snap::ArenaSnapshot a = snap::arena_capture(n);
+  const snap::ArenaSnapshot b = snap::arena_capture(n);
 
   bool used_memcmp = false;
   EXPECT_TRUE(a.equals(b, &used_memcmp));
   EXPECT_TRUE(used_memcmp) << "byte-identical slabs must not decode";
 
   n.inner.s = "longer than before";  // string payload changes the slab size
-  auto c = snap::Checkpoint::take(n, snap::BackendKind::Arena);
+  const snap::ArenaSnapshot c = snap::arena_capture(n);
   used_memcmp = false;
   EXPECT_FALSE(a.equals(c, &used_memcmp));
   EXPECT_TRUE(used_memcmp) << "slab length mismatch is conclusive";
@@ -202,9 +197,9 @@ TEST(ArenaCompare, MemcmpDecidesEqualAndSizeMismatch) {
 
 TEST(ArenaCompare, SameSizeMismatchFallsBackStructurally) {
   Plain p{1, 2.0, true, "x"};
-  auto a = snap::Checkpoint::take(p, snap::BackendKind::Arena);
+  const snap::ArenaSnapshot a = snap::arena_capture(p);
   p.i = 2;  // same slab length, different bytes
-  auto b = snap::Checkpoint::take(p, snap::BackendKind::Arena);
+  const snap::ArenaSnapshot b = snap::arena_capture(p);
 
   bool used_memcmp = true;
   EXPECT_FALSE(a.equals(b, &used_memcmp));
@@ -226,20 +221,6 @@ TEST(ArenaPool, SlabsAreRecycledAcrossCaptures) {
 
 // ---------------------------------------------------------------------------
 // Satellite regressions.
-
-TEST(AliasKeyRegression, BuilderMapKeepsSameAddressDifferentTagDistinct) {
-  // An object and its first member share an address and differ only in the
-  // type tag; the alias key must keep them distinct.
-  using snap::detail::AliasKey;
-  using snap::detail::AliasKeyHash;
-  std::unordered_map<AliasKey, snap::NodeId, AliasKeyHash> map;
-  const void* addr = &map;
-  map.emplace(AliasKey{addr, "Outer"}, snap::NodeId{0});
-  map.emplace(AliasKey{addr, "Inner"}, snap::NodeId{1});
-  ASSERT_EQ(map.size(), 2u);
-  EXPECT_EQ(map.at(AliasKey{addr, "Outer"}), snap::NodeId{0});
-  EXPECT_EQ(map.at(AliasKey{addr, "Inner"}), snap::NodeId{1});
-}
 
 TEST(AliasKeyRegression, ArenaMapKeepsSameAddressDifferentTagDistinct) {
   // The arena's open-addressing map hashes the address alone; equality must
@@ -264,56 +245,38 @@ TEST(AliasKeyRegression, ArenaMapKeepsSameAddressDifferentTagDistinct) {
   EXPECT_EQ(map.size(), 502u);
 }
 
-namespace first_member_types {
-
-struct Inner {
-  int x = 0;
-};
-struct Outer {
-  Inner inner;  // &Outer == &Outer.inner: alias keys differ only by tag
-  int y = 0;
-};
-
-}  // namespace first_member_types
-
-FAT_REFLECT(first_member_types::Inner,
-            FAT_FIELD(first_member_types::Inner, x));
-FAT_REFLECT(first_member_types::Outer,
-            FAT_FIELD(first_member_types::Outer, inner),
-            FAT_FIELD(first_member_types::Outer, y));
-
 TEST(AliasKeyRegression, FirstMemberSharesAddressWithOwner) {
-  first_member_types::Outer o;
-  o.inner.x = 1;
-  o.y = 2;
+  witness_types::Outer o;
+  witness::fill(o);
   snap::Snapshot s = snap::capture(o);
   // Outer + inner + two primitives; a conflated alias map would collapse the
   // inner object into a self-reference.
   EXPECT_EQ(s.node_count(), 4u);
-  expect_parity(o);
-  expect_mutation_detected(o, [](first_member_types::Outer& v) {
+  expect_witness(o, "first_member");
+  expect_mutation_detected(o, [](witness_types::Outer& v) {
     v.inner.x = -1;
   });
 }
 
 TEST(BitwiseFloats, NanIsStableStateOnBothBackends) {
-  Plain p{0, std::numeric_limits<double>::quiet_NaN(), false, ""};
   // NaN != NaN as a value, but as *state* an unchanged NaN must compare
   // equal — otherwise every injection through a NaN field reads non-atomic.
-  expect_parity(p);
-  snap::Snapshot g = snap::capture(p);
-  EXPECT_TRUE(g.equals(snap::capture(p)));
-  snap::ArenaSnapshot a = snap::arena_capture(p);
-  EXPECT_TRUE(a.identical(snap::arena_capture(p)));
+  // Both representations must agree: the slab bytes and the decoded view.
+  std::vector<Plain> floats;
+  witness::fill_floats(floats);
+  expect_witness(floats, "floats");
+  Plain p{0, std::numeric_limits<double>::quiet_NaN(), false, ""};
+  EXPECT_TRUE(snap::capture(p).equals(snap::capture(p)));
+  EXPECT_TRUE(snap::arena_capture(p).identical(snap::arena_capture(p)));
 }
 
 TEST(BitwiseFloats, SignedZeroAndDenormalsDistinguished) {
   Plain pos{0, 0.0, false, ""};
   Plain neg{0, -0.0, false, ""};
-  // 0.0 == -0.0 as values; as bit-state they differ on both backends.
+  // 0.0 == -0.0 as values; as bit-state they differ, in the slab and in
+  // the decoded view alike.
   EXPECT_FALSE(snap::capture(pos).equals(snap::capture(neg)));
-  EXPECT_FALSE(snap::Checkpoint::take(pos, snap::BackendKind::Arena)
-                   .equals(snap::Checkpoint::take(neg, snap::BackendKind::Arena)));
+  EXPECT_FALSE(snap::arena_capture(pos).equals(snap::arena_capture(neg)));
 
   Plain denorm{0, std::numeric_limits<double>::denorm_min(), false, ""};
   EXPECT_FALSE(snap::capture(pos).equals(snap::capture(denorm)));
@@ -396,20 +359,15 @@ TEST(RestoreSafety, RestoreErrorIsDistinctFromSnapshotError) {
 
 TEST(CampaignJson, StatsCarryArenaAndRestoreCounters) {
   fatomic::detect::Campaign campaign;
-  campaign.stats.arena_checkpoints = 4;
+  campaign.stats.arena_bytes = 4;
   campaign.stats.restore_errors = 1;
   const std::string json = fatomic::report::campaign_json(campaign);
-  EXPECT_NE(json.find("\"arena_checkpoints\":4"), std::string::npos);
-  EXPECT_NE(json.find("\"arena_bytes\":"), std::string::npos);
+  EXPECT_NE(json.find("\"arena_bytes\":4"), std::string::npos);
   EXPECT_NE(json.find("\"memcmp_compares\":"), std::string::npos);
   EXPECT_NE(json.find("\"compare_fallbacks\":"), std::string::npos);
   EXPECT_NE(json.find("\"restore_errors\":1"), std::string::npos);
 }
 
-TEST(BackendConfig, ParseAndPrintRoundTrip) {
-  EXPECT_EQ(snap::parse_backend("graph"), snap::BackendKind::Graph);
-  EXPECT_EQ(snap::parse_backend("arena"), snap::BackendKind::Arena);
-  EXPECT_FALSE(snap::parse_backend("mmap").has_value());
-  EXPECT_STREQ(snap::to_string(snap::BackendKind::Arena), "arena");
-  EXPECT_STREQ(snap::to_string(snap::BackendKind::Graph), "graph");
+TEST(CheckpointRepresentation, RunMetadataReportsArena) {
+  EXPECT_STREQ(snap::to_string(snap::default_backend()), "arena");
 }

@@ -17,7 +17,6 @@
 #include "fatomic/recovery/policy_io.hpp"
 #include "fatomic/report/json.hpp"
 #include "fatomic/report/json_parse.hpp"
-#include "fatomic/snapshot/backend.hpp"
 #include "fatomic/weave/runtime.hpp"
 #include "subjects/apps/apps.hpp"
 #include "subjects/net/transport.hpp"
@@ -286,8 +285,7 @@ TEST_F(RecoveryTest, RetryWithoutRollbackHealsTransientFault) {
   pol.retry_budget = 1;
   pol.rollback_before_retry = false;  // the proven-atomic shape
   mask::MaskedScope scope(wrap_only("synthetic::Account::set"), nullptr,
-                          false, snapshot::default_backend(),
-                          one_policy("synthetic::Account::set", pol));
+                          false, one_policy("synthetic::Account::set", pol));
   synthetic::Account a;
   rt.stats = {};
   // Arm the production injector to fault exactly the first attempt: the
@@ -311,7 +309,6 @@ TEST_F(RecoveryTest, RetryExhaustionFallsBackToRollbackAndRethrow) {
   pol.retry_budget = 2;
   mask::MaskedScope scope(
       wrap_only("synthetic::Account::sloppy_withdraw"), nullptr, false,
-      snapshot::default_backend(),
       one_policy("synthetic::Account::sloppy_withdraw", pol));
   synthetic::Account a;
   a.set(10);
@@ -331,7 +328,6 @@ TEST_F(RecoveryTest, DegradeSwallowsOnlyWhenStateIsIntact) {
   pol.action = recovery::Action::Degrade;
   mask::MaskedScope scope(
       wrap_only("synthetic::Account::safe_withdraw"), nullptr, false,
-      snapshot::default_backend(),
       one_policy("synthetic::Account::safe_withdraw", pol));
   synthetic::Account a;
   a.set(5);
@@ -350,7 +346,7 @@ TEST_F(RecoveryTest, DegradeNeverMasksACorruptedStateVerdict) {
   pol.action = recovery::Action::Degrade;
   mask::MaskedScope scope(
       wrap_only("synthetic::Account::sloppy_withdraw"), nullptr,
-      /*validate=*/true, snapshot::default_backend(),
+      /*validate=*/true,
       one_policy("synthetic::Account::sloppy_withdraw", pol));
   synthetic::Account a;
   a.set(10);
@@ -369,9 +365,9 @@ TEST_F(RecoveryTest, EarlyReturnYieldsNeutralValueAfterRollback) {
   auto& rt = weave::Runtime::instance();
   recovery::RecoveryPolicy pol;
   pol.action = recovery::Action::EarlyReturn;
-  mask::MaskedScope scope(wrap_only("subjects::net::Channel::take"), nullptr,
-                          false, snapshot::default_backend(),
-                          one_policy("subjects::net::Channel::take", pol));
+  mask::MaskedScope scope(
+      wrap_only("subjects::net::Channel::take"), nullptr, false,
+      one_policy("subjects::net::Channel::take", pol));
   subjects::net::Channel ch;
   rt.stats = {};
   std::string taken = "sentinel";
@@ -389,7 +385,6 @@ TEST_F(RecoveryTest, RethrowAsTransformsIntoServiceError) {
   pol.rethrow_type = "ServiceError";
   mask::MaskedScope scope(
       wrap_only("synthetic::Account::sloppy_withdraw"), nullptr, false,
-      snapshot::default_backend(),
       one_policy("synthetic::Account::sloppy_withdraw", pol));
   synthetic::Account a;
   a.set(10);
@@ -410,7 +405,7 @@ TEST_F(RecoveryTest, RethrowAsTransformsIntoServiceError) {
 TEST_F(RecoveryTest, EmptyTableKeepsTheLegacyMaskedPath) {
   auto& rt = weave::Runtime::instance();
   mask::MaskedScope scope(wrap_only("synthetic::Account::sloppy_withdraw"),
-                          nullptr, false, snapshot::default_backend(),
+                          nullptr, false,
                           std::make_shared<const recovery::PolicyTable>());
   synthetic::Account a;
   a.set(10);

@@ -22,7 +22,7 @@ TEST(Capture, PrimitiveLeaves) {
   EXPECT_EQ(std::get<snap::F64Bits>(s.node(root.children[1]).value).value(),
             2.5);
   EXPECT_EQ(std::get<bool>(s.node(root.children[2]).value), true);
-  EXPECT_EQ(std::get<std::string>(s.node(root.children[3]).value), "abc");
+  EXPECT_EQ(std::get<std::string_view>(s.node(root.children[3]).value), "abc");
 }
 
 TEST(Capture, EqualValuesProduceEqualSnapshots) {

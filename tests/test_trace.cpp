@@ -279,12 +279,10 @@ TEST_F(TraceTest, MaskVerificationTraceCoversCheckpoints) {
   const auto verified =
       fatomic::mask::verify_masked_full(synthetic::workload, config);
   ASSERT_TRUE(verified.campaign.trace.enabled);
-  // Full checkpoints show up as Snapshot or ArenaCapture spans depending on
-  // the selected backend; stats.snapshots_taken counts both.
+  // Every full checkpoint is one Snapshot span.
   std::size_t snapshots = 0, rollbacks = 0;
   for (const trace::Event& e : verified.campaign.trace.events) {
-    snapshots += e.kind == trace::EventKind::Snapshot ||
-                 e.kind == trace::EventKind::ArenaCapture;
+    snapshots += e.kind == trace::EventKind::Snapshot;
     rollbacks += e.kind == trace::EventKind::Rollback;
   }
   EXPECT_EQ(snapshots, verified.campaign.stats.snapshots_taken);

@@ -30,7 +30,6 @@
 namespace detect = fatomic::detect;
 namespace recovery = fatomic::recovery;
 namespace report = fatomic::report;
-namespace snapshot = fatomic::snapshot;
 namespace trace = fatomic::trace;
 
 namespace {
@@ -60,7 +59,6 @@ struct Args {
   bool write_sets = false;
   bool mask_partial = false;
   bool validate_checkpoints = false;
-  snapshot::BackendKind backend = snapshot::default_backend();
   bool provenance = false;
   std::string policy_file;
   std::string derive_policies_out;
@@ -97,15 +95,7 @@ int usage(int code) {
       "  --cross-check          run full and pruned campaigns, verify the\n"
       "                         classifications are identical (exit != 0\n"
       "                         on divergence); with --all: gate over every\n"
-      "                         subject family including hidden demos; with\n"
-      "                         --checkpoint-backend arena: additionally\n"
-      "                         verify graph and arena campaigns classify\n"
-      "                         identically\n"
-      "  --checkpoint-backend B checkpoint representation: 'graph' (node\n"
-      "                         table, structural compare) or 'arena' (flat\n"
-      "                         slab, memcmp compare); default honours the\n"
-      "                         FATOMIC_CHECKPOINT_BACKEND env var, else\n"
-      "                         graph\n"
+      "                         subject family including hidden demos\n"
       "  --diffs                attach a graph-diff example to each\n"
       "                         non-atomic method in --details output\n"
       "  --exception-free M     declare method M exception-free (repeatable)\n"
@@ -144,11 +134,8 @@ int usage(int code) {
       "  --mask-partial         with --mask-verify: field-granular\n"
       "                         checkpoints from the write-set analysis\n"
       "  --validate-checkpoints shadow every partial checkpoint with a full\n"
-      "                         one and diff after rollback; under the arena\n"
-      "                         backend also shadow every arena checkpoint\n"
-      "                         with a graph capture and cross-check each\n"
-      "                         compare verdict (exit != 0 on any\n"
-      "                         divergence)\n"
+      "                         one and compare after rollback (exit != 0\n"
+      "                         on any divergence)\n"
       "  --no-wrap M            exclude method M from masking (repeatable;\n"
       "                         unknown names are warned about)\n"
       "\n"
@@ -260,16 +247,6 @@ bool parse(int argc, char** argv, Args& args) {
       const char* v = value();
       if (!v) return false;
       args.app = v;
-    } else if (a == "--checkpoint-backend") {
-      const char* v = value();
-      if (!v) return false;
-      const auto kind = snapshot::parse_backend(v);
-      if (!kind) {
-        std::cerr << "--checkpoint-backend expects 'graph' or 'arena', got '"
-                  << v << "'\n";
-        return false;
-      }
-      args.backend = *kind;
     } else if (a == "--language") {
       const char* v = value();
       if (!v) return false;
@@ -325,7 +302,6 @@ fatomic::Config make_config(const Args& args,
       .record_footprints(args.alias_check)
       .tracing(args.want_trace())
       .provenance(args.provenance)
-      .checkpoint_backend(args.backend)
       .validate_checkpoints(args.validate_checkpoints);
   if (prune != nullptr) cfg.prune_atomic(*prune);
   if (args.policies) cfg.recovery(args.policies);
@@ -460,26 +436,6 @@ void emit_trace_outputs(const Args& args, const report::AppResult& result) {
   }
 }
 
-/// Backend soundness gate (--cross-check with --checkpoint-backend arena):
-/// the same campaign must classify identically whether checkpoints live in
-/// the graph node table or the arena slab — the slab is an encoding, not a
-/// semantics.
-int backend_parity_check(const subjects::apps::App& app, const Args& args) {
-  fatomic::Config graph_cfg = make_config(args);
-  graph_cfg.checkpoint_backend(snapshot::BackendKind::Graph);
-  fatomic::Config arena_cfg = make_config(args);
-  arena_cfg.checkpoint_backend(snapshot::BackendKind::Arena);
-  const auto g = run_campaign(app, graph_cfg);
-  const auto a = run_campaign(app, arena_cfg);
-  const bool identical = report::classification_json(g.classification) ==
-                         report::classification_json(a.classification);
-  std::cout << app.name << ": backend cross-check "
-            << (identical ? "identical" : "DIVERGED") << " ("
-            << a.campaign.stats.memcmp_compares << " memcmp compares, "
-            << a.campaign.stats.compare_fallbacks << " structural fallbacks)\n";
-  return identical ? 0 : 2;
-}
-
 /// Per-method throw-site histogram on stdout (--throw-stacks).
 void print_provenance(const report::AppResult& result) {
   if (!result.campaign.provenance) {
@@ -573,12 +529,7 @@ int run_one(const Args& args) {
       std::cout << "  first mismatch: " << cc.mismatch << '\n';
       return 2;
     }
-    int status = 0;
-    if (args.backend == snapshot::BackendKind::Arena)
-      status = backend_parity_check(app, args);
-    if (args.provenance)
-      status = std::max(status, provenance_parity_check(app, args));
-    return status;
+    return args.provenance ? provenance_parity_check(app, args) : 0;
   }
 
   const std::set<std::string> prune =
@@ -719,8 +670,6 @@ int run_all(const Args& args) {
         std::cout << "  first mismatch: " << cc.mismatch << '\n';
         status = 2;
       }
-      if (args.backend == snapshot::BackendKind::Arena)
-        status = std::max(status, backend_parity_check(app, args));
       if (args.provenance)
         status = std::max(status, provenance_parity_check(app, args));
     }
