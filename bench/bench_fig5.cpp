@@ -168,7 +168,8 @@ BENCHMARK(BM_Compare)->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_InjectionWrapperCost(benchmark::State& state) {
   // Cost of one intercepted call in the exception injector program P_I
-  // (threshold never reached: pure instrumentation overhead).
+  // (threshold never reached: pure instrumentation overhead).  begin_run
+  // gets no baseline table, so every call takes its before-snapshot.
   auto& rt = fatomic::weave::Runtime::instance();
   Payload p;
   p.resize_bytes(static_cast<std::size_t>(state.range(0)));

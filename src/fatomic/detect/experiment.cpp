@@ -147,23 +147,15 @@ struct RunOutcome {
   std::vector<trace::Event> events;
 };
 
-/// Executes the injector program once at `threshold` against the calling
-/// thread's current runtime `rt` and packages the observations.
-RunOutcome run_once(const std::function<void()>& program, weave::Runtime& rt,
-                    weave::Mode mode, std::uint64_t threshold) {
-  weave::ScopedMode m(mode);
-  // Throw-stack captures stop at this frame: everything outside run_once
-  // (the sequential driver loop vs a worker's std::thread trampoline) is
-  // scheduling context that would otherwise make equal throw stacks hash to
-  // different ids across jobs values.
-  char capture_floor = 0;
-  unwind::ScopedCaptureFloor floor(&capture_floor);
-  const weave::RuntimeStats before = rt.stats;
-  const std::size_t trace_base = rt.trace.size();
-  rt.begin_run(threshold);
+/// One execution of the injector program at `threshold`, following
+/// `baseline` (null = capture everywhere); fills `out`'s record.
+void attempt(const std::function<void()>& program, weave::Runtime& rt,
+             std::uint64_t threshold, const weave::CallTable* baseline,
+             RunOutcome& out) {
+  rt.begin_run(threshold, baseline);
   const std::uint64_t run_t0 = rt.trace.begin_span();
 
-  RunOutcome out;
+  out.rec = RunRecord{};
   out.rec.injection_point = threshold;
   try {
     program();
@@ -176,6 +168,7 @@ RunOutcome run_once(const std::function<void()>& program, weave::Runtime& rt,
     out.rec.escape_what = "(non-standard exception)";
     if (rt.provenance) out.rec.escape_stack = unwind::current_throw_stack();
   }
+  rt.baseline = nullptr;  // the table is the campaign's, not the runtime's
 
   out.rec.injected = rt.injected;
   out.rec.injected_method = rt.injected_method;
@@ -186,6 +179,36 @@ RunOutcome run_once(const std::function<void()>& program, weave::Runtime& rt,
   out.terminal = !out.rec.injected && rt.point < threshold;
   rt.trace.span(trace::EventKind::Run, run_t0, out.rec.injected_method,
                 out.rec.marks.size());
+}
+
+/// Executes the injector program at `threshold` against the calling
+/// thread's current runtime `rt` and packages the observations.  When a
+/// wrapper that skipped its before-snapshot caught an exception, the attempt
+/// is discarded — stats, events and the production-fault phase included —
+/// and the threshold re-runs with every wrapper capturing (DESIGN.md §15).
+RunOutcome run_once(const std::function<void()>& program, weave::Runtime& rt,
+                    weave::Mode mode, std::uint64_t threshold,
+                    const weave::CallTable& baseline) {
+  weave::ScopedMode m(mode);
+  // Throw-stack captures stop at this frame: everything outside run_once
+  // (the sequential driver loop vs a worker's std::thread trampoline) is
+  // scheduling context that would otherwise make equal throw stacks hash to
+  // different ids across jobs values.
+  char capture_floor = 0;
+  unwind::ScopedCaptureFloor floor(&capture_floor);
+  const weave::RuntimeStats before = rt.stats;
+  const std::uint64_t faults_before = rt.fault_counter;
+  const std::size_t trace_base = rt.trace.size();
+
+  RunOutcome out;
+  attempt(program, rt, threshold, &baseline, out);
+  if (rt.capture_missed) {
+    rt.stats = before;
+    rt.fault_counter = faults_before;
+    rt.trace.take(trace_base);
+    ++rt.stats.capture_reruns;
+    attempt(program, rt, threshold, nullptr, out);
+  }
   out.stats = rt.stats - before;
   out.worker = rt.trace.worker();
   out.events = rt.trace.take(trace_base);
@@ -239,23 +262,12 @@ Campaign Experiment::run() {
   } prov_flag;
   rt.provenance = provenance;
 
-  // With static pruning requested, the baseline additionally records the
-  // call stack at every wrapped call — one stack per injection-point group,
-  // in the exact order the injector's point counter visits them.
-  struct SiteFlag {
-    weave::Runtime& rt;
-    bool saved;
-    ~SiteFlag() {
-      rt.record_call_sites = saved;
-      rt.call_sites.clear();
-    }
-  } site_flag{rt, rt.record_call_sites};
-  rt.record_call_sites = !opts_.prune_atomic.empty();
-
-  // Baseline: call counts of the original program (Figures 2b / 3b).  A
-  // program that escapes an exception even uninjected still yields a
-  // baseline — the counts observed up to the escape — and its terminal
-  // injector run records the escape (see absorb()).
+  // Baseline: call counts of the original program (Figures 2b / 3b) and
+  // its per-call table, which every injector run of this campaign follows
+  // (DESIGN.md §15).  A program that escapes an exception even uninjected
+  // still yields a baseline — the calls observed up to the escape — and its
+  // terminal injector run records the escape (see absorb()).
+  weave::CallTable baseline;
   {
     weave::ScopedMode mode(weave::Mode::Count);
     rt.reset_counts();
@@ -266,35 +278,36 @@ Campaign Experiment::run() {
     }
     campaign.call_counts = rt.call_counts;
     campaign.call_edges = rt.call_edges;
+    baseline.swap(rt.calls);
     rt.trace.span(trace::EventKind::Baseline, baseline_t0, nullptr,
                   campaign.total_calls());
   }
 
-  // Map thresholds to statically skippable runs.  Each wrapped call fires
-  // one injection point per exception spec of its innermost method
-  // (declared first, then the runtime exceptions — fire_injection_points),
-  // so the k-th recorded stack covers a contiguous block of thresholds.  A
-  // threshold is skippable when every frame with a receiver on its stack is
-  // statically proven atomic: the run could only produce atomic marks for
-  // already-proven methods (frames without a receiver never produce marks),
-  // leaving the classification sets unchanged.  DESIGN.md §7.
+  // Map thresholds to statically skippable runs.  Each call fires one
+  // injection point per exception spec of its method (declared first, then
+  // the runtime exceptions — fire_injection_points), so the k-th baseline
+  // call covers a contiguous block of thresholds.  A threshold is skippable
+  // when every call on its stack with a receiver is statically proven
+  // atomic: the run could only produce atomic marks for already-proven
+  // methods (calls without a receiver never produce marks), leaving the
+  // classification sets unchanged.  A call is skippable when its own method
+  // qualifies and its parent is skippable.  DESIGN.md §7.
   std::vector<bool> prunable;
   if (!opts_.prune_atomic.empty()) {
     prunable.assign(1, false);  // thresholds are 1-based
     const std::size_t runtime_specs = rt.runtime_exceptions().size();
-    for (const auto& stack : rt.call_sites) {
-      const std::size_t specs = stack.back()->declared().size() + runtime_specs;
-      bool skippable = true;
-      for (const weave::MethodInfo* frame : stack) {
-        if (!frame->has_receiver()) continue;
-        if (opts_.prune_atomic.count(frame->qualified_name()) == 0) {
-          skippable = false;
-          break;
-        }
-      }
-      prunable.insert(prunable.end(), specs, skippable);
+    std::vector<bool> skippable(baseline.size());
+    for (std::size_t k = 0; k < baseline.size(); ++k) {
+      const weave::BaselineCall& call = baseline[k];
+      skippable[k] =
+          (!call.method->has_receiver() ||
+           opts_.prune_atomic.count(call.method->qualified_name()) != 0) &&
+          (call.parent == weave::BaselineCall::kTopLevel ||
+           skippable[call.parent]);
+      prunable.insert(prunable.end(),
+                      call.method->declared().size() + runtime_specs,
+                      skippable[k]);
     }
-    rt.call_sites.clear();
   }
 
   // Campaign-scope events recorded so far (the baseline span) open the
@@ -326,9 +339,9 @@ Campaign Experiment::run() {
     jobs = static_cast<unsigned>(opts_.max_runs);
 
   if (jobs > 1)
-    run_parallel(campaign, mode, jobs, prunable);
+    run_parallel(campaign, mode, jobs, baseline, prunable);
   else
-    run_sequential(campaign, mode, prunable);
+    run_sequential(campaign, mode, baseline, prunable);
 
   if (campaign.trace.enabled) {
     rt.trace.set_run(0);
@@ -369,13 +382,15 @@ std::vector<WorkerStats> sorted_workers(
 }  // namespace
 
 void Experiment::run_sequential(Campaign& campaign, weave::Mode mode,
+                                const weave::CallTable& baseline,
                                 const std::vector<bool>& prunable) {
   auto& rt = weave::Runtime::instance();
   std::map<unsigned, WorkerStats> workers;
   std::uint64_t cutoff = opts_.max_runs + 1;
   for (std::uint64_t threshold = 1; threshold <= opts_.max_runs; ++threshold) {
     if (is_prunable(prunable, threshold)) continue;
-    if (absorb(campaign, workers, run_once(program_, rt, mode, threshold))) {
+    if (absorb(campaign, workers,
+               run_once(program_, rt, mode, threshold, baseline))) {
       cutoff = threshold;
       break;
     }
@@ -385,7 +400,7 @@ void Experiment::run_sequential(Campaign& campaign, weave::Mode mode,
 }
 
 void Experiment::run_parallel(Campaign& campaign, weave::Mode mode,
-                              unsigned jobs,
+                              unsigned jobs, const weave::CallTable& baseline,
                               const std::vector<bool>& prunable) {
   auto& parent = weave::Runtime::instance();
 
@@ -412,7 +427,7 @@ void Experiment::run_parallel(Campaign& campaign, weave::Mode mode,
         const std::uint64_t threshold = next.fetch_add(1);
         if (threshold > opts_.max_runs || threshold > stop.load()) break;
         if (is_prunable(prunable, threshold)) continue;
-        RunOutcome out = run_once(program_, rt, mode, threshold);
+        RunOutcome out = run_once(program_, rt, mode, threshold, baseline);
         if (out.terminal) {
           std::uint64_t cur = stop.load();
           while (threshold < cur &&

@@ -57,6 +57,17 @@ const char* cls_tag(detect::MethodClass c) {
   return "?";
 }
 
+/// The counters runtime_stats.def places in `block`, as "key":value pairs.
+void stat_block(std::ostream& os, const weave::RuntimeStats& stats,
+                weave::StatBlock block) {
+  const char* sep = "";
+  for (const weave::StatField& f : weave::kStatFields) {
+    if (f.block != block) continue;
+    os << sep << '"' << f.json_key << "\":" << stats.*f.member;
+    sep = ",";
+  }
+}
+
 }  // namespace
 
 std::string classification_json(const detect::Classification& cls) {
@@ -175,28 +186,11 @@ std::string campaign_json(const detect::Campaign& campaign) {
      << ",\"methods\":" << campaign.distinct_methods()
      << ",\"classes\":" << campaign.distinct_classes()
      << ",\"total_calls\":" << campaign.total_calls()
-     << ",\"stats\":{\"snapshots\":" << campaign.stats.snapshots_taken
-     << ",\"comparisons\":" << campaign.stats.comparisons
-     << ",\"rollbacks\":" << campaign.stats.rollbacks
-     << ",\"wrapped_calls\":" << campaign.stats.wrapped_calls
-     << ",\"partial_checkpoints\":" << campaign.stats.partial_checkpoints
-     << ",\"partial_fallbacks\":" << campaign.stats.partial_fallbacks
-     << ",\"checkpoint_units\":" << campaign.stats.checkpoint_units
-     << ",\"validator_divergences\":" << campaign.stats.validator_divergences
-     << ",\"arena_bytes\":" << campaign.stats.arena_bytes
-     << ",\"memcmp_compares\":" << campaign.stats.memcmp_compares
-     << ",\"compare_fallbacks\":" << campaign.stats.compare_fallbacks
-     << ",\"restore_errors\":" << campaign.stats.restore_errors
-     << "},\"recovery\":{\"faults_injected\":" << campaign.stats.faults_injected
-     << ",\"retry_attempts\":" << campaign.stats.retry_attempts
-     << ",\"retry_successes\":" << campaign.stats.retry_successes
-     << ",\"retry_exhaustions\":" << campaign.stats.retry_exhaustions
-     << ",\"degraded_calls\":" << campaign.stats.degraded_calls
-     << ",\"degrade_refusals\":" << campaign.stats.degrade_refusals
-     << ",\"early_returns\":" << campaign.stats.early_returns
-     << ",\"transformed_rethrows\":" << campaign.stats.transformed_rethrows
-     << ",\"policy_rollbacks\":" << campaign.stats.policy_rollbacks
-     << "},\"details\":[";
+     << ",\"stats\":{";
+  stat_block(os, campaign.stats, weave::StatBlock::stats);
+  os << "},\"recovery\":{";
+  stat_block(os, campaign.stats, weave::StatBlock::recovery);
+  os << "},\"details\":[";
   bool first = true;
   for (const auto& run : campaign.runs) {
     if (!first) os << ',';

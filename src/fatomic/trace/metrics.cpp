@@ -123,28 +123,9 @@ MetricsRegistry campaign_metrics(const detect::Campaign& campaign) {
 
   // The legacy aggregate counters, subsumed under a stable namespace.
   const weave::RuntimeStats& s = campaign.stats;
-  m.add("stats.snapshots_taken", s.snapshots_taken);
-  m.add("stats.comparisons", s.comparisons);
-  m.add("stats.rollbacks", s.rollbacks);
-  m.add("stats.wrapped_calls", s.wrapped_calls);
-  m.add("stats.partial_checkpoints", s.partial_checkpoints);
-  m.add("stats.partial_fallbacks", s.partial_fallbacks);
-  m.add("stats.checkpoint_units", s.checkpoint_units);
-  m.add("stats.validator_divergences", s.validator_divergences);
-  m.add("stats.arena_bytes", s.arena_bytes);
-  m.add("stats.memcmp_compares", s.memcmp_compares);
-  m.add("stats.compare_fallbacks", s.compare_fallbacks);
-  m.add("stats.restore_errors", s.restore_errors);
-  m.add("stats.exceptions_thrown", s.exceptions_thrown);
-  m.add("stats.faults_injected", s.faults_injected);
-  m.add("stats.retry_attempts", s.retry_attempts);
-  m.add("stats.retry_successes", s.retry_successes);
-  m.add("stats.retry_exhaustions", s.retry_exhaustions);
-  m.add("stats.degraded_calls", s.degraded_calls);
-  m.add("stats.degrade_refusals", s.degrade_refusals);
-  m.add("stats.early_returns", s.early_returns);
-  m.add("stats.transformed_rethrows", s.transformed_rethrows);
-  m.add("stats.policy_rollbacks", s.policy_rollbacks);
+  for (const weave::StatField& f : weave::kStatFields)
+    m.add(std::string("stats.") + f.name, s.*f.member);
+
   // Recovery policy engine rollup (DESIGN.md §14): completed recoveries by
   // the action that resolved them.
   m.add("recoveries_by_policy.retry", s.retry_successes);

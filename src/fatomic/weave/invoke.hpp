@@ -14,6 +14,8 @@
 #pragma once
 
 #include <chrono>
+#include <cstddef>
+#include <exception>
 #include <optional>
 #include <thread>
 #include <tuple>
@@ -37,8 +39,10 @@ namespace detail {
 
 /// Listing 1, lines 2-5: one potential injection point per exception type
 /// (declared first, then the generic runtime exceptions), gated by the
-/// global counter against the run threshold.
-inline void fire_injection_points(const MethodInfo& mi, Runtime& rt) {
+/// global counter against the run threshold.  Returns the call's entry
+/// ordinal in this run — its row in the Count baseline (DESIGN.md §15).
+inline std::uint64_t fire_injection_points(const MethodInfo& mi, Runtime& rt) {
+  const std::uint64_t entry = rt.entries++;
   auto fire = [&](const ExceptionSpec& e) {
     if (++rt.point == rt.injection_point) {
       rt.injected = true;
@@ -52,6 +56,7 @@ inline void fire_injection_points(const MethodInfo& mi, Runtime& rt) {
   };
   for (const ExceptionSpec& e : mi.declared()) fire(e);
   for (const ExceptionSpec& e : rt.runtime_exceptions()) fire(e);
+  return entry;
 }
 
 /// Takes one full checkpoint of `root` through the runtime's arena pool and
@@ -68,6 +73,11 @@ snapshot::ArenaSnapshot take_full_checkpoint(const MethodInfo& mi,
   rt.trace.span(trace::EventKind::Snapshot, t0, &mi, cp.node_count());
   return cp;
 }
+
+/// A masking or recovery wrapper caught an exception.  What it does next —
+/// roll back, retry, swallow — can steer the rest of the run off the Count
+/// baseline, so every later injection wrapper captures (DESIGN.md §15).
+inline void leave_baseline(Runtime& rt) { rt.baseline = nullptr; }
 
 /// RAII marker: subject code reached through this scope was entered by the
 /// engine itself (rollback replay), so dispatch() routes it straight to the
@@ -222,6 +232,7 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
         return std::forward<R>(result);
       }
     } catch (...) {
+      leave_baseline(rt);
       const std::uint64_t t0 = rt.trace.begin_span();
       const std::string ex_type = current_exception_type_name();
       switch (pol.action_for(ex_type)) {
@@ -357,6 +368,7 @@ decltype(auto) masked_call(const MethodInfo& mi, Root& root, Fn&& body,
           maybe_inject_fault(mi, rt);
           return body();
         } catch (...) {
+          leave_baseline(rt);
           {
             EngineScope engine(rt);
             snapshot::partial_restore(root, partial, *plan);
@@ -377,6 +389,7 @@ decltype(auto) masked_call(const MethodInfo& mi, Root& root, Fn&& body,
       maybe_inject_fault(mi, rt);
       return body();
     } catch (...) {
+      leave_baseline(rt);
       rollback_to(mi, root, checkpoint, rt);
       throw;
     }
@@ -385,10 +398,13 @@ decltype(auto) masked_call(const MethodInfo& mi, Root& root, Fn&& body,
 
 /// Injection wrapper (Listing 1).  With mask_inner, the atomicity wrapper
 /// runs inside the injection wrapper, mirroring the paper's P_C-under-test.
+/// The before-snapshot is taken only when the call can observe an exception
+/// (observer-set capture, DESIGN.md §15); no other path reads it.
 template <class Root, class Fn>
 decltype(auto) injected_call(const MethodInfo& mi, Root& root, Fn&& body,
                              Runtime& rt, bool mask_inner) {
-  fire_injection_points(mi, rt);  // may throw into our caller's wrapper
+  // May throw into our caller's wrapper.
+  const std::uint64_t entry = fire_injection_points(mi, rt);
   auto inner = [&]() -> decltype(auto) {
     if (mask_inner) return masked_call(mi, root, body, rt);
     return body();
@@ -398,21 +414,30 @@ decltype(auto) injected_call(const MethodInfo& mi, Root& root, Fn&& body,
     explicit DepthGuard(Runtime& r) : rt(r) { ++rt.depth; }
     ~DepthGuard() { --rt.depth; }
   } depth_guard(rt);
-  const snapshot::ArenaSnapshot before = take_full_checkpoint(mi, root, rt);
+  std::optional<snapshot::ArenaSnapshot> before;
+  if (rt.may_observe(entry, mi))
+    before.emplace(take_full_checkpoint(mi, root, rt));
   try {
     return inner();
   } catch (...) {
+    if (!before) {
+      // The baseline said no exception could cross this call, yet one did:
+      // the program strayed from it.  Mark nothing — the campaign discards
+      // this run and re-runs the threshold with every wrapper capturing.
+      rt.capture_missed = true;
+      throw;
+    }
     const std::uint64_t c0 = rt.trace.begin_span();
     const snapshot::ArenaSnapshot after =
         snapshot::arena_capture(root, &rt.arena_pool);
     ++rt.stats.comparisons;
     bool used_memcmp = false;
-    const bool atomic = before.equals(after, &used_memcmp);
+    const bool atomic = before->equals(after, &used_memcmp);
     ++(used_memcmp ? rt.stats.memcmp_compares : rt.stats.compare_fallbacks);
     rt.trace.span(trace::EventKind::Compare, c0, &mi, atomic ? 1 : 0);
     std::string detail;
     if (!atomic && rt.record_diffs)
-      detail = snapshot::first_difference(before.decode(), after.decode());
+      detail = snapshot::first_difference(before->decode(), after.decode());
     // Episode accounting: marks are appended in propagation order and
     // within one episode depths strictly decrease, so this wrapper is the
     // first observer of a new exception exactly when the previous mark sits
@@ -438,7 +463,7 @@ decltype(auto) injected_call(const MethodInfo& mi, Root& root, Fn&& body,
     Mark mark{&mi, atomic, rt.injection_point, rt.depth, std::move(detail),
               current_exception_type_name(), throw_stack, {}};
     if (!atomic && rt.record_footprints) {
-      for (auto& d : snapshot::diff(before.decode(), after.decode(), 256))
+      for (auto& d : snapshot::diff(before->decode(), after.decode(), 256))
         mark.footprint.push_back(std::move(d.path));
     }
     rt.marks.push_back(std::move(mark));
@@ -446,19 +471,32 @@ decltype(auto) injected_call(const MethodInfo& mi, Root& root, Fn&& body,
   }
 }
 
-/// RAII frame on the Count-mode call stack; records the dynamic call-graph
-/// edge from the current top of stack (nullptr = program top level).
+/// RAII frame of the Count baseline: counts the call, records the dynamic
+/// call-graph edge from the enclosing call (nullptr = program top level),
+/// and appends the call's BaselineCall row, whose bound it sets on exit.
 struct CountFrame {
   Runtime& rt;
-  explicit CountFrame(Runtime& r, const MethodInfo& mi) : rt(r) {
+  std::size_t index;
+  int uncaught = std::uncaught_exceptions();
+  CountFrame(Runtime& r, const MethodInfo& mi) : rt(r), index(r.calls.size()) {
     ++rt.call_counts[&mi];
+    const std::size_t parent =
+        rt.open_calls.empty() ? BaselineCall::kTopLevel : rt.open_calls.back();
     const MethodInfo* caller =
-        rt.call_stack.empty() ? nullptr : rt.call_stack.back();
+        parent == BaselineCall::kTopLevel ? nullptr : rt.calls[parent].method;
     ++rt.call_edges[{caller, &mi}];
-    rt.call_stack.push_back(&mi);
-    if (rt.record_call_sites) rt.call_sites.push_back(rt.call_stack);
+    rt.point += mi.declared().size() + rt.runtime_exceptions().size();
+    rt.calls.push_back({&mi, parent, 0});
+    rt.open_calls.push_back(index);
   }
-  ~CountFrame() { rt.call_stack.pop_back(); }
+  ~CountFrame() {
+    rt.calls[index].bound = std::uncaught_exceptions() > uncaught
+                                ? BaselineCall::kAlways
+                                : rt.point;
+    rt.open_calls.pop_back();
+  }
+  CountFrame(const CountFrame&) = delete;
+  CountFrame& operator=(const CountFrame&) = delete;
 };
 
 template <class Root, class Fn>

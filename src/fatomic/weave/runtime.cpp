@@ -26,9 +26,12 @@ Runtime& Runtime::instance() {
   return tl_default;
 }
 
-void Runtime::begin_run(std::uint64_t threshold) {
+void Runtime::begin_run(std::uint64_t threshold, const CallTable* calls) {
   point = 0;
   injection_point = threshold;
+  baseline = calls;
+  entries = 0;
+  capture_missed = false;
   injected = false;
   injected_method = nullptr;
   injected_exception.clear();

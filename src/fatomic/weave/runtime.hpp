@@ -15,6 +15,7 @@
 // runs execute on separate threads (CampaignSettings::jobs).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -80,120 +81,65 @@ struct Mark {
   std::vector<std::string> footprint;
 };
 
+/// Campaign counters, generated from runtime_stats.def: one std::uint64_t
+/// field per FATOMIC_STAT entry, in list order.
 struct RuntimeStats {
-  std::uint64_t snapshots_taken = 0;
-  std::uint64_t comparisons = 0;
-  std::uint64_t rollbacks = 0;
-  std::uint64_t wrapped_calls = 0;
-  /// Atomicity-wrapper checkpoints served by a partial (field-granular)
-  /// capture instead of a full deep copy.
-  std::uint64_t partial_checkpoints = 0;
-  /// Partial captures that bailed at walk time (runtime shape surprise) and
-  /// fell back to the full deep copy.
-  std::uint64_t partial_fallbacks = 0;
-  /// Work metric: snapshot nodes built (full) or leaves recorded (partial),
-  /// summed over all checkpoints — the quantity field-granular plans shrink.
-  std::uint64_t checkpoint_units = 0;
-  /// Completeness-validator divergences: partial restore left the receiver
-  /// in a state differing from the shadow full checkpoint taken at entry.
-  /// Any nonzero value indicates an unsound write set.
-  std::uint64_t validator_divergences = 0;
-  /// Total arena slab bytes captured by full checkpoints.
-  std::uint64_t arena_bytes = 0;
-  /// Comparisons decided by the memcmp fast path alone.
-  std::uint64_t memcmp_compares = 0;
-  /// Comparisons that fell back to decoding + structural compare (byte
-  /// mismatch on equal-length slabs).
-  std::uint64_t compare_fallbacks = 0;
-  /// Rollbacks that failed mid-replay (snapshot::RestoreError): the
-  /// receiver may be partially restored.  Surfaced in campaign JSON so a
-  /// corrupted rollback is never silent.
-  std::uint64_t restore_errors = 0;
-  /// Exception-propagation episodes observed by the injection wrappers: one
-  /// per distinct throw that passed through at least one wrapper (injected
-  /// or organic).  With provenance enabled this counts captured throws, so
-  /// it equals the number of throw-site attributions made.
-  std::uint64_t exceptions_thrown = 0;
-  // --- recovery policy engine (DESIGN.md §14) -----------------------------
-  /// Production-mode faults raised by the wrapper-level injector
-  /// (Runtime::fault_period) — distinct from campaign injection points.
-  std::uint64_t faults_injected = 0;
-  /// Re-execution attempts made under a retry policy (one per attempt after
-  /// the first failure).
-  std::uint64_t retry_attempts = 0;
-  /// Retried calls that ultimately completed — the calls the policy engine
-  /// healed outright.
-  std::uint64_t retry_successes = 0;
-  /// Retry budgets exhausted; the call fell back to rollback + rethrow.
-  std::uint64_t retry_exhaustions = 0;
-  /// Exceptions swallowed by a degrade policy after the state compare
-  /// confirmed the receiver was untouched.
-  std::uint64_t degraded_calls = 0;
-  /// Degrade decisions refused because the post-exception state differed
-  /// from the entry checkpoint — a corrupted-state verdict is never masked.
-  std::uint64_t degrade_refusals = 0;
-  /// Exceptions converted to a neutral return by an early_return policy.
-  std::uint64_t early_returns = 0;
-  /// Exceptions transformed into recovery::ServiceError by rethrow_as.
-  std::uint64_t transformed_rethrows = 0;
-  /// Rollback-and-rethrow recoveries performed *by the policy engine* (the
-  /// engine-off path counts its rollbacks in `rollbacks` alone).
-  std::uint64_t policy_rollbacks = 0;
+#define FATOMIC_STAT(name, block, json_key) std::uint64_t name = 0;
+#include "fatomic/weave/runtime_stats.def"
+};
+
+/// The campaign-JSON object that reports a counter (runtime_stats.def).
+enum class StatBlock : std::uint8_t { stats, recovery, none };
+
+/// One RuntimeStats counter: field name, JSON placement and member.
+struct StatField {
+  const char* name;
+  StatBlock block;
+  const char* json_key;
+  std::uint64_t RuntimeStats::*member;
+};
+
+/// Every RuntimeStats counter, in list order — what merges, deltas, metrics
+/// and campaign JSON iterate, so none of them can miss a counter.
+inline constexpr StatField kStatFields[] = {
+#define FATOMIC_STAT(name, block, json_key) \
+  {#name, StatBlock::block, json_key, &RuntimeStats::name},
+#include "fatomic/weave/runtime_stats.def"
 };
 
 inline RuntimeStats& operator+=(RuntimeStats& a, const RuntimeStats& b) {
-  a.snapshots_taken += b.snapshots_taken;
-  a.comparisons += b.comparisons;
-  a.rollbacks += b.rollbacks;
-  a.wrapped_calls += b.wrapped_calls;
-  a.partial_checkpoints += b.partial_checkpoints;
-  a.partial_fallbacks += b.partial_fallbacks;
-  a.checkpoint_units += b.checkpoint_units;
-  a.validator_divergences += b.validator_divergences;
-  a.arena_bytes += b.arena_bytes;
-  a.memcmp_compares += b.memcmp_compares;
-  a.compare_fallbacks += b.compare_fallbacks;
-  a.restore_errors += b.restore_errors;
-  a.exceptions_thrown += b.exceptions_thrown;
-  a.faults_injected += b.faults_injected;
-  a.retry_attempts += b.retry_attempts;
-  a.retry_successes += b.retry_successes;
-  a.retry_exhaustions += b.retry_exhaustions;
-  a.degraded_calls += b.degraded_calls;
-  a.degrade_refusals += b.degrade_refusals;
-  a.early_returns += b.early_returns;
-  a.transformed_rethrows += b.transformed_rethrows;
-  a.policy_rollbacks += b.policy_rollbacks;
+  for (const StatField& f : kStatFields) a.*f.member += b.*f.member;
   return a;
 }
 
 /// Counter deltas between two points of the same runtime's history
 /// (`after` must be a later observation than `before`).
 inline RuntimeStats operator-(RuntimeStats after, const RuntimeStats& before) {
-  after.snapshots_taken -= before.snapshots_taken;
-  after.comparisons -= before.comparisons;
-  after.rollbacks -= before.rollbacks;
-  after.wrapped_calls -= before.wrapped_calls;
-  after.partial_checkpoints -= before.partial_checkpoints;
-  after.partial_fallbacks -= before.partial_fallbacks;
-  after.checkpoint_units -= before.checkpoint_units;
-  after.validator_divergences -= before.validator_divergences;
-  after.arena_bytes -= before.arena_bytes;
-  after.memcmp_compares -= before.memcmp_compares;
-  after.compare_fallbacks -= before.compare_fallbacks;
-  after.restore_errors -= before.restore_errors;
-  after.exceptions_thrown -= before.exceptions_thrown;
-  after.faults_injected -= before.faults_injected;
-  after.retry_attempts -= before.retry_attempts;
-  after.retry_successes -= before.retry_successes;
-  after.retry_exhaustions -= before.retry_exhaustions;
-  after.degraded_calls -= before.degraded_calls;
-  after.degrade_refusals -= before.degrade_refusals;
-  after.early_returns -= before.early_returns;
-  after.transformed_rethrows -= before.transformed_rethrows;
-  after.policy_rollbacks -= before.policy_rollbacks;
+  for (const StatField& f : kStatFields) after.*f.member -= before.*f.member;
   return after;
 }
+
+/// One instrumented call of the Count baseline, in call order: every
+/// wrapper and invoke_static entry the original program makes
+/// (DESIGN.md §15).  Count and Inject runs make identical call sequences up
+/// to the injection, so entry k describes the k-th entry of every injector
+/// run until that run leaves the baseline.
+struct BaselineCall {
+  /// `parent` of a call made from the program top level.
+  static constexpr std::size_t kTopLevel = static_cast<std::size_t>(-1);
+  /// `bound` of a call an exception crossed in the baseline.
+  static constexpr std::uint64_t kAlways = static_cast<std::uint64_t>(-1);
+
+  const MethodInfo* method = nullptr;
+  /// Index of the enclosing call, or kTopLevel.
+  std::size_t parent = kTopLevel;
+  /// The last injection point fired inside the call's subtree, counting its
+  /// own declared and runtime specs; kAlways when an exception crossed the
+  /// call.  A run at threshold t > bound returns from the call before t
+  /// fires, and no exception crosses it.
+  std::uint64_t bound = 0;
+};
+using CallTable = std::vector<BaselineCall>;
 
 class Runtime {
  public:
@@ -254,8 +200,38 @@ class Runtime {
     return runtime_exceptions_;
   }
 
-  /// Resets per-run state and arms the next injection threshold.
-  void begin_run(std::uint64_t threshold);
+  // --- observer-set capture (DESIGN.md §15) --------------------------------
+  /// The campaign's Count baseline while this run still follows it: null
+  /// outside campaign runs, and from the moment the run leaves the baseline
+  /// (an injection fires, a masking or recovery wrapper catches an
+  /// exception, or the call sequence departs from the table's).
+  const CallTable* baseline = nullptr;
+  /// Wrapper and invoke_static entries this run has made: the index of the
+  /// next entry's row in `baseline`.
+  std::uint64_t entries = 0;
+  /// Set when an injection wrapper that skipped its before-snapshot caught
+  /// an exception.  The run's marks are then incomplete; the campaign
+  /// discards it and re-runs the threshold with every wrapper capturing.
+  bool capture_missed = false;
+
+  /// Whether this run's `entry`-th entry, a call of `mi`, can observe an
+  /// exception and so needs its before-snapshot.  Off the baseline every
+  /// call can; on it, only a call whose baseline subtree reaches the
+  /// threshold or was crossed by an exception.  An entry that is not the
+  /// table's row `entry` leaves the baseline.
+  bool may_observe(std::uint64_t entry, const MethodInfo& mi) {
+    if (baseline == nullptr || injected) return true;
+    if (entry >= baseline->size() || (*baseline)[entry].method != &mi) {
+      baseline = nullptr;  // a nondeterministic program left the baseline
+      return true;
+    }
+    return injection_point <= (*baseline)[entry].bound;
+  }
+
+  /// Resets per-run state and arms the next injection threshold.  A
+  /// non-null `calls` lets the run's injection wrappers skip captures no
+  /// exception can read; the caller keeps it alive for the run.
+  void begin_run(std::uint64_t threshold, const CallTable* calls = nullptr);
 
   /// Copies the campaign configuration — mode, wrap predicate, generic
   /// runtime exception set, diff recording — from `src`, leaving this
@@ -272,22 +248,18 @@ class Runtime {
   /// call counts; nullptr caller means "called from the program top level".
   std::map<std::pair<const MethodInfo*, const MethodInfo*>, std::uint64_t>
       call_edges;
-  /// Stack of active instrumented methods (Count mode only).
-  std::vector<const MethodInfo*> call_stack;
-  /// When set, the Count baseline also records, per wrapped call in call
-  /// order, a copy of the call stack at entry (innermost last).  Because the
-  /// program is deterministic and Count/Inject modes make identical call
-  /// sequences up to the injection, entry k of this vector is the call stack
-  /// the injector will see at the injection points fired by the (k+1)-th
-  /// wrapped call — the mapping static campaign pruning is built on
-  /// (CampaignSettings::prune_atomic).
-  bool record_call_sites = false;
-  std::vector<std::vector<const MethodInfo*>> call_sites;
+  /// The Count baseline's per-call table, appended in call order; `point`
+  /// advances by each call's injection points as the injector's would.
+  /// Feeds capture elision and static campaign pruning (DESIGN.md §7, §15).
+  CallTable calls;
+  /// Indices into `calls` of the active Count-mode frames (innermost last).
+  std::vector<std::size_t> open_calls;
   void reset_counts() {
     call_counts.clear();
     call_edges.clear();
-    call_stack.clear();
-    call_sites.clear();
+    calls.clear();
+    open_calls.clear();
+    point = 0;
   }
 
   // --- masking -----------------------------------------------------------------

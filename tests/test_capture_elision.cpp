@@ -1,0 +1,375 @@
+// Observer-set capture (DESIGN.md §15): an injection wrapper takes its
+// before-snapshot only when its call can observe an exception.  The witness
+// is the canonical mark stream of every subject family, frozen from the
+// eager wrapper under tests/golden/marks_*.txt: campaigns must reproduce it
+// at any jobs value without re-running a single threshold.  The remaining
+// tests pin the Count baseline's per-call table, the safety fallback for
+// programs that stray from the baseline, masked runs that leave it, the
+// capture counts of the synthetic workload, and the eager wrapper outside
+// campaigns.
+#include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "fatomic/analyze/static_report.hpp"
+#include "fatomic/detect/classify.hpp"
+#include "fatomic/detect/experiment.hpp"
+#include "fatomic/mask/masker.hpp"
+#include "fatomic/weave/macros.hpp"
+#include "testing/mark_stream.hpp"
+
+namespace detect = fatomic::detect;
+namespace mask = fatomic::mask;
+namespace weave = fatomic::weave;
+
+namespace elision_subject {
+
+class Oops : public std::runtime_error {
+ public:
+  Oops() : std::runtime_error("oops") {}
+};
+
+class Overdraft : public std::runtime_error {
+ public:
+  Overdraft() : std::runtime_error("overdraft") {}
+};
+
+/// Calls `risky` only under the injector, never in the Count baseline: the
+/// stand-in for a program that is not deterministic across runs.
+class Box {
+ public:
+  Box() { FAT_CTOR_ENTRY(); }
+
+  void outer() {
+    FAT_INVOKE(outer, [&] {
+      value_ = 1;
+      try {
+        middle();
+      } catch (const Oops&) {
+      }
+      helper();
+    });
+  }
+  void middle() {
+    FAT_INVOKE(middle, [&] {
+      if (weave::Runtime::instance().mode() != weave::Mode::Count) risky();
+    });
+  }
+  void risky() {
+    FAT_INVOKE(risky, [&] {
+      ++value_;
+      throw Oops();
+    });
+  }
+  int helper() {
+    return FAT_INVOKE(helper, [&] { return value_; });
+  }
+
+ private:
+  FAT_REFLECT_FRIEND(Box);
+  FAT_CTOR_INFO(elision_subject::Box);
+  FAT_METHOD_INFO(elision_subject::Box, outer);
+  FAT_METHOD_INFO(elision_subject::Box, middle);
+  FAT_METHOD_INFO(elision_subject::Box, risky);
+  FAT_METHOD_INFO(elision_subject::Box, helper);
+
+  int value_ = 0;
+};
+
+void box_program() {
+  Box box;
+  box.outer();
+}
+
+/// `deposit` throws after mutating; `settle` calls `bonus` only when the
+/// failed deposit was rolled back, so masking changes the calls after it.
+class Ledger {
+ public:
+  Ledger() { FAT_CTOR_ENTRY(); }
+
+  void deposit(int v) {
+    FAT_INVOKE(deposit, [&] {
+      balance_ += v;
+      if (balance_ > 10) throw Overdraft();
+    });
+  }
+  void settle() {
+    FAT_INVOKE(settle, [&] {
+      if (balance_ <= 10) {
+        bonus();
+        bonus();
+      }
+    });
+  }
+  void bonus() {
+    FAT_INVOKE(bonus, [&] { ++balance_; });
+  }
+
+ private:
+  FAT_REFLECT_FRIEND(Ledger);
+  FAT_CTOR_INFO(elision_subject::Ledger);
+  FAT_METHOD_INFO(elision_subject::Ledger, deposit);
+  FAT_METHOD_INFO(elision_subject::Ledger, settle);
+  FAT_METHOD_INFO(elision_subject::Ledger, bonus);
+
+  int balance_ = 0;
+};
+
+void ledger_program() {
+  Ledger ledger;
+  ledger.deposit(5);
+  try {
+    ledger.deposit(10);
+  } catch (const Overdraft&) {
+  }
+  ledger.settle();
+}
+
+}  // namespace elision_subject
+
+FAT_REFLECT(elision_subject::Box, FAT_FIELD(elision_subject::Box, value_));
+FAT_REFLECT(elision_subject::Ledger,
+            FAT_FIELD(elision_subject::Ledger, balance_));
+
+namespace {
+
+using elision_subject::box_program;
+using elision_subject::ledger_program;
+
+void reset_runtime() {
+  auto& rt = weave::Runtime::instance();
+  rt.set_mode(weave::Mode::Direct);
+  rt.set_wrap_predicate(nullptr);
+}
+
+class CaptureElision : public ::testing::Test {
+ protected:
+  void TearDown() override { reset_runtime(); }
+};
+
+std::string method_of(const weave::BaselineCall& call) {
+  return call.method->qualified_name();
+}
+
+// ---- the witness ------------------------------------------------------------
+
+class MarkStreamWitness : public ::testing::TestWithParam<std::string> {
+ protected:
+  void TearDown() override { reset_runtime(); }
+
+  static const std::function<void()>& program() {
+    static const auto all = mark_stream::families();
+    for (const auto& [name, fn] : all)
+      if (name == GetParam()) return fn;
+    throw std::out_of_range("unknown family " + GetParam());
+  }
+
+  void expect_witness(unsigned jobs) {
+    const std::string expected = mark_stream::golden(GetParam());
+    ASSERT_FALSE(expected.empty())
+        << "missing " << mark_stream::golden_path(GetParam());
+    detect::CampaignSettings opts;
+    opts.jobs = jobs;
+    const detect::Campaign campaign = detect::Experiment(program(), opts).run();
+    EXPECT_EQ(mark_stream::render(campaign), expected);
+    EXPECT_EQ(campaign.stats.capture_reruns, 0u);
+    // Only calls an exception can reach capture: every compare had its
+    // before-snapshot, and few snapshots go unread.
+    EXPECT_LE(campaign.stats.comparisons, campaign.stats.snapshots_taken);
+    EXPECT_LE(campaign.stats.snapshots_taken, 2 * campaign.stats.comparisons);
+  }
+};
+
+TEST_P(MarkStreamWitness, DetectJobs1) { expect_witness(1); }
+
+TEST_P(MarkStreamWitness, DetectJobs4) { expect_witness(4); }
+
+/// The masked half: injection wrappers around atomicity wrappers that roll
+/// back, with write-set plans installed, still never re-run a threshold.
+TEST_P(MarkStreamWitness, MaskVerifyPlansNoReruns) {
+  static const auto plans = mask::make_plans(fatomic::analyze::analyze_sources(
+      std::string(FATOMIC_SOURCE_DIR) + "/subjects"));
+  const detect::Classification cls =
+      detect::classify(detect::Experiment(program()).run());
+  mask::VerifySettings settings;
+  settings.plans = plans;
+  const mask::MaskVerification verified =
+      mask::verify_masked_full(program(), mask::wrap_pure(cls), {}, settings);
+  EXPECT_EQ(verified.campaign.stats.capture_reruns, 0u);
+  EXPECT_TRUE(verified.classification.nonatomic_names().empty());
+}
+
+std::vector<std::string> family_names() {
+  std::vector<std::string> names;
+  for (const auto& [name, fn] : mark_stream::families()) names.push_back(name);
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, MarkStreamWitness,
+                         ::testing::ValuesIn(family_names()),
+                         [](const auto& info) { return info.param; });
+
+// ---- the Count baseline's per-call table ------------------------------------
+
+TEST_F(CaptureElision, BaselineRecordsParentsAndBounds) {
+  auto& rt = weave::Runtime::instance();
+  weave::ScopedMode mode(weave::Mode::Count);
+  rt.reset_counts();
+  box_program();
+  // One injection point per call (no declared exceptions): the ctor fires
+  // point 1, outer 2, middle 3 and helper 4.
+  const weave::CallTable& calls = rt.calls;
+  ASSERT_EQ(calls.size(), 4u);
+  EXPECT_EQ(method_of(calls[0]), "elision_subject::Box::(ctor)");
+  EXPECT_EQ(calls[0].parent, weave::BaselineCall::kTopLevel);
+  EXPECT_EQ(calls[0].bound, 1u);
+  EXPECT_EQ(method_of(calls[1]), "elision_subject::Box::outer");
+  EXPECT_EQ(calls[1].parent, weave::BaselineCall::kTopLevel);
+  EXPECT_EQ(calls[1].bound, 4u) << "outer's subtree ends with helper";
+  EXPECT_EQ(method_of(calls[2]), "elision_subject::Box::middle");
+  EXPECT_EQ(calls[2].parent, 1u);
+  EXPECT_EQ(calls[2].bound, 3u);
+  EXPECT_EQ(method_of(calls[3]), "elision_subject::Box::helper");
+  EXPECT_EQ(calls[3].parent, 1u);
+  EXPECT_EQ(calls[3].bound, 4u);
+  EXPECT_EQ(rt.point, 4u) << "the baseline advances the point counter";
+  rt.reset_counts();
+}
+
+TEST_F(CaptureElision, CrossedCallsAlwaysCapture) {
+  auto& rt = weave::Runtime::instance();
+  weave::ScopedMode mode(weave::Mode::Count);
+  rt.reset_counts();
+  ledger_program();
+  const weave::CallTable& calls = rt.calls;
+  ASSERT_EQ(calls.size(), 4u);  // ctor, deposit, deposit, settle
+  EXPECT_EQ(calls[1].bound, 2u);
+  EXPECT_EQ(method_of(calls[2]), "elision_subject::Ledger::deposit");
+  EXPECT_EQ(calls[2].bound, weave::BaselineCall::kAlways)
+      << "Overdraft crossed the second deposit";
+  EXPECT_EQ(calls[3].bound, 4u) << "the caught exception did not cross settle";
+  rt.reset_counts();
+}
+
+// ---- safety fallback --------------------------------------------------------
+
+// Under the injector, middle() calls risky(), which the baseline never saw.
+// risky's Oops crosses middle, whose wrapper skipped its capture on the
+// baseline's word, so the campaign re-runs those thresholds with every
+// wrapper capturing.  Hand-derived stream (points: ctor 1, outer 2, middle
+// 3, risky 4, helper 5):
+//   t=3  middle's entry fires inside outer, after value_ = 1: outer N.
+//   t=4  risky's entry fires inside middle: middle A, outer N.
+//   t=5  Oops passes risky N and middle N and is caught in outer; helper's
+//        entry then fires: outer N.
+// So outer is pure, risky pure (first of its episode) and middle
+// conditional — it is non-atomic only through risky.
+TEST_F(CaptureElision, StrayCallThatThrowsReRunsTheThreshold) {
+  const detect::Campaign campaign = detect::Experiment(box_program).run();
+  EXPECT_EQ(campaign.stats.capture_reruns, 3u)
+      << "thresholds 4 and 5, and the terminal probe at 6";
+  EXPECT_EQ(mark_stream::render(campaign),
+            "methods 5\n"
+            "  0 elision_subject::Box::(ctor)\n"
+            "  1 elision_subject::Box::outer\n"
+            "  2 elision_subject::Box::middle\n"
+            "  3 elision_subject::Box::risky\n"
+            "  4 elision_subject::Box::helper\n"
+            "exceptions 2\n"
+            "  0 fatomic::InjectedRuntimeError\n"
+            "  1 elision_subject::Oops\n"
+            "run 1 0 0 escaped\n"
+            "run 2 1 0 escaped\n"
+            "run 3 2 0 escaped\n"
+            "  mark 1 nonatomic 1 0\n"
+            "run 4 3 0 escaped\n"
+            "  mark 2 atomic 2 0\n"
+            "  mark 1 nonatomic 1 0\n"
+            "run 5 4 0 escaped\n"
+            "  mark 3 nonatomic 3 1\n"
+            "  mark 2 nonatomic 2 1\n"
+            "  mark 1 nonatomic 1 0\n");
+
+  const detect::Classification cls = detect::classify(campaign);
+  auto cls_of = [&](const std::string& method) {
+    const detect::MethodResult* r =
+        cls.find("elision_subject::Box::" + method);
+    return r == nullptr ? "(missing)" : detect::to_string(r->cls);
+  };
+  EXPECT_STREQ(cls_of("(ctor)"), "atomic");
+  EXPECT_STREQ(cls_of("outer"), "pure non-atomic");
+  EXPECT_STREQ(cls_of("middle"), "conditional non-atomic");
+  EXPECT_STREQ(cls_of("risky"), "pure non-atomic");
+  EXPECT_STREQ(cls_of("helper"), "atomic");
+}
+
+// The masked rollback of the second deposit leaves the balance at 5, so
+// settle() now calls bonus() twice where the baseline's settle() called
+// nothing (points: ctor 1, deposits 2 and 3, settle 4, bonus 5 and 6).  The
+// rollback takes the run off the baseline, so settle captures although its
+// baseline bound (4) lies below the bonus thresholds.
+TEST_F(CaptureElision, MaskedRollbackLeavesTheBaselineWithoutReruns) {
+  detect::CampaignSettings opts;
+  opts.masked = true;
+  opts.wrap = [](const weave::MethodInfo& mi) {
+    return mi.method_name() == "deposit";
+  };
+  const detect::Campaign campaign =
+      detect::Experiment(ledger_program, opts).run();
+  EXPECT_EQ(campaign.stats.capture_reruns, 0u);
+  EXPECT_EQ(campaign.stats.rollbacks, 4u)
+      << "the organic Overdraft at thresholds 4-6 and the terminal probe";
+
+  ASSERT_EQ(campaign.runs.size(), 6u);
+  const detect::RunRecord& first_bonus = campaign.runs[4];
+  const detect::RunRecord& second_bonus = campaign.runs[5];
+  ASSERT_NE(first_bonus.injected_method, nullptr);
+  EXPECT_EQ(first_bonus.injected_method->method_name(), "bonus");
+  // Each run masks the Overdraft first (deposit's mark, atomic after the
+  // rollback), then the injection passes settle.
+  ASSERT_EQ(first_bonus.marks.size(), 2u);
+  EXPECT_EQ(first_bonus.marks[0].method->method_name(), "deposit");
+  EXPECT_TRUE(first_bonus.marks[0].atomic);
+  EXPECT_EQ(first_bonus.marks[1].method->method_name(), "settle");
+  EXPECT_TRUE(first_bonus.marks[1].atomic);
+  ASSERT_EQ(second_bonus.marks.size(), 2u);
+  EXPECT_EQ(second_bonus.marks[1].method->method_name(), "settle");
+  EXPECT_FALSE(second_bonus.marks[1].atomic) << "the first bonus stuck";
+}
+
+// ---- frozen capture counts -------------------------------------------------
+
+// synthetic::workload throws and catches BankError organically in
+// safe_withdraw and sloppy_withdraw, so those two calls capture in every
+// run (their baseline bound is "always"); every other call captures only
+// when its threshold falls inside its subtree.  The eager wrapper took 378
+// snapshots for the same 30 comparisons.
+TEST_F(CaptureElision, SyntheticWorkloadCaptureCounts) {
+  const detect::Campaign campaign =
+      detect::Experiment([] { synthetic::workload(); }).run();
+  EXPECT_EQ(campaign.stats.comparisons, 30u);
+  EXPECT_EQ(campaign.stats.snapshots_taken, 38u);
+  EXPECT_EQ(campaign.stats.capture_reruns, 0u);
+}
+
+// ---- outside campaigns -----------------------------------------------------
+
+// A Mode::Inject run given no table (what BM_InjectionWrapperCost and
+// direct wrapper tests do) keeps the eager wrapper: one capture per call.
+TEST_F(CaptureElision, InjectRunWithoutTableCapturesEveryCall) {
+  auto& rt = weave::Runtime::instance();
+  weave::ScopedMode mode(weave::Mode::Inject);
+  rt.begin_run(1000000);  // never fires
+  const weave::RuntimeStats before = rt.stats;
+  elision_subject::Ledger ledger;
+  ledger.deposit(1);
+  ledger.settle();  // settle + two bonus calls
+  const weave::RuntimeStats delta = rt.stats - before;
+  EXPECT_EQ(delta.snapshots_taken, 4u);
+  EXPECT_EQ(delta.comparisons, 0u);
+  EXPECT_FALSE(rt.capture_missed);
+}
+
+}  // namespace

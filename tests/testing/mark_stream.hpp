@@ -1,0 +1,100 @@
+// Canonical mark stream of a detection campaign: the witness that the
+// injection wrappers' capture elision (DESIGN.md §15) changes no
+// observation.
+//
+// The files tests/golden/marks_<family>.txt were written by the eager
+// injection wrapper, which took a before-snapshot on every call, before the
+// wrapper learned to skip captures.  test_capture_elision.cpp asserts that
+// every detection campaign still renders to them byte for byte.
+//
+// Format: the method and exception names a family's stream mentions, each
+// numbered in first-seen order, then one line per run and one indented line
+// per mark:
+//
+//   run <threshold> <injected method #|-> <injected exception #|->
+//       <escaped|caught>
+//     mark <method #> <atomic|nonatomic> <depth> <exception #|->
+#pragma once
+
+#include <fstream>
+#include <functional>
+#include <map>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "fatomic/detect/campaign.hpp"
+#include "subjects/apps/apps.hpp"
+#include "synthetic.hpp"
+
+namespace mark_stream {
+
+/// Numbers names in first-seen order.
+class Names {
+ public:
+  std::string operator()(const std::string& name) {
+    if (name.empty()) return "-";
+    auto [it, fresh] = ids_.try_emplace(name, order_.size());
+    if (fresh) order_.push_back(name);
+    return std::to_string(it->second);
+  }
+  void print(std::ostream& os, const char* heading) const {
+    os << heading << ' ' << order_.size() << '\n';
+    for (std::size_t i = 0; i < order_.size(); ++i)
+      os << "  " << i << ' ' << order_[i] << '\n';
+  }
+
+ private:
+  std::map<std::string, std::size_t> ids_;
+  std::vector<std::string> order_;
+};
+
+inline std::string render(const fatomic::detect::Campaign& campaign) {
+  Names methods;
+  Names exceptions;
+  auto method = [&](const fatomic::weave::MethodInfo* mi) {
+    return methods(mi == nullptr ? std::string() : mi->qualified_name());
+  };
+  std::ostringstream body;
+  for (const fatomic::detect::RunRecord& run : campaign.runs) {
+    body << "run " << run.injection_point << ' ' << method(run.injected_method)
+         << ' ' << exceptions(run.injected_exception) << ' '
+         << (run.escaped ? "escaped" : "caught") << '\n';
+    for (const fatomic::weave::Mark& mark : run.marks)
+      body << "  mark " << method(mark.method) << ' '
+           << (mark.atomic ? "atomic" : "nonatomic") << ' ' << mark.depth
+           << ' ' << exceptions(mark.exception_type) << '\n';
+  }
+  std::ostringstream os;
+  methods.print(os, "methods");
+  exceptions.print(os, "exceptions");
+  os << body.str();
+  return os.str();
+}
+
+/// Every family the witness covers: the 16 Table 1 applications, the three
+/// demos kept out of all_apps(), and the synthetic workload.
+inline std::vector<std::pair<std::string, std::function<void()>>> families() {
+  std::vector<std::pair<std::string, std::function<void()>>> out;
+  for (const subjects::apps::App& app : subjects::apps::all_apps())
+    out.emplace_back(app.name, app.program);
+  for (const char* demo : {"lintDemo", "netDemo", "ServerDemo"})
+    out.emplace_back(demo, subjects::apps::app(demo).program);
+  out.emplace_back("synthetic", [] { synthetic::workload(); });
+  return out;
+}
+
+inline std::string golden_path(const std::string& family) {
+  return std::string(FATOMIC_GOLDEN_DIR) + "/marks_" + family + ".txt";
+}
+
+/// The committed stream for `family`; empty when the file is missing.
+inline std::string golden(const std::string& family) {
+  std::ifstream in(golden_path(family), std::ios::binary);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+}  // namespace mark_stream
