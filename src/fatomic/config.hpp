@@ -80,8 +80,8 @@ class Config {
 
   // --- recovery (DESIGN.md §14) -------------------------------------------
   /// Installs a complete recovery policy table: masked methods with an
-  /// entry route through the policy engine instead of the fixed
-  /// rollback-and-rethrow.  Null (the default) leaves the engine off.
+  /// entry recover by their policy; the others, and every masked method
+  /// when the table is null (the default), roll back and rethrow.
   /// Typically fed from recovery::derive_policy_table or a `--policy-file`
   /// JSON document (recovery::load_policy_file).
   Config& recovery(std::shared_ptr<const recovery::PolicyTable> table) {

@@ -31,108 +31,6 @@ Experiment::Experiment(std::function<void()> program,
 
 namespace {
 
-/// RAII: installs a wrap predicate for the campaign and restores the
-/// previously installed one after — nested masked experiments (e.g. a
-/// mask-verify campaign launched from inside a MaskedScope) keep the outer
-/// predicate intact.
-class ScopedWrap {
- public:
-  explicit ScopedWrap(weave::Runtime::WrapPredicate p)
-      : saved_(weave::Runtime::instance().wrap_predicate()) {
-    if (p) weave::Runtime::instance().set_wrap_predicate(std::move(p));
-  }
-  ~ScopedWrap() {
-    weave::Runtime::instance().set_wrap_predicate(std::move(saved_));
-  }
-
- private:
-  weave::Runtime::WrapPredicate saved_;
-};
-
-/// RAII: installs checkpoint plans and the validator flag for the campaign,
-/// restoring the runtime's previous plan state after.  Workers inherit both
-/// through adopt_config().
-class ScopedPlans {
- public:
-  ScopedPlans(std::shared_ptr<const weave::PlanMap> plans, bool validate)
-      : saved_plans_(weave::Runtime::instance().checkpoint_plans()),
-        saved_validate_(weave::Runtime::instance().validate_checkpoints) {
-    auto& rt = weave::Runtime::instance();
-    if (plans) rt.set_checkpoint_plans(std::move(plans));
-    if (validate) rt.validate_checkpoints = true;
-  }
-  ~ScopedPlans() {
-    auto& rt = weave::Runtime::instance();
-    rt.set_checkpoint_plans(std::move(saved_plans_));
-    rt.validate_checkpoints = saved_validate_;
-  }
-  ScopedPlans(const ScopedPlans&) = delete;
-  ScopedPlans& operator=(const ScopedPlans&) = delete;
-
- private:
-  std::shared_ptr<const weave::PlanMap> saved_plans_;
-  bool saved_validate_;
-};
-
-/// RAII: installs a recovery policy table for the campaign and restores the
-/// runtime's previous table after.  Workers inherit it through
-/// adopt_config().
-class ScopedPolicies {
- public:
-  explicit ScopedPolicies(std::shared_ptr<const recovery::PolicyTable> table)
-      : saved_(weave::Runtime::instance().recovery_policies()) {
-    if (table) weave::Runtime::instance().set_recovery_policies(std::move(table));
-  }
-  ~ScopedPolicies() {
-    weave::Runtime::instance().set_recovery_policies(std::move(saved_));
-  }
-  ScopedPolicies(const ScopedPolicies&) = delete;
-  ScopedPolicies& operator=(const ScopedPolicies&) = delete;
-
- private:
-  std::shared_ptr<const recovery::PolicyTable> saved_;
-};
-
-/// RAII: puts the driving runtime's trace buffer into the state this
-/// campaign wants — armed with a fresh epoch for traced campaigns, disabled
-/// otherwise (so an untraced inner campaign stays invisible to an outer
-/// traced one) — and restores the previous state after.
-class ScopedTrace {
- public:
-  ScopedTrace(weave::Runtime& rt, bool on)
-      : rt_(rt),
-        saved_enabled_(rt.trace.enabled()),
-        saved_epoch_(rt.trace.epoch()),
-        saved_worker_(rt.trace.worker()) {
-    if (on) {
-      const auto now = std::chrono::steady_clock::now().time_since_epoch();
-      rt_.trace.enable(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(now).count()));
-      rt_.trace.set_worker(0);
-      rt_.trace.set_run(0);
-      rt_.trace.take(0);  // drop leftovers from an interrupted campaign
-    } else {
-      rt_.trace.disable();
-    }
-  }
-  ~ScopedTrace() {
-    if (saved_enabled_)
-      rt_.trace.enable(saved_epoch_);
-    else
-      rt_.trace.disable();
-    rt_.trace.set_worker(saved_worker_);
-    rt_.trace.set_run(0);
-  }
-  ScopedTrace(const ScopedTrace&) = delete;
-  ScopedTrace& operator=(const ScopedTrace&) = delete;
-
- private:
-  weave::Runtime& rt_;
-  bool saved_enabled_;
-  std::uint64_t saved_epoch_;
-  std::uint16_t saved_worker_;
-};
-
 /// One injector run and everything the campaign needs from it.
 struct RunOutcome {
   RunRecord rec;
@@ -187,9 +85,7 @@ void attempt(const std::function<void()>& program, weave::Runtime& rt,
 /// is discarded — stats, events and the production-fault phase included —
 /// and the threshold re-runs with every wrapper capturing (DESIGN.md §15).
 RunOutcome run_once(const std::function<void()>& program, weave::Runtime& rt,
-                    weave::Mode mode, std::uint64_t threshold,
-                    const weave::CallTable& baseline) {
-  weave::ScopedMode m(mode);
+                    std::uint64_t threshold, const weave::CallTable& baseline) {
   // Throw-stack captures stop at this frame: everything outside run_once
   // (the sequential driver loop vs a worker's std::thread trampoline) is
   // scheduling context that would otherwise make equal throw stacks hash to
@@ -245,7 +141,25 @@ Campaign Experiment::run() {
   auto& rt = weave::Runtime::instance();
   Campaign campaign;
 
-  ScopedTrace trace_scope(rt, opts_.trace);
+  // Everything below installs into the calling thread's runtime, and
+  // parallel workers copy it from there (adopt_config); the guard gives the
+  // enclosing configuration back — e.g. a mask-verify campaign launched from
+  // inside a MaskedScope keeps the scope's predicate and plans.
+  weave::ScopedConfig config;
+
+  // A traced campaign arms the driving buffer with a fresh epoch; an
+  // untraced one disables it, so an untraced inner campaign stays invisible
+  // to an outer traced one.
+  if (opts_.trace) {
+    const auto now = std::chrono::steady_clock::now().time_since_epoch();
+    rt.trace.enable(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(now).count()));
+    rt.trace.set_worker(0);
+    rt.trace.set_run(0);
+    rt.trace.take(0);  // drop leftovers from an interrupted campaign
+  } else {
+    rt.trace.disable();
+  }
   campaign.trace.enabled = rt.trace.enabled();
   const std::uint64_t campaign_t0 = rt.trace.begin_span();
 
@@ -256,10 +170,6 @@ Campaign Experiment::run() {
   const bool provenance = opts_.provenance && unwind::available();
   campaign.provenance = provenance;
   unwind::ScopedArm arm(provenance);
-  struct ProvFlag {
-    bool saved = weave::Runtime::instance().provenance;
-    ~ProvFlag() { weave::Runtime::instance().provenance = saved; }
-  } prov_flag;
   rt.provenance = provenance;
 
   // Baseline: call counts of the original program (Figures 2b / 3b) and
@@ -268,20 +178,18 @@ Campaign Experiment::run() {
   // still yields a baseline — the calls observed up to the escape — and its
   // terminal injector run records the escape (see absorb()).
   weave::CallTable baseline;
-  {
-    weave::ScopedMode mode(weave::Mode::Count);
-    rt.reset_counts();
-    const std::uint64_t baseline_t0 = rt.trace.begin_span();
-    try {
-      program_();
-    } catch (...) {
-    }
-    campaign.call_counts = rt.call_counts;
-    campaign.call_edges = rt.call_edges;
-    baseline.swap(rt.calls);
-    rt.trace.span(trace::EventKind::Baseline, baseline_t0, nullptr,
-                  campaign.total_calls());
+  rt.set_mode(weave::Mode::Count);
+  rt.reset_counts();
+  const std::uint64_t baseline_t0 = rt.trace.begin_span();
+  try {
+    program_();
+  } catch (...) {
   }
+  campaign.call_counts = rt.call_counts;
+  campaign.call_edges = rt.call_edges;
+  baseline.swap(rt.calls);
+  rt.trace.span(trace::EventKind::Baseline, baseline_t0, nullptr,
+                campaign.total_calls());
 
   // Map thresholds to statically skippable runs.  Each call fires one
   // injection point per exception spec of its method (declared first, then
@@ -315,22 +223,19 @@ Campaign Experiment::run() {
   // the closing campaign span lands last.
   if (campaign.trace.enabled) campaign.trace.events = rt.trace.take(0);
 
-  ScopedWrap wrap(opts_.masked ? opts_.wrap : nullptr);
-  ScopedPlans plans(opts_.masked ? opts_.checkpoint_plans : nullptr,
-                    opts_.validate_checkpoints);
-  ScopedPolicies policies(opts_.masked ? opts_.recovery_policies : nullptr);
-  const weave::Mode mode =
-      opts_.masked ? weave::Mode::InjectMask : weave::Mode::Inject;
-
-  struct DiffFlag {
-    bool saved = weave::Runtime::instance().record_diffs;
-    ~DiffFlag() { weave::Runtime::instance().record_diffs = saved; }
-  } diff_flag;
+  // The injector runs' configuration.  A masked campaign's predicate, plans
+  // and policies replace the runtime's only where the settings give them.
+  if (opts_.masked) {
+    rt.set_mode(weave::Mode::InjectMask);
+    if (opts_.wrap) rt.set_wrap_predicate(opts_.wrap);
+    if (opts_.checkpoint_plans) rt.set_checkpoint_plans(opts_.checkpoint_plans);
+    if (opts_.recovery_policies)
+      rt.set_recovery_policies(opts_.recovery_policies);
+  } else {
+    rt.set_mode(weave::Mode::Inject);
+  }
+  if (opts_.validate_checkpoints) rt.validate_checkpoints = true;
   rt.record_diffs = opts_.record_diffs;
-  struct FootprintFlag {
-    bool saved = weave::Runtime::instance().record_footprints;
-    ~FootprintFlag() { weave::Runtime::instance().record_footprints = saved; }
-  } footprint_flag;
   rt.record_footprints = opts_.record_footprints;
 
   unsigned jobs = opts_.jobs != 0 ? opts_.jobs
@@ -339,9 +244,9 @@ Campaign Experiment::run() {
     jobs = static_cast<unsigned>(opts_.max_runs);
 
   if (jobs > 1)
-    run_parallel(campaign, mode, jobs, baseline, prunable);
+    run_parallel(campaign, jobs, baseline, prunable);
   else
-    run_sequential(campaign, mode, baseline, prunable);
+    run_sequential(campaign, baseline, prunable);
 
   if (campaign.trace.enabled) {
     rt.trace.set_run(0);
@@ -381,7 +286,7 @@ std::vector<WorkerStats> sorted_workers(
 
 }  // namespace
 
-void Experiment::run_sequential(Campaign& campaign, weave::Mode mode,
+void Experiment::run_sequential(Campaign& campaign,
                                 const weave::CallTable& baseline,
                                 const std::vector<bool>& prunable) {
   auto& rt = weave::Runtime::instance();
@@ -390,7 +295,7 @@ void Experiment::run_sequential(Campaign& campaign, weave::Mode mode,
   for (std::uint64_t threshold = 1; threshold <= opts_.max_runs; ++threshold) {
     if (is_prunable(prunable, threshold)) continue;
     if (absorb(campaign, workers,
-               run_once(program_, rt, mode, threshold, baseline))) {
+               run_once(program_, rt, threshold, baseline))) {
       cutoff = threshold;
       break;
     }
@@ -399,8 +304,8 @@ void Experiment::run_sequential(Campaign& campaign, weave::Mode mode,
   campaign.worker_stats = sorted_workers(std::move(workers));
 }
 
-void Experiment::run_parallel(Campaign& campaign, weave::Mode mode,
-                              unsigned jobs, const weave::CallTable& baseline,
+void Experiment::run_parallel(Campaign& campaign, unsigned jobs,
+                              const weave::CallTable& baseline,
                               const std::vector<bool>& prunable) {
   auto& parent = weave::Runtime::instance();
 
@@ -427,7 +332,7 @@ void Experiment::run_parallel(Campaign& campaign, weave::Mode mode,
         const std::uint64_t threshold = next.fetch_add(1);
         if (threshold > opts_.max_runs || threshold > stop.load()) break;
         if (is_prunable(prunable, threshold)) continue;
-        RunOutcome out = run_once(program_, rt, mode, threshold, baseline);
+        RunOutcome out = run_once(program_, rt, threshold, baseline);
         if (out.terminal) {
           std::uint64_t cur = stop.load();
           while (threshold < cur &&

@@ -46,14 +46,15 @@ class Experiment {
   Campaign run();
 
  private:
-  /// `baseline` is the Count run's per-call table every injector run
-  /// follows (DESIGN.md §15); workers share it read-only.  prunable[t] ==
-  /// true means threshold t is statically skippable; the vector is empty
-  /// when pruning is off.
-  void run_sequential(Campaign& campaign, weave::Mode mode,
-                      const weave::CallTable& baseline,
+  /// Both run the injector runs in the calling thread runtime's mode
+  /// (Inject or InjectMask; workers copy it with the rest of the
+  /// configuration).  `baseline` is the Count run's per-call table every
+  /// injector run follows (DESIGN.md §15); workers share it read-only.
+  /// prunable[t] == true means threshold t is statically skippable; the
+  /// vector is empty when pruning is off.
+  void run_sequential(Campaign& campaign, const weave::CallTable& baseline,
                       const std::vector<bool>& prunable);
-  void run_parallel(Campaign& campaign, weave::Mode mode, unsigned jobs,
+  void run_parallel(Campaign& campaign, unsigned jobs,
                     const weave::CallTable& baseline,
                     const std::vector<bool>& prunable);
 

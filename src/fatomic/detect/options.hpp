@@ -60,12 +60,13 @@ struct CampaignSettings {
 
   /// Static campaign pruning (analyze::StaticReport::prune_set feeds this):
   /// qualified names of methods the static analysis proved failure atomic.
-  /// The Count baseline additionally records the call stack at every
+  /// The Count baseline's per-call table gives the call stack of every
   /// injection point; a threshold whose entire stack consists of methods in
-  /// this set is skipped — the run could only produce atomic marks for
-  /// methods already known atomic, so the resulting classification sets are
-  /// unchanged while the campaign executes fewer injector runs.  Empty set =
-  /// no pruning.  Soundness argument: DESIGN.md §7.
+  /// this set (or without a receiver) is skipped — the run could only
+  /// produce atomic marks for methods already known atomic, so the resulting
+  /// classification sets are unchanged while the campaign executes fewer
+  /// injector runs.  Empty set = no pruning.  Soundness argument: DESIGN.md
+  /// §7.
   std::set<std::string> prune_atomic;
 
   /// Record the structured event trace (trace/trace.hpp) for every run and
@@ -81,11 +82,10 @@ struct CampaignSettings {
   bool provenance = false;
 
   /// Recovery policy table (DESIGN.md §14) installed into the runtime for
-  /// the duration of the campaign; the masking wrappers route methods with
-  /// an entry through the policy engine.  Null leaves whatever table the
-  /// runtime already holds — with none installed anywhere, campaign
-  /// semantics are bit-identical to a build without the engine.  Only
-  /// meaningful with `masked`.
+  /// the duration of the campaign; the masking wrappers recover methods with
+  /// an entry by their policy and roll the others back.  Null leaves
+  /// whatever table the runtime already holds.  Only meaningful with
+  /// `masked`.
   std::shared_ptr<const recovery::PolicyTable> recovery_policies;
 };
 

@@ -57,13 +57,9 @@ std::shared_ptr<const weave::PlanMap> make_plans(
   return plans;
 }
 
-MaskedScope::MaskedScope(weave::Runtime::WrapPredicate wrap)
-    : mode_(weave::Mode::Mask),
-      saved_(weave::Runtime::instance().wrap_predicate()),
-      saved_plans_(weave::Runtime::instance().checkpoint_plans()),
-      saved_validate_(weave::Runtime::instance().validate_checkpoints),
-      saved_policies_(weave::Runtime::instance().recovery_policies()) {
+MaskedScope::MaskedScope(weave::Runtime::WrapPredicate wrap) {
   auto& rt = weave::Runtime::instance();
+  rt.set_mode(weave::Mode::Mask);
   rt.set_wrap_predicate(std::move(wrap));
   rt.trace.instant(trace::EventKind::MaskScope, nullptr, /*entered=*/1);
 }
@@ -80,12 +76,8 @@ MaskedScope::MaskedScope(weave::Runtime::WrapPredicate wrap,
 }
 
 MaskedScope::~MaskedScope() {
-  auto& rt = weave::Runtime::instance();
-  rt.trace.instant(trace::EventKind::MaskScope, nullptr, /*entered=*/0);
-  rt.set_wrap_predicate(std::move(saved_));
-  rt.set_checkpoint_plans(std::move(saved_plans_));
-  rt.validate_checkpoints = saved_validate_;
-  rt.set_recovery_policies(std::move(saved_policies_));
+  weave::Runtime::instance().trace.instant(trace::EventKind::MaskScope,
+                                           nullptr, /*entered=*/0);
 }
 
 MaskVerification verify_masked_full(std::function<void()> program,

@@ -39,9 +39,8 @@ std::shared_ptr<const weave::PlanMap> make_plans(
     const analyze::StaticReport& report);
 
 /// RAII: switches the runtime to the corrected program P_C — Mask mode plus
-/// the given wrap predicate — for the lifetime of the scope.  The previously
-/// installed predicate (and checkpoint-plan state, for the plan-taking
-/// overload) is restored on exit.
+/// the given wrap predicate — for the lifetime of the scope.  The enclosing
+/// runtime configuration is restored on exit (weave::ScopedConfig).
 class MaskedScope {
  public:
   explicit MaskedScope(weave::Runtime::WrapPredicate wrap);
@@ -57,11 +56,7 @@ class MaskedScope {
   MaskedScope& operator=(const MaskedScope&) = delete;
 
  private:
-  weave::ScopedMode mode_;
-  weave::Runtime::WrapPredicate saved_;
-  std::shared_ptr<const weave::PlanMap> saved_plans_;
-  bool saved_validate_;
-  std::shared_ptr<const recovery::PolicyTable> saved_policies_;
+  weave::ScopedConfig config_;
 };
 
 /// Checkpointing configuration for a mask-verify campaign.  Like
@@ -81,7 +76,8 @@ struct VerifySettings {
   /// (Campaign::trace).
   bool trace = false;
   /// Recovery policy table installed for the verification campaign
-  /// (DESIGN.md §14); null leaves the engine off.
+  /// (DESIGN.md §14).  Null keeps the runtime's table; a wrapped method
+  /// with no entry rolls back and rethrows (recovery::kRollbackPolicy).
   std::shared_ptr<const recovery::PolicyTable> policies;
 };
 

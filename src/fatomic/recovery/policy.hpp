@@ -5,13 +5,14 @@
 //   rollback | rethrow_as(T) | early_return | retry(n, backoff) | degrade
 //
 // following Ares' recovery operators and TripleAgent's perturbation/recovery
-// split (PAPERS.md).  A PolicyTable maps qualified method names to policies;
-// the atomicity wrapper (weave/invoke.hpp, masked_call) consults the table
-// installed in the runtime and applies the selected action when an exception
-// unwinds through a wrapped call.  Tables are *derived from campaign
-// evidence* (recovery/derive.hpp), never guessed: every action is backed by
-// a static proof or a dynamically validated plan, and the runtime still
-// re-checks the assumptions each action rests on (see the field comments).
+// split (PAPERS.md).  A PolicyTable maps qualified method names to policies.
+// Every atomicity wrapper (weave/invoke.hpp) applies the action of the
+// method's entry in the table installed in the runtime, or of
+// kRollbackPolicy when it has none, when an exception unwinds through the
+// wrapped call.  Tables are *derived from campaign evidence*
+// (recovery/derive.hpp), never guessed: every action is backed by a static
+// proof or a dynamically validated plan, and the runtime still re-checks the
+// assumptions each action rests on (see the field comments).
 //
 // This header is dependency-free within fatomic so the weaving runtime can
 // hold a table without layering cycles; derivation (analyze/detect evidence)
@@ -109,9 +110,12 @@ struct RecoveryPolicy {
   bool operator!=(const RecoveryPolicy& o) const { return !(*this == o); }
 };
 
-/// Qualified-method-name → policy.  Methods without an entry keep the
-/// engine-off behaviour (plain rollback + rethrow through the existing
-/// masked_call path), so installing an empty table changes nothing.
+/// The paper's atomicity wrapper as a policy: roll back and rethrow.  Every
+/// wrapped method without a table entry runs it.
+inline const RecoveryPolicy kRollbackPolicy{};
+
+/// Qualified-method-name → policy.  Methods without an entry run
+/// kRollbackPolicy, so installing an empty table changes nothing.
 class PolicyTable {
  public:
   void set(const std::string& qualified_name, RecoveryPolicy policy) {

@@ -43,6 +43,16 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+void stat_block(std::ostream& os, const weave::RuntimeStats& stats,
+                weave::StatBlock block) {
+  const char* sep = "";
+  for (const weave::StatField& f : weave::kStatFields) {
+    if (f.block != block) continue;
+    os << sep << '"' << f.json_key << "\":" << stats.*f.member;
+    sep = ",";
+  }
+}
+
 namespace {
 
 const char* cls_tag(detect::MethodClass c) {
@@ -55,17 +65,6 @@ const char* cls_tag(detect::MethodClass c) {
       return "pure";
   }
   return "?";
-}
-
-/// The counters runtime_stats.def places in `block`, as "key":value pairs.
-void stat_block(std::ostream& os, const weave::RuntimeStats& stats,
-                weave::StatBlock block) {
-  const char* sep = "";
-  for (const weave::StatField& f : weave::kStatFields) {
-    if (f.block != block) continue;
-    os << sep << '"' << f.json_key << "\":" << stats.*f.member;
-    sep = ",";
-  }
 }
 
 }  // namespace

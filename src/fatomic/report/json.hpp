@@ -3,6 +3,7 @@
 // processed offline; this is our structured equivalent).
 #pragma once
 
+#include <iosfwd>
 #include <string>
 
 #include "fatomic/analyze/static_report.hpp"
@@ -39,5 +40,11 @@ std::string provenance_json(const detect::Campaign& campaign);
 
 /// Escapes a string for inclusion in JSON output.
 std::string json_escape(const std::string& s);
+
+/// The counters runtime_stats.def places in `block`, as "key":value pairs
+/// in list order: campaign JSON's stats and recovery blocks, and the trace
+/// section's per-worker stats.
+void stat_block(std::ostream& os, const weave::RuntimeStats& stats,
+                weave::StatBlock block);
 
 }  // namespace fatomic::report

@@ -182,15 +182,9 @@ std::string trace_section_json(const detect::Campaign& campaign) {
     if (!first) os << ',';
     first = false;
     os << "{\"worker\":" << w.worker << ",\"runs\":" << w.runs
-       << ",\"stats\":{\"snapshots\":" << w.stats.snapshots_taken
-       << ",\"comparisons\":" << w.stats.comparisons
-       << ",\"rollbacks\":" << w.stats.rollbacks
-       << ",\"wrapped_calls\":" << w.stats.wrapped_calls
-       << ",\"partial_checkpoints\":" << w.stats.partial_checkpoints
-       << ",\"partial_fallbacks\":" << w.stats.partial_fallbacks
-       << ",\"checkpoint_units\":" << w.stats.checkpoint_units
-       << ",\"validator_divergences\":" << w.stats.validator_divergences
-       << "}}";
+       << ",\"stats\":{";
+    report::stat_block(os, w.stats, weave::StatBlock::stats);
+    os << "}}";
   }
   os << "],\"metrics\":" << campaign_metrics(campaign).to_json() << '}';
   return os.str();

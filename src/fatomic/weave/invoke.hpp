@@ -4,9 +4,10 @@
 //   Inject      — the paper's injection wrapper (Listing 1): fire injection
 //                 points, deep-copy the receiver, call, and on an exception
 //                 compare object graphs, mark atomic/non-atomic, rethrow.
-//   Mask        — the paper's atomicity wrapper (Listing 2): checkpoint,
-//                 call, roll back and rethrow on exception (only for methods
-//                 selected by the wrap predicate).
+//   Mask        — the paper's atomicity wrapper (Listing 2) for methods
+//                 selected by the wrap predicate: checkpoint, call, and on
+//                 an exception the action of the method's recovery policy —
+//                 roll back and rethrow unless a policy table says otherwise.
 //   InjectMask  — injection wrapper around the atomicity wrapper, used to
 //                 verify that the corrected program P_C is failure atomic.
 //   Count       — call counting for the call-weighted figures.
@@ -90,41 +91,6 @@ struct EngineScope {
   EngineScope& operator=(const EngineScope&) = delete;
 };
 
-/// Rolls `root` back to `cp`, translating a mid-replay failure into the
-/// restore_errors counter + a RestoreFailure event before letting the
-/// RestoreError propagate (the receiver may be partially restored — masking
-/// anything at that point would hide corruption).
-template <class Root>
-void rollback_to(const MethodInfo& mi, Root& root,
-                 const snapshot::ArenaSnapshot& cp, Runtime& rt) {
-  try {
-    // Restoring containers of instrumented objects re-runs their
-    // constructors; those entries must not fire injection points of their
-    // own (the engine would sabotage its own rollback).
-    EngineScope engine(rt);
-    snapshot::restore(root, cp);
-  } catch (const RestoreError&) {
-    ++rt.stats.restore_errors;
-    rt.trace.instant(trace::EventKind::RestoreFailure, &mi);
-    throw;
-  }
-  ++rt.stats.rollbacks;
-  rt.trace.instant(trace::EventKind::Rollback, &mi, /*partial=*/0);
-}
-
-/// Completeness validator (Runtime::validate_checkpoints): after a partial
-/// rollback the receiver must equal `shadow`, the full checkpoint taken
-/// next to the partial one.
-template <class Root>
-void validate_partial_restore(const MethodInfo& mi, const Root& root,
-                              const snapshot::ArenaSnapshot& shadow,
-                              Runtime& rt) {
-  if (!shadow.equals(snapshot::arena_capture(root, &rt.arena_pool))) {
-    ++rt.stats.validator_divergences;
-    rt.trace.instant(trace::EventKind::Validator, &mi);
-  }
-}
-
 /// Production-mode fault source (DESIGN.md §14): raises an
 /// InjectedRuntimeError inside the protected region on every
 /// fault_period-th attempt.  Unlike campaign injection points (exact
@@ -141,11 +107,10 @@ inline void maybe_inject_fault(const MethodInfo& mi, Runtime& rt) {
   throw InjectedRuntimeError();
 }
 
-/// Policy-engine wrapper (DESIGN.md §14): generalizes the atomicity
-/// wrapper's fixed rollback-and-rethrow into the action the installed
-/// RecoveryPolicy selects for the observed exception type.  Reached only
-/// when the runtime has a policy table with an entry for `mi`; with no
-/// table the classic masked_call path below runs unchanged.
+/// The protected call (DESIGN.md §14): checkpoints `root`, runs `body`, and
+/// on an exception applies the action `pol` selects for its type.  Under
+/// recovery::kRollbackPolicy this is the paper's atomicity wrapper: roll
+/// back and rethrow.
 template <class Root, class Fn>
 std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
                                          Fn& body, Runtime& rt,
@@ -173,8 +138,22 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
     if (needs_state(act)) need_checkpoint = true;
     if (act == Action::Degrade) may_degrade = true;
   }
-  const snapshot::CheckpointPlan* plan =
-      need_checkpoint && !may_degrade ? rt.checkpoint_plan(mi) : nullptr;
+  // Only type overrides and rethrow_as read the exception's demangled name,
+  // so a plain rollback never pays for the demangler.
+  const bool typed =
+      !pol.exception_overrides.empty() || pol.action == Action::RethrowAs;
+  // Field-granular fast path (DESIGN.md §8): when the write-set analysis
+  // installed a partial plan for this method, capture only the planned
+  // leaves.  The walker handles tuple roots from invoke_with too (partial
+  // plans imply no parameter writes, so extra by-ref args only contribute
+  // walk structure).  Any walk-time surprise falls back to the full deep
+  // copy.
+  const snapshot::CheckpointPlan* plan = nullptr;
+  if (need_checkpoint && !may_degrade) {
+    plan = rt.checkpoint_plan(mi);
+    if (rt.trace.enabled())
+      rt.trace.instant(trace::EventKind::PlanLookup, &mi, plan != nullptr);
+  }
 
   for (unsigned attempt = 0;; ++attempt) {
     std::optional<snapshot::PartialSnapshot> partial;
@@ -204,20 +183,34 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
     }
 
     auto restore = [&] {
-      if (partial) {
-        {
-          EngineScope engine(rt);
-          snapshot::partial_restore(root, *partial, *plan);
-        }
-        ++rt.stats.rollbacks;
-        rt.trace.instant(trace::EventKind::Rollback, &mi, /*partial=*/1);
-        if (rt.validate_checkpoints)
-          validate_partial_restore(mi, root, shadow, rt);
-      } else if (full) {
-        rollback_to(mi, root, *full, rt);
-      }
       // Retry-without-rollback: nothing captured, nothing to restore — the
       // atomicity proof is the checkpoint.
+      if (!partial && !full) return;
+      try {
+        // Restoring containers of instrumented objects re-runs their
+        // constructors; those entries must not fire injection points of
+        // their own (the engine would sabotage its own rollback).
+        EngineScope engine(rt);
+        if (partial)
+          snapshot::partial_restore(root, *partial, *plan);
+        else
+          snapshot::restore(root, *full);
+      } catch (const RestoreError&) {
+        // A full restore failed mid-replay: the receiver may be partially
+        // restored, and masking anything now would hide corruption.
+        ++rt.stats.restore_errors;
+        rt.trace.instant(trace::EventKind::RestoreFailure, &mi);
+        throw;
+      }
+      ++rt.stats.rollbacks;
+      rt.trace.instant(trace::EventKind::Rollback, &mi, partial ? 1 : 0);
+      // Completeness validator: the partially restored receiver must equal
+      // the shadow full checkpoint taken next to the partial one.
+      if (partial && rt.validate_checkpoints &&
+          !shadow.equals(snapshot::arena_capture(root, &rt.arena_pool))) {
+        ++rt.stats.validator_divergences;
+        rt.trace.instant(trace::EventKind::Validator, &mi);
+      }
     };
 
     try {
@@ -234,7 +227,8 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
     } catch (...) {
       leave_baseline(rt);
       const std::uint64_t t0 = rt.trace.begin_span();
-      const std::string ex_type = current_exception_type_name();
+      const std::string ex_type =
+          typed ? current_exception_type_name() : std::string();
       switch (pol.action_for(ex_type)) {
         case Action::Retry:
           if (attempt < pol.retry_budget) {
@@ -319,7 +313,14 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
 }
 
 /// Atomicity wrapper around `body` for checkpoint root `root` (the receiver,
-/// or a tuple of receiver + by-reference arguments).
+/// or a tuple of receiver + by-reference arguments): the gate in front of
+/// recovered_call.  Every wrapped call runs the method's installed policy,
+/// or recovery::kRollbackPolicy without one.  No reflection traits are
+/// queried here: masked_call's deduced return type instantiates its body at
+/// the FAT_INVOKE call site, which in subject layouts with trailing
+/// FAT_REFLECT blocks precedes the Reflect specialization, whereas
+/// recovered_call's concrete return type defers its capture code to the end
+/// of the translation unit, after every FAT_REFLECT.
 template <class Root, class Fn>
 decltype(auto) masked_call(const MethodInfo& mi, Root& root, Fn&& body,
                            Runtime& rt) {
@@ -333,66 +334,9 @@ decltype(auto) masked_call(const MethodInfo& mi, Root& root, Fn&& body,
   } else {
     if (!rt.should_wrap(mi)) return body();
     ++rt.stats.wrapped_calls;
-    // Recovery policy engine (DESIGN.md §14): a method with an installed
-    // policy routes through the action the evidence selected; without a
-    // table this path compiles to one memoized null check.
-    if (const recovery::RecoveryPolicy* pol = rt.recovery_policy(mi))
-      return recovered_call(mi, root, body, rt, *pol);
-    // Field-granular fast path (DESIGN.md §8): when the write-set analysis
-    // installed a partial plan for this method, capture only the planned
-    // leaves.  The walker handles tuple roots from invoke_with too (partial
-    // plans imply no parameter writes, so extra by-ref args only contribute
-    // walk structure).  Any walk-time surprise falls back to the full deep
-    // copy below.  No reflection traits are queried here: masked_call's
-    // deduced return type forces its body to instantiate at the FAT_INVOKE
-    // call site, which in subject layouts with trailing FAT_REFLECT blocks
-    // precedes the Reflect specialization — partial_capture/partial_restore
-    // have concrete return types, so their trait dispatch happens at the end
-    // of the translation unit, after every FAT_REFLECT.
-    const snapshot::CheckpointPlan* plan = rt.checkpoint_plan(mi);
-    if (rt.trace.enabled())
-      rt.trace.instant(trace::EventKind::PlanLookup, &mi, plan != nullptr);
-    if (plan != nullptr) {
-      const std::uint64_t t0 = rt.trace.begin_span();
-      snapshot::PartialSnapshot partial =
-          snapshot::partial_capture(root, *plan);
-      if (partial.ok) {
-        ++rt.stats.partial_checkpoints;
-        rt.stats.checkpoint_units += partial.values.size();
-        rt.trace.span(trace::EventKind::PartialCheckpoint, t0, &mi,
-                      partial.values.size());
-        snapshot::ArenaSnapshot shadow;
-        if (rt.validate_checkpoints)
-          shadow = snapshot::arena_capture(root, &rt.arena_pool);
-        try {
-          maybe_inject_fault(mi, rt);
-          return body();
-        } catch (...) {
-          leave_baseline(rt);
-          {
-            EngineScope engine(rt);
-            snapshot::partial_restore(root, partial, *plan);
-          }
-          ++rt.stats.rollbacks;
-          rt.trace.instant(trace::EventKind::Rollback, &mi, /*partial=*/1);
-          if (rt.validate_checkpoints)
-            validate_partial_restore(mi, root, shadow, rt);
-          throw;
-        }
-      }
-      ++rt.stats.partial_fallbacks;
-      rt.trace.instant(trace::EventKind::PartialFallback, &mi);
-    }
-    snapshot::ArenaSnapshot checkpoint = take_full_checkpoint(mi, root, rt);
-    rt.stats.checkpoint_units += checkpoint.node_count();
-    try {
-      maybe_inject_fault(mi, rt);
-      return body();
-    } catch (...) {
-      leave_baseline(rt);
-      rollback_to(mi, root, checkpoint, rt);
-      throw;
-    }
+    const recovery::RecoveryPolicy* pol = rt.recovery_policy(mi);
+    return recovered_call(mi, root, body, rt,
+                          pol != nullptr ? *pol : recovery::kRollbackPolicy);
   }
 }
 

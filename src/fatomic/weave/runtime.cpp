@@ -92,4 +92,15 @@ ScopedMode::ScopedMode(Mode m) : saved_(Runtime::instance().mode()) {
 
 ScopedMode::~ScopedMode() { Runtime::instance().set_mode(saved_); }
 
+ScopedConfig::ScopedConfig()
+    : rt_(Runtime::instance()), saved_worker_(rt_.trace.worker()) {
+  saved_.adopt_config(rt_);
+}
+
+ScopedConfig::~ScopedConfig() {
+  rt_.adopt_config(saved_);
+  rt_.trace.set_worker(saved_worker_);
+  rt_.trace.set_run(0);
+}
+
 }  // namespace fatomic::weave

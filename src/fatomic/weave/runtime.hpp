@@ -233,10 +233,12 @@ class Runtime {
   /// exception can read; the caller keeps it alive for the run.
   void begin_run(std::uint64_t threshold, const CallTable* calls = nullptr);
 
-  /// Copies the campaign configuration — mode, wrap predicate, generic
-  /// runtime exception set, diff recording — from `src`, leaving this
-  /// runtime's per-run state untouched.  Used by campaign workers to mirror
-  /// the driving thread's runtime before replaying injection runs.
+  /// Copies the configuration — mode, wrap predicate, generic runtime
+  /// exception set, diff, footprint and provenance recording, checkpoint
+  /// plans, recovery policies, fault_period, the validator flag and the
+  /// trace's enabled state and epoch — from `src`, leaving this runtime's
+  /// per-run state untouched.  Campaign workers mirror the driving thread's
+  /// runtime through it; ScopedConfig saves and restores through it.
   void adopt_config(const Runtime& src);
 
   // --- per-run observations -------------------------------------------------
@@ -286,8 +288,9 @@ class Runtime {
 
   // --- recovery policies (DESIGN.md §14) ------------------------------------
   /// Installs the per-method recovery policy table the masking wrappers
-  /// consult.  Null (the default) means the engine is off: every masked call
-  /// takes the classic rollback-and-rethrow path unchanged.
+  /// consult.  A wrapped method with no entry, and every wrapped method when
+  /// the table is null (the default), runs recovery::kRollbackPolicy: the
+  /// paper's rollback-and-rethrow.
   void set_recovery_policies(
       std::shared_ptr<const recovery::PolicyTable> policies) {
     policies_ = std::move(policies);
@@ -360,8 +363,8 @@ class ScopedRuntime {
   Runtime* saved_;
 };
 
-/// RAII helper that saves and restores the full runtime configuration —
-/// keeps experiments from leaking mode/predicate changes into each other.
+/// RAII: sets the calling thread's runtime mode and restores the previous
+/// mode on exit.  Saves the mode only; ScopedConfig saves everything.
 class ScopedMode {
  public:
   explicit ScopedMode(Mode m);
@@ -371,6 +374,24 @@ class ScopedMode {
 
  private:
   Mode saved_;
+};
+
+/// RAII: saves the calling thread's runtime configuration (everything
+/// adopt_config copies) and its trace worker ordinal, and on exit restores
+/// both and resets the trace run stamp.  The one guard around a campaign
+/// (detect::Experiment::run) or a mask::MaskedScope: whatever the scope
+/// installs, the enclosing configuration comes back intact.
+class ScopedConfig {
+ public:
+  ScopedConfig();
+  ~ScopedConfig();
+  ScopedConfig(const ScopedConfig&) = delete;
+  ScopedConfig& operator=(const ScopedConfig&) = delete;
+
+ private:
+  Runtime& rt_;
+  Runtime saved_;
+  std::uint16_t saved_worker_;
 };
 
 }  // namespace fatomic::weave

@@ -180,6 +180,34 @@ class MarkStreamWitness : public ::testing::TestWithParam<std::string> {
     EXPECT_LE(campaign.stats.comparisons, campaign.stats.snapshots_taken);
     EXPECT_LE(campaign.stats.snapshots_taken, 2 * campaign.stats.comparisons);
   }
+
+  void expect_mask_verify(unsigned jobs) {
+    static const auto plans =
+        mask::make_plans(fatomic::analyze::analyze_sources(
+            std::string(FATOMIC_SOURCE_DIR) + "/subjects"));
+    const detect::Classification cls =
+        detect::classify(detect::Experiment(program()).run());
+    mask::VerifySettings settings;
+    settings.plans = plans;
+    settings.validate = true;
+    settings.jobs = jobs;
+    const mask::MaskVerification verified =
+        mask::verify_masked_full(program(), mask::wrap_pure(cls), {}, settings);
+    const detect::Campaign& campaign = verified.campaign;
+    const std::string line = mark_stream::mask_verify_line(GetParam(), campaign);
+    const std::string expected = mark_stream::golden_mask_verify(GetParam());
+    ASSERT_FALSE(expected.empty())
+        << "no line for " << GetParam() << " in "
+        << mark_stream::mask_verify_path() << "; this build renders\n"
+        << line;
+    EXPECT_EQ(line, expected) << "rendered stream:\n"
+                              << mark_stream::render(campaign);
+    EXPECT_EQ(campaign.stats.capture_reruns, 0u);
+    // No policy table is installed, so every rollback is the constant
+    // rollback policy's.
+    EXPECT_EQ(campaign.stats.policy_rollbacks, campaign.stats.rollbacks);
+    EXPECT_TRUE(verified.classification.nonatomic_names().empty());
+  }
 };
 
 TEST_P(MarkStreamWitness, DetectJobs1) { expect_witness(1); }
@@ -187,19 +215,11 @@ TEST_P(MarkStreamWitness, DetectJobs1) { expect_witness(1); }
 TEST_P(MarkStreamWitness, DetectJobs4) { expect_witness(4); }
 
 /// The masked half: injection wrappers around atomicity wrappers that roll
-/// back, with write-set plans installed, still never re-run a threshold.
-TEST_P(MarkStreamWitness, MaskVerifyPlansNoReruns) {
-  static const auto plans = mask::make_plans(fatomic::analyze::analyze_sources(
-      std::string(FATOMIC_SOURCE_DIR) + "/subjects"));
-  const detect::Classification cls =
-      detect::classify(detect::Experiment(program()).run());
-  mask::VerifySettings settings;
-  settings.plans = plans;
-  const mask::MaskVerification verified =
-      mask::verify_masked_full(program(), mask::wrap_pure(cls), {}, settings);
-  EXPECT_EQ(verified.campaign.stats.capture_reruns, 0u);
-  EXPECT_TRUE(verified.classification.nonatomic_names().empty());
-}
+/// back, with write-set plans and the validator installed, reproduce the
+/// family's tests/golden/mask_verify.txt line and never re-run a threshold.
+TEST_P(MarkStreamWitness, MaskVerifyPlansNoReruns) { expect_mask_verify(1); }
+
+TEST_P(MarkStreamWitness, MaskVerifyJobs4) { expect_mask_verify(4); }
 
 std::vector<std::string> family_names() {
   std::vector<std::string> names;

@@ -3,12 +3,13 @@
 // the sequential campaign bit for bit — runs, marks, classification, report
 // JSON and aggregated stats — on real subjects.  Also covers the
 // campaign-loop regressions fixed alongside: the terminal-run record of a
-// genuinely escaping program, and wrap-predicate restoration around masked
-// experiments.
+// genuinely escaping program, and restoration of the runtime configuration
+// around masked experiments and scopes.
 #include "fatomic/detect/experiment.hpp"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -67,6 +68,10 @@ void expect_parallel_matches_sequential(const std::string& app_name) {
   EXPECT_EQ(report::campaign_json(seq), report::campaign_json(par));
   EXPECT_EQ(report::classification_json(detect::classify(seq)),
             report::classification_json(detect::classify(par)));
+}
+
+bool outer_wrap(const weave::MethodInfo& mi) {
+  return mi.method_name() == "set";
 }
 
 class ParallelDetectTest : public ::testing::Test {
@@ -214,4 +219,79 @@ TEST_F(ParallelDetectTest, NestedMaskedScopesRestoreInOrder) {
         << "inner scope must restore the outer predicate";
   }
   EXPECT_FALSE(rt.should_wrap(*set_mi));
+}
+
+TEST_F(ParallelDetectTest, ConfigGuardRestoresEveryValue) {
+  auto& rt = weave::Runtime::instance();
+  // An outer configuration every value of which differs from what the
+  // scopes and the campaign below install.
+  const auto plans = std::make_shared<const weave::PlanMap>();
+  const auto policies = std::make_shared<const fatomic::recovery::PolicyTable>();
+  const auto inner_plans = std::make_shared<const weave::PlanMap>();
+  const auto inner_policies =
+      std::make_shared<const fatomic::recovery::PolicyTable>();
+  rt.set_mode(weave::Mode::Count);
+  rt.set_wrap_predicate(outer_wrap);
+  rt.set_checkpoint_plans(plans);
+  rt.set_recovery_policies(policies);
+  rt.validate_checkpoints = true;
+  rt.record_diffs = false;
+  rt.record_footprints = true;
+  rt.provenance = true;
+  rt.fault_period = 1'000'000'007;  // never reached: no fault fires
+  rt.trace.enable(12345);
+  rt.trace.set_worker(7);
+
+  for (const unsigned jobs : {1u, 4u}) {
+    {
+      fatomic::mask::MaskedScope outer(
+          [](const weave::MethodInfo&) { return true; }, nullptr, false);
+      fatomic::mask::MaskedScope inner(
+          [](const weave::MethodInfo&) { return false; }, inner_plans, false,
+          inner_policies);
+      detect::CampaignSettings opts;
+      opts.masked = true;
+      opts.wrap = [](const weave::MethodInfo&) { return true; };
+      opts.trace = true;
+      opts.record_diffs = true;
+      opts.jobs = jobs;
+      const detect::Campaign c =
+          detect::Experiment(synthetic::workload, opts).run();
+      EXPECT_GT(c.stats.wrapped_calls, 0u);
+      EXPECT_GT(c.stats.rollbacks, 0u);
+      // The inner scope's configuration is back after the campaign.
+      EXPECT_EQ(rt.mode(), weave::Mode::Mask);
+      const weave::MethodInfo* set_mi =
+          weave::MethodRegistry::instance().find("synthetic::Account::set");
+      ASSERT_NE(set_mi, nullptr);
+      EXPECT_FALSE(rt.should_wrap(*set_mi));
+      EXPECT_EQ(rt.checkpoint_plans(), inner_plans);
+      EXPECT_EQ(rt.recovery_policies(), inner_policies);
+      EXPECT_FALSE(rt.validate_checkpoints);
+    }
+    EXPECT_EQ(rt.mode(), weave::Mode::Count) << "jobs " << jobs;
+    const auto* wrap =
+        rt.wrap_predicate().target<bool (*)(const weave::MethodInfo&)>();
+    ASSERT_NE(wrap, nullptr) << "jobs " << jobs;
+    EXPECT_EQ(*wrap, &outer_wrap);
+    EXPECT_EQ(rt.checkpoint_plans(), plans);
+    EXPECT_EQ(rt.recovery_policies(), policies);
+    EXPECT_TRUE(rt.validate_checkpoints);
+    EXPECT_FALSE(rt.record_diffs);
+    EXPECT_TRUE(rt.record_footprints);
+    EXPECT_TRUE(rt.provenance);
+    EXPECT_EQ(rt.fault_period, 1'000'000'007u);
+#ifndef FATOMIC_TRACE_DISABLED
+    // With tracing compiled out the buffer is never enabled, so the epoch
+    // is not part of the configuration.
+    EXPECT_TRUE(rt.trace.enabled());
+    EXPECT_EQ(rt.trace.epoch(), 12345u);
+#endif
+    EXPECT_EQ(rt.trace.worker(), 7u);
+  }
+
+  const weave::Runtime defaults;
+  rt.adopt_config(defaults);
+  rt.trace.set_worker(0);
+  rt.trace.take(0);
 }

@@ -402,7 +402,7 @@ TEST_F(RecoveryTest, RethrowAsTransformsIntoServiceError) {
   EXPECT_EQ(rt.stats.transformed_rethrows, 1u);
 }
 
-TEST_F(RecoveryTest, EmptyTableKeepsTheLegacyMaskedPath) {
+TEST_F(RecoveryTest, EmptyTableRollsBackWithTheConstantPolicy) {
   auto& rt = weave::Runtime::instance();
   mask::MaskedScope scope(wrap_only("synthetic::Account::sloppy_withdraw"),
                           nullptr, false,
@@ -412,11 +412,12 @@ TEST_F(RecoveryTest, EmptyTableKeepsTheLegacyMaskedPath) {
   rt.stats = {};
   EXPECT_THROW(a.sloppy_withdraw(100), synthetic::BankError);
   EXPECT_EQ(a.value(), 10);
-  // The engine never engaged: all policy counters stay zero.
-  EXPECT_EQ(rt.stats.policy_rollbacks, 0u);
+  // A method without an entry runs recovery::kRollbackPolicy: one
+  // rollback-and-rethrow, and no other action.
+  EXPECT_EQ(rt.stats.policy_rollbacks, 1u);
   EXPECT_EQ(rt.stats.retry_attempts, 0u);
   EXPECT_EQ(rt.stats.degraded_calls, 0u);
-  EXPECT_GT(rt.stats.rollbacks, 0u) << "the legacy path still rolled back";
+  EXPECT_GT(rt.stats.rollbacks, 0u) << "the constant policy rolled back";
 }
 
 // --- report round trip ------------------------------------------------------

@@ -237,10 +237,17 @@ TEST_F(TraceTest, TraceSectionEmbeddedForTracedCampaigns) {
             static_cast<std::int64_t>(c.trace.events.size()));
   const report::JsonValue& workers = section.at("workers");
   ASSERT_TRUE(workers.is_array());
-  std::int64_t comparisons = 0;
-  for (const report::JsonValue& w : workers.array)
-    comparisons += w.at("stats").at("comparisons").as_int();
-  EXPECT_EQ(comparisons, static_cast<std::int64_t>(c.stats.comparisons));
+  // Every counter of the campaign's stats block appears per worker, and the
+  // workers' values sum to the campaign's.
+  for (const weave::StatField& f : weave::kStatFields) {
+    if (f.block != weave::StatBlock::stats) continue;
+    std::int64_t sum = 0;
+    for (const report::JsonValue& w : workers.array) {
+      ASSERT_NE(w.at("stats").find(f.json_key), nullptr) << f.json_key;
+      sum += w.at("stats").at(f.json_key).as_int();
+    }
+    EXPECT_EQ(sum, static_cast<std::int64_t>(c.stats.*f.member)) << f.json_key;
+  }
   EXPECT_TRUE(section.at("metrics").is_object());
 }
 

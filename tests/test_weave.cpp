@@ -20,6 +20,7 @@ class WeaveTest : public ::testing::Test {
     rt.set_mode(Mode::Direct);
     rt.set_wrap_predicate(nullptr);
     rt.reset_counts();
+    rt.stats = {};
     rt.begin_run(0);  // threshold 0: counter never matches
   }
   void TearDown() override {

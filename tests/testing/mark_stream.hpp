@@ -7,6 +7,12 @@
 // wrapper learned to skip captures.  test_capture_elision.cpp asserts that
 // every detection campaign still renders to them byte for byte.
 //
+// tests/golden/mask_verify.txt is the masked half: one line per family with
+// the counters and the stream hash of its masked-verification campaign
+// (mask_verify_line).  It was written while the atomicity wrapper still had
+// its own checkpoint and restore code, before every protected call went
+// through the recovery engine's constant rollback policy.
+//
 // Format: the method and exception names a family's stream mentions, each
 // numbered in first-seen order, then one line per run and one indented line
 // per mark:
@@ -16,8 +22,10 @@
 //     mark <method #> <atomic|nonatomic> <depth> <exception #|->
 #pragma once
 
+#include <cstdint>
 #include <fstream>
 #include <functional>
+#include <iomanip>
 #include <map>
 #include <sstream>
 #include <string>
@@ -95,6 +103,49 @@ inline std::string golden(const std::string& family) {
   std::ostringstream os;
   os << in.rdbuf();
   return os.str();
+}
+
+/// 64-bit FNV-1a.
+inline std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// One line of tests/golden/mask_verify.txt: the family name, the
+/// campaign's `stats` block, its `recovery` block without policy_rollbacks,
+/// and the FNV-1a hash of its rendered mark stream.
+inline std::string mask_verify_line(const std::string& family,
+                                    const fatomic::detect::Campaign& campaign) {
+  using fatomic::weave::StatBlock;
+  std::ostringstream os;
+  os << family;
+  for (const StatBlock block : {StatBlock::stats, StatBlock::recovery}) {
+    os << (block == StatBlock::stats ? " stats" : " recovery");
+    for (const fatomic::weave::StatField& f : fatomic::weave::kStatFields)
+      if (f.block == block &&
+          f.member != &fatomic::weave::RuntimeStats::policy_rollbacks)
+        os << ' ' << f.json_key << '=' << campaign.stats.*f.member;
+  }
+  os << " marks " << std::hex << std::setw(16) << std::setfill('0')
+     << fnv1a(render(campaign));
+  return os.str();
+}
+
+inline std::string mask_verify_path() {
+  return std::string(FATOMIC_GOLDEN_DIR) + "/mask_verify.txt";
+}
+
+/// The committed mask_verify.txt line for `family`; empty when absent.
+inline std::string golden_mask_verify(const std::string& family) {
+  std::ifstream in(mask_verify_path());
+  std::string line;
+  while (std::getline(in, line))
+    if (line.compare(0, family.size() + 1, family + ' ') == 0) return line;
+  return {};
 }
 
 }  // namespace mark_stream
