@@ -2,6 +2,8 @@
 
 #include <cctype>
 
+#include "fatomic/analyze/tokens.hpp"
+
 namespace fatomic::analyze {
 
 void AliasTarget::merge(const AliasTarget& o) {
@@ -30,42 +32,6 @@ void AliasTarget::merge(const AliasTarget& o) {
 
 namespace {
 
-using Tokens = std::vector<Token>;
-
-bool is_ident(const std::string& t) {
-  return !t.empty() && (std::isalpha(static_cast<unsigned char>(t[0])) ||
-                        t[0] == '_');
-}
-
-bool is_number(const std::string& t) {
-  return !t.empty() && std::isdigit(static_cast<unsigned char>(t[0]));
-}
-
-const std::set<std::string>& keywords() {
-  static const std::set<std::string> kw = {
-      "if",       "else",    "for",      "while",     "do",       "switch",
-      "case",     "default", "return",   "break",     "continue", "throw",
-      "try",      "catch",   "new",      "delete",    "const",    "static",
-      "class",    "struct",  "enum",     "union",     "public",   "private",
-      "protected", "namespace", "using", "template",  "typename", "operator",
-      "sizeof",   "true",    "false",    "nullptr",   "this",     "auto",
-      "void",     "int",     "bool",     "char",      "unsigned", "signed",
-      "long",     "short",   "float",    "double",    "noexcept", "override",
-      "final",    "virtual", "explicit", "inline",    "constexpr", "mutable",
-      "friend",   "goto",    "extern",   "typedef",   "static_cast",
-      "dynamic_cast", "const_cast", "reinterpret_cast", "decltype",
-  };
-  return kw;
-}
-
-const std::set<std::string>& builtin_types() {
-  static const std::set<std::string> t = {
-      "void", "int",  "bool",   "char",     "unsigned",
-      "long", "short", "float", "double",   "signed",
-  };
-  return t;
-}
-
 /// Member calls that return (a handle into) their receiver's own storage:
 /// the chain continues through them unchanged.  `buckets_[i].get()` aliases
 /// the same subtree as `buckets_[i]`.
@@ -79,15 +45,15 @@ const std::set<std::string>& identity_accessors() {
 /// Parses one full function definition (not the extracted invoke lambda —
 /// the FAT_INVOKE_ARGS tie list lives outside it) against the analysis
 /// state of the current fixpoint round.
-class FnParse {
+class FnParse : private TokenCursor {
  public:
   FnParse(const SourceModel& model, const AliasAnalysis& analysis,
           const std::set<std::string>& scanned_names, const FunctionDef& def)
-      : model_(model),
+      : TokenCursor(def.body),
+        model_(model),
         analysis_(analysis),
         scanned_names_(scanned_names),
-        def_(def),
-        body_(def.body) {
+        def_(def) {
     for (std::size_t i = 0; i < def.params.size(); ++i)
       if (!def.params[i].name.empty()) param_pos_[def.params[i].name] = i;
   }
@@ -95,70 +61,6 @@ class FnParse {
   FnAliasInfo run();
 
  private:
-  const std::string& tk(std::size_t i) const {
-    static const std::string empty;
-    return i < body_.size() ? body_[i].text : empty;
-  }
-
-  std::size_t match_fwd(std::size_t i, const char* open,
-                        const char* close) const {
-    int depth = 0;
-    for (std::size_t k = i; k < body_.size(); ++k) {
-      if (tk(k) == open) ++depth;
-      else if (tk(k) == close && --depth == 0) return k;
-    }
-    return body_.size();
-  }
-
-  std::size_t stmt_end(std::size_t i) const {
-    int depth = 0;
-    for (std::size_t k = i; k < body_.size(); ++k) {
-      const std::string& t = tk(k);
-      if (t == "(" || t == "[" || t == "{") ++depth;
-      else if (t == ")" || t == "]" || t == "}") {
-        if (--depth < 0) return k;
-      } else if (t == ";" && depth == 0) {
-        return k;
-      }
-    }
-    return body_.size();
-  }
-
-  /// End of an initializer starting at `b`: the next `;`, top-level `,`, or
-  /// unbalanced closing bracket.
-  std::size_t init_end(std::size_t b) const {
-    int depth = 0;
-    for (std::size_t k = b; k < body_.size(); ++k) {
-      const std::string& t = tk(k);
-      if (t == "(" || t == "[" || t == "{") ++depth;
-      else if (t == ")" || t == "]" || t == "}") {
-        if (--depth < 0) return k;
-      } else if ((t == ";" || t == ",") && depth == 0) {
-        return k;
-      }
-    }
-    return body_.size();
-  }
-
-  std::vector<std::pair<std::size_t, std::size_t>> split_args(
-      std::size_t open, std::size_t close) const {
-    std::vector<std::pair<std::size_t, std::size_t>> out;
-    if (close <= open + 1) return out;
-    int depth = 0;
-    std::size_t b = open + 1;
-    for (std::size_t k = open + 1; k < close; ++k) {
-      const std::string& t = tk(k);
-      if (t == "(" || t == "[" || t == "{") ++depth;
-      else if (t == ")" || t == "]" || t == "}") --depth;
-      else if (t == "," && depth == 0) {
-        out.push_back({b, k});
-        b = k + 1;
-      }
-    }
-    out.push_back({b, close});
-    return out;
-  }
-
   const FnAliasInfo* lookup(const std::string& key) const {
     return analysis_.find(key);
   }
@@ -178,7 +80,6 @@ class FnParse {
   const AliasAnalysis& analysis_;
   const std::set<std::string>& scanned_names_;
   const FunctionDef& def_;
-  const Tokens& body_;
   std::map<std::string, std::size_t> param_pos_;
   FnAliasInfo info_;
   /// Locals stored into unmodelled sinks this pass; widened to ⊤ after the
@@ -356,10 +257,7 @@ AliasTarget FnParse::resolve_call(const std::string& name, std::size_t open,
     FnAliasInfo merged;
     bool any = false;
     for (const auto& [key, fi] : analysis_.by_key) {
-      const std::size_t sep = key.rfind("::");
-      const std::string simple =
-          sep == std::string::npos ? key : key.substr(sep + 2);
-      if (simple != name) continue;
+      if (simple_of(key) != name) continue;
       any = true;
       merged.returns.merge(fi.returns);
       merged.has_return |= fi.has_return;
@@ -397,92 +295,36 @@ AliasTarget FnParse::resolve_call(const std::string& name, std::size_t open,
 /// binds the introduced names and leaves `next` inside the initializer so
 /// the linear scan still sees its calls.
 bool FnParse::try_decl(std::size_t i, std::size_t& next) {
-  std::size_t j = i;
-  while (tk(j) == "const" || tk(j) == "static" || tk(j) == "constexpr") ++j;
-  bool is_auto = false;
-  if (tk(j) == "auto") {
-    is_auto = true;
-    ++j;
-  } else {
-    const std::string& first = tk(j);
-    if (!is_ident(first) || is_number(first)) return false;
-    if (keywords().count(first) && !builtin_types().count(first)) return false;
-    if (builtin_types().count(first)) {
-      while (builtin_types().count(tk(j))) ++j;
-    } else {
-      ++j;
-      while (tk(j) == "::" && is_ident(tk(j + 1))) j += 2;
-    }
-    if (tk(j) == "<") {
-      int depth = 0;
-      bool closed = false;
-      for (; j < body_.size(); ++j) {
-        const std::string& t = tk(j);
-        if (t == "<") ++depth;
-        else if (t == ">") {
-          if (--depth == 0) {
-            ++j;
-            closed = true;
-            break;
-          }
-        } else if (t == ">>") {
-          depth -= 2;
-          if (depth <= 0) {
-            ++j;
-            closed = true;
-            break;
-          }
-        } else if (t == ";" || t == "{" || t == "}") {
-          return false;
-        }
-      }
-      if (!closed) return false;
-    }
-  }
-  bool is_indirect = false;
-  while (tk(j) == "*" || tk(j) == "&" || tk(j) == "&&" || tk(j) == "const") {
-    if (tk(j) != "const") is_indirect = true;
-    ++j;
-  }
-
-  if (is_auto && tk(j) == "[") {  // structured binding
-    std::vector<std::string> names;
-    for (++j; j < body_.size() && tk(j) != "]"; ++j)
-      if (is_ident(tk(j))) names.push_back(tk(j));
-    if (tk(j) != "]") return false;
-    ++j;
-    if (tk(j) != "=" && tk(j) != ":") return false;
-    const AliasTarget t = is_indirect ? resolve(j + 1, init_end(j + 1))
-                                      : AliasTarget::local();
-    for (const std::string& n : names) bind(n, t);
-    next = j + 1;
+  const std::optional<DeclHead> d = parse_decl_head(*this, i);
+  if (!d) return false;
+  const bool indirect = d->is_ptr || d->is_ref;
+  const std::size_t e = d->end;
+  const std::string& after = tk(e);
+  if (d->structured) {
+    const AliasTarget t =
+        indirect ? resolve(e + 1, stmt_end(e + 1, /*initializer=*/true))
+                 : AliasTarget::local();
+    for (const std::string& n : d->names) bind(n, t);
+    next = e + 1;
     return true;
   }
-
-  const std::string& name = tk(j);
-  if (!is_ident(name) || is_number(name) || keywords().count(name))
-    return false;
-  const std::string& after = tk(j + 1);
-  if (after != "=" && after != ";" && after != "," && after != ":" &&
-      after != "(" && after != "{" && after != ")")
-    return false;
-
-  if (!is_indirect && !is_auto) {
+  const std::string& name = d->names.front();
+  if (!indirect && !d->is_auto) {
     bind(name, AliasTarget::local());  // by-value copy: writes stay local
-    next = after == "=" ? j + 2 : j + 1;
+    next = after == "=" ? e + 1 : e;
     return true;
   }
   if (after == "=" || after == ":") {
-    bind(name, resolve(j + 2, init_end(j + 2)));
-    next = j + 2;
+    bind(name, resolve(e + 1, stmt_end(e + 1, /*initializer=*/true)));
+    next = e + 1;
   } else if (after == "(" || after == "{") {
     const std::size_t close =
-        match_fwd(j + 1, after.c_str(), after == "(" ? ")" : "}");
-    bind(name, resolve(j + 2, close));
-    next = j + 2;
+        match_fwd(e, after.c_str(), after == "(" ? ")" : "}");
+    bind(name, resolve(e + 1, close));
+    next = e + 1;
   } else {
     bind(name, AliasTarget::local());  // no initializer
-    next = j + 1;
+    next = e;
   }
   return true;
 }
@@ -559,11 +401,7 @@ void FnParse::scan_call_escapes(std::size_t i, std::size_t open,
                                 std::size_t close) {
   const std::string& name = tk(i);
   if (name.rfind("FAT_", 0) == 0) return;
-  std::string leading;
-  for (std::ptrdiff_t j = static_cast<std::ptrdiff_t>(i) - 1;
-       j >= 1 && tk(static_cast<std::size_t>(j)) == "::"; j -= 2)
-    leading = tk(static_cast<std::size_t>(j) - 1);
-  if (leading == "std") return;
+  if (leading_qualifier(i) == "std") return;
   if (identity_accessors().count(name)) return;
   if (scanned_names_.count(name)) return;
   if (model_.class_names.count(name)) return;
@@ -576,7 +414,7 @@ void FnParse::scan_call_escapes(std::size_t i, std::size_t open,
 FnAliasInfo FnParse::run() {
   bool stmt_start = true;
   std::size_t i = 0;
-  while (i < body_.size()) {
+  while (i < size()) {
     const std::string& t = tk(i);
     if (t == ";" || t == "{" || t == "}" || t == "(") {
       stmt_start = true;
@@ -621,7 +459,7 @@ FnAliasInfo FnParse::run() {
       // Reassignment of a bound local: flow-insensitive union with the new
       // value (`x = x->next` inside loops converges through the fixpoint).
       if (stmt_start && tk(i + 1) == "=" && info_.locals.count(t))
-        bind(t, resolve(i + 2, init_end(i + 2)));
+        bind(t, resolve(i + 2, stmt_end(i + 2, /*initializer=*/true)));
       stmt_start = false;
       ++i;
       continue;

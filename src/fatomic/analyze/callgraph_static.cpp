@@ -1,54 +1,13 @@
 #include "fatomic/analyze/callgraph_static.hpp"
 
 #include <algorithm>
-#include <cctype>
 
+#include "fatomic/analyze/tokens.hpp"
 #include "fatomic/detect/callgraph.hpp"
 #include "fatomic/weave/method_info.hpp"
 
 namespace fatomic::analyze {
 namespace {
-
-using Tokens = std::vector<Token>;
-
-bool is_ident(const std::string& t) {
-  return !t.empty() && (std::isalpha(static_cast<unsigned char>(t[0])) ||
-                        t[0] == '_');
-}
-
-bool is_number(const std::string& t) {
-  return !t.empty() && std::isdigit(static_cast<unsigned char>(t[0]));
-}
-
-const std::set<std::string>& keywords() {
-  static const std::set<std::string> kw = {
-      "if",       "else",    "for",      "while",     "do",       "switch",
-      "case",     "default", "return",   "break",     "continue", "throw",
-      "try",      "catch",   "new",      "delete",    "const",    "static",
-      "class",    "struct",  "enum",     "union",     "public",   "private",
-      "protected", "namespace", "using", "template",  "typename", "operator",
-      "sizeof",   "true",    "false",    "nullptr",   "this",     "auto",
-      "void",     "int",     "bool",     "char",      "unsigned", "signed",
-      "long",     "short",   "float",    "double",    "noexcept", "override",
-      "final",    "virtual", "explicit", "inline",    "constexpr", "mutable",
-      "friend",   "goto",    "extern",   "typedef",   "static_cast",
-      "dynamic_cast", "const_cast", "reinterpret_cast", "decltype",
-  };
-  return kw;
-}
-
-const std::set<std::string>& builtin_types() {
-  static const std::set<std::string> t = {
-      "void", "int",  "bool",   "char",     "unsigned",
-      "long", "short", "float", "double",   "signed",
-  };
-  return t;
-}
-
-std::string simple_of(const std::string& q) {
-  const std::size_t sep = q.rfind("::");
-  return sep == std::string::npos ? q : q.substr(sep + 2);
-}
 
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
@@ -65,12 +24,6 @@ bool names_match(const std::string& a, const std::string& b) {
 /// The wildcard for exceptions of statically unknown type (a `throw expr;`
 /// of unresolvable type, a rethrow, an open callee).
 const char* const kAny = "*";
-
-struct TryRegion {
-  std::size_t body_b = 0, body_e = 0;  ///< try-block body token range
-  bool catches_all = false;
-  std::vector<std::string> handler_types;  ///< simple type names
-};
 
 /// One call site: its position (for catch-clause filtering) and the
 /// instrumented nodes / helper definitions it may reach.
@@ -91,99 +44,6 @@ struct DefFacts {
   std::vector<std::pair<std::size_t, std::string>> ctors;
   std::vector<TryRegion> trys;
 };
-
-/// Bounds-safe view over a token stream.
-struct TokView {
-  const Tokens& b;
-  const std::string& tk(std::size_t i) const {
-    static const std::string empty;
-    return i < b.size() ? b[i].text : empty;
-  }
-  std::size_t match_fwd(std::size_t open, const char* o, const char* c) const {
-    int depth = 0;
-    for (std::size_t i = open; i < b.size(); ++i) {
-      if (tk(i) == o) ++depth;
-      if (tk(i) == c && --depth == 0) return i;
-    }
-    return b.size();
-  }
-};
-
-bool handler_matches(const SourceModel& model, const std::string& handler,
-                     const std::string& type) {
-  if (handler == type) return true;
-  std::vector<std::string> work{type};
-  std::set<std::string> seen;
-  while (!work.empty()) {
-    const std::string cur = work.back();
-    work.pop_back();
-    if (!seen.insert(cur).second) continue;
-    auto it = model.bases.find(cur);
-    if (it == model.bases.end()) continue;
-    for (const std::string& base : it->second) {
-      if (base == handler) return true;
-      work.push_back(base);
-    }
-  }
-  return false;
-}
-
-/// Does an exception of `type` raised at `pos` escape every enclosing try
-/// block?  `kAny` is only stopped by `catch (...)`; a known type also stops
-/// at a handler naming it or a (transitive) base.  Handler types are simple
-/// names, so the comparison strips namespaces from `type` first.
-bool escapes(const SourceModel& model, const std::vector<TryRegion>& trys,
-             std::size_t pos, const std::string& type) {
-  const std::string simple = type == kAny ? type : simple_of(type);
-  for (const TryRegion& r : trys) {
-    if (pos < r.body_b || pos >= r.body_e) continue;
-    if (r.catches_all) return false;
-    if (simple == kAny) continue;
-    for (const std::string& h : r.handler_types)
-      if (handler_matches(model, h, simple)) return false;
-  }
-  return true;
-}
-
-std::vector<TryRegion> compute_trys(const TokView& v) {
-  // Mirrors the effect pass: handler bodies stay outside the recorded
-  // range, so a `throw` in a handler (including `throw;`) is only covered
-  // by outer try blocks — C++'s semantics.
-  std::vector<TryRegion> trys;
-  for (std::size_t i = 0; i + 1 < v.b.size(); ++i) {
-    if (v.tk(i) != "try" || v.tk(i + 1) != "{") continue;
-    TryRegion r;
-    const std::size_t body_close = v.match_fwd(i + 1, "{", "}");
-    if (body_close >= v.b.size()) continue;
-    r.body_b = i + 2;
-    r.body_e = body_close;
-    std::size_t k = body_close + 1;
-    while (v.tk(k) == "catch" && v.tk(k + 1) == "(") {
-      const std::size_t pclose = v.match_fwd(k + 1, "(", ")");
-      if (pclose >= v.b.size()) break;
-      std::vector<std::string> idents;
-      bool all = false;
-      for (std::size_t m = k + 2; m < pclose; ++m) {
-        const std::string& t = v.tk(m);
-        if (t == "..." || t == ".") all = true;
-        if (is_ident(t) && t != "const" && !builtin_types().count(t))
-          idents.push_back(t);
-      }
-      if (all) {
-        r.catches_all = true;
-      } else if (!idents.empty()) {
-        if (idents.size() >= 2 && is_ident(v.tk(pclose - 1)) &&
-            v.tk(pclose - 1) == idents.back())
-          idents.pop_back();
-        r.handler_types.push_back(idents.back());
-      }
-      if (v.tk(pclose + 1) != "{") break;
-      k = v.match_fwd(pclose + 1, "{", "}") + 1;
-    }
-    trys.push_back(r);
-  }
-  return trys;
-}
 
 /// Builds the whole graph; groups the lookup tables the scan, the fixpoint
 /// and the BFS share.
@@ -213,7 +73,7 @@ struct Builder {
 
   void inventory();
   void scan_def(const FunctionDef& def);
-  CallEvt resolve_call(const FunctionDef& def, const TokView& v,
+  CallEvt resolve_call(const FunctionDef& def, const TokenCursor& v,
                        std::size_t i) const;
   bool contribute(const DefFacts& f, std::set<std::string>& prop,
                   std::set<std::string>& expl);
@@ -290,7 +150,7 @@ void Builder::inventory() {
     if (!node_defs.count(node)) g.open.insert(node);
 }
 
-CallEvt Builder::resolve_call(const FunctionDef& def, const TokView& v,
+CallEvt Builder::resolve_call(const FunctionDef& def, const TokenCursor& v,
                               std::size_t i) const {
   CallEvt evt;
   evt.pos = i;
@@ -355,38 +215,17 @@ CallEvt Builder::resolve_call(const FunctionDef& def, const TokView& v,
 void Builder::scan_def(const FunctionDef& def) {
   if (facts.count(&def)) return;
   DefFacts& f = facts[&def];
-  const TokView v{def.body};
-  f.trys = compute_trys(v);
+  const TokenCursor v(def.body);
+  f.trys = try_regions(v);
 
-  for (std::size_t i = 0; i < def.body.size(); ++i) {
+  for (std::size_t i = 0; i < v.size(); ++i) {
     const std::string& t = v.tk(i);
     if (t == "throw") {
-      if (v.tk(i + 1) == ";") {  // rethrow: type unknown statically
-        if (escapes(model, f.trys, i, kAny)) f.throws.emplace_back(i, kAny);
-        continue;
-      }
-      // `throw Type(...)` / `throw ns::Type{...}`: take the last chain
-      // identifier as the type, but only when it is a known class or the
-      // chain is qualified — `throw make_err()` stays unknown.
-      std::size_t j = i + 1;
-      std::string last;
-      bool qualified = false;
-      if (is_ident(v.tk(j)) && !is_number(v.tk(j)) &&
-          !keywords().count(v.tk(j))) {
-        last = v.tk(j);
-        while (v.tk(j + 1) == "::" && is_ident(v.tk(j + 2))) {
-          j += 2;
-          last = v.tk(j);
-          qualified = true;
-        }
-      }
-      const bool constructing = v.tk(j + 1) == "(" || v.tk(j + 1) == "{";
-      const std::string type =
-          !last.empty() && constructing &&
-                  (qualified || model.class_names.count(last))
-              ? last
-              : kAny;
-      if (escapes(model, f.trys, i, type)) f.throws.emplace_back(i, type);
+      // A rethrow, a thrown variable or an unresolvable type is the
+      // wildcard.
+      std::string type = thrown_type(v, i, model);
+      if (type.empty()) type = kAny;
+      if (escapes(f.trys, model, i, type)) f.throws.emplace_back(i, type);
       continue;
     }
     if (is_ident(t) && !keywords().count(t) && !is_number(t)) {
@@ -430,20 +269,20 @@ bool Builder::contribute(const DefFacts& f, std::set<std::string>& prop,
     // k=1 call-site context: the callee's set is filtered through exactly
     // the try blocks enclosing *this* call, not smeared function-wide.
     for (const std::string& type : in_prop)
-      if (escapes(model, f.trys, c.pos, type)) prop.insert(type);
+      if (escapes(f.trys, model, c.pos, type)) prop.insert(type);
     for (const std::string& type : in_expl)
-      if (escapes(model, f.trys, c.pos, type)) expl.insert(type);
+      if (escapes(f.trys, model, c.pos, type)) expl.insert(type);
   }
   for (const auto& [pos, cls] : f.ctors) {
     auto it = ctor_nodes_by_simple.find(cls);
     if (it == ctor_nodes_by_simple.end()) continue;
     for (const std::string& node : it->second) {
       if (g.open.count(node)) {
-        if (escapes(model, f.trys, pos, kAny)) prop.insert(kAny);
+        if (escapes(f.trys, model, pos, kAny)) prop.insert(kAny);
         continue;
       }
       for (const std::string& type : g.may_propagate[node])
-        if (escapes(model, f.trys, pos, type)) prop.insert(type);
+        if (escapes(f.trys, model, pos, type)) prop.insert(type);
     }
   }
   return prop.size() + expl.size() != before;

@@ -8,6 +8,7 @@
 #include <limits>
 
 #include "fatomic/analyze/alias.hpp"
+#include "fatomic/analyze/tokens.hpp"
 
 namespace fatomic::analyze {
 
@@ -19,42 +20,6 @@ const char* EffectSummary::verdict() const {
 }
 
 namespace {
-
-using Tokens = std::vector<Token>;
-
-bool is_ident(const std::string& t) {
-  return !t.empty() && (std::isalpha(static_cast<unsigned char>(t[0])) ||
-                        t[0] == '_');
-}
-
-bool is_number(const std::string& t) {
-  return !t.empty() && std::isdigit(static_cast<unsigned char>(t[0]));
-}
-
-const std::set<std::string>& keywords() {
-  static const std::set<std::string> kw = {
-      "if",       "else",    "for",      "while",     "do",       "switch",
-      "case",     "default", "return",   "break",     "continue", "throw",
-      "try",      "catch",   "new",      "delete",    "const",    "static",
-      "class",    "struct",  "enum",     "union",     "public",   "private",
-      "protected", "namespace", "using", "template",  "typename", "operator",
-      "sizeof",   "true",    "false",    "nullptr",   "this",     "auto",
-      "void",     "int",     "bool",     "char",      "unsigned", "signed",
-      "long",     "short",   "float",    "double",    "noexcept", "override",
-      "final",    "virtual", "explicit", "inline",    "constexpr", "mutable",
-      "friend",   "goto",    "extern",   "typedef",   "static_cast",
-      "dynamic_cast", "const_cast", "reinterpret_cast", "decltype",
-  };
-  return kw;
-}
-
-const std::set<std::string>& builtin_types() {
-  static const std::set<std::string> t = {
-      "void", "int",  "bool",   "char",     "unsigned",
-      "long", "short", "float", "double",   "signed",
-  };
-  return t;
-}
 
 /// Member calls that never mutate their receiver nor raise (accessors of the
 /// standard library and of smart pointers).  Checked only after the
@@ -130,10 +95,10 @@ struct Ctx {
 
 /// Scans one function body, producing effect events against the current
 /// summary table (see analyze_effects for the fixpoint driving this).
-class BodyScan {
+class BodyScan : private TokenCursor {
  public:
   BodyScan(const Tokens& body, const FunctionDef& def, const Ctx& ctx)
-      : body_(body), def_(def), ctx_(ctx) {
+      : TokenCursor(body), def_(def), ctx_(ctx), trys_(try_regions(*this)) {
     for (std::size_t i = 0; i < def.params.size(); ++i) {
       const Param& p = def.params[i];
       if (p.name.empty()) continue;
@@ -145,7 +110,6 @@ class BodyScan {
                                    ? def.name
                                    : def.class_name + "::" + def.name);
     compute_loops();
-    compute_trys();
   }
 
   void run();
@@ -165,48 +129,6 @@ class BodyScan {
   };
 
   bool cs() const { return ctx_.opts->context_sensitive; }
-
-  const std::string& tk(std::size_t i) const {
-    static const std::string empty;
-    return i < body_.size() ? body_[i].text : empty;
-  }
-
-  std::size_t match_fwd(std::size_t i, const char* open,
-                        const char* close) const {
-    int depth = 0;
-    for (std::size_t k = i; k < body_.size(); ++k) {
-      if (tk(k) == open) ++depth;
-      else if (tk(k) == close && --depth == 0) return k;
-    }
-    return body_.size();
-  }
-
-  std::ptrdiff_t match_back(std::ptrdiff_t i, const char* open,
-                            const char* close) const {
-    int depth = 0;
-    for (std::ptrdiff_t k = i; k >= 0; --k) {
-      if (tk(static_cast<std::size_t>(k)) == close) ++depth;
-      else if (tk(static_cast<std::size_t>(k)) == open && --depth == 0)
-        return k;
-    }
-    return -1;
-  }
-
-  /// End of the statement starting at/continuing through `i`: the next `;`
-  /// at bracket depth zero (or an unbalanced closing brace).
-  std::size_t stmt_end(std::size_t i) const {
-    int depth = 0;
-    for (std::size_t k = i; k < body_.size(); ++k) {
-      const std::string& t = tk(k);
-      if (t == "(" || t == "[" || t == "{") ++depth;
-      else if (t == ")" || t == "]" || t == "}") {
-        if (--depth < 0) return k;
-      } else if (t == ";" && depth == 0) {
-        return k;
-      }
-    }
-    return body_.size();
-  }
 
   Kind classify(const std::string& name) const {
     if (auto it = locals_.find(name); it != locals_.end())
@@ -252,27 +174,6 @@ class BodyScan {
       auto it = param_pos_.find(tk(k));
       if (it != param_pos_.end()) out.insert(it->second);
     }
-    return out;
-  }
-
-  /// Splits the argument list in (open, close) at top-level commas into
-  /// [begin, end) token ranges.  Empty for a zero-argument call.
-  std::vector<std::pair<std::size_t, std::size_t>> split_args(
-      std::size_t open, std::size_t close) const {
-    std::vector<std::pair<std::size_t, std::size_t>> out;
-    if (close <= open + 1) return out;
-    int depth = 0;
-    std::size_t b = open + 1;
-    for (std::size_t k = open + 1; k < close; ++k) {
-      const std::string& t = tk(k);
-      if (t == "(" || t == "[" || t == "{") ++depth;
-      else if (t == ")" || t == "]" || t == "}") --depth;
-      else if (t == "," && depth == 0) {
-        out.push_back({b, k});
-        b = k + 1;
-      }
-    }
-    out.push_back({b, close});
     return out;
   }
 
@@ -400,7 +301,7 @@ class BodyScan {
     Chain c;
     std::size_t k = b;
     bool leading_star = false;
-    while (k < body_.size() && (tk(k) == "*" || tk(k) == "(")) {
+    while (k < size() && (tk(k) == "*" || tk(k) == "(")) {
       if (tk(k) == "*") {
         c.deref = true;
         leading_star = true;
@@ -408,7 +309,7 @@ class BodyScan {
       ++k;
     }
     std::string base;
-    while (k < body_.size()) {
+    while (k < size()) {
       const std::string& t = tk(k);
       if (t == "this") {  // `++this->count_`: the receiver is the base
         if (base.empty()) base = t;
@@ -485,15 +386,6 @@ class BodyScan {
   }
 
   void compute_loops();
-  void compute_trys();
-  /// Can an exception raised at `pos` (of type `type`; empty = unknown,
-  /// e.g. an injected exception or an unresolved call) escape this
-  /// function, given the enclosing try/catch nesting?  `catch (...)`
-  /// stops anything; a typed handler stops exactly its own type and
-  /// scanned derived types.
-  bool throw_escapes(std::size_t pos, const std::string& type) const;
-  bool handler_matches(const std::string& handler,
-                       const std::string& type) const;
 
   void emit(std::size_t pos, bool mut, bool thr, bool via_param,
             std::vector<std::string> targets = {}, bool target_unknown = true,
@@ -608,23 +500,13 @@ class BodyScan {
     auto ft = ctx_.model->declared_types.find(recv_name);
     if (ft == ctx_.model->declared_types.end()) return false;
     const std::string& type = ft->second;
-    for (const auto& [qualified, cm] : ctx_.model->classes) {
-      if (!cm.instrumented.count(method)) continue;
-      const std::size_t sep = qualified.rfind("::");
-      const std::string last =
-          sep == std::string::npos ? qualified : qualified.substr(sep + 2);
-      if (type.find(last) != std::string::npos) return false;
-    }
+    for (const auto& [qualified, cm] : ctx_.model->classes)
+      if (cm.instrumented.count(method) &&
+          type.find(simple_of(qualified)) != std::string::npos)
+        return false;
     return true;
   }
 
-  struct TryRegion {
-    std::size_t body_b = 0, body_e = 0;  ///< try-block body token range
-    bool catches_all = false;            ///< has a `catch (...)` handler
-    std::vector<std::string> handler_types;  ///< simple type names
-  };
-
-  const Tokens& body_;
   const FunctionDef& def_;
   const Ctx& ctx_;
   /// Alias bindings for this definition (Pass 5), or nullptr when the
@@ -633,6 +515,7 @@ class BodyScan {
   std::map<std::string, Var> locals_;
   std::map<std::string, bool> params_;  ///< name -> tracked
   std::map<std::string, std::size_t> param_pos_;
+  /// The body's try statements, for catch-clause-aware throw suppression.
   std::vector<TryRegion> trys_;
   /// Simple type name of the explicit `throw` currently being emitted
   /// (empty otherwise): lets emit() consult typed catch handlers.
@@ -644,10 +527,10 @@ class BodyScan {
 };
 
 void BodyScan::compute_loops() {
-  loop_start_.assign(body_.size(), npos);
-  loop_end_.assign(body_.size(), npos);
+  loop_start_.assign(size(), npos);
+  loop_end_.assign(size(), npos);
   std::size_t i = 0;
-  while (i < body_.size()) {
+  while (i < size()) {
     const std::string& t = tk(i);
     if (t != "for" && t != "while" && t != "do") {
       ++i;
@@ -669,95 +552,19 @@ void BodyScan::compute_loops() {
         continue;
       }
       const std::size_t header = match_fwd(i + 1, "(", ")");
-      if (header >= body_.size()) break;
+      if (header >= size()) break;
       if (tk(header + 1) == "{")
         end = match_fwd(header + 1, "{", "}");
       else
         end = stmt_end(header + 1);
     }
-    end = std::min(end, body_.size() - 1);
+    end = std::min(end, size() - 1);
     for (std::size_t k = start; k <= end; ++k) {
       loop_start_[k] = start;
       loop_end_[k] = end;
     }
     i = end + 1;
   }
-}
-
-void BodyScan::compute_trys() {
-  // Every `try { body } catch (T1) {h1} catch (T2) {h2} ...` in the body,
-  // including nested ones (the linear scan revisits inner try tokens).
-  // Handler bodies are deliberately outside the recorded range: a throw in
-  // a handler — including a `throw;` rethrow — is only covered by *outer*
-  // try blocks, which is exactly C++'s semantics.
-  for (std::size_t i = 0; i + 1 < body_.size(); ++i) {
-    if (tk(i) != "try" || tk(i + 1) != "{") continue;
-    TryRegion r;
-    const std::size_t body_close = match_fwd(i + 1, "{", "}");
-    if (body_close >= body_.size()) continue;
-    r.body_b = i + 2;
-    r.body_e = body_close;
-    std::size_t k = body_close + 1;
-    while (tk(k) == "catch" && tk(k + 1) == "(") {
-      const std::size_t pclose = match_fwd(k + 1, "(", ")");
-      if (pclose >= body_.size()) break;
-      std::vector<std::string> idents;
-      bool all = false;
-      for (std::size_t m = k + 2; m < pclose; ++m) {
-        const std::string& t = tk(m);
-        if (t == "..." || t == ".") all = true;
-        if (is_ident(t) && t != "const" && !builtin_types().count(t))
-          idents.push_back(t);
-      }
-      if (all) {
-        r.catches_all = true;
-      } else if (!idents.empty()) {
-        // Drop a trailing variable name (`catch (const E& e)`): the last
-        // identifier is the variable exactly when it sits right before `)`
-        // after another identifier or a declarator token.
-        if (idents.size() >= 2 && is_ident(tk(pclose - 1)) &&
-            tk(pclose - 1) == idents.back())
-          idents.pop_back();
-        r.handler_types.push_back(idents.back());
-      }
-      if (tk(pclose + 1) != "{") break;
-      k = match_fwd(pclose + 1, "{", "}") + 1;
-    }
-    trys_.push_back(r);
-  }
-}
-
-bool BodyScan::handler_matches(const std::string& handler,
-                               const std::string& type) const {
-  if (handler == type) return true;
-  // handler is a (transitive) base of the thrown type, per the scanned
-  // inheritance edges.  Unknown bases simply end the walk: no match, the
-  // throw keeps propagating — conservative.
-  std::vector<std::string> work{type};
-  std::set<std::string> seen;
-  while (!work.empty()) {
-    const std::string cur = work.back();
-    work.pop_back();
-    if (!seen.insert(cur).second) continue;
-    auto it = ctx_.model->bases.find(cur);
-    if (it == ctx_.model->bases.end()) continue;
-    for (const std::string& b : it->second) {
-      if (b == handler) return true;
-      work.push_back(b);
-    }
-  }
-  return false;
-}
-
-bool BodyScan::throw_escapes(std::size_t pos, const std::string& type) const {
-  for (const TryRegion& r : trys_) {
-    if (pos < r.body_b || pos >= r.body_e) continue;
-    if (r.catches_all) return false;
-    if (type.empty()) continue;  // unknown type: only catch (...) is certain
-    for (const std::string& h : r.handler_types)
-      if (handler_matches(h, type)) return false;
-  }
-  return true;
 }
 
 void BodyScan::emit(std::size_t pos, bool mut, bool thr, bool via_param,
@@ -767,7 +574,8 @@ void BodyScan::emit(std::size_t pos, bool mut, bool thr, bool via_param,
   // leave the function is no injection-ordering constraint for callers.
   // The decision uses the original position — loop widening never moves an
   // event across the braces of a try block that contains the loop.
-  if (thr && cs() && !throw_escapes(pos, throw_hint_)) thr = false;
+  if (thr && cs() && !escapes(trys_, *ctx_.model, pos, throw_hint_))
+    thr = false;
   if (mut) {
     Event ev;
     ev.pos = pos < loop_start_.size() && loop_start_[pos] != npos
@@ -896,11 +704,7 @@ void BodyScan::handle_call(std::size_t i) {
 
   if (prev == "::") {
     // Qualified call: either the standard library or a scanned namespace.
-    std::string leading;
-    for (std::ptrdiff_t j = static_cast<std::ptrdiff_t>(i) - 1;
-         j >= 1 && tk(static_cast<std::size_t>(j)) == "::"; j -= 2)
-      leading = tk(static_cast<std::size_t>(j) - 1);
-    if (leading == "std") {
+    if (leading_qualifier(i) == "std") {
       if (name == "move" || name == "forward") {
         // Move-steal: the argument's guts are gone afterwards — a write to
         // exactly the moved-from chain.
@@ -1049,107 +853,27 @@ void BodyScan::handle_call(std::size_t i) {
 /// success registers the names and leaves `next` at the initializer (so the
 /// linear scan still sees calls inside it) or after the declarator.
 bool BodyScan::try_decl(std::size_t i, std::size_t& next) {
-  std::size_t j = i;
-  bool saw_const = false;
-  while (tk(j) == "const" || tk(j) == "static" || tk(j) == "constexpr") {
-    if (tk(j) == "const") saw_const = true;
-    ++j;
-  }
-  bool is_auto = false;
-  if (tk(j) == "auto") {
-    is_auto = true;
-    ++j;
-  } else {
-    const std::string& first = tk(j);
-    if (!is_ident(first) || is_number(first)) return false;
-    if (keywords().count(first) && !builtin_types().count(first)) return false;
-    if (builtin_types().count(first)) {
-      while (builtin_types().count(tk(j))) ++j;
-    } else {
-      ++j;
-      while (tk(j) == "::" && is_ident(tk(j + 1))) j += 2;
-    }
-    if (tk(j) == "<") {  // template arguments; `>>` closes two levels
-      int depth = 0;
-      bool closed = false;
-      for (; j < body_.size(); ++j) {
-        const std::string& t = tk(j);
-        if (t == "<") ++depth;
-        else if (t == ">") {
-          if (--depth == 0) {
-            ++j;
-            closed = true;
-            break;
-          }
-        } else if (t == ">>") {
-          depth -= 2;
-          if (depth <= 0) {
-            ++j;
-            closed = true;
-            break;
-          }
-        } else if (t == ";" || t == "{" || t == "}") {
-          return false;
-        }
-      }
-      if (!closed) return false;
-    }
-  }
-  bool is_ptr = false, is_ref = false;
-  while (tk(j) == "*" || tk(j) == "&" || tk(j) == "&&" || tk(j) == "const") {
-    if (tk(j) == "*") is_ptr = true;
-    else if (tk(j) == "const") saw_const = true;
-    else is_ref = true;
-    ++j;
-  }
-
-  if (is_auto && tk(j) == "[") {  // structured binding
-    std::vector<std::string> names;
-    for (++j; j < body_.size() && tk(j) != "]"; ++j)
-      if (is_ident(tk(j))) names.push_back(tk(j));
-    if (tk(j) != "]") return false;
-    ++j;
-    if (tk(j) != "=" && tk(j) != ":") return false;
-    const bool track = is_ref && !saw_const;
-    for (const std::string& n : names) locals_[n] = Var{track, !is_ref, is_ref};
-    next = j + 1;
+  const std::optional<DeclHead> d = parse_decl_head(*this, i);
+  if (!d) return false;
+  if (d->structured) {
+    const bool track = d->is_ref && !d->is_const;
+    for (const std::string& n : d->names)
+      locals_[n] = Var{track, !d->is_ref, d->is_ref};
+    next = d->end + 1;
     return true;
   }
-
-  const std::string& name = tk(j);
-  if (!is_ident(name) || is_number(name) || keywords().count(name))
-    return false;
-  const std::string& after = tk(j + 1);
-  if (after != "=" && after != ";" && after != "," && after != ":" &&
-      after != "(" && after != "{" && after != ")")
-    return false;
-
-  bool track;
+  const bool init = tk(d->end) == "=";
+  const std::size_t b = init ? d->end + 1 : d->end;
+  bool track = false;
   bool value_type = false;
-  if (is_ref) {
-    track = !saw_const;  // non-const alias: writes hit the aliased object
-  } else if (is_ptr || is_auto) {
-    const std::size_t b = after == "=" ? j + 2 : j + 1;
-    std::size_t e = b;
-    if (after == "=") {
-      int depth = 0;
-      for (e = b; e < body_.size(); ++e) {
-        const std::string& t = tk(e);
-        if (t == "(" || t == "[" || t == "{") ++depth;
-        else if (t == ")" || t == "]" || t == "}") {
-          if (--depth < 0) break;
-        } else if ((t == ";" || t == ",") && depth == 0) {
-          break;
-        }
-      }
-    }
-    track = !expr_fresh(b, e);
-  } else {
-    track = false;
+  if (d->is_ref)
+    track = !d->is_const;  // non-const alias: writes hit the aliased object
+  else if (d->is_ptr || d->is_auto)
+    track = !expr_fresh(b, init ? stmt_end(b, /*initializer=*/true) : b);
+  else
     value_type = true;
-  }
-  locals_[name] = Var{track, value_type, is_ref};
-  next = after == "=" ? j + 2 : j + 1;
+  locals_[d->names.front()] = Var{track, value_type, d->is_ref};
+  next = b;
   return true;
 }
 
@@ -1166,9 +890,9 @@ bool BodyScan::try_lambda(std::size_t i, std::size_t& next) {
   if (is_ident(prevt) || is_number(prevt) || prevt == ")" || prevt == "]")
     return false;
   const std::size_t cb = match_fwd(i, "[", "]");
-  if (cb >= body_.size() || tk(cb + 1) != "(") return false;
+  if (cb >= size() || tk(cb + 1) != "(") return false;
   const std::size_t pc = match_fwd(cb + 1, "(", ")");
-  if (pc >= body_.size()) return false;
+  if (pc >= size()) return false;
   for (const auto& [b, e] : split_args(cb + 1, pc)) {
     bool by_ref = false;
     std::string last_ident;
@@ -1187,7 +911,7 @@ bool BodyScan::try_lambda(std::size_t i, std::size_t& next) {
 void BodyScan::run() {
   bool stmt_start = true;
   std::size_t i = 0;
-  while (i < body_.size()) {
+  while (i < size()) {
     const std::string& t = tk(i);
     if (t == ";" || t == "{" || t == "}") {
       stmt_start = true;
@@ -1210,20 +934,11 @@ void BodyScan::run() {
     }
     if (t == "throw") {
       // The thrown expression's constructor runs before anything can have
-      // been mutated by it; suppress its call events.  When the expression
-      // is a visible constructor call, its type name lets typed catch
-      // handlers of enclosing try blocks stop the propagation; a bare
-      // `throw;` or a rethrown variable keeps the unknown type.
-      std::size_t j = i + 1;
-      if (is_ident(tk(j)) && !keywords().count(tk(j))) {
-        std::string last = tk(j);
-        ++j;
-        while (tk(j) == "::" && is_ident(tk(j + 1))) {
-          last = tk(j + 1);
-          j += 2;
-        }
-        if (tk(j) == "(" || tk(j) == "{") throw_hint_ = last;
-      }
+      // been mutated by it; suppress its call events.  A statically known
+      // thrown type lets typed catch handlers of enclosing try blocks stop
+      // the propagation; a bare `throw;` or a rethrown variable keeps the
+      // unknown type.
+      throw_hint_ = thrown_type(*this, i, *ctx_.model);
       emit(i, false, true, false);
       throw_hint_.clear();
       i = stmt_end(i) + 1;
@@ -1236,7 +951,7 @@ void BodyScan::run() {
       continue;
     }
     if (t == "delete") {
-      const Chain c = chain_after(i + 1 < body_.size() && tk(i + 1) == "["
+      const Chain c = chain_after(i + 1 < size() && tk(i + 1) == "["
                                       ? i + 3
                                       : i + 1);
       // The named pointer's graph is destroyed — a structural write to the
@@ -1336,21 +1051,17 @@ void BodyScan::run() {
 /// body when no invoke macro is present (plain helpers).
 Tokens effective_body(const FunctionDef& def, bool* instrumented_macro) {
   *instrumented_macro = false;
-  for (std::size_t i = 0; i < def.body.size(); ++i) {
-    if (def.body[i].text.rfind("FAT_INVOKE", 0) != 0) continue;
-    for (std::size_t j = i + 1; j < def.body.size(); ++j) {
-      if (def.body[j].text != "{") continue;
-      int depth = 0;
-      for (std::size_t k = j; k < def.body.size(); ++k) {
-        if (def.body[k].text == "{") ++depth;
-        else if (def.body[k].text == "}" && --depth == 0) {
-          *instrumented_macro = true;
-          return Tokens(def.body.begin() + static_cast<std::ptrdiff_t>(j) + 1,
-                        def.body.begin() + static_cast<std::ptrdiff_t>(k));
-        }
-      }
-      return def.body;
-    }
+  const TokenCursor c(def.body);
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    if (c.tk(i).rfind("FAT_INVOKE", 0) != 0) continue;
+    std::size_t open = i + 1;
+    while (open < c.size() && c.tk(open) != "{") ++open;
+    if (open >= c.size()) continue;
+    const std::size_t close = c.match_fwd(open, "{", "}");
+    if (close >= c.size()) return def.body;
+    *instrumented_macro = true;
+    return Tokens(def.body.begin() + static_cast<std::ptrdiff_t>(open) + 1,
+                  def.body.begin() + static_cast<std::ptrdiff_t>(close));
   }
   return def.body;
 }
@@ -1371,11 +1082,6 @@ const ClassModel* class_of(const SourceModel& model, const std::string& cls) {
       return &cm;
   }
   return nullptr;
-}
-
-std::string simple_of(const std::string& qualified) {
-  const std::size_t sep = qualified.rfind("::");
-  return sep == std::string::npos ? qualified : qualified.substr(sep + 2);
 }
 
 }  // namespace

@@ -7,32 +7,14 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "fatomic/analyze/tokens.hpp"
+
 namespace fatomic::analyze {
 
 namespace {
 
 bool ident_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-
-bool is_ident(const std::string& t) {
-  return !t.empty() && (std::isalpha(static_cast<unsigned char>(t[0])) ||
-                        t[0] == '_');
-}
-
-const std::set<std::string>& keywords() {
-  static const std::set<std::string> kw = {
-      "if",     "else",  "for",    "while",  "do",      "switch", "case",
-      "return", "break", "continue", "throw", "try",    "catch",  "new",
-      "delete", "const", "static", "class",  "struct",  "enum",   "union",
-      "public", "private", "protected", "namespace", "using", "template",
-      "typename", "operator", "sizeof", "true", "false", "nullptr", "this",
-      "auto", "void", "int", "bool", "char", "unsigned", "signed", "long",
-      "short", "float", "double", "noexcept", "override", "final", "virtual",
-      "explicit", "inline", "constexpr", "mutable", "friend", "default",
-      "goto", "extern", "typedef",
-  };
-  return kw;
 }
 
 }  // namespace
@@ -137,58 +119,38 @@ std::vector<Token> tokenize(const std::string& src) {
 
 namespace {
 
-using Tokens = std::vector<Token>;
-
-/// Index of the matching close token for the open token at `i`, or
-/// tokens.size() when unbalanced.  open/close are single-token delimiters.
-std::size_t match_forward(const Tokens& t, std::size_t i, const char* open,
-                          const char* close) {
-  int depth = 0;
-  for (std::size_t k = i; k < t.size(); ++k) {
-    if (t[k].text == open) ++depth;
-    else if (t[k].text == close && --depth == 0) return k;
-  }
-  return t.size();
-}
-
 /// Joins identifier/"::" tokens starting at `i` into a qualified name;
 /// advances `i` past them.
-std::string read_qualified(const Tokens& t, std::size_t& i) {
+std::string read_qualified(const TokenCursor& c, std::size_t& i) {
   std::string name;
-  while (i < t.size() && (is_ident(t[i].text) || t[i].text == "::")) {
-    name += t[i].text;
-    ++i;
-  }
+  while (is_ident(c.tk(i)) || c.tk(i) == "::") name += c.tk(i++);
   return name;
 }
 
 /// FAT_METHOD_INFO / FAT_STATIC_INFO / FAT_CTOR_INFO / FAT_REFLECT harvester.
 void harvest_macros(const Tokens& t, SourceModel& model) {
-  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    const std::string& m = t[i].text;
+  const TokenCursor c(t);
+  for (std::size_t i = 0; i + 1 < c.size(); ++i) {
+    const std::string& m = c.tk(i);
     const bool method = m == "FAT_METHOD_INFO";
     const bool stat = m == "FAT_STATIC_INFO";
     const bool ctor = m == "FAT_CTOR_INFO";
     const bool reflect = m == "FAT_REFLECT" || m == "FAT_REFLECT_EMPTY";
     const bool poly = m == "FAT_POLY";
-    if (!(method || stat || ctor || reflect || poly) || t[i + 1].text != "(")
+    if (!(method || stat || ctor || reflect || poly) || c.tk(i + 1) != "(")
       continue;
-    const std::size_t close = match_forward(t, i + 1, "(", ")");
-    if (close >= t.size()) continue;
+    const std::size_t close = c.match_fwd(i + 1, "(", ")");
+    if (close >= c.size()) continue;
     std::size_t k = i + 2;
-    const std::string cls = read_qualified(t, k);
+    const std::string cls = read_qualified(c, k);
     if (cls.empty()) continue;
     if (poly) {
       // FAT_POLY(Base, Derived): both ends are polymorphic types.
-      auto simple = [](const std::string& q) {
-        const auto pos = q.rfind("::");
-        return pos == std::string::npos ? q : q.substr(pos + 2);
-      };
-      model.poly_classes.insert(simple(cls));
-      if (k < close && t[k].text == ",") {
+      model.poly_classes.insert(simple_of(cls));
+      if (k < close && c.tk(k) == ",") {
         ++k;
-        const std::string derived = read_qualified(t, k);
-        if (!derived.empty()) model.poly_classes.insert(simple(derived));
+        const std::string derived = read_qualified(c, k);
+        if (!derived.empty()) model.poly_classes.insert(simple_of(derived));
       }
       i = close;
       continue;
@@ -198,29 +160,29 @@ void harvest_macros(const Tokens& t, SourceModel& model) {
     if (reflect) {
       cm.reflected = true;
       for (; k < close; ++k) {
-        if (t[k].text != "FAT_FIELD" && t[k].text != "FAT_OWNED") continue;
+        if (c.tk(k) != "FAT_FIELD" && c.tk(k) != "FAT_OWNED") continue;
         // FAT_FIELD(Class, field) / FAT_OWNED(Class, field)
         std::size_t f = k + 2;
-        (void)read_qualified(t, f);  // class
-        if (f < close && t[f].text == ",") {
+        (void)read_qualified(c, f);  // class
+        if (f < close && c.tk(f) == ",") {
           ++f;
-          if (f < close && is_ident(t[f].text)) cm.fields.insert(t[f].text);
+          if (f < close && is_ident(c.tk(f))) cm.fields.insert(c.tk(f));
         }
       }
     } else if (ctor) {
       cm.has_ctor_info = true;
     } else {
-      if (k >= close || t[k].text != ",") continue;
+      if (k >= close || c.tk(k) != ",") continue;
       ++k;
-      if (k >= close || !is_ident(t[k].text)) continue;
-      const std::string name = t[k].text;
+      if (k >= close || !is_ident(c.tk(k))) continue;
+      const std::string name = c.tk(k);
       (stat ? cm.statics : cm.instrumented).insert(name);
       if (!stat) model.instrumented_names.insert(name);
       auto& throws = cm.declared_throws[name];
       for (++k; k < close; ++k) {
-        if (t[k].text != "FAT_THROWS" || t[k + 1].text != "(") continue;
+        if (c.tk(k) != "FAT_THROWS" || c.tk(k + 1) != "(") continue;
         std::size_t e = k + 2;
-        const std::string type = read_qualified(t, e);
+        const std::string type = read_qualified(c, e);
         if (!type.empty()) throws.push_back(type);
         k = e;
       }
@@ -233,31 +195,22 @@ void harvest_macros(const Tokens& t, SourceModel& model) {
 /// effect-free: `name(...) const { body }` where body contains no `throw`,
 /// no FAT_ macro, and no call to an instrumented method name.
 void harvest_clean_const(const Tokens& t, SourceModel& model) {
-  for (std::size_t i = 2; i + 1 < t.size(); ++i) {
-    if (t[i].text != "const" || t[i - 1].text != ")") continue;
-    if (t[i + 1].text != "{") continue;
-    // Match ')' back to its '('.
-    int depth = 0;
-    std::size_t open = t.size();
-    for (std::size_t k = i - 1;; --k) {
-      if (t[k].text == ")") ++depth;
-      else if (t[k].text == "(" && --depth == 0) {
-        open = k;
-        break;
-      }
-      if (k == 0) break;
-    }
-    if (open >= t.size() || open == 0) continue;
-    const std::string& name = t[open - 1].text;
+  const TokenCursor c(t);
+  for (std::size_t i = 2; i + 1 < c.size(); ++i) {
+    if (c.tk(i) != "const" || c.tk(i - 1) != ")" || c.tk(i + 1) != "{")
+      continue;
+    const std::ptrdiff_t open = c.match_back(
+        static_cast<std::ptrdiff_t>(i) - 1, "(", ")");
+    if (open <= 0) continue;
+    const std::string& name = c.tk(static_cast<std::size_t>(open) - 1);
     if (!is_ident(name) || keywords().count(name)) continue;
-    const std::size_t end = match_forward(t, i + 1, "{", "}");
-    if (end >= t.size()) continue;
+    const std::size_t end = c.match_fwd(i + 1, "{", "}");
+    if (end >= c.size()) continue;
     bool clean = true;
     for (std::size_t k = i + 2; k < end; ++k) {
-      const std::string& b = t[k].text;
+      const std::string& b = c.tk(k);
       if (b == "throw" || b.rfind("FAT_", 0) == 0 ||
-          (model.instrumented_names.count(b) && k + 1 < end &&
-           t[k + 1].text == "(")) {
+          (model.instrumented_names.count(b) && c.tk(k + 1) == "(")) {
         clean = false;
         break;
       }
@@ -266,63 +219,59 @@ void harvest_clean_const(const Tokens& t, SourceModel& model) {
   }
 }
 
-/// Harvests declared types for reflected field names: a token that names a
-/// known field, is followed by `;`/`=`/`{` (a declaration, not a use), and
-/// is preceded by a type token (identifier, `>`, `*` or `&`).  The type is
-/// every token back to the previous declaration boundary.
 /// Records the simple name of every class/struct declaration (including
-/// forward declarations — a name is a name).
+/// forward declarations — a name is a name), every enum name, and the base
+/// clauses' inheritance edges.
 void harvest_class_names(const Tokens& t, SourceModel& model) {
-  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    if (t[i].text == "enum") {
+  const TokenCursor c(t);
+  for (std::size_t i = 0; i + 1 < c.size(); ++i) {
+    if (c.tk(i) == "enum") {
       // `enum X` / `enum class X` / `enum struct X`.
       std::size_t k = i + 1;
-      if (k < t.size() &&
-          (t[k].text == "class" || t[k].text == "struct"))
-        ++k;
-      if (k < t.size() && is_ident(t[k].text) && !keywords().count(t[k].text))
-        model.enum_names.insert(t[k].text);
+      if (c.tk(k) == "class" || c.tk(k) == "struct") ++k;
+      if (is_ident(c.tk(k)) && !keywords().count(c.tk(k)))
+        model.enum_names.insert(c.tk(k));
       continue;
     }
-    if (t[i].text != "class" && t[i].text != "struct") continue;
-    if (i > 0 && t[i - 1].text == "enum") continue;
-    if (!is_ident(t[i + 1].text) || keywords().count(t[i + 1].text)) continue;
-    const std::string& cls = t[i + 1].text;
+    if (c.tk(i) != "class" && c.tk(i) != "struct") continue;
+    if (i > 0 && c.tk(i - 1) == "enum") continue;
+    const std::string& cls = c.tk(i + 1);
+    if (!is_ident(cls) || keywords().count(cls)) continue;
     model.class_names.insert(cls);
     // Base-clause harvest: `class X [final] : [virtual|access] Base, ...`.
     // Bases may be qualified; only the simple (last) component is recorded.
     std::size_t k = i + 2;
-    if (k < t.size() && t[k].text == "final") ++k;
-    if (k >= t.size() || t[k].text != ":") continue;
+    if (c.tk(k) == "final") ++k;
+    if (c.tk(k) != ":") continue;
     ++k;
-    while (k < t.size()) {
-      while (k < t.size() &&
-             (t[k].text == "public" || t[k].text == "protected" ||
-              t[k].text == "private" || t[k].text == "virtual"))
+    while (k < c.size()) {
+      while (c.tk(k) == "public" || c.tk(k) == "protected" ||
+             c.tk(k) == "private" || c.tk(k) == "virtual")
         ++k;
-      std::string base, last;
-      while (k < t.size() && (is_ident(t[k].text) || t[k].text == "::")) {
-        if (is_ident(t[k].text)) last = t[k].text;
-        base += t[k].text;
-        ++k;
-      }
+      std::string last;
+      for (; is_ident(c.tk(k)) || c.tk(k) == "::"; ++k)
+        if (is_ident(c.tk(k))) last = c.tk(k);
       if (!last.empty() && !keywords().count(last))
         model.bases[cls].insert(last);
       // Skip template arguments of the base, if any.
-      if (k < t.size() && t[k].text == "<") {
+      if (c.tk(k) == "<") {
         int angle = 0;
-        for (; k < t.size(); ++k) {
-          if (t[k].text == "<") ++angle;
-          else if (t[k].text == ">" && --angle == 0) { ++k; break; }
-          else if (t[k].text == ">>" && (angle -= 2) <= 0) { ++k; break; }
+        for (; k < c.size(); ++k) {
+          if (c.tk(k) == "<") ++angle;
+          else if (c.tk(k) == ">" && --angle == 0) { ++k; break; }
+          else if (c.tk(k) == ">>" && (angle -= 2) <= 0) { ++k; break; }
         }
       }
-      if (k < t.size() && t[k].text == ",") { ++k; continue; }
+      if (c.tk(k) == ",") { ++k; continue; }
       break;
     }
   }
 }
 
+/// Harvests declared types for reflected field names: a token that names a
+/// known field, is followed by `;`/`=`/`{` (a declaration, not a use), and
+/// is preceded by a type token (identifier, `>`, `*` or `&`).  The type is
+/// every token back to the previous declaration boundary.
 void harvest_declared_types(const Tokens& t, SourceModel& model) {
   for (std::size_t i = 1; i + 1 < t.size(); ++i) {
     if (!is_ident(t[i].text) || keywords().count(t[i].text)) continue;
@@ -415,19 +364,17 @@ std::vector<Param> parse_params(const Tokens& t, std::size_t open,
 /// Walks one .cpp token stream collecting out-of-line function definitions.
 void collect_definitions(const Tokens& t, const std::string& file,
                          SourceModel& model) {
+  const TokenCursor c(t);
   std::vector<std::string> ns;  // namespace stack entries ("" = anonymous)
   std::size_t i = 0;
-  while (i < t.size()) {
-    const std::string& tok = t[i].text;
+  while (i < c.size()) {
+    const std::string& tok = c.tk(i);
     if (tok == "namespace") {
       std::size_t k = i + 1;
-      const std::string name = read_qualified(t, k);
-      if (k < t.size() && t[k].text == "{") {
-        ns.push_back(name);
-        i = k + 1;
-        continue;
-      }
-      i = k + 1;  // namespace alias or using-directive fragment
+      const std::string name = read_qualified(c, k);
+      if (c.tk(k) == "{") ns.push_back(name);
+      // else: a namespace alias or using-directive fragment
+      i = k + 1;
       continue;
     }
     if (tok == "}") {
@@ -439,32 +386,31 @@ void collect_definitions(const Tokens& t, const std::string& file,
         tok == "union") {
       // Skip the whole type definition (or elaborated declaration).
       std::size_t k = i + 1;
-      while (k < t.size() && t[k].text != "{" && t[k].text != ";") ++k;
-      if (k < t.size() && t[k].text == "{")
-        k = match_forward(t, k, "{", "}");
+      while (k < c.size() && c.tk(k) != "{" && c.tk(k) != ";") ++k;
+      if (c.tk(k) == "{") k = c.match_fwd(k, "{", "}");
       i = k + 1;
       continue;
     }
     if (tok == "template") {  // skip template header's <...>
       std::size_t k = i + 1;
-      if (k < t.size() && t[k].text == "<") {
+      if (c.tk(k) == "<") {
         int depth = 0;
-        for (; k < t.size(); ++k) {
-          if (t[k].text == "<") ++depth;
-          else if (t[k].text == ">" && --depth == 0) break;
-          else if (t[k].text == ">>") depth -= 2;
-          if (depth <= 0 && t[k].text != "<") break;
+        for (; k < c.size(); ++k) {
+          if (c.tk(k) == "<") ++depth;
+          else if (c.tk(k) == ">" && --depth == 0) break;
+          else if (c.tk(k) == ">>") depth -= 2;
+          if (depth <= 0 && c.tk(k) != "<") break;
         }
       }
       i = k + 1;
       continue;
     }
     // Candidate function definition: find the next '(' before any ';'/'{'.
-    std::size_t paren = t.size();
+    std::size_t paren = c.size();
     bool has_operator = false;
     std::size_t k = i;
-    for (; k < t.size(); ++k) {
-      const std::string& x = t[k].text;
+    for (; k < c.size(); ++k) {
+      const std::string& x = c.tk(k);
       if (x == "operator") has_operator = true;
       if (x == "(") {
         paren = k;
@@ -472,97 +418,76 @@ void collect_definitions(const Tokens& t, const std::string& file,
       }
       if (x == ";" || x == "{" || x == "}") break;
     }
-    if (paren >= t.size()) {
-      if (k < t.size() && t[k].text == "{") {
-        // Unrecognised brace at scope (e.g. an initializer) — skip it.
-        i = match_forward(t, k, "{", "}") + 1;
-      } else {
-        i = k + 1;  // plain declaration/definition without parens
-      }
+    if (paren >= c.size()) {
+      // An unrecognised brace at scope (e.g. an initializer) is skipped
+      // whole; a plain declaration without parens ends at its `;`.
+      i = c.tk(k) == "{" ? c.match_fwd(k, "{", "}") + 1 : k + 1;
       continue;
     }
-    const std::size_t close = match_forward(t, paren, "(", ")");
-    if (close >= t.size()) {
+    const std::size_t close = c.match_fwd(paren, "(", ")");
+    if (close >= c.size()) {
       i = paren + 1;
       continue;
     }
     // Name and (optional) class chain directly before '('.
     std::string name, cls;
-    if (!has_operator && paren > 0 && is_ident(t[paren - 1].text) &&
-        !keywords().count(t[paren - 1].text)) {
-      name = t[paren - 1].text;
+    if (!has_operator && paren > 0 && is_ident(c.tk(paren - 1)) &&
+        !keywords().count(c.tk(paren - 1))) {
+      name = c.tk(paren - 1);
       std::size_t b = paren - 1;
-      while (b >= 2 && t[b - 1].text == "::" && is_ident(t[b - 2].text)) {
-        cls = cls.empty() ? t[b - 2].text : t[b - 2].text + "::" + cls;
+      while (b >= 2 && c.tk(b - 1) == "::" && is_ident(c.tk(b - 2))) {
+        cls = cls.empty() ? c.tk(b - 2) : c.tk(b - 2) + "::" + cls;
         b -= 2;
       }
     }
     // What follows the parameter list?
     std::size_t after = close + 1;
     bool is_const = false;
-    while (after < t.size() &&
-           (t[after].text == "const" || t[after].text == "noexcept" ||
-            t[after].text == "override" || t[after].text == "final")) {
-      if (t[after].text == "const") is_const = true;
+    while (c.tk(after) == "const" || c.tk(after) == "noexcept" ||
+           c.tk(after) == "override" || c.tk(after) == "final") {
+      if (c.tk(after) == "const") is_const = true;
       ++after;
     }
     // Function-try-block: `f() try { ... } catch (...) { ... }`.  The body
     // recorded below starts at the `try` keyword and runs through the last
     // catch clause, so downstream passes see the same try/catch structure a
     // body-level try statement would give them.
-    bool fn_try = false;
-    std::size_t try_pos = 0;
-    if (after < t.size() && t[after].text == "try") {
-      fn_try = true;
-      try_pos = after;
-      ++after;
-    }
-    if (after < t.size() && t[after].text == ":") {
+    const bool fn_try = c.tk(after) == "try";
+    const std::size_t try_pos = after;
+    if (fn_try) ++after;
+    if (c.tk(after) == ":") {
       // Constructor init list: step over `member(init)` / `member{init}`
       // pairs until the body brace.
       std::size_t p = after + 1;
-      while (p < t.size()) {
-        (void)read_qualified(t, p);
-        if (p < t.size() && (t[p].text == "(" || t[p].text == "{")) {
-          const bool par = t[p].text == "(";
-          p = match_forward(t, p, par ? "(" : "{", par ? ")" : "}") + 1;
-        } else {
-          break;
-        }
-        if (p < t.size() && t[p].text == ",") {
-          ++p;
-          continue;
-        }
-        break;
+      while (p < c.size()) {
+        (void)read_qualified(c, p);
+        if (c.tk(p) != "(" && c.tk(p) != "{") break;
+        const bool par = c.tk(p) == "(";
+        p = c.match_fwd(p, par ? "(" : "{", par ? ")" : "}") + 1;
+        if (c.tk(p) != ",") break;
+        ++p;
       }
-      after = p;
       // Constructors are never effect-analysis subjects; skip the body.
-      if (after < t.size() && t[after].text == "{") {
-        i = match_forward(t, after, "{", "}") + 1;
-        continue;
-      }
-      i = after + 1;
+      i = c.tk(p) == "{" ? c.match_fwd(p, "{", "}") + 1 : p + 1;
       continue;
     }
-    if (after >= t.size() || t[after].text != "{") {
+    if (c.tk(after) != "{") {
       i = close + 1;  // declaration (or expression) — keep scanning after ')'
       continue;
     }
-    const std::size_t body_end = match_forward(t, after, "{", "}");
-    if (body_end >= t.size()) {
+    const std::size_t body_end = c.match_fwd(after, "{", "}");
+    if (body_end >= c.size()) {
       i = after + 1;
       continue;
     }
     std::size_t def_end = body_end;  // last token this definition consumed
     if (fn_try) {
-      std::size_t p = body_end + 1;
-      while (p < t.size() && t[p].text == "catch") {
-        std::size_t cp = p + 1;
-        if (cp >= t.size() || t[cp].text != "(") break;
-        const std::size_t cc = match_forward(t, cp, "(", ")");
-        if (cc + 1 >= t.size() || t[cc + 1].text != "{") break;
-        const std::size_t cb = match_forward(t, cc + 1, "{", "}");
-        if (cb >= t.size()) break;
+      for (std::size_t p = body_end + 1;
+           c.tk(p) == "catch" && c.tk(p + 1) == "(";) {
+        const std::size_t cc = c.match_fwd(p + 1, "(", ")");
+        if (c.tk(cc + 1) != "{") break;
+        const std::size_t cb = c.match_fwd(cc + 1, "{", "}");
+        if (cb >= c.size()) break;
         def_end = cb;
         p = cb + 1;
       }

@@ -1,22 +1,13 @@
 #include "fatomic/analyze/write_sets.hpp"
 
-#include <cctype>
 #include <sstream>
 #include <vector>
+
+#include "fatomic/analyze/tokens.hpp"
 
 namespace fatomic::analyze {
 
 namespace {
-
-bool is_ident(const std::string& t) {
-  return !t.empty() && (std::isalpha(static_cast<unsigned char>(t[0])) ||
-                        t[0] == '_');
-}
-
-std::string simple_of(const std::string& qualified) {
-  const auto pos = qualified.rfind("::");
-  return pos == std::string::npos ? qualified : qualified.substr(pos + 2);
-}
 
 std::vector<std::string> split_ws(const std::string& s) {
   std::vector<std::string> out;
