@@ -29,7 +29,7 @@ struct MethodResult {
   std::uint64_t atomic_marks = 0;    ///< per-injection atomic observations
   std::uint64_t nonatomic_marks = 0; ///< per-injection non-atomic observations
   /// First recorded graph-diff explanation (campaigns run with
-  /// Options::record_diffs); empty otherwise.
+  /// Config::record_diffs); empty otherwise.
   std::string example_detail;
 };
 
