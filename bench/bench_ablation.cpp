@@ -5,9 +5,12 @@
 //    callees are; this bench quantifies the saved checkpointing (wrapped
 //    calls, snapshots) and wall time while demonstrating both policies pass
 //    verification;
-//  - injector instrumentation cost: wall time of the original (Direct)
-//    program vs. one Inject-mode pass with no injection (pure wrapper and
-//    deep-copy overhead), per application.
+//  - the eager wrapper's instrumentation cost: wall time of the original
+//    (Direct) program vs. one Inject-mode pass with no injection, per
+//    application.  The pass runs without a baseline call table, so every
+//    wrapper deep-copies its receiver.  Campaigns stopped using the eager
+//    wrapper with observer-set capture (DESIGN.md §15); campaign cost is
+//    measured by perfbench.
 #include <chrono>
 #include <iostream>
 
@@ -79,8 +82,9 @@ int main() {
                           .dump());
   }
 
-  std::cout << "\nAblation 2: injector instrumentation overhead (one program "
-               "pass, no injection)\n";
+  std::cout << "\nAblation 2: eager-wrapper instrumentation overhead (one "
+               "program pass, no injection, every wrapper captures; campaign "
+               "cost is measured by perfbench)\n";
   std::cout << "app\tdirect_ms\tinject_ms\tfactor\n";
   auto& rt = weave::Runtime::instance();
   bench_common::JsonArray overhead_rows;
@@ -94,7 +98,7 @@ int main() {
     }
     {
       weave::ScopedMode m(weave::Mode::Inject);
-      rt.begin_run(0);  // threshold never reached: wrappers only
+      rt.begin_run(0);  // no injection, no call table: every wrapper captures
       const auto t0 = Clock::now();
       for (int i = 0; i < 10; ++i) app.program();
       inject_ms = ms_since(t0) / 10.0;

@@ -97,9 +97,11 @@ class JsonArray {
 };
 
 /// Run metadata stamped into every bench artifact: which build produced the
-/// numbers (git describe, baked in by bench/CMakeLists.txt) and the
-/// machine's parallelism — the knobs that make two BENCH_*.json files
-/// incomparable when they differ.
+/// numbers (git describe, baked in by bench/CMakeLists.txt) and how many
+/// hardware threads the machine has — the knobs that make two BENCH_*.json
+/// files incomparable when they differ.  `hardware_threads` is the key
+/// perfbench's meta uses for the same number; it is not how many jobs a
+/// bench ran with.
 inline std::string bench_meta_json() {
   return JsonObject{}
       // Artifact schema counter, shared with campaign_json: bumped to 2 when
@@ -110,7 +112,7 @@ inline std::string bench_meta_json() {
 #else
       .put("git", "unknown")
 #endif
-      .put("jobs", std::thread::hardware_concurrency())
+      .put("hardware_threads", std::thread::hardware_concurrency())
       .put("provenance_available", fatomic::unwind::available())
       .dump();
 }

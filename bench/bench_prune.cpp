@@ -5,14 +5,14 @@
 // campaign classifies identically to the full one — the empirical guard on
 // the pruning soundness argument (DESIGN.md §7).
 //
-// The analysis runs twice — once with Pass 4's context sensitivity off
-// (the pre-Pass-4 baseline) and once with it on — so the runs-saved column
-// splits into what was provable before Pass 4 and what the
-// context-sensitive engine newly proves (DESIGN.md §12).
+// The "pre-P4" column is what the pre-Pass-4 analysis (Pass 1 without
+// context sensitivity, DESIGN.md §12) saved on the same workload, frozen
+// when that analysis was retired: the engine must never save less.
 //
-// Exit is non-zero when a classification diverges or when the collections
-// workload saves less than 20% of its injector runs.
-#include <chrono>
+// Exit is non-zero when a classification diverges, when a workload saves
+// less than 20% of its injector runs, or when it saves fewer runs than the
+// pre-Pass-4 analysis did.
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -30,88 +30,62 @@ namespace analyze = fatomic::analyze;
 
 int main() {
   const std::string root = std::string(FATOMIC_SOURCE_DIR) + "/subjects";
-  analyze::AnalyzeOptions baseline_opts;
-  baseline_opts.context_sensitive = false;
-  const analyze::StaticReport baseline =
-      analyze::analyze_sources(root, baseline_opts);
   const analyze::StaticReport report = analyze::analyze_sources(root);
-  const auto prune_base = baseline.prune_set();
   const auto prune = report.prune_set();
-  std::printf(
-      "static analysis: %zu of %zu methods proven (%zu pre-Pass-4), prune "
-      "set %zu (%zu pre-Pass-4)\n\n",
-      report.proven_count(), report.method_count(), baseline.proven_count(),
-      prune.size(), prune_base.size());
-  std::printf("%-18s %10s %10s %10s %10s %8s %6s\n", "workload", "full runs",
-              "saved", "pre-P4", "newly", "saved%", "same");
+  std::printf("static analysis: %zu of %zu methods proven, prune set %zu\n\n",
+              report.proven_count(), report.method_count(), prune.size());
+  std::printf("%-18s %10s %10s %10s %8s %6s\n", "workload", "full runs",
+              "saved", "pre-P4", "saved%", "same");
 
   struct Workload {
     std::string name;
     std::function<void()> program;
     double min_saved_pct;  ///< acceptance floor for this workload
+    std::uint64_t pre_pass4_saved;  ///< runs the pre-Pass-4 analysis saved
   };
   const std::vector<Workload> workloads = {
-      {"collections", subjects::apps::run_linked_list_fixed, 20.0},
-      {"xml", subjects::apps::run_xml2xml1, 20.0},
+      {"collections", subjects::apps::run_linked_list_fixed, 20.0, 57},
+      {"xml", subjects::apps::run_xml2xml1, 20.0, 201},
   };
 
   bool ok = true;
   bench_common::JsonArray rows;
   for (const auto& w : workloads) {
-    const analyze::CrossCheck cc_base =
-        analyze::cross_check(w.program, prune_base);
     const analyze::CrossCheck cc = analyze::cross_check(w.program, prune);
     const double total = static_cast<double>(cc.full.runs.size());
     const double saved_pct =
         total == 0 ? 0 : 100.0 * static_cast<double>(cc.runs_saved) / total;
-    const unsigned long long newly =
-        cc.runs_saved >= cc_base.runs_saved
-            ? static_cast<unsigned long long>(cc.runs_saved -
-                                              cc_base.runs_saved)
-            : 0;
-    std::printf("%-18s %10zu %10llu %10llu %10llu %7.1f%% %6s\n",
-                w.name.c_str(), cc.full.runs.size(),
+    std::printf("%-18s %10zu %10llu %10llu %7.1f%% %6s\n", w.name.c_str(),
+                cc.full.runs.size(),
                 static_cast<unsigned long long>(cc.runs_saved),
-                static_cast<unsigned long long>(cc_base.runs_saved), newly,
-                saved_pct, cc.identical && cc_base.identical ? "yes" : "NO");
+                static_cast<unsigned long long>(w.pre_pass4_saved), saved_pct,
+                cc.identical ? "yes" : "NO");
     if (!cc.identical) {
       std::printf("  DIVERGED at %s\n", cc.mismatch.c_str());
-      ok = false;
-    }
-    if (!cc_base.identical) {
-      std::printf("  baseline DIVERGED at %s\n", cc_base.mismatch.c_str());
       ok = false;
     }
     if (saved_pct < w.min_saved_pct) {
       std::printf("  below the %.0f%% saving floor\n", w.min_saved_pct);
       ok = false;
     }
-    // Pass 4 must never prune less than the baseline it subsumes.
-    if (cc.runs_saved < cc_base.runs_saved) {
-      std::printf(
-          "  context-sensitive prune saves fewer runs than the baseline\n");
+    if (cc.runs_saved < w.pre_pass4_saved) {
+      std::printf("  saves fewer runs than the pre-Pass-4 analysis\n");
       ok = false;
     }
     rows.add_raw(bench_common::JsonObject{}
                      .put("workload", w.name)
                      .put("full_runs", cc.full.runs.size())
                      .put("runs_saved", cc.runs_saved)
-                     .put("runs_saved_baseline", cc_base.runs_saved)
-                     .put("runs_saved_newly", newly)
                      .put("saved_pct", saved_pct)
-                     .put("identical", cc.identical && cc_base.identical)
+                     .put("identical", cc.identical)
                      .dump());
   }
   bench_common::write_bench_json(
       "prune", bench_common::JsonObject{}
                    .put("methods_proven", report.proven_count())
-                   .put("methods_proven_baseline", baseline.proven_count())
                    .put("methods_total", report.method_count())
                    .put("partial_plans", report.write_sets.partial_count())
-                   .put("partial_plans_baseline",
-                        baseline.write_sets.partial_count())
                    .put("prune_set", prune.size())
-                   .put("prune_set_baseline", prune_base.size())
                    .put_raw("workloads", rows.dump())
                    .put("ok", ok)
                    .dump());

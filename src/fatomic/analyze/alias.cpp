@@ -471,12 +471,6 @@ FnAliasInfo FnParse::run() {
   return std::move(info_);
 }
 
-bool info_equal(const FnAliasInfo& a, const FnAliasInfo& b) {
-  return a.locals == b.locals && a.tied_positions == b.tied_positions &&
-         a.this_top == b.this_top && a.this_sinks == b.this_sinks &&
-         a.returns == b.returns && a.has_return == b.has_return;
-}
-
 }  // namespace
 
 AliasAnalysis analyze_aliases(const SourceModel& model) {
@@ -504,7 +498,7 @@ AliasAnalysis analyze_aliases(const SourceModel& model) {
                                fresh.this_sinks.end());
       merged.returns.merge(fresh.returns);
       merged.has_return |= fresh.has_return;
-      if (!info_equal(merged, cur)) {
+      if (merged != cur) {
         cur = std::move(merged);
         changed = true;
       }

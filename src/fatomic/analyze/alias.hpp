@@ -110,6 +110,8 @@ struct FnAliasInfo {
   /// positions are re-resolved at each call site).
   AliasTarget returns;
   bool has_return = false;
+
+  bool operator==(const FnAliasInfo&) const = default;
 };
 
 struct AliasAnalysis {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <cstddef>
 #include <limits>
 
@@ -11,6 +9,20 @@
 #include "fatomic/analyze/tokens.hpp"
 
 namespace fatomic::analyze {
+
+void FnSummary::join(const FnSummary& o) {
+  mutates_env |= o.mutates_env;
+  mutates_params |= o.mutates_params;
+  may_throw |= o.may_throw;
+  catches |= o.catches;
+  writes.insert(o.writes.begin(), o.writes.end());
+  writes_unknown |= o.writes_unknown;
+  param_writes.insert(o.param_writes.begin(), o.param_writes.end());
+  param_writes_unknown |= o.param_writes_unknown;
+  write_param_positions.insert(o.write_param_positions.begin(),
+                               o.write_param_positions.end());
+  param_positions_unknown |= o.param_positions_unknown;
+}
 
 const char* EffectSummary::verdict() const {
   if (!scanned) return "unscanned";
@@ -73,7 +85,6 @@ struct Event {
 
 struct Ctx {
   const SourceModel* model;
-  const AnalyzeOptions* opts;
   /// Summaries keyed "Class::helper" / free "helper".
   const std::map<std::string, FnSummary>* by_key;
   /// Summaries merged over every definition sharing a simple name — the
@@ -86,29 +97,25 @@ struct Ctx {
   /// either side of an inheritance edge): receiver-typed resolution must
   /// not narrow calls through these, an unscanned override could run.
   const std::set<std::string>* dispatch_risky;
-  /// Pass 5 alias bindings, or nullptr in context-insensitive mode: writes
-  /// through tracked locals resolve to the receiver subtree (or parameter
-  /// position) the local aliases instead of collapsing to an unresolved
-  /// environment write.
-  const AliasAnalysis* alias;
 };
 
 /// Scans one function body, producing effect events against the current
 /// summary table (see analyze_effects for the fixpoint driving this).
 class BodyScan : private TokenCursor {
  public:
-  BodyScan(const Tokens& body, const FunctionDef& def, const Ctx& ctx)
-      : TokenCursor(body), def_(def), ctx_(ctx), trys_(try_regions(*this)) {
+  BodyScan(const Tokens& body, const FunctionDef& def,
+           const FnAliasInfo& alias, const Ctx& ctx)
+      : TokenCursor(body),
+        def_(def),
+        ctx_(ctx),
+        alias_(alias),
+        trys_(try_regions(*this)) {
     for (std::size_t i = 0; i < def.params.size(); ++i) {
       const Param& p = def.params[i];
       if (p.name.empty()) continue;
       params_[p.name] = !p.is_const && (p.is_ref || p.is_ptr);
       param_pos_[p.name] = i;
     }
-    if (ctx.alias != nullptr)
-      alias_ = ctx.alias->find(def.class_name.empty()
-                                   ? def.name
-                                   : def.class_name + "::" + def.name);
     compute_loops();
   }
 
@@ -127,8 +134,6 @@ class BodyScan : private TokenCursor {
     /// binding into the aliased object, it never rebinds.
     bool is_ref = false;
   };
-
-  bool cs() const { return ctx_.opts->context_sensitive; }
 
   Kind classify(const std::string& name) const {
     if (auto it = locals_.find(name); it != locals_.end())
@@ -373,9 +378,9 @@ class BodyScan : private TokenCursor {
     const Chain c = chain_before(e);
     if (c.recv_name.empty() || c.recv_starred) return {{}, false};
     if (locals_.count(c.recv_name)) {
-      if (cs() && alias_ != nullptr && c.recv_name == c.base_name) {
-        auto it = alias_->locals.find(c.base_name);
-        if (it != alias_->locals.end() &&
+      if (c.recv_name == c.base_name) {
+        auto it = alias_.locals.find(c.base_name);
+        if (it != alias_.locals.end() &&
             it->second.kind == AliasTarget::Kind::Field &&
             !it->second.roots.empty())
           return {{it->second.roots.begin(), it->second.roots.end()}, true};
@@ -413,16 +418,14 @@ class BodyScan : private TokenCursor {
   /// chain's base decides where the write lands.  Frame-local storage drops
   /// the event, a receiver-subtree binding yields a named environment write
   /// rooted at the aliased members, a parameter binding yields a positioned
-  /// via_param write, and ⊤ (or no binding) keeps the historical collapse.
+  /// via_param write, and ⊤ (or no binding) collapses to an unnamed
+  /// environment write.
   /// When the chain names a member deeper than the base (`p->next = v`),
   /// that member is the write target — never the local's own name, which is
   /// caller-meaningless (and could shadow a real member).
   void emit_write(std::size_t pos, const Chain& c) {
-    const AliasTarget* t = nullptr;
-    if (alias_ != nullptr) {
-      auto it = alias_->locals.find(c.base_name);
-      if (it != alias_->locals.end()) t = &it->second;
-    }
+    auto it = alias_.locals.find(c.base_name);
+    const AliasTarget* t = it == alias_.locals.end() ? nullptr : &it->second;
     const bool deeper = !c.recv_name.empty() && !c.recv_starred &&
                         c.recv_name != c.base_name;
     if (t == nullptr || t->kind == AliasTarget::Kind::Top) {
@@ -456,11 +459,12 @@ class BodyScan : private TokenCursor {
     return it != locals_.end() && it->second.is_ref;
   }
 
-  /// Param-mutation events for a call to a summarized callee.  Context-
-  /// sensitive mode re-evaluates only the argument expressions at the
-  /// callee's written parameter positions (and names the written subtree
-  /// from the argument chain itself); otherwise any tracked argument
-  /// anywhere in the list counts, with the callee's own write names.
+  /// Param-mutation events for a call to a summarized callee.  When the
+  /// callee's written parameter positions are known, only the argument
+  /// expressions at those positions are re-evaluated (and the argument
+  /// chain itself names the written subtree); otherwise any tracked
+  /// argument anywhere in the list counts, with the callee's own write
+  /// names.
   void emit_param_writes(std::size_t i, std::size_t close, const FnSummary& s);
   /// Mutation events for a library call that may write through any tracked
   /// argument (std::move, generic algorithms, unknown member calls' args).
@@ -509,9 +513,10 @@ class BodyScan : private TokenCursor {
 
   const FunctionDef& def_;
   const Ctx& ctx_;
-  /// Alias bindings for this definition (Pass 5), or nullptr when the
-  /// analysis runs context-insensitively.
-  const FnAliasInfo* alias_ = nullptr;
+  /// Pass 5 alias bindings for this definition: writes through tracked
+  /// locals resolve to the receiver subtree (or parameter position) the
+  /// local aliases instead of collapsing to an unresolved environment write.
+  const FnAliasInfo& alias_;
   std::map<std::string, Var> locals_;
   std::map<std::string, bool> params_;  ///< name -> tracked
   std::map<std::string, std::size_t> param_pos_;
@@ -574,7 +579,7 @@ void BodyScan::emit(std::size_t pos, bool mut, bool thr, bool via_param,
   // leave the function is no injection-ordering constraint for callers.
   // The decision uses the original position — loop widening never moves an
   // event across the braces of a try block that contains the loop.
-  if (thr && cs() && !escapes(trys_, *ctx_.model, pos, throw_hint_))
+  if (thr && !escapes(trys_, *ctx_.model, pos, throw_hint_))
     thr = false;
   if (mut) {
     Event ev;
@@ -600,7 +605,7 @@ void BodyScan::emit(std::size_t pos, bool mut, bool thr, bool via_param,
 void BodyScan::emit_param_writes(std::size_t i, std::size_t close,
                                  const FnSummary& s) {
   if (!s.mutates_params) return;
-  if (cs() && !s.param_positions_unknown && !s.write_param_positions.empty()) {
+  if (!s.param_positions_unknown && !s.write_param_positions.empty()) {
     const auto args = split_args(i + 1, close);
     bool in_range = true;
     for (std::size_t p : s.write_param_positions)
@@ -627,12 +632,6 @@ void BodyScan::emit_param_writes(std::size_t i, std::size_t close,
 }
 
 void BodyScan::tracked_args_mut(std::size_t i, std::size_t close) {
-  if (!cs()) {
-    const auto [args_tracked, args_param_only] = expr_state(i + 2, close);
-    if (args_tracked)
-      emit_mut(i, args_param_only ? Kind::TrackedParam : Kind::Env);
-    return;
-  }
   for (const auto& [b, e] : split_args(i + 1, close)) {
     const auto [arg_tracked, arg_param_only] = expr_state(b, e);
     if (!arg_tracked) continue;
@@ -645,7 +644,7 @@ void BodyScan::tracked_args_mut(std::size_t i, std::size_t close) {
 
 bool BodyScan::receiver_summary(const Chain& recv, const std::string& method,
                                 FnSummary* out) const {
-  if (!cs() || recv.recv_name.empty() || recv.recv_starred) return false;
+  if (recv.recv_name.empty() || recv.recv_starred) return false;
   auto ft = ctx_.model->declared_types.find(recv.recv_name);
   if (ft == ctx_.model->declared_types.end()) return false;
   const std::string& type = ft->second;
@@ -674,18 +673,7 @@ bool BodyScan::receiver_summary(const Chain& recv, const std::string& method,
       // method means the real callee may be unscanned: no narrowing.
       if (s == nullptr) return false;
       any = true;
-      merged.mutates_env |= s->mutates_env;
-      merged.mutates_params |= s->mutates_params;
-      merged.may_throw |= s->may_throw;
-      merged.catches |= s->catches;
-      merged.writes_unknown |= s->writes_unknown;
-      merged.param_writes_unknown |= s->param_writes_unknown;
-      merged.param_positions_unknown |= s->param_positions_unknown;
-      merged.writes.insert(s->writes.begin(), s->writes.end());
-      merged.param_writes.insert(s->param_writes.begin(),
-                                 s->param_writes.end());
-      merged.write_param_positions.insert(s->write_param_positions.begin(),
-                                          s->write_param_positions.end());
+      merged.join(*s);
     }
   }
   if (!any) return false;
@@ -749,7 +737,7 @@ void BodyScan::handle_call(std::size_t i) {
         // mis-resolve to it.  Library treatment: mutation only.  The write
         // lands inside the named member (`head_.reset()` rewrites head_).
         if (recv_tracked) {
-          if (cs() && recv.base == Kind::TrackedLocal)
+          if (recv.base == Kind::TrackedLocal)
             emit_write(i, recv);
           else
             emit_mut(i, recv_kind, recv.recv_name, !recv.recv_starred,
@@ -804,7 +792,7 @@ void BodyScan::handle_call(std::size_t i) {
     // no injection point inside.  The mutation stays within the receiver
     // chain's final member (`root_->children.push_back(x)` writes children).
     if (recv_tracked) {
-      if (cs() && recv.base == Kind::TrackedLocal)
+      if (recv.base == Kind::TrackedLocal)
         emit_write(i, recv);
       else
         emit_mut(i, recv_kind, recv.recv_name, !recv.recv_starred,
@@ -819,7 +807,7 @@ void BodyScan::handle_call(std::size_t i) {
     // class's member when one exists — its exact by-key summary beats the
     // by-name union over every class sharing the (instrumented) name.
     const FnSummary* s = nullptr;
-    if (cs() && !def_.class_name.empty())
+    if (!def_.class_name.empty())
       s = lookup_key(def_.class_name + "::" + name);
     if (s == nullptr) s = lookup_name(name);
     if (s != nullptr && s->mutates_env)
@@ -883,7 +871,6 @@ bool BodyScan::try_decl(std::size_t i, std::size_t& next) {
 /// stay unregistered: writing through them aliases caller state, and the
 /// conservative Env classification is the sound one.
 bool BodyScan::try_lambda(std::size_t i, std::size_t& next) {
-  if (!cs() || tk(i) != "[") return false;
   const std::string prevt = i > 0 ? tk(i - 1) : ";";
   // Expression position only: after an identifier, `)`, or `]` the bracket
   // is an index, not a lambda introducer.
@@ -956,8 +943,8 @@ void BodyScan::run() {
                                       : i + 1);
       // The named pointer's graph is destroyed — a structural write to the
       // member holding it (its pointer type keeps it out of partial plans).
-      if (cs() && (c.base == Kind::TrackedLocal ||
-                   (c.base == Kind::Fresh && c.hops > 1)))
+      if (c.base == Kind::TrackedLocal ||
+          (c.base == Kind::Fresh && c.hops > 1))
         emit_write(i, c);
       else if (tracked(c.base))
         emit_mut(i, c.base, c.recv_name, !c.recv_starred, chain_positions(c));
@@ -986,18 +973,17 @@ void BodyScan::run() {
         // Fresh bases drop too — but only within the object's own slots: a
         // second member hop re-enters whatever the frame stashed there
         // (emit_write applies the same hop rule to tracked locals).
-        if (cs() && (c.base == Kind::TrackedLocal ||
-                     (c.base == Kind::Fresh && c.hops > 1)))
+        if (c.base == Kind::TrackedLocal ||
+            (c.base == Kind::Fresh && c.hops > 1))
           emit_write(i, c);
         else if (tracked(c.base))
           emit_mut(i, c.base, c.recv_name, !c.recv_starred,
                    chain_positions(c));
       } else if (c.base == Kind::Env || c.base == Kind::TrackedParam) {
         emit_mut(i, c.base, c.recv_name, !c.recv_starred, chain_positions(c));
-      } else if (cs() && c.base == Kind::TrackedLocal &&
-                 local_is_ref(c.base_name)) {
+      } else if (c.base == Kind::TrackedLocal && local_is_ref(c.base_name)) {
         // Assignment through a reference binding writes the aliased object
-        // (it never rebinds) — historically a silent hole.
+        // (it never rebinds).
         emit_write(i, c);
       } else if (t == "=" &&
                  (c.base == Kind::Fresh || c.base == Kind::TrackedLocal)) {
@@ -1018,9 +1004,9 @@ void BodyScan::run() {
       const Chain c = (is_ident(nxt) || nxt == "(" || nxt == "*")
                           ? chain_after(i + 1)
                           : chain_before(i);
-      if (cs() && ((c.base == Kind::TrackedLocal &&
-                    (c.deref || local_is_ref(c.base_name))) ||
-                   (c.base == Kind::Fresh && c.deref && c.hops > 1)))
+      if ((c.base == Kind::TrackedLocal &&
+           (c.deref || local_is_ref(c.base_name))) ||
+          (c.base == Kind::Fresh && c.deref && c.hops > 1))
         emit_write(i, c);
       else if (c.deref ? tracked(c.base)
                        : (c.base == Kind::Env || c.base == Kind::TrackedParam))
@@ -1034,8 +1020,8 @@ void BodyScan::run() {
       // Stream insertion/extraction mutates its left operand (shifts on
       // literals and untracked values resolve to Kind::None/Fresh).
       const Chain c = chain_before(i);
-      if (cs() && (c.base == Kind::TrackedLocal ||
-                   (c.base == Kind::Fresh && c.hops > 1)))
+      if (c.base == Kind::TrackedLocal ||
+          (c.base == Kind::Fresh && c.hops > 1))
         emit_write(i, c);
       else if (c.base == Kind::Env || c.base == Kind::TrackedParam ||
                c.base == Kind::TrackedLocal)
@@ -1086,13 +1072,19 @@ const ClassModel* class_of(const SourceModel& model, const std::string& cls) {
 
 }  // namespace
 
-EffectAnalysis analyze_effects(const SourceModel& model,
-                               const AnalyzeOptions& opts) {
+EffectAnalysis analyze_effects(const SourceModel& model) {
+  // Pass 5 alias bindings are computed once up front: the alias fixpoint
+  // depends only on the token model, not on the effect summaries, so it
+  // feeds every effect round without participating in the fixpoint below.
+  const AliasAnalysis aliases = analyze_aliases(model);
   struct Scanned {
     const FunctionDef* def;
     Tokens body;  ///< effective body (invoke lambda for instrumented defs)
     std::string key;
     bool instrumented = false;
+    /// Pass 5 bindings of this definition.  The alias pass keys every
+    /// definition exactly like `key`, so the lookup cannot miss.
+    const FnAliasInfo* alias = nullptr;
   };
   std::vector<Scanned> defs;
   for (const FunctionDef& def : model.functions) {
@@ -1106,6 +1098,7 @@ EffectAnalysis analyze_effects(const SourceModel& model,
                                         cm->statics.count(def.name)));
     s.key = def.class_name.empty() ? def.name
                                    : def.class_name + "::" + def.name;
+    s.alias = &aliases.by_key.at(s.key);
     defs.push_back(std::move(s));
   }
 
@@ -1129,27 +1122,17 @@ EffectAnalysis analyze_effects(const SourceModel& model,
   // Optimistic interprocedural fixpoint: summary bits start false and the
   // scan is monotone in them, so iteration converges; recursion and sibling
   // calls settle within the depth of the call DAG's SCC structure.
-  // Pass 5 alias bindings are computed once up front: the alias fixpoint
-  // depends only on the token model, not on the effect summaries, so it
-  // feeds every effect round without participating in this fixpoint.
-  AliasAnalysis aliases;
-  if (opts.context_sensitive) aliases = analyze_aliases(model);
   std::map<std::string, FnSummary> by_key, by_name;
-  Ctx ctx{&model,          &opts,
-          &by_key,         &by_name,
-          &def_classes_by_simple, &dispatch_risky,
-          opts.context_sensitive ? &aliases : nullptr};
+  const Ctx ctx{&model, &by_key, &by_name, &def_classes_by_simple,
+                &dispatch_risky};
   // Seed every scanned definition with the bottom (empty) summary so round
   // 0 lookups of not-yet-visited keys — self-recursion, forward references
   // — resolve to "no effects yet" instead of falling into the unknown-call
   // fallback, whose conservative event would stick forever through the
-  // monotone merge.  This is the textbook least-fixpoint start; the
-  // context-insensitive mode keeps the historical behaviour.
-  if (opts.context_sensitive) {
-    for (const Scanned& s : defs) {
-      by_key[s.key];
-      by_name[s.def->name];
-    }
+  // monotone merge.  This is the textbook least-fixpoint start.
+  for (const Scanned& s : defs) {
+    by_key[s.key];
+    by_name[s.def->name];
   }
   // The cap is a backstop: iteration normally breaks on !changed within a
   // handful of rounds (the call DAG's SCC depth).  It is generous because
@@ -1158,24 +1141,8 @@ EffectAnalysis analyze_effects(const SourceModel& model,
   for (int round = 0; round < 50; ++round) {
     bool changed = false;
     for (const Scanned& s : defs) {
-      BodyScan scan(s.body, *s.def, ctx);
+      BodyScan scan(s.body, *s.def, *s.alias, ctx);
       scan.run();
-      if (const char* want = std::getenv("FATOMIC_ANALYZE_DEBUG_HELPER");
-          want != nullptr && round == 0 &&
-          s.key.find(want) != std::string::npos) {
-        std::fprintf(stderr, "== helper %s (%s)\n", s.key.c_str(),
-                     s.def->file.c_str());
-        for (const Event& ev : scan.events) {
-          std::string around;
-          for (std::size_t m = ev.pos; m < ev.pos + 8 && m < s.body.size();
-               ++m)
-            around += s.body[m].text + " ";
-          std::fprintf(stderr,
-                       "  pos=%zu mut=%d thr=%d via_param=%d unk=%d | %s\n",
-                       ev.pos, ev.mut, ev.thr, ev.via_param, ev.target_unknown,
-                       around.c_str());
-        }
-      }
       FnSummary next;
       for (const Event& ev : scan.events) {
         if (ev.mut && ev.via_param) {
@@ -1199,48 +1166,14 @@ EffectAnalysis analyze_effects(const SourceModel& model,
       next.catches = scan.catches;
       FnSummary& cur = by_key[s.key];
       FnSummary merged = cur;
-      merged.mutates_env |= next.mutates_env;
-      merged.mutates_params |= next.mutates_params;
-      merged.may_throw |= next.may_throw;
-      merged.catches |= next.catches;
-      merged.writes_unknown |= next.writes_unknown;
-      merged.param_writes_unknown |= next.param_writes_unknown;
-      merged.param_positions_unknown |= next.param_positions_unknown;
-      merged.writes.insert(next.writes.begin(), next.writes.end());
-      merged.param_writes.insert(next.param_writes.begin(),
-                                 next.param_writes.end());
-      merged.write_param_positions.insert(next.write_param_positions.begin(),
-                                          next.write_param_positions.end());
-      if (merged.mutates_env != cur.mutates_env ||
-          merged.mutates_params != cur.mutates_params ||
-          merged.may_throw != cur.may_throw ||
-          merged.catches != cur.catches ||
-          merged.writes_unknown != cur.writes_unknown ||
-          merged.param_writes_unknown != cur.param_writes_unknown ||
-          merged.param_positions_unknown != cur.param_positions_unknown ||
-          merged.writes != cur.writes ||
-          merged.param_writes != cur.param_writes ||
-          merged.write_param_positions != cur.write_param_positions)
+      merged.join(next);
+      if (merged != cur) {
+        cur = std::move(merged);
         changed = true;
-      cur = merged;
+      }
     }
     by_name.clear();
-    for (const Scanned& s : defs) {
-      const FnSummary& src = by_key[s.key];
-      FnSummary& dst = by_name[s.def->name];
-      dst.mutates_env |= src.mutates_env;
-      dst.mutates_params |= src.mutates_params;
-      dst.may_throw |= src.may_throw;
-      dst.catches |= src.catches;
-      dst.writes_unknown |= src.writes_unknown;
-      dst.param_writes_unknown |= src.param_writes_unknown;
-      dst.param_positions_unknown |= src.param_positions_unknown;
-      dst.writes.insert(src.writes.begin(), src.writes.end());
-      dst.param_writes.insert(src.param_writes.begin(),
-                              src.param_writes.end());
-      dst.write_param_positions.insert(src.write_param_positions.begin(),
-                                       src.write_param_positions.end());
-    }
+    for (const Scanned& s : defs) by_name[s.def->name].join(by_key[s.key]);
     if (!changed) break;
   }
 
@@ -1263,7 +1196,7 @@ EffectAnalysis analyze_effects(const SourceModel& model,
       for (const Scanned& s : defs) {
         if (s.def->name != method) continue;
         if (class_of(model, s.def->class_name) != &cm) continue;
-        BodyScan scan(s.body, *s.def, ctx);
+        BodyScan scan(s.body, *s.def, *s.alias, ctx);
         scan.run();
         es.scanned = true;
         es.catches = scan.catches;
@@ -1279,23 +1212,6 @@ EffectAnalysis analyze_effects(const SourceModel& model,
             last_thr = std::max(last_thr, ev.pos);
           }
         }
-        if (std::getenv("FATOMIC_ANALYZE_DEBUG") != nullptr) {
-          std::fprintf(stderr, "== %s (%s)\n", es.qualified_name.c_str(),
-                       s.def->file.c_str());
-          for (const Event& ev : scan.events) {
-            std::string targets;
-            for (const auto& t : ev.targets) targets += t + ",";
-            std::string around;
-            for (std::size_t m = ev.pos; m < ev.pos + 6 && m < s.body.size();
-                 ++m)
-              around += s.body[m].text + " ";
-            std::fprintf(stderr,
-                         "  pos=%zu mut=%d thr=%d via_param=%d unk=%d "
-                         "targets=[%s] | %s\n",
-                         ev.pos, ev.mut, ev.thr, ev.via_param,
-                         ev.target_unknown, targets.c_str(), around.c_str());
-          }
-        }
         es.read_only = es.mutation_events == 0;
         es.commit_point_last = es.mutation_events == 0 ||
                                es.throw_events == 0 || last_thr < first_mut;
@@ -1303,8 +1219,7 @@ EffectAnalysis analyze_effects(const SourceModel& model,
         // back only when some injection point can still fire at or after it
         // (pos <= last_thr; equality covers a single call that both mutates
         // and throws).
-        const FnAliasInfo* ai =
-            opts.context_sensitive ? aliases.find(s.key) : nullptr;
+        const FnAliasInfo& ai = *s.alias;
         if (es.throw_events > 0) {
           for (const Event& ev : scan.events) {
             if (!ev.mut || ev.pos > last_thr) continue;
@@ -1314,10 +1229,9 @@ EffectAnalysis analyze_effects(const SourceModel& model,
               // tuple: when every position is tied and the targets are
               // named, the write is restorable like any member write.
               const bool tied =
-                  ai != nullptr && !ev.target_unknown &&
-                  !ev.via_positions.empty() &&
-                  std::includes(ai->tied_positions.begin(),
-                                ai->tied_positions.end(),
+                  !ev.target_unknown && !ev.via_positions.empty() &&
+                  std::includes(ai.tied_positions.begin(),
+                                ai.tied_positions.end(),
                                 ev.via_positions.begin(),
                                 ev.via_positions.end());
               if (tied)
@@ -1332,38 +1246,29 @@ EffectAnalysis analyze_effects(const SourceModel& model,
           }
         }
         // A receiver escaping via `this` can be written through aliases the
-        // event scan never sees.  With the alias pass available, the
-        // per-token classification decides; `this` passed only into sinks
-        // the interprocedural summaries prove side-effect-free does not
-        // escape.  Without it, any `this` token collapses (historical).
-        if (ai != nullptr) {
-          bool escapes = ai->this_top;
-          for (const std::string& sink : ai->this_sinks) {
-            if (escapes) break;
-            const FnSummary* fs = nullptr;
-            if (!s.def->class_name.empty()) {
-              auto it = by_key.find(s.def->class_name + "::" + sink);
-              if (it != by_key.end()) fs = &it->second;
-            }
-            if (fs == nullptr) {
-              auto it = by_key.find(sink);
-              if (it != by_key.end()) fs = &it->second;
-            }
-            if (fs == nullptr) {
-              auto it = by_name.find(sink);
-              if (it != by_name.end()) fs = &it->second;
-            }
-            if (fs == nullptr || fs->mutates_env || fs->mutates_params)
-              escapes = true;
+        // event scan never sees.  The alias pass's per-token classification
+        // decides; `this` passed only into sinks the interprocedural
+        // summaries prove side-effect-free does not escape.
+        bool escapes = ai.this_top;
+        for (const std::string& sink : ai.this_sinks) {
+          if (escapes) break;
+          const FnSummary* fs = nullptr;
+          if (!s.def->class_name.empty()) {
+            auto it = by_key.find(s.def->class_name + "::" + sink);
+            if (it != by_key.end()) fs = &it->second;
           }
-          if (escapes) add_reason("receiver escapes via this");
-        } else {
-          for (const Token& tok : s.body) {
-            if (tok.text != "this") continue;
-            add_reason("receiver escapes via this");
-            break;
+          if (fs == nullptr) {
+            auto it = by_key.find(sink);
+            if (it != by_key.end()) fs = &it->second;
           }
+          if (fs == nullptr) {
+            auto it = by_name.find(sink);
+            if (it != by_name.end()) fs = &it->second;
+          }
+          if (fs == nullptr || fs->mutates_env || fs->mutates_params)
+            escapes = true;
         }
+        if (escapes) add_reason("receiver escapes via this");
         break;
       }
       out.methods[es.qualified_name] = std::move(es);

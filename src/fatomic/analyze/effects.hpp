@@ -33,17 +33,6 @@
 
 namespace fatomic::analyze {
 
-/// Tunables for the effect pass.  `context_sensitive` switches on the
-/// Pass 4 precision features (per-parameter-position write tracking,
-/// receiver-typed and same-class call resolution, catch-clause-aware throw
-/// suppression, lambda-parameter registration, named move-steal targets);
-/// with it off the pass reproduces the context-insensitive pre-Pass-4
-/// behaviour, which bench_prune uses to split "provable before Pass 4"
-/// from "newly provable".
-struct AnalyzeOptions {
-  bool context_sensitive = true;
-};
-
 /// Interprocedural facts about one function, used when resolving calls to
 /// it.  Computed for every scanned definition (instrumented or not) by an
 /// optimistic fixpoint: bits start false and only ever flip to true.
@@ -74,6 +63,11 @@ struct FnSummary {
   /// Meaningful only while `!param_positions_unknown`.
   std::set<std::size_t> write_param_positions;
   bool param_positions_unknown = false;
+
+  /// Lattice join: ORs every bit and unions every set.  The bottom (a
+  /// default-constructed summary) is its identity.
+  void join(const FnSummary& o);
+  bool operator==(const FnSummary&) const = default;
 };
 
 /// The static verdict for one instrumented method.
@@ -128,7 +122,6 @@ struct EffectAnalysis {
 };
 
 /// Runs the effect analysis over a scanned source model.
-EffectAnalysis analyze_effects(const SourceModel& model,
-                               const AnalyzeOptions& opts = {});
+EffectAnalysis analyze_effects(const SourceModel& model);
 
 }  // namespace fatomic::analyze

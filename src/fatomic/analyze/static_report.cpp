@@ -43,11 +43,10 @@ std::string StaticReport::to_text() const {
   return os.str();
 }
 
-StaticReport analyze_sources(const std::string& root,
-                             const AnalyzeOptions& opts) {
+StaticReport analyze_sources(const std::string& root) {
   StaticReport report;
   report.model = scan_sources(root);
-  report.effects = analyze_effects(report.model, opts);
+  report.effects = analyze_effects(report.model);
   report.write_sets = analyze_write_sets(report.model, report.effects);
   std::set<std::string> runtime_names;
   for (const auto& spec : weave::Runtime::instance().runtime_exceptions())

@@ -42,10 +42,8 @@ struct StaticReport {
 
 /// Scans `root` (a subject source tree) and runs the effect, write-set and
 /// static-call-graph passes.  Throws std::runtime_error when root does not
-/// exist.  `opts` tunes the effect pass (bench_prune flips
-/// `context_sensitive` off to measure the Pass 4 delta).
-StaticReport analyze_sources(const std::string& root,
-                             const AnalyzeOptions& opts = {});
+/// exist.
+StaticReport analyze_sources(const std::string& root);
 
 /// Result of running the same workload twice — one full campaign, one with
 /// static pruning — and comparing the classifications.

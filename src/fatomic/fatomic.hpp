@@ -28,7 +28,8 @@
 //   assert(verified.classification.nonatomic_names().empty());
 //   // 5. Observe: campaign.trace holds the merged event stream —
 //   //    trace::chrome_trace_json() for Perfetto, trace::trace_summary()
-//   //    for the terminal, trace::campaign_metrics() for named counters.
+//   //    for the terminal, trace::campaign_metrics(campaign) for named
+//   //    counters.
 #pragma once
 
 #include "fatomic/analyze/alias.hpp"

@@ -4,7 +4,8 @@
 //
 // The registry is deliberately value-typed and merge-able: parallel
 // campaigns build one per worker implicitly (through per-run trace slices)
-// and campaign_metrics() folds everything into a single deterministic view.
+// and campaign_metrics(campaign) folds everything into a single
+// deterministic view.
 #pragma once
 
 #include <cstdint>

@@ -2,14 +2,17 @@
 // depends on (function-try-blocks, multi-catch, rethrow, qualified unnamed
 // handlers, nested template arguments), the catch-aware may-propagate sets,
 // the static lint that closes the dynamic graph's coverage blind spot, the
-// graph-check soundness harness, and the precision gains context
-// sensitivity buys over the context-insensitive baseline.
+// graph-check soundness harness, the effect pass's summary lattice, and the
+// precision gains context sensitivity buys over the retired pre-Pass-4
+// analysis.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "fatomic/analyze/callgraph_static.hpp"
 #include "fatomic/analyze/effects.hpp"
@@ -288,18 +291,73 @@ TEST(Pass4GraphCheck, StaticGraphCoversTheDynamicCampaign) {
   }
 }
 
+// ---- summaries: the effect pass's lattice ----------------------------------
+
+TEST(Pass4Summary, JoinIsALatticeJoinAndEqualitySeesEveryField) {
+  using analyze::FnSummary;
+  // One setter per field: a summary that differs from the bottom in that
+  // field alone (`write_param_positions` included), so `==` must tell them
+  // apart and joining it into the bottom must keep it.
+  const std::vector<std::function<void(FnSummary&)>> fields = {
+      [](FnSummary& s) { s.mutates_env = true; },
+      [](FnSummary& s) { s.mutates_params = true; },
+      [](FnSummary& s) { s.may_throw = true; },
+      [](FnSummary& s) { s.catches = true; },
+      [](FnSummary& s) { s.writes = {"head_"}; },
+      [](FnSummary& s) { s.writes_unknown = true; },
+      [](FnSummary& s) { s.param_writes = {"size_"}; },
+      [](FnSummary& s) { s.param_writes_unknown = true; },
+      [](FnSummary& s) { s.write_param_positions = {1}; },
+      [](FnSummary& s) { s.param_positions_unknown = true; },
+  };
+  const FnSummary bottom;
+  std::vector<FnSummary> singles;
+  for (const auto& set : fields) {
+    FnSummary s;
+    set(s);
+    EXPECT_TRUE(s != bottom) << "field " << singles.size();
+    FnSummary j = bottom;
+    j.join(s);
+    EXPECT_TRUE(j == s) << "join drops field " << singles.size();
+    singles.push_back(s);
+  }
+
+  FnSummary a, b;
+  a.mutates_env = true;
+  a.writes = {"head_", "next"};
+  a.write_param_positions = {0};
+  b.may_throw = true;
+  b.writes = {"prev"};
+  b.param_writes = {"size_"};
+  b.write_param_positions = {2};
+  b.param_positions_unknown = true;
+  for (const FnSummary& x : {a, b, singles.front(), singles.back()}) {
+    FnSummary left = bottom, right = x, twice = x;
+    left.join(x);
+    right.join(bottom);
+    twice.join(x);
+    EXPECT_TRUE(left == x) << "the bottom is a left identity";
+    EXPECT_TRUE(right == x) << "the bottom is a right identity";
+    EXPECT_TRUE(twice == x) << "join is idempotent";
+  }
+  FnSummary ab = a, ba = b;
+  ab.join(b);
+  ba.join(a);
+  EXPECT_TRUE(ab == ba) << "join is commutative";
+  EXPECT_EQ(ab.writes, (std::set<std::string>{"head_", "next", "prev"}));
+  EXPECT_EQ(ab.write_param_positions, (std::set<std::size_t>{0, 2}));
+}
+
 // ---- precision: what context sensitivity buys -------------------------------
 
+// The retired pre-Pass-4 analysis proved 112 methods atomic and earned 112
+// partial plans: its products are frozen in the `off` sections of
+// tests/golden/static_{effects,write_sets}.txt, and StaticMonotonicity
+// checks those counts.  Context sensitivity must stay strictly better.
 TEST(Pass4Precision, ContextSensitivityGrowsProvenAndPartialCounts) {
-  analyze::AnalyzeOptions off;
-  off.context_sensitive = false;
-  const analyze::StaticReport base = analyze::analyze_sources(kSubjectRoot, off);
   const analyze::StaticReport& cs = static_report();
-  EXPECT_GT(cs.proven_count(), base.proven_count());
-  EXPECT_GT(cs.write_sets.partial_count(), base.write_sets.partial_count());
-  // The ISSUE floors: strictly better than the context-insensitive seed.
-  EXPECT_GT(cs.proven_count(), 111u);
-  EXPECT_GT(cs.write_sets.partial_count(), 107u);
+  EXPECT_GT(cs.proven_count(), 112u);
+  EXPECT_GT(cs.write_sets.partial_count(), 112u);
 }
 
 // ---- write sets: all collapse reasons + histogram ---------------------------

@@ -1,11 +1,10 @@
 // Rendered products of the static analyzer: the witness that a refactor of
-// the token scanners changes no pass output.
+// the passes changes no pass output.
 //
 // The files tests/golden/static_<product>.txt were written by the scanners
 // as they stood before the passes shared one token grammar
 // (analyze/tokens).  test_static_witness.cpp asserts that scan_sources and
-// analyze_sources over the subject tree still render to them byte for byte,
-// with context_sensitive on and off.
+// analyze_sources over the subject tree still render to them byte for byte.
 //
 // One file per product:
 //
@@ -13,14 +12,16 @@
 //               with their parameters and body token counts, and every
 //               harvested name table.  File paths are relative to the scan
 //               root.
-//   effects     every EffectSummary and helper FnSummary (Pass 1), once per
-//               mode.
-//   write_sets  every MethodWriteSet with its plan (Pass 3), once per mode.
+//   effects     every EffectSummary and helper FnSummary (Pass 1).
+//   write_sets  every MethodWriteSet with its plan (Pass 3).
 //   graph       the static call graph (Pass 4).
 //   alias       every FnAliasInfo (Pass 5).
 //
-// The model, the graph and the alias facts do not depend on the mode; the
-// test renders them from both reports and compares each with the same file.
+// The effects and write_sets files hold two sections.  "== context_sensitive
+// on" is this build's rendering.  "== context_sensitive off" holds the
+// products of the retired pre-Pass-4 analysis, frozen as data when that
+// mode was removed: the witness carries it over verbatim, and
+// StaticMonotonicity checks the live products against it.
 #pragma once
 
 #include <cstddef>
@@ -164,7 +165,7 @@ inline std::string render_aliases(const analyze::AliasAnalysis& a) {
 }
 
 /// Every product of one report, by file stem.  The alias facts come from
-/// the model, as analyze_effects computes them in context-sensitive mode.
+/// the model, as analyze_effects computes them.
 inline std::map<std::string, std::string> render(
     const analyze::StaticReport& r) {
   return {
@@ -176,18 +177,28 @@ inline std::map<std::string, std::string> render(
   };
 }
 
-/// Products whose file holds one section per mode.
+/// Products whose file holds a live `on` and a frozen `off` section.
 inline bool per_mode(const std::string& product) {
   return product == "effects" || product == "write_sets";
 }
 
-/// The expected file contents of `product` given both reports' renderings.
+inline const std::string kOnHeader = "== context_sensitive on\n";
+inline const std::string kOffHeader = "== context_sensitive off\n";
+
+/// The frozen `off` section of a per-mode file's text: everything after its
+/// header line, empty when the file has none.
+inline std::string off_section(const std::string& text) {
+  const std::size_t at = text.find("\n" + kOffHeader);
+  return at == std::string::npos ? "" : text.substr(at + 1 + kOffHeader.size());
+}
+
+/// The expected file contents of `product`: this build's rendering, and for
+/// a per-mode product the committed `off` section after it.
 inline std::string file_text(const std::string& product,
                              const std::map<std::string, std::string>& on,
-                             const std::map<std::string, std::string>& off) {
+                             const std::string& committed) {
   if (!per_mode(product)) return on.at(product);
-  return "== context_sensitive on\n" + on.at(product) +
-         "== context_sensitive off\n" + off.at(product);
+  return kOnHeader + on.at(product) + kOffHeader + off_section(committed);
 }
 
 inline std::string golden_path(const std::string& product) {
