@@ -48,8 +48,11 @@ MaskCost masked_cost(const subjects::apps::App& app,
     cost.wrapped_calls = rt.stats.wrapped_calls / 20;
     cost.snapshots = rt.stats.snapshots_taken / 20;
   }
-  cost.verified =
-      fatomic::mask::verify_masked(app.program, wrap).nonatomic_names().empty();
+  fatomic::Config config;
+  config.mask(wrap);
+  cost.verified = fatomic::mask::verify_masked_full(app.program, config)
+                      .classification.nonatomic_names()
+                      .empty();
   return cost;
 }
 

@@ -68,16 +68,16 @@ int main() {
   report("\nafter trivial fixes (LinkedListFixed)", after,
          after_campaign.total_calls());
 
-  detect::Policy policy;
-  policy.exception_free.insert(
-      "subjects::collections::LinkedListFixed::audit");
-  auto with_policy = detect::classify(after_campaign, policy);
+  fatomic::Config config;
+  config.exception_free("subjects::collections::LinkedListFixed::audit");
+  auto with_policy = detect::classify(after_campaign, config.policy());
   report("\nafter declaring audit() exception-free", with_policy,
          after_campaign.total_calls());
 
-  auto verified = fatomic::mask::verify_masked(
-      subjects::apps::run_linked_list_fixed,
-      fatomic::mask::wrap_pure(with_policy, policy), policy);
+  config.mask(fatomic::mask::wrap_pure(with_policy, config.policy()));
+  auto verified = fatomic::mask::verify_masked_full(
+                      subjects::apps::run_linked_list_fixed, config)
+                      .classification;
   std::cout << "\nmasking the remaining pure methods: "
             << verified.nonatomic_names().size()
             << " non-atomic methods remain under re-injection (expect 0)\n";

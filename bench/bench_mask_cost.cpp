@@ -128,13 +128,13 @@ int main() {
     // Equivalence + completeness: the plan-driven mask must repair the app
     // exactly like the full-checkpoint mask, and the shadow validator must
     // see every partial restore reproduce the full-restore state.
-    const auto full_cls = mask::verify_masked(app.program, wrap);
-    mask::VerifySettings opts;
-    opts.plans = plans;
-    opts.validate = true;
-    const auto partial_v = mask::verify_masked_full(app.program, wrap, {}, opts);
+    fatomic::Config config;
+    config.mask(wrap);
+    const auto full_v = mask::verify_masked_full(app.program, config);
+    config.checkpoint_plans(plans).validate_checkpoints(true);
+    const auto partial_v = mask::verify_masked_full(app.program, config);
     const bool equivalent =
-        fatomic::report::classification_json(full_cls) ==
+        fatomic::report::classification_json(full_v.classification) ==
         fatomic::report::classification_json(partial_v.classification);
     const auto divergences = partial_v.campaign.stats.validator_divergences;
     const bool row_ok = equivalent &&

@@ -1,5 +1,5 @@
 // Parallel-campaign speedup: sequential vs N-thread wall time of the full
-// injection campaign over the collections subjects (CampaignSettings::jobs).
+// injection campaign over the collections subjects (Config::jobs).
 // Campaign runs at distinct thresholds are independent re-executions, so on
 // a machine with J hardware threads the campaign phase should approach a Jx
 // speedup; the Count-mode baseline run stays sequential.  The bench prints
@@ -25,10 +25,10 @@ namespace {
 
 double campaign_ms(const std::function<void()>& program, unsigned jobs,
                    detect::Campaign& out) {
-  detect::CampaignSettings opts;
-  opts.jobs = jobs;
+  fatomic::Config config;
+  config.jobs(jobs);
   const auto t0 = std::chrono::steady_clock::now();
-  out = detect::Experiment(program, opts).run();
+  out = detect::Experiment(program, config).run();
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }

@@ -88,7 +88,7 @@ void workload() {
 
 /// Fires an injected exception inside transfer() (at the audit between the
 /// two legs) and reports whether the ledger conserved money.
-void demonstrate(bool masked, fatomic::weave::Runtime::WrapPredicate wrap) {
+bool demonstrate(bool masked, fatomic::weave::Runtime::WrapPredicate wrap) {
   auto& rt = fatomic::weave::Runtime::instance();
   fatomic::weave::ScopedMode mode(masked ? fatomic::weave::Mode::InjectMask
                                          : fatomic::weave::Mode::Inject);
@@ -113,6 +113,7 @@ void demonstrate(bool masked, fatomic::weave::Runtime::WrapPredicate wrap) {
             << (after == before ? "  -- money conserved\n"
                                 : "  -- MONEY LOST\n");
   rt.set_wrap_predicate(nullptr);
+  return after == before;
 }
 
 }  // namespace
@@ -127,9 +128,10 @@ int main() {
     std::cout << "  pure failure non-atomic: " << name << '\n';
 
   std::cout << "\nbuggy program under an injected mid-transfer failure:\n";
-  demonstrate(false, nullptr);
+  const bool buggy_conserves = demonstrate(false, nullptr);
 
   std::cout << "\ncorrected program (atomicity wrapper around transfer):\n";
-  demonstrate(true, fatomic::mask::wrap_pure(cls));
-  return 0;
+  const bool corrected_conserves =
+      demonstrate(true, fatomic::mask::wrap_pure(cls));
+  return !buggy_conserves && corrected_conserves ? 0 : 1;
 }

@@ -40,16 +40,17 @@ int main() {
 
   std::cout << "\nstep 3: declare audit() exception-free (Section 4.3 "
                "policy) and re-classify without re-running\n";
-  detect::Policy policy;
-  policy.exception_free.insert("subjects::collections::LinkedListFixed::audit");
-  auto with_policy = detect::classify(after_campaign, policy);
+  fatomic::Config config;
+  config.exception_free("subjects::collections::LinkedListFixed::audit");
+  auto with_policy = detect::classify(after_campaign, config.policy());
   summarize("with exception-free policy", with_policy);
 
   std::cout << "\nstep 4: mask the remaining pure methods and verify\n";
-  auto verified = fatomic::mask::verify_masked(
-      subjects::apps::run_linked_list_fixed,
-      fatomic::mask::wrap_pure(with_policy, policy), policy);
-  std::cout << "  non-atomic methods after masking: "
-            << verified.nonatomic_names().size() << " (expect 0)\n";
-  return verified.nonatomic_names().empty() ? 0 : 1;
+  config.mask(fatomic::mask::wrap_pure(with_policy, config.policy()));
+  auto verified = fatomic::mask::verify_masked_full(
+      subjects::apps::run_linked_list_fixed, config);
+  const auto remaining = verified.classification.nonatomic_names();
+  std::cout << "  non-atomic methods after masking: " << remaining.size()
+            << " (expect 0)\n";
+  return remaining.empty() ? 0 : 1;
 }

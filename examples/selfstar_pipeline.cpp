@@ -64,9 +64,11 @@ int main() {
             << shares.pure << "% pure non-atomic (assembly-time only)\n\n";
 
   std::cout << "verifying the masked pipeline...\n";
-  auto verified = fatomic::mask::verify_masked(
-      pipeline_workload, fatomic::mask::wrap_pure(cls));
-  std::cout << "  non-atomic methods after masking: "
-            << verified.nonatomic_names().size() << " (expect 0)\n";
-  return verified.nonatomic_names().empty() ? 0 : 1;
+  fatomic::Config config;
+  config.mask(fatomic::mask::wrap_pure(cls));
+  auto verified = fatomic::mask::verify_masked_full(pipeline_workload, config);
+  const auto remaining = verified.classification.nonatomic_names();
+  std::cout << "  non-atomic methods after masking: " << remaining.size()
+            << " (expect 0)\n";
+  return remaining.empty() ? 0 : 1;
 }

@@ -72,17 +72,11 @@ CrossCheck cross_check(std::function<void()> program,
                        const std::set<std::string>& prune_atomic,
                        unsigned jobs) {
   CrossCheck out;
-  {
-    detect::CampaignSettings opts;
-    opts.jobs = jobs;
-    out.full = detect::Experiment(program, opts).run();
-  }
-  {
-    detect::CampaignSettings opts;
-    opts.jobs = jobs;
-    opts.prune_atomic = prune_atomic;
-    out.pruned = detect::Experiment(program, opts).run();
-  }
+  fatomic::Config config;
+  config.jobs(jobs);
+  out.full = detect::Experiment(program, config).run();
+  config.prune_atomic(prune_atomic);
+  out.pruned = detect::Experiment(program, config).run();
   out.runs_saved = out.pruned.pruned_runs;
 
   const auto full_sets = name_sets(detect::classify(out.full));

@@ -1,10 +1,11 @@
-// fatomic::Config — the unified public configuration surface.
+// fatomic::Config — the one configuration surface of the pipeline.
 //
-// Several subsystems accreted their own knob structs over time; Config
-// collapses them into one builder that covers the whole pipeline: campaign
-// shape (jobs, max_runs), masking (wrap predicate, partial checkpoint
-// plans, validation), recovery policies, static pruning, programmer policy
-// (exception-free / no-wrap declarations), diff recording and tracing.
+// One builder covers the whole pipeline: campaign shape (jobs, max_runs),
+// masking (wrap predicate, partial checkpoint plans, validation), recovery
+// policies, static pruning, programmer policy (exception-free / no-wrap
+// declarations), diff and footprint recording, tracing and provenance.
+// detect::Experiment and mask::verify_masked_full take it as their only
+// settings parameter.
 //
 //   fatomic::Config cfg;
 //   cfg.jobs(8).tracing(true).prune_atomic(report.prune_set());
@@ -14,10 +15,10 @@
 //      .checkpoint_plans(fatomic::mask::make_plans(report));
 //   auto verified = fatomic::mask::verify_masked_full(program, cfg);
 //
-// Every setter returns *this, so configurations chain; getters expose the
-// state the pipeline entry points consume.  (The historic detect::Options
-// and mask::MaskOptions adapters completed their deprecation cycle and are
-// gone — see DESIGN.md's migration table.)
+// Every setter returns *this, so configurations chain; each value has one
+// setter and one zero-argument getter.  No setter defaults its argument: on a
+// non-const Config a defaulted setter would out-compete the const getter, so
+// `cfg.tracing()` would silently mean "enable tracing".
 #pragma once
 
 #include <cstdint>
@@ -26,91 +27,121 @@
 #include <string>
 #include <utility>
 
-#include "fatomic/detect/options.hpp"
 #include "fatomic/detect/policy.hpp"
+#include "fatomic/weave/runtime.hpp"
 
 namespace fatomic {
 
 class Config {
  public:
   // --- campaign shape -----------------------------------------------------
-  /// Worker threads per campaign: 1 = sequential, 0 = hardware concurrency.
+  /// Worker threads running injector runs concurrently: 1 (the default)
+  /// keeps the sequential loop on the calling thread, 0 means one per
+  /// hardware thread.  Any value yields the sequential Campaign provided the
+  /// program is deterministic and shares no mutable state across
+  /// invocations (every subject workload constructs fresh objects per run).
   Config& jobs(unsigned n) {
-    settings_.jobs = n;
+    jobs_ = n;
     return *this;
   }
+  unsigned jobs() const { return jobs_; }
+
   /// Safety valve against runaway campaigns on non-terminating programs.
   Config& max_runs(std::uint64_t n) {
-    settings_.max_runs = n;
+    max_runs_ = n;
     return *this;
   }
-  /// Attach a one-line object-graph diff to every non-atomic mark.
-  Config& record_diffs(bool on = true) {
-    settings_.record_diffs = on;
+  std::uint64_t max_runs() const { return max_runs_; }
+
+  /// Attach a one-line object-graph diff to every non-atomic mark (what
+  /// state the failed method left behind).  Costs one diff per intercepted
+  /// exception.
+  Config& record_diffs(bool on) {
+    record_diffs_ = on;
     return *this;
   }
-  /// Attach the full graph-diff path list to every non-atomic mark (the
-  /// `--alias-check` mutation footprints).
-  Config& record_footprints(bool on = true) {
-    settings_.record_footprints = on;
+  bool record_diffs() const { return record_diffs_; }
+
+  /// Attach the full graph-diff path list to every non-atomic mark
+  /// (Mark::footprint), the mutation footprints `analyze::alias_check`
+  /// validates narrowed checkpoint plans against.
+  Config& record_footprints(bool on) {
+    record_footprints_ = on;
     return *this;
   }
+  bool record_footprints() const { return record_footprints_; }
 
   // --- masking ------------------------------------------------------------
-  /// Runs campaigns against the corrected program P_C: installs `wrap` as
-  /// the atomicity-wrapper predicate and flips campaigns to InjectMask.
+  /// Runs campaigns against the corrected program P_C: flips them to
+  /// InjectMask and installs `wrap` as the atomicity-wrapper predicate for
+  /// their duration.  A null `wrap` keeps the predicate the runtime holds.
   Config& mask(weave::Runtime::WrapPredicate wrap) {
-    settings_.masked = true;
-    settings_.wrap = std::move(wrap);
+    masked_ = true;
+    wrap_ = std::move(wrap);
     return *this;
   }
+  bool masked() const { return masked_; }
+  const weave::Runtime::WrapPredicate& wrap() const { return wrap_; }
+
   /// Field-granular checkpoint plans (mask::make_plans) the atomicity
-  /// wrappers consult; null means full deep checkpoints everywhere.
+  /// wrappers of a masked campaign consult; null keeps whatever plans the
+  /// runtime holds (none: full deep checkpoints everywhere).
   Config& checkpoint_plans(std::shared_ptr<const weave::PlanMap> plans) {
-    settings_.checkpoint_plans = std::move(plans);
+    checkpoint_plans_ = std::move(plans);
     return *this;
   }
+  const std::shared_ptr<const weave::PlanMap>& checkpoint_plans() const {
+    return checkpoint_plans_;
+  }
+
   /// Shadow every partial checkpoint with a full one and count rollback
   /// divergences (stats.validator_divergences): a partial rollback must
   /// leave the receiver equal to the shadow.
-  Config& validate_checkpoints(bool on = true) {
-    settings_.validate_checkpoints = on;
+  Config& validate_checkpoints(bool on) {
+    validate_checkpoints_ = on;
     return *this;
   }
+  bool validate_checkpoints() const { return validate_checkpoints_; }
 
   // --- recovery (DESIGN.md §14) -------------------------------------------
-  /// Installs a complete recovery policy table: masked methods with an
-  /// entry recover by their policy; the others, and every masked method
-  /// when the table is null (the default), roll back and rethrow.
+  /// Installs a complete recovery policy table for masked campaigns: masked
+  /// methods with an entry recover by their policy; the others roll back and
+  /// rethrow.  Null (the default) keeps the table the runtime holds.
   /// Typically fed from recovery::derive_policy_table or a `--policy-file`
   /// JSON document (recovery::load_policy_file).
   Config& recovery(std::shared_ptr<const recovery::PolicyTable> table) {
-    settings_.recovery_policies = std::move(table);
-    recovery_builder_.reset();
+    recovery_ = std::move(table);
     return *this;
   }
-  /// Builder form: accumulates per-method policies into a table owned by
-  /// this Config.  Chains with the other setters; later calls for the same
-  /// method overwrite.
+  /// Builder form: installs a copy of the current table (empty when none)
+  /// with `policy` set for `qualified_name`, so a table already handed out,
+  /// or shared with a copied Config, never changes.  Later calls for the
+  /// same method overwrite.
   Config& recovery_policy(const std::string& qualified_name,
                           recovery::RecoveryPolicy policy) {
-    if (recovery_builder_ == nullptr)
-      recovery_builder_ = std::make_shared<recovery::PolicyTable>();
-    recovery_builder_->set(qualified_name, std::move(policy));
-    settings_.recovery_policies = recovery_builder_;
+    auto table = recovery_ == nullptr
+                     ? std::make_shared<recovery::PolicyTable>()
+                     : std::make_shared<recovery::PolicyTable>(*recovery_);
+    table->set(qualified_name, std::move(policy));
+    recovery_ = std::move(table);
     return *this;
   }
   const std::shared_ptr<const recovery::PolicyTable>& recovery() const {
-    return settings_.recovery_policies;
+    return recovery_;
   }
 
   // --- static pruning -----------------------------------------------------
-  /// Qualified names statically proven failure atomic; thresholds whose
-  /// whole injection-time stack lies in this set skip their injector run.
+  /// Qualified names statically proven failure atomic
+  /// (analyze::StaticReport::prune_set).  A threshold whose whole
+  /// injection-time stack consists of these methods (or of calls without a
+  /// receiver) skips its injector run: it could only produce atomic marks
+  /// for methods already known atomic, so the classification is unchanged.
+  /// Empty = no pruning.  Soundness argument: DESIGN.md §7.
   Config& prune_atomic(std::set<std::string> names) {
-    settings_.prune_atomic = std::move(names);
+    prune_atomic_ = std::move(names);
     return *this;
   }
+  const std::set<std::string>& prune_atomic() const { return prune_atomic_; }
 
   // --- programmer policy (the paper's web-interface knobs) ---------------
   /// Declares a method exception-free: runs whose exception was injected
@@ -129,42 +160,44 @@ class Config {
     policy_ = std::move(p);
     return *this;
   }
+  const detect::Policy& policy() const { return policy_; }
 
   // --- observability ------------------------------------------------------
   /// Records the structured event trace for every campaign run; the merged
   /// stream comes back as Campaign::trace (exporters: trace/export.hpp).
-  /// No default argument — `tracing()` must keep resolving to the getter on
-  /// non-const configs.
+  /// Off by default: the disabled path costs one predicted branch per event
+  /// site.
   Config& tracing(bool on) {
-    settings_.trace = on;
+    tracing_ = on;
     return *this;
   }
+  bool tracing() const { return tracing_; }
+
   /// Captures throw-site backtraces for every campaign exception (the
   /// __cxa_throw interposer, unwind/provenance.hpp): marks and escape
   /// records carry interned stack ids and campaign JSON gains an
-  /// "exception_provenance" section.  No default argument for the same
-  /// getter-overload reason as tracing().
+  /// "exception_provenance" section.  A no-op on builds with the
+  /// FATOMIC_PROVENANCE kill switch off.
   Config& provenance(bool on) {
-    settings_.provenance = on;
+    provenance_ = on;
     return *this;
   }
-
-  // --- what the pipeline entry points consume -----------------------------
-  const detect::CampaignSettings& campaign_settings() const {
-    return settings_;
-  }
-  const detect::Policy& policy() const { return policy_; }
-  bool masked() const { return settings_.masked; }
-  unsigned jobs() const { return settings_.jobs; }
-  bool tracing() const { return settings_.trace; }
-  bool provenance() const { return settings_.provenance; }
+  bool provenance() const { return provenance_; }
 
  private:
-  detect::CampaignSettings settings_;
+  unsigned jobs_ = 1;
+  std::uint64_t max_runs_ = 10'000'000;
+  bool record_diffs_ = false;
+  bool record_footprints_ = false;
+  bool masked_ = false;
+  weave::Runtime::WrapPredicate wrap_;
+  std::shared_ptr<const weave::PlanMap> checkpoint_plans_;
+  bool validate_checkpoints_ = false;
+  std::shared_ptr<const recovery::PolicyTable> recovery_;
+  std::set<std::string> prune_atomic_;
   detect::Policy policy_;
-  /// Mutable table the recovery_policy() builder accumulates into; aliased
-  /// by settings_.recovery_policies while building.
-  std::shared_ptr<recovery::PolicyTable> recovery_builder_;
+  bool tracing_ = false;
+  bool provenance_ = false;
 };
 
 }  // namespace fatomic

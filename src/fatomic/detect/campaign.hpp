@@ -54,7 +54,7 @@ struct Campaign {
       call_edges;
   /// Snapshot/comparison/rollback/wrapped-call counters accumulated over the
   /// campaign's injector runs — aggregated across workers when the campaign
-  /// ran with CampaignSettings::jobs > 1, and restricted to the runs the campaign
+  /// ran with Config::jobs > 1, and restricted to the runs the campaign
   /// keeps, so parallel and sequential campaigns report identical totals.
   weave::RuntimeStats stats;
   /// Injector runs skipped by static pruning (prune_atomic): the thresholds
@@ -66,8 +66,7 @@ struct Campaign {
   /// entries sum to `stats` exactly.  Sorted by worker ordinal.
   std::vector<WorkerStats> worker_stats;
   /// Deterministically merged structured event stream (empty unless the
-  /// campaign ran with tracing enabled — CampaignSettings::trace or
-  /// fatomic::Config::tracing).
+  /// campaign ran with fatomic::Config::tracing).
   trace::Trace trace;
   /// Whether this campaign ran with throw-site provenance armed — gates the
   /// "exception_provenance" report section so non-provenance campaign JSON

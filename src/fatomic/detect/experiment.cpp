@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "fatomic/config.hpp"
 #include "fatomic/unwind/provenance.hpp"
 
 namespace fatomic::detect {
@@ -22,12 +21,8 @@ std::size_t Campaign::distinct_classes() const {
   return classes.size();
 }
 
-Experiment::Experiment(std::function<void()> program, CampaignSettings opts)
-    : program_(std::move(program)), opts_(std::move(opts)) {}
-
-Experiment::Experiment(std::function<void()> program,
-                       const fatomic::Config& config)
-    : Experiment(std::move(program), config.campaign_settings()) {}
+Experiment::Experiment(std::function<void()> program, fatomic::Config config)
+    : program_(std::move(program)), config_(std::move(config)) {}
 
 namespace {
 
@@ -150,7 +145,7 @@ Campaign Experiment::run() {
   // A traced campaign arms the driving buffer with a fresh epoch; an
   // untraced one disables it, so an untraced inner campaign stays invisible
   // to an outer traced one.
-  if (opts_.trace) {
+  if (config_.tracing()) {
     const auto now = std::chrono::steady_clock::now().time_since_epoch();
     rt.trace.enable(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(now).count()));
@@ -167,7 +162,7 @@ Campaign Experiment::run() {
   // campaign (process-wide, so parallel workers are covered) and tell the
   // wrappers to attribute captures.  Degrades to off when the interposer is
   // compiled out (FATOMIC_PROVENANCE=OFF) or unavailable on this platform.
-  const bool provenance = opts_.provenance && unwind::available();
+  const bool provenance = config_.provenance() && unwind::available();
   campaign.provenance = provenance;
   unwind::ScopedArm arm(provenance);
   rt.provenance = provenance;
@@ -201,7 +196,8 @@ Campaign Experiment::run() {
   // classification sets unchanged.  A call is skippable when its own method
   // qualifies and its parent is skippable.  DESIGN.md §7.
   std::vector<bool> prunable;
-  if (!opts_.prune_atomic.empty()) {
+  const std::set<std::string>& prune_atomic = config_.prune_atomic();
+  if (!prune_atomic.empty()) {
     prunable.assign(1, false);  // thresholds are 1-based
     const std::size_t runtime_specs = rt.runtime_exceptions().size();
     std::vector<bool> skippable(baseline.size());
@@ -209,7 +205,7 @@ Campaign Experiment::run() {
       const weave::BaselineCall& call = baseline[k];
       skippable[k] =
           (!call.method->has_receiver() ||
-           opts_.prune_atomic.count(call.method->qualified_name()) != 0) &&
+           prune_atomic.count(call.method->qualified_name()) != 0) &&
           (call.parent == weave::BaselineCall::kTopLevel ||
            skippable[call.parent]);
       prunable.insert(prunable.end(),
@@ -224,24 +220,25 @@ Campaign Experiment::run() {
   if (campaign.trace.enabled) campaign.trace.events = rt.trace.take(0);
 
   // The injector runs' configuration.  A masked campaign's predicate, plans
-  // and policies replace the runtime's only where the settings give them.
-  if (opts_.masked) {
+  // and policies replace the runtime's only where the config gives them.
+  if (config_.masked()) {
     rt.set_mode(weave::Mode::InjectMask);
-    if (opts_.wrap) rt.set_wrap_predicate(opts_.wrap);
-    if (opts_.checkpoint_plans) rt.set_checkpoint_plans(opts_.checkpoint_plans);
-    if (opts_.recovery_policies)
-      rt.set_recovery_policies(opts_.recovery_policies);
+    if (config_.wrap()) rt.set_wrap_predicate(config_.wrap());
+    if (config_.checkpoint_plans())
+      rt.set_checkpoint_plans(config_.checkpoint_plans());
+    if (config_.recovery()) rt.set_recovery_policies(config_.recovery());
   } else {
     rt.set_mode(weave::Mode::Inject);
   }
-  if (opts_.validate_checkpoints) rt.validate_checkpoints = true;
-  rt.record_diffs = opts_.record_diffs;
-  rt.record_footprints = opts_.record_footprints;
+  if (config_.validate_checkpoints()) rt.validate_checkpoints = true;
+  rt.record_diffs = config_.record_diffs();
+  rt.record_footprints = config_.record_footprints();
 
-  unsigned jobs = opts_.jobs != 0 ? opts_.jobs
-                                  : std::max(1u, std::thread::hardware_concurrency());
-  if (static_cast<std::uint64_t>(jobs) > opts_.max_runs)
-    jobs = static_cast<unsigned>(opts_.max_runs);
+  unsigned jobs = config_.jobs() != 0
+                      ? config_.jobs()
+                      : std::max(1u, std::thread::hardware_concurrency());
+  if (static_cast<std::uint64_t>(jobs) > config_.max_runs())
+    jobs = static_cast<unsigned>(config_.max_runs());
 
   if (jobs > 1)
     run_parallel(campaign, jobs, baseline, prunable);
@@ -291,8 +288,9 @@ void Experiment::run_sequential(Campaign& campaign,
                                 const std::vector<bool>& prunable) {
   auto& rt = weave::Runtime::instance();
   std::map<unsigned, WorkerStats> workers;
-  std::uint64_t cutoff = opts_.max_runs + 1;
-  for (std::uint64_t threshold = 1; threshold <= opts_.max_runs; ++threshold) {
+  std::uint64_t cutoff = config_.max_runs() + 1;
+  for (std::uint64_t threshold = 1; threshold <= config_.max_runs();
+       ++threshold) {
     if (is_prunable(prunable, threshold)) continue;
     if (absorb(campaign, workers,
                run_once(program_, rt, threshold, baseline))) {
@@ -313,7 +311,7 @@ void Experiment::run_parallel(Campaign& campaign, unsigned jobs,
   // lowest terminal threshold discovered so far, cancelling runs past it
   // (the sequential loop would never have executed them).
   std::atomic<std::uint64_t> next{1};
-  std::atomic<std::uint64_t> stop{opts_.max_runs + 1};
+  std::atomic<std::uint64_t> stop{config_.max_runs() + 1};
 
   std::mutex mu;
   std::vector<std::pair<std::uint64_t, RunOutcome>> collected;
@@ -330,7 +328,8 @@ void Experiment::run_parallel(Campaign& campaign, unsigned jobs,
     try {
       for (;;) {
         const std::uint64_t threshold = next.fetch_add(1);
-        if (threshold > opts_.max_runs || threshold > stop.load()) break;
+        if (threshold > config_.max_runs() || threshold > stop.load())
+          break;
         if (is_prunable(prunable, threshold)) continue;
         RunOutcome out = run_once(program_, rt, threshold, baseline);
         if (out.terminal) {

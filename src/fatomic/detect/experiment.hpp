@@ -5,7 +5,7 @@
 // all injection points of the (deterministic) program are then exhausted.
 //
 // Runs at distinct thresholds are independent re-executions of the same
-// deterministic program, so with CampaignSettings::jobs > 1 the driver
+// deterministic program, so with Config::jobs > 1 the driver
 // shards them across a worker pool of isolated thread-local runtimes and
 // merges the records back in threshold order — producing exactly the
 // Campaign the sequential loop would, including the
@@ -18,29 +18,21 @@
 #include <functional>
 #include <vector>
 
+#include "fatomic/config.hpp"
 #include "fatomic/detect/campaign.hpp"
-#include "fatomic/detect/options.hpp"
-
-namespace fatomic {
-class Config;
-}
 
 namespace fatomic::detect {
 
 class Experiment {
  public:
-  /// Preferred entry point: all knobs come from the unified builder
-  /// (fatomic/config.hpp).
-  Experiment(std::function<void()> program, const fatomic::Config& config);
-
-  /// Low-level entry point consuming the internal settings carrier
-  /// directly.
+  /// Every knob comes from the one builder (fatomic/config.hpp); the
+  /// campaign runs on its own copy.
   explicit Experiment(std::function<void()> program,
-                      CampaignSettings opts = {});
+                      fatomic::Config config = {});
 
   /// Runs the full campaign: one Count-mode baseline run for call counts,
   /// then one injector run per injection point (parallelised over
-  /// CampaignSettings::jobs workers when jobs != 1).  With prune_atomic,
+  /// Config::jobs workers when jobs != 1).  With prune_atomic,
   /// thresholds whose injection-time call stack is entirely proven atomic
   /// are skipped and counted in Campaign::pruned_runs instead.
   Campaign run();
@@ -59,7 +51,7 @@ class Experiment {
                     const std::vector<bool>& prunable);
 
   std::function<void()> program_;
-  CampaignSettings opts_;
+  fatomic::Config config_;
 };
 
 }  // namespace fatomic::detect

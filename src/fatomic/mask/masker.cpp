@@ -1,8 +1,6 @@
 #include "fatomic/mask/masker.hpp"
 
 #include <iostream>
-
-#include "fatomic/config.hpp"
 #include <memory>
 #include <set>
 #include <string>
@@ -81,46 +79,15 @@ MaskedScope::~MaskedScope() {
 }
 
 MaskVerification verify_masked_full(std::function<void()> program,
-                                    weave::Runtime::WrapPredicate wrap,
-                                    const detect::Policy& policy,
-                                    const VerifySettings& options) {
-  detect::CampaignSettings opts;
-  opts.masked = true;
-  opts.wrap = std::move(wrap);
-  opts.jobs = options.jobs;
-  opts.checkpoint_plans = options.plans;
-  opts.validate_checkpoints = options.validate;
-  opts.trace = options.trace;
-  opts.recovery_policies = options.policies;
-  detect::Experiment exp(std::move(program), std::move(opts));
-  MaskVerification out;
-  out.campaign = exp.run();
-  out.classification = detect::classify(out.campaign, policy);
-  return out;
-}
-
-MaskVerification verify_masked_full(std::function<void()> program,
                                     const fatomic::Config& config) {
-  const detect::CampaignSettings& s = config.campaign_settings();
-  VerifySettings options;
-  options.plans = s.checkpoint_plans;
-  options.validate = s.validate_checkpoints;
-  options.jobs = s.jobs;
-  options.trace = s.trace;
-  options.policies = s.recovery_policies;
-  return verify_masked_full(std::move(program), s.wrap, config.policy(),
-                            options);
-}
-
-detect::Classification verify_masked(std::function<void()> program,
-                                     weave::Runtime::WrapPredicate wrap,
-                                     const detect::Policy& policy,
-                                     unsigned jobs) {
-  VerifySettings options;
-  options.jobs = jobs;
-  return verify_masked_full(std::move(program), std::move(wrap), policy,
-                            options)
-      .classification;
+  fatomic::Config corrected = config;
+  // A null predicate keeps the one the runtime holds.
+  if (!corrected.masked()) corrected.mask(nullptr);
+  MaskVerification out;
+  out.campaign =
+      detect::Experiment(std::move(program), std::move(corrected)).run();
+  out.classification = detect::classify(out.campaign, config.policy());
+  return out;
 }
 
 }  // namespace fatomic::mask

@@ -12,10 +12,6 @@
 #include "fatomic/detect/experiment.hpp"
 #include "fatomic/weave/runtime.hpp"
 
-namespace fatomic {
-class Config;
-}
-
 namespace fatomic::mask {
 
 /// Wrap only the pure failure non-atomic methods (minus policy.no_wrap).
@@ -59,53 +55,21 @@ class MaskedScope {
   weave::ScopedConfig config_;
 };
 
-/// Checkpointing configuration for a mask-verify campaign.  Like
-/// detect::CampaignSettings this is the internal carrier — the supported
-/// entry point is fatomic::Config plus the Config overload of
-/// verify_masked_full below.
-struct VerifySettings {
-  /// Field-granular checkpoint plans (mask::make_plans); null = full
-  /// checkpoints everywhere.
-  std::shared_ptr<const weave::PlanMap> plans;
-  /// Shadow-validate every partial checkpoint; divergences show up in
-  /// campaign.stats.validator_divergences.
-  bool validate = false;
-  /// Worker threads for the verification campaign.
-  unsigned jobs = 1;
-  /// Record the structured event trace of the verification campaign
-  /// (Campaign::trace).
-  bool trace = false;
-  /// Recovery policy table installed for the verification campaign
-  /// (DESIGN.md §14).  Null keeps the runtime's table; a wrapped method
-  /// with no entry rolls back and rethrows (recovery::kRollbackPolicy).
-  std::shared_ptr<const recovery::PolicyTable> policies;
-};
-
-/// verify_masked plus the raw campaign — callers that need the checkpoint
-/// counters (partial/fallback/validator stats) read them off the campaign.
+/// The corrected program's campaign and its classification; callers that
+/// need the checkpoint counters (partial/fallback/validator stats) read them
+/// off the campaign.
 struct MaskVerification {
   detect::Classification classification;
   detect::Campaign campaign;
 };
 
-MaskVerification verify_masked_full(std::function<void()> program,
-                                    weave::Runtime::WrapPredicate wrap,
-                                    const detect::Policy& policy = {},
-                                    const VerifySettings& options = {});
-
-/// Config-driven verification: the wrap predicate, checkpoint plans, policy,
-/// jobs, validator and tracing flags all come from the unified builder.
-/// Requires a predicate installed via Config::mask().
+/// Re-runs the full injection campaign against the masked program —
+/// detect::Experiment(program, config) run masked, classified under
+/// config.policy() — and honours every other Config value as a detection
+/// campaign does.  The wrap predicate comes from Config::mask(); without it
+/// the runtime's current predicate applies.  An effective mask yields zero
+/// non-atomic methods.
 MaskVerification verify_masked_full(std::function<void()> program,
                                     const fatomic::Config& config);
-
-/// Re-runs the full injection campaign against the masked program and
-/// returns its classification; an effective mask yields zero non-atomic
-/// methods.  `jobs` shards the verification campaign across worker threads
-/// (CampaignSettings::jobs).
-detect::Classification verify_masked(std::function<void()> program,
-                                     weave::Runtime::WrapPredicate wrap,
-                                     const detect::Policy& policy = {},
-                                     unsigned jobs = 1);
 
 }  // namespace fatomic::mask

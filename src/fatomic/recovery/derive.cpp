@@ -1,11 +1,22 @@
 #include "fatomic/recovery/derive.hpp"
 
+#include <cstdint>
 #include <set>
 #include <utility>
 
 namespace fatomic::recovery {
 
 namespace {
+
+/// Retry attempts granted to methods whose evidence admits retry.
+constexpr unsigned kRetryBudget = 2;
+/// Backoff base for derived retry policies (microseconds; 0 = immediate).
+constexpr unsigned kBackoffUs = 0;
+/// Observations of an exception type required before its histogram may
+/// weight an override — a single sighting is not a pattern.
+constexpr std::uint64_t kMinObservations = 2;
+/// Diagnostic boundary-type name stamped into rethrow_as transformations.
+constexpr const char* kRethrowType = "ServiceError";
 
 /// Per-(method, exception-type) tally off the campaign's marks: how often
 /// the type was observed passing through the method's wrapper, whether the
@@ -36,8 +47,7 @@ std::map<std::string, std::map<std::string, TypeTally>> tally_marks(
 }  // namespace
 
 DerivedPolicies derive_policy_table(const analyze::StaticReport& report,
-                                    const detect::Campaign* evidence,
-                                    const DeriveOptions& opts) {
+                                    const detect::Campaign* evidence) {
   DerivedPolicies out;
   auto table = std::make_shared<PolicyTable>();
   const std::set<std::string> proven = report.prune_set();
@@ -52,16 +62,16 @@ DerivedPolicies derive_policy_table(const analyze::StaticReport& report,
       // Statically proven failure atomic: a failed attempt cannot have
       // mutated the receiver, so re-execution needs no checkpoint.
       pol.action = Action::Retry;
-      pol.retry_budget = opts.retry_budget;
-      pol.backoff_us = opts.backoff_us;
+      pol.retry_budget = kRetryBudget;
+      pol.backoff_us = kBackoffUs;
       pol.rollback_before_retry = false;
       out.evidence[name] = "proven-atomic (prune set)";
     } else if (w.plan.partial) {
       // Verified partial plan: the bounded write set makes the plan-scoped
       // restore re-establish the entry state before every attempt.
       pol.action = Action::Retry;
-      pol.retry_budget = opts.retry_budget;
-      pol.backoff_us = opts.backoff_us;
+      pol.retry_budget = kRetryBudget;
+      pol.backoff_us = kBackoffUs;
       pol.rollback_before_retry = true;
       out.evidence[name] =
           "partial plan (" + std::to_string(w.plan.capture.size()) +
@@ -79,7 +89,7 @@ DerivedPolicies derive_policy_table(const analyze::StaticReport& report,
       auto it = tallies.find(name);
       if (it != tallies.end()) {
         for (const auto& [type, t] : it->second) {
-          if (t.count < opts.min_observations) continue;
+          if (t.count < kMinObservations) continue;
           if (t.atomic == t.count) {
             // Every observation of this type left the state intact; degrade
             // past it (the wrapper still compares per instance and refuses
@@ -89,7 +99,7 @@ DerivedPolicies derive_policy_table(const analyze::StaticReport& report,
             // Never handled anywhere in the program: transform into the
             // stable boundary type.
             pol.exception_overrides[type] = Action::RethrowAs;
-            if (pol.rethrow_type.empty()) pol.rethrow_type = opts.rethrow_type;
+            if (pol.rethrow_type.empty()) pol.rethrow_type = kRethrowType;
           }
         }
       }

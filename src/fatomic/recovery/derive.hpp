@@ -43,18 +43,6 @@
 
 namespace fatomic::recovery {
 
-struct DeriveOptions {
-  /// Retry attempts granted to methods whose evidence admits retry.
-  unsigned retry_budget = 2;
-  /// Backoff base for derived retry policies (microseconds; 0 = immediate).
-  unsigned backoff_us = 0;
-  /// Observations of an exception type required before its histogram may
-  /// weight an override — a single sighting is not a pattern.
-  std::uint64_t min_observations = 2;
-  /// Diagnostic boundary-type name stamped into rethrow_as transformations.
-  std::string rethrow_type = "ServiceError";
-};
-
 struct DerivedPolicies {
   std::shared_ptr<const PolicyTable> table;
   /// Why each method got its policy ("proven-atomic (prune set)",
@@ -66,7 +54,6 @@ struct DerivedPolicies {
 /// campaign's dynamic observations (`evidence` may be null: static-only
 /// derivation assigns base actions but no per-exception-type overrides).
 DerivedPolicies derive_policy_table(const analyze::StaticReport& report,
-                                    const detect::Campaign* evidence,
-                                    const DeriveOptions& opts = {});
+                                    const detect::Campaign* evidence);
 
 }  // namespace fatomic::recovery

@@ -101,13 +101,7 @@ struct RecoveryPolicy {
     return it == exception_overrides.end() ? action : it->second;
   }
 
-  bool operator==(const RecoveryPolicy& o) const {
-    return action == o.action && rethrow_type == o.rethrow_type &&
-           retry_budget == o.retry_budget && backoff_us == o.backoff_us &&
-           rollback_before_retry == o.rollback_before_retry &&
-           exception_overrides == o.exception_overrides;
-  }
-  bool operator!=(const RecoveryPolicy& o) const { return !(*this == o); }
+  bool operator==(const RecoveryPolicy&) const = default;
 };
 
 /// The paper's atomicity wrapper as a policy: roll back and rethrow.  Every
@@ -134,9 +128,7 @@ class PolicyTable {
   std::size_t size() const { return policies_.size(); }
   bool empty() const { return policies_.empty(); }
 
-  bool operator==(const PolicyTable& o) const {
-    return policies_ == o.policies_;
-  }
+  bool operator==(const PolicyTable&) const = default;
 
  private:
   std::map<std::string, RecoveryPolicy> policies_;

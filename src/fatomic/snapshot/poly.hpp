@@ -27,7 +27,6 @@ struct PolyOps {
   NodeId (*encode)(const void* base_ptr, ArenaEncoder& e);
   void* (*create)();  // new Derived, returned as Base*
   void (*restore)(void* base_ptr, Restorer& r, NodeId object_node);
-  void (*destroy)(void* base_ptr);
 };
 
 class PolyRegistry {

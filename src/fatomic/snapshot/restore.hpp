@@ -440,9 +440,6 @@ struct PolyOpsFor {
     Base* base = static_cast<Base*>(bp);
     r.restore_object(*static_cast<Derived*>(base), id);
   }
-  static void destroy_fn(void* bp) {
-    delete static_cast<Derived*>(static_cast<Base*>(bp));
-  }
 };
 
 }  // namespace detail
@@ -459,7 +456,6 @@ int register_poly() {
       &detail::PolyOpsFor<Base, Derived>::encode_fn,
       &detail::PolyOpsFor<Base, Derived>::create_fn,
       &detail::PolyOpsFor<Base, Derived>::restore_fn,
-      &detail::PolyOpsFor<Base, Derived>::destroy_fn,
   };
   PolyRegistry::instance().add(typeid(Base), typeid(Derived), &ops);
   return 0;

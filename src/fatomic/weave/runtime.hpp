@@ -12,7 +12,7 @@
 // (ScopedRuntime).  A runtime itself is single-threaded — the paper's system
 // "does not explicitly deal with concurrent accesses in multi-threaded
 // programs" (Section 4.4) — but isolated runtimes let independent injection
-// runs execute on separate threads (CampaignSettings::jobs).
+// runs execute on separate threads (Config::jobs).
 #pragma once
 
 #include <cstddef>

@@ -176,10 +176,9 @@ TEST_F(AnalyzeCrossCheck, Net) { expect_identical(run_net); }
 
 TEST_F(AnalyzeCrossCheck, PrunedParallelMatchesPrunedSequential) {
   auto run = [&](unsigned jobs) {
-    detect::CampaignSettings opts;
-    opts.jobs = jobs;
-    opts.prune_atomic = static_report().prune_set();
-    return detect::Experiment(subjects::apps::run_linked_list_fixed, opts)
+    fatomic::Config cfg;
+    cfg.jobs(jobs).prune_atomic(static_report().prune_set());
+    return detect::Experiment(subjects::apps::run_linked_list_fixed, cfg)
         .run();
   };
   const detect::Campaign seq = run(1);

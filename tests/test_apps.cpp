@@ -143,9 +143,11 @@ TEST_F(AppsTest, MaskingRepairsTheJavaApps) {
     detect::Experiment exp(subjects::apps::app(name).program);
     auto cls = detect::classify(exp.run());
     ASSERT_FALSE(cls.nonatomic_names().empty()) << name;
-    auto verified = mask::verify_masked(subjects::apps::app(name).program,
-                                        mask::wrap_pure(cls));
-    EXPECT_TRUE(verified.nonatomic_names().empty())
+    fatomic::Config cfg;
+    cfg.mask(mask::wrap_pure(cls));
+    auto verified =
+        mask::verify_masked_full(subjects::apps::app(name).program, cfg);
+    EXPECT_TRUE(verified.classification.nonatomic_names().empty())
         << name << ": masking all pure methods must repair the program";
   }
 }

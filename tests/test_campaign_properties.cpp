@@ -120,11 +120,13 @@ TEST_P(CampaignProperty, CallGraphCoversAllCalledMethods) {
 TEST_P(CampaignProperty, MaskingPureMethodsRepairsEveryApp) {
   // The paper's end-to-end claim, checked on all 16 applications.
   auto cls = detect::classify(campaign(GetParam()));
-  auto verified = fatomic::mask::verify_masked(
-      subjects::apps::app(GetParam()).program, fatomic::mask::wrap_pure(cls));
-  EXPECT_TRUE(verified.nonatomic_names().empty())
+  fatomic::Config cfg;
+  cfg.mask(fatomic::mask::wrap_pure(cls));
+  auto verified = fatomic::mask::verify_masked_full(
+      subjects::apps::app(GetParam()).program, cfg);
+  EXPECT_TRUE(verified.classification.nonatomic_names().empty())
       << GetParam() << ": " << ::testing::PrintToString(
-             verified.nonatomic_names());
+             verified.classification.nonatomic_names());
 }
 
 TEST_P(CampaignProperty, SuggestedPoliciesNeverIncreaseNonAtomicity) {

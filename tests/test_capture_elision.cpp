@@ -170,9 +170,9 @@ class MarkStreamWitness : public ::testing::TestWithParam<std::string> {
     const std::string expected = mark_stream::golden(GetParam());
     ASSERT_FALSE(expected.empty())
         << "missing " << mark_stream::golden_path(GetParam());
-    detect::CampaignSettings opts;
-    opts.jobs = jobs;
-    const detect::Campaign campaign = detect::Experiment(program(), opts).run();
+    fatomic::Config cfg;
+    cfg.jobs(jobs);
+    const detect::Campaign campaign = detect::Experiment(program(), cfg).run();
     EXPECT_EQ(mark_stream::render(campaign), expected);
     EXPECT_EQ(campaign.stats.capture_reruns, 0u);
     // Only calls an exception can reach capture: every compare had its
@@ -187,12 +187,13 @@ class MarkStreamWitness : public ::testing::TestWithParam<std::string> {
             std::string(FATOMIC_SOURCE_DIR) + "/subjects"));
     const detect::Classification cls =
         detect::classify(detect::Experiment(program()).run());
-    mask::VerifySettings settings;
-    settings.plans = plans;
-    settings.validate = true;
-    settings.jobs = jobs;
+    fatomic::Config cfg;
+    cfg.mask(mask::wrap_pure(cls))
+        .checkpoint_plans(plans)
+        .validate_checkpoints(true)
+        .jobs(jobs);
     const mask::MaskVerification verified =
-        mask::verify_masked_full(program(), mask::wrap_pure(cls), {}, settings);
+        mask::verify_masked_full(program(), cfg);
     const detect::Campaign& campaign = verified.campaign;
     const std::string line = mark_stream::mask_verify_line(GetParam(), campaign);
     const std::string expected = mark_stream::golden_mask_verify(GetParam());
@@ -331,13 +332,12 @@ TEST_F(CaptureElision, StrayCallThatThrowsReRunsTheThreshold) {
 // rollback takes the run off the baseline, so settle captures although its
 // baseline bound (4) lies below the bonus thresholds.
 TEST_F(CaptureElision, MaskedRollbackLeavesTheBaselineWithoutReruns) {
-  detect::CampaignSettings opts;
-  opts.masked = true;
-  opts.wrap = [](const weave::MethodInfo& mi) {
+  fatomic::Config cfg;
+  cfg.mask([](const weave::MethodInfo& mi) {
     return mi.method_name() == "deposit";
-  };
+  });
   const detect::Campaign campaign =
-      detect::Experiment(ledger_program, opts).run();
+      detect::Experiment(ledger_program, cfg).run();
   EXPECT_EQ(campaign.stats.capture_reruns, 0u);
   EXPECT_EQ(campaign.stats.rollbacks, 4u)
       << "the organic Overdraft at thresholds 4-6 and the terminal probe";

@@ -1,7 +1,6 @@
-// fatomic::Config — the unified builder must reproduce the internal knob
-// structs (CampaignSettings / VerifySettings) exactly.  The deprecated
-// detect::Options and mask::MaskOptions adapters completed their one-release
-// migration cycle and are gone (DESIGN.md migration table).
+// fatomic::Config — the one configuration surface: every setter chains and
+// shows through its getter, the policy flows into classification, and a
+// masked config drives the verification campaign.
 #include "fatomic/config.hpp"
 
 #include <gtest/gtest.h>
@@ -13,11 +12,9 @@
 #include "fatomic/detect/classify.hpp"
 #include "fatomic/detect/experiment.hpp"
 #include "fatomic/mask/masker.hpp"
-#include "fatomic/report/json.hpp"
 #include "testing/synthetic.hpp"
 
 namespace detect = fatomic::detect;
-namespace report = fatomic::report;
 namespace weave = fatomic::weave;
 
 namespace {
@@ -39,20 +36,22 @@ TEST_F(ConfigTest, BuilderSettersChainAndGettersReflect) {
   cfg.jobs(8)
       .max_runs(42)
       .record_diffs(true)
+      .record_footprints(true)
       .validate_checkpoints(true)
       .prune_atomic({"A::f"})
       .exception_free("A::g")
       .no_wrap("A::h")
-      .tracing(true);
+      .tracing(true)
+      .provenance(true);
   EXPECT_EQ(cfg.jobs(), 8u);
   EXPECT_TRUE(cfg.tracing());
   EXPECT_FALSE(cfg.masked());
-  const detect::CampaignSettings& s = cfg.campaign_settings();
-  EXPECT_EQ(s.max_runs, 42u);
-  EXPECT_TRUE(s.record_diffs);
-  EXPECT_TRUE(s.validate_checkpoints);
-  EXPECT_EQ(s.prune_atomic, (std::set<std::string>{"A::f"}));
-  EXPECT_TRUE(s.trace);
+  EXPECT_EQ(cfg.max_runs(), 42u);
+  EXPECT_TRUE(cfg.record_diffs());
+  EXPECT_TRUE(cfg.record_footprints());
+  EXPECT_TRUE(cfg.validate_checkpoints());
+  EXPECT_TRUE(cfg.provenance());
+  EXPECT_EQ(cfg.prune_atomic(), (std::set<std::string>{"A::f"}));
   EXPECT_EQ(cfg.policy().exception_free.count("A::g"), 1u);
   EXPECT_EQ(cfg.policy().no_wrap.count("A::h"), 1u);
 }
@@ -61,23 +60,7 @@ TEST_F(ConfigTest, MaskInstallsPredicateAndFlipsMasked) {
   fatomic::Config cfg;
   cfg.mask([](const weave::MethodInfo&) { return true; });
   EXPECT_TRUE(cfg.masked());
-  EXPECT_TRUE(cfg.campaign_settings().masked);
-  ASSERT_TRUE(static_cast<bool>(cfg.campaign_settings().wrap));
-}
-
-TEST_F(ConfigTest, ConfigCampaignMatchesSettingsCampaign) {
-  fatomic::Config cfg;
-  cfg.jobs(2);
-  detect::Campaign via_config =
-      detect::Experiment(synthetic::workload, cfg).run();
-
-  detect::CampaignSettings settings;
-  settings.jobs = 2;
-  detect::Campaign via_settings =
-      detect::Experiment(synthetic::workload, settings).run();
-
-  EXPECT_EQ(report::campaign_json(via_config),
-            report::campaign_json(via_settings));
+  ASSERT_TRUE(static_cast<bool>(cfg.wrap()));
 }
 
 TEST_F(ConfigTest, PolicyFlowsIntoClassification) {
@@ -99,20 +82,6 @@ TEST_F(ConfigTest, ConfigDrivenMaskVerification) {
   EXPECT_TRUE(verified.classification.nonatomic_names().empty());
 }
 
-TEST_F(ConfigTest, ConfigMaskVerificationMatchesLegacyPath) {
-  auto cls = detect::classify(detect::Experiment(synthetic::workload).run());
-  auto wrap = fatomic::mask::wrap_pure(cls);
-
-  fatomic::Config cfg;
-  cfg.mask(wrap);
-  const auto via_config =
-      fatomic::mask::verify_masked_full(synthetic::workload, cfg);
-  const auto via_legacy =
-      fatomic::mask::verify_masked_full(synthetic::workload, wrap);
-  EXPECT_EQ(report::campaign_json(via_config.campaign),
-            report::campaign_json(via_legacy.campaign));
-}
-
 TEST_F(ConfigTest, RecoveryBuilderAccumulatesPolicies) {
   namespace recovery = fatomic::recovery;
   fatomic::Config cfg;
@@ -127,10 +96,31 @@ TEST_F(ConfigTest, RecoveryBuilderAccumulatesPolicies) {
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->action, recovery::Action::Retry);
   EXPECT_EQ(found->retry_budget, 3u);
-  EXPECT_EQ(cfg.campaign_settings().recovery_policies, cfg.recovery());
 
-  // Replacing the whole table drops the builder's accumulation.
+  // Replacing the whole table drops the builder's accumulation; the builder
+  // then extends a copy of the installed table.
   auto table = std::make_shared<recovery::PolicyTable>();
   cfg.recovery(table);
   EXPECT_EQ(cfg.recovery(), table);
+  cfg.recovery_policy("A::h", recovery::RecoveryPolicy{});
+  EXPECT_TRUE(table->empty());
+  EXPECT_EQ(cfg.recovery()->size(), 1u);
+}
+
+TEST_F(ConfigTest, CopiedConfigKeepsItsOwnRecoveryTable) {
+  namespace recovery = fatomic::recovery;
+  fatomic::Config a;
+  a.recovery_policy("A::f", recovery::RecoveryPolicy{});
+  const auto handed_out = a.recovery();
+
+  fatomic::Config b = a;
+  b.recovery_policy("A::g", recovery::RecoveryPolicy{});
+  EXPECT_EQ(b.recovery()->size(), 2u);
+  EXPECT_EQ(a.recovery()->size(), 1u) << "the original must not see A::g";
+  EXPECT_EQ(a.recovery()->find("A::g"), nullptr);
+
+  a.recovery_policy("A::h", recovery::RecoveryPolicy{});
+  EXPECT_EQ(handed_out->size(), 1u)
+      << "a table already handed out must not change";
+  EXPECT_EQ(a.recovery()->size(), 2u);
 }

@@ -105,9 +105,9 @@ TEST(Diff, CyclicGraphsTerminate) {
 }
 
 TEST(Diff, RecordedInCampaignMarks) {
-  fatomic::detect::CampaignSettings opts;
-  opts.record_diffs = true;
-  fatomic::detect::Experiment exp(synthetic::workload, opts);
+  fatomic::Config cfg;
+  cfg.record_diffs(true);
+  fatomic::detect::Experiment exp(synthetic::workload, cfg);
   auto cls = fatomic::detect::classify(exp.run());
   const auto* r = cls.find("synthetic::Account::nonatomic_update");
   ASSERT_NE(r, nullptr);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "fatomic/detect/experiment.hpp"
 #include "testing/synthetic.hpp"
 
@@ -20,6 +22,13 @@ class MaskTest : public ::testing::Test {
       return detect::classify(exp.run());
     }();
     return cls;
+  }
+
+  /// The classification of the synthetic workload masked by `wrap`.
+  static detect::Classification verify(weave::Runtime::WrapPredicate wrap) {
+    fatomic::Config cfg;
+    cfg.mask(std::move(wrap));
+    return mask::verify_masked_full(synthetic::workload, cfg).classification;
   }
 
   void TearDown() override {
@@ -73,30 +82,26 @@ TEST_F(MaskTest, MaskedWorkloadRunsToCompletion) {
 }
 
 TEST_F(MaskTest, VerifyMaskedWithPureWrapYieldsZeroNonAtomic) {
-  auto verified = mask::verify_masked(synthetic::workload,
-                                      mask::wrap_pure(classification()));
+  auto verified = verify(mask::wrap_pure(classification()));
   EXPECT_TRUE(verified.nonatomic_names().empty())
       << "wrapping all pure failure non-atomic methods must make the whole "
          "program failure atomic";
 }
 
 TEST_F(MaskTest, VerifyMaskedWithAllWrapYieldsZeroNonAtomic) {
-  auto verified = mask::verify_masked(
-      synthetic::workload, mask::wrap_all_nonatomic(classification()));
+  auto verified = verify(mask::wrap_all_nonatomic(classification()));
   EXPECT_TRUE(verified.nonatomic_names().empty());
 }
 
 TEST_F(MaskTest, VerifyUnmaskedStillFindsTheBugs) {
-  auto verified = mask::verify_masked(
-      synthetic::workload, [](const weave::MethodInfo&) { return false; });
+  auto verified = verify([](const weave::MethodInfo&) { return false; });
   EXPECT_FALSE(verified.nonatomic_names().empty());
 }
 
 TEST_F(MaskTest, PartialMaskLeavesExcludedBugDetectable) {
   detect::Policy policy;
   policy.no_wrap.insert("synthetic::Account::sloppy_withdraw");
-  auto verified = mask::verify_masked(
-      synthetic::workload, mask::wrap_pure(classification(), policy));
+  auto verified = verify(mask::wrap_pure(classification(), policy));
   const auto* r = verified.find("synthetic::Account::sloppy_withdraw");
   ASSERT_NE(r, nullptr);
   EXPECT_EQ(r->cls, MethodClass::PureNonAtomic);

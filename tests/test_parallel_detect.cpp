@@ -1,4 +1,4 @@
-// Parallel injection campaigns (CampaignSettings::jobs): a campaign sharded
+// Parallel injection campaigns (Config::jobs): a campaign sharded
 // across worker threads with isolated thread-local runtimes must reproduce
 // the sequential campaign bit for bit — runs, marks, classification, report
 // JSON and aggregated stats — on real subjects.  Also covers the
@@ -57,12 +57,11 @@ void expect_same_campaign(const detect::Campaign& seq,
 void expect_parallel_matches_sequential(const std::string& app_name) {
   const auto& app = subjects::apps::app(app_name);
 
-  detect::CampaignSettings seq_opts;
-  detect::Campaign seq = detect::Experiment(app.program, seq_opts).run();
+  detect::Campaign seq = detect::Experiment(app.program).run();
 
-  detect::CampaignSettings par_opts;
-  par_opts.jobs = 4;
-  detect::Campaign par = detect::Experiment(app.program, par_opts).run();
+  fatomic::Config par_cfg;
+  par_cfg.jobs(4);
+  detect::Campaign par = detect::Experiment(app.program, par_cfg).run();
 
   expect_same_campaign(seq, par);
   EXPECT_EQ(report::campaign_json(seq), report::campaign_json(par));
@@ -95,17 +94,16 @@ TEST_F(ParallelDetectTest, XmlSubjectIsDeterministic) {
 
 TEST_F(ParallelDetectTest, SyntheticWorkloadIsDeterministic) {
   detect::Campaign seq = detect::Experiment(synthetic::workload).run();
-  detect::CampaignSettings par_opts;
-  par_opts.jobs = 8;
-  detect::Campaign par =
-      detect::Experiment(synthetic::workload, par_opts).run();
+  fatomic::Config par_cfg;
+  par_cfg.jobs(8);
+  detect::Campaign par = detect::Experiment(synthetic::workload, par_cfg).run();
   expect_same_campaign(seq, par);
 }
 
 TEST_F(ParallelDetectTest, JobsZeroMeansHardwareConcurrency) {
-  detect::CampaignSettings opts;
-  opts.jobs = 0;
-  detect::Campaign par = detect::Experiment(synthetic::workload, opts).run();
+  fatomic::Config cfg;
+  cfg.jobs(0);
+  detect::Campaign par = detect::Experiment(synthetic::workload, cfg).run();
   detect::Campaign seq = detect::Experiment(synthetic::workload).run();
   expect_same_campaign(seq, par);
 }
@@ -113,24 +111,21 @@ TEST_F(ParallelDetectTest, JobsZeroMeansHardwareConcurrency) {
 TEST_F(ParallelDetectTest, MaskedParallelVerificationMatchesSequential) {
   const auto& app = subjects::apps::app("LinkedList");
   auto cls = detect::classify(detect::Experiment(app.program).run());
-  auto wrap = fatomic::mask::wrap_pure(cls);
-  auto seq = fatomic::mask::verify_masked(app.program, wrap, {}, 1);
-  auto par = fatomic::mask::verify_masked(app.program, wrap, {}, 4);
-  EXPECT_EQ(report::classification_json(seq),
-            report::classification_json(par));
-  EXPECT_TRUE(par.nonatomic_names().empty());
+  fatomic::Config cfg;
+  cfg.mask(fatomic::mask::wrap_pure(cls));
+  auto seq = fatomic::mask::verify_masked_full(app.program, cfg);
+  auto par = fatomic::mask::verify_masked_full(app.program, cfg.jobs(4));
+  EXPECT_EQ(report::classification_json(seq.classification),
+            report::classification_json(par.classification));
+  EXPECT_TRUE(par.classification.nonatomic_names().empty());
 }
 
 TEST_F(ParallelDetectTest, MaxRunsCutoffAppliesInParallel) {
-  detect::CampaignSettings seq_opts;
-  seq_opts.max_runs = 7;
-  detect::Campaign seq =
-      detect::Experiment(synthetic::workload, seq_opts).run();
-  detect::CampaignSettings par_opts;
-  par_opts.max_runs = 7;
-  par_opts.jobs = 4;
+  fatomic::Config cfg;
+  cfg.max_runs(7);
+  detect::Campaign seq = detect::Experiment(synthetic::workload, cfg).run();
   detect::Campaign par =
-      detect::Experiment(synthetic::workload, par_opts).run();
+      detect::Experiment(synthetic::workload, cfg.jobs(4)).run();
   EXPECT_EQ(seq.runs.size(), 7u);
   expect_same_campaign(seq, par);
 }
@@ -162,9 +157,9 @@ TEST_F(ParallelDetectTest, TerminalEscapedRunIsRecorded) {
 }
 
 TEST_F(ParallelDetectTest, TerminalEscapedRunIsRecordedInParallel) {
-  detect::CampaignSettings opts;
-  opts.jobs = 4;
-  detect::Campaign par = detect::Experiment(escaping_workload, opts).run();
+  fatomic::Config cfg;
+  cfg.jobs(4);
+  detect::Campaign par = detect::Experiment(escaping_workload, cfg).run();
   detect::Campaign seq = detect::Experiment(escaping_workload).run();
   expect_same_campaign(seq, par);
   EXPECT_TRUE(par.runs.back().escaped);
@@ -182,10 +177,9 @@ TEST_F(ParallelDetectTest, MaskedExperimentRestoresOuterWrapPredicate) {
     return mi.method_name() == "set";
   });
 
-  detect::CampaignSettings opts;
-  opts.masked = true;
-  opts.wrap = [](const weave::MethodInfo&) { return true; };
-  detect::Experiment(synthetic::workload, opts).run();
+  fatomic::Config cfg;
+  cfg.mask([](const weave::MethodInfo&) { return true; });
+  detect::Experiment(synthetic::workload, cfg).run();
 
   const auto* set_mi =
       weave::MethodRegistry::instance().find("synthetic::Account::set");
@@ -249,14 +243,13 @@ TEST_F(ParallelDetectTest, ConfigGuardRestoresEveryValue) {
       fatomic::mask::MaskedScope inner(
           [](const weave::MethodInfo&) { return false; }, inner_plans, false,
           inner_policies);
-      detect::CampaignSettings opts;
-      opts.masked = true;
-      opts.wrap = [](const weave::MethodInfo&) { return true; };
-      opts.trace = true;
-      opts.record_diffs = true;
-      opts.jobs = jobs;
+      fatomic::Config cfg;
+      cfg.mask([](const weave::MethodInfo&) { return true; })
+          .tracing(true)
+          .record_diffs(true)
+          .jobs(jobs);
       const detect::Campaign c =
-          detect::Experiment(synthetic::workload, opts).run();
+          detect::Experiment(synthetic::workload, cfg).run();
       EXPECT_GT(c.stats.wrapped_calls, 0u);
       EXPECT_GT(c.stats.rollbacks, 0u);
       // The inner scope's configuration is back after the campaign.

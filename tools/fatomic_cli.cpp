@@ -602,9 +602,10 @@ int run_one(const Args& args) {
       std::cout << "  " << site << '\n';
   }
   if (args.mask_verify) {
-    fatomic::Config verify_config = config;
-    verify_config.mask(fatomic::mask::wrap_pure(cls, config.policy()))
-        .validate_checkpoints(args.validate_checkpoints);
+    // Verification re-runs every injection point: verify_masked_full honours
+    // prune_atomic, so start from the unpruned configuration.
+    fatomic::Config verify_config = make_config(args);
+    verify_config.mask(fatomic::mask::wrap_pure(cls, config.policy()));
     if (args.mask_partial)
       verify_config.checkpoint_plans(fatomic::mask::make_plans(sreport));
     const auto verified =
