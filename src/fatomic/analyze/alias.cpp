@@ -6,129 +6,105 @@
 
 namespace fatomic::analyze {
 
-void AliasTarget::merge(const AliasTarget& o) {
-  if (o.kind == Kind::Local) return;
-  if (kind == Kind::Local) {
-    *this = o;
-    return;
-  }
-  if (kind == Kind::Top || o.kind == Kind::Top || kind != o.kind) {
-    *this = top();
-    return;
-  }
-  // Same middle kind.  Empty roots mean "unknown member" and subsume any
-  // named set; same for unknown parameter positions.
-  if (roots.empty() || o.roots.empty())
-    roots.clear();
-  else
-    roots.insert(o.roots.begin(), o.roots.end());
-  if (kind == Kind::Param) {
-    if (positions.empty() || o.positions.empty())
-      positions.clear();
-    else
-      positions.insert(o.positions.begin(), o.positions.end());
-  }
-}
-
 namespace {
 
-/// Member calls that return (a handle into) their receiver's own storage:
-/// the chain continues through them unchanged.  `buckets_[i].get()` aliases
-/// the same subtree as `buckets_[i]`.
-const std::set<std::string>& identity_accessors() {
-  static const std::set<std::string> a = {
-      "get", "at", "front", "back", "data", "str", "c_str", "begin", "end",
-  };
-  return a;
-}
+using Target = BasicAliasTarget<Sym>;
+using Info = BasicFnAliasInfo<Sym>;
+
+/// The fixpoint's state: one summary per definition key id, and whether the
+/// current round has reached that key yet (a key no definition has been
+/// parsed for does not resolve).
+struct Round {
+  std::vector<Info> infos;
+  std::vector<bool> present;
+};
 
 /// Parses one full function definition (not the extracted invoke lambda —
 /// the FAT_INVOKE_ARGS tie list lives outside it) against the analysis
 /// state of the current fixpoint round.
 class FnParse : private TokenCursor {
  public:
-  FnParse(const SourceModel& model, const AliasAnalysis& analysis,
-          const std::set<std::string>& scanned_names, const FunctionDef& def)
-      : TokenCursor(def.body),
+  FnParse(const SourceModel& model, const Round& round, const FunctionDef& def)
+      : TokenCursor(def.body, model.symbols),
         model_(model),
-        analysis_(analysis),
-        scanned_names_(scanned_names),
+        round_(round),
         def_(def) {
     for (std::size_t i = 0; i < def.params.size(); ++i)
-      if (!def.params[i].name.empty()) param_pos_[def.params[i].name] = i;
+      if (!def.params[i].name.empty())
+        param_pos_[model.symbols.find(def.params[i].name)] = i;
   }
 
-  FnAliasInfo run();
+  Info run();
 
  private:
-  const FnAliasInfo* lookup(const std::string& key) const {
-    return analysis_.find(key);
+  const Info* lookup(Sym cls, Sym name) const {
+    const std::size_t k = model_.keys.find(cls, name);
+    return k != DefKeys::npos && round_.present[k] ? &round_.infos[k]
+                                                   : nullptr;
   }
 
-  AliasTarget resolve(std::size_t b, std::size_t e, int depth = 0);
-  AliasTarget resolve_call(const std::string& name, std::size_t open,
-                           std::size_t close, int depth);
+  Target resolve(std::size_t b, std::size_t e, int depth = 0);
+  Target resolve_call(Sym name, std::size_t open, std::size_t close,
+                      int depth);
   bool try_decl(std::size_t i, std::size_t& next);
-  void bind(const std::string& name, const AliasTarget& t) {
-    info_.locals[name].merge(t);
-  }
+  void bind(Sym name, const Target& t) { info_.locals[name].merge(t); }
   void scan_invoke_args(std::size_t i);
   void scan_this(std::size_t i);
   void scan_call_escapes(std::size_t i, std::size_t open, std::size_t close);
 
   const SourceModel& model_;
-  const AliasAnalysis& analysis_;
-  const std::set<std::string>& scanned_names_;
+  const Round& round_;
   const FunctionDef& def_;
-  std::map<std::string, std::size_t> param_pos_;
-  FnAliasInfo info_;
+  std::map<Sym, std::size_t> param_pos_;
+  Info info_;
   /// Locals stored into unmodelled sinks this pass; widened to ⊤ after the
   /// scan (binding statements may follow the escape in token order only
   /// inside loops, and the post-scan widening covers that too).
-  std::set<std::string> escaped_;
+  std::set<Sym> escaped_;
   /// Holds a merged-by-simple-name callee summary while resolve_call uses it.
-  FnAliasInfo info_merge_scratch_;
+  Info info_merge_scratch_;
 };
 
 /// Resolves the expression [b, e) to an alias target in this frame.
-AliasTarget FnParse::resolve(std::size_t b, std::size_t e, int depth) {
-  if (depth > 8) return AliasTarget::top();
-  if (b >= e) return AliasTarget::local();
+Target FnParse::resolve(std::size_t b, std::size_t e, int depth) {
+  if (depth > 8) return Target::top();
+  if (b >= e) return Target::local();
 
   // Widening pre-checks over the whole expression: laundering casts kill
   // the binding outright; fresh allocations keep it frame-local.
   int nest = 0;
   bool arith = false;
   for (std::size_t k = b; k < e; ++k) {
-    const std::string& t = tk(k);
-    if (t == "const_cast" || t == "reinterpret_cast")
-      return AliasTarget::top();
-    if (t == "new" || t == "make_unique" || t == "make_shared")
-      return AliasTarget::local();
-    if (t == "(" || t == "[" || t == "{") ++nest;
-    else if (t == ")" || t == "]" || t == "}") --nest;
-    else if (nest == 0 && (t == "+" || t == "-" || t == "?")) arith = true;
+    const Sym t = tk(k);
+    if (t == sym::ConstCast || t == sym::ReinterpretCast) return Target::top();
+    if (t == sym::New || t == sym::MakeUnique || t == sym::MakeShared)
+      return Target::local();
+    if (t == sym::LParen || t == sym::LBracket || t == sym::LBrace) ++nest;
+    else if (t == sym::RParen || t == sym::RBracket || t == sym::RBrace) --nest;
+    else if (nest == 0 &&
+             (t == sym::Plus || t == sym::Minus || t == sym::Question))
+      arith = true;
   }
 
   // Leading address-of / dereference / parens / related-type casts are
   // transparent: they change the handle's shape, not what it reaches.
   std::size_t k = b;
   while (k < e) {
-    const std::string& t = tk(k);
-    if (t == "&" || t == "*" || t == "(") {
+    const Sym t = tk(k);
+    if (t == sym::Amp || t == sym::Star || t == sym::LParen) {
       ++k;
       continue;
     }
-    if (t == "static_cast" || t == "dynamic_cast") {
+    if (t == sym::StaticCast || t == sym::DynamicCast) {
       ++k;
-      if (tk(k) == "<") {
+      if (tk(k) == sym::Less) {
         int d = 0;
         for (; k < e; ++k) {
-          if (tk(k) == "<") ++d;
-          else if (tk(k) == ">" && --d == 0) {
+          if (tk(k) == sym::Less) ++d;
+          else if (tk(k) == sym::Greater && --d == 0) {
             ++k;
             break;
-          } else if (tk(k) == ">>") {
+          } else if (tk(k) == sym::Shr) {
             d -= 2;
             if (d <= 0) {
               ++k;
@@ -141,32 +117,31 @@ AliasTarget FnParse::resolve(std::size_t b, std::size_t e, int depth) {
     }
     break;
   }
-  if (k >= e) return AliasTarget::local();
+  if (k >= e) return Target::local();
 
   bool base_this = false;
-  std::string base;
-  AliasTarget base_target = AliasTarget::local();
+  Sym base = sym::Empty;
+  Target base_target = Target::local();
   bool have_base_target = false;
 
-  if (tk(k) == "this") {
+  if (tk(k) == sym::This) {
     base_this = true;
     ++k;
-  } else if (is_ident(tk(k)) && !is_number(tk(k)) &&
-             !keywords().count(tk(k))) {
+  } else if (word(k)) {
     // Possibly qualified head: `ns::f(...)`, `std::move(...)`, `obj`.
-    std::string leading = tk(k);
-    std::string last = tk(k);
+    const Sym leading = tk(k);
+    Sym last = tk(k);
     ++k;
-    while (tk(k) == "::" && k + 1 < e && is_ident(tk(k + 1))) {
+    while (tk(k) == sym::Scope && k + 1 < e && ident(k + 1)) {
       last = tk(k + 1);
       k += 2;
     }
-    if (k < e && tk(k) == "(") {
-      const std::size_t close = match_fwd(k, "(", ")");
-      if (leading == "std" && leading != last) {
-        if (last == "move" || last == "forward")
+    if (k < e && tk(k) == sym::LParen) {
+      const std::size_t close = match_fwd(k, sym::LParen, sym::RParen);
+      if (leading == sym::Std && leading != last) {
+        if (last == sym::Move || last == sym::Forward)
           return resolve(k + 1, std::min(close, e), depth + 1);
-        return AliasTarget::top();  // unknown std result (std::ref, ...)
+        return Target::top();  // unknown std result (std::ref, ...)
       }
       base_target = resolve_call(last, k, std::min(close, e), depth);
       have_base_target = true;
@@ -175,28 +150,30 @@ AliasTarget FnParse::resolve(std::size_t b, std::size_t e, int depth) {
       base = last;
     }
   } else {
-    return AliasTarget::local();  // literal / placeholder
+    return Target::local();  // literal / placeholder
   }
 
   // Member chain: collect names, stay transparent through indexing and the
   // identity accessors, widen on any other call.
-  std::vector<std::string> members;
+  Sym last_member = sym::Empty;
   while (k < e) {
-    const std::string& t = tk(k);
-    if (t == "." || t == "->") {
-      if (k + 1 >= e || !is_ident(tk(k + 1))) break;
-      const std::string& m = tk(k + 1);
-      if (k + 2 < e && tk(k + 2) == "(") {
-        if (!identity_accessors().count(m)) return AliasTarget::top();
-        k = std::min(match_fwd(k + 2, "(", ")"), e) + 1;  // transparent
+    const Sym t = tk(k);
+    if (t == sym::Dot || t == sym::Arrow) {
+      if (k + 1 >= e || !ident(k + 1)) break;
+      const Sym m = tk(k + 1);
+      if (k + 2 < e && tk(k + 2) == sym::LParen) {
+        if (!has(k + 1, kIdentity)) return Target::top();
+        k = std::min(match_fwd(k + 2, sym::LParen, sym::RParen), e) +
+            1;  // transparent
         continue;
       }
-      members.push_back(m);
+      last_member = m;
       k += 2;
       continue;
     }
-    if (t == "[") {
-      k = std::min(match_fwd(k, "[", "]"), e) + 1;  // element-of: same subtree
+    if (t == sym::LBracket) {
+      k = std::min(match_fwd(k, sym::LBracket, sym::RBracket), e) +
+          1;  // element-of: same subtree
       continue;
     }
     break;
@@ -205,64 +182,61 @@ AliasTarget FnParse::resolve(std::size_t b, std::size_t e, int depth) {
   if (arith) {
     // `p + n` / `&a - &b` / conditional expressions: address arithmetic or
     // a selection the flow-insensitive chain cannot follow.
-    if (base_this || have_base_target || !base.empty())
-      return AliasTarget::top();
-    return AliasTarget::local();
+    if (base_this || have_base_target || base != sym::Empty)
+      return Target::top();
+    return Target::local();
   }
-
-  const std::string last_member = members.empty() ? "" : members.back();
 
   if (base_this) {
-    if (last_member.empty()) return AliasTarget::field({});
-    return AliasTarget::field({last_member});
+    if (last_member == sym::Empty) return Target::field({});
+    return Target::field({last_member});
   }
+  const bool named = last_member != sym::Empty;
   if (have_base_target) {
-    AliasTarget t = base_target;
-    if (!last_member.empty() &&
-        (t.kind == AliasTarget::Kind::Field ||
-         t.kind == AliasTarget::Kind::Param)) {
+    Target t = base_target;
+    if (named && (t.kind == AliasKind::Field || t.kind == AliasKind::Param))
       t.roots = {last_member};  // innermost member wins
-    }
     return t;
   }
   if (auto it = info_.locals.find(base); it != info_.locals.end()) {
-    AliasTarget t = it->second;
-    if (!last_member.empty() &&
-        (t.kind == AliasTarget::Kind::Field ||
-         t.kind == AliasTarget::Kind::Param))
+    Target t = it->second;
+    if (named && (t.kind == AliasKind::Field || t.kind == AliasKind::Param))
       t.roots = {last_member};
     return t;
   }
   if (auto it = param_pos_.find(base); it != param_pos_.end()) {
-    std::set<std::string> roots;
-    if (!last_member.empty()) roots.insert(last_member);
-    return AliasTarget::param({it->second}, std::move(roots));
+    std::set<Sym> roots;
+    if (named) roots.insert(last_member);
+    return Target::param({it->second}, std::move(roots));
   }
   // Unknown base identifier: a member of the enclosing class or a scanned
   // global — receiver-subtree either way, rooted at the innermost name.
-  return AliasTarget::field({last_member.empty() ? base : last_member});
+  return Target::field({named ? last_member : base});
 }
 
 /// Resolves the value a call to `name` aliases, mapping the callee's
 /// return summary into this frame through the k=1 call-site context.
-AliasTarget FnParse::resolve_call(const std::string& name, std::size_t open,
-                                  std::size_t close, int depth) {
-  if (model_.class_names.count(name)) return AliasTarget::local();  // ctor
-  const FnAliasInfo* callee = nullptr;
-  if (!def_.class_name.empty()) callee = lookup(def_.class_name + "::" + name);
-  if (callee == nullptr) callee = lookup(name);
+Target FnParse::resolve_call(Sym name, std::size_t open, std::size_t close,
+                             int depth) {
+  if (model_.has(name, kClassName)) return Target::local();  // ctor
+  const Info* callee = nullptr;
+  if (def_.class_id != sym::Empty) callee = lookup(def_.class_id, name);
+  if (callee == nullptr) callee = lookup(sym::Empty, name);
   if (callee == nullptr) {
     // Merge over every scanned definition sharing the simple name; the
     // union covers the actual callee when it was scanned at all.
-    FnAliasInfo merged;
+    Info merged;
     bool any = false;
-    for (const auto& [key, fi] : analysis_.by_key) {
-      if (simple_of(key) != name) continue;
-      any = true;
-      merged.returns.merge(fi.returns);
-      merged.has_return |= fi.has_return;
+    auto named = model_.keys.by_name.find(name);
+    if (named != model_.keys.by_name.end()) {
+      for (const std::size_t k : named->second) {
+        if (!round_.present[k]) continue;
+        any = true;
+        merged.returns.merge(round_.infos[k].returns);
+        merged.has_return |= round_.infos[k].has_return;
+      }
     }
-    if (!any) return AliasTarget::top();
+    if (!any) return Target::top();
     info_merge_scratch_ = merged;
     callee = &info_merge_scratch_;
   }
@@ -273,18 +247,18 @@ AliasTarget FnParse::resolve_call(const std::string& name, std::size_t open,
     // merges ⊤ for those; bottom is therefore the frame-local "no alias".
     return callee->returns;
   }
-  const AliasTarget& r = callee->returns;
-  if (r.kind != AliasTarget::Kind::Param) return r;
+  const Target& r = callee->returns;
+  if (r.kind != AliasKind::Param) return r;
   // Param return: re-resolve the argument expressions at the returned
   // positions in this frame, keeping the callee's (innermost) roots.
-  if (r.positions.empty()) return AliasTarget::top();
+  if (r.positions.empty()) return Target::top();
   const auto args = split_args(open, close);
-  AliasTarget out = AliasTarget::local();
+  Target out = Target::local();
   for (std::size_t p : r.positions) {
-    if (p >= args.size()) return AliasTarget::top();
-    AliasTarget at = resolve(args[p].first, args[p].second, depth + 1);
-    if (!r.roots.empty() && (at.kind == AliasTarget::Kind::Field ||
-                             at.kind == AliasTarget::Kind::Param))
+    if (p >= args.size()) return Target::top();
+    Target at = resolve(args[p].first, args[p].second, depth + 1);
+    if (!r.roots.empty() &&
+        (at.kind == AliasKind::Field || at.kind == AliasKind::Param))
       at.roots = r.roots;
     out.merge(at);
   }
@@ -299,31 +273,31 @@ bool FnParse::try_decl(std::size_t i, std::size_t& next) {
   if (!d) return false;
   const bool indirect = d->is_ptr || d->is_ref;
   const std::size_t e = d->end;
-  const std::string& after = tk(e);
+  const Sym after = tk(e);
   if (d->structured) {
-    const AliasTarget t =
+    const Target t =
         indirect ? resolve(e + 1, stmt_end(e + 1, /*initializer=*/true))
-                 : AliasTarget::local();
-    for (const std::string& n : d->names) bind(n, t);
+                 : Target::local();
+    for (const Sym n : d->names) bind(n, t);
     next = e + 1;
     return true;
   }
-  const std::string& name = d->names.front();
+  const Sym name = d->names.front();
   if (!indirect && !d->is_auto) {
-    bind(name, AliasTarget::local());  // by-value copy: writes stay local
-    next = after == "=" ? e + 1 : e;
+    bind(name, Target::local());  // by-value copy: writes stay local
+    next = after == sym::Assign ? e + 1 : e;
     return true;
   }
-  if (after == "=" || after == ":") {
+  if (after == sym::Assign || after == sym::Colon) {
     bind(name, resolve(e + 1, stmt_end(e + 1, /*initializer=*/true)));
     next = e + 1;
-  } else if (after == "(" || after == "{") {
+  } else if (after == sym::LParen || after == sym::LBrace) {
     const std::size_t close =
-        match_fwd(e, after.c_str(), after == "(" ? ")" : "}");
+        match_fwd(e, after, after == sym::LParen ? sym::RParen : sym::RBrace);
     bind(name, resolve(e + 1, close));
     next = e + 1;
   } else {
-    bind(name, AliasTarget::local());  // no initializer
+    bind(name, Target::local());  // no initializer
     next = e;
   }
   return true;
@@ -333,14 +307,14 @@ bool FnParse::try_decl(std::size_t i, std::size_t& next) {
 /// in the checkpoint root tuple — record their positions.
 void FnParse::scan_invoke_args(std::size_t i) {
   const std::size_t open = i + 1;
-  if (tk(open) != "(") return;
-  const std::size_t close = match_fwd(open, "(", ")");
+  if (tk(open) != sym::LParen) return;
+  const std::size_t close = match_fwd(open, sym::LParen, sym::RParen);
   const auto args = split_args(open, close);
   if (args.size() < 2) return;
   const auto [b, e] = args[1];
   for (std::size_t k = b; k < e; ++k) {
-    if (tk(k) != "tie" || tk(k + 1) != "(") continue;
-    const std::size_t tclose = match_fwd(k + 1, "(", ")");
+    if (tk(k) != sym::Tie || tk(k + 1) != sym::LParen) continue;
+    const std::size_t tclose = match_fwd(k + 1, sym::LParen, sym::RParen);
     for (std::size_t m = k + 2; m < tclose && m < e; ++m) {
       auto it = param_pos_.find(tk(m));
       if (it != param_pos_.end()) info_.tied_positions.insert(it->second);
@@ -353,32 +327,36 @@ void FnParse::scan_invoke_args(std::size_t i) {
 /// captures are fine; passing it as a call argument records the sink for
 /// the effect pass's purity check; anything else escapes the receiver.
 void FnParse::scan_this(std::size_t i) {
-  const std::string& next = tk(i + 1);
-  const std::string prev = i > 0 ? tk(i - 1) : "";
-  if (next == "->") return;  // member access
-  if (prev == "[" && next == "]") return;            // [this] capture
-  if ((prev == "[" || prev == ",") && (next == "]" || next == ","))
-    return;                                          // capture list entry
-  if (next == "==" || next == "!=" || prev == "==" || prev == "!=")
-    return;                                          // identity comparison
-  if (prev == "return" || (prev == "*" && i >= 2 && tk(i - 2) == "return"))
+  const Sym next = tk(i + 1);
+  const Sym prev = i > 0 ? tk(i - 1) : sym::Empty;
+  if (next == sym::Arrow) return;  // member access
+  if (prev == sym::LBracket && next == sym::RBracket) return;  // [this]
+  if ((prev == sym::LBracket || prev == sym::Comma) &&
+      (next == sym::RBracket || next == sym::Comma))
+    return;  // capture list entry
+  if (next == sym::EqEq || next == sym::NotEq || prev == sym::EqEq ||
+      prev == sym::NotEq)
+    return;  // identity comparison
+  if (prev == sym::Return ||
+      (prev == sym::Star && i >= 2 && tk(i - 2) == sym::Return))
     return;  // returned alias: used after the frame's own window closes
-  if (prev == "*") {
+  if (prev == sym::Star) {
     // `(*this).member` — dereference feeding a member access.
-    if (next == ")" && (tk(i + 2) == "." || tk(i + 2) == "->")) return;
+    if (next == sym::RParen &&
+        (tk(i + 2) == sym::Dot || tk(i + 2) == sym::Arrow))
+      return;
     info_.this_top = true;
     return;
   }
-  if (prev == "(" || prev == ",") {
+  if (prev == sym::LParen || prev == sym::Comma) {
     // Argument position: walk back to the call's identifier.
     int depth = 0;
     for (std::ptrdiff_t k = static_cast<std::ptrdiff_t>(i) - 1; k >= 0; --k) {
-      const std::string& t = tk(static_cast<std::size_t>(k));
-      if (t == ")" || t == "]" || t == "}") ++depth;
-      else if (t == "(" || t == "[" || t == "{") {
+      const Sym t = tk(static_cast<std::size_t>(k));
+      if (t == sym::RParen || t == sym::RBracket || t == sym::RBrace) ++depth;
+      else if (t == sym::LParen || t == sym::LBracket || t == sym::LBrace) {
         if (depth == 0) {
-          if (k > 0 && is_ident(tk(static_cast<std::size_t>(k) - 1)) &&
-              !keywords().count(tk(static_cast<std::size_t>(k) - 1))) {
+          if (k > 0 && word(static_cast<std::size_t>(k) - 1)) {
             info_.this_sinks.insert(tk(static_cast<std::size_t>(k) - 1));
             return;
           }
@@ -399,38 +377,37 @@ void FnParse::scan_this(std::size_t i) {
 /// the name-resolution claims, which hold under escape regardless.
 void FnParse::scan_call_escapes(std::size_t i, std::size_t open,
                                 std::size_t close) {
-  const std::string& name = tk(i);
-  if (name.rfind("FAT_", 0) == 0) return;
-  if (leading_qualifier(i) == "std") return;
-  if (identity_accessors().count(name)) return;
-  if (scanned_names_.count(name)) return;
-  if (model_.class_names.count(name)) return;
-  for (std::size_t k = open + 1; k < close; ++k) {
-    const std::string& t = tk(k);
-    if (is_ident(t) && info_.locals.count(t)) escaped_.insert(t);
-  }
+  const Sym name = tk(i);
+  if (has(i, kMacro)) return;
+  if (leading_qualifier(i) == sym::Std) return;
+  if (has(i, kIdentity)) return;
+  if (model_.keys.by_name.count(name)) return;  // a scanned function
+  if (model_.has(name, kClassName)) return;
+  for (std::size_t k = open + 1; k < close; ++k)
+    if (ident(k) && info_.locals.count(tk(k))) escaped_.insert(tk(k));
 }
 
-FnAliasInfo FnParse::run() {
+Info FnParse::run() {
   bool stmt_start = true;
   std::size_t i = 0;
   while (i < size()) {
-    const std::string& t = tk(i);
-    if (t == ";" || t == "{" || t == "}" || t == "(") {
+    const Sym t = tk(i);
+    if (t == sym::Semi || t == sym::LBrace || t == sym::RBrace ||
+        t == sym::LParen) {
       stmt_start = true;
       ++i;
       continue;
     }
-    if (t == "this") {
+    if (t == sym::This) {
       scan_this(i);
       stmt_start = false;
       ++i;
       continue;
     }
-    if (t == "return") {
+    if (t == sym::Return) {
       const std::size_t e = stmt_end(i);
       if (i + 1 < e) {
-        AliasTarget r = resolve(i + 1, e);
+        Target r = resolve(i + 1, e);
         // An unresolvable return chain must poison the summary, not bottom
         // out: callers would otherwise treat the result as frame-local.
         info_.returns.merge(r);
@@ -440,7 +417,7 @@ FnAliasInfo FnParse::run() {
       ++i;  // keep scanning inside the return expression (calls, this)
       continue;
     }
-    if (stmt_start && is_ident(t) && !is_number(t)) {
+    if (stmt_start && ident(i)) {
       std::size_t next = i;
       if (try_decl(i, next)) {
         stmt_start = false;
@@ -448,17 +425,15 @@ FnAliasInfo FnParse::run() {
         continue;
       }
     }
-    if (is_ident(t) && !keywords().count(t) && !is_number(t)) {
-      if (t.rfind("FAT_", 0) == 0 &&
-          t.find("INVOKE_ARGS") != std::string::npos)
-        scan_invoke_args(i);
-      if (tk(i + 1) == "(") {
-        const std::size_t close = match_fwd(i + 1, "(", ")");
+    if (word(i)) {
+      if (has(i, kInvokeArgs)) scan_invoke_args(i);
+      if (tk(i + 1) == sym::LParen) {
+        const std::size_t close = match_fwd(i + 1, sym::LParen, sym::RParen);
         scan_call_escapes(i, i + 1, close);
       }
       // Reassignment of a bound local: flow-insensitive union with the new
       // value (`x = x->next` inside loops converges through the fixpoint).
-      if (stmt_start && tk(i + 1) == "=" && info_.locals.count(t))
+      if (stmt_start && tk(i + 1) == sym::Assign && info_.locals.count(t))
         bind(t, resolve(i + 2, stmt_end(i + 2, /*initializer=*/true)));
       stmt_start = false;
       ++i;
@@ -467,29 +442,38 @@ FnAliasInfo FnParse::run() {
     stmt_start = false;
     ++i;
   }
-  for (const std::string& n : escaped_) info_.locals[n] = AliasTarget::top();
+  for (const Sym n : escaped_) info_.locals[n] = Target::top();
   return std::move(info_);
+}
+
+/// A target with its names spelled out.
+AliasTarget spelled(const Target& t, const SymbolTable& st) {
+  AliasTarget out;
+  out.kind = t.kind;
+  for (const Sym r : t.roots) out.roots.insert(st.text(r));
+  out.positions = t.positions;
+  return out;
 }
 
 }  // namespace
 
-AliasAnalysis analyze_aliases(const SourceModel& model) {
-  AliasAnalysis out;
-  std::set<std::string> scanned_names;
-  for (const FunctionDef& def : model.functions) scanned_names.insert(def.name);
+std::vector<BasicFnAliasInfo<Sym>> analyze_alias_ids(
+    const SourceModel& model) {
+  Round round;
+  round.infos.resize(model.keys.text.size());
+  round.present.assign(model.keys.text.size(), false);
 
   // Optimistic fixpoint over the return-alias summaries: targets start at
   // the bottom (Local) and merges only move up the lattice, so iteration
   // converges; the cap is a backstop far above any real call-DAG depth.
-  for (int round = 0; round < 10; ++round) {
+  for (int round_no = 0; round_no < 10; ++round_no) {
     bool changed = false;
-    for (const FunctionDef& def : model.functions) {
-      const std::string key = def.class_name.empty()
-                                  ? def.name
-                                  : def.class_name + "::" + def.name;
-      FnAliasInfo fresh = FnParse(model, out, scanned_names, def).run();
-      FnAliasInfo& cur = out.by_key[key];
-      FnAliasInfo merged = cur;
+    for (std::size_t d = 0; d < model.functions.size(); ++d) {
+      Info fresh = FnParse(model, round, model.functions[d]).run();
+      const std::size_t key = model.keys.of_def[d];
+      Info& cur = round.infos[key];
+      round.present[key] = true;
+      Info merged = cur;
       for (const auto& [n, t] : fresh.locals) merged.locals[n].merge(t);
       merged.tied_positions.insert(fresh.tied_positions.begin(),
                                    fresh.tied_positions.end());
@@ -505,6 +489,23 @@ AliasAnalysis analyze_aliases(const SourceModel& model) {
     }
     if (!changed) break;
   }
+  return std::move(round.infos);
+}
+
+AliasAnalysis analyze_aliases(const SourceModel& model) {
+  const SymbolTable& st = model.symbols;
+  const std::vector<Info> infos = analyze_alias_ids(model);
+  AliasAnalysis out;
+  for (std::size_t k = 0; k < infos.size(); ++k) {
+    const Info& in = infos[k];
+    FnAliasInfo& fi = out.by_key[model.keys.text[k]];
+    for (const auto& [n, t] : in.locals) fi.locals[st.text(n)] = spelled(t, st);
+    fi.tied_positions = in.tied_positions;
+    fi.this_top = in.this_top;
+    for (const Sym s : in.this_sinks) fi.this_sinks.insert(st.text(s));
+    fi.returns = spelled(in.returns, st);
+    fi.has_return = in.has_return;
+  }
   return out;
 }
 
@@ -518,7 +519,8 @@ std::vector<std::string> path_segments(const std::string& path) {
   std::vector<std::string> segs;
   std::string cur;
   auto flush = [&] {
-    if (!cur.empty() && cur != "root" && !is_number(cur))
+    if (!cur.empty() && cur != "root" &&
+        !std::isdigit(static_cast<unsigned char>(cur[0])))
       segs.push_back(cur);
     cur.clear();
   };

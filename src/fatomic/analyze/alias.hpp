@@ -32,6 +32,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fatomic/analyze/source_model.hpp"
@@ -40,37 +41,42 @@
 
 namespace fatomic::analyze {
 
+/// The kinds of an alias binding, bottom to top.
+enum class AliasKind { Local, Field, Param, Top };
+
 /// What one local binding may point at.  The lattice's join is `merge`:
 /// Local is bottom (freshly owned storage, writes stay in the frame), Field
 /// and Param are the useful middle (a receiver subtree rooted at named
 /// members / a caller object behind a parameter position), Top is escape.
-struct AliasTarget {
-  enum class Kind { Local, Field, Param, Top };
+/// `Name` is a symbol id while the pass runs and a string in its product.
+template <class Name>
+struct BasicAliasTarget {
+  using Kind = AliasKind;
   Kind kind = Kind::Local;
   /// Field: member names rooting the aliased subtree.  Empty means "some
   /// unresolvable member of the receiver" — still receiver-bound, but the
   /// effect pass must treat writes through it as unnamed.
-  std::set<std::string> roots;
+  std::set<Name> roots;
   /// Param: parameter positions of the enclosing function the alias
   /// reaches through.  `roots` then names members *inside* the parameter's
   /// object, when known.
   std::set<std::size_t> positions;
 
-  static AliasTarget local() { return {}; }
-  static AliasTarget top() {
-    AliasTarget t;
+  static BasicAliasTarget local() { return {}; }
+  static BasicAliasTarget top() {
+    BasicAliasTarget t;
     t.kind = Kind::Top;
     return t;
   }
-  static AliasTarget field(std::set<std::string> r) {
-    AliasTarget t;
+  static BasicAliasTarget field(std::set<Name> r) {
+    BasicAliasTarget t;
     t.kind = Kind::Field;
     t.roots = std::move(r);
     return t;
   }
-  static AliasTarget param(std::set<std::size_t> pos,
-                           std::set<std::string> r = {}) {
-    AliasTarget t;
+  static BasicAliasTarget param(std::set<std::size_t> pos,
+                                std::set<Name> r = {}) {
+    BasicAliasTarget t;
     t.kind = Kind::Param;
     t.positions = std::move(pos);
     t.roots = std::move(r);
@@ -81,19 +87,42 @@ struct AliasTarget {
   /// Param ∨ Param unions positions and roots; Field ∨ Param = ⊤ (a binding
   /// that may reach both the receiver and a caller object cannot be
   /// attributed to either side).
-  void merge(const AliasTarget& o);
-
-  bool operator==(const AliasTarget& o) const {
-    return kind == o.kind && roots == o.roots && positions == o.positions;
+  void merge(const BasicAliasTarget& o) {
+    if (o.kind == Kind::Local) return;
+    if (kind == Kind::Local) {
+      *this = o;
+      return;
+    }
+    if (kind == Kind::Top || o.kind == Kind::Top || kind != o.kind) {
+      *this = top();
+      return;
+    }
+    // Same middle kind.  Empty roots mean "unknown member" and subsume any
+    // named set; same for unknown parameter positions.
+    if (roots.empty() || o.roots.empty())
+      roots.clear();
+    else
+      roots.insert(o.roots.begin(), o.roots.end());
+    if (kind == Kind::Param) {
+      if (positions.empty() || o.positions.empty())
+        positions.clear();
+      else
+        positions.insert(o.positions.begin(), o.positions.end());
+    }
   }
+
+  bool operator==(const BasicAliasTarget&) const = default;
 };
+
+using AliasTarget = BasicAliasTarget<std::string>;
 
 /// Per-function alias facts, keyed like the effect pass ("Class::name" for
 /// members, bare "name" for free functions).
-struct FnAliasInfo {
+template <class Name>
+struct BasicFnAliasInfo {
   /// Local/parameter-shadowing bindings by name, merged over every
   /// assignment flow-insensitively.
-  std::map<std::string, AliasTarget> locals;
+  std::map<Name, BasicAliasTarget<Name>> locals;
   /// Parameter positions listed in the wrapper's FAT_INVOKE_ARGS std::tie:
   /// those arguments ride in the checkpoint root tuple, so named writes
   /// through them are restorable and need not collapse the write set.
@@ -104,15 +133,17 @@ struct FnAliasInfo {
   /// Callee simple names `this` was passed to as an argument.  The effect
   /// pass re-checks each against the interprocedural summaries: a sink that
   /// provably mutates nothing keeps the receiver un-escaped.
-  std::set<std::string> this_sinks;
+  std::set<Name> this_sinks;
   /// Join over every `return <chain>;` — what a call to this function
   /// aliases in the callee frame (Field roots transfer verbatim, Param
   /// positions are re-resolved at each call site).
-  AliasTarget returns;
+  BasicAliasTarget<Name> returns;
   bool has_return = false;
 
-  bool operator==(const FnAliasInfo&) const = default;
+  bool operator==(const BasicFnAliasInfo&) const = default;
 };
+
+using FnAliasInfo = BasicFnAliasInfo<std::string>;
 
 struct AliasAnalysis {
   std::map<std::string, FnAliasInfo> by_key;
@@ -127,6 +158,10 @@ struct AliasAnalysis {
 /// bodies, so the FAT_INVOKE_ARGS tie list is visible), iterating the
 /// return-alias summaries to a fixpoint.
 AliasAnalysis analyze_aliases(const SourceModel& model);
+
+/// The same pass in the id world, as the effect pass consumes it: one entry
+/// per definition key id (SourceModel::keys).
+std::vector<BasicFnAliasInfo<Sym>> analyze_alias_ids(const SourceModel& model);
 
 /// One dynamically observed write the static plan fails to cover.
 struct AliasViolation {

@@ -1,6 +1,8 @@
 #include "fatomic/analyze/callgraph_static.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <unordered_map>
 
 #include "fatomic/analyze/tokens.hpp"
 #include "fatomic/detect/callgraph.hpp"
@@ -26,176 +28,219 @@ bool names_match(const std::string& a, const std::string& b) {
 const char* const kAny = "*";
 
 /// One call site: its position (for catch-clause filtering) and the
-/// instrumented nodes / helper definitions it may reach.
+/// instrumented nodes / helper keys it may reach, as ids of the Builder's
+/// tables.
 struct CallEvt {
   std::size_t pos = 0;
-  std::set<std::string> inst_nodes;
-  std::set<std::string> helper_keys;
+  std::vector<std::size_t> inst_nodes;
+  std::vector<std::size_t> helper_keys;
 };
 
 /// The per-definition facts the fixpoint and the edge BFS consume.
 struct DefFacts {
   /// Explicit throws that escape this definition's own try blocks, as
-  /// (position, type-or-kAny).
-  std::vector<std::pair<std::size_t, std::string>> throws;
+  /// (position, type id).
+  std::vector<std::pair<std::size_t, std::size_t>> throws;
   std::vector<CallEvt> calls;
   /// Mentions of FAT_CTOR_INFO class simple names (their constructors may
   /// run here).
-  std::vector<std::pair<std::size_t, std::string>> ctors;
+  std::vector<std::pair<std::size_t, Sym>> ctors;
   std::vector<TryRegion> trys;
 };
 
+/// Exception-type sets, as ids of the Builder's type table.
+using TypeSet = std::set<std::size_t>;
+
 /// Builds the whole graph; groups the lookup tables the scan, the fixpoint
-/// and the BFS share.
+/// and the BFS share.  Nodes, helper keys and exception types are dense
+/// ids here and turn back into names only in build().
 struct Builder {
   const SourceModel& model;
+  const SymbolTable& st;
   const std::set<std::string>& runtime_names;
-  StaticCallGraph g;
 
-  /// simple class name -> qualified instrumented classes carrying it.
-  std::map<std::string, std::set<std::string>> simple_to_quals;
+  /// Nodes: "Qualified::Class::method" and "Qualified::Class::(ctor)".
+  std::vector<std::string> node_names;
+  std::map<std::string, std::size_t> node_ids;
+  std::vector<TypeSet> node_prop, node_expl;
+  std::vector<std::vector<const FunctionDef*>> node_defs;
+  /// Helpers (un-instrumented definitions), one per summary key.
+  std::vector<std::vector<const FunctionDef*>> helper_defs;
+  std::vector<TypeSet> helper_prop, helper_expl;
+  /// Helper id of each summary key id, or npos.
+  std::vector<std::size_t> helper_of_key;
+  /// Exception types as written, and each one's simple name.
+  std::vector<std::string> type_names;
+  std::vector<Sym> type_simple;
+  std::map<std::string, std::size_t> type_ids;
+  std::size_t any_type = 0;
+
+  /// (simple class name << 32 | method) -> instrumented nodes declaring it.
+  std::unordered_map<std::uint64_t, std::vector<std::size_t>> inst_by_class;
+  /// (class model, method) -> the node of that exact class.
+  std::map<std::pair<const ClassModel*, Sym>, std::size_t> inst_of;
   /// method name -> instrumented nodes declaring it (any class).
-  std::map<std::string, std::set<std::string>> inst_by_method;
-  /// helper name / "SimpleClass::name" -> helper keys.
-  std::map<std::string, std::set<std::string>> helper_by_name;
-  std::map<std::string, std::set<std::string>> helper_by_suffix;
-  std::map<std::string, std::vector<const FunctionDef*>> helper_defs;
-  std::map<std::string, std::vector<const FunctionDef*>> node_defs;
-  /// Simple names of FAT_CTOR_INFO classes and their "(ctor)" nodes.
-  std::set<std::string> ctor_simples;
-  std::map<std::string, std::set<std::string>> ctor_nodes_by_simple;
+  std::unordered_map<Sym, std::vector<std::size_t>> inst_by_method;
+  /// helper name / (SimpleClass << 32 | name) -> helper ids.
+  std::unordered_map<Sym, std::vector<std::size_t>> helper_by_name;
+  std::unordered_map<std::uint64_t, std::vector<std::size_t>> helper_by_suffix;
+  /// FAT_CTOR_INFO class simple names -> their "(ctor)" nodes.
+  std::unordered_map<Sym, std::vector<std::size_t>> ctor_nodes_by_simple;
+  std::vector<bool> open;
 
   std::map<const FunctionDef*, DefFacts> facts;
-  std::map<std::string, std::set<std::string>> helper_prop, helper_expl;
 
   explicit Builder(const SourceModel& m, const std::set<std::string>& rt)
-      : model(m), runtime_names(rt) {}
+      : model(m), st(m.symbols), runtime_names(rt) {}
 
+  static std::uint64_t pair_key(Sym a, Sym b) {
+    return std::uint64_t{a} << 32 | b;
+  }
+  std::size_t type_id(const std::string& name);
+  std::size_t add_node(const std::string& name, const ClassModel& cm,
+                       const std::string& method);
   void inventory();
   void scan_def(const FunctionDef& def);
   CallEvt resolve_call(const FunctionDef& def, const TokenCursor& v,
                        std::size_t i) const;
-  bool contribute(const DefFacts& f, std::set<std::string>& prop,
-                  std::set<std::string>& expl);
+  bool contribute(const DefFacts& f, TypeSet& prop, TypeSet& expl);
   void fixpoint();
-  void edges();
-
-  StaticCallGraph build() {
-    inventory();
-    for (const auto& [key, defs] : helper_defs)
-      for (const FunctionDef* d : defs) scan_def(*d);
-    for (const auto& [node, defs] : node_defs)
-      for (const FunctionDef* d : defs) scan_def(*d);
-    fixpoint();
-    edges();
-    return std::move(g);
-  }
+  StaticCallGraph build();
 };
 
+std::size_t Builder::type_id(const std::string& name) {
+  const auto [it, fresh] = type_ids.emplace(name, type_names.size());
+  if (fresh) {
+    type_names.push_back(name);
+    type_simple.push_back(st.find(simple_of(name)));
+  }
+  return it->second;
+}
+
+/// A node seeded with its declared and the runtime exception types.
+std::size_t Builder::add_node(const std::string& name, const ClassModel& cm,
+                              const std::string& method) {
+  const auto [it, fresh] = node_ids.emplace(name, node_names.size());
+  if (!fresh) return it->second;
+  node_names.push_back(name);
+  TypeSet seed;
+  auto dt = cm.declared_throws.find(method);
+  if (dt != cm.declared_throws.end())
+    for (const std::string& t : dt->second) seed.insert(type_id(t));
+  for (const std::string& t : runtime_names) seed.insert(type_id(t));
+  node_prop.push_back(std::move(seed));
+  node_expl.emplace_back();  // materialize (possibly empty)
+  node_defs.emplace_back();
+  return it->second;
+}
+
 void Builder::inventory() {
+  any_type = type_id(kAny);
   for (const auto& [qn, cm] : model.classes) {
-    simple_to_quals[simple_of(qn)].insert(qn);
-    auto add_node = [&](const std::string& method) {
-      const std::string node = qn + "::" + method;
-      inst_by_method[method].insert(node);
-      std::set<std::string>& seed = g.may_propagate[node];
-      auto it = cm.declared_throws.find(method);
-      if (it != cm.declared_throws.end())
-        seed.insert(it->second.begin(), it->second.end());
-      seed.insert(runtime_names.begin(), runtime_names.end());
-      g.may_raise_explicit[node];  // materialize (possibly empty)
+    const Sym simple = st.find(simple_of(qn));
+    auto add_method = [&](const std::string& method) {
+      const std::size_t before = node_names.size();
+      const std::size_t node = add_node(qn + "::" + method, cm, method);
+      if (node < before) return;
+      const Sym m = st.find(method);
+      inst_by_class[pair_key(simple, m)].push_back(node);
+      inst_of[{&cm, m}] = node;
+      inst_by_method[m].push_back(node);
     };
-    for (const std::string& m : cm.instrumented) add_node(m);
-    for (const std::string& m : cm.statics) add_node(m);
-    if (cm.has_ctor_info) {
-      const std::string simple = simple_of(qn);
-      ctor_simples.insert(simple);
-      ctor_nodes_by_simple[simple].insert(qn + "::(ctor)");
-      std::set<std::string>& seed = g.may_propagate[qn + "::(ctor)"];
-      auto it = cm.declared_throws.find("(ctor)");
-      if (it != cm.declared_throws.end())
-        seed.insert(it->second.begin(), it->second.end());
-      seed.insert(runtime_names.begin(), runtime_names.end());
-      g.may_raise_explicit[qn + "::(ctor)"];
-    }
+    for (const std::string& m : cm.instrumented) add_method(m);
+    for (const std::string& m : cm.statics) add_method(m);
+    if (cm.has_ctor_info)
+      ctor_nodes_by_simple[simple].push_back(
+          add_node(qn + "::(ctor)", cm, "(ctor)"));
   }
 
   // Classify every definition: an instrumented node's body, a constructor
   // body, or an un-instrumented helper.
-  for (const FunctionDef& def : model.functions) {
+  helper_of_key.assign(model.keys.text.size(), DefKeys::npos);
+  for (std::size_t d = 0; d < model.functions.size(); ++d) {
+    const FunctionDef& def = model.functions[d];
     const ClassModel* cm =
         def.class_name.empty() ? nullptr : model.find_class(def.class_name);
     if (cm != nullptr &&
         (cm->instrumented.count(def.name) || cm->statics.count(def.name))) {
-      node_defs[def.class_name + "::" + def.name].push_back(&def);
+      node_defs[inst_of.at({cm, def.name_id})].push_back(&def);
       continue;
     }
     if (cm != nullptr && cm->has_ctor_info &&
         def.name == simple_of(def.class_name)) {
-      node_defs[def.class_name + "::(ctor)"].push_back(&def);
+      node_defs[node_ids.at(def.class_name + "::(ctor)")].push_back(&def);
       continue;
     }
-    const std::string key =
-        def.class_name.empty() ? def.name : def.class_name + "::" + def.name;
-    helper_defs[key].push_back(&def);
-    helper_by_name[def.name].insert(key);
-    if (!def.class_name.empty())
-      helper_by_suffix[simple_of(def.class_name) + "::" + def.name].insert(
-          key);
+    const std::size_t key = model.keys.of_def[d];
+    std::size_t& helper = helper_of_key[key];
+    if (helper == DefKeys::npos) {
+      helper = helper_defs.size();
+      helper_defs.emplace_back();
+      helper_by_name[def.name_id].push_back(helper);
+      if (!def.class_name.empty())
+        helper_by_suffix[pair_key(st.find(simple_of(def.class_name)),
+                                  def.name_id)]
+            .push_back(helper);
+    }
+    helper_defs[helper].push_back(&def);
   }
+  helper_prop.resize(helper_defs.size());
+  helper_expl.resize(helper_defs.size());
 
   // Instrumented methods (and ctor frames) with no scanned body are open:
   // nothing is known, every check involving them passes trivially.
-  for (const auto& [node, seed] : g.may_propagate)
-    if (!node_defs.count(node)) g.open.insert(node);
+  open.resize(node_names.size());
+  for (std::size_t n = 0; n < node_names.size(); ++n)
+    open[n] = node_defs[n].empty();
 }
 
 CallEvt Builder::resolve_call(const FunctionDef& def, const TokenCursor& v,
                               std::size_t i) const {
   CallEvt evt;
   evt.pos = i;
-  const std::string& name = v.tk(i);
+  const Sym name = v.tk(i);
 
-  // Reconstruct a `Qual::...::name` chain leftwards.
-  std::vector<std::string> quals;
+  // The `Qual::...::name` chain leftwards: its first and last qualifiers.
+  Sym first = sym::Empty, last = sym::Empty;
   std::size_t j = i;
-  while (j >= 2 && v.tk(j - 1) == "::" && is_ident(v.tk(j - 2))) {
-    quals.insert(quals.begin(), v.tk(j - 2));
+  while (j >= 2 && v.tk(j - 1) == sym::Scope && v.ident(j - 2)) {
+    first = v.tk(j - 2);
+    if (last == sym::Empty) last = first;
     j -= 2;
   }
-  if (!quals.empty() && (quals.front() == "std" || quals.front() == "fatomic"))
+  if (first == sym::Std || first == sym::Fatomic)
     return evt;  // standard library / framework: never a subject target
 
-  if (!quals.empty()) {
+  auto append = [](std::vector<std::size_t>& to, const auto& table,
+                   const auto& key) {
+    auto it = table.find(key);
+    if (it != table.end())
+      to.insert(to.end(), it->second.begin(), it->second.end());
+  };
+  if (last != sym::Empty) {
     // Qualified call: resolve through the last written qualifier.
-    const std::string& cls = quals.back();
-    auto sq = simple_to_quals.find(cls);
-    if (sq != simple_to_quals.end())
-      for (const std::string& qn : sq->second) {
-        const ClassModel& cm = model.classes.at(qn);
-        if (cm.instrumented.count(name) || cm.statics.count(name))
-          evt.inst_nodes.insert(qn + "::" + name);
-      }
-    auto hk = helper_by_suffix.find(cls + "::" + name);
-    if (hk != helper_by_suffix.end())
-      evt.helper_keys.insert(hk->second.begin(), hk->second.end());
+    append(evt.inst_nodes, inst_by_class, pair_key(last, name));
+    append(evt.helper_keys, helper_by_suffix, pair_key(last, name));
     return evt;
   }
 
-  const bool member_call = v.tk(j - 1) == "." || v.tk(j - 1) == "->";
+  const bool member_call =
+      v.tk(j - 1) == sym::Dot || v.tk(j - 1) == sym::Arrow;
   if (!member_call && !def.class_name.empty()) {
     // Unqualified call inside a member definition: C++ lookup finds a
     // member of the same class first (wrapper lambdas capture `this`, so
     // sibling calls appear receiver-less).
     const ClassModel* cm = model.find_class(def.class_name);
-    if (cm != nullptr &&
-        (cm->instrumented.count(name) || cm->statics.count(name))) {
-      evt.inst_nodes.insert(def.class_name + "::" + name);
-      return evt;
+    if (cm != nullptr) {
+      auto own = inst_of.find({cm, name});
+      if (own != inst_of.end()) {
+        evt.inst_nodes.push_back(own->second);
+        return evt;
+      }
     }
-    auto hk = helper_defs.find(def.class_name + "::" + name);
-    if (hk != helper_defs.end()) {
-      evt.helper_keys.insert(hk->first);
+    const std::size_t key = model.keys.find(def.class_id, name);
+    if (key != DefKeys::npos && helper_of_key[key] != DefKeys::npos) {
+      evt.helper_keys.push_back(helper_of_key[key]);
       return evt;
     }
   }
@@ -203,35 +248,31 @@ CallEvt Builder::resolve_call(const FunctionDef& def, const TokenCursor& v,
   // Member call on an unknown receiver, or an unqualified name with no
   // same-class match: any instrumented method or helper of that name may be
   // the target (the deliberate over-approximation graph_check leans on).
-  auto in = inst_by_method.find(name);
-  if (in != inst_by_method.end())
-    evt.inst_nodes.insert(in->second.begin(), in->second.end());
-  auto hn = helper_by_name.find(name);
-  if (hn != helper_by_name.end())
-    evt.helper_keys.insert(hn->second.begin(), hn->second.end());
+  append(evt.inst_nodes, inst_by_method, name);
+  append(evt.helper_keys, helper_by_name, name);
   return evt;
 }
 
 void Builder::scan_def(const FunctionDef& def) {
   if (facts.count(&def)) return;
   DefFacts& f = facts[&def];
-  const TokenCursor v(def.body);
+  const TokenCursor v(def.body, st);
   f.trys = try_regions(v);
 
   for (std::size_t i = 0; i < v.size(); ++i) {
-    const std::string& t = v.tk(i);
-    if (t == "throw") {
+    const Sym t = v.tk(i);
+    if (t == sym::Throw) {
       // A rethrow, a thrown variable or an unresolvable type is the
       // wildcard.
-      std::string type = thrown_type(v, i, model);
-      if (type.empty()) type = kAny;
-      if (escapes(f.trys, model, i, type)) f.throws.emplace_back(i, type);
+      const Sym type = thrown_type(v, i, model);
+      if (escapes(f.trys, model, i, type))
+        f.throws.emplace_back(
+            i, type == sym::Empty ? any_type : type_id(st.text(type)));
       continue;
     }
-    if (is_ident(t) && !keywords().count(t) && !is_number(t)) {
-      if (ctor_simples.count(t)) f.ctors.emplace_back(i, t);
-      if (v.tk(i + 1) == "(" && t.rfind("FAT_", 0) != 0 &&
-          t.rfind("fat_", 0) != 0) {
+    if (v.word(i)) {
+      if (ctor_nodes_by_simple.count(t)) f.ctors.emplace_back(i, t);
+      if (v.tk(i + 1) == sym::LParen && !v.has(i, kMacro | kFrameworkCall)) {
         CallEvt evt = resolve_call(def, v, i);
         if (!evt.inst_nodes.empty() || !evt.helper_keys.empty())
           f.calls.push_back(std::move(evt));
@@ -240,49 +281,45 @@ void Builder::scan_def(const FunctionDef& def) {
   }
 }
 
-bool Builder::contribute(const DefFacts& f, std::set<std::string>& prop,
-                         std::set<std::string>& expl) {
+bool Builder::contribute(const DefFacts& f, TypeSet& prop, TypeSet& expl) {
   const std::size_t before = prop.size() + expl.size();
+  auto escaping = [&](std::size_t pos, std::size_t type) {
+    return escapes(f.trys, model, pos, type_simple[type]);
+  };
   for (const auto& [pos, type] : f.throws) {
     prop.insert(type);  // already filtered through this def's try blocks
     expl.insert(type);
   }
   for (const CallEvt& c : f.calls) {
-    std::set<std::string> in_prop, in_expl;
-    for (const std::string& n : c.inst_nodes) {
-      if (g.open.count(n)) {
-        in_prop.insert(kAny);
+    TypeSet in_prop, in_expl;
+    for (const std::size_t n : c.inst_nodes) {
+      if (open[n]) {
+        in_prop.insert(any_type);
         continue;
       }
-      auto it = g.may_propagate.find(n);
-      if (it != g.may_propagate.end())
-        in_prop.insert(it->second.begin(), it->second.end());
+      in_prop.insert(node_prop[n].begin(), node_prop[n].end());
     }
-    for (const std::string& k : c.helper_keys) {
-      const auto& hp = helper_prop[k];
-      in_prop.insert(hp.begin(), hp.end());
+    for (const std::size_t k : c.helper_keys) {
+      in_prop.insert(helper_prop[k].begin(), helper_prop[k].end());
       // Explicit throws flow through helpers only: an undeclared throw
       // inside an instrumented callee is the callee's own lint finding.
-      const auto& he = helper_expl[k];
-      in_expl.insert(he.begin(), he.end());
+      in_expl.insert(helper_expl[k].begin(), helper_expl[k].end());
     }
     // k=1 call-site context: the callee's set is filtered through exactly
     // the try blocks enclosing *this* call, not smeared function-wide.
-    for (const std::string& type : in_prop)
-      if (escapes(f.trys, model, c.pos, type)) prop.insert(type);
-    for (const std::string& type : in_expl)
-      if (escapes(f.trys, model, c.pos, type)) expl.insert(type);
+    for (const std::size_t type : in_prop)
+      if (escaping(c.pos, type)) prop.insert(type);
+    for (const std::size_t type : in_expl)
+      if (escaping(c.pos, type)) expl.insert(type);
   }
   for (const auto& [pos, cls] : f.ctors) {
-    auto it = ctor_nodes_by_simple.find(cls);
-    if (it == ctor_nodes_by_simple.end()) continue;
-    for (const std::string& node : it->second) {
-      if (g.open.count(node)) {
-        if (escapes(f.trys, model, pos, kAny)) prop.insert(kAny);
+    for (const std::size_t node : ctor_nodes_by_simple.at(cls)) {
+      if (open[node]) {
+        if (escaping(pos, any_type)) prop.insert(any_type);
         continue;
       }
-      for (const std::string& type : g.may_propagate[node])
-        if (escapes(f.trys, model, pos, type)) prop.insert(type);
+      for (const std::size_t type : node_prop[node])
+        if (escaping(pos, type)) prop.insert(type);
     }
   }
   return prop.size() + expl.size() != before;
@@ -292,27 +329,46 @@ void Builder::fixpoint() {
   bool changed = true;
   while (changed) {
     changed = false;
-    for (const auto& [key, defs] : helper_defs)
-      for (const FunctionDef* d : defs)
-        if (contribute(facts[d], helper_prop[key], helper_expl[key]))
+    for (std::size_t h = 0; h < helper_defs.size(); ++h)
+      for (const FunctionDef* d : helper_defs[h])
+        if (contribute(facts[d], helper_prop[h], helper_expl[h]))
           changed = true;
-    for (const auto& [node, defs] : node_defs)
-      for (const FunctionDef* d : defs)
-        if (contribute(facts[d], g.may_propagate[node],
-                       g.may_raise_explicit[node]))
-          changed = true;
+    for (std::size_t n = 0; n < node_defs.size(); ++n)
+      for (const FunctionDef* d : node_defs[n])
+        if (contribute(facts[d], node_prop[n], node_expl[n])) changed = true;
   }
 }
 
-void Builder::edges() {
+StaticCallGraph Builder::build() {
+  inventory();
+  for (const auto& defs : helper_defs)
+    for (const FunctionDef* d : defs) scan_def(*d);
+  for (const auto& defs : node_defs)
+    for (const FunctionDef* d : defs) scan_def(*d);
+  fixpoint();
+
+  StaticCallGraph g;
+  auto spell = [&](const TypeSet& types) {
+    std::set<std::string> out;
+    for (const std::size_t t : types) out.insert(type_names[t]);
+    return out;
+  };
+  for (std::size_t n = 0; n < node_names.size(); ++n) {
+    g.may_propagate[node_names[n]] = spell(node_prop[n]);
+    g.may_raise_explicit[node_names[n]] = spell(node_expl[n]);
+    if (open[n]) g.open.insert(node_names[n]);
+  }
+
   // Call edges per node: instrumented methods reachable through helper
   // definitions only.  Constructor bodies run *outside* their own wrapper
   // frame (FAT_CTOR_ENTRY wraps an empty lambda), so anything an invoked
   // constructor calls nests under this node dynamically — constructing a
   // class pulls its ctor bodies into the walk.
-  for (const auto& [node, defs] : node_defs) {
-    std::set<std::string>& out = g.calls[node];
-    std::set<std::string>& ctors_out = g.ctor_classes[node];
+  for (std::size_t n = 0; n < node_names.size(); ++n) {
+    if (open[n]) continue;
+    std::set<std::string>& out = g.calls[node_names[n]];
+    std::set<std::string>& ctors_out = g.ctor_classes[node_names[n]];
+    const auto& defs = node_defs[n];
     std::vector<const FunctionDef*> work(defs.begin(), defs.end());
     std::set<const FunctionDef*> seen(defs.begin(), defs.end());
     auto enqueue = [&](const std::vector<const FunctionDef*>& more) {
@@ -324,23 +380,18 @@ void Builder::edges() {
       work.pop_back();
       const DefFacts& f = facts[d];
       for (const CallEvt& c : f.calls) {
-        out.insert(c.inst_nodes.begin(), c.inst_nodes.end());
-        for (const std::string& k : c.helper_keys) {
-          auto hd = helper_defs.find(k);
-          if (hd != helper_defs.end()) enqueue(hd->second);
-        }
+        for (const std::size_t callee : c.inst_nodes)
+          out.insert(node_names[callee]);
+        for (const std::size_t k : c.helper_keys) enqueue(helper_defs[k]);
       }
       for (const auto& [pos, cls] : f.ctors) {
-        ctors_out.insert(cls);
-        auto it = ctor_nodes_by_simple.find(cls);
-        if (it == ctor_nodes_by_simple.end()) continue;
-        for (const std::string& cn : it->second) {
-          auto nd = node_defs.find(cn);
-          if (nd != node_defs.end()) enqueue(nd->second);
-        }
+        ctors_out.insert(st.text(cls));
+        for (const std::size_t cn : ctor_nodes_by_simple.at(cls))
+          enqueue(node_defs[cn]);
       }
     }
   }
+  return g;
 }
 
 }  // namespace

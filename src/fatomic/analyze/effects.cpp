@@ -1,28 +1,15 @@
 #include "fatomic/analyze/effects.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstddef>
 #include <limits>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "fatomic/analyze/alias.hpp"
 #include "fatomic/analyze/tokens.hpp"
 
 namespace fatomic::analyze {
-
-void FnSummary::join(const FnSummary& o) {
-  mutates_env |= o.mutates_env;
-  mutates_params |= o.mutates_params;
-  may_throw |= o.may_throw;
-  catches |= o.catches;
-  writes.insert(o.writes.begin(), o.writes.end());
-  writes_unknown |= o.writes_unknown;
-  param_writes.insert(o.param_writes.begin(), o.param_writes.end());
-  param_writes_unknown |= o.param_writes_unknown;
-  write_param_positions.insert(o.write_param_positions.begin(),
-                               o.write_param_positions.end());
-  param_positions_unknown |= o.param_positions_unknown;
-}
 
 const char* EffectSummary::verdict() const {
   if (!scanned) return "unscanned";
@@ -33,27 +20,11 @@ const char* EffectSummary::verdict() const {
 
 namespace {
 
-/// Member calls that never mutate their receiver nor raise (accessors of the
-/// standard library and of smart pointers).  Checked only after the
-/// instrumented-name and helper-summary lookups, so a subject method that
-/// happens to share one of these names keeps its own (stronger) facts.
-const std::set<std::string>& pure_member_calls() {
-  static const std::set<std::string> p = {
-      "get",   "size",   "empty", "begin",  "end",   "cbegin", "cend",
-      "rbegin", "rend",  "c_str", "data",   "length", "str",   "what",
-  };
-  return p;
-}
+using Summary = BasicFnSummary<Sym>;
+using Target = BasicAliasTarget<Sym>;
+using AliasInfo = BasicFnAliasInfo<Sym>;
 
-/// std:: functions that mutate nothing even when handed tracked arguments.
-const std::set<std::string>& pure_std_calls() {
-  static const std::set<std::string> p = {
-      "to_string", "stoi",      "max",       "min",  "distance",
-      "make_unique", "make_shared", "make_pair", "tie", "isspace",
-      "isdigit",  "isalpha",   "isalnum",
-  };
-  return p;
-}
+constexpr std::size_t npos = std::numeric_limits<std::size_t>::max();
 
 /// Which caller-visible state an event touches.
 enum class Kind { None, Fresh, TrackedLocal, SafeParam, TrackedParam, Env };
@@ -74,7 +45,7 @@ struct Event {
   /// Member names a mutation event may write.  Empty plus `target_unknown`
   /// means the write lands somewhere unresolvable — Pass 3 collapses the
   /// enclosing method's write set to ⊤.
-  std::vector<std::string> targets;
+  std::vector<Sym> targets;
   bool target_unknown = false;
   /// For via_param events: which of the enclosing function's parameter
   /// positions the write flows through.  Empty means "could not determine"
@@ -83,41 +54,63 @@ struct Event {
   std::set<std::size_t> via_positions;
 };
 
+/// One definition's scan structure, built once per analysis: every fixpoint
+/// round and the verdict scan the same effective body, try regions, loop
+/// intervals and parameter table.
+struct Scanned {
+  const FunctionDef* def = nullptr;
+  /// Effective body (the invoke lambda for instrumented definitions).
+  Tokens body;
+  /// Summary key id (SourceModel::keys).
+  std::size_t key = 0;
+  bool instrumented = false;
+  /// The ClassModel the definition's class matches, if any.
+  const ClassModel* cls = nullptr;
+  /// Pass 5 bindings of this definition's key.
+  const AliasInfo* alias = nullptr;
+  /// The body's try statements, for catch-clause-aware throw suppression.
+  std::vector<TryRegion> trys;
+  /// Outermost loop interval covering each token, or npos.
+  std::vector<std::size_t> loop_start, loop_end;
+  /// Named parameters: tracked (non-const reference or pointer) and
+  /// position.
+  std::map<Sym, bool> params;
+  std::map<Sym, std::size_t> param_pos;
+  /// The events and catch flag of the latest fixpoint round.
+  std::vector<Event> events;
+  bool catches = false;
+};
+
 struct Ctx {
   const SourceModel* model;
-  /// Summaries keyed "Class::helper" / free "helper".
-  const std::map<std::string, FnSummary>* by_key;
+  /// Summaries by key id: "Class::helper" / free "helper".
+  const std::vector<Summary>* by_key;
   /// Summaries merged over every definition sharing a simple name — the
-  /// sound resolution for calls whose receiver type is unknown.
-  const std::map<std::string, FnSummary>* by_name;
-  /// Qualified class names of scanned definitions, by simple name — the
+  /// sound resolution for calls whose receiver type is unknown — and the
+  /// slot of each name symbol in it (npos for names no definition has).
+  const std::vector<Summary>* by_name;
+  const std::vector<std::size_t>* name_slot;
+  /// Class ids of scanned definitions, by simple class name — the
   /// candidate set for receiver-typed call resolution.
-  const std::map<std::string, std::set<std::string>>* def_classes_by_simple;
+  const std::unordered_map<Sym, std::set<Sym>>* def_classes_by_simple;
   /// Simple class names with any dynamic-dispatch risk (FAT_POLY, or on
   /// either side of an inheritance edge): receiver-typed resolution must
   /// not narrow calls through these, an unscanned override could run.
-  const std::set<std::string>* dispatch_risky;
+  const std::unordered_set<Sym>* dispatch_risky;
+  /// Per declared member or variable: the instrumented method names of
+  /// every class whose simple name occurs in its declared type.
+  const std::unordered_map<Sym, std::set<Sym>>* type_methods;
 };
 
 /// Scans one function body, producing effect events against the current
 /// summary table (see analyze_effects for the fixpoint driving this).
 class BodyScan : private TokenCursor {
  public:
-  BodyScan(const Tokens& body, const FunctionDef& def,
-           const FnAliasInfo& alias, const Ctx& ctx)
-      : TokenCursor(body),
-        def_(def),
+  BodyScan(const Scanned& plan, const Ctx& ctx)
+      : TokenCursor(plan.body, ctx.model->symbols),
+        plan_(plan),
         ctx_(ctx),
-        alias_(alias),
-        trys_(try_regions(*this)) {
-    for (std::size_t i = 0; i < def.params.size(); ++i) {
-      const Param& p = def.params[i];
-      if (p.name.empty()) continue;
-      params_[p.name] = !p.is_const && (p.is_ref || p.is_ptr);
-      param_pos_[p.name] = i;
-    }
-    compute_loops();
-  }
+        alias_(*plan.alias) {}
 
   void run();
 
@@ -135,10 +128,10 @@ class BodyScan : private TokenCursor {
     bool is_ref = false;
   };
 
-  Kind classify(const std::string& name) const {
+  Kind classify(Sym name) const {
     if (auto it = locals_.find(name); it != locals_.end())
       return it->second.tracked ? Kind::TrackedLocal : Kind::Fresh;
-    if (auto it = params_.find(name); it != params_.end())
+    if (auto it = plan_.params.find(name); it != plan_.params.end())
       return it->second ? Kind::TrackedParam : Kind::SafeParam;
     return Kind::Env;
   }
@@ -146,13 +139,13 @@ class BodyScan : private TokenCursor {
   /// Is token k a base identifier of an expression (not a member/qualified
   /// name component, not a literal or keyword)?
   bool base_ident_at(std::size_t k, std::size_t from) const {
-    const std::string& t = tk(k);
-    if (!is_ident(t) || is_number(t) || keywords().count(t)) return false;
+    if (!word(k)) return false;
     if (k > from) {
-      const std::string& prev = tk(k - 1);
-      if (prev == "." || prev == "->" || prev == "::") return false;
+      const Sym prev = tk(k - 1);
+      if (prev == sym::Dot || prev == sym::Arrow || prev == sym::Scope)
+        return false;
     }
-    if (tk(k + 1) == "::") return false;
+    if (tk(k + 1) == sym::Scope) return false;
     return true;
   }
 
@@ -176,8 +169,8 @@ class BodyScan : private TokenCursor {
     for (std::size_t k = b; k < e; ++k) {
       if (!base_ident_at(k, b)) continue;
       if (classify(tk(k)) != Kind::TrackedParam) continue;
-      auto it = param_pos_.find(tk(k));
-      if (it != param_pos_.end()) out.insert(it->second);
+      auto it = plan_.param_pos.find(tk(k));
+      if (it != plan_.param_pos.end()) out.insert(it->second);
     }
     return out;
   }
@@ -187,8 +180,9 @@ class BodyScan : private TokenCursor {
   bool expr_fresh(std::size_t b, std::size_t e) const {
     if (b >= e) return true;  // no initializer: default construction
     for (std::size_t k = b; k < e; ++k) {
-      const std::string& t = tk(k);
-      if (t == "new" || t == "make_unique" || t == "make_shared") return true;
+      const Sym t = tk(k);
+      if (t == sym::New || t == sym::MakeUnique || t == sym::MakeShared)
+        return true;
     }
     for (std::size_t k = b; k < e; ++k) {
       if (!base_ident_at(k, b)) continue;
@@ -207,11 +201,11 @@ class BodyScan : private TokenCursor {
     bool deref = false;
     Kind base = Kind::None;
     /// Base identifier the chain starts from (classified into `base`).
-    std::string base_name;
+    Sym base_name = sym::Empty;
     /// Identifier nearest the end of the chain — the immediate receiver of
     /// a member call (`children` in `root_->children.push_back`).  Empty
     /// when the chain ends in a call or index result.
-    std::string recv_name;
+    Sym recv_name = sym::Empty;
     /// recv_name itself is dereferenced (`*p = v` writes p's pointee, not a
     /// member named "p") — the name must not be used as a write target.
     bool recv_starred = false;
@@ -228,7 +222,7 @@ class BodyScan : private TokenCursor {
   /// `f(args)->m`, `arr[i]`.
   Chain chain_before(std::size_t end) const {
     Chain c;
-    std::string base;
+    Sym base = sym::Empty;
     bool first = true;
     // A trailing index group makes the *owning* identifier the written
     // target (`buckets_[i] = v` writes buckets_) — unless a call group
@@ -236,65 +230,68 @@ class BodyScan : private TokenCursor {
     bool pending_index = false;
     std::ptrdiff_t j = static_cast<std::ptrdiff_t>(end) - 1;
     while (j >= 0) {
-      const std::string& t = tk(static_cast<std::size_t>(j));
-      if (is_ident(t) && !keywords().count(t) && !is_number(t) && first) {
+      const auto uj = static_cast<std::size_t>(j);
+      const Sym t = tk(uj);
+      const bool name = word(uj);
+      if (name && first) {
         c.recv_name = t;
-        c.recv_starred = j > 0 && tk(static_cast<std::size_t>(j) - 1) == "*";
+        c.recv_starred = j > 0 && tk(uj - 1) == sym::Star;
         first = false;
-      } else if (t != "." && t != "::") {
-        if (t == "]" && first && c.recv_name.empty()) pending_index = true;
+      } else if (t != sym::Dot && t != sym::Scope) {
+        if (t == sym::RBracket && first && c.recv_name == sym::Empty)
+          pending_index = true;
         first = false;
       }
-      if (t == ")" || t == "]") {
+      if (t == sym::RParen || t == sym::RBracket) {
+        const bool call = t == sym::RParen;
         const std::ptrdiff_t open =
-            match_back(j, t == ")" ? "(" : "[", t == ")" ? ")" : "]");
+            match_back(j, call ? sym::LParen : sym::LBracket, t);
         if (open < 0) break;
-        if (t == ")") pending_index = false;
-        if (t == ")" && open > 0 &&
-            ctx_.model->class_names.count(
-                tk(static_cast<std::size_t>(open) - 1))) {
+        if (call) pending_index = false;
+        if (call && open > 0 &&
+            ctx_.model->has(tk(static_cast<std::size_t>(open) - 1),
+                            kClassName)) {
           // `Parser(src).parse_document()` — the receiver is a freshly
           // constructed temporary; mutations through it never reach the
           // caller.
           c.base = Kind::Fresh;
           return c;
         }
-        if (t == "]") c.deref = true;
+        if (!call) c.deref = true;
         j = open - 1;
         continue;
       }
-      if (t == "this") {
+      if (t == sym::This) {
         // `*this = other` / `(*this).x = v`: the receiver itself is the
         // base.  `this` classifies as Env (never a local or parameter).
         base = t;
         --j;
         continue;
       }
-      if (is_ident(t) && !keywords().count(t) && !is_number(t)) {
-        if (pending_index && c.recv_name.empty()) {
+      if (name) {
+        if (pending_index && c.recv_name == sym::Empty) {
           c.recv_name = t;
-          c.recv_starred =
-              j > 0 && tk(static_cast<std::size_t>(j) - 1) == "*";
+          c.recv_starred = j > 0 && tk(uj - 1) == sym::Star;
           pending_index = false;
         }
         base = t;
         --j;
         continue;
       }
-      if (t == "." || t == "::") {
-        if (t == ".") ++c.hops;
+      if (t == sym::Dot || t == sym::Scope) {
+        if (t == sym::Dot) ++c.hops;
         --j;
         continue;
       }
-      if (t == "->" || t == "*") {
+      if (t == sym::Arrow || t == sym::Star) {
         c.deref = true;
-        if (t == "->") ++c.hops;
+        if (t == sym::Arrow) ++c.hops;
         --j;
         continue;
       }
       break;
     }
-    if (!base.empty()) {
+    if (base != sym::Empty) {
       c.base = classify(base);
       c.base_name = base;
     }
@@ -306,36 +303,36 @@ class BodyScan : private TokenCursor {
     Chain c;
     std::size_t k = b;
     bool leading_star = false;
-    while (k < size() && (tk(k) == "*" || tk(k) == "(")) {
-      if (tk(k) == "*") {
+    while (k < size() && (tk(k) == sym::Star || tk(k) == sym::LParen)) {
+      if (tk(k) == sym::Star) {
         c.deref = true;
         leading_star = true;
       }
       ++k;
     }
-    std::string base;
+    Sym base = sym::Empty;
     while (k < size()) {
-      const std::string& t = tk(k);
-      if (t == "this") {  // `++this->count_`: the receiver is the base
-        if (base.empty()) base = t;
+      const Sym t = tk(k);
+      if (t == sym::This) {  // `++this->count_`: the receiver is the base
+        if (base == sym::Empty) base = t;
         ++k;
         continue;
       }
-      if (is_ident(t) && !keywords().count(t) && !is_number(t)) {
-        if (base.empty()) base = t;
+      if (word(k)) {
+        if (base == sym::Empty) base = t;
         c.recv_name = t;  // last identifier wins: the written member
         ++k;
         continue;
       }
-      if (t == "." || t == "::") {
-        if (t == ".") {
+      if (t == sym::Dot || t == sym::Scope) {
+        if (t == sym::Dot) {
           leading_star = false;  // star applied to an earlier link
           ++c.hops;
         }
         ++k;
         continue;
       }
-      if (t == "->") {
+      if (t == sym::Arrow) {
         c.deref = true;
         leading_star = false;
         ++c.hops;
@@ -344,7 +341,7 @@ class BodyScan : private TokenCursor {
       }
       break;
     }
-    if (!base.empty()) {
+    if (base != sym::Empty) {
       c.base = classify(base);
       c.base_name = base;
     }
@@ -356,8 +353,8 @@ class BodyScan : private TokenCursor {
   std::set<std::size_t> chain_positions(const Chain& c) const {
     std::set<std::size_t> out;
     if (c.base == Kind::TrackedParam) {
-      auto it = param_pos_.find(c.base_name);
-      if (it != param_pos_.end()) out.insert(it->second);
+      auto it = plan_.param_pos.find(c.base_name);
+      if (it != plan_.param_pos.end()) out.insert(it->second);
     }
     return out;
   }
@@ -367,22 +364,20 @@ class BodyScan : private TokenCursor {
   /// inside that named subtree.  A bare tracked local resolves through its
   /// alias binding when that names a receiver subtree (Pass 5); calls,
   /// indexing, dereferences, and unresolved locals yield no usable target.
-  std::pair<std::vector<std::string>, bool> arg_target(std::size_t b,
-                                                       std::size_t e) const {
+  std::pair<std::vector<Sym>, bool> arg_target(std::size_t b,
+                                               std::size_t e) const {
     for (std::size_t k = b; k < e; ++k) {
-      const std::string& t = tk(k);
-      if (t == "." || t == "->" || t == "::") continue;
-      if (!is_ident(t) || keywords().count(t) || is_number(t))
-        return {{}, false};
+      const Sym t = tk(k);
+      if (t == sym::Dot || t == sym::Arrow || t == sym::Scope) continue;
+      if (!word(k)) return {{}, false};
     }
     const Chain c = chain_before(e);
-    if (c.recv_name.empty() || c.recv_starred) return {{}, false};
+    if (c.recv_name == sym::Empty || c.recv_starred) return {{}, false};
     if (locals_.count(c.recv_name)) {
       if (c.recv_name == c.base_name) {
         auto it = alias_.locals.find(c.base_name);
         if (it != alias_.locals.end() &&
-            it->second.kind == AliasTarget::Kind::Field &&
-            !it->second.roots.empty())
+            it->second.kind == AliasKind::Field && !it->second.roots.empty())
           return {{it->second.roots.begin(), it->second.roots.end()}, true};
       }
       return {{}, false};
@@ -390,27 +385,24 @@ class BodyScan : private TokenCursor {
     return {{c.recv_name}, true};
   }
 
-  void compute_loops();
-
   void emit(std::size_t pos, bool mut, bool thr, bool via_param,
-            std::vector<std::string> targets = {}, bool target_unknown = true,
+            std::vector<Sym> targets = {}, bool target_unknown = true,
             std::set<std::size_t> via_positions = {});
   /// Mutation with at most one named target; `target_valid` is false when
   /// the name does not denote the written member (starred/empty chains).
-  void emit_mut(std::size_t pos, Kind base, const std::string& target = "",
+  void emit_mut(std::size_t pos, Kind base, Sym target = sym::Empty,
                 bool target_valid = false,
                 std::set<std::size_t> via_positions = {}) {
-    const bool named = target_valid && !target.empty();
+    const bool named = target_valid && target != sym::Empty;
     emit(pos, true, false, base == Kind::TrackedParam,
-         named ? std::vector<std::string>{target} : std::vector<std::string>{},
-         !named, std::move(via_positions));
+         named ? std::vector<Sym>{target} : std::vector<Sym>{}, !named,
+         std::move(via_positions));
   }
   /// Mutation whose targets come from a callee summary's write-name set.
-  void emit_mut_set(std::size_t pos, Kind base,
-                    const std::set<std::string>& names, bool unknown,
-                    std::set<std::size_t> via_positions = {}) {
+  void emit_mut_set(std::size_t pos, Kind base, const std::set<Sym>& names,
+                    bool unknown, std::set<std::size_t> via_positions = {}) {
     emit(pos, true, false, base == Kind::TrackedParam,
-         std::vector<std::string>(names.begin(), names.end()), unknown,
+         std::vector<Sym>(names.begin(), names.end()), unknown,
          std::move(via_positions));
   }
 
@@ -425,36 +417,36 @@ class BodyScan : private TokenCursor {
   /// caller-meaningless (and could shadow a real member).
   void emit_write(std::size_t pos, const Chain& c) {
     auto it = alias_.locals.find(c.base_name);
-    const AliasTarget* t = it == alias_.locals.end() ? nullptr : &it->second;
-    const bool deeper = !c.recv_name.empty() && !c.recv_starred &&
+    const Target* t = it == alias_.locals.end() ? nullptr : &it->second;
+    const bool deeper = c.recv_name != sym::Empty && !c.recv_starred &&
                         c.recv_name != c.base_name;
-    if (t == nullptr || t->kind == AliasTarget::Kind::Top) {
-      emit_mut(pos, Kind::Env, deeper ? c.recv_name : "", deeper);
+    const Sym member = deeper ? c.recv_name : sym::Empty;
+    if (t == nullptr || t->kind == AliasKind::Top) {
+      emit_mut(pos, Kind::Env, member, deeper);
       return;
     }
-    if (t->kind == AliasTarget::Kind::Local) {
+    if (t->kind == AliasKind::Local) {
       // Frame-local storage: droppable only while the write stays in the
       // object's own slots (`n->f = v`).  A second member hop re-enters
       // whatever those slots point at — a ctor frame may have stashed a
       // receiver subtree there (`Wrap w(head_); w.p->value = v`) — so the
       // write falls back to the named-environment path.
       if (c.hops <= 1) return;
-      emit_mut(pos, Kind::Env, deeper ? c.recv_name : "", deeper);
+      emit_mut(pos, Kind::Env, member, deeper);
       return;
     }
-    std::vector<std::string> targets;
+    std::vector<Sym> targets;
     if (deeper)
       targets.push_back(c.recv_name);
     else
       targets.assign(t->roots.begin(), t->roots.end());
     const bool unknown = targets.empty();
-    emit(pos, true, false, t->kind == AliasTarget::Kind::Param,
-         std::move(targets), unknown,
-         t->kind == AliasTarget::Kind::Param ? t->positions
-                                             : std::set<std::size_t>{});
+    emit(pos, true, false, t->kind == AliasKind::Param, std::move(targets),
+         unknown,
+         t->kind == AliasKind::Param ? t->positions : std::set<std::size_t>{});
   }
 
-  bool local_is_ref(const std::string& name) const {
+  bool local_is_ref(Sym name) const {
     auto it = locals_.find(name);
     return it != locals_.end() && it->second.is_ref;
   }
@@ -465,18 +457,18 @@ class BodyScan : private TokenCursor {
   /// chain itself names the written subtree); otherwise any tracked
   /// argument anywhere in the list counts, with the callee's own write
   /// names.
-  void emit_param_writes(std::size_t i, std::size_t close, const FnSummary& s);
+  void emit_param_writes(std::size_t i, std::size_t close, const Summary& s);
   /// Mutation events for a library call that may write through any tracked
   /// argument (std::move, generic algorithms, unknown member calls' args).
   void tracked_args_mut(std::size_t i, std::size_t close);
 
-  const FnSummary* lookup_key(const std::string& key) const {
-    auto it = ctx_.by_key->find(key);
-    return it == ctx_.by_key->end() ? nullptr : &it->second;
+  const Summary* lookup_key(Sym cls, Sym name) const {
+    const std::size_t k = ctx_.model->keys.find(cls, name);
+    return k == DefKeys::npos ? nullptr : &(*ctx_.by_key)[k];
   }
-  const FnSummary* lookup_name(const std::string& name) const {
-    auto it = ctx_.by_name->find(name);
-    return it == ctx_.by_name->end() ? nullptr : &it->second;
+  const Summary* lookup_name(Sym name) const {
+    const std::size_t slot = (*ctx_.name_slot)[name];
+    return slot == npos ? nullptr : &(*ctx_.by_name)[slot];
   }
 
   /// Pass 4 receiver-typed call resolution: when the receiver's declared
@@ -486,8 +478,7 @@ class BodyScan : private TokenCursor {
   /// sharing the method name).  Fails (returns false) whenever the
   /// receiver, its declared type, or any named class is unknown: callers
   /// keep the conservative resolution.
-  bool receiver_summary(const Chain& recv, const std::string& method,
-                        FnSummary* out) const;
+  bool receiver_summary(const Chain& recv, Sym method, Summary* out) const;
 
   void handle_call(std::size_t i);
   bool try_decl(std::size_t i, std::size_t& next);
@@ -498,93 +489,36 @@ class BodyScan : private TokenCursor {
   /// `head_.reset()` where head_ is a unique_ptr and only Regexp instruments
   /// a `reset`.  Unknown receivers and unknown declared types keep the
   /// conservative answer (false: treat the call as an injection point).
-  bool field_rules_out_instrumented(const std::string& recv_name,
-                                    const std::string& method) const {
-    if (recv_name.empty()) return false;
-    auto ft = ctx_.model->declared_types.find(recv_name);
-    if (ft == ctx_.model->declared_types.end()) return false;
-    const std::string& type = ft->second;
-    for (const auto& [qualified, cm] : ctx_.model->classes)
-      if (cm.instrumented.count(method) &&
-          type.find(simple_of(qualified)) != std::string::npos)
-        return false;
-    return true;
+  bool field_rules_out_instrumented(Sym recv_name, Sym method) const {
+    if (recv_name == sym::Empty) return false;
+    auto it = ctx_.type_methods->find(recv_name);
+    return it != ctx_.type_methods->end() && !it->second.count(method);
   }
 
-  const FunctionDef& def_;
+  const Scanned& plan_;
   const Ctx& ctx_;
   /// Pass 5 alias bindings for this definition: writes through tracked
   /// locals resolve to the receiver subtree (or parameter position) the
   /// local aliases instead of collapsing to an unresolved environment write.
-  const FnAliasInfo& alias_;
-  std::map<std::string, Var> locals_;
-  std::map<std::string, bool> params_;  ///< name -> tracked
-  std::map<std::string, std::size_t> param_pos_;
-  /// The body's try statements, for catch-clause-aware throw suppression.
-  std::vector<TryRegion> trys_;
+  const AliasInfo& alias_;
+  std::map<Sym, Var> locals_;
   /// Simple type name of the explicit `throw` currently being emitted
-  /// (empty otherwise): lets emit() consult typed catch handlers.
-  std::string throw_hint_;
-  /// Outermost loop interval covering each token, or npos.
-  std::vector<std::size_t> loop_start_, loop_end_;
-
-  static constexpr std::size_t npos = std::numeric_limits<std::size_t>::max();
+  /// (sym::Empty otherwise): lets emit() consult typed catch handlers.
+  Sym throw_hint_ = sym::Empty;
 };
 
-void BodyScan::compute_loops() {
-  loop_start_.assign(size(), npos);
-  loop_end_.assign(size(), npos);
-  std::size_t i = 0;
-  while (i < size()) {
-    const std::string& t = tk(i);
-    if (t != "for" && t != "while" && t != "do") {
-      ++i;
-      continue;
-    }
-    const std::size_t start = i;
-    std::size_t end = i;
-    if (t == "do") {
-      if (tk(i + 1) != "{") {
-        ++i;
-        continue;
-      }
-      end = match_fwd(i + 1, "{", "}");
-      if (tk(end + 1) == "while" && tk(end + 2) == "(")
-        end = match_fwd(end + 2, "(", ")");
-    } else {
-      if (tk(i + 1) != "(") {
-        ++i;
-        continue;
-      }
-      const std::size_t header = match_fwd(i + 1, "(", ")");
-      if (header >= size()) break;
-      if (tk(header + 1) == "{")
-        end = match_fwd(header + 1, "{", "}");
-      else
-        end = stmt_end(header + 1);
-    }
-    end = std::min(end, size() - 1);
-    for (std::size_t k = start; k <= end; ++k) {
-      loop_start_[k] = start;
-      loop_end_[k] = end;
-    }
-    i = end + 1;
-  }
-}
-
 void BodyScan::emit(std::size_t pos, bool mut, bool thr, bool via_param,
-                    std::vector<std::string> targets, bool target_unknown,
+                    std::vector<Sym> targets, bool target_unknown,
                     std::set<std::size_t> via_positions) {
   // Catch-clause-aware suppression (Pass 4): a throw that provably cannot
   // leave the function is no injection-ordering constraint for callers.
   // The decision uses the original position — loop widening never moves an
   // event across the braces of a try block that contains the loop.
-  if (thr && !escapes(trys_, *ctx_.model, pos, throw_hint_))
-    thr = false;
+  if (thr && !escapes(plan_.trys, *ctx_.model, pos, throw_hint_)) thr = false;
   if (mut) {
     Event ev;
-    ev.pos = pos < loop_start_.size() && loop_start_[pos] != npos
-                 ? loop_start_[pos]
+    ev.pos = pos < plan_.loop_start.size() && plan_.loop_start[pos] != npos
+                 ? plan_.loop_start[pos]
                  : pos;
     ev.mut = true;
     ev.via_param = via_param;
@@ -595,15 +529,16 @@ void BodyScan::emit(std::size_t pos, bool mut, bool thr, bool via_param,
   }
   if (thr) {
     Event ev;
-    ev.pos =
-        pos < loop_end_.size() && loop_end_[pos] != npos ? loop_end_[pos] : pos;
+    ev.pos = pos < plan_.loop_end.size() && plan_.loop_end[pos] != npos
+                 ? plan_.loop_end[pos]
+                 : pos;
     ev.thr = true;
     events.push_back(std::move(ev));
   }
 }
 
 void BodyScan::emit_param_writes(std::size_t i, std::size_t close,
-                                 const FnSummary& s) {
+                                 const Summary& s) {
   if (!s.mutates_params) return;
   if (!s.param_positions_unknown && !s.write_param_positions.empty()) {
     const auto args = split_args(i + 1, close);
@@ -617,7 +552,7 @@ void BodyScan::emit_param_writes(std::size_t i, std::size_t close,
         if (!arg_tracked) continue;
         auto [tnames, tvalid] = arg_target(b, e);
         emit(i, true, false, arg_param_only,
-             tvalid ? std::move(tnames) : std::vector<std::string>{}, !tvalid,
+             tvalid ? std::move(tnames) : std::vector<Sym>{}, !tvalid,
              arg_param_only ? expr_positions(b, e) : std::set<std::size_t>{});
       }
       return;
@@ -637,38 +572,26 @@ void BodyScan::tracked_args_mut(std::size_t i, std::size_t close) {
     if (!arg_tracked) continue;
     auto [tnames, tvalid] = arg_target(b, e);
     emit(i, true, false, arg_param_only,
-         tvalid ? std::move(tnames) : std::vector<std::string>{}, !tvalid,
+         tvalid ? std::move(tnames) : std::vector<Sym>{}, !tvalid,
          arg_param_only ? expr_positions(b, e) : std::set<std::size_t>{});
   }
 }
 
-bool BodyScan::receiver_summary(const Chain& recv, const std::string& method,
-                                FnSummary* out) const {
-  if (recv.recv_name.empty() || recv.recv_starred) return false;
-  auto ft = ctx_.model->declared_types.find(recv.recv_name);
-  if (ft == ctx_.model->declared_types.end()) return false;
-  const std::string& type = ft->second;
-  // Exact ident-word scan of the merged declared type (substring matching
-  // would confuse LinkedList with LinkedListFixed).
-  std::set<std::string> words;
-  std::string w;
-  for (char c : type) {
-    if (std::isalnum(static_cast<unsigned char>(c)) || c == '_') {
-      w.push_back(c);
-    } else if (!w.empty()) {
-      words.insert(w);
-      w.clear();
-    }
-  }
-  if (!w.empty()) words.insert(w);
-  FnSummary merged;
+bool BodyScan::receiver_summary(const Chain& recv, Sym method,
+                                Summary* out) const {
+  if (recv.recv_name == sym::Empty || recv.recv_starred) return false;
+  // The words of the merged declared type, compared whole (a substring
+  // match would confuse LinkedList with LinkedListFixed).
+  const Tokens* words = ctx_.model->declared(recv.recv_name);
+  if (words == nullptr) return false;
+  Summary merged;
   bool any = false;
-  for (const std::string& word : words) {
+  for (const Sym word : *words) {
     auto cit = ctx_.def_classes_by_simple->find(word);
     if (cit == ctx_.def_classes_by_simple->end()) continue;
     if (ctx_.dispatch_risky->count(word)) return false;
-    for (const std::string& qualified : cit->second) {
-      const FnSummary* s = lookup_key(qualified + "::" + method);
+    for (const Sym cls : cit->second) {
+      const Summary* s = lookup_key(cls, method);
       // A class named in the type without a scanned definition of the
       // method means the real callee may be unscanned: no narrowing.
       if (s == nullptr) return false;
@@ -683,30 +606,30 @@ bool BodyScan::receiver_summary(const Chain& recv, const std::string& method,
 
 /// A call expression `name(` at token i: classify it and emit its events.
 void BodyScan::handle_call(std::size_t i) {
-  const std::string& name = tk(i);
-  const std::string prev = i > 0 ? tk(i - 1) : "";
-  const std::size_t close = match_fwd(i + 1, "(", ")");
+  if (has(i, kMacro)) return;
+  const Sym name = tk(i);
+  const Sym prev = i > 0 ? tk(i - 1) : sym::Empty;
+  const std::size_t close = match_fwd(i + 1, sym::LParen, sym::RParen);
   const auto [args_tracked, args_param_only] = expr_state(i + 2, close);
+  const SourceModel& model = *ctx_.model;
 
-  if (name.rfind("FAT_", 0) == 0) return;
-
-  if (prev == "::") {
+  if (prev == sym::Scope) {
     // Qualified call: either the standard library or a scanned namespace.
-    if (leading_qualifier(i) == "std") {
-      if (name == "move" || name == "forward") {
+    if (leading_qualifier(i) == sym::Std) {
+      if (name == sym::Move || name == sym::Forward) {
         // Move-steal: the argument's guts are gone afterwards — a write to
         // exactly the moved-from chain.
         tracked_args_mut(i, close);
         return;
       }
-      if (pure_std_calls().count(name)) return;
+      if (has(i, kPureStd)) return;
       // Generic algorithm: may mutate through whatever it was handed, but
       // contains no injection point (the fault model injects only at
       // instrumented methods — DESIGN.md §7).
       tracked_args_mut(i, close);
       return;
     }
-    if (const FnSummary* s = lookup_name(name)) {
+    if (const Summary* s = lookup_name(name)) {
       if (s->mutates_env)
         emit_mut_set(i, Kind::Env, s->writes, s->writes_unknown);
       emit_param_writes(i, close, *s);
@@ -719,7 +642,7 @@ void BodyScan::handle_call(std::size_t i) {
     return;
   }
 
-  if (prev == "." || prev == "->") {
+  if (prev == sym::Dot || prev == sym::Arrow) {
     // Member call: resolve the receiver chain ending before the separator.
     const Chain recv = chain_before(i - 1);
     const bool recv_tracked = tracked(recv.base);
@@ -728,8 +651,8 @@ void BodyScan::handle_call(std::size_t i) {
     // Zero-argument accessor check first: `head_.get()` must not resolve to
     // the instrumented HashedMap::get — every instrumented method sharing a
     // whitelisted name takes arguments, so arity disambiguates.
-    if (close == i + 2 && pure_member_calls().count(name)) return;
-    if (ctx_.model->instrumented_names.count(name)) {
+    if (close == i + 2 && has(i, kPureMember)) return;
+    if (model.has(name, kInstrumentedName)) {
       if (field_rules_out_instrumented(recv.recv_name, name)) {
         // The receiver is a field of known non-subject type (`head_` is a
         // unique_ptr, not a Regexp), so this cannot be the instrumented
@@ -749,7 +672,7 @@ void BodyScan::handle_call(std::size_t i) {
       // receiver to specific scanned classes, their merged summary decides
       // both the write set and fallibility (may_throw already folds the
       // injection point for instrumented definitions).
-      FnSummary rs;
+      Summary rs;
       if (receiver_summary(recv, name, &rs)) {
         if (recv_tracked && rs.mutates_env)
           emit_mut_set(i, recv_kind, rs.writes, rs.writes_unknown,
@@ -761,14 +684,14 @@ void BodyScan::handle_call(std::size_t i) {
       // Potential injection point no matter the receiver type; mutation
       // only if some definition of that name mutates and the receiver is
       // caller-visible.
-      const FnSummary* s = lookup_name(name);
+      const Summary* s = lookup_name(name);
       if (recv_tracked && s != nullptr && s->mutates_env)
         emit_mut_set(i, recv_kind, s->writes, s->writes_unknown,
                      chain_positions(recv));
       emit(i, false, true, false);
       return;
     }
-    FnSummary rs;
+    Summary rs;
     if (receiver_summary(recv, name, &rs)) {
       if (rs.mutates_env && recv_tracked)
         emit_mut_set(i, recv_kind, rs.writes, rs.writes_unknown,
@@ -777,7 +700,7 @@ void BodyScan::handle_call(std::size_t i) {
       emit(i, false, rs.may_throw, false);
       return;
     }
-    if (const FnSummary* s = lookup_name(name)) {
+    if (const Summary* s = lookup_name(name)) {
       if (s->mutates_env && recv_tracked)
         emit_mut_set(i, recv_kind, s->writes, s->writes_unknown,
                      chain_positions(recv));
@@ -785,9 +708,7 @@ void BodyScan::handle_call(std::size_t i) {
       emit(i, false, s->may_throw, false);
       return;
     }
-    if (pure_member_calls().count(name) ||
-        ctx_.model->clean_const_names.count(name))
-      return;
+    if (has(i, kPureMember) || model.has(name, kCleanConstName)) return;
     // Unknown library member call: mutation when the receiver is tracked,
     // no injection point inside.  The mutation stays within the receiver
     // chain's final member (`root_->children.push_back(x)` writes children).
@@ -802,13 +723,13 @@ void BodyScan::handle_call(std::size_t i) {
   }
 
   // Unqualified call: a sibling/self call or a free function.
-  if (ctx_.model->instrumented_names.count(name)) {
+  const Sym own_class = plan_.def->class_id;
+  if (model.has(name, kInstrumentedName)) {
     // An unqualified call from a member function resolves to the same
     // class's member when one exists — its exact by-key summary beats the
     // by-name union over every class sharing the (instrumented) name.
-    const FnSummary* s = nullptr;
-    if (!def_.class_name.empty())
-      s = lookup_key(def_.class_name + "::" + name);
+    const Summary* s = nullptr;
+    if (own_class != sym::Empty) s = lookup_key(own_class, name);
     if (s == nullptr) s = lookup_name(name);
     if (s != nullptr && s->mutates_env)
       emit_mut_set(i, Kind::Env, s->writes, s->writes_unknown);
@@ -816,9 +737,9 @@ void BodyScan::handle_call(std::size_t i) {
     emit(i, false, true, false);
     return;
   }
-  const FnSummary* s = nullptr;
-  if (!def_.class_name.empty()) s = lookup_key(def_.class_name + "::" + name);
-  if (s == nullptr) s = lookup_key(name);
+  const Summary* s = nullptr;
+  if (own_class != sym::Empty) s = lookup_key(own_class, name);
+  if (s == nullptr) s = lookup_key(sym::Empty, name);
   if (s == nullptr) s = lookup_name(name);
   if (s != nullptr) {
     if (s->mutates_env)
@@ -827,7 +748,7 @@ void BodyScan::handle_call(std::size_t i) {
     emit(i, false, s->may_throw, false);
     return;
   }
-  if (ctx_.model->clean_const_names.count(name)) return;
+  if (model.has(name, kCleanConstName)) return;
   // Unknown unqualified call (an unscanned constructor or free function):
   // fallible, and mutating when handed anything tracked.  With only safe
   // arguments it cannot reach caller-visible state — the subjects use no
@@ -845,12 +766,11 @@ bool BodyScan::try_decl(std::size_t i, std::size_t& next) {
   if (!d) return false;
   if (d->structured) {
     const bool track = d->is_ref && !d->is_const;
-    for (const std::string& n : d->names)
-      locals_[n] = Var{track, !d->is_ref, d->is_ref};
+    for (const Sym n : d->names) locals_[n] = Var{track, !d->is_ref, d->is_ref};
     next = d->end + 1;
     return true;
   }
-  const bool init = tk(d->end) == "=";
+  const bool init = tk(d->end) == sym::Assign;
   const std::size_t b = init ? d->end + 1 : d->end;
   bool track = false;
   bool value_type = false;
@@ -871,24 +791,24 @@ bool BodyScan::try_decl(std::size_t i, std::size_t& next) {
 /// stay unregistered: writing through them aliases caller state, and the
 /// conservative Env classification is the sound one.
 bool BodyScan::try_lambda(std::size_t i, std::size_t& next) {
-  const std::string prevt = i > 0 ? tk(i - 1) : ";";
   // Expression position only: after an identifier, `)`, or `]` the bracket
   // is an index, not a lambda introducer.
-  if (is_ident(prevt) || is_number(prevt) || prevt == ")" || prevt == "]")
+  if (i > 0 && (has(i - 1, kIdent | kNumber) || tk(i - 1) == sym::RParen ||
+                tk(i - 1) == sym::RBracket))
     return false;
-  const std::size_t cb = match_fwd(i, "[", "]");
-  if (cb >= size() || tk(cb + 1) != "(") return false;
-  const std::size_t pc = match_fwd(cb + 1, "(", ")");
+  const std::size_t cb = match_fwd(i, sym::LBracket, sym::RBracket);
+  if (cb >= size() || tk(cb + 1) != sym::LParen) return false;
+  const std::size_t pc = match_fwd(cb + 1, sym::LParen, sym::RParen);
   if (pc >= size()) return false;
   for (const auto& [b, e] : split_args(cb + 1, pc)) {
     bool by_ref = false;
-    std::string last_ident;
+    Sym last_ident = sym::Empty;
     for (std::size_t k = b; k < e; ++k) {
-      const std::string& t = tk(k);
-      if (t == "&" || t == "&&" || t == "*") by_ref = true;
-      if (is_ident(t) && !keywords().count(t) && !is_number(t)) last_ident = t;
+      const Sym t = tk(k);
+      if (t == sym::Amp || t == sym::AmpAmp || t == sym::Star) by_ref = true;
+      if (word(k)) last_ident = t;
     }
-    if (!by_ref && !last_ident.empty())
+    if (!by_ref && last_ident != sym::Empty)
       locals_[last_ident] = Var{false, true};
   }
   next = pc + 1;
@@ -899,18 +819,18 @@ void BodyScan::run() {
   bool stmt_start = true;
   std::size_t i = 0;
   while (i < size()) {
-    const std::string& t = tk(i);
-    if (t == ";" || t == "{" || t == "}") {
+    const Sym t = tk(i);
+    if (t == sym::Semi || t == sym::LBrace || t == sym::RBrace) {
       stmt_start = true;
       ++i;
       continue;
     }
-    if (t == "(") {
+    if (t == sym::LParen) {
       stmt_start = true;  // for-init / if-declaration positions
       ++i;
       continue;
     }
-    if (t == "[") {
+    if (t == sym::LBracket) {
       std::size_t next = i;
       if (try_lambda(i, next)) {
         i = next;
@@ -919,7 +839,7 @@ void BodyScan::run() {
       ++i;
       continue;
     }
-    if (t == "throw") {
+    if (t == sym::Throw) {
       // The thrown expression's constructor runs before anything can have
       // been mutated by it; suppress its call events.  A statically known
       // thrown type lets typed catch handlers of enclosing try blocks stop
@@ -927,20 +847,19 @@ void BodyScan::run() {
       // unknown type.
       throw_hint_ = thrown_type(*this, i, *ctx_.model);
       emit(i, false, true, false);
-      throw_hint_.clear();
+      throw_hint_ = sym::Empty;
       i = stmt_end(i) + 1;
       stmt_start = true;
       continue;
     }
-    if (t == "catch") {
+    if (t == sym::Catch) {
       catches = true;
       ++i;
       continue;
     }
-    if (t == "delete") {
-      const Chain c = chain_after(i + 1 < size() && tk(i + 1) == "["
-                                      ? i + 3
-                                      : i + 1);
+    if (t == sym::Delete) {
+      const Chain c = chain_after(
+          i + 1 < size() && tk(i + 1) == sym::LBracket ? i + 3 : i + 1);
       // The named pointer's graph is destroyed — a structural write to the
       // member holding it (its pointer type keeps it out of partial plans).
       if (c.base == Kind::TrackedLocal ||
@@ -951,7 +870,7 @@ void BodyScan::run() {
       ++i;
       continue;
     }
-    if (stmt_start && is_ident(t)) {
+    if (stmt_start && ident(i)) {
       std::size_t next = i;
       if (try_decl(i, next)) {
         stmt_start = false;
@@ -960,14 +879,12 @@ void BodyScan::run() {
       }
     }
     stmt_start = false;
-    if (is_ident(t) && !keywords().count(t) && !is_number(t)) {
-      if (tk(i + 1) == "(") handle_call(i);
+    if (word(i)) {
+      if (tk(i + 1) == sym::LParen) handle_call(i);
       ++i;
       continue;
     }
-    if (t == "=" || t == "+=" || t == "-=" || t == "*=" || t == "/=" ||
-        t == "%=" || t == "&=" || t == "|=" || t == "^=" || t == "<<=" ||
-        t == ">>=") {
+    if (has(i, kAssignOp)) {
       const Chain c = chain_before(i);
       if (c.deref) {
         // Fresh bases drop too — but only within the object's own slots: a
@@ -985,11 +902,11 @@ void BodyScan::run() {
         // Assignment through a reference binding writes the aliased object
         // (it never rebinds).
         emit_write(i, c);
-      } else if (t == "=" &&
+      } else if (t == sym::Assign &&
                  (c.base == Kind::Fresh || c.base == Kind::TrackedLocal)) {
         // Reassigning a local pointer: its freshness follows the new value.
         std::ptrdiff_t j = static_cast<std::ptrdiff_t>(i) - 1;
-        while (j >= 0 && !is_ident(tk(static_cast<std::size_t>(j)))) --j;
+        while (j >= 0 && !ident(static_cast<std::size_t>(j))) --j;
         if (j >= 0) {
           auto it = locals_.find(tk(static_cast<std::size_t>(j)));
           if (it != locals_.end() && !it->second.value_type)
@@ -999,11 +916,12 @@ void BodyScan::run() {
       ++i;
       continue;
     }
-    if (t == "++" || t == "--") {
-      const std::string& nxt = tk(i + 1);
-      const Chain c = (is_ident(nxt) || nxt == "(" || nxt == "*")
-                          ? chain_after(i + 1)
-                          : chain_before(i);
+    if (t == sym::PlusPlus || t == sym::MinusMinus) {
+      const Sym nxt = tk(i + 1);
+      const Chain c =
+          (ident(i + 1) || nxt == sym::LParen || nxt == sym::Star)
+              ? chain_after(i + 1)
+              : chain_before(i);
       if ((c.base == Kind::TrackedLocal &&
            (c.deref || local_is_ref(c.base_name))) ||
           (c.base == Kind::Fresh && c.deref && c.hops > 1))
@@ -1016,7 +934,7 @@ void BodyScan::run() {
       ++i;
       continue;
     }
-    if (t == "<<" || t == ">>") {
+    if (t == sym::Shl || t == sym::Shr) {
       // Stream insertion/extraction mutates its left operand (shifts on
       // literals and untracked values resolve to Kind::None/Fresh).
       const Chain c = chain_before(i);
@@ -1035,21 +953,66 @@ void BodyScan::run() {
 
 /// Extracted FAT_INVOKE lambda body of an instrumented wrapper, or the whole
 /// body when no invoke macro is present (plain helpers).
-Tokens effective_body(const FunctionDef& def, bool* instrumented_macro) {
+Tokens effective_body(const FunctionDef& def, const SymbolTable& symbols,
+                      bool* instrumented_macro) {
   *instrumented_macro = false;
-  const TokenCursor c(def.body);
+  const TokenCursor c(def.body, symbols);
   for (std::size_t i = 0; i < c.size(); ++i) {
-    if (c.tk(i).rfind("FAT_INVOKE", 0) != 0) continue;
+    if (!c.has(i, kInvoke)) continue;
     std::size_t open = i + 1;
-    while (open < c.size() && c.tk(open) != "{") ++open;
+    while (open < c.size() && c.tk(open) != sym::LBrace) ++open;
     if (open >= c.size()) continue;
-    const std::size_t close = c.match_fwd(open, "{", "}");
+    const std::size_t close = c.match_fwd(open, sym::LBrace, sym::RBrace);
     if (close >= c.size()) return def.body;
     *instrumented_macro = true;
     return Tokens(def.body.begin() + static_cast<std::ptrdiff_t>(open) + 1,
                   def.body.begin() + static_cast<std::ptrdiff_t>(close));
   }
   return def.body;
+}
+
+/// Outermost loop interval covering each token of the plan's body.
+void loop_intervals(Scanned& s, const SymbolTable& symbols) {
+  const TokenCursor c(s.body, symbols);
+  const std::size_t n = c.size();
+  s.loop_start.assign(n, npos);
+  s.loop_end.assign(n, npos);
+  std::size_t i = 0;
+  while (i < n) {
+    const Sym t = c.tk(i);
+    if (t != sym::For && t != sym::While && t != sym::Do) {
+      ++i;
+      continue;
+    }
+    const std::size_t start = i;
+    std::size_t end = i;
+    if (t == sym::Do) {
+      if (c.tk(i + 1) != sym::LBrace) {
+        ++i;
+        continue;
+      }
+      end = c.match_fwd(i + 1, sym::LBrace, sym::RBrace);
+      if (c.tk(end + 1) == sym::While && c.tk(end + 2) == sym::LParen)
+        end = c.match_fwd(end + 2, sym::LParen, sym::RParen);
+    } else {
+      if (c.tk(i + 1) != sym::LParen) {
+        ++i;
+        continue;
+      }
+      const std::size_t header = c.match_fwd(i + 1, sym::LParen, sym::RParen);
+      if (header >= n) break;
+      if (c.tk(header + 1) == sym::LBrace)
+        end = c.match_fwd(header + 1, sym::LBrace, sym::RBrace);
+      else
+        end = c.stmt_end(header + 1);
+    }
+    end = std::min(end, n - 1);
+    for (std::size_t k = start; k <= end; ++k) {
+      s.loop_start[k] = start;
+      s.loop_end[k] = end;
+    }
+    i = end + 1;
+  }
 }
 
 /// Matches a definition's (namespace-qualified) class name to a ClassModel
@@ -1070,116 +1033,181 @@ const ClassModel* class_of(const SourceModel& model, const std::string& cls) {
   return nullptr;
 }
 
+/// A summary with its names spelled out.
+FnSummary spelled(const Summary& s, const SymbolTable& st) {
+  FnSummary out;
+  out.mutates_env = s.mutates_env;
+  out.mutates_params = s.mutates_params;
+  out.may_throw = s.may_throw;
+  out.catches = s.catches;
+  for (const Sym w : s.writes) out.writes.insert(st.text(w));
+  out.writes_unknown = s.writes_unknown;
+  for (const Sym w : s.param_writes) out.param_writes.insert(st.text(w));
+  out.param_writes_unknown = s.param_writes_unknown;
+  out.write_param_positions = s.write_param_positions;
+  out.param_positions_unknown = s.param_positions_unknown;
+  return out;
+}
+
+/// The summary one round's events add for a definition.
+Summary summarize(const std::vector<Event>& events, bool instrumented,
+                  bool catches) {
+  Summary next;
+  for (const Event& ev : events) {
+    if (ev.mut && ev.via_param) {
+      next.mutates_params = true;
+      if (ev.target_unknown) next.param_writes_unknown = true;
+      next.param_writes.insert(ev.targets.begin(), ev.targets.end());
+      if (ev.via_positions.empty())
+        next.param_positions_unknown = true;
+      else
+        next.write_param_positions.insert(ev.via_positions.begin(),
+                                          ev.via_positions.end());
+    }
+    if (ev.mut && !ev.via_param) {
+      next.mutates_env = true;
+      if (ev.target_unknown) next.writes_unknown = true;
+      next.writes.insert(ev.targets.begin(), ev.targets.end());
+    }
+    if (ev.thr) next.may_throw = true;
+  }
+  next.may_throw |= instrumented;  // injection point at wrapper entry
+  next.catches = catches;
+  return next;
+}
+
 }  // namespace
 
 EffectAnalysis analyze_effects(const SourceModel& model) {
+  const SymbolTable& st = model.symbols;
   // Pass 5 alias bindings are computed once up front: the alias fixpoint
   // depends only on the token model, not on the effect summaries, so it
   // feeds every effect round without participating in the fixpoint below.
-  const AliasAnalysis aliases = analyze_aliases(model);
-  struct Scanned {
-    const FunctionDef* def;
-    Tokens body;  ///< effective body (invoke lambda for instrumented defs)
-    std::string key;
-    bool instrumented = false;
-    /// Pass 5 bindings of this definition.  The alias pass keys every
-    /// definition exactly like `key`, so the lookup cannot miss.
-    const FnAliasInfo* alias = nullptr;
-  };
-  std::vector<Scanned> defs;
-  for (const FunctionDef& def : model.functions) {
-    Scanned s;
+  const std::vector<AliasInfo> aliases = analyze_alias_ids(model);
+  std::vector<Scanned> defs(model.functions.size());
+  for (std::size_t d = 0; d < defs.size(); ++d) {
+    const FunctionDef& def = model.functions[d];
+    Scanned& s = defs[d];
     s.def = &def;
     bool has_invoke = false;
-    s.body = effective_body(def, &has_invoke);
-    const ClassModel* cm = class_of(model, def.class_name);
-    s.instrumented = has_invoke ||
-                     (cm != nullptr && (cm->instrumented.count(def.name) ||
-                                        cm->statics.count(def.name)));
-    s.key = def.class_name.empty() ? def.name
-                                   : def.class_name + "::" + def.name;
-    s.alias = &aliases.by_key.at(s.key);
-    defs.push_back(std::move(s));
+    s.body = effective_body(def, st, &has_invoke);
+    s.cls = class_of(model, def.class_name);
+    s.instrumented = has_invoke || (s.cls != nullptr &&
+                                    (s.cls->instrumented.count(def.name) ||
+                                     s.cls->statics.count(def.name)));
+    s.key = model.keys.of_def[d];
+    // The alias pass keys every definition exactly like this one.
+    s.alias = &aliases[s.key];
+    s.trys = try_regions(TokenCursor(s.body, st));
+    loop_intervals(s, st);
+    for (std::size_t i = 0; i < def.params.size(); ++i) {
+      const Param& p = def.params[i];
+      if (p.name.empty()) continue;
+      const Sym name = st.find(p.name);
+      s.params[name] = !p.is_const && (p.is_ref || p.is_ptr);
+      s.param_pos[name] = i;
+    }
   }
 
-  // Receiver-typed resolution inputs: which qualified classes own scanned
-  // definitions per simple name, and which simple names carry any dynamic-
-  // dispatch risk (FAT_POLY registration or either side of an inheritance
-  // edge) — narrowing through those could miss an unscanned override.
-  std::map<std::string, std::set<std::string>> def_classes_by_simple;
+  // Receiver-typed resolution inputs: which classes own scanned definitions
+  // per simple name, and which simple names carry any dynamic-dispatch risk
+  // (FAT_POLY registration or either side of an inheritance edge) —
+  // narrowing through those could miss an unscanned override.
+  std::unordered_map<Sym, std::set<Sym>> def_classes_by_simple;
   for (const Scanned& s : defs)
     if (!s.def->class_name.empty())
-      def_classes_by_simple[simple_of(s.def->class_name)].insert(
-          s.def->class_name);
-  std::set<std::string> dispatch_risky;
-  for (const std::string& q : model.poly_classes)
-    dispatch_risky.insert(simple_of(q));
+      def_classes_by_simple[st.find(simple_of(s.def->class_name))].insert(
+          s.def->class_id);
+  std::unordered_set<Sym> dispatch_risky;
+  for (Sym s = 0; s < model.facts.size(); ++s)
+    if (model.has(s, kPolyClass)) dispatch_risky.insert(s);
   for (const auto& [derived, bs] : model.bases) {
     dispatch_risky.insert(derived);
-    for (const std::string& b : bs) dispatch_risky.insert(simple_of(b));
+    dispatch_risky.insert(bs.begin(), bs.end());
+  }
+  // Which instrumented methods a declared type may reach: those of every
+  // class whose simple name occurs in the type's text.
+  std::unordered_map<Sym, std::set<Sym>> type_methods;
+  std::vector<std::pair<std::string, const ClassModel*>> simples;
+  for (const auto& [qualified, cm] : model.classes)
+    simples.emplace_back(simple_of(qualified), &cm);
+  for (const auto& [name, type] : model.declared_types) {
+    std::set<Sym>& methods = type_methods[st.find(name)];
+    for (const auto& [simple, cm] : simples)
+      if (type.find(simple) != std::string::npos)
+        for (const std::string& m : cm->instrumented)
+          methods.insert(st.find(m));
   }
 
   // Optimistic interprocedural fixpoint: summary bits start false and the
   // scan is monotone in them, so iteration converges; recursion and sibling
-  // calls settle within the depth of the call DAG's SCC structure.
-  std::map<std::string, FnSummary> by_key, by_name;
-  const Ctx ctx{&model, &by_key, &by_name, &def_classes_by_simple,
-                &dispatch_risky};
-  // Seed every scanned definition with the bottom (empty) summary so round
-  // 0 lookups of not-yet-visited keys — self-recursion, forward references
-  // — resolve to "no effects yet" instead of falling into the unknown-call
+  // calls settle within the depth of the call DAG's SCC structure.  Every
+  // scanned definition starts at the bottom (empty) summary, so round 0
+  // lookups of not-yet-visited keys — self-recursion, forward references —
+  // resolve to "no effects yet" instead of falling into the unknown-call
   // fallback, whose conservative event would stick forever through the
   // monotone merge.  This is the textbook least-fixpoint start.
+  std::vector<Summary> by_key(model.keys.text.size());
+  std::vector<std::size_t> name_slot(st.size(), npos);
+  std::vector<Summary> by_name;
   for (const Scanned& s : defs) {
-    by_key[s.key];
-    by_name[s.def->name];
+    std::size_t& slot = name_slot[s.def->name_id];
+    if (slot == npos) {
+      slot = by_name.size();
+      by_name.emplace_back();
+    }
   }
+  const Ctx ctx{&model,     &by_key,
+                &by_name,   &name_slot,
+                &def_classes_by_simple,
+                &dispatch_risky,
+                &type_methods};
   // The cap is a backstop: iteration normally breaks on !changed within a
   // handful of rounds (the call DAG's SCC depth).  It is generous because
   // the seeded (bottom-up) iteration must actually reach its fixpoint to be
-  // sound — stopping early would under-approximate.
-  for (int round = 0; round < 50; ++round) {
+  // sound — stopping early would under-approximate.  Each definition keeps
+  // the events of the latest round: once a round changes nothing, they are
+  // exactly what a scan against the final summaries yields.
+  bool converged = false;
+  for (int round = 0; round < 50 && !converged; ++round) {
     bool changed = false;
-    for (const Scanned& s : defs) {
-      BodyScan scan(s.body, *s.def, *s.alias, ctx);
+    for (Scanned& s : defs) {
+      BodyScan scan(s, ctx);
       scan.run();
-      FnSummary next;
-      for (const Event& ev : scan.events) {
-        if (ev.mut && ev.via_param) {
-          next.mutates_params = true;
-          if (ev.target_unknown) next.param_writes_unknown = true;
-          next.param_writes.insert(ev.targets.begin(), ev.targets.end());
-          if (ev.via_positions.empty())
-            next.param_positions_unknown = true;
-          else
-            next.write_param_positions.insert(ev.via_positions.begin(),
-                                              ev.via_positions.end());
-        }
-        if (ev.mut && !ev.via_param) {
-          next.mutates_env = true;
-          if (ev.target_unknown) next.writes_unknown = true;
-          next.writes.insert(ev.targets.begin(), ev.targets.end());
-        }
-        if (ev.thr) next.may_throw = true;
-      }
-      next.may_throw |= s.instrumented;  // injection point at wrapper entry
-      next.catches = scan.catches;
-      FnSummary& cur = by_key[s.key];
-      FnSummary merged = cur;
-      merged.join(next);
+      s.events = std::move(scan.events);
+      s.catches = scan.catches;
+      Summary& cur = by_key[s.key];
+      Summary merged = cur;
+      merged.join(summarize(s.events, s.instrumented, s.catches));
       if (merged != cur) {
         cur = std::move(merged);
         changed = true;
       }
     }
-    by_name.clear();
-    for (const Scanned& s : defs) by_name[s.def->name].join(by_key[s.key]);
-    if (!changed) break;
+    for (Summary& n : by_name) n = Summary{};
+    for (const Scanned& s : defs)
+      by_name[name_slot[s.def->name_id]].join(by_key[s.key]);
+    converged = !changed;
+  }
+  if (!converged) {
+    // The cap cut the iteration short: the stored events lag the final
+    // summaries, so the verdict needs one more scan.
+    for (Scanned& s : defs) {
+      BodyScan scan(s, ctx);
+      scan.run();
+      s.events = std::move(scan.events);
+      s.catches = scan.catches;
+    }
   }
 
-  // Final positioned pass over every instrumented method: the verdict.
+  // The verdict of every instrumented method, from its first definition.
+  std::map<std::pair<const ClassModel*, Sym>, const Scanned*> first_def;
+  for (const Scanned& s : defs)
+    if (s.cls != nullptr)
+      first_def.emplace(std::pair{s.cls, s.def->name_id}, &s);
   EffectAnalysis out;
-  out.helpers = by_key;
+  for (std::size_t k = 0; k < by_key.size(); ++k)
+    out.helpers[model.keys.text[k]] = spelled(by_key[k], st);
   for (const auto& [cls_name, cm] : model.classes) {
     auto add = [&](const std::string& method, bool is_static) {
       EffectSummary es;
@@ -1193,16 +1221,14 @@ EffectAnalysis analyze_effects(const SourceModel& model) {
           if (have == r) return;
         es.write_top_reasons.push_back(r);
       };
-      for (const Scanned& s : defs) {
-        if (s.def->name != method) continue;
-        if (class_of(model, s.def->class_name) != &cm) continue;
-        BodyScan scan(s.body, *s.def, *s.alias, ctx);
-        scan.run();
+      auto found = first_def.find({&cm, st.find(method)});
+      if (found != first_def.end()) {
+        const Scanned& s = *found->second;
         es.scanned = true;
-        es.catches = scan.catches;
+        es.catches = s.catches;
         std::size_t first_mut = std::numeric_limits<std::size_t>::max();
         std::size_t last_thr = 0;
-        for (const Event& ev : scan.events) {
+        for (const Event& ev : s.events) {
           if (ev.mut) {
             ++es.mutation_events;
             first_mut = std::min(first_mut, ev.pos);
@@ -1219,9 +1245,9 @@ EffectAnalysis analyze_effects(const SourceModel& model) {
         // back only when some injection point can still fire at or after it
         // (pos <= last_thr; equality covers a single call that both mutates
         // and throws).
-        const FnAliasInfo& ai = *s.alias;
+        const AliasInfo& ai = *s.alias;
         if (es.throw_events > 0) {
-          for (const Event& ev : scan.events) {
+          for (const Event& ev : s.events) {
             if (!ev.mut || ev.pos > last_thr) continue;
             if (ev.via_param) {
               // Writes through parameters riding in the wrapper's
@@ -1234,15 +1260,15 @@ EffectAnalysis analyze_effects(const SourceModel& model) {
                                 ai.tied_positions.end(),
                                 ev.via_positions.begin(),
                                 ev.via_positions.end());
-              if (tied)
-                es.write_names.insert(ev.targets.begin(), ev.targets.end());
-              else
+              if (!tied) {
                 add_reason("parameter-aliased write");
+                continue;
+              }
             } else if (ev.target_unknown) {
               add_reason("unresolved write target");
-            } else {
-              es.write_names.insert(ev.targets.begin(), ev.targets.end());
+              continue;
             }
+            for (const Sym t : ev.targets) es.write_names.insert(st.text(t));
           }
         }
         // A receiver escaping via `this` can be written through aliases the
@@ -1250,26 +1276,21 @@ EffectAnalysis analyze_effects(const SourceModel& model) {
         // decides; `this` passed only into sinks the interprocedural
         // summaries prove side-effect-free does not escape.
         bool escapes = ai.this_top;
-        for (const std::string& sink : ai.this_sinks) {
+        for (const Sym sink : ai.this_sinks) {
           if (escapes) break;
-          const FnSummary* fs = nullptr;
-          if (!s.def->class_name.empty()) {
-            auto it = by_key.find(s.def->class_name + "::" + sink);
-            if (it != by_key.end()) fs = &it->second;
-          }
-          if (fs == nullptr) {
-            auto it = by_key.find(sink);
-            if (it != by_key.end()) fs = &it->second;
-          }
-          if (fs == nullptr) {
-            auto it = by_name.find(sink);
-            if (it != by_name.end()) fs = &it->second;
-          }
+          const Summary* fs = nullptr;
+          auto keyed = [&](Sym cls) {
+            const std::size_t k = model.keys.find(cls, sink);
+            return k == DefKeys::npos ? nullptr : &by_key[k];
+          };
+          if (s.def->class_id != sym::Empty) fs = keyed(s.def->class_id);
+          if (fs == nullptr) fs = keyed(sym::Empty);
+          if (fs == nullptr && name_slot[sink] != npos)
+            fs = &by_name[name_slot[sink]];
           if (fs == nullptr || fs->mutates_env || fs->mutates_params)
             escapes = true;
         }
         if (escapes) add_reason("receiver escapes via this");
-        break;
       }
       out.methods[es.qualified_name] = std::move(es);
     };

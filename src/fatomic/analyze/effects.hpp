@@ -36,7 +36,9 @@ namespace fatomic::analyze {
 /// Interprocedural facts about one function, used when resolving calls to
 /// it.  Computed for every scanned definition (instrumented or not) by an
 /// optimistic fixpoint: bits start false and only ever flip to true.
-struct FnSummary {
+/// `Name` is a symbol id while the pass runs and a string in its product.
+template <class Name>
+struct BasicFnSummary {
   /// Mutates state that outlives the call other than through its parameters
   /// (the receiver, members, anything reached from them).
   bool mutates_env = false;
@@ -51,10 +53,10 @@ struct FnSummary {
   /// merged by `SourceModel::declared_types` keep this sound.  When any
   /// environment write has no resolvable member name, `writes_unknown` is
   /// set and callers must collapse to ⊤.
-  std::set<std::string> writes;
+  std::set<Name> writes;
   bool writes_unknown = false;
   /// Same, for mutations through non-const parameters.
-  std::set<std::string> param_writes;
+  std::set<Name> param_writes;
   bool param_writes_unknown = false;
   /// Which parameter positions the param mutations flow through.  A call
   /// site that knows the positions re-evaluates only those argument
@@ -66,9 +68,23 @@ struct FnSummary {
 
   /// Lattice join: ORs every bit and unions every set.  The bottom (a
   /// default-constructed summary) is its identity.
-  void join(const FnSummary& o);
-  bool operator==(const FnSummary&) const = default;
+  void join(const BasicFnSummary& o) {
+    mutates_env |= o.mutates_env;
+    mutates_params |= o.mutates_params;
+    may_throw |= o.may_throw;
+    catches |= o.catches;
+    writes.insert(o.writes.begin(), o.writes.end());
+    writes_unknown |= o.writes_unknown;
+    param_writes.insert(o.param_writes.begin(), o.param_writes.end());
+    param_writes_unknown |= o.param_writes_unknown;
+    write_param_positions.insert(o.write_param_positions.begin(),
+                                 o.write_param_positions.end());
+    param_positions_unknown |= o.param_positions_unknown;
+  }
+  bool operator==(const BasicFnSummary&) const = default;
 };
+
+using FnSummary = BasicFnSummary<std::string>;
 
 /// The static verdict for one instrumented method.
 struct EffectSummary {

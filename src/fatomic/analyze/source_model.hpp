@@ -17,23 +17,24 @@
 // is simply absent, and absent means "unknown" (never "safe") downstream.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
+
+#include "fatomic/analyze/tokens.hpp"
 
 namespace fatomic::analyze {
 
-/// One lexical token.  Comments and preprocessor lines are stripped; string
-/// and character literals are collapsed to "" / '' placeholder tokens so
-/// their contents can never be mistaken for code.
-struct Token {
-  std::string text;
-};
-
-/// Tokenizes C++ source text.  Multi-character operators ("::", "->", "++",
-/// "+=", "<<", ...) form single tokens.
-std::vector<Token> tokenize(const std::string& source);
+/// Tokenizes C++ source text into ids of `symbols`.  Comments and
+/// preprocessor lines are stripped; string and character literals —
+/// encoding prefix and raw form included — collapse to one "" / ''
+/// placeholder token so their contents can never be mistaken for code.
+/// Multi-character operators ("::", "->", "++", "+=", "<<", ...) form single
+/// tokens, and a numeric literal runs on across digit separators (`1'000`).
+Tokens tokenize(const std::string& source, SymbolTable& symbols);
 
 /// One declared parameter of a function definition.
 struct Param {
@@ -52,9 +53,54 @@ struct FunctionDef {
   std::string name;
   bool is_const = false;
   std::vector<Param> params;
-  /// Tokens strictly between the outermost body braces.
-  std::vector<Token> body;
+  /// Token ids strictly between the outermost body braces.
+  Tokens body;
   std::string file;
+  /// `name` and `class_name` as ids of the model's symbol table (sym::Empty
+  /// for a free function): together they key the definition's summaries.
+  Sym name_id = sym::Empty;
+  Sym class_id = sym::Empty;
+};
+
+/// Dense ids for the summary keys of the scanned definitions: "Class::name"
+/// for a member, "name" for a free function.  Overloads share one id.
+struct DefKeys {
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+  /// Key id of functions[i].
+  std::vector<std::size_t> of_def;
+  /// The key's text, by key id.
+  std::vector<std::string> text;
+  /// Key ids by (class_id, name_id), packed as class_id << 32 | name_id.
+  std::unordered_map<std::uint64_t, std::size_t> ids;
+  /// Key ids by the definitions' simple name, ascending.
+  std::unordered_map<Sym, std::vector<std::size_t>> by_name;
+
+  /// The key id of (class, name), or npos when no definition has it.
+  std::size_t find(Sym cls, Sym name) const {
+    auto it = ids.find(std::uint64_t{cls} << 32 | name);
+    return it == ids.end() ? npos : it->second;
+  }
+};
+
+/// What the scan learned about a name, as bits per symbol id
+/// (SourceModel::has).
+enum NameFact : std::uint8_t {
+  /// The simple name of a class/struct declared anywhere in the scanned
+  /// tree — lets the effect pass recognize `Parser(src)` as a
+  /// temporary-constructing expression rather than an unknown call result.
+  kClassName = 1 << 0,
+  /// The simple name of an enum/enum class.  Enums are value types: a field
+  /// of enum type cannot hold subobjects, so the write-set pass treats them
+  /// like builtins instead of opening the receiver graph.
+  kEnumName = 1 << 1,
+  /// A method some class instruments — a dot/arrow call to it is a
+  /// potential injection point no matter the (unknown) receiver type.
+  kInstrumentedName = 1 << 2,
+  /// An inline const method whose header body was verified free of throws
+  /// and of calls into instrumented code; calls to it are effect-free.
+  kCleanConstName = 1 << 3,
+  /// A class registered with FAT_POLY (either side) — known-polymorphic.
+  kPolyClass = 1 << 4,
 };
 
 /// Everything the scanner learned about one instrumented class.
@@ -82,14 +128,6 @@ struct SourceModel {
   std::map<std::string, ClassModel> classes;
   /// Every function definition found, in scan order.
   std::vector<FunctionDef> functions;
-  /// Union of instrumented method names across all classes — used to treat
-  /// a dot/arrow call to any such name as a potential injection point no
-  /// matter the (unknown) receiver type.
-  std::set<std::string> instrumented_names;
-  /// Names of inline const methods whose header bodies were verified free
-  /// of throws and of calls into instrumented code; calls to them are
-  /// effect-free.
-  std::set<std::string> clean_const_names;
   /// Declared types of members and variables, merged across all scanned
   /// declarations by name (conflicting declarations concatenate, which can
   /// only make the effect pass more conservative).  Lets the scanner tell
@@ -97,24 +135,32 @@ struct SourceModel {
   /// call into an instrumented subject object — when both names collide
   /// with instrumented methods.
   std::map<std::string, std::string> declared_types;
-  /// Simple (unqualified) names of every class/struct declared anywhere in
-  /// the scanned tree — lets the effect pass recognize `Parser(src)` as a
-  /// temporary-constructing expression rather than an unknown call result.
-  std::set<std::string> class_names;
-  /// Simple names of every enum/enum class declared in the scanned tree.
-  /// Enums are value types: a field of enum type cannot hold subobjects, so
-  /// the write-set pass treats them like builtins instead of opening the
-  /// receiver graph.
-  std::set<std::string> enum_names;
-  /// Inheritance edges by simple name: derived -> declared base names.  Any
-  /// class that appears as a base (or registers with FAT_POLY) may be the
-  /// static type of a polymorphic pointee, which the partial-checkpoint
-  /// walker refuses to traverse.
-  std::map<std::string, std::set<std::string>> bases;
-  /// Classes registered with FAT_POLY (either side) — known-polymorphic.
-  std::set<std::string> poly_classes;
   /// Files scanned, relative to the scan root.
   std::vector<std::string> files;
+
+  /// The scan's symbol table: every token id in `functions` indexes it.
+  /// It belongs to this model; the passes read it and intern nothing.
+  SymbolTable symbols;
+  /// NameFact bits by symbol id: the names the scan classified.
+  std::vector<std::uint8_t> facts;
+  /// Inheritance edges by simple name id: derived -> declared base names.
+  /// Any class that appears as a base (or registers with FAT_POLY) may be
+  /// the static type of a polymorphic pointee, which the
+  /// partial-checkpoint walker refuses to traverse.
+  std::unordered_map<Sym, std::vector<Sym>> bases;
+  /// `declared_types` by name id: each merged type split into its words
+  /// once, so no pass re-splits the strings.
+  std::unordered_map<Sym, Tokens> declared_words;
+  /// Summary keys of `functions`.
+  DefKeys keys;
+
+  bool has(Sym s, NameFact f) const {
+    return s < facts.size() && (facts[s] & f) != 0;
+  }
+  const Tokens* declared(Sym name) const {
+    auto it = declared_words.find(name);
+    return it == declared_words.end() ? nullptr : &it->second;
+  }
 
   const ClassModel* find_class(const std::string& qualified) const {
     auto it = classes.find(qualified);

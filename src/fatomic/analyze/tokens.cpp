@@ -1,41 +1,59 @@
 #include "fatomic/analyze/tokens.hpp"
 
 #include <cctype>
+#include <set>
+
+#include "fatomic/analyze/source_model.hpp"
 
 namespace fatomic::analyze {
 
-bool is_ident(const std::string& t) {
-  return !t.empty() && (std::isalpha(static_cast<unsigned char>(t[0])) ||
-                        t[0] == '_');
+namespace {
+
+/// Class bits a spelling carries by its characters alone.
+std::uint16_t spelling_bits(std::string_view s) {
+  if (s.empty()) return 0;
+  const auto c0 = static_cast<unsigned char>(s[0]);
+  std::uint16_t bits = 0;
+  if (std::isalpha(c0) || c0 == '_') bits |= kIdent;
+  else if (std::isdigit(c0)) bits |= kNumber;
+  else if (c0 == '"' || c0 == '\'') bits |= kLiteral;
+  else bits |= kPunct;
+  if (s.starts_with("FAT_")) {
+    bits |= kMacro;
+    if (s.starts_with("FAT_INVOKE")) bits |= kInvoke;
+    if (s.find("INVOKE_ARGS") != std::string_view::npos) bits |= kInvokeArgs;
+  }
+  if (s.starts_with("fat_")) bits |= kFrameworkCall;
+  return bits;
 }
 
-bool is_number(const std::string& t) {
-  return !t.empty() && std::isdigit(static_cast<unsigned char>(t[0]));
-}
+}  // namespace
 
-const std::set<std::string>& keywords() {
-  static const std::set<std::string> kw = {
-      "if",       "else",    "for",      "while",     "do",       "switch",
-      "case",     "default", "return",   "break",     "continue", "throw",
-      "try",      "catch",   "new",      "delete",    "const",    "static",
-      "class",    "struct",  "enum",     "union",     "public",   "private",
-      "protected", "namespace", "using", "template",  "typename", "operator",
-      "sizeof",   "true",    "false",    "nullptr",   "this",     "auto",
-      "void",     "int",     "bool",     "char",      "unsigned", "signed",
-      "long",     "short",   "float",    "double",    "noexcept", "override",
-      "final",    "virtual", "explicit", "inline",    "constexpr", "mutable",
-      "friend",   "goto",    "extern",   "typedef",   "static_cast",
-      "dynamic_cast", "const_cast", "reinterpret_cast", "decltype",
+SymbolTable::SymbolTable() {
+  struct Word {
+    const char* spelling;
+    std::uint16_t roles;
   };
-  return kw;
+  static constexpr Word kVocabulary[] = {
+#define FATOMIC_WORD(name, spelling, roles) {spelling, roles},
+#include "fatomic/analyze/vocabulary.def"
+#undef FATOMIC_WORD
+  };
+  for (const Word& w : kVocabulary) bits_[intern(w.spelling)] |= w.roles;
 }
 
-const std::set<std::string>& builtin_types() {
-  static const std::set<std::string> t = {
-      "void", "int",  "bool",   "char",     "unsigned",
-      "long", "short", "float", "double",   "signed",
-  };
-  return t;
+Sym SymbolTable::intern(std::string_view text) {
+  if (auto it = ids_.find(text); it != ids_.end()) return it->second;
+  const auto id = static_cast<Sym>(texts_.size());
+  texts_.emplace_back(text);
+  bits_.push_back(spelling_bits(text));
+  ids_.emplace(std::string(text), id);
+  return id;
+}
+
+Sym SymbolTable::find(std::string_view text) const {
+  auto it = ids_.find(text);
+  return it == ids_.end() ? sym::Empty : it->second;
 }
 
 std::string simple_of(const std::string& qualified) {
@@ -43,28 +61,22 @@ std::string simple_of(const std::string& qualified) {
   return sep == std::string::npos ? qualified : qualified.substr(sep + 2);
 }
 
-const std::string& TokenCursor::tk(std::size_t i) const {
-  static const std::string empty;
-  return i < tokens_->size() ? (*tokens_)[i].text : empty;
-}
-
-std::size_t TokenCursor::match_fwd(std::size_t i, const char* open,
-                                   const char* close) const {
+std::size_t TokenCursor::match_fwd(std::size_t i, Sym open, Sym close) const {
   int depth = 0;
-  for (std::size_t k = i; k < size(); ++k) {
-    if (tk(k) == open) ++depth;
-    else if (tk(k) == close && --depth == 0) return k;
+  for (std::size_t k = i; k < size_; ++k) {
+    if (data_[k] == open) ++depth;
+    else if (data_[k] == close && --depth == 0) return k;
   }
-  return size();
+  return size_;
 }
 
-std::ptrdiff_t TokenCursor::match_back(std::ptrdiff_t i, const char* open,
-                                       const char* close) const {
+std::ptrdiff_t TokenCursor::match_back(std::ptrdiff_t i, Sym open,
+                                       Sym close) const {
   int depth = 0;
   for (std::ptrdiff_t k = i; k >= 0; --k) {
-    if (tk(static_cast<std::size_t>(k)) == close) ++depth;
-    else if (tk(static_cast<std::size_t>(k)) == open && --depth == 0)
-      return k;
+    const Sym t = tk(static_cast<std::size_t>(k));
+    if (t == close) ++depth;
+    else if (t == open && --depth == 0) return k;
   }
   return -1;
 }
@@ -76,10 +88,11 @@ std::vector<std::pair<std::size_t, std::size_t>> TokenCursor::split_args(
   int depth = 0;
   std::size_t b = open + 1;
   for (std::size_t k = open + 1; k < close; ++k) {
-    const std::string& t = tk(k);
-    if (t == "(" || t == "[" || t == "{") ++depth;
-    else if (t == ")" || t == "]" || t == "}") --depth;
-    else if (t == "," && depth == 0) {
+    const Sym t = tk(k);
+    if (t == sym::LParen || t == sym::LBracket || t == sym::LBrace) ++depth;
+    else if (t == sym::RParen || t == sym::RBracket || t == sym::RBrace)
+      --depth;
+    else if (t == sym::Comma && depth == 0) {
       out.push_back({b, k});
       b = k + 1;
     }
@@ -88,46 +101,48 @@ std::vector<std::pair<std::size_t, std::size_t>> TokenCursor::split_args(
   return out;
 }
 
-std::string TokenCursor::leading_qualifier(std::size_t i) const {
-  std::string leading;
-  for (std::size_t j = i; j >= 2 && tk(j - 1) == "::"; j -= 2)
+Sym TokenCursor::leading_qualifier(std::size_t i) const {
+  Sym leading = sym::Empty;
+  for (std::size_t j = i; j >= 2 && tk(j - 1) == sym::Scope; j -= 2)
     leading = tk(j - 2);
   return leading;
 }
 
 std::size_t TokenCursor::stmt_end(std::size_t i, bool initializer) const {
   int depth = 0;
-  for (std::size_t k = i; k < size(); ++k) {
-    const std::string& t = tk(k);
-    if (t == "(" || t == "[" || t == "{") ++depth;
-    else if (t == ")" || t == "]" || t == "}") {
+  for (std::size_t k = i; k < size_; ++k) {
+    const Sym t = data_[k];
+    if (t == sym::LParen || t == sym::LBracket || t == sym::LBrace) ++depth;
+    else if (t == sym::RParen || t == sym::RBracket || t == sym::RBrace) {
       if (--depth < 0) return k;
-    } else if ((t == ";" || (initializer && t == ",")) && depth == 0) {
+    } else if ((t == sym::Semi || (initializer && t == sym::Comma)) &&
+               depth == 0) {
       return k;
     }
   }
-  return size();
+  return size_;
 }
 
 std::vector<TryRegion> try_regions(const TokenCursor& c) {
+  const SymbolTable& st = c.symbols();
   std::vector<TryRegion> trys;
   for (std::size_t i = 0; i + 1 < c.size(); ++i) {
-    if (c.tk(i) != "try" || c.tk(i + 1) != "{") continue;
+    if (c.tk(i) != sym::Try || c.tk(i + 1) != sym::LBrace) continue;
     TryRegion r;
-    const std::size_t body_close = c.match_fwd(i + 1, "{", "}");
+    const std::size_t body_close = c.match_fwd(i + 1, sym::LBrace, sym::RBrace);
     if (body_close >= c.size()) continue;
     r.body_b = i + 2;
     r.body_e = body_close;
     std::size_t k = body_close + 1;
-    while (c.tk(k) == "catch" && c.tk(k + 1) == "(") {
-      const std::size_t pclose = c.match_fwd(k + 1, "(", ")");
+    while (c.tk(k) == sym::Catch && c.tk(k + 1) == sym::LParen) {
+      const std::size_t pclose = c.match_fwd(k + 1, sym::LParen, sym::RParen);
       if (pclose >= c.size()) break;
-      std::vector<std::string> idents;
+      std::vector<Sym> idents;
       bool all = false;
       for (std::size_t m = k + 2; m < pclose; ++m) {
-        const std::string& t = c.tk(m);
-        if (t == "..." || t == ".") all = true;
-        if (is_ident(t) && t != "const" && !builtin_types().count(t))
+        const Sym t = c.tk(m);
+        if (t == sym::Ellipsis || t == sym::Dot) all = true;
+        if (st.ident(t) && t != sym::Const && !st.builtin_type(t))
           idents.push_back(t);
       }
       if (all) {
@@ -138,12 +153,12 @@ std::vector<TryRegion> try_regions(const TokenCursor& c) {
         // another identifier or a declarator token — never after `::`,
         // where it ends a qualified type (`catch (ns::E)`).
         if (idents.size() >= 2 && c.tk(pclose - 1) == idents.back() &&
-            c.tk(pclose - 2) != "::")
+            c.tk(pclose - 2) != sym::Scope)
           idents.pop_back();
         r.handler_types.push_back(idents.back());
       }
-      if (c.tk(pclose + 1) != "{") break;
-      k = c.match_fwd(pclose + 1, "{", "}") + 1;
+      if (c.tk(pclose + 1) != sym::LBrace) break;
+      k = c.match_fwd(pclose + 1, sym::LBrace, sym::RBrace) + 1;
     }
     trys.push_back(r);
   }
@@ -155,18 +170,17 @@ namespace {
 /// Does a handler for `handler` catch `type`: the same type, or a
 /// (transitive) base of it per the scanned inheritance edges?  Unknown
 /// bases end the walk: no match, the exception keeps propagating.
-bool handler_catches(const SourceModel& model, const std::string& handler,
-                     const std::string& type) {
+bool handler_catches(const SourceModel& model, Sym handler, Sym type) {
   if (handler == type) return true;
-  std::vector<std::string> work{type};
-  std::set<std::string> seen;
+  std::vector<Sym> work{type};
+  std::set<Sym> seen;
   while (!work.empty()) {
-    const std::string cur = work.back();
+    const Sym cur = work.back();
     work.pop_back();
     if (!seen.insert(cur).second) continue;
     auto it = model.bases.find(cur);
     if (it == model.bases.end()) continue;
-    for (const std::string& base : it->second) {
+    for (const Sym base : it->second) {
       if (base == handler) return true;
       work.push_back(base);
     }
@@ -177,106 +191,105 @@ bool handler_catches(const SourceModel& model, const std::string& handler,
 }  // namespace
 
 bool escapes(const std::vector<TryRegion>& trys, const SourceModel& model,
-             std::size_t pos, const std::string& type) {
-  const std::string simple = simple_of(type);
+             std::size_t pos, Sym type) {
   for (const TryRegion& r : trys) {
     if (pos < r.body_b || pos >= r.body_e) continue;
     if (r.catches_all) return false;
-    for (const std::string& h : r.handler_types)
-      if (handler_catches(model, h, simple)) return false;
+    for (const Sym h : r.handler_types)
+      if (handler_catches(model, h, type)) return false;
   }
   return true;
 }
 
-std::string thrown_type(const TokenCursor& c, std::size_t i,
-                        const SourceModel& model) {
+Sym thrown_type(const TokenCursor& c, std::size_t i, const SourceModel& model) {
   std::size_t j = i + 1;
-  if (!is_ident(c.tk(j)) || keywords().count(c.tk(j))) return {};
+  if (!c.word(j)) return sym::Empty;
   bool qualified = false;
-  while (c.tk(j + 1) == "::" && is_ident(c.tk(j + 2))) {
+  while (c.tk(j + 1) == sym::Scope && c.ident(j + 2)) {
     j += 2;
     qualified = true;
   }
-  const bool constructing = c.tk(j + 1) == "(" || c.tk(j + 1) == "{";
-  if (!constructing || !(qualified || model.class_names.count(c.tk(j))))
-    return {};
+  const bool constructing =
+      c.tk(j + 1) == sym::LParen || c.tk(j + 1) == sym::LBrace;
+  if (!constructing || !(qualified || model.has(c.tk(j), kClassName)))
+    return sym::Empty;
   return c.tk(j);
 }
 
 std::optional<DeclHead> parse_decl_head(const TokenCursor& c, std::size_t i) {
+  const SymbolTable& st = c.symbols();
   DeclHead d;
   std::size_t j = i;
-  while (c.tk(j) == "const" || c.tk(j) == "static" ||
-         c.tk(j) == "constexpr") {
-    if (c.tk(j) == "const") d.is_const = true;
+  while (c.tk(j) == sym::Const || c.tk(j) == sym::Static ||
+         c.tk(j) == sym::Constexpr) {
+    if (c.tk(j) == sym::Const) d.is_const = true;
     ++j;
   }
-  if (c.tk(j) == "auto") {
+  if (c.tk(j) == sym::Auto) {
     d.is_auto = true;
     ++j;
   } else {
-    const std::string& first = c.tk(j);
-    if (!is_ident(first)) return std::nullopt;
-    if (keywords().count(first) && !builtin_types().count(first))
-      return std::nullopt;
-    if (builtin_types().count(first)) {
-      while (builtin_types().count(c.tk(j))) ++j;
+    const Sym first = c.tk(j);
+    if (!st.ident(first)) return std::nullopt;
+    if (st.keyword(first) && !st.builtin_type(first)) return std::nullopt;
+    if (st.builtin_type(first)) {
+      while (st.builtin_type(c.tk(j))) ++j;
     } else {
       ++j;
-      while (c.tk(j) == "::" && is_ident(c.tk(j + 1))) j += 2;
+      while (c.tk(j) == sym::Scope && c.ident(j + 1)) j += 2;
     }
-    if (c.tk(j) == "<") {  // template arguments; `>>` closes two levels
+    if (c.tk(j) == sym::Less) {  // template arguments; `>>` closes two levels
       int depth = 0;
       bool closed = false;
       for (; j < c.size(); ++j) {
-        const std::string& t = c.tk(j);
-        if (t == "<") ++depth;
-        else if (t == ">") {
+        const Sym t = c.tk(j);
+        if (t == sym::Less) ++depth;
+        else if (t == sym::Greater) {
           if (--depth == 0) {
             ++j;
             closed = true;
             break;
           }
-        } else if (t == ">>") {
+        } else if (t == sym::Shr) {
           depth -= 2;
           if (depth <= 0) {
             ++j;
             closed = true;
             break;
           }
-        } else if (t == ";" || t == "{" || t == "}") {
+        } else if (t == sym::Semi || t == sym::LBrace || t == sym::RBrace) {
           return std::nullopt;
         }
       }
       if (!closed) return std::nullopt;
     }
   }
-  while (c.tk(j) == "*" || c.tk(j) == "&" || c.tk(j) == "&&" ||
-         c.tk(j) == "const") {
-    if (c.tk(j) == "*") d.is_ptr = true;
-    else if (c.tk(j) == "const") d.is_const = true;
+  while (c.tk(j) == sym::Star || c.tk(j) == sym::Amp ||
+         c.tk(j) == sym::AmpAmp || c.tk(j) == sym::Const) {
+    if (c.tk(j) == sym::Star) d.is_ptr = true;
+    else if (c.tk(j) == sym::Const) d.is_const = true;
     else d.is_ref = true;
     ++j;
   }
 
-  if (d.is_auto && c.tk(j) == "[") {
+  if (d.is_auto && c.tk(j) == sym::LBracket) {
     d.structured = true;
-    for (++j; j < c.size() && c.tk(j) != "]"; ++j)
-      if (is_ident(c.tk(j))) d.names.push_back(c.tk(j));
-    if (c.tk(j) != "]") return std::nullopt;
+    for (++j; j < c.size() && c.tk(j) != sym::RBracket; ++j)
+      if (c.ident(j)) d.names.push_back(c.tk(j));
+    if (c.tk(j) != sym::RBracket) return std::nullopt;
     ++j;
-    if (c.tk(j) != "=" && c.tk(j) != ":") return std::nullopt;
+    if (c.tk(j) != sym::Assign && c.tk(j) != sym::Colon) return std::nullopt;
     d.end = j;
     return d;
   }
 
-  const std::string& name = c.tk(j);
-  if (!is_ident(name) || keywords().count(name)) return std::nullopt;
-  const std::string& after = c.tk(j + 1);
-  if (after != "=" && after != ";" && after != "," && after != ":" &&
-      after != "(" && after != "{" && after != ")")
+  if (!c.word(j)) return std::nullopt;
+  const Sym after = c.tk(j + 1);
+  if (after != sym::Assign && after != sym::Semi && after != sym::Comma &&
+      after != sym::Colon && after != sym::LParen && after != sym::LBrace &&
+      after != sym::RParen)
     return std::nullopt;
-  d.names.push_back(name);
+  d.names.push_back(c.tk(j));
   d.end = j + 1;
   return d;
 }

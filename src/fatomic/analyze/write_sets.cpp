@@ -1,6 +1,8 @@
 #include "fatomic/analyze/write_sets.hpp"
 
 #include <sstream>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "fatomic/analyze/tokens.hpp"
@@ -9,33 +11,18 @@ namespace fatomic::analyze {
 
 namespace {
 
-std::vector<std::string> split_ws(const std::string& s) {
-  std::vector<std::string> out;
-  std::istringstream in(s);
-  std::string tok;
-  while (in >> tok) out.push_back(tok);
-  return out;
-}
-
-/// Declared-type tokens that keep a member value-like.  Everything else —
-/// pointers, references, templates, class names — rejects the member as a
-/// capture target.
-bool value_like_token(const std::string& tok,
-                      const std::set<std::string>& enum_names) {
-  static const std::set<std::string> allowed = {
-      "std",     "::",      "|",        "const",    "string",   "size_t",
-      "int",     "bool",    "char",     "unsigned", "signed",   "long",
-      "short",   "float",   "double",   "int8_t",   "int16_t",  "int32_t",
-      "int64_t", "uint8_t", "uint16_t", "uint32_t", "uint64_t", "ptrdiff_t",
-      "wchar_t", "char16_t", "char32_t",
-  };
-  return allowed.count(tok) > 0 || enum_names.count(tok) > 0;
+/// Declared-type words that keep a member value-like: the builtin and
+/// standard value types (vocabulary.def) and the scanned enums.  Everything
+/// else — pointers, references, templates, class names — rejects the member
+/// as a capture target.
+bool value_like_token(Sym tok, const SourceModel& model) {
+  return model.symbols.has(tok, kValueLike) || model.has(tok, kEnumName);
 }
 
 /// What a subtree may contain: member names, plus whether it escapes the
 /// reflected world (open) or can hold a polymorphic object (poly).
 struct Reach {
-  std::set<std::string> names;
+  std::set<Sym> names;
   bool open = false;
   bool poly = false;
 
@@ -172,9 +159,12 @@ std::string WriteSetAnalysis::to_text() const {
 
 WriteSetAnalysis analyze_write_sets(const SourceModel& model,
                                     const EffectAnalysis& effects) {
+  const SymbolTable& st = model.symbols;
   // Polymorphic closure over simple names: FAT_POLY participants, every
   // class used as a base, and transitively everything deriving from those.
-  std::set<std::string> poly = model.poly_classes;
+  std::unordered_set<Sym> poly;
+  for (Sym s = 0; s < model.facts.size(); ++s)
+    if (model.has(s, kPolyClass)) poly.insert(s);
   for (const auto& [derived, bs] : model.bases)
     poly.insert(bs.begin(), bs.end());
   bool grew = true;
@@ -182,7 +172,7 @@ WriteSetAnalysis analyze_write_sets(const SourceModel& model,
     grew = false;
     for (const auto& [derived, bs] : model.bases) {
       if (poly.count(derived)) continue;
-      for (const auto& b : bs) {
+      for (const Sym b : bs) {
         if (!poly.count(b)) continue;
         poly.insert(derived);
         grew = true;
@@ -191,44 +181,55 @@ WriteSetAnalysis analyze_write_sets(const SourceModel& model,
     }
   }
 
+  // Every class's simple name and reflected fields, by id.
+  struct ClassIds {
+    Sym simple = sym::Empty;
+    std::set<Sym> fields;
+  };
+  std::map<const ClassModel*, ClassIds> ids;
+  for (const auto& [qualified, cm] : model.classes) {
+    ClassIds& ci = ids[&cm];
+    ci.simple = st.find(simple_of(qualified));
+    for (const std::string& f : cm.fields) ci.fields.insert(st.find(f));
+  }
+
   // Reflected classes by simple name; same-name collisions merge
   // conservatively (the walker prunes by name, so the union is sound).
   // Reflected-empty classes (FAT_REFLECT_EMPTY) participate: their contents
   // are provably nothing, which is the opposite of unknown.
-  std::map<std::string, std::vector<const ClassModel*>> by_simple;
+  std::unordered_map<Sym, std::vector<const ClassModel*>> by_simple;
   for (const auto& [qualified, cm] : model.classes)
     if (!cm.fields.empty() || cm.reflected)
-      by_simple[simple_of(qualified)].push_back(&cm);
+      by_simple[ids[&cm].simple].push_back(&cm);
 
   // Per-class reach fixpoint, mutually recursive with per-member reach
   // (member types name classes; class reach unions member reaches).
-  std::map<std::string, Reach> class_reach;  // by qualified name
+  std::map<const ClassModel*, Reach> class_reach;
   for (const auto& [qualified, cm] : model.classes) {
     Reach r;
-    r.names = cm.fields;
+    r.names = ids[&cm].fields;
     // Instrumented but never reflected: unknown contents.  An explicitly
     // empty reflection block stays closed — it asserts statelessness.
     r.open = cm.fields.empty() && !cm.reflected;
-    r.poly = poly.count(simple_of(qualified)) > 0;
-    class_reach[qualified] = r;
+    r.poly = poly.count(ids[&cm].simple) > 0;
+    class_reach[&cm] = r;
   }
 
-  auto member_reach = [&](const std::string& name) {
+  auto member_reach = [&](Sym name) {
     Reach r;
-    auto it = model.declared_types.find(name);
-    if (it == model.declared_types.end()) {
+    const Tokens* words = model.declared(name);
+    if (words == nullptr) {
       r.open = true;  // never saw a declaration: unknown contents
       return r;
     }
-    for (const std::string& tok : split_ws(it->second)) {
-      if (!is_ident(tok)) continue;
-      if (model.enum_names.count(tok)) continue;  // value type
+    for (const Sym tok : *words) {
+      if (!st.ident(tok)) continue;
+      if (model.has(tok, kEnumName)) continue;  // value type
       auto bs = by_simple.find(tok);
       if (bs != by_simple.end()) {
-        for (const ClassModel* cm : bs->second)
-          r.merge(class_reach[cm->qualified_name]);
+        for (const ClassModel* cm : bs->second) r.merge(class_reach[cm]);
         if (poly.count(tok)) r.poly = true;
-      } else if (model.class_names.count(tok)) {
+      } else if (model.has(tok, kClassName)) {
         // A scanned class with no reflected fields: its contents are
         // invisible to the walker.
         r.open = true;
@@ -242,22 +243,23 @@ WriteSetAnalysis analyze_write_sets(const SourceModel& model,
     bool changed = false;
     for (const auto& [qualified, cm] : model.classes) {
       if (cm.fields.empty()) continue;
+      const ClassIds& ci = ids[&cm];
       Reach next;
-      next.names = cm.fields;
-      next.poly = poly.count(simple_of(qualified)) > 0;
-      for (const std::string& f : cm.fields) next.merge(member_reach(f));
+      next.names = ci.fields;
+      next.poly = poly.count(ci.simple) > 0;
+      for (const Sym f : ci.fields) next.merge(member_reach(f));
       // Reflected bases contribute their subtrees (a derived object holds
       // the base's fields too).
-      auto bit = model.bases.find(simple_of(qualified));
+      auto bit = model.bases.find(ci.simple);
       if (bit != model.bases.end()) {
-        for (const std::string& b : bit->second) {
+        for (const Sym b : bit->second) {
           auto bs = by_simple.find(b);
           if (bs == by_simple.end()) continue;
           for (const ClassModel* bm : bs->second)
-            next.merge(class_reach[bm->qualified_name]);
+            next.merge(class_reach[bm]);
         }
       }
-      Reach& cur = class_reach[qualified];
+      Reach& cur = class_reach[&cm];
       if (!(next == cur)) {
         cur = next;
         changed = true;
@@ -298,10 +300,12 @@ WriteSetAnalysis analyze_write_sets(const SourceModel& model,
         }
       }
       w.names = es.write_names;
+      std::set<Sym> name_ids;
+      for (const std::string& n : w.names) name_ids.insert(st.find(n));
       const ClassModel* cm = model.find_class(es.class_name);
       if (cm == nullptr || (cm->fields.empty() && !cm->reflected)) {
         top("receiver class not reflected");
-      } else if (poly.count(simple_of(es.class_name))) {
+      } else if (poly.count(ids[cm].simple)) {
         // Known-leaf relaxation: a class on the scanned inheritance edges
         // as a derived end only — never itself a base, per both the edge
         // set and the closed-world FAT_POLY registrations — cannot receive
@@ -309,22 +313,21 @@ WriteSetAnalysis analyze_write_sets(const SourceModel& model,
         // exactly its declared fields and the collapse is unnecessary.
         // (Subtrees holding polymorphic members are still rejected by the
         // walk-set check below.)
-        const std::string simple = simple_of(es.class_name);
+        const Sym simple = ids[cm].simple;
         bool used_as_base = false;
-        for (const auto& [derived, bs] : model.bases) {
-          for (const std::string& b : bs)
-            if (simple_of(b) == simple) used_as_base = true;
-        }
+        for (const auto& [derived, bs] : model.bases)
+          for (const Sym b : bs)
+            if (b == simple) used_as_base = true;
         if (!model.bases.count(simple) || used_as_base)
           top("polymorphic receiver");
       }
       if (!es.write_top) {
         for (const std::string& n : w.names) {
-          auto it = model.declared_types.find(n);
-          bool ok = it != model.declared_types.end();
+          const Tokens* words = model.declared(st.find(n));
+          bool ok = words != nullptr;
           if (ok)
-            for (const std::string& tok : split_ws(it->second))
-              if (!value_like_token(tok, model.enum_names)) {
+            for (const Sym tok : *words)
+              if (!value_like_token(tok, model)) {
                 ok = false;
                 break;
               }
@@ -334,26 +337,30 @@ WriteSetAnalysis analyze_write_sets(const SourceModel& model,
       if (cm != nullptr && !es.write_top) {
         // Prune: any name in the receiver closure whose own reach is
         // closed, monomorphic, and disjoint from the capture set.
-        const Reach& recv = class_reach[cm->qualified_name];
-        std::set<std::string> candidates = recv.names;
-        candidates.insert(cm->fields.begin(), cm->fields.end());
-        for (const std::string& n : candidates) {
-          if (w.names.count(n)) continue;
+        const ClassIds& ci = ids[cm];
+        std::set<Sym> candidates = class_reach[cm].names;
+        candidates.insert(ci.fields.begin(), ci.fields.end());
+        std::set<Sym> pruned;
+        for (const Sym n : candidates) {
+          if (name_ids.count(n)) continue;
           const Reach mr = member_reach(n);
           if (mr.open || mr.poly) continue;
           bool hits = false;
-          for (const std::string& c : w.names)
+          for (const Sym c : name_ids)
             if (mr.names.count(c)) {
               hits = true;
               break;
             }
-          if (!hits) w.plan.prune.insert(n);
+          if (hits) continue;
+          pruned.insert(n);
+          w.plan.prune.insert(st.text(n));
         }
         // Walk-set check: every subtree the walk will enter must stay
         // within reflected, monomorphic classes.
         for (const std::string& f : cm->fields) {
-          if (w.plan.prune.count(f) || w.names.count(f)) continue;
-          const Reach mr = member_reach(f);
+          const Sym fid = st.find(f);
+          if (pruned.count(fid) || name_ids.count(fid)) continue;
+          const Reach mr = member_reach(fid);
           if (mr.open) top("unreflected subtree at field " + f);
           else if (mr.poly) top("polymorphic subtree at field " + f);
         }

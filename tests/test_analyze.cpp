@@ -87,8 +87,9 @@ TEST(SourceModel, FindsInstrumentedClassesAndDeclaredThrows) {
   ASSERT_TRUE(ll->declared_throws.count("front"));
   EXPECT_EQ(ll->declared_throws.at("front").at(0),
             "subjects::collections::EmptyError");
-  EXPECT_TRUE(model.instrumented_names.count("push_back"));
-  EXPECT_TRUE(model.class_names.count("Parser"));
+  EXPECT_TRUE(model.has(model.symbols.find("push_back"),
+                        analyze::kInstrumentedName));
+  EXPECT_TRUE(model.has(model.symbols.find("Parser"), analyze::kClassName));
   // Declared types distinguish smart-pointer fields from subject objects.
   ASSERT_TRUE(model.declared_types.count("head_"));
   EXPECT_NE(model.declared_types.at("head_").find("unique_ptr"),

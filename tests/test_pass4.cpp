@@ -165,7 +165,8 @@ TEST_F(ScannerEdgeCases, FunctionTryBlockBodyIncludesHandlers) {
       guarded = &def;
   ASSERT_NE(guarded, nullptr);
   bool has_catch = false;
-  for (const auto& tok : guarded->body) has_catch |= tok.text == "catch";
+  for (const analyze::Sym tok : guarded->body)
+    has_catch |= tok == analyze::sym::Catch;
   EXPECT_TRUE(has_catch);
   // The effect pass sees the catch clause...
   const analyze::EffectAnalysis effects = analyze::analyze_effects(model);

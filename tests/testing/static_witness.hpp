@@ -72,15 +72,27 @@ inline std::string render_model(const analyze::SourceModel& m) {
     }
     os << ") tokens=" << f.body.size() << " file=" << f.file << '\n';
   }
-  os << "instrumented_names " << join(m.instrumented_names) << '\n';
-  os << "clean_const_names " << join(m.clean_const_names) << '\n';
+  // The model keeps names as symbol ids: spell them, in text order.
+  auto names = [&m](analyze::NameFact fact) {
+    std::set<std::string> out;
+    for (analyze::Sym s = 0; s < m.facts.size(); ++s)
+      if (m.has(s, fact)) out.insert(m.symbols.text(s));
+    return out;
+  };
+  std::map<std::string, std::set<std::string>> bases;
+  for (const auto& [derived, bs] : m.bases)
+    for (const analyze::Sym b : bs)
+      bases[m.symbols.text(derived)].insert(m.symbols.text(b));
+  os << "instrumented_names " << join(names(analyze::kInstrumentedName))
+     << '\n';
+  os << "clean_const_names " << join(names(analyze::kCleanConstName)) << '\n';
   for (const auto& [name, type] : m.declared_types)
     os << "declared " << name << ": " << type << '\n';
-  os << "class_names " << join(m.class_names) << '\n';
-  os << "enum_names " << join(m.enum_names) << '\n';
-  for (const auto& [derived, bases] : m.bases)
-    os << "bases " << derived << ' ' << join(bases) << '\n';
-  os << "poly_classes " << join(m.poly_classes) << '\n';
+  os << "class_names " << join(names(analyze::kClassName)) << '\n';
+  os << "enum_names " << join(names(analyze::kEnumName)) << '\n';
+  for (const auto& [derived, base_names] : bases)
+    os << "bases " << derived << ' ' << join(base_names) << '\n';
+  os << "poly_classes " << join(names(analyze::kPolyClass)) << '\n';
   for (const std::string& f : m.files) os << "file " << f << '\n';
   return os.str();
 }
