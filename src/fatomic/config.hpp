@@ -40,6 +40,7 @@ class Config {
   /// hardware thread.  Any value yields the sequential Campaign provided the
   /// program is deterministic and shares no mutable state across
   /// invocations (every subject workload constructs fresh objects per run).
+  /// A campaign starts no more workers than it has runs to claim.
   Config& jobs(unsigned n) {
     jobs_ = n;
     return *this;

@@ -180,6 +180,7 @@ Campaign Experiment::run() {
     program_();
   } catch (...) {
   }
+  const std::uint64_t thresholds = rt.point;  // injection points counted
   campaign.call_counts = rt.call_counts;
   campaign.call_edges = rt.call_edges;
   baseline.swap(rt.calls);
@@ -234,14 +235,15 @@ Campaign Experiment::run() {
   rt.record_diffs = config_.record_diffs();
   rt.record_footprints = config_.record_footprints();
 
-  unsigned jobs = config_.jobs() != 0
-                      ? config_.jobs()
-                      : std::max(1u, std::thread::hardware_concurrency());
-  if (static_cast<std::uint64_t>(jobs) > config_.max_runs())
-    jobs = static_cast<unsigned>(config_.max_runs());
+  // No more workers than runs to claim: the baseline's thresholds plus the
+  // terminal run, at most max_runs.
+  const std::uint64_t jobs = std::min<std::uint64_t>(
+      {config_.jobs() != 0 ? config_.jobs()
+                           : std::max(1u, std::thread::hardware_concurrency()),
+       thresholds + 1, config_.max_runs()});
 
   if (jobs > 1)
-    run_parallel(campaign, jobs, baseline, prunable);
+    run_parallel(campaign, static_cast<unsigned>(jobs), baseline, prunable);
   else
     run_sequential(campaign, baseline, prunable);
 
@@ -353,7 +355,16 @@ void Experiment::run_parallel(Campaign& campaign, unsigned jobs,
 
   std::vector<std::thread> pool;
   pool.reserve(jobs);
-  for (unsigned i = 0; i < jobs; ++i) pool.emplace_back(worker, i + 1);
+  try {
+    for (unsigned i = 0; i < jobs; ++i) pool.emplace_back(worker, i + 1);
+  } catch (...) {
+    // The system refused a thread: cancel and join the workers already
+    // running (a joinable std::thread would terminate the process on
+    // unwind), then report the failure to the caller.
+    stop.store(0);
+    for (std::thread& t : pool) t.join();
+    throw;
+  }
   for (std::thread& t : pool) t.join();
   if (failure) std::rethrow_exception(failure);
 

@@ -80,7 +80,8 @@ struct RecoveryPolicy {
   /// Retry: microseconds slept before attempt k+1 is backoff_us << k —
   /// bounded exponential backoff for transient-fault workloads.  0 retries
   /// immediately (the injector's faults are deterministic, so campaign
-  /// verification keeps this at 0; the live bench exercises it).
+  /// verification keeps this at 0).  Derivation writes 0 and no bench sets
+  /// it; only test_recovery's JSON round trip uses a nonzero value.
   unsigned backoff_us = 0;
 
   /// Retry: take (and restore before each attempt) the entry checkpoint.

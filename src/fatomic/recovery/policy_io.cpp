@@ -1,7 +1,9 @@
 #include "fatomic/recovery/policy_io.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -58,13 +60,22 @@ std::pair<std::size_t, std::size_t> line_col(const std::string& text,
   fail(origin, what);
 }
 
-std::uint64_t uint_field(const report::JsonValue& obj, const char* key,
-                         const std::string& origin) {
+/// True when `v` is a whole number in [lo, hi] — checked before any cast,
+/// because converting an out-of-range double to an integer is undefined.
+bool integer_in(const report::JsonValue& v, double lo, double hi) {
+  return v.is_number() && v.number >= lo && v.number <= hi &&
+         v.number == std::floor(v.number);
+}
+
+unsigned count_field(const report::JsonValue& obj, const char* key,
+                     const std::string& origin) {
   const report::JsonValue* v = obj.find(key);
   if (v == nullptr) return 0;
-  if (!v->is_number() || v->number < 0)
-    fail(origin, std::string("'") + key + "' must be a non-negative number");
-  return static_cast<std::uint64_t>(v->number);
+  constexpr unsigned kMax = std::numeric_limits<unsigned>::max();
+  if (!integer_in(*v, 0, kMax))
+    fail(origin, std::string("'") + key + "' must be an integer from 0 to " +
+                     std::to_string(kMax));
+  return static_cast<unsigned>(v->number);
 }
 
 }  // namespace
@@ -128,10 +139,9 @@ PolicyTable parse_policy_table(const std::string& text,
   const report::JsonValue* version = root.find("schema_version");
   if (version == nullptr || !version->is_number())
     fail(origin, "missing \"schema_version\"");
-  if (version->as_int() > 2)
-    fail(origin, "unsupported schema_version " +
-                     std::to_string(version->as_int()) +
-                     " (this build reads up to 2)");
+  if (!integer_in(*version, 1, 2))
+    fail(origin, "unsupported schema_version " + version->lexeme +
+                     " (this build reads 1 and 2)");
   const report::JsonValue* policies = root.find("policies");
   if (policies == nullptr || !policies->is_array())
     fail(origin, "missing \"policies\" array");
@@ -153,10 +163,8 @@ PolicyTable parse_policy_table(const std::string& text,
       fail_at_token(origin, text, action->string,
                     "policy for '" + method->string + "': " + e.what());
     }
-    pol.retry_budget =
-        static_cast<unsigned>(uint_field(entry, "retry_budget", origin));
-    pol.backoff_us =
-        static_cast<unsigned>(uint_field(entry, "backoff_us", origin));
+    pol.retry_budget = count_field(entry, "retry_budget", origin);
+    pol.backoff_us = count_field(entry, "backoff_us", origin);
     if (const report::JsonValue* rb = entry.find("rollback_before_retry")) {
       if (!rb->is_bool())
         fail(origin, "'rollback_before_retry' must be a boolean");

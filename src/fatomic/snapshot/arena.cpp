@@ -10,13 +10,16 @@ namespace {
 
 /// Replays the record stream into a node table.  Records are emitted in
 /// node-creation order, so `next_id_` reproduces the record ordinals and
-/// Ref records resolve to already-parsed nodes.
+/// Ref records resolve to already-parsed nodes.  A full capture is one
+/// value; a partial capture is a run of top-level leaf records.
 class Reader {
  public:
   Reader(const std::vector<std::byte>& bytes,
          const std::vector<const void*>& addrs, std::vector<Node>& out)
       : p_(bytes.data()), end_(bytes.data() + bytes.size()), addrs_(addrs),
         nodes_(out) {}
+
+  bool done() const { return p_ == end_; }
 
   NodeId parse() {
     const std::uint8_t tag = u8();
@@ -160,6 +163,7 @@ Snapshot ArenaSnapshot::decode() const& {
   s.nodes_.reserve(node_count_);
   Reader r(bytes_, addrs_, s.nodes_);
   s.root_ = r.parse();
+  while (!r.done()) r.parse();
   return s;
 }
 

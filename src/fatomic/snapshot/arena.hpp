@@ -14,6 +14,8 @@
 // compare the tables — see ArenaSnapshot::equals).
 //
 // Record stream grammar (little-endian, in-process only — never persisted):
+//   capture := value                        (arena_capture: one tree)
+//            | prim*                        (partial_capture: one per leaf)
 //   value   := prim | object | sequence | pointer | null | ref
 //   prim    := 0x00 code payload            (code selects tag + payload size)
 //   object  := 0x01 type:u64 count:u32 value*count
@@ -29,8 +31,8 @@
 // *outside* the slab, so address churn between runs never breaks memcmp.
 //
 // Slabs and address vectors are recycled through a per-weave::Runtime
-// ArenaPool: steady-state captures perform no allocation beyond amortized
-// vector growth.
+// ArenaPool: steady-state captures, full and partial, perform no allocation
+// beyond amortized vector growth.
 #pragma once
 
 #include <array>
@@ -211,7 +213,7 @@ enum ArenaPrimCode : std::uint8_t {
 /// must outlive every ArenaSnapshot captured through it.
 class ArenaPool {
  public:
-  std::uint64_t captures = 0;     ///< arena captures served by this pool
+  std::uint64_t captures = 0;     ///< captures (full or partial) served
   std::uint64_t slab_reuses = 0;  ///< captures that recycled a slab
 
   std::vector<std::byte> take_bytes() {
@@ -250,7 +252,13 @@ class ArenaPool {
 /// Move-only; returns its buffers to the owning pool on destruction.
 class ArenaSnapshot {
  public:
+  /// An empty capture owning fresh buffers (tests, ad-hoc callers).
   ArenaSnapshot() = default;
+  /// An empty capture whose buffers come from `pool` and go back to it.
+  explicit ArenaSnapshot(ArenaPool& pool)
+      : bytes_(pool.take_bytes()), addrs_(pool.take_addrs()), pool_(&pool) {
+    ++pool.captures;
+  }
   ~ArenaSnapshot() { release(); }
   ArenaSnapshot(ArenaSnapshot&& o) noexcept
       : bytes_(std::move(o.bytes_)),
@@ -303,8 +311,9 @@ class ArenaSnapshot {
   /// The named node-table view of this capture (node.hpp): record ordinals
   /// become NodeIds, type words name types and fields, string leaves view
   /// the slab.  This overload borrows — the view must not outlive *this.
-  /// Restore (decode + Restorer), the compare fallback, diffs and
-  /// footprints all read it.
+  /// The one reader of the record stream: restore (decode + Restorer), the
+  /// partial restore, the compare fallback, diffs and footprints all read
+  /// it.  A partial capture decodes to one Primitive node per leaf.
   Snapshot decode() const&;
   /// The same view, owning this capture (snapshot::capture is
   /// `arena_capture(root).decode()`).
@@ -312,14 +321,7 @@ class ArenaSnapshot {
 
  private:
   friend class ArenaEncoder;
-  template <class T>
-  friend ArenaSnapshot arena_capture(const T& root, ArenaPool* pool);
 
-  void attach(ArenaPool& pool) {
-    bytes_ = pool.take_bytes();
-    addrs_ = pool.take_addrs();
-    pool_ = &pool;
-  }
   void release() {
     if (pool_ != nullptr) pool_->give_back(std::move(bytes_), std::move(addrs_));
     pool_ = nullptr;
@@ -336,8 +338,9 @@ class ArenaSnapshot {
 
 /// The preorder serializer: the one capture walker.  Public surface is
 /// encode_value/encode_object; the latter is the re-entry point for
-/// polymorphic dispatch (PolyOps::encode).  tests/golden/ freezes the node
-/// tables its decoded output must reproduce.
+/// polymorphic dispatch (PolyOps::encode).  emit_primitive is the record
+/// emission alone, for the partial walker's leaves (partial.hpp).
+/// tests/golden/ freezes the node tables its decoded output must reproduce.
 class ArenaEncoder {
  public:
   ArenaEncoder(ArenaSnapshot& out, detail::ArenaSeenMap& seen)
@@ -436,14 +439,11 @@ class ArenaEncoder {
     return id;
   }
 
- private:
+  /// One primitive record for `v`, with no alias registration: the partial
+  /// walker guards its own walk and names each leaf exactly once.
   template <class T>
-  NodeId encode_primitive(const T& v) {
-    const char* tag = detail::prim_tag<T>();
-    NodeId* slot = seen_.find_or_insert(&v, tag);
-    if (*slot != kInvalidNode) return emit_ref(*slot);
-    NodeId id = new_node(&v);
-    *slot = id;
+  NodeId emit_primitive(const T& v) {
+    const NodeId id = new_node(&v);
     if constexpr (std::is_same_v<T, bool>) {
       prim3(detail::kPrimBool, v ? 1 : 0);
     } else if constexpr (std::is_same_v<T, char>) {
@@ -478,6 +478,14 @@ class ArenaEncoder {
       append(v.data(), v.size());
     }
     return id;
+  }
+
+ private:
+  template <class T>
+  NodeId encode_primitive(const T& v) {
+    NodeId* slot = seen_.find_or_insert(&v, detail::prim_tag<T>());
+    if (*slot != kInvalidNode) return emit_ref(*slot);
+    return *slot = emit_primitive(v);  // emission leaves the map alone
   }
 
   template <class U>
@@ -589,15 +597,9 @@ class ArenaEncoder {
 /// (tests, ad-hoc callers) the capture owns fresh buffers.
 template <class T>
 ArenaSnapshot arena_capture(const T& root, ArenaPool* pool) {
-  ArenaSnapshot out;
+  ArenaSnapshot out = pool != nullptr ? ArenaSnapshot(*pool) : ArenaSnapshot();
   detail::ArenaSeenMap local;
-  detail::ArenaSeenMap* seen = &local;
-  if (pool != nullptr) {
-    out.attach(*pool);
-    seen = &pool->seen_scratch();
-    ++pool->captures;
-  }
-  ArenaEncoder e(out, *seen);
+  ArenaEncoder e(out, pool != nullptr ? pool->seen_scratch() : local);
   e.encode_value(root, /*owned=*/false);
   return out;
 }

@@ -9,11 +9,14 @@
 // invariant the live graph's structure is identical at capture and restore
 // time, the deterministic walk (field declaration order, container iteration
 // order) visits the same leaves in the same order, and restore is a plain
-// positional overwrite.  Every assumption is still checked at runtime:
+// positional overwrite.  A partial checkpoint is an ordinary pooled
+// ArenaSnapshot holding one primitive record per leaf (arena.hpp); restore
+// reads it back through decode().  Every assumption is still checked at
+// runtime:
 //
 //  - a capture-named field that is not primitive at runtime, a polymorphic
 //    pointee, or a leaf reachable only through const (set-key) storage makes
-//    the *capture* fail (`PartialSnapshot::ok == false`), and the caller
+//    the *capture* fail (partial_capture returns nullopt), and the caller
 //    falls back to a full snapshot;
 //  - a leaf-count mismatch during *restore* — possible only if the write set
 //    was unsound — throws SnapshotError instead of silently corrupting.
@@ -23,17 +26,15 @@
 // cost reduction comes from on deep structures.
 #pragma once
 
-#include <bit>
 #include <cstddef>
-#include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
 #include <type_traits>
-#include <variant>
-#include <vector>
 
 #include "fatomic/common/error.hpp"
 #include "fatomic/snapshot/arena.hpp"
+#include "fatomic/snapshot/restore.hpp"
 
 namespace fatomic::snapshot {
 
@@ -52,80 +53,24 @@ struct CheckpointPlan {
 /// Human-readable one-line form ("partial{capture=a,b prune=c}" / "full").
 std::string to_string(const CheckpointPlan& plan);
 
-/// One recorded leaf.  Same canonical forms as the decoded view's Prim
-/// (node.hpp), but strings are owned: the live field keeps changing after
-/// the capture.
-using Leaf = std::variant<bool, char, std::int64_t, std::uint64_t, F32Bits,
-                          F64Bits, std::string>;
-
-/// The recorded leaves of one partial capture, in deterministic walk order.
-struct PartialSnapshot {
-  bool ok = false;  ///< capture completed; false → use a full snapshot
-  std::vector<Leaf> values;
-};
-
 namespace detail {
 
-template <class T>
-Leaf to_leaf(const T& v) {
-  if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, char>) {
-    return v;
-  } else if constexpr (std::is_enum_v<T>) {
-    return static_cast<std::int64_t>(
-        static_cast<std::underlying_type_t<T>>(v));
-  } else if constexpr (std::is_integral_v<T> && std::is_signed_v<T>) {
-    return static_cast<std::int64_t>(v);
-  } else if constexpr (std::is_integral_v<T>) {
-    return static_cast<std::uint64_t>(v);
-  } else if constexpr (std::is_same_v<T, float>) {
-    // Bitwise, not widened: float->double conversion canonicalizes NaN
-    // payloads and loses denormal identity (state identity, node.hpp).
-    return F32Bits{std::bit_cast<std::uint32_t>(v)};
-  } else if constexpr (std::is_floating_point_v<T>) {
-    return F64Bits{std::bit_cast<std::uint64_t>(static_cast<double>(v))};
-  } else {
-    static_assert(std::is_same_v<T, std::string>);
-    return v;
-  }
-}
-
-/// Inverse of to_leaf.
-template <class T>
-void from_leaf(T& dst, const Leaf& v) {
-  if constexpr (std::is_same_v<T, bool>) {
-    dst = std::get<bool>(v);
-  } else if constexpr (std::is_same_v<T, char>) {
-    dst = std::get<char>(v);
-  } else if constexpr (std::is_enum_v<T>) {
-    dst = static_cast<T>(std::get<std::int64_t>(v));
-  } else if constexpr (std::is_integral_v<T> && std::is_signed_v<T>) {
-    dst = static_cast<T>(std::get<std::int64_t>(v));
-  } else if constexpr (std::is_integral_v<T>) {
-    dst = static_cast<T>(std::get<std::uint64_t>(v));
-  } else if constexpr (std::is_same_v<T, float>) {
-    dst = std::get<F32Bits>(v).value();
-  } else if constexpr (std::is_floating_point_v<T>) {
-    dst = static_cast<T>(std::get<F64Bits>(v).value());
-  } else {
-    static_assert(std::is_same_v<T, std::string>);
-    dst = std::get<std::string>(v);
-  }
-}
-
-/// One walker for both directions; Restore replays the identical traversal
-/// and overwrites leaves positionally.
+/// One walker for both directions: it chooses the leaves.  Capture emits
+/// each through the arena encoder; restore replays the identical traversal
+/// and overwrites leaves positionally from the decoded capture.
 class PartialWalker {
  public:
-  enum class Mode { Capture, Restore };
-
-  PartialWalker(const CheckpointPlan& plan, Mode mode,
-                std::vector<Leaf>& values)
-      : plan_(plan), mode_(mode), values_(values) {}
+  PartialWalker(const CheckpointPlan& plan, ArenaSeenMap& seen,
+                ArenaEncoder& out)
+      : plan_(plan), seen_(seen), out_(&out) {}
+  PartialWalker(const CheckpointPlan& plan, ArenaSeenMap& seen,
+                const Snapshot& leaves)
+      : plan_(plan), seen_(seen), leaves_(&leaves) {}
 
   bool failed() const { return failed_; }
 
   void finish() {
-    if (mode_ == Mode::Restore && cursor_ != values_.size())
+    if (cursor_ != leaves_->node_count())
       throw SnapshotError("partial restore: leaf count mismatch (write set "
                           "missed a structural mutation?)");
   }
@@ -203,7 +148,7 @@ class PartialWalker {
     }
   }
 
-  /// Records (Capture) or overwrites (Restore) one named leaf.
+  /// Records (capture) or overwrites (restore) one named leaf.
   template <class T>
   void leaf(T& v) {
     using U = std::remove_cv_t<T>;
@@ -214,14 +159,12 @@ class PartialWalker {
     } else if constexpr (std::is_const_v<T>) {
       // Leaves inside set/map keys cannot be written back in place.
       fail("captured field reachable only through const storage");
+    } else if (out_ != nullptr) {
+      out_->emit_primitive(v);
     } else {
-      if (mode_ == Mode::Capture) {
-        values_.push_back(to_leaf(v));
-      } else {
-        if (cursor_ >= values_.size())
-          throw SnapshotError("partial restore: more leaves than captured");
-        from_leaf(v, values_[cursor_++]);
-      }
+      if (cursor_ >= leaves_->node_count())
+        throw SnapshotError("partial restore: more leaves than captured");
+      write_primitive(v, leaves_->node(cursor_++));
     }
   }
 
@@ -235,47 +178,50 @@ class PartialWalker {
   }
 
   void fail(const char* why) {
-    if (mode_ == Mode::Restore)
+    if (out_ == nullptr)
       throw SnapshotError(std::string("partial restore: ") + why);
     failed_ = true;
   }
 
   const CheckpointPlan& plan_;
-  Mode mode_;
-  std::vector<Leaf>& values_;
+  ArenaSeenMap& seen_;
+  ArenaEncoder* out_ = nullptr;      ///< capture: the leaves' emitter
+  const Snapshot* leaves_ = nullptr;  ///< restore: the decoded capture
   std::size_t cursor_ = 0;
   bool failed_ = false;
-  ArenaSeenMap seen_;
 };
 
 }  // namespace detail
 
-/// Captures the leaves `plan` names from the graph rooted at `root`.  A
-/// non-partial plan or any walk-time surprise yields `ok == false` — the
-/// caller must fall back to a full arena_capture.
+/// Captures the leaves `plan` names from the graph rooted at `root` into an
+/// arena checkpoint from `pool`, one primitive record per leaf in walk order
+/// (node_count() is the leaf count).  A non-partial plan or any walk-time
+/// surprise yields nullopt — the caller must take a full arena_capture.
 template <class T>
-PartialSnapshot partial_capture(const T& root, const CheckpointPlan& plan) {
-  PartialSnapshot out;
-  if (!plan.partial) return out;
-  detail::PartialWalker w(plan, detail::PartialWalker::Mode::Capture,
-                          out.values);
+std::optional<ArenaSnapshot> partial_capture(const T& root,
+                                             const CheckpointPlan& plan,
+                                             ArenaPool& pool) {
+  if (!plan.partial) return std::nullopt;
+  ArenaSnapshot out(pool);
+  detail::ArenaSeenMap& seen = pool.seen_scratch();
+  ArenaEncoder enc(out, seen);
+  detail::PartialWalker w(plan, seen, enc);
   // Shed the root's top-level constness so both directions instantiate the
   // same walk; genuinely-const interior storage (set keys) still fails.
   w.visit(const_cast<T&>(root));
-  out.ok = !w.failed();
-  if (!out.ok) out.values.clear();
+  if (w.failed()) return std::nullopt;
   return out;
 }
 
-/// Writes a previously captured PartialSnapshot back into the live graph.
+/// Writes the leaves of partial checkpoint `cp` back into the live graph.
 /// Throws SnapshotError when the traversal does not line up with the
 /// captured leaves — the signature of an unsound write set.
 template <class T>
-void partial_restore(T& root, const PartialSnapshot& snap,
+void partial_restore(T& root, const ArenaSnapshot& cp,
                      const CheckpointPlan& plan) {
-  if (!snap.ok) throw SnapshotError("partial restore of a failed capture");
-  auto& values = const_cast<std::vector<Leaf>&>(snap.values);
-  detail::PartialWalker w(plan, detail::PartialWalker::Mode::Restore, values);
+  const Snapshot leaves = cp.decode();
+  detail::ArenaSeenMap seen;
+  detail::PartialWalker w(plan, seen, leaves);
   w.visit(root);
   w.finish();
 }

@@ -36,6 +36,35 @@
 
 namespace fatomic::snapshot {
 
+namespace detail {
+
+/// Writes decoded primitive node `n` into the live value `dst`: the one leaf
+/// writer, shared by the Restorer and the partial restore (partial.hpp).
+template <class T>
+void write_primitive(T& dst, const Node& n) {
+  if constexpr (std::is_same_v<T, bool>) {
+    dst = std::get<bool>(n.value);
+  } else if constexpr (std::is_same_v<T, char>) {
+    dst = std::get<char>(n.value);
+  } else if constexpr (std::is_enum_v<T>) {
+    dst = static_cast<T>(std::get<std::int64_t>(n.value));
+  } else if constexpr (std::is_integral_v<T> && std::is_signed_v<T>) {
+    dst = static_cast<T>(std::get<std::int64_t>(n.value));
+  } else if constexpr (std::is_integral_v<T>) {
+    dst = static_cast<T>(std::get<std::uint64_t>(n.value));
+  } else if constexpr (std::is_same_v<T, float>) {
+    dst = std::get<F32Bits>(n.value).value();
+  } else if constexpr (std::is_floating_point_v<T>) {
+    dst = static_cast<T>(std::get<F64Bits>(n.value).value());
+  } else {
+    // One copy, from the slab straight into the live string.
+    const std::string_view v = std::get<std::string_view>(n.value);
+    dst.assign(v.data(), v.size());
+  }
+}
+
+}  // namespace detail
+
 class Restorer {
  public:
   /// Rolls `root` back to the state recorded in `s` (the paper's replace()).
@@ -83,7 +112,7 @@ class Restorer {
     if constexpr (tr::is_primitive_v<T>) {
       expect(n, NodeKind::Primitive, "primitive");
       made_.emplace(id, static_cast<void*>(&dst));
-      restore_primitive(dst, n);
+      detail::write_primitive(dst, n);
     } else if constexpr (std::is_pointer_v<T>) {
       restore_raw_pointer(dst, id, owned);
     } else if constexpr (tr::is_unique_ptr<T>::value) {
@@ -169,29 +198,6 @@ class Restorer {
     if (n.kind != k)
       throw SnapshotError(std::string("snapshot/type mismatch restoring ") +
                           what);
-  }
-
-  template <class T>
-  void restore_primitive(T& dst, const Node& n) {
-    if constexpr (std::is_same_v<T, bool>) {
-      dst = std::get<bool>(n.value);
-    } else if constexpr (std::is_same_v<T, char>) {
-      dst = std::get<char>(n.value);
-    } else if constexpr (std::is_enum_v<T>) {
-      dst = static_cast<T>(std::get<std::int64_t>(n.value));
-    } else if constexpr (std::is_integral_v<T> && std::is_signed_v<T>) {
-      dst = static_cast<T>(std::get<std::int64_t>(n.value));
-    } else if constexpr (std::is_integral_v<T>) {
-      dst = static_cast<T>(std::get<std::uint64_t>(n.value));
-    } else if constexpr (std::is_same_v<T, float>) {
-      dst = std::get<F32Bits>(n.value).value();
-    } else if constexpr (std::is_floating_point_v<T>) {
-      dst = static_cast<T>(std::get<F64Bits>(n.value).value());
-    } else {
-      // One copy, from the slab straight into the live string.
-      const std::string_view v = std::get<std::string_view>(n.value);
-      dst.assign(v.data(), v.size());
-    }
   }
 
   template <class U>

@@ -17,8 +17,7 @@
 //    so the merged stream is identical for jobs=1 and jobs=N *by
 //    construction* — timestamps and worker ordinals are the only execution
 //    artifacts (canonical_stream() excludes exactly those).
-//  - Compile-time kill switch: building with -DFATOMIC_TRACE_DISABLED makes
-//    enabled() a constant false and dead-code-eliminates every hook.
+//  - One switch: fatomic::Config::tracing arms the buffer per campaign.
 //
 // Exporters (Chrome/Perfetto JSON, summary table, campaign_json section)
 // live in trace/export.hpp; derived metrics in trace/metrics.hpp.
@@ -84,13 +83,7 @@ struct Event {
 /// path is one predicted branch (bench_trace_overhead gates this).
 class TraceBuffer {
  public:
-  bool enabled() const {
-#ifdef FATOMIC_TRACE_DISABLED
-    return false;
-#else
-    return enabled_;
-#endif
-  }
+  bool enabled() const { return enabled_; }
 
   /// Arms the buffer.  `epoch_ns` is the campaign's steady-clock start —
   /// adopt the driving buffer's epoch() on workers so timelines align.

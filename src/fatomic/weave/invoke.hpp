@@ -156,45 +156,45 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
   }
 
   for (unsigned attempt = 0;; ++attempt) {
-    std::optional<snapshot::PartialSnapshot> partial;
-    std::optional<snapshot::ArenaSnapshot> full;
+    std::optional<snapshot::ArenaSnapshot> cp;
+    bool partial = false;            // cp holds the plan's leaves only
     snapshot::ArenaSnapshot shadow;  // validate_checkpoints shadow for partials
     if (need_checkpoint) {
       if (plan != nullptr) {
         const std::uint64_t t0 = rt.trace.begin_span();
-        partial.emplace(snapshot::partial_capture(root, *plan));
-        if (partial->ok) {
+        cp = snapshot::partial_capture(root, *plan, rt.arena_pool);
+        partial = cp.has_value();
+        if (partial) {
           ++rt.stats.partial_checkpoints;
-          rt.stats.checkpoint_units += partial->values.size();
+          rt.stats.checkpoint_units += cp->node_count();
           rt.trace.span(trace::EventKind::PartialCheckpoint, t0, &mi,
-                        partial->values.size());
+                        cp->node_count());
           if (rt.validate_checkpoints)
             shadow = snapshot::arena_capture(root, &rt.arena_pool);
         } else {
-          partial.reset();
           ++rt.stats.partial_fallbacks;
           rt.trace.instant(trace::EventKind::PartialFallback, &mi);
         }
       }
-      if (!partial) {
-        full.emplace(take_full_checkpoint(mi, root, rt));
-        rt.stats.checkpoint_units += full->node_count();
+      if (!cp) {
+        cp.emplace(take_full_checkpoint(mi, root, rt));
+        rt.stats.checkpoint_units += cp->node_count();
       }
     }
 
     auto restore = [&] {
       // Retry-without-rollback: nothing captured, nothing to restore — the
       // atomicity proof is the checkpoint.
-      if (!partial && !full) return;
+      if (!cp) return;
       try {
         // Restoring containers of instrumented objects re-runs their
         // constructors; those entries must not fire injection points of
         // their own (the engine would sabotage its own rollback).
         EngineScope engine(rt);
         if (partial)
-          snapshot::partial_restore(root, *partial, *plan);
+          snapshot::partial_restore(root, *cp, *plan);
         else
-          snapshot::restore(root, *full);
+          snapshot::restore(root, *cp);
       } catch (const RestoreError&) {
         // A full restore failed mid-replay: the receiver may be partially
         // restored, and masking anything now would hide corruption.
@@ -279,10 +279,9 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
           // post-exception state equals the entry checkpoint — a
           // corrupted-state verdict is never masked.
           bool intact = false;
-          if (full) {
+          if (cp && !partial) {
             ++rt.stats.comparisons;
-            intact =
-                full->equals(snapshot::arena_capture(root, &rt.arena_pool));
+            intact = cp->equals(snapshot::arena_capture(root, &rt.arena_pool));
           }
           if constexpr (kNeutralReturn) {
             if (intact) {

@@ -7,6 +7,7 @@
 // map, bitwise float identity and restore exception safety.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -21,6 +22,7 @@
 #include "fatomic/snapshot/arena.hpp"
 #include "fatomic/snapshot/backend.hpp"
 #include "fatomic/snapshot/capture.hpp"
+#include "fatomic/snapshot/partial.hpp"
 #include "fatomic/snapshot/restore.hpp"
 #include "testing/types.hpp"
 #include "testing/witness.hpp"
@@ -295,6 +297,50 @@ TEST(BitwiseFloats, NanRoundTripsThroughRestore) {
   p.d = 0.0;
   snap::restore(p, nan_state);
   EXPECT_TRUE(std::isnan(p.d));
+}
+
+namespace float_types {
+
+/// One leaf per float state that a widening or canonicalizing copy loses.
+struct FloatLeaves {
+  double nan = 0.0;
+  double neg_zero = 0.0;
+  float denorm = 0.0f;
+};
+
+}  // namespace float_types
+
+FAT_REFLECT(float_types::FloatLeaves,
+            FAT_FIELD(float_types::FloatLeaves, nan),
+            FAT_FIELD(float_types::FloatLeaves, neg_zero),
+            FAT_FIELD(float_types::FloatLeaves, denorm));
+
+TEST(BitwiseFloats, PartialPlanRestoresBitExactly) {
+  // Partial checkpoints record their leaves as arena records too, so a NaN
+  // payload, -0.0 and a float denormal come back bit for bit.
+  const std::uint64_t nan_bits = 0x7FF8'0000'0000'1234ull;
+  const std::uint64_t neg_zero_bits = std::bit_cast<std::uint64_t>(-0.0);
+  const std::uint32_t denorm_bits =
+      std::bit_cast<std::uint32_t>(std::numeric_limits<float>::denorm_min());
+  float_types::FloatLeaves f;
+  f.nan = std::bit_cast<double>(nan_bits);
+  f.neg_zero = -0.0;
+  f.denorm = std::numeric_limits<float>::denorm_min();
+  snap::CheckpointPlan plan;
+  plan.partial = true;
+  plan.capture = {"nan", "neg_zero", "denorm"};
+  snap::ArenaPool pool;
+  auto cp = snap::partial_capture(f, plan, pool);
+  ASSERT_TRUE(cp);
+  EXPECT_EQ(cp->node_count(), 3u);
+
+  f.nan = 1.0;
+  f.neg_zero = 0.0;
+  f.denorm = 0.0f;
+  snap::partial_restore(f, *cp, plan);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(f.nan), nan_bits);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(f.neg_zero), neg_zero_bits);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(f.denorm), denorm_bits);
 }
 
 namespace fragile_types {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -105,6 +106,16 @@ TEST_F(ParallelDetectTest, JobsZeroMeansHardwareConcurrency) {
   cfg.jobs(0);
   detect::Campaign par = detect::Experiment(synthetic::workload, cfg).run();
   detect::Campaign seq = detect::Experiment(synthetic::workload).run();
+  expect_same_campaign(seq, par);
+}
+
+TEST_F(ParallelDetectTest, HugeJobCountIsCappedAtTheRunsToClaim) {
+  // At most one worker per baseline threshold plus the terminal run can
+  // claim a run; the pool must not try to spawn four billion threads.
+  detect::Campaign seq = detect::Experiment(synthetic::workload).run();
+  fatomic::Config cfg;
+  cfg.jobs(std::numeric_limits<unsigned>::max());
+  detect::Campaign par = detect::Experiment(synthetic::workload, cfg).run();
   expect_same_campaign(seq, par);
 }
 
@@ -274,12 +285,8 @@ TEST_F(ParallelDetectTest, ConfigGuardRestoresEveryValue) {
     EXPECT_TRUE(rt.record_footprints);
     EXPECT_TRUE(rt.provenance);
     EXPECT_EQ(rt.fault_period, 1'000'000'007u);
-#ifndef FATOMIC_TRACE_DISABLED
-    // With tracing compiled out the buffer is never enabled, so the epoch
-    // is not part of the configuration.
     EXPECT_TRUE(rt.trace.enabled());
     EXPECT_EQ(rt.trace.epoch(), 12345u);
-#endif
     EXPECT_EQ(rt.trace.worker(), 7u);
   }
 

@@ -36,17 +36,18 @@ snap::CheckpointPlan plan_of(std::set<std::string> capture,
 }
 
 TEST(PartialSnapshot, CapturesOnlyNamedLeaves) {
+  snap::ArenaPool pool;
   Plain p;
   p.i = 7;
   p.d = 2.5;
   p.s = "keep";
   const auto plan = plan_of({"i"});
-  snap::PartialSnapshot cp = snap::partial_capture(p, plan);
-  ASSERT_TRUE(cp.ok);
-  EXPECT_EQ(cp.values.size(), 1u);
+  auto cp = snap::partial_capture(p, plan, pool);
+  ASSERT_TRUE(cp);
+  EXPECT_EQ(cp->node_count(), 1u);
 
   p.i = -1;  // the write the plan predicted
-  snap::partial_restore(p, cp, plan);
+  snap::partial_restore(p, *cp, plan);
   EXPECT_EQ(p.i, 7);
   EXPECT_EQ(p.d, 2.5);
   EXPECT_EQ(p.s, "keep");
@@ -55,42 +56,39 @@ TEST(PartialSnapshot, CapturesOnlyNamedLeaves) {
 TEST(PartialSnapshot, EmptyCapturePlanIsFree) {
   // Read-only and commit-point-last methods get partial{capture=∅} plans:
   // checkpoint cost zero, restore a no-op.
+  snap::ArenaPool pool;
   Plain p;
   p.s = "x";
   const auto plan = plan_of({}, {"s"});
-  snap::PartialSnapshot cp = snap::partial_capture(p, plan);
-  ASSERT_TRUE(cp.ok);
-  EXPECT_TRUE(cp.values.empty());
-  snap::partial_restore(p, cp, plan);  // must not throw
+  auto cp = snap::partial_capture(p, plan, pool);
+  ASSERT_TRUE(cp);
+  EXPECT_TRUE(cp->empty());
+  snap::partial_restore(p, *cp, plan);  // must not throw
   EXPECT_EQ(p.s, "x");
 }
 
 TEST(PartialSnapshot, FullPlanYieldsNoCapture) {
+  snap::ArenaPool pool;
   Plain p;
   snap::CheckpointPlan top;  // partial == false (⊤)
-  EXPECT_FALSE(snap::partial_capture(p, top).ok);
-}
-
-TEST(PartialSnapshot, RestoreOfFailedCaptureThrows) {
-  Plain p;
-  snap::PartialSnapshot bad;  // ok == false
-  EXPECT_THROW(snap::partial_restore(p, bad, plan_of({"i"})), SnapshotError);
+  EXPECT_FALSE(snap::partial_capture(p, top, pool));
 }
 
 TEST(PartialSnapshot, AliasedSubobjectCapturedOnce) {
   // Two paths to one Plain: the walk's alias guard must record its leaves
   // exactly once, so restore writes them exactly once.
+  snap::ArenaPool pool;
   AliasPair a;
   a.owner = std::make_unique<Plain>();
   a.owner->i = 3;
   a.alias = a.owner.get();
   const auto plan = plan_of({"i"});
-  snap::PartialSnapshot cp = snap::partial_capture(a, plan);
-  ASSERT_TRUE(cp.ok);
-  EXPECT_EQ(cp.values.size(), 1u);
+  auto cp = snap::partial_capture(a, plan, pool);
+  ASSERT_TRUE(cp);
+  EXPECT_EQ(cp->node_count(), 1u);
 
   a.owner->i = 99;
-  snap::partial_restore(a, cp, plan);
+  snap::partial_restore(a, *cp, plan);
   EXPECT_EQ(a.owner->i, 3);
   EXPECT_EQ(a.alias->i, 3);
 
@@ -98,14 +96,15 @@ TEST(PartialSnapshot, AliasedSubobjectCapturedOnce) {
   Plain other;
   other.i = 8;
   a.alias = &other;
-  snap::PartialSnapshot two = snap::partial_capture(a, plan);
-  ASSERT_TRUE(two.ok);
-  EXPECT_EQ(two.values.size(), 2u);
+  auto two = snap::partial_capture(a, plan, pool);
+  ASSERT_TRUE(two);
+  EXPECT_EQ(two->node_count(), 2u);
 }
 
 TEST(PartialSnapshot, RcPtrCycleTerminates) {
   // a -> b -> a through rc_ptr: the alias guard must break the cycle in both
   // the capture and the restore walk.
+  snap::ArenaPool pool;
   auto a = fatomic::memory::make_rc<RcNode>();
   auto b = fatomic::memory::make_rc<RcNode>();
   a->value = 1;
@@ -114,13 +113,13 @@ TEST(PartialSnapshot, RcPtrCycleTerminates) {
   b->next = a;
 
   const auto plan = plan_of({"value"});
-  snap::PartialSnapshot cp = snap::partial_capture(*a, plan);
-  ASSERT_TRUE(cp.ok);
-  EXPECT_EQ(cp.values.size(), 2u);
+  auto cp = snap::partial_capture(*a, plan, pool);
+  ASSERT_TRUE(cp);
+  EXPECT_EQ(cp->node_count(), 2u);
 
   a->value = -1;
   b->value = -2;
-  snap::partial_restore(*a, cp, plan);
+  snap::partial_restore(*a, *cp, plan);
   EXPECT_EQ(a->value, 1);
   EXPECT_EQ(b->value, 2);
 
@@ -128,18 +127,18 @@ TEST(PartialSnapshot, RcPtrCycleTerminates) {
 }
 
 TEST(PartialSnapshot, PolymorphicPointeeFallsBack) {
+  snap::ArenaPool pool;
   testing_types::Drawing d;
   d.title = "t";
   d.shapes.push_back(std::make_unique<testing_types::Circle>());
   // The walk cannot dispatch to the dynamic type, so reaching the Shape
   // pointer must fail the capture (caller then takes a full snapshot)...
-  EXPECT_FALSE(snap::partial_capture(d, plan_of({"title"})).ok);
+  EXPECT_FALSE(snap::partial_capture(d, plan_of({"title"}), pool));
   // ...unless the plan proves the polymorphic subtree is not written and
   // prunes it away before the walk gets there.
-  snap::PartialSnapshot cp =
-      snap::partial_capture(d, plan_of({"title"}, {"shapes"}));
-  ASSERT_TRUE(cp.ok);
-  EXPECT_EQ(cp.values.size(), 1u);
+  auto cp = snap::partial_capture(d, plan_of({"title"}, {"shapes"}), pool);
+  ASSERT_TRUE(cp);
+  EXPECT_EQ(cp->node_count(), 1u);
 }
 
 struct SetKey {
@@ -153,9 +152,10 @@ struct KeyHolder {
 TEST(PartialSnapshot, ConstSetStorageFallsBack) {
   // A captured leaf that is only reachable through const storage (set
   // elements) cannot be written back in place; the capture must fail.
+  snap::ArenaPool pool;
   KeyHolder h;
   h.keys.insert(SetKey{1});
-  EXPECT_FALSE(snap::partial_capture(h, plan_of({"k"})).ok);
+  EXPECT_FALSE(snap::partial_capture(h, plan_of({"k"}), pool));
 }
 
 struct Bag {
@@ -167,18 +167,19 @@ TEST(PartialSnapshot, StructuralMutationDetectedAtRestore) {
   // The plan claims the method only writes `i` leaves, but the live graph
   // grew/shrank between capture and restore — the positional walk must
   // refuse rather than silently corrupt.
+  snap::ArenaPool pool;
   Bag b;
   b.items.resize(2);
   const auto plan = plan_of({"i", "total"});
-  snap::PartialSnapshot cp = snap::partial_capture(b, plan);
-  ASSERT_TRUE(cp.ok);
-  EXPECT_EQ(cp.values.size(), 3u);  // 2 x i + total
+  auto cp = snap::partial_capture(b, plan, pool);
+  ASSERT_TRUE(cp);
+  EXPECT_EQ(cp->node_count(), 3u);  // 2 x i + total
 
   b.items.emplace_back();  // the mutation the write set missed
-  EXPECT_THROW(snap::partial_restore(b, cp, plan), SnapshotError);
+  EXPECT_THROW(snap::partial_restore(b, *cp, plan), SnapshotError);
 
   b.items.resize(1);
-  EXPECT_THROW(snap::partial_restore(b, cp, plan), SnapshotError);
+  EXPECT_THROW(snap::partial_restore(b, *cp, plan), SnapshotError);
 }
 
 // ---- runtime integration: plans installed into the mask layer -------------
@@ -256,6 +257,22 @@ TEST_F(PartialMaskTest, PartialRollbackUnderMask) {
   EXPECT_GE(rt.stats.partial_checkpoints, 2u);
   EXPECT_EQ(rt.stats.partial_fallbacks, 0u);
   EXPECT_EQ(rt.stats.snapshots_taken, 0u) << "no full checkpoints expected";
+}
+
+TEST_F(PartialMaskTest, PartialCheckpointsReuseThePoolsSlabs) {
+  // A partial checkpoint is a pooled arena capture: a later wrapped call
+  // recycles the slab an earlier one returned to the runtime's pool.
+  auto& rt = weave::Runtime::instance();
+  fatomic::mask::MaskedScope scope(
+      &wrap_all, plans_for("Counter::bump", plan_of({"value_"}, {"log_"})));
+  ASSERT_FALSE(rt.validate_checkpoints);
+  Counter c;
+  const std::uint64_t reuses = rt.arena_pool.slab_reuses;
+  c.bump(1);
+  c.bump(2);
+  EXPECT_GT(rt.arena_pool.slab_reuses, reuses);
+  EXPECT_EQ(rt.stats.partial_checkpoints, 2u);
+  EXPECT_EQ(rt.stats.snapshots_taken, 0u);
 }
 
 TEST_F(PartialMaskTest, ValidatorConfirmsSoundPlan) {

@@ -354,8 +354,6 @@ TEST_F(ProvenanceTest, MetricsExposeExceptionAndProvenanceCounters) {
             unwind::global_stack_table().evictions());
 }
 
-#ifndef FATOMIC_TRACE_DISABLED
-
 // ---- tracing + determinism --------------------------------------------------
 
 TEST_F(ProvenanceTest, TraceRecordsThrowSiteEvents) {
@@ -390,8 +388,6 @@ TEST_F(ProvenanceTest, TraceSummaryListsThrowSites) {
   const std::string summary = trace::trace_summary(c.trace);
   EXPECT_NE(summary.find("throw sites:"), std::string::npos);
 }
-
-#endif  // FATOMIC_TRACE_DISABLED
 
 // ---- kill switch ------------------------------------------------------------
 

@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "fatomic/analyze/static_report.hpp"
 #include "fatomic/detect/campaign.hpp"
@@ -150,6 +151,32 @@ TEST_F(RecoveryTest, ParseErrorsReportOriginLineAndColumn) {
   EXPECT_THROW(recovery::parse_policy_table(
                    "{\"schema_version\": 3, \"policies\": []}"),
                std::runtime_error);
+
+  // Counts must be integers that fit an unsigned, and the version a whole
+  // 1 or 2: each is checked before any cast, and the error names the
+  // origin and the field.
+  const auto entry = [](const char* field_and_value) {
+    return std::string(R"({"schema_version": 2, "policies": [)") +
+           R"({"method": "A::f", "action": "retry", )" + field_and_value +
+           "}]}";
+  };
+  const std::pair<std::string, const char*> bad_numbers[] = {
+      {entry(R"("retry_budget": 4294967296)"), "retry_budget"},
+      {entry(R"("retry_budget": 2.5)"), "retry_budget"},
+      {entry(R"("retry_budget": 1e20)"), "retry_budget"},
+      {entry(R"("backoff_us": 4294967297)"), "backoff_us"},
+      {R"({"schema_version": 1.9, "policies": []})", "schema_version"},
+  };
+  for (const auto& [document, field] : bad_numbers) {
+    try {
+      recovery::parse_policy_table(document, "numbers.json");
+      ADD_FAILURE() << "must throw: " << document;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("numbers.json"), std::string::npos) << what;
+      EXPECT_NE(what.find(field), std::string::npos) << what;
+    }
+  }
 }
 
 TEST_F(RecoveryTest, LoadPolicyFileReportsUnreadablePath) {

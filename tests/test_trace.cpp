@@ -29,10 +29,8 @@ namespace weave = fatomic::weave;
 
 namespace {
 
-// [[maybe_unused]]: the trace tests that call this are compiled out under
-// -DFATOMIC_TRACE=OFF.
-[[maybe_unused]] detect::Campaign traced_campaign(std::function<void()> program,
-                                                  unsigned jobs) {
+detect::Campaign traced_campaign(std::function<void()> program,
+                                 unsigned jobs) {
   fatomic::Config config;
   config.jobs(jobs).tracing(true);
   return detect::Experiment(std::move(program), config).run();
@@ -49,8 +47,6 @@ class TraceTest : public ::testing::Test {
 };
 
 }  // namespace
-
-#ifndef FATOMIC_TRACE_DISABLED
 
 TEST_F(TraceTest, DisabledByDefault) {
   detect::Campaign c = detect::Experiment(synthetic::workload).run();
@@ -295,8 +291,6 @@ TEST_F(TraceTest, MaskVerificationTraceCoversCheckpoints) {
   EXPECT_EQ(snapshots, verified.campaign.stats.snapshots_taken);
   EXPECT_EQ(rollbacks, verified.campaign.stats.rollbacks);
 }
-
-#endif  // FATOMIC_TRACE_DISABLED
 
 // ---- metrics registry (independent of tracing) ------------------------------
 

@@ -11,12 +11,14 @@
 //   fatomic_cli --all [--language C++|Java] [--csv] [--trace-out trace.json]
 //   fatomic_cli --all --out-dir artifacts/
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -270,13 +272,16 @@ bool parse(int argc, char** argv, Args& args) {
     } else if (a == "--jobs") {
       const char* v = value();
       if (!v) return false;
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(v, &end, 10);
-      if (end == v || *end != '\0') {
-        std::cerr << "--jobs expects a number, got '" << v << "'\n";
+      // from_chars into an unsigned takes no sign and reports overflow, so
+      // "-1" and values above UINT_MAX are refused, not wrapped.
+      const char* end = v + std::strlen(v);
+      const auto [ptr, ec] = std::from_chars(v, end, args.jobs);
+      if (ec != std::errc() || ptr != end) {
+        std::cerr << "--jobs expects a number from 0 to "
+                  << std::numeric_limits<unsigned>::max() << ", got '" << v
+                  << "'\n";
         return false;
       }
-      args.jobs = static_cast<unsigned>(n);
     } else if (a == "--exception-free") {
       const char* v = value();
       if (!v) return false;
