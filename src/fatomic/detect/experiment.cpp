@@ -266,11 +266,12 @@ bool is_prunable(const std::vector<bool>& prunable, std::uint64_t threshold) {
 }
 
 /// Skipped runs the sequential loop would have executed: every prunable
-/// threshold strictly below the campaign's final cutoff.
+/// threshold up to the campaign's final cutoff (the terminal run's threshold,
+/// itself never pruned, or max_runs).
 std::uint64_t count_pruned(const std::vector<bool>& prunable,
                            std::uint64_t cutoff) {
   std::uint64_t n = 0;
-  for (std::uint64_t t = 1; t < cutoff && t < prunable.size(); ++t)
+  for (std::uint64_t t = 1; t <= cutoff && t < prunable.size(); ++t)
     if (prunable[t]) ++n;
   return n;
 }
@@ -290,7 +291,7 @@ void Experiment::run_sequential(Campaign& campaign,
                                 const std::vector<bool>& prunable) {
   auto& rt = weave::Runtime::instance();
   std::map<unsigned, WorkerStats> workers;
-  std::uint64_t cutoff = config_.max_runs() + 1;
+  std::uint64_t cutoff = config_.max_runs();
   for (std::uint64_t threshold = 1; threshold <= config_.max_runs();
        ++threshold) {
     if (is_prunable(prunable, threshold)) continue;
@@ -313,7 +314,7 @@ void Experiment::run_parallel(Campaign& campaign, unsigned jobs,
   // lowest terminal threshold discovered so far, cancelling runs past it
   // (the sequential loop would never have executed them).
   std::atomic<std::uint64_t> next{1};
-  std::atomic<std::uint64_t> stop{config_.max_runs() + 1};
+  std::atomic<std::uint64_t> stop{config_.max_runs()};
 
   std::mutex mu;
   std::vector<std::pair<std::uint64_t, RunOutcome>> collected;
@@ -330,8 +331,7 @@ void Experiment::run_parallel(Campaign& campaign, unsigned jobs,
     try {
       for (;;) {
         const std::uint64_t threshold = next.fetch_add(1);
-        if (threshold > config_.max_runs() || threshold > stop.load())
-          break;
+        if (threshold > stop.load()) break;
         if (is_prunable(prunable, threshold)) continue;
         RunOutcome out = run_once(program_, rt, threshold, baseline);
         if (out.terminal) {

@@ -44,7 +44,6 @@
 #include "fatomic/detect/experiment.hpp"
 #include "fatomic/detect/policy.hpp"
 #include "fatomic/mask/masker.hpp"
-#include "fatomic/memory/rc_ptr.hpp"
 #include "fatomic/recovery/derive.hpp"
 #include "fatomic/recovery/policy.hpp"
 #include "fatomic/recovery/policy_io.hpp"

@@ -47,7 +47,6 @@
 #include <vector>
 
 #include "fatomic/common/error.hpp"
-#include "fatomic/memory/rc_ptr.hpp"
 #include "fatomic/reflect/reflect.hpp"
 #include "fatomic/snapshot/node.hpp"
 #include "fatomic/snapshot/poly.hpp"
@@ -353,11 +352,8 @@ class ArenaEncoder {
       return encode_primitive(v);
     } else if constexpr (std::is_pointer_v<T>) {
       return encode_raw_pointer(v, owned);
-    } else if constexpr (tr::is_unique_ptr<T>::value ||
-                         tr::is_shared_ptr<T>::value) {
-      return encode_smart(v.get());
-    } else if constexpr (tr::is_rc_ptr<T>::value) {
-      return encode_smart(v.get());
+    } else if constexpr (tr::is_smart_ptr_v<T>) {
+      return encode_raw_pointer(v.get(), /*owned=*/true);
     } else if constexpr (tr::is_optional_v<T>) {
       NodeId* slot = seen_.find_or_insert(&v, detail::kOptionalDesc.name);
       if (*slot != kInvalidNode) return emit_ref(*slot);
@@ -496,16 +492,6 @@ class ArenaEncoder {
                               std::byte{owned ? std::uint8_t{1} : std::uint8_t{0}}};
     append(buf, sizeof buf);
     encode_pointee(const_cast<const U*>(p));
-    return id;
-  }
-
-  template <class U>
-  NodeId encode_smart(const U* p) {
-    if (p == nullptr) return emit_null();
-    NodeId id = new_node(nullptr);
-    const std::byte buf[2] = {std::byte{detail::kRecPointer}, std::byte{1}};
-    append(buf, sizeof buf);
-    encode_pointee(p);
     return id;
   }
 

@@ -85,8 +85,7 @@ class PartialWalker {
       // handled at the field level (leaf()) before recursion gets here.
     } else if constexpr (std::is_pointer_v<U>) {
       visit_pointee(v);
-    } else if constexpr (tr::is_unique_ptr<U>::value ||
-                         tr::is_shared_ptr<U>::value || tr::is_rc_ptr<U>::value) {
+    } else if constexpr (tr::is_smart_ptr_v<U>) {
       auto* p = v.get();
       visit_pointee(p);
     } else if constexpr (tr::is_optional_v<U>) {

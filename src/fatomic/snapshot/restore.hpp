@@ -8,7 +8,9 @@
 //      reclamation role the paper fills with reference counting + GC).
 //   1. restore — rebuild the checkpointed graph in place: inline values are
 //      overwritten, owned pointers (raw and smart) get freshly allocated
-//      pointees, and each materialized node registers its new address.
+//      pointees, and each materialized node registers its new address and
+//      is handed to its owner before it is walked, so back edges through
+//      shared_ptr cycles find their holder.
 //   2. fixups — non-owned (alias) pointers are resolved against the
 //      registered addresses, preserving sharing; aliases to external
 //      pointees (captured but owned outside the root) are restored in place
@@ -119,8 +121,6 @@ class Restorer {
       restore_unique(dst, id);
     } else if constexpr (tr::is_shared_ptr<T>::value) {
       restore_shared(dst, id);
-    } else if constexpr (tr::is_rc_ptr<T>::value) {
-      restore_rc(dst, id);
     } else if constexpr (tr::is_optional_v<T>) {
       expect(n, NodeKind::Sequence, "optional");
       made_.emplace(id, static_cast<void*>(&dst));
@@ -218,12 +218,13 @@ class Restorer {
       dst = static_cast<U*>(it->second);
       return;
     }
-    dst = materialize<U>(t);
+    dst = materialize<U>(t, [](U*) {});
   }
 
-  /// Allocates a fresh pointee for node `t`, registers and restores it.
-  template <class U>
-  U* materialize(NodeId t) {
+  /// Allocates a fresh pointee for node `t` and registers it, hands it to
+  /// its owner through `adopt`, and only then restores it.
+  template <class U, class Adopt>
+  U* materialize(NodeId t, Adopt&& adopt) {
     if constexpr (std::is_polymorphic_v<U>) {
       const Node& tn = snap_->node(t);
       const PolyOps* ops = PolyRegistry::instance().find(
@@ -232,6 +233,7 @@ class Restorer {
         void* bp = ops->create();
         U* fresh = static_cast<U*>(bp);
         made_.emplace(t, static_cast<void*>(fresh));
+        adopt(fresh);
         ops->restore(bp, *this, t);
         return fresh;
       }
@@ -241,6 +243,7 @@ class Restorer {
                   (traits::is_walkable_v<U> || reflect::is_reflected_v<U>)) {
       U* fresh = new U();
       made_.emplace(t, static_cast<void*>(fresh));
+      adopt(fresh);
       restore_value(*fresh, t);
       return fresh;
     } else {
@@ -260,7 +263,7 @@ class Restorer {
       return;
     }
     expect(n, NodeKind::Pointer, "unique_ptr");
-    dst.reset(materialize<U>(n.pointee));
+    dst.reset(materialize<U>(n.pointee, [](U*) {}));
   }
 
   template <class U>
@@ -276,29 +279,12 @@ class Restorer {
       dst = std::any_cast<std::shared_ptr<U>>(it->second);
       return;
     }
-    dst = std::shared_ptr<U>(materialize<U>(t));
-    holders_.emplace(t, dst);
-  }
-
-  template <class U>
-  void restore_rc(fatomic::memory::rc_ptr<U>& dst, NodeId id) {
-    const Node& n = snap_->node(id);
-    if (n.kind == NodeKind::NullPointer) {
-      dst.reset();
-      return;
-    }
-    expect(n, NodeKind::Pointer, "rc_ptr");
-    NodeId t = n.pointee;
-    if (auto it = holders_.find(t); it != holders_.end()) {
-      dst = std::any_cast<fatomic::memory::rc_ptr<U>>(it->second);
-      return;
-    }
-    static_assert(std::is_default_constructible_v<U>,
-                  "rc_ptr pointees must be default-constructible to restore");
-    dst = fatomic::memory::rc_ptr<U>::make();
-    made_.emplace(t, static_cast<void*>(dst.get()));
-    holders_.emplace(t, dst);
-    restore_value(*dst, t);
+    // The holder is entered before the pointee is walked: a back edge
+    // through a shared_ptr cycle shares it instead of recursing.
+    materialize<U>(t, [&](U* fresh) {
+      dst = std::shared_ptr<U>(fresh);
+      holders_.emplace(t, dst);
+    });
   }
 
   template <class T>

@@ -16,11 +16,6 @@
 #include <utility>
 #include <vector>
 
-namespace fatomic::memory {
-template <class T>
-class rc_ptr;  // forward declaration (fatomic/memory/rc_ptr.hpp)
-}
-
 namespace fatomic::snapshot::traits {
 
 // --- primitives -----------------------------------------------------------
@@ -45,13 +40,8 @@ template <class T>
 struct is_shared_ptr<std::shared_ptr<T>> : std::true_type {};
 
 template <class T>
-struct is_rc_ptr : std::false_type {};
-template <class T>
-struct is_rc_ptr<fatomic::memory::rc_ptr<T>> : std::true_type {};
-
-template <class T>
 inline constexpr bool is_smart_ptr_v =
-    is_unique_ptr<T>::value || is_shared_ptr<T>::value || is_rc_ptr<T>::value;
+    is_unique_ptr<T>::value || is_shared_ptr<T>::value;
 
 // --- sequence containers ---------------------------------------------------
 

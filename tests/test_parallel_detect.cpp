@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -139,6 +141,38 @@ TEST_F(ParallelDetectTest, MaxRunsCutoffAppliesInParallel) {
       detect::Experiment(synthetic::workload, cfg.jobs(4)).run();
   EXPECT_EQ(seq.runs.size(), 7u);
   expect_same_campaign(seq, par);
+}
+
+TEST_F(ParallelDetectTest, MaxRunsAtTheLimitMatchesDefault) {
+  // max_runs at UINT64_MAX bounds nothing: the campaign must equal the
+  // default one, its cutoff not wrapped to zero, pruned or not, at any job
+  // count.
+  const auto& app = subjects::apps::app("LinkedList");
+  std::set<std::string> atomic;
+  for (const auto& m : detect::classify(detect::Experiment(app.program).run())
+                           .methods)
+    if (m.cls == detect::MethodClass::Atomic)
+      atomic.insert(m.method->qualified_name());
+  ASSERT_FALSE(atomic.empty());
+  for (const bool pruned : {false, true}) {
+    for (const unsigned jobs : {1u, 4u}) {
+      SCOPED_TRACE("jobs " + std::to_string(jobs) +
+                   (pruned ? ", pruned" : ""));
+      fatomic::Config cfg;
+      cfg.jobs(jobs);
+      if (pruned) cfg.prune_atomic(atomic);
+      const detect::Campaign expected =
+          detect::Experiment(app.program, cfg).run();
+      cfg.max_runs(std::numeric_limits<std::uint64_t>::max());
+      const detect::Campaign limit = detect::Experiment(app.program, cfg).run();
+      ASSERT_FALSE(limit.runs.empty());
+      expect_same_campaign(expected, limit);
+      EXPECT_EQ(expected.pruned_runs, limit.pruned_runs);
+      if (pruned) {
+        EXPECT_GT(limit.pruned_runs, 0u);
+      }
+    }
+  }
 }
 
 namespace {

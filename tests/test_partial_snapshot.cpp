@@ -11,7 +11,6 @@
 
 #include "fatomic/common/error.hpp"
 #include "fatomic/mask/masker.hpp"
-#include "fatomic/memory/rc_ptr.hpp"
 #include "fatomic/snapshot/partial.hpp"
 #include "fatomic/weave/invoke.hpp"
 #include "fatomic/weave/macros.hpp"
@@ -102,11 +101,11 @@ TEST(PartialSnapshot, AliasedSubobjectCapturedOnce) {
 }
 
 TEST(PartialSnapshot, RcPtrCycleTerminates) {
-  // a -> b -> a through rc_ptr: the alias guard must break the cycle in both
-  // the capture and the restore walk.
+  // a -> b -> a through shared_ptr: the alias guard must break the cycle in
+  // both the capture and the restore walk.
   snap::ArenaPool pool;
-  auto a = fatomic::memory::make_rc<RcNode>();
-  auto b = fatomic::memory::make_rc<RcNode>();
+  auto a = std::make_shared<RcNode>();
+  auto b = std::make_shared<RcNode>();
   a->value = 1;
   b->value = 2;
   a->next = b;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "testing/types.hpp"
 
 namespace snap = fatomic::snapshot;
@@ -11,6 +13,38 @@ FAT_POLY(Shape, Circle);
 FAT_POLY(Shape, Rect);
 
 namespace {
+
+/// A link reached through shared_ptr<PolyLink>: restore re-creates its
+/// registered dynamic type through the polymorphic registry.
+struct PolyLink {
+  virtual ~PolyLink() = default;
+  int value = 0;
+  std::shared_ptr<PolyLink> next;
+};
+
+struct WeightedLink : PolyLink {
+  double weight = 0.0;
+};
+
+struct PolyRing {
+  std::shared_ptr<PolyLink> head;
+};
+
+}  // namespace
+
+FAT_REFLECT(WeightedLink, FAT_FIELD(WeightedLink, value),
+            FAT_FIELD(WeightedLink, next), FAT_FIELD(WeightedLink, weight));
+FAT_REFLECT(PolyRing, FAT_FIELD(PolyRing, head));
+FAT_POLY(PolyLink, WeightedLink);
+
+namespace {
+
+/// Opens the two-node ring head -> next -> head so both nodes are reclaimed
+/// when their last owner goes.
+template <class Node>
+void open_ring(const std::shared_ptr<Node>& head) {
+  if (head && head->next) head->next->next.reset();
+}
 
 /// Capture, mutate via `mutate`, restore, and check the graph round-trips.
 template <class T, class Mutate>
@@ -163,6 +197,50 @@ TEST(Restore, RcPtrChain) {
   EXPECT_EQ(l.head->value, 2);
   EXPECT_EQ(l.head->next->value, 1);
   EXPECT_EQ(l.head->next->next, nullptr);
+}
+
+TEST(Restore, SharedPtrPolymorphicRingRestores) {
+  PolyRing r;
+  auto a = std::make_shared<WeightedLink>();
+  auto b = std::make_shared<WeightedLink>();
+  a->value = 1;
+  a->weight = 0.5;
+  b->value = 2;
+  b->weight = 1.5;
+  a->next = b;
+  b->next = a;
+  r.head = a;
+  const snap::ArenaSnapshot before = snap::arena_capture(r);
+  b->weight = -1.0;
+  a->value = 9;
+  ASSERT_FALSE(before.equals(snap::arena_capture(r)));
+  snap::restore(r, before);
+  EXPECT_TRUE(before.identical(snap::arena_capture(r)));
+  EXPECT_NE(r.head, a);
+  EXPECT_EQ(r.head->next->next, r.head);
+  const auto* second = dynamic_cast<const WeightedLink*>(r.head->next.get());
+  EXPECT_NE(second, nullptr) << "restore must re-create the dynamic type";
+  if (second != nullptr) {
+    EXPECT_EQ(second->weight, 1.5);
+  }
+  open_ring(r.head);
+  open_ring(a);
+}
+
+TEST(Restore, SharedChainRollbackReleasesReplacedPointees) {
+  // The reclamation the paper adds reference counting for: the graph a
+  // rollback throws away is freed, not leaked.
+  RcList l;
+  l.push_front(1);
+  l.push_front(2);
+  const snap::ArenaSnapshot before = snap::arena_capture(l);
+  l.push_front(3);
+  const std::weak_ptr<RcNode> old_head = l.head;
+  const std::weak_ptr<RcNode> old_tail = l.head->next->next;
+  snap::restore(l, before);
+  EXPECT_TRUE(old_head.expired());
+  EXPECT_TRUE(old_tail.expired());
+  EXPECT_TRUE(before.identical(snap::arena_capture(l)));
 }
 
 TEST(Restore, SharedPtrSharingPreserved) {

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "fatomic/memory/rc_ptr.hpp"
 #include "fatomic/reflect/reflect.hpp"
 
 namespace testing_types {
@@ -105,18 +104,18 @@ struct Ring {
   }
 };
 
-/// Smart-pointer chain via rc_ptr.
+/// Reference-counted chain via std::shared_ptr.
 struct RcNode {
   int value = 0;
-  fatomic::memory::rc_ptr<RcNode> next;
+  std::shared_ptr<RcNode> next;
 };
 
 struct RcList {
-  fatomic::memory::rc_ptr<RcNode> head;
+  std::shared_ptr<RcNode> head;
   int size = 0;
 
   void push_front(int v) {
-    auto n = fatomic::memory::make_rc<RcNode>();
+    auto n = std::make_shared<RcNode>();
     n->value = v;
     n->next = head;
     head = n;

@@ -21,6 +21,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -55,7 +56,8 @@ struct Args {
   bool lint = false;
   bool graph_check = false;
   bool alias_check = false;
-  std::string precision_floor;
+  /// --precision-floor P,W: the proven-atomic and partial-plan floors.
+  std::optional<std::pair<std::size_t, std::size_t>> precision_floor;
   bool prune_static = false;
   bool cross_check = false;
   bool write_sets = false;
@@ -191,6 +193,15 @@ int usage(int code) {
   return code;
 }
 
+/// Parses all of [first, last) as a count.  from_chars into an unsigned
+/// takes no sign and reports overflow, so "-1" and out-of-range values are
+/// refused, not wrapped.
+template <class N>
+bool parse_count(const char* first, const char* last, N& out) {
+  const auto [ptr, ec] = std::from_chars(first, last, out);
+  return ec == std::errc() && ptr == last;
+}
+
 bool parse(int argc, char** argv, Args& args) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -226,7 +237,16 @@ bool parse(int argc, char** argv, Args& args) {
     } else if (a == "--precision-floor") {
       const char* v = value();
       if (!v) return false;
-      args.precision_floor = v;
+      const char* end = v + std::strlen(v);
+      const char* comma = std::find(v, end, ',');
+      std::pair<std::size_t, std::size_t> floors;
+      if (comma == end || !parse_count(v, comma, floors.first) ||
+          !parse_count(comma + 1, end, floors.second)) {
+        std::cerr << "--precision-floor expects P,W (two counts), got '" << v
+                  << "'\n";
+        return false;
+      }
+      args.precision_floor = floors;
     } else if (a == "--prune-static") {
       args.prune_static = true;
     } else if (a == "--cross-check") {
@@ -253,6 +273,11 @@ bool parse(int argc, char** argv, Args& args) {
       const char* v = value();
       if (!v) return false;
       args.language = v;
+      if (args.language != "C++" && args.language != "Java") {
+        std::cerr << "--language expects 'C++' or 'Java', got '" << v
+                  << "'\n";
+        return false;
+      }
     } else if (a == "--policy-file") {
       const char* v = value();
       if (!v) return false;
@@ -272,11 +297,7 @@ bool parse(int argc, char** argv, Args& args) {
     } else if (a == "--jobs") {
       const char* v = value();
       if (!v) return false;
-      // from_chars into an unsigned takes no sign and reports overflow, so
-      // "-1" and values above UINT_MAX are refused, not wrapped.
-      const char* end = v + std::strlen(v);
-      const auto [ptr, ec] = std::from_chars(v, end, args.jobs);
-      if (ec != std::errc() || ptr != end) {
+      if (!parse_count(v, v + std::strlen(v), args.jobs)) {
         std::cerr << "--jobs expects a number from 0 to "
                   << std::numeric_limits<unsigned>::max() << ", got '" << v
                   << "'\n";
@@ -334,15 +355,17 @@ std::string out_path(const Args& args, const std::string& name) {
 }
 
 /// Routes one exporter artifact: to a file under --out-dir when set (named
-/// `filename`), to stdout otherwise.
-void emit(const Args& args, const std::string& filename,
+/// `filename`), to stdout otherwise.  False when the file cannot be written.
+bool emit(const Args& args, const std::string& filename,
           const std::string& content) {
   if (args.out_dir.empty()) {
     std::cout << '\n' << content;
     if (!content.empty() && content.back() != '\n') std::cout << '\n';
-  } else if (write_file(out_path(args, filename), content)) {
-    std::cout << "wrote " << out_path(args, filename) << '\n';
+    return true;
   }
+  if (!write_file(out_path(args, filename), content)) return false;
+  std::cout << "wrote " << out_path(args, filename) << '\n';
+  return true;
 }
 
 report::AppResult run_campaign(const subjects::apps::App& app,
@@ -427,7 +450,8 @@ int print_alias_check(const std::string& app_name,
 }
 
 /// Trace/metrics exporters shared by run_one and the per-app --all loop.
-void emit_trace_outputs(const Args& args, const report::AppResult& result) {
+/// False when an output file cannot be written.
+bool emit_trace_outputs(const Args& args, const report::AppResult& result) {
   if (args.trace_summary)
     std::cout << '\n'
               << result.name << ":\n"
@@ -437,8 +461,9 @@ void emit_trace_outputs(const Args& args, const report::AppResult& result) {
     if (args.out_dir.empty())
       std::cout << '\n' << result.name << ":\n" << registry.to_text();
     else
-      emit(args, result.name + "_metrics.json", registry.to_json());
+      return emit(args, result.name + "_metrics.json", registry.to_json());
   }
+  return true;
 }
 
 /// Per-method throw-site histogram on stdout (--throw-stacks).
@@ -558,24 +583,27 @@ int run_one(const Args& args) {
   if (args.analyze) std::cout << '\n' << sreport.to_text();
   if (args.write_sets) std::cout << '\n' << sreport.write_sets.to_text();
 
+  // An unwritable output file fails the command (exit 1) unless a gate
+  // failure already decides its status.
+  bool written = true;
   if (args.details) std::cout << '\n' << report::method_details(result);
   if (args.json) {
-    emit(args, app.name + "_classification.json",
-         report::classification_json(cls));
+    written &= emit(args, app.name + "_classification.json",
+                    report::classification_json(cls));
     if (args.analyze)
-      emit(args, app.name + "_campaign.json",
-           report::campaign_json(result.campaign, cls, sreport));
+      written &= emit(args, app.name + "_campaign.json",
+                      report::campaign_json(result.campaign, cls, sreport));
     else if (!config.policy().no_wrap.empty() ||
              !config.policy().exception_free.empty())
-      emit(args, app.name + "_campaign.json",
-           report::campaign_json(result.campaign, config.policy()));
+      written &= emit(args, app.name + "_campaign.json",
+                      report::campaign_json(result.campaign, config.policy()));
     else
-      emit(args, app.name + "_campaign.json",
-           report::campaign_json(result.campaign));
+      written &= emit(args, app.name + "_campaign.json",
+                      report::campaign_json(result.campaign));
   }
   if (args.dot) {
     auto graph = detect::CallGraph::from(result.campaign);
-    emit(args, app.name + "_callgraph.dot", graph.to_dot(&cls));
+    written &= emit(args, app.name + "_callgraph.dot", graph.to_dot(&cls));
   }
   if (!args.trace_out.empty()) {
     const std::string path = out_path(args, args.trace_out);
@@ -583,8 +611,10 @@ int run_one(const Args& args) {
                    trace::chrome_trace_json(result.campaign.trace, app.name)))
       std::cout << "wrote " << path << " (" << result.campaign.trace.events.size()
                 << " events)\n";
+    else
+      written = false;
   }
-  emit_trace_outputs(args, result);
+  written &= emit_trace_outputs(args, result);
   if (args.provenance) print_provenance(result);
   if (!args.derive_policies_out.empty()) {
     // Evidence-weighted derivation: the campaign just run supplies the
@@ -595,6 +625,8 @@ int run_one(const Args& args) {
     if (write_file(path, recovery::policy_table_json(*derived.table)))
       std::cout << "wrote " << path << " (" << derived.table->size()
                 << " policies)\n";
+    else
+      written = false;
     for (const auto& [method, why] : derived.evidence)
       std::cout << "  " << method << ": "
                 << recovery::to_string(derived.table->find(method)->action)
@@ -632,7 +664,7 @@ int run_one(const Args& args) {
                 << " divergences\n";
       if (divergences > 0) return 2;
     }
-    return remaining.empty() ? 0 : 2;
+    return std::max(remaining.empty() ? 0 : 2, written ? 0 : 1);
   }
   if (args.validate_checkpoints) {
     // Detection campaigns run the validator too (make_config wires it into
@@ -650,7 +682,7 @@ int run_one(const Args& args) {
                                                 sreport.write_sets));
   if (args.lint)
     status = std::max(status, print_lint(app.name, result.campaign, sreport));
-  return status;
+  return std::max(status, written ? 0 : 1);
 }
 
 int run_all(const Args& args) {
@@ -705,6 +737,8 @@ int run_all(const Args& args) {
   int graph_status = 0;
   int alias_status = 0;
   std::uint64_t validator_divergences = 0;
+  // As in run_one: an unwritable output file fails the command (exit 1).
+  bool written = true;
   for (const auto& app : apps) {
     if (!args.language.empty() && app.language != args.language) continue;
     results.push_back(run_campaign(app, config));
@@ -724,12 +758,12 @@ int run_all(const Args& args) {
     if (!args.trace_out.empty())
       traces.emplace_back(app.name, result.campaign.trace);
     if (args.json && !args.out_dir.empty()) {
-      emit(args, app.name + "_classification.json",
-           report::classification_json(result.classification));
-      emit(args, app.name + "_campaign.json",
-           report::campaign_json(result.campaign));
+      written &= emit(args, app.name + "_classification.json",
+                      report::classification_json(result.classification));
+      written &= emit(args, app.name + "_campaign.json",
+                      report::campaign_json(result.campaign));
     }
-    emit_trace_outputs(args, result);
+    written &= emit_trace_outputs(args, result);
     if (args.provenance) print_provenance(result);
   }
   if (!args.trace_out.empty()) {
@@ -739,9 +773,12 @@ int run_all(const Args& args) {
     if (write_file(path, trace::chrome_trace_json(traces)))
       std::cout << "wrote " << path << " (" << traces.size() << " apps, "
                 << events << " events)\n";
+    else
+      written = false;
   }
   if (args.lint || args.graph_check || args.alias_check)
-    return std::max({lint_status, graph_status, alias_status});
+    return std::max(
+        {lint_status, graph_status, alias_status, written ? 0 : 1});
   if (args.validate_checkpoints) {
     std::cout << "checkpoint validator: " << validator_divergences
               << " divergences across " << results.size() << " campaigns\n";
@@ -753,8 +790,9 @@ int run_all(const Args& args) {
   std::cout << report::figure_calls(results, "classification by calls")
             << '\n';
   std::cout << report::figure_classes(results, "class distribution") << '\n';
-  if (args.csv) emit(args, "all_summary.csv", report::to_csv(results));
-  return 0;
+  if (args.csv)
+    written &= emit(args, "all_summary.csv", report::to_csv(results));
+  return written ? 0 : 1;
 }
 
 }  // namespace
@@ -792,15 +830,10 @@ int main(int argc, char** argv) {
                   << " [" << why << "]\n";
       return 0;
     }
-    if (!args.precision_floor.empty()) {
+    if (args.precision_floor) {
       // Static-only regression gate: proven-atomic and partial-plan counts
       // must not fall below the asserted lower bounds.
-      std::size_t floor_proven = 0, floor_partial = 0;
-      if (std::sscanf(args.precision_floor.c_str(), "%zu,%zu", &floor_proven,
-                      &floor_partial) != 2) {
-        std::cerr << "--precision-floor expects P,W (two counts)\n";
-        return 1;
-      }
+      const auto [floor_proven, floor_partial] = *args.precision_floor;
       const auto sreport = fatomic::analyze::analyze_sources(subject_root());
       const std::size_t proven = sreport.proven_count();
       const std::size_t partial = sreport.write_sets.partial_count();
