@@ -179,7 +179,7 @@ struct AliasCheckResult {
 };
 
 /// Validates the narrowed checkpoint plans against a campaign recorded with
-/// mutation footprints (Config::record_footprints): every path the
+/// mutation footprints (Config::record_diffs): every path the
 /// object-graph diff reports at a non-atomic mark of a partial-plan method
 /// must reach a captured name before leaving the plan, and must never enter
 /// a pruned subtree.

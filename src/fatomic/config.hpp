@@ -54,23 +54,16 @@ class Config {
   }
   std::uint64_t max_runs() const { return max_runs_; }
 
-  /// Attach a one-line object-graph diff to every non-atomic mark (what
-  /// state the failed method left behind).  Costs one diff per intercepted
-  /// exception.
+  /// Attach the object-graph diff to every non-atomic mark: a one-line
+  /// example of the state the failed method left behind (Mark::detail) and
+  /// every diff path (Mark::footprint), the mutation footprints
+  /// `analyze::alias_check` validates narrowed checkpoint plans against.
+  /// Costs one diff per non-atomic mark.
   Config& record_diffs(bool on) {
     record_diffs_ = on;
     return *this;
   }
   bool record_diffs() const { return record_diffs_; }
-
-  /// Attach the full graph-diff path list to every non-atomic mark
-  /// (Mark::footprint), the mutation footprints `analyze::alias_check`
-  /// validates narrowed checkpoint plans against.
-  Config& record_footprints(bool on) {
-    record_footprints_ = on;
-    return *this;
-  }
-  bool record_footprints() const { return record_footprints_; }
 
   // --- masking ------------------------------------------------------------
   /// Runs campaigns against the corrected program P_C: flips them to
@@ -189,7 +182,6 @@ class Config {
   unsigned jobs_ = 1;
   std::uint64_t max_runs_ = 10'000'000;
   bool record_diffs_ = false;
-  bool record_footprints_ = false;
   bool masked_ = false;
   weave::Runtime::WrapPredicate wrap_;
   std::shared_ptr<const weave::PlanMap> checkpoint_plans_;

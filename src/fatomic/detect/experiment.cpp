@@ -233,7 +233,6 @@ Campaign Experiment::run() {
   }
   if (config_.validate_checkpoints()) rt.validate_checkpoints = true;
   rt.record_diffs = config_.record_diffs();
-  rt.record_footprints = config_.record_footprints();
 
   // No more workers than runs to claim: the baseline's thresholds plus the
   // terminal run, at most max_runs.

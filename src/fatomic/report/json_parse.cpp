@@ -112,9 +112,13 @@ class Parser {
     skip_ws();
     switch (peek()) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (++depth_ > kMaxDepth)
+          fail("nested deeper than " + std::to_string(kMaxDepth) + " levels");
+        JsonValue v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v(JsonValue::Type::String);
         v.string = parse_string();
@@ -284,8 +288,14 @@ class Parser {
     return v;
   }
 
+  /// Each nesting level is one recursion of parse_value: the cap turns a
+  /// hostile document into a parse error instead of a stack overflow.  Our
+  /// emitters and policy files nest fewer than 10 levels.
+  static constexpr int kMaxDepth = 256;
+
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -141,10 +141,13 @@ std::vector<Difference> diff(const Snapshot& a, const Snapshot& b,
   return out;
 }
 
+std::string to_string(const Difference& d) {
+  return d.path + ": " + d.before + " != " + d.after;
+}
+
 std::string first_difference(const Snapshot& a, const Snapshot& b) {
   auto ds = diff(a, b, 1);
-  if (ds.empty()) return "";
-  return ds[0].path + ": " + ds[0].before + " != " + ds[0].after;
+  return ds.empty() ? "" : to_string(ds[0]);
 }
 
 }  // namespace fatomic::snapshot

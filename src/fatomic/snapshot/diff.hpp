@@ -25,6 +25,9 @@ struct Difference {
 std::vector<Difference> diff(const Snapshot& a, const Snapshot& b,
                              std::size_t limit = 16);
 
+/// One difference as a one-line summary: "path: before != after".
+std::string to_string(const Difference& d);
+
 /// Convenience: the first difference as a one-line summary, or "" if equal.
 std::string first_difference(const Snapshot& a, const Snapshot& b);
 

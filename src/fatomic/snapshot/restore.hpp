@@ -23,9 +23,12 @@
 //    nodes iteratively, the standard idiom for cyclic/deep structures);
 //  - classes held through smart pointers manage their own subtree;
 //  - multiple inheritance through the polymorphic registry is unsupported.
+//    Under single inheritance a registered base sits at its object's
+//    address, so shared_ptr holders of one pointee may differ in static
+//    type (shared_ptr<Base> and shared_ptr<Derived>) and share one
+//    control block.
 #pragma once
 
-#include <any>
 #include <functional>
 #include <memory>
 #include <string>
@@ -276,7 +279,9 @@ class Restorer {
     expect(n, NodeKind::Pointer, "shared_ptr");
     NodeId t = n.pointee;
     if (auto it = holders_.find(t); it != holders_.end()) {
-      dst = std::any_cast<std::shared_ptr<U>>(it->second);
+      // The aliasing constructor shares the first holder's control block,
+      // whatever static type that holder had.
+      dst = std::shared_ptr<U>(it->second, static_cast<U*>(it->second.get()));
       return;
     }
     // The holder is entered before the pointee is walked: a back edge
@@ -397,7 +402,7 @@ class Restorer {
 
   const Snapshot* snap_ = nullptr;
   std::unordered_map<NodeId, void*> made_;
-  std::unordered_map<NodeId, std::any> holders_;
+  std::unordered_map<NodeId, std::shared_ptr<void>> holders_;
   std::vector<std::function<void()>> fixups_;
   std::vector<std::function<void()>> deleters_;
   std::unordered_set<const void*> visited_;

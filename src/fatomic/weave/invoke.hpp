@@ -378,9 +378,6 @@ decltype(auto) injected_call(const MethodInfo& mi, Root& root, Fn&& body,
     const bool atomic = before->equals(after, &used_memcmp);
     ++(used_memcmp ? rt.stats.memcmp_compares : rt.stats.compare_fallbacks);
     rt.trace.span(trace::EventKind::Compare, c0, &mi, atomic ? 1 : 0);
-    std::string detail;
-    if (!atomic && rt.record_diffs)
-      detail = snapshot::first_difference(before->decode(), after.decode());
     // Episode accounting: marks are appended in propagation order and
     // within one episode depths strictly decrease, so this wrapper is the
     // first observer of a new exception exactly when the previous mark sits
@@ -403,11 +400,14 @@ decltype(auto) injected_call(const MethodInfo& mi, Root& root, Fn&& body,
                            current_exception_type_name());
       }
     }
-    Mark mark{&mi, atomic, rt.injection_point, rt.depth, std::move(detail),
+    Mark mark{&mi, atomic, rt.injection_point, rt.depth, {},
               current_exception_type_name(), throw_stack, {}};
-    if (!atomic && rt.record_footprints) {
-      for (auto& d : snapshot::diff(before->decode(), after.decode(), 256))
-        mark.footprint.push_back(std::move(d.path));
+    if (!atomic && rt.record_diffs) {
+      // One diff serves both fields: the walk is deterministic depth-first,
+      // so its first entry does not depend on the limit.
+      auto diffs = snapshot::diff(before->decode(), after.decode(), 256);
+      if (!diffs.empty()) mark.detail = snapshot::to_string(diffs.front());
+      for (auto& d : diffs) mark.footprint.push_back(std::move(d.path));
     }
     rt.marks.push_back(std::move(mark));
     throw;

@@ -46,7 +46,6 @@ void Runtime::adopt_config(const Runtime& src) {
   runtime_exceptions_ = src.runtime_exceptions_;
   wrap_ = src.wrap_;
   record_diffs = src.record_diffs;
-  record_footprints = src.record_footprints;
   provenance = src.provenance;
   plans_ = src.plans_;
   plan_memo_.clear();

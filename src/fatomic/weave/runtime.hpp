@@ -76,7 +76,7 @@ struct Mark {
   std::uint64_t throw_stack = 0;
   /// Every object-graph diff path between the entry checkpoint and the
   /// post-exception state (only for non-atomic marks, and only when
-  /// Runtime::record_footprints is set).  The alias soundness gate
+  /// Runtime::record_diffs is set).  The alias soundness gate
   /// (`--alias-check`) validates these against the static write sets.
   std::vector<std::string> footprint;
 };
@@ -174,13 +174,11 @@ class Runtime {
   /// injection point or production fault firing inside a restore would turn
   /// the rollback it serves into a RestoreError.
   int engine_depth = 0;
-  /// When set, non-atomic marks carry a one-line graph-diff explanation
-  /// (costs one diff per intercepted exception; off by default).
+  /// When set, non-atomic marks carry the object-graph diff between entry
+  /// and exception: a one-line explanation (Mark::detail) and every diff
+  /// path (Mark::footprint, for the alias soundness gate).  Costs one
+  /// bounded diff per non-atomic mark; off by default.
   bool record_diffs = false;
-  /// When set, non-atomic marks carry the full list of object-graph diff
-  /// paths (Mark::footprint) for the alias soundness gate.  Costs one
-  /// bounded diff per intercepted exception; off by default.
-  bool record_footprints = false;
   /// When set, injection wrappers consult the unwind capture layer and
   /// attach interned throw-site stack ids to marks and throw-site trace
   /// events (unwind/provenance.hpp).  The campaign driver sets this for

@@ -553,7 +553,8 @@ const App& app(const std::string& name) {
   for (const App& a : all_apps())
     if (a.name == name) return a;
   // Demo subjects reachable by explicit name only — never part of the
-  // Table 1 sweeps (run_all, CI lint gate).
+  // Table 1 sweeps (fatomic_cli --all without a soundness gate, CI lint
+  // gate).
   static const std::vector<App> hidden = {
       {"lintDemo", "C++", run_lint_demo},
       {"netDemo", "C++", run_net_demo},

@@ -36,7 +36,6 @@ TEST_F(ConfigTest, BuilderSettersChainAndGettersReflect) {
   cfg.jobs(8)
       .max_runs(42)
       .record_diffs(true)
-      .record_footprints(true)
       .validate_checkpoints(true)
       .prune_atomic({"A::f"})
       .exception_free("A::g")
@@ -48,7 +47,6 @@ TEST_F(ConfigTest, BuilderSettersChainAndGettersReflect) {
   EXPECT_FALSE(cfg.masked());
   EXPECT_EQ(cfg.max_runs(), 42u);
   EXPECT_TRUE(cfg.record_diffs());
-  EXPECT_TRUE(cfg.record_footprints());
   EXPECT_TRUE(cfg.validate_checkpoints());
   EXPECT_TRUE(cfg.provenance());
   EXPECT_EQ(cfg.prune_atomic(), (std::set<std::string>{"A::f"}));

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
+#include "fatomic/report/json_parse.hpp"
+
 #include "fatomic/detect/experiment.hpp"
 #include "testing/synthetic.hpp"
 
@@ -126,4 +131,14 @@ TEST_F(JsonTest, EmptyStructuresSerialize) {
   std::string json = report::campaign_json(empty);
   EXPECT_TRUE(balanced(json));
   EXPECT_NE(json.find("\"runs\":0"), std::string::npos);
+}
+
+TEST(JsonParse, NestingDeeperThan256LevelsIsAParseError) {
+  const auto nested = [](std::size_t levels) {
+    return std::string(levels, '[') + std::string(levels, ']');
+  };
+  EXPECT_NO_THROW(report::json_parse(nested(256)));
+  EXPECT_THROW(report::json_parse(nested(257)), std::runtime_error);
+  // One recursion per level: without the cap this overflows the stack.
+  EXPECT_THROW(report::json_parse(nested(100000)), std::runtime_error);
 }

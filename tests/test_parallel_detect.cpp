@@ -275,7 +275,6 @@ TEST_F(ParallelDetectTest, ConfigGuardRestoresEveryValue) {
   rt.set_recovery_policies(policies);
   rt.validate_checkpoints = true;
   rt.record_diffs = false;
-  rt.record_footprints = true;
   rt.provenance = true;
   rt.fault_period = 1'000'000'007;  // never reached: no fault fires
   rt.trace.enable(12345);
@@ -316,7 +315,6 @@ TEST_F(ParallelDetectTest, ConfigGuardRestoresEveryValue) {
     EXPECT_EQ(rt.recovery_policies(), policies);
     EXPECT_TRUE(rt.validate_checkpoints);
     EXPECT_FALSE(rt.record_diffs);
-    EXPECT_TRUE(rt.record_footprints);
     EXPECT_TRUE(rt.provenance);
     EXPECT_EQ(rt.fault_period, 1'000'000'007u);
     EXPECT_TRUE(rt.trace.enabled());

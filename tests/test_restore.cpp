@@ -30,12 +30,40 @@ struct PolyRing {
   std::shared_ptr<PolyLink> head;
 };
 
+/// One object held both as shared_ptr<HeldBase> and as
+/// shared_ptr<HeldDerived>, in either field order.
+struct HeldBase {
+  virtual ~HeldBase() = default;
+  int id = 0;
+};
+
+struct HeldDerived : HeldBase {
+  double weight = 0.0;
+};
+
+struct BaseHolderFirst {
+  std::shared_ptr<HeldBase> base;
+  std::shared_ptr<HeldDerived> derived;
+};
+
+struct DerivedHolderFirst {
+  std::shared_ptr<HeldDerived> derived;
+  std::shared_ptr<HeldBase> base;
+};
+
 }  // namespace
 
 FAT_REFLECT(WeightedLink, FAT_FIELD(WeightedLink, value),
             FAT_FIELD(WeightedLink, next), FAT_FIELD(WeightedLink, weight));
 FAT_REFLECT(PolyRing, FAT_FIELD(PolyRing, head));
 FAT_POLY(PolyLink, WeightedLink);
+FAT_REFLECT(HeldDerived, FAT_FIELD(HeldDerived, id),
+            FAT_FIELD(HeldDerived, weight));
+FAT_REFLECT(BaseHolderFirst, FAT_FIELD(BaseHolderFirst, base),
+            FAT_FIELD(BaseHolderFirst, derived));
+FAT_REFLECT(DerivedHolderFirst, FAT_FIELD(DerivedHolderFirst, derived),
+            FAT_FIELD(DerivedHolderFirst, base));
+FAT_POLY(HeldBase, HeldDerived);
 
 namespace {
 
@@ -44,6 +72,29 @@ namespace {
 template <class Node>
 void open_ring(const std::shared_ptr<Node>& head) {
   if (head && head->next) head->next->next.reset();
+}
+
+/// Capture, mutate and restore a holder pair of one HeldDerived: the two
+/// holders must share one restored object again.
+template <class Holders>
+void restore_mixed_holders() {
+  Holders h;
+  const auto obj = std::make_shared<HeldDerived>();
+  obj->id = 1;
+  obj->weight = 0.5;
+  h.base = obj;
+  h.derived = obj;
+  const snap::ArenaSnapshot before = snap::arena_capture(h);
+  obj->id = 9;
+  h.base = std::make_shared<HeldDerived>();
+  ASSERT_FALSE(before.equals(snap::arena_capture(h)));
+  snap::restore(h, before);
+  ASSERT_NE(h.derived, nullptr);
+  EXPECT_EQ(h.base.get(), h.derived.get());
+  EXPECT_EQ(h.derived.use_count(), 2);
+  EXPECT_EQ(h.derived->id, 1);
+  EXPECT_EQ(h.derived->weight, 0.5);
+  EXPECT_TRUE(before.identical(snap::arena_capture(h)));
 }
 
 /// Capture, mutate via `mutate`, restore, and check the graph round-trips.
@@ -241,6 +292,11 @@ TEST(Restore, SharedChainRollbackReleasesReplacedPointees) {
   EXPECT_TRUE(old_head.expired());
   EXPECT_TRUE(old_tail.expired());
   EXPECT_TRUE(before.identical(snap::arena_capture(l)));
+}
+
+TEST(Restore, SharedPtrBaseAndDerivedHoldersShareOnePointee) {
+  restore_mixed_holders<BaseHolderFirst>();
+  restore_mixed_holders<DerivedHolderFirst>();
 }
 
 TEST(Restore, SharedPtrSharingPreserved) {

@@ -3,13 +3,18 @@
 // verify masking, and export structured traces.  The programmatic stand-in
 // for the paper's web interface.
 //
+// --app, --all or no selection chooses the apps, and one function runs
+// each of them.  Every flag is honoured for every selection or refused
+// with exit 1; none is silently ignored.
+//
 // Usage:
-//   fatomic_cli --list
+//   fatomic_cli --list [--language C++|Java]
 //   fatomic_cli --app LinkedList [--details] [--json] [--dot] [--suggest]
 //   fatomic_cli --app HashedMap --mask-verify
 //   fatomic_cli --app LinkedList --trace-out trace.json --trace-summary
 //   fatomic_cli --all [--language C++|Java] [--csv] [--trace-out trace.json]
-//   fatomic_cli --all --out-dir artifacts/
+//   fatomic_cli --all --json --out-dir artifacts/
+//   fatomic_cli --precision-floor 118,120
 #include <algorithm>
 #include <charconv>
 #include <cstdint>
@@ -18,6 +23,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
@@ -73,11 +79,14 @@ struct Args {
   bool metrics = false;
   std::string out_dir;
   bool help = false;
+  /// Every flag on the command line, as spelt: what refusal() audits.
+  std::set<std::string> given;
 
   /// Any trace exporter requested — flips Config::tracing on.
   bool want_trace() const {
     return !trace_out.empty() || trace_summary || metrics;
   }
+  bool selected() const { return all || given.count("--app") != 0; }
 };
 
 int usage(int code) {
@@ -85,10 +94,22 @@ int usage(int code) {
       "fatomic_cli -- detection/masking campaigns over the subject apps\n"
       "\n"
       "selection:\n"
-      "  --list                 list the available applications\n"
-      "  --app NAME             run a campaign for one application\n"
-      "  --all                  run campaigns for every application\n"
-      "  --language L           with --all: restrict to suite 'C++'/'Java'\n"
+      "  --list                 list the available applications (takes no\n"
+      "                         other flag but --language)\n"
+      "  --app NAME             run a campaign for one application (not\n"
+      "                         with --all)\n"
+      "  --all                  run campaigns for every application and\n"
+      "                         print Table 1 and the figures; per-app lines\n"
+      "                         carry the app's name (a sweep with\n"
+      "                         --cross-check, --lint, --graph-check or\n"
+      "                         --alias-check prints its verdicts only)\n"
+      "  --language L           keep only suite 'C++'/'Java': filters every\n"
+      "                         selection (--app, --all, --list); a\n"
+      "                         selection left empty exits 1\n"
+      "\n"
+      "Every flag below needs --app or --all, except --precision-floor,\n"
+      "--write-sets and --derive-policies, which also run without one.  A\n"
+      "flag that cannot be honoured is refused (exit 1), never ignored.\n"
       "\n"
       "detect (injection campaign):\n"
       "  --jobs N               run each campaign's injector runs on N\n"
@@ -99,9 +120,12 @@ int usage(int code) {
       "  --cross-check          run full and pruned campaigns, verify the\n"
       "                         classifications are identical (exit != 0\n"
       "                         on divergence); with --all: gate over every\n"
-      "                         subject family including hidden demos\n"
+      "                         subject family including hidden demos;\n"
+      "                         takes no campaign flag but --jobs and\n"
+      "                         --throw-stacks\n"
       "  --diffs                attach a graph-diff example to each\n"
       "                         non-atomic method in --details output\n"
+      "                         (needs --details)\n"
       "  --exception-free M     declare method M exception-free (repeatable)\n"
       "\n"
       "analyze (static passes):\n"
@@ -126,45 +150,50 @@ int usage(int code) {
       "                         static write set (exit 2 on a missed\n"
       "                         write; with --all: every family plus the\n"
       "                         hidden demos)\n"
-      "  --precision-floor P,W  static-only regression gate: exit 2 unless\n"
+      "  --precision-floor P,W  static regression gate: exit 2 unless\n"
       "                         at least P methods are proven atomic and at\n"
       "                         least W get a partial checkpoint plan\n"
       "  --write-sets           print the write-set analysis' per-method\n"
-      "                         checkpoint plans (usable without --app)\n"
+      "                         checkpoint plans (with --all: the\n"
+      "                         per-family fleet summary)\n"
       "\n"
       "mask (correction + verification):\n"
       "  --mask-verify          mask pure methods and re-verify (exit != 0\n"
       "                         when non-atomic methods remain)\n"
-      "  --mask-partial         with --mask-verify: field-granular\n"
-      "                         checkpoints from the write-set analysis\n"
+      "  --mask-partial         field-granular checkpoints from the\n"
+      "                         write-set analysis (needs --mask-verify)\n"
       "  --validate-checkpoints shadow every partial checkpoint with a full\n"
       "                         one and compare after rollback (exit != 0\n"
-      "                         on any divergence)\n"
+      "                         on any divergence; needs --mask-verify)\n"
       "  --no-wrap M            exclude method M from masking (repeatable;\n"
-      "                         unknown names are warned about)\n"
+      "                         unknown names are warned about; needs\n"
+      "                         --mask-verify or --json)\n"
       "\n"
       "recovery (evidence-driven policy engine, DESIGN.md 14):\n"
       "  --policy-file FILE     install a per-method RecoveryPolicy table\n"
-      "                         (JSON) for masked execution: with\n"
-      "                         --mask-verify, listed methods recover by\n"
-      "                         their policy (retry/degrade/early_return/\n"
-      "                         rethrow_as) instead of the fixed\n"
-      "                         rollback-and-rethrow; parse errors report\n"
-      "                         file, line and column\n"
+      "                         (JSON) for masked execution: listed methods\n"
+      "                         recover by their policy (retry/degrade/\n"
+      "                         early_return/rethrow_as) instead of the\n"
+      "                         fixed rollback-and-rethrow; parse errors\n"
+      "                         report file, line and column (needs\n"
+      "                         --mask-verify)\n"
       "  --derive-policies FILE derive a policy table from the static\n"
       "                         report (with --app: weighted by that\n"
       "                         campaign's per-exception-type histograms)\n"
       "                         and write it to FILE with per-method\n"
-      "                         evidence on stdout\n"
+      "                         evidence on stdout (not with --all or\n"
+      "                         --cross-check)\n"
       "\n"
       "report (exporters):\n"
       "  --details              per-method classification table\n"
       "  --json                 classification + campaign as JSON\n"
       "  --dot                  dynamic call graph as Graphviz dot\n"
-      "  --csv                  with --all: CSV summary\n"
+      "  --csv                  CSV summary of the sweep (needs --all)\n"
       "  --suggest              suggest exception-free declarations\n"
       "  --out-dir DIR          write every requested exporter's output to\n"
-      "                         files under DIR instead of stdout\n"
+      "                         files under DIR instead of stdout (needs\n"
+      "                         --json, --dot, --csv, --metrics, --trace-out\n"
+      "                         or --derive-policies)\n"
       "\n"
       "trace (campaign observability; any of these enables tracing):\n"
       "  --trace-out FILE       Chrome/Perfetto trace_event JSON of the\n"
@@ -184,8 +213,9 @@ int usage(int code) {
       "\n"
       "exit codes:\n"
       "  0  success: campaigns ran, every requested gate passed\n"
-      "  1  usage or runtime error: bad flags, unknown app, unreadable or\n"
-      "     malformed --policy-file, I/O failure\n"
+      "  1  usage or runtime error: bad flags, a flag combination that\n"
+      "     cannot be honoured, a selection left empty, unknown app,\n"
+      "     unreadable or malformed --policy-file, I/O failure\n"
       "  2  divergence or gate failure: --cross-check, --graph-check,\n"
       "     --alias-check, --precision-floor, remaining non-atomic methods\n"
       "     under --mask-verify, checkpoint-validator divergence\n"
@@ -203,41 +233,62 @@ bool parse_count(const char* first, const char* last, N& out) {
 }
 
 bool parse(int argc, char** argv, Args& args) {
+  const std::pair<const char*, bool Args::*> switches[] = {
+      {"--list", &Args::list}, {"--all", &Args::all},
+      {"--details", &Args::details}, {"--json", &Args::json},
+      {"--dot", &Args::dot}, {"--csv", &Args::csv},
+      {"--suggest", &Args::suggest}, {"--diffs", &Args::diffs},
+      {"--mask-verify", &Args::mask_verify}, {"--analyze", &Args::analyze},
+      {"--lint", &Args::lint}, {"--graph-check", &Args::graph_check},
+      {"--alias-check", &Args::alias_check},
+      {"--prune-static", &Args::prune_static},
+      {"--cross-check", &Args::cross_check},
+      {"--write-sets", &Args::write_sets},
+      {"--mask-partial", &Args::mask_partial},
+      {"--validate-checkpoints", &Args::validate_checkpoints},
+      {"--throw-stacks", &Args::provenance},
+      {"--trace-summary", &Args::trace_summary},
+      {"--metrics", &Args::metrics}, {"--help", &Args::help},
+      {"-h", &Args::help}};
+  const std::pair<const char*, std::string Args::*> options[] = {
+      {"--app", &Args::app}, {"--language", &Args::language},
+      {"--policy-file", &Args::policy_file},
+      {"--derive-policies", &Args::derive_policies_out},
+      {"--trace-out", &Args::trace_out}, {"--out-dir", &Args::out_dir}};
+  const std::pair<const char*, std::vector<std::string> Args::*> lists[] = {
+      {"--exception-free", &Args::exception_free},
+      {"--no-wrap", &Args::no_wrap}};
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (a == "--list") {
-      args.list = true;
-    } else if (a == "--all") {
-      args.all = true;
-    } else if (a == "--details") {
-      args.details = true;
-    } else if (a == "--json") {
-      args.json = true;
-    } else if (a == "--dot") {
-      args.dot = true;
-    } else if (a == "--csv") {
-      args.csv = true;
-    } else if (a == "--suggest") {
-      args.suggest = true;
-    } else if (a == "--diffs") {
-      args.diffs = true;
-    } else if (a == "--mask-verify") {
-      args.mask_verify = true;
-    } else if (a == "--analyze") {
-      args.analyze = true;
-    } else if (a == "--lint") {
-      args.lint = true;
-    } else if (a == "--graph-check") {
-      args.graph_check = true;
-    } else if (a == "--alias-check") {
-      args.alias_check = true;
-    } else if (a == "--precision-floor") {
-      const char* v = value();
-      if (!v) return false;
-      const char* end = v + std::strlen(v);
+    args.given.insert(a);
+    const auto named = [&](const auto& entry) { return a == entry.first; };
+    const auto sw = std::ranges::find_if(switches, named);
+    if (sw != std::end(switches)) {
+      args.*(sw->second) = true;
+      continue;
+    }
+    const auto opt = std::ranges::find_if(options, named);
+    const auto list = std::ranges::find_if(lists, named);
+    if (opt == std::end(options) && list == std::end(lists) &&
+        a != "--precision-floor" && a != "--jobs") {
+      std::cerr << "unknown option: " << a << '\n';
+      return false;
+    }
+    if (i + 1 == argc) return false;
+    const char* v = argv[++i];
+    const char* end = v + std::strlen(v);
+    if (opt != std::end(options)) {
+      args.*(opt->second) = v;
+    } else if (list != std::end(lists)) {
+      (args.*(list->second)).push_back(v);
+    } else if (a == "--jobs") {
+      if (!parse_count(v, end, args.jobs)) {
+        std::cerr << "--jobs expects a number from 0 to "
+                  << std::numeric_limits<unsigned>::max() << ", got '" << v
+                  << "'\n";
+        return false;
+      }
+    } else {
       const char* comma = std::find(v, end, ',');
       std::pair<std::size_t, std::size_t> floors;
       if (comma == end || !parse_count(v, comma, floors.first) ||
@@ -247,124 +298,129 @@ bool parse(int argc, char** argv, Args& args) {
         return false;
       }
       args.precision_floor = floors;
-    } else if (a == "--prune-static") {
-      args.prune_static = true;
-    } else if (a == "--cross-check") {
-      args.cross_check = true;
-    } else if (a == "--write-sets") {
-      args.write_sets = true;
-    } else if (a == "--mask-partial") {
-      args.mask_partial = true;
-    } else if (a == "--validate-checkpoints") {
-      args.validate_checkpoints = true;
-    } else if (a == "--throw-stacks") {
-      args.provenance = true;
-    } else if (a == "--trace-summary") {
-      args.trace_summary = true;
-    } else if (a == "--metrics") {
-      args.metrics = true;
-    } else if (a == "--help" || a == "-h") {
-      args.help = true;
-    } else if (a == "--app") {
-      const char* v = value();
-      if (!v) return false;
-      args.app = v;
-    } else if (a == "--language") {
-      const char* v = value();
-      if (!v) return false;
-      args.language = v;
-      if (args.language != "C++" && args.language != "Java") {
-        std::cerr << "--language expects 'C++' or 'Java', got '" << v
-                  << "'\n";
-        return false;
-      }
-    } else if (a == "--policy-file") {
-      const char* v = value();
-      if (!v) return false;
-      args.policy_file = v;
-    } else if (a == "--derive-policies") {
-      const char* v = value();
-      if (!v) return false;
-      args.derive_policies_out = v;
-    } else if (a == "--trace-out") {
-      const char* v = value();
-      if (!v) return false;
-      args.trace_out = v;
-    } else if (a == "--out-dir") {
-      const char* v = value();
-      if (!v) return false;
-      args.out_dir = v;
-    } else if (a == "--jobs") {
-      const char* v = value();
-      if (!v) return false;
-      if (!parse_count(v, v + std::strlen(v), args.jobs)) {
-        std::cerr << "--jobs expects a number from 0 to "
-                  << std::numeric_limits<unsigned>::max() << ", got '" << v
-                  << "'\n";
-        return false;
-      }
-    } else if (a == "--exception-free") {
-      const char* v = value();
-      if (!v) return false;
-      args.exception_free.push_back(v);
-    } else if (a == "--no-wrap") {
-      const char* v = value();
-      if (!v) return false;
-      args.no_wrap.push_back(v);
-    } else {
-      std::cerr << "unknown option: " << a << '\n';
-      return false;
     }
+  }
+  if (!args.language.empty() && args.language != "C++" &&
+      args.language != "Java") {
+    std::cerr << "--language expects 'C++' or 'Java', got '" << args.language
+              << "'\n";
+    return false;
   }
   return true;
 }
 
+/// Flags that act on the selected apps' campaigns, so each needs --app or
+/// --all.  --cross-check runs its own full and pruned campaigns, and takes
+/// only the first kCrossCheckFlags of them.
+constexpr const char* kCampaignFlags[] = {
+    "--cross-check", "--jobs", "--throw-stacks", "--prune-static",
+    "--exception-free", "--diffs", "--analyze", "--lint", "--graph-check",
+    "--alias-check", "--mask-verify", "--no-wrap", "--details", "--json",
+    "--dot", "--csv", "--suggest", "--trace-out", "--trace-summary",
+    "--metrics"};
+constexpr std::size_t kCrossCheckFlags = 3;
+
+/// The first flag this command cannot honour, with what it needs, or ""
+/// when every flag given will be honoured.  A refused command exits 1.
+std::string refusal(const Args& args) {
+  auto given = [&](const std::string& f) { return args.given.count(f) != 0; };
+  if (args.list) {
+    for (const std::string& flag : args.given)
+      if (flag != "--list" && flag != "--language")
+        return flag + " cannot be combined with --list, which takes only "
+                      "--language";
+    return "";
+  }
+  if (args.all && given("--app")) return "--app and --all are exclusive";
+  const struct { const char* flag; bool ok; const char* needs; } needs[] = {
+      {"--language", args.selected(), "--app, --all or --list"},
+      {"--csv", args.all, "--all"},
+      {"--derive-policies", !args.all && !args.cross_check,
+       "--app or no selection, and no --cross-check: it weighs at most one "
+       "campaign"},
+      {"--mask-partial", args.mask_verify, "--mask-verify"},
+      {"--validate-checkpoints", args.mask_verify,
+       "--mask-verify: a detection campaign takes no partial checkpoint"},
+      {"--policy-file", args.mask_verify,
+       "--mask-verify: a detection campaign consults no recovery policy"},
+      {"--no-wrap", args.mask_verify || args.json, "--mask-verify or --json"},
+      {"--diffs", args.details, "--details, the only output of the diffs"},
+      {"--out-dir",
+       args.json || args.dot || args.csv || args.metrics ||
+           !args.trace_out.empty() || !args.derive_policies_out.empty(),
+       "an exporter that writes files: --json, --dot, --csv, --metrics, "
+       "--trace-out or --derive-policies"},
+  };
+  for (const auto& n : needs)
+    if (given(n.flag) && !n.ok)
+      return std::string(n.flag) + " needs " + n.needs;
+  for (std::size_t i = 0; i < std::size(kCampaignFlags); ++i) {
+    const std::string flag = kCampaignFlags[i];
+    if (!given(flag)) continue;
+    if (!args.selected()) return flag + " needs --app or --all";
+    if (args.cross_check && i >= kCrossCheckFlags)
+      return flag + " cannot be combined with --cross-check, which runs "
+                    "its own campaigns";
+  }
+  return "";
+}
+
+/// The apps a command selects: one --app, the --all sweep or the --list
+/// set, filtered by --language.  The gates that sweep every subject family
+/// add the hidden demos to --all.
+std::vector<subjects::apps::App> select_apps(const Args& args) {
+  std::vector<subjects::apps::App> apps;
+  if (args.given.count("--app")) apps.push_back(subjects::apps::app(args.app));
+  if (args.all || args.list) apps = subjects::apps::all_apps();
+  if (args.all && (args.cross_check || args.graph_check || args.alias_check))
+    for (const char* demo : {"lintDemo", "netDemo", "ServerDemo"})
+      apps.push_back(subjects::apps::app(demo));
+  if (!args.language.empty())
+    std::erase_if(apps, [&](const subjects::apps::App& app) {
+      return app.language != args.language;
+    });
+  return apps;
+}
+
 /// The unified Config every pipeline entry point below consumes.
-fatomic::Config make_config(const Args& args,
-                            const std::set<std::string>* prune = nullptr) {
+fatomic::Config make_config(const Args& args) {
   fatomic::Config cfg;
   cfg.jobs(args.jobs)
-      .record_diffs(args.diffs)
-      .record_footprints(args.alias_check)
+      .record_diffs(args.diffs || args.alias_check)
       .tracing(args.want_trace())
       .provenance(args.provenance)
       .validate_checkpoints(args.validate_checkpoints);
-  if (prune != nullptr) cfg.prune_atomic(*prune);
   if (args.policies) cfg.recovery(args.policies);
   for (const auto& m : args.exception_free) cfg.exception_free(m);
   for (const auto& m : args.no_wrap) cfg.no_wrap(m);
   return cfg;
 }
 
-bool write_file(const std::string& path, const std::string& content) {
+/// Writes an output file and reports it on stdout, with `summary` of its
+/// content when given.  Relative names land under --out-dir when one was
+/// given.  False when the file cannot be written.
+bool write_output(const Args& args, const std::string& name,
+                  const std::string& content, const std::string& summary) {
+  std::filesystem::path path = name;
+  if (!args.out_dir.empty() && path.is_relative())
+    path = std::filesystem::path(args.out_dir) / name;
   std::ofstream os(path, std::ios::binary);
-  if (!os) {
-    std::cerr << "error: cannot write " << path << '\n';
+  if (!(os << content)) {
+    std::cerr << "error: cannot write " << path.string() << '\n';
     return false;
   }
-  os << content;
+  std::cout << "wrote " << path.string()
+            << (summary.empty() ? "" : " (" + summary + ")") << '\n';
   return true;
-}
-
-/// Resolves an exporter file name: relative names land under --out-dir when
-/// one was given.
-std::string out_path(const Args& args, const std::string& name) {
-  if (args.out_dir.empty() || std::filesystem::path(name).is_absolute())
-    return name;
-  return (std::filesystem::path(args.out_dir) / name).string();
 }
 
 /// Routes one exporter artifact: to a file under --out-dir when set (named
 /// `filename`), to stdout otherwise.  False when the file cannot be written.
 bool emit(const Args& args, const std::string& filename,
           const std::string& content) {
-  if (args.out_dir.empty()) {
-    std::cout << '\n' << content;
-    if (!content.empty() && content.back() != '\n') std::cout << '\n';
-    return true;
-  }
-  if (!write_file(out_path(args, filename), content)) return false;
-  std::cout << "wrote " << out_path(args, filename) << '\n';
+  if (!args.out_dir.empty()) return write_output(args, filename, content, "");
+  std::cout << '\n' << content;
+  if (!content.empty() && content.back() != '\n') std::cout << '\n';
   return true;
 }
 
@@ -449,20 +505,52 @@ int print_alias_check(const std::string& app_name,
   return 2;
 }
 
-/// Trace/metrics exporters shared by run_one and the per-app --all loop.
-/// False when an output file cannot be written.
-bool emit_trace_outputs(const Args& args, const report::AppResult& result) {
-  if (args.trace_summary)
-    std::cout << '\n'
-              << result.name << ":\n"
-              << trace::trace_summary(result.campaign.trace);
-  if (args.metrics) {
-    const auto registry = trace::campaign_metrics(result.campaign);
-    if (args.out_dir.empty())
-      std::cout << '\n' << result.name << ":\n" << registry.to_text();
-    else
-      return emit(args, result.name + "_metrics.json", registry.to_json());
-  }
+/// Static regression gate (--precision-floor): the proven-atomic and
+/// partial-plan counts must not fall below the asserted lower bounds.
+int print_precision(const std::pair<std::size_t, std::size_t>& floors,
+                    const fatomic::analyze::StaticReport& sreport) {
+  const auto [floor_proven, floor_partial] = floors;
+  const std::size_t proven = sreport.proven_count();
+  const std::size_t partial = sreport.write_sets.partial_count();
+  std::cout << "precision: " << proven << " proven atomic (floor "
+            << floor_proven << "), " << partial
+            << " partial checkpoint plans (floor " << floor_partial << ") of "
+            << sreport.method_count() << " methods\n";
+  if (proven >= floor_proven && partial >= floor_partial) return 0;
+  std::cout << "precision regression: below asserted floor\n";
+  return 2;
+}
+
+/// The static views, printed once: the Pass 1 verdict table (--analyze) and
+/// the Pass 3 checkpoint plans (--write-sets; under --all the per-family
+/// fleet summary).  They follow an --app campaign's summary line, and come
+/// first otherwise.
+void print_static_views(const Args& args,
+                        const fatomic::analyze::StaticReport& sreport) {
+  if (args.analyze) std::cout << '\n' << sreport.to_text();
+  if (!args.write_sets) return;
+  if (args.all)
+    std::cout << '\n' << sreport.write_sets.fleet_text() << '\n';
+  else
+    std::cout << (args.app.empty() ? "" : "\n")
+              << sreport.write_sets.to_text();
+}
+
+/// --derive-policies: base actions from the Pass 1-5 evidence, weighted by
+/// `campaign`'s per-exception-type histograms when one ran (DESIGN.md 14).
+/// False when the table cannot be written.
+bool derive_policies(const Args& args,
+                     const fatomic::analyze::StaticReport& sreport,
+                     const detect::Campaign* campaign) {
+  const auto derived = recovery::derive_policy_table(sreport, campaign);
+  if (!write_output(args, args.derive_policies_out,
+                    recovery::policy_table_json(*derived.table),
+                    std::to_string(derived.table->size()) + " policies"))
+    return false;
+  for (const auto& [method, why] : derived.evidence)
+    std::cout << "  " << method << ": "
+              << recovery::to_string(derived.table->find(method)->action)
+              << " [" << why << "]\n";
   return true;
 }
 
@@ -537,51 +625,84 @@ int provenance_parity_check(const subjects::apps::App& app, const Args& args) {
   return identical ? 0 : 2;
 }
 
-int run_one(const Args& args) {
-  const auto& app = subjects::apps::app(args.app);
+/// Soundness gate (--cross-check): the full and the statically pruned
+/// campaign of one app classify identically.
+int print_cross_check(const subjects::apps::App& app, const Args& args,
+                      const fatomic::analyze::StaticReport& sreport) {
+  const auto cc = fatomic::analyze::cross_check(
+      app.program, sreport.prune_set(), args.jobs);
+  std::cout << app.name << ": cross-check "
+            << (cc.identical ? "identical" : "DIVERGED") << ", "
+            << cc.runs_saved << " of " << cc.full.runs.size()
+            << " injector runs pruned\n";
+  if (!cc.identical) std::cout << "  first mismatch: " << cc.mismatch << '\n';
+  const int status = cc.identical ? 0 : 2;
+  return args.provenance
+             ? std::max(status, provenance_parity_check(app, args))
+             : status;
+}
 
-  const bool need_static = args.analyze || args.prune_static ||
-                           args.cross_check || args.write_sets ||
-                           args.mask_partial || args.lint ||
-                           args.graph_check || args.alias_check ||
-                           !args.derive_policies_out.empty();
-  fatomic::analyze::StaticReport sreport;
-  if (need_static) sreport = fatomic::analyze::analyze_sources(subject_root());
+/// --mask-verify: wraps the campaign's pure failure non-atomic methods and
+/// re-runs every injection point against the corrected program.  Lines
+/// start with `label`.  Returns the gate's exit status.
+int print_mask_verify(const subjects::apps::App& app, const Args& args,
+                      const detect::Classification& cls,
+                      const detect::Policy& policy,
+                      const fatomic::analyze::StaticReport& sreport,
+                      const std::string& label) {
+  // Verification re-runs every injection point: verify_masked_full honours
+  // prune_atomic, so start from the unpruned configuration.
+  fatomic::Config config = make_config(args);
+  config.mask(fatomic::mask::wrap_pure(cls, policy));
+  if (args.mask_partial)
+    config.checkpoint_plans(fatomic::mask::make_plans(sreport));
+  const auto verified = fatomic::mask::verify_masked_full(app.program, config);
+  const auto remaining = verified.classification.nonatomic_names();
+  std::cout << '\n'
+            << label << "mask verification: " << remaining.size()
+            << " non-atomic methods remain\n";
+  for (const auto& name : remaining) std::cout << "  " << name << '\n';
+  const auto& stats = verified.campaign.stats;
+  if (args.mask_partial)
+    std::cout << label << "checkpoints: " << stats.partial_checkpoints
+              << " partial, " << stats.snapshots_taken << " full ("
+              << stats.partial_fallbacks << " fallbacks), "
+              << stats.checkpoint_units << " units\n";
+  if (args.validate_checkpoints)
+    std::cout << label << "checkpoint validator: "
+              << stats.validator_divergences << " divergences\n";
+  return remaining.empty() && stats.validator_divergences == 0 ? 0 : 2;
+}
 
-  if (args.cross_check) {
-    const auto cc = fatomic::analyze::cross_check(
-        app.program, sreport.prune_set(), args.jobs);
-    std::cout << app.name << ": cross-check "
-              << (cc.identical ? "identical" : "DIVERGED") << ", "
-              << cc.runs_saved << " of " << cc.full.runs.size()
-              << " injector runs pruned\n";
-    if (!cc.identical) {
-      std::cout << "  first mismatch: " << cc.mismatch << '\n';
-      return 2;
-    }
-    return args.provenance ? provenance_parity_check(app, args) : 0;
-  }
-
-  const std::set<std::string> prune =
-      args.prune_static ? sreport.prune_set() : std::set<std::string>{};
-  fatomic::Config config =
-      make_config(args, args.prune_static ? &prune : nullptr);
+/// Runs one selected app: its campaign, the exporters, mask verification
+/// and the gates — or, with --cross-check, the cross-check gate alone.
+/// Under --all the sweep reports every campaign in Table 1 rather than in
+/// a summary line, so the per-app lines carry the app's name, and the
+/// campaign is appended to `sweep`.  Returns the app's exit status.
+int run_app(const subjects::apps::App& app, const Args& args,
+            const fatomic::analyze::StaticReport& sreport,
+            std::vector<report::AppResult>& sweep) {
+  if (args.cross_check) return print_cross_check(app, args, sreport);
+  fatomic::Config config = make_config(args);
+  if (args.prune_static) config.prune_atomic(sreport.prune_set());
   report::AppResult result = run_campaign(app, config);
   const auto& cls = result.classification;
+  const std::string label = args.all ? app.name + ": " : "";
 
-  std::cout << app.name << " (" << app.language << "): "
-            << result.campaign.injections() << " injections, "
-            << cls.count_methods(detect::MethodClass::Atomic) << " atomic / "
-            << cls.count_methods(detect::MethodClass::ConditionalNonAtomic)
-            << " conditional / "
-            << cls.count_methods(detect::MethodClass::PureNonAtomic)
-            << " pure non-atomic methods\n";
+  if (!args.all)
+    std::cout << app.name << " (" << app.language << "): "
+              << result.campaign.injections() << " injections, "
+              << cls.count_methods(detect::MethodClass::Atomic) << " atomic / "
+              << cls.count_methods(detect::MethodClass::ConditionalNonAtomic)
+              << " conditional / "
+              << cls.count_methods(detect::MethodClass::PureNonAtomic)
+              << " pure non-atomic methods\n";
   if (args.prune_static)
-    std::cout << "static pruning: " << result.campaign.pruned_runs
-              << " injector runs skipped (" << sreport.proven_count() << " of "
-              << sreport.method_count() << " methods statically proven)\n";
-  if (args.analyze) std::cout << '\n' << sreport.to_text();
-  if (args.write_sets) std::cout << '\n' << sreport.write_sets.to_text();
+    std::cout << label << "static pruning: " << result.campaign.pruned_runs
+              << " injector runs skipped (" << sreport.proven_count()
+              << " of " << sreport.method_count()
+              << " methods statically proven)\n";
+  if (!args.all) print_static_views(args, sreport);
 
   // An unwritable output file fails the command (exit 1) unless a gate
   // failure already decides its status.
@@ -590,90 +711,51 @@ int run_one(const Args& args) {
   if (args.json) {
     written &= emit(args, app.name + "_classification.json",
                     report::classification_json(cls));
-    if (args.analyze)
-      written &= emit(args, app.name + "_campaign.json",
-                      report::campaign_json(result.campaign, cls, sreport));
-    else if (!config.policy().no_wrap.empty() ||
-             !config.policy().exception_free.empty())
-      written &= emit(args, app.name + "_campaign.json",
-                      report::campaign_json(result.campaign, config.policy()));
-    else
-      written &= emit(args, app.name + "_campaign.json",
-                      report::campaign_json(result.campaign));
+    const detect::Policy& policy = config.policy();
+    written &= emit(
+        args, app.name + "_campaign.json",
+        args.analyze ? report::campaign_json(result.campaign, cls, sreport)
+        : policy.no_wrap.empty() && policy.exception_free.empty()
+            ? report::campaign_json(result.campaign)
+            : report::campaign_json(result.campaign, policy));
   }
   if (args.dot) {
     auto graph = detect::CallGraph::from(result.campaign);
     written &= emit(args, app.name + "_callgraph.dot", graph.to_dot(&cls));
   }
-  if (!args.trace_out.empty()) {
-    const std::string path = out_path(args, args.trace_out);
-    if (write_file(path,
-                   trace::chrome_trace_json(result.campaign.trace, app.name)))
-      std::cout << "wrote " << path << " (" << result.campaign.trace.events.size()
-                << " events)\n";
+  // Under --all the sweep writes one combined trace file after the loop.
+  if (!args.trace_out.empty() && !args.all)
+    written &= write_output(
+        args, args.trace_out,
+        trace::chrome_trace_json(result.campaign.trace, app.name),
+        std::to_string(result.campaign.trace.events.size()) + " events");
+  if (args.trace_summary)
+    std::cout << '\n'
+              << app.name << ":\n"
+              << trace::trace_summary(result.campaign.trace);
+  if (args.metrics) {
+    const auto registry = trace::campaign_metrics(result.campaign);
+    if (args.out_dir.empty())
+      std::cout << '\n' << app.name << ":\n" << registry.to_text();
     else
-      written = false;
+      written &= emit(args, app.name + "_metrics.json", registry.to_json());
   }
-  written &= emit_trace_outputs(args, result);
   if (args.provenance) print_provenance(result);
-  if (!args.derive_policies_out.empty()) {
-    // Evidence-weighted derivation: the campaign just run supplies the
-    // per-exception-type histograms (DESIGN.md 14).
-    const auto derived =
-        recovery::derive_policy_table(sreport, &result.campaign);
-    const std::string path = out_path(args, args.derive_policies_out);
-    if (write_file(path, recovery::policy_table_json(*derived.table)))
-      std::cout << "wrote " << path << " (" << derived.table->size()
-                << " policies)\n";
-    else
-      written = false;
-    for (const auto& [method, why] : derived.evidence)
-      std::cout << "  " << method << ": "
-                << recovery::to_string(derived.table->find(method)->action)
-                << " [" << why << "]\n";
-  }
+  if (!args.derive_policies_out.empty())
+    written &= derive_policies(args, sreport, &result.campaign);
   if (args.suggest) {
-    std::cout << "\nexception-free candidates (each fully explains the "
+    std::cout << '\n'
+              << label
+              << "exception-free candidates (each fully explains the "
                  "non-atomicity of at least one method):\n";
     for (const auto& site : detect::suggest_exception_free(result.campaign))
       std::cout << "  " << site << '\n';
   }
-  if (args.mask_verify) {
-    // Verification re-runs every injection point: verify_masked_full honours
-    // prune_atomic, so start from the unpruned configuration.
-    fatomic::Config verify_config = make_config(args);
-    verify_config.mask(fatomic::mask::wrap_pure(cls, config.policy()));
-    if (args.mask_partial)
-      verify_config.checkpoint_plans(fatomic::mask::make_plans(sreport));
-    const auto verified =
-        fatomic::mask::verify_masked_full(app.program, verify_config);
-    const auto remaining = verified.classification.nonatomic_names();
-    std::cout << "\nmask verification: " << remaining.size()
-              << " non-atomic methods remain\n";
-    for (const auto& name : remaining) std::cout << "  " << name << '\n';
-    if (args.mask_partial) {
-      const auto& stats = verified.campaign.stats;
-      std::cout << "checkpoints: " << stats.partial_checkpoints
-                << " partial, " << stats.snapshots_taken << " full ("
-                << stats.partial_fallbacks << " fallbacks), "
-                << stats.checkpoint_units << " units\n";
-    }
-    if (args.validate_checkpoints) {
-      const auto divergences = verified.campaign.stats.validator_divergences;
-      std::cout << "checkpoint validator: " << divergences
-                << " divergences\n";
-      if (divergences > 0) return 2;
-    }
-    return std::max(remaining.empty() ? 0 : 2, written ? 0 : 1);
-  }
-  if (args.validate_checkpoints) {
-    // Detection campaigns run the validator too (make_config wires it into
-    // the Config) — surface the verdict even without --mask-verify.
-    const auto divergences = result.campaign.stats.validator_divergences;
-    std::cout << "checkpoint validator: " << divergences << " divergences\n";
-    if (divergences > 0) return 2;
-  }
+
   int status = 0;
+  if (args.mask_verify)
+    status =
+        print_mask_verify(app, args, cls, config.policy(), sreport, label);
   if (args.graph_check)
     status = std::max(
         status, print_graph_check(app.name, result.campaign, sreport.graph));
@@ -682,117 +764,42 @@ int run_one(const Args& args) {
                                                 sreport.write_sets));
   if (args.lint)
     status = std::max(status, print_lint(app.name, result.campaign, sreport));
+  if (args.all) sweep.push_back(std::move(result));
   return std::max(status, written ? 0 : 1);
 }
 
-int run_all(const Args& args) {
-  if (args.cross_check) {
-    // Soundness gate: validate the static prune set against every subject
-    // family — the Table 1 sweep plus the hidden demos (apps, net).
-    const auto sreport = fatomic::analyze::analyze_sources(subject_root());
-    const auto prune = sreport.prune_set();
-    std::vector<subjects::apps::App> gate = subjects::apps::all_apps();
-    gate.push_back(subjects::apps::app("lintDemo"));
-    gate.push_back(subjects::apps::app("netDemo"));
-    gate.push_back(subjects::apps::app("ServerDemo"));
-    int status = 0;
-    for (const auto& app : gate) {
-      if (!args.language.empty() && app.language != args.language) continue;
-      const auto cc =
-          fatomic::analyze::cross_check(app.program, prune, args.jobs);
-      std::cout << app.name << ": cross-check "
-                << (cc.identical ? "identical" : "DIVERGED") << ", "
-                << cc.runs_saved << " of " << cc.full.runs.size()
-                << " injector runs pruned\n";
-      if (!cc.identical) {
-        std::cout << "  first mismatch: " << cc.mismatch << '\n';
-        status = 2;
-      }
-      if (args.provenance)
-        status = std::max(status, provenance_parity_check(app, args));
-    }
-    return status;
-  }
-
-  const fatomic::Config config = make_config(args);
-  fatomic::analyze::StaticReport sreport;
-  if (args.lint || args.graph_check || args.alias_check || args.write_sets)
-    sreport = fatomic::analyze::analyze_sources(subject_root());
-  if (args.write_sets) {
-    // Fleet view of Pass 3: per-family plan coverage and ⊤-reason
-    // histograms, then the aggregated table precision work is aimed from.
-    std::cout << '\n' << sreport.write_sets.fleet_text() << '\n';
-  }
-  // The soundness/lint gates sweep the hidden demos too — exactly the
-  // families whose campaigns exercise lint- and net-specific behaviour.
-  std::vector<subjects::apps::App> apps = subjects::apps::all_apps();
-  if (args.graph_check || args.alias_check) {
-    apps.push_back(subjects::apps::app("lintDemo"));
-    apps.push_back(subjects::apps::app("netDemo"));
-    apps.push_back(subjects::apps::app("ServerDemo"));
-  }
-  std::vector<report::AppResult> results;
-  std::vector<std::pair<std::string, trace::Trace>> traces;
-  int lint_status = 0;
-  int graph_status = 0;
-  int alias_status = 0;
-  std::uint64_t validator_divergences = 0;
-  // As in run_one: an unwritable output file fails the command (exit 1).
+/// The sweep's own outputs (--all), after the per-app loop: the combined
+/// trace file, Table 1 and the figures, and the CSV.  A gate sweep prints
+/// its verdicts only, so it skips Table 1 and the figures.  False when a
+/// file cannot be written.
+bool print_sweep(const Args& args,
+                 const std::vector<report::AppResult>& results) {
   bool written = true;
-  for (const auto& app : apps) {
-    if (!args.language.empty() && app.language != args.language) continue;
-    results.push_back(run_campaign(app, config));
-    const auto& result = results.back();
-    validator_divergences += result.campaign.stats.validator_divergences;
-    if (args.graph_check)
-      graph_status = std::max(
-          graph_status,
-          print_graph_check(app.name, result.campaign, sreport.graph));
-    if (args.alias_check)
-      alias_status = std::max(
-          alias_status,
-          print_alias_check(app.name, result.campaign, sreport.write_sets));
-    if (args.lint)
-      lint_status =
-          std::max(lint_status, print_lint(app.name, result.campaign, sreport));
-    if (!args.trace_out.empty())
-      traces.emplace_back(app.name, result.campaign.trace);
-    if (args.json && !args.out_dir.empty()) {
-      written &= emit(args, app.name + "_classification.json",
-                      report::classification_json(result.classification));
-      written &= emit(args, app.name + "_campaign.json",
-                      report::campaign_json(result.campaign));
-    }
-    written &= emit_trace_outputs(args, result);
-    if (args.provenance) print_provenance(result);
-  }
   if (!args.trace_out.empty()) {
-    const std::string path = out_path(args, args.trace_out);
+    std::vector<std::pair<std::string, trace::Trace>> traces;
     std::size_t events = 0;
-    for (const auto& [name, t] : traces) events += t.events.size();
-    if (write_file(path, trace::chrome_trace_json(traces)))
-      std::cout << "wrote " << path << " (" << traces.size() << " apps, "
-                << events << " events)\n";
-    else
-      written = false;
+    for (const auto& r : results) {
+      traces.emplace_back(r.name, r.campaign.trace);
+      events += r.campaign.trace.events.size();
+    }
+    written &= write_output(args, args.trace_out,
+                            trace::chrome_trace_json(traces),
+                            std::to_string(traces.size()) + " apps, " +
+                                std::to_string(events) + " events");
   }
-  if (args.lint || args.graph_check || args.alias_check)
-    return std::max(
-        {lint_status, graph_status, alias_status, written ? 0 : 1});
-  if (args.validate_checkpoints) {
-    std::cout << "checkpoint validator: " << validator_divergences
-              << " divergences across " << results.size() << " campaigns\n";
-    if (validator_divergences > 0) return 2;
+  if (!(args.cross_check || args.lint || args.graph_check ||
+        args.alias_check)) {
+    std::cout << report::table1(results) << '\n';
+    std::cout << report::figure_methods(results, "method classification")
+              << '\n';
+    std::cout << report::figure_calls(results, "classification by calls")
+              << '\n';
+    std::cout << report::figure_classes(results, "class distribution")
+              << '\n';
   }
-  std::cout << report::table1(results) << '\n';
-  std::cout << report::figure_methods(results, "method classification")
-            << '\n';
-  std::cout << report::figure_calls(results, "classification by calls")
-            << '\n';
-  std::cout << report::figure_classes(results, "class distribution") << '\n';
   if (args.csv)
     written &= emit(args, "all_summary.csv", report::to_csv(results));
-  return written ? 0 : 1;
+  return written;
 }
 
 }  // namespace
@@ -801,62 +808,48 @@ int main(int argc, char** argv) {
   Args args;
   if (!parse(argc, argv, args)) return usage(1);
   if (args.help || (argc == 1)) return usage(0);
-  if (args.list) {
-    for (const auto& app : subjects::apps::all_apps())
-      std::cout << app.name << " (" << app.language << ")\n";
-    return 0;
+  if (const std::string why = refusal(args); !why.empty()) {
+    std::cerr << "error: " << why << '\n';
+    return 1;
   }
   try {
+    const auto apps = select_apps(args);
+    if (apps.empty() && (args.selected() || args.list)) {
+      std::cerr << "error: --language " << args.language
+                << " leaves the selection empty\n";
+      return 1;
+    }
+    if (args.list) {
+      for (const auto& app : apps)
+        std::cout << app.name << " (" << app.language << ")\n";
+      return 0;
+    }
     if (!args.out_dir.empty())
       std::filesystem::create_directories(args.out_dir);
     if (!args.policy_file.empty())
       args.policies = std::make_shared<const fatomic::recovery::PolicyTable>(
           recovery::load_policy_file(args.policy_file));
-    if (args.all) return run_all(args);
-    if (!args.app.empty()) return run_one(args);
-    if (!args.derive_policies_out.empty()) {
-      // Static-only derivation: base actions from the Pass 1-5 evidence,
-      // no campaign histograms to weight overrides.
-      const auto sreport = fatomic::analyze::analyze_sources(subject_root());
-      const auto derived = recovery::derive_policy_table(sreport, nullptr);
-      if (!write_file(args.derive_policies_out,
-                      recovery::policy_table_json(*derived.table)))
-        return 1;
-      std::cout << "wrote " << args.derive_policies_out << " ("
-                << derived.table->size() << " policies)\n";
-      for (const auto& [method, why] : derived.evidence)
-        std::cout << "  " << method << ": "
-                  << recovery::to_string(derived.table->find(method)->action)
-                  << " [" << why << "]\n";
-      return 0;
-    }
-    if (args.precision_floor) {
-      // Static-only regression gate: proven-atomic and partial-plan counts
-      // must not fall below the asserted lower bounds.
-      const auto [floor_proven, floor_partial] = *args.precision_floor;
-      const auto sreport = fatomic::analyze::analyze_sources(subject_root());
-      const std::size_t proven = sreport.proven_count();
-      const std::size_t partial = sreport.write_sets.partial_count();
-      std::cout << "precision: " << proven << " proven atomic (floor "
-                << floor_proven << "), " << partial
-                << " partial checkpoint plans (floor " << floor_partial
-                << ") of " << sreport.method_count() << " methods\n";
-      if (proven < floor_proven || partial < floor_partial) {
-        std::cout << "precision regression: below asserted floor\n";
-        return 2;
-      }
-      return 0;
-    }
-    if (args.write_sets) {
-      // Static-only mode: no campaign, just the per-method checkpoint plans.
-      const auto sreport =
-          fatomic::analyze::analyze_sources(subject_root());
-      std::cout << sreport.write_sets.to_text();
-      return 0;
-    }
+    fatomic::analyze::StaticReport sreport;
+    if (args.precision_floor || args.write_sets || args.analyze ||
+        !args.derive_policies_out.empty() || args.prune_static ||
+        args.cross_check || args.mask_partial || args.lint ||
+        args.graph_check || args.alias_check)
+      sreport = fatomic::analyze::analyze_sources(subject_root());
+
+    int status = 0;
+    bool written = true;
+    if (args.precision_floor)
+      status = print_precision(*args.precision_floor, sreport);
+    if (args.app.empty() || args.cross_check) print_static_views(args, sreport);
+    if (!args.selected() && !args.derive_policies_out.empty())
+      written = derive_policies(args, sreport, nullptr);
+    std::vector<report::AppResult> sweep;
+    for (const auto& app : apps)
+      status = std::max(status, run_app(app, args, sreport, sweep));
+    if (args.all) written &= print_sweep(args, sweep);
+    return std::max(status, written ? 0 : 1);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;
   }
-  return usage(1);
 }
