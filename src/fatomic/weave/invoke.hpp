@@ -107,10 +107,10 @@ inline void maybe_inject_fault(const MethodInfo& mi, Runtime& rt) {
   throw InjectedRuntimeError();
 }
 
-/// The protected call (DESIGN.md §14): checkpoints `root`, runs `body`, and
-/// on an exception applies the action `pol` selects for its type.  Under
-/// recovery::kRollbackPolicy this is the paper's atomicity wrapper: roll
-/// back and rethrow.
+/// The protected call (DESIGN.md §14): checkpoints `root` once, runs `body`,
+/// and on an exception applies the action `pol` selects for its type, which
+/// may run `body` again.  Under recovery::kRollbackPolicy this is the
+/// paper's atomicity wrapper: roll back and rethrow.
 template <class Root, class Fn>
 std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
                                          Fn& body, Runtime& rt,
@@ -124,9 +124,9 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
       (std::is_default_constructible_v<R> && !std::is_reference_v<R>);
 
   // Which recovery paths this policy can reach decides the checkpoint the
-  // attempt loop takes.  Only retry-without-rollback (statically proven
-  // atomic methods) runs checkpoint-free; degrade needs a *full* entry
-  // checkpoint because its guard is a whole-state compare, which a partial
+  // call takes.  Only retry-without-rollback (statically proven atomic
+  // methods) runs checkpoint-free; degrade needs a *full* entry checkpoint
+  // because its guard is a whole-state compare, which a partial
   // (plan-scoped) snapshot cannot answer.
   auto needs_state = [&](Action a) {
     return !(a == Action::Retry && !pol.rollback_before_retry);
@@ -142,77 +142,83 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
   // so a plain rollback never pays for the demangler.
   const bool typed =
       !pol.exception_overrides.empty() || pol.action == Action::RethrowAs;
-  // Field-granular fast path (DESIGN.md §8): when the write-set analysis
-  // installed a partial plan for this method, capture only the planned
-  // leaves.  The walker handles tuple roots from invoke_with too (partial
-  // plans imply no parameter writes, so extra by-ref args only contribute
-  // walk structure).  Any walk-time surprise falls back to the full deep
-  // copy.
-  const snapshot::CheckpointPlan* plan = nullptr;
-  if (need_checkpoint && !may_degrade) {
-    plan = rt.checkpoint_plan(mi);
-    if (rt.trace.enabled())
-      rt.trace.instant(trace::EventKind::PlanLookup, &mi, plan != nullptr);
-  }
 
-  for (unsigned attempt = 0;; ++attempt) {
-    std::optional<snapshot::ArenaSnapshot> cp;
-    bool partial = false;            // cp holds the plan's leaves only
-    snapshot::ArenaSnapshot shadow;  // validate_checkpoints shadow for partials
-    if (need_checkpoint) {
-      if (plan != nullptr) {
-        const std::uint64_t t0 = rt.trace.begin_span();
-        cp = snapshot::partial_capture(root, *plan, rt.arena_pool);
-        partial = cp.has_value();
-        if (partial) {
-          ++rt.stats.partial_checkpoints;
-          rt.stats.checkpoint_units += cp->node_count();
-          rt.trace.span(trace::EventKind::PartialCheckpoint, t0, &mi,
-                        cp->node_count());
-          if (rt.validate_checkpoints)
-            shadow = snapshot::arena_capture(root, &rt.arena_pool);
-        } else {
-          ++rt.stats.partial_fallbacks;
-          rt.trace.instant(trace::EventKind::PartialFallback, &mi);
-        }
-      }
-      if (!cp) {
-        cp.emplace(take_full_checkpoint(mi, root, rt));
+  // The entry checkpoint, taken once per call, not per attempt: full, or
+  // partial with its validate_checkpoints shadow, or none for a retry
+  // without rollback.  Invariant: while the call holds a checkpoint, every
+  // path to another attempt restores it first (the Retry case below,
+  // whatever rollback_before_retry says), so every attempt starts from a
+  // receiver equal to it and none captures the receiver again.
+  const snapshot::CheckpointPlan* plan = nullptr;
+  std::optional<snapshot::ArenaSnapshot> cp;
+  bool partial = false;            // cp holds the plan's leaves only
+  snapshot::ArenaSnapshot shadow;  // validate_checkpoints shadow for partials
+  if (need_checkpoint) {
+    // Field-granular fast path (DESIGN.md §8): when the write-set analysis
+    // installed a partial plan for this method, capture only the planned
+    // leaves.  The walker handles tuple roots from invoke_with too (partial
+    // plans imply no parameter writes, so extra by-ref args only contribute
+    // walk structure).  Any walk-time surprise falls back to the full deep
+    // copy.
+    if (!may_degrade) {
+      plan = rt.checkpoint_plan(mi);
+      if (rt.trace.enabled())
+        rt.trace.instant(trace::EventKind::PlanLookup, &mi, plan != nullptr);
+    }
+    if (plan != nullptr) {
+      const std::uint64_t t0 = rt.trace.begin_span();
+      cp = snapshot::partial_capture(root, *plan, rt.arena_pool);
+      partial = cp.has_value();
+      if (partial) {
+        ++rt.stats.partial_checkpoints;
         rt.stats.checkpoint_units += cp->node_count();
+        rt.trace.span(trace::EventKind::PartialCheckpoint, t0, &mi,
+                      cp->node_count());
+        if (rt.validate_checkpoints)
+          shadow = snapshot::arena_capture(root, &rt.arena_pool);
+      } else {
+        ++rt.stats.partial_fallbacks;
+        rt.trace.instant(trace::EventKind::PartialFallback, &mi);
       }
     }
+    if (!cp) {
+      cp.emplace(take_full_checkpoint(mi, root, rt));
+      rt.stats.checkpoint_units += cp->node_count();
+    }
+  }
 
-    auto restore = [&] {
-      // Retry-without-rollback: nothing captured, nothing to restore — the
-      // atomicity proof is the checkpoint.
-      if (!cp) return;
-      try {
-        // Restoring containers of instrumented objects re-runs their
-        // constructors; those entries must not fire injection points of
-        // their own (the engine would sabotage its own rollback).
-        EngineScope engine(rt);
-        if (partial)
-          snapshot::partial_restore(root, *cp, *plan);
-        else
-          snapshot::restore(root, *cp);
-      } catch (const RestoreError&) {
-        // A full restore failed mid-replay: the receiver may be partially
-        // restored, and masking anything now would hide corruption.
-        ++rt.stats.restore_errors;
-        rt.trace.instant(trace::EventKind::RestoreFailure, &mi);
-        throw;
-      }
-      ++rt.stats.rollbacks;
-      rt.trace.instant(trace::EventKind::Rollback, &mi, partial ? 1 : 0);
-      // Completeness validator: the partially restored receiver must equal
-      // the shadow full checkpoint taken next to the partial one.
-      if (partial && rt.validate_checkpoints &&
-          !shadow.equals(snapshot::arena_capture(root, &rt.arena_pool))) {
-        ++rt.stats.validator_divergences;
-        rt.trace.instant(trace::EventKind::Validator, &mi);
-      }
-    };
+  auto restore = [&] {
+    // Retry-without-rollback: nothing captured, nothing to restore — the
+    // atomicity proof is the checkpoint.
+    if (!cp) return;
+    try {
+      // Restoring containers of instrumented objects re-runs their
+      // constructors; those entries must not fire injection points of
+      // their own (the engine would sabotage its own rollback).
+      EngineScope engine(rt);
+      if (partial)
+        snapshot::partial_restore(root, *cp, *plan);
+      else
+        snapshot::restore(root, *cp);
+    } catch (const RestoreError&) {
+      // A full restore failed mid-replay: the receiver may be partially
+      // restored, and masking anything now would hide corruption.
+      ++rt.stats.restore_errors;
+      rt.trace.instant(trace::EventKind::RestoreFailure, &mi);
+      throw;
+    }
+    ++rt.stats.rollbacks;
+    rt.trace.instant(trace::EventKind::Rollback, &mi, partial ? 1 : 0);
+    // Completeness validator: the partially restored receiver must equal
+    // the shadow full checkpoint taken next to the partial one.
+    if (partial && rt.validate_checkpoints &&
+        !shadow.equals(snapshot::arena_capture(root, &rt.arena_pool))) {
+      ++rt.stats.validator_divergences;
+      rt.trace.instant(trace::EventKind::Validator, &mi);
+    }
+  };
 
+  for (unsigned attempt = 0;; ++attempt) {
     try {
       maybe_inject_fault(mi, rt);
       if constexpr (std::is_void_v<R>) {
@@ -232,7 +238,7 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
       switch (pol.action_for(ex_type)) {
         case Action::Retry:
           if (attempt < pol.retry_budget) {
-            restore();
+            restore();  // the next attempt starts from the entry checkpoint
             ++rt.stats.retry_attempts;
             rt.trace.span(trace::EventKind::Recovery, t0, &mi, attempt + 1,
                           "retry");
@@ -277,12 +283,11 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
         case Action::Degrade: {
           // Guarded failure-oblivious continuation: swallow ONLY when the
           // post-exception state equals the entry checkpoint — a
-          // corrupted-state verdict is never masked.
-          bool intact = false;
-          if (cp && !partial) {
-            ++rt.stats.comparisons;
-            intact = cp->equals(snapshot::arena_capture(root, &rt.arena_pool));
-          }
+          // corrupted-state verdict is never masked.  may_degrade made that
+          // checkpoint a full one.
+          ++rt.stats.comparisons;
+          const bool intact =
+              cp->equals(snapshot::arena_capture(root, &rt.arena_pool));
           if constexpr (kNeutralReturn) {
             if (intact) {
               ++rt.stats.degraded_calls;

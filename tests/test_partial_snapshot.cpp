@@ -181,6 +181,39 @@ TEST(PartialSnapshot, StructuralMutationDetectedAtRestore) {
   EXPECT_THROW(snap::partial_restore(b, *cp, plan), SnapshotError);
 }
 
+TEST(PartialSnapshot, OneCheckpointRestoresLeavesTwice) {
+  // A retried protected call restores its one entry checkpoint after every
+  // failed attempt.
+  snap::ArenaPool pool;
+  Bag b;
+  b.items.resize(2);
+  b.items[0].i = 4;
+  b.items[1].i = 5;
+  b.total = 9;
+  const auto plan = plan_of({"i", "total"});
+  const auto cp = snap::partial_capture(b, plan, pool);
+  ASSERT_TRUE(cp);
+  const auto mutations = {
+      +[](Bag& v) {
+        v.items[0].i = -1;
+        v.total = 0;
+      },
+      +[](Bag& v) {
+        v.items[1].i = 50;
+        v.total = 55;
+      }};
+  for (const auto& mutate : mutations) {
+    mutate(b);
+    snap::partial_restore(b, *cp, plan);
+    const auto again = snap::partial_capture(b, plan, pool);
+    ASSERT_TRUE(again);
+    EXPECT_TRUE(cp->identical(*again));
+  }
+  EXPECT_EQ(b.items[0].i, 4);
+  EXPECT_EQ(b.items[1].i, 5);
+  EXPECT_EQ(b.total, 9);
+}
+
 // ---- runtime integration: plans installed into the mask layer -------------
 
 class Counter {

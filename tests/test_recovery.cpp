@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -18,6 +19,8 @@
 #include "fatomic/recovery/policy_io.hpp"
 #include "fatomic/report/json.hpp"
 #include "fatomic/report/json_parse.hpp"
+#include "fatomic/snapshot/partial.hpp"
+#include "fatomic/weave/macros.hpp"
 #include "fatomic/weave/runtime.hpp"
 #include "subjects/apps/apps.hpp"
 #include "subjects/net/transport.hpp"
@@ -347,6 +350,101 @@ TEST_F(RecoveryTest, RetryExhaustionFallsBackToRollbackAndRethrow) {
   EXPECT_EQ(rt.stats.retry_attempts, 2u);
   EXPECT_EQ(rt.stats.retry_exhaustions, 1u);
   EXPECT_EQ(rt.stats.retry_successes, 0u);
+  // One entry checkpoint per call, restored after each failed attempt.
+  EXPECT_EQ(rt.stats.snapshots_taken, 1u);
+  EXPECT_EQ(rt.stats.rollbacks, 3u);
+}
+
+TEST_F(RecoveryTest, RetriedCallTakesOnePartialCheckpoint) {
+  auto& rt = weave::Runtime::instance();
+  recovery::RecoveryPolicy pol;
+  pol.action = recovery::Action::Retry;
+  pol.retry_budget = 2;
+  snapshot::CheckpointPlan plan;
+  plan.partial = true;
+  plan.capture = {"value_"};
+  auto plans = std::make_shared<weave::PlanMap>();
+  (*plans)["synthetic::Account::sloppy_withdraw"] = plan;
+  mask::MaskedScope scope(
+      wrap_only("synthetic::Account::sloppy_withdraw"), plans,
+      /*validate=*/true,
+      one_policy("synthetic::Account::sloppy_withdraw", pol));
+  synthetic::Account a;
+  a.set(10);
+  rt.stats = {};
+  EXPECT_THROW(a.sloppy_withdraw(100), synthetic::BankError);
+  EXPECT_EQ(a.value(), 10);
+  EXPECT_EQ(rt.stats.partial_checkpoints, 1u) << "one capture per call";
+  EXPECT_EQ(rt.stats.partial_fallbacks, 0u);
+  EXPECT_EQ(rt.stats.snapshots_taken, 0u);
+  EXPECT_EQ(rt.stats.rollbacks, 3u);
+  EXPECT_EQ(rt.stats.validator_divergences, 0u)
+      << "the one shadow checks every partial restore";
+}
+
+namespace {
+
+/// A deposit whose first attempt fails after it has written: a retry that
+/// did not start from the restored receiver would deposit twice.
+class FlakyLedger {
+ public:
+  void deposit(int amount) {
+    FAT_INVOKE(deposit, [&] {
+      balance_ += amount;
+      if (fail_next_) {
+        fail_next_ = false;
+        throw std::runtime_error("deposit: transient failure");
+      }
+    });
+  }
+  int balance() const { return balance_; }
+
+ private:
+  FAT_REFLECT_FRIEND(FlakyLedger);
+  FAT_METHOD_INFO(FlakyLedger, deposit);
+
+  int balance_ = 0;
+  bool fail_next_ = true;  // not reflected: a rollback leaves it alone
+};
+
+}  // namespace
+
+FAT_REFLECT(FlakyLedger, FAT_FIELD(FlakyLedger, balance_));
+
+TEST_F(RecoveryTest, RetryStartsFromTheRestoredReceiver) {
+  auto& rt = weave::Runtime::instance();
+  recovery::RecoveryPolicy pol;
+  pol.action = recovery::Action::Retry;
+  pol.retry_budget = 1;
+  mask::MaskedScope scope(wrap_only("FlakyLedger::deposit"), nullptr, false,
+                          one_policy("FlakyLedger::deposit", pol));
+  FlakyLedger ledger;
+  rt.stats = {};
+  EXPECT_NO_THROW(ledger.deposit(5));
+  EXPECT_EQ(ledger.balance(), 5) << "the mutation lands exactly once";
+  EXPECT_EQ(rt.stats.rollbacks, 1u);
+  EXPECT_EQ(rt.stats.retry_successes, 1u);
+}
+
+TEST_F(RecoveryTest, RetryWithoutRollbackStillRestoresAHeldCheckpoint) {
+  // An override that needs state makes the call take a checkpoint even
+  // though the base retry does not ask for one; once held, it is restored
+  // before the retry.
+  auto& rt = weave::Runtime::instance();
+  recovery::RecoveryPolicy pol;
+  pol.action = recovery::Action::Retry;
+  pol.retry_budget = 1;
+  pol.rollback_before_retry = false;
+  pol.exception_overrides["subjects::net::NetError"] =
+      recovery::Action::Rollback;
+  mask::MaskedScope scope(wrap_only("FlakyLedger::deposit"), nullptr, false,
+                          one_policy("FlakyLedger::deposit", pol));
+  FlakyLedger ledger;
+  rt.stats = {};
+  EXPECT_NO_THROW(ledger.deposit(5));
+  EXPECT_EQ(ledger.balance(), 5) << "the retry starts from the checkpoint";
+  EXPECT_EQ(rt.stats.rollbacks, 1u);
+  EXPECT_EQ(rt.stats.retry_successes, 1u);
 }
 
 TEST_F(RecoveryTest, DegradeSwallowsOnlyWhenStateIsIntact) {

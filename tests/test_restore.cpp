@@ -109,6 +109,24 @@ void roundtrip(T& value, Mutate&& mutate) {
       << "restore must reproduce the checkpointed object graph";
 }
 
+/// One checkpoint, several rollbacks, as a retried protected call makes
+/// them: capture once, then apply each mutation in turn and restore from
+/// that same checkpoint after it.
+template <class T, class... Mutate>
+void restore_repeatedly(const snap::ArenaSnapshot& cp, T& value,
+                        Mutate&&... mutate) {
+  (
+      [&] {
+        mutate(value);
+        ASSERT_FALSE(cp.equals(snap::arena_capture(value)))
+            << "mutation must be visible to the snapshot";
+        snap::restore(value, cp);
+        EXPECT_TRUE(cp.identical(snap::arena_capture(value)))
+            << "every restore from one checkpoint reproduces it";
+      }(),
+      ...);
+}
+
 }  // namespace
 
 TEST(Restore, Primitives) {
@@ -343,6 +361,100 @@ TEST(Restore, ExternalAliasRestoredInPlace) {
   EXPECT_EQ(p.alias, &external);
   EXPECT_EQ(external.i, 5);
   EXPECT_EQ(external.s, "ext");
+}
+
+TEST(Restore, OneCheckpointRestoresAnOwnedRawChainTwice) {
+  LinkList l;
+  l.push_front(1);
+  l.push_front(2);
+  const snap::ArenaSnapshot cp = snap::arena_capture(l);
+  restore_repeatedly(
+      cp, l,
+      [](LinkList& v) {
+        v.push_front(3);
+        v.head->value = -7;
+      },
+      [](LinkList& v) {
+        v.head->next->value = 42;
+        v.size = 0;
+      });
+  EXPECT_EQ(l.size, 2);
+  ASSERT_NE(l.head, nullptr);
+  EXPECT_EQ(l.head->value, 2);
+  ASSERT_NE(l.head->next, nullptr);
+  EXPECT_EQ(l.head->next->value, 1);
+  EXPECT_EQ(l.head->next->next, nullptr);
+}
+
+TEST(Restore, OneCheckpointRestoresASharedPtrRingTwice) {
+  PolyRing r;
+  auto a = std::make_shared<WeightedLink>();
+  auto b = std::make_shared<WeightedLink>();
+  a->value = 1;
+  b->value = 2;
+  a->next = b;
+  b->next = a;
+  r.head = a;
+  const snap::ArenaSnapshot cp = snap::arena_capture(r);
+  std::shared_ptr<PolyLink> first_restore;
+  restore_repeatedly(
+      cp, r, [](PolyRing& v) { v.head->next->value = 9; },
+      [&](PolyRing& v) {
+        first_restore = v.head;  // replaced by the second restore
+        v.head->value = -1;
+        v.head->next->next = nullptr;
+      });
+  EXPECT_NE(r.head, first_restore);
+  EXPECT_EQ(r.head->value, 1);
+  EXPECT_EQ(r.head->next->value, 2);
+  EXPECT_EQ(r.head->next->next, r.head);
+  open_ring(r.head);
+  open_ring(a);
+}
+
+TEST(Restore, OneCheckpointRestoresAPolymorphicPointeeTwice) {
+  Drawing d;
+  auto c = std::make_unique<Circle>();
+  c->id = 1;
+  c->radius = 3.0;
+  d.shapes.push_back(std::move(c));
+  const snap::ArenaSnapshot cp = snap::arena_capture(d);
+  restore_repeatedly(
+      cp, d,
+      [](Drawing& v) {
+        v.shapes.clear();
+        v.shapes.push_back(std::make_unique<Rect>());
+      },
+      [](Drawing& v) { static_cast<Circle&>(*v.shapes[0]).radius = 0.5; });
+  ASSERT_EQ(d.shapes.size(), 1u);
+  const auto* restored = dynamic_cast<const Circle*>(d.shapes[0].get());
+  ASSERT_NE(restored, nullptr) << "restore must re-create the dynamic type";
+  EXPECT_EQ(restored->radius, 3.0);
+}
+
+TEST(Restore, OneCheckpointRestoresAnExternalAliasTwice) {
+  // The external pointee is written back through the address recorded at
+  // capture, before either restore ran.
+  Plain external{5, 0, false, "ext"};
+  Plain other{6, 0, false, "other"};
+  AliasPair p;
+  p.alias = &external;
+  const snap::ArenaSnapshot cp = snap::arena_capture(p);
+  restore_repeatedly(
+      cp, p,
+      [&](AliasPair& v) {
+        external.i = 77;
+        v.owner = std::make_unique<Plain>();
+      },
+      [&](AliasPair& v) {
+        external.s = "changed";
+        v.alias = &other;
+      });
+  EXPECT_EQ(p.alias, &external);
+  EXPECT_EQ(p.owner, nullptr);
+  EXPECT_EQ(external.i, 5);
+  EXPECT_EQ(external.s, "ext");
+  EXPECT_EQ(other.i, 6);
 }
 
 TEST(Restore, TupleRootRestoresArguments) {

@@ -137,7 +137,10 @@ int usage(int code) {
       "                         undeclared exceptions; works with --all);\n"
       "                         also lints campaign-unreached methods of\n"
       "                         observed classes against the Pass 4 static\n"
-      "                         exception-flow sets\n"
+      "                         exception-flow sets.  Under --all not with\n"
+      "                         --graph-check or --alias-check: their\n"
+      "                         sweeps add lintDemo, which is mis-declared\n"
+      "                         by design\n"
       "  --graph-check          static-vs-dynamic soundness gate: every call\n"
       "                         edge and exception type the campaign\n"
       "                         observed must be predicted by the static\n"
@@ -362,6 +365,11 @@ std::string refusal(const Args& args) {
       return flag + " cannot be combined with --cross-check, which runs "
                     "its own campaigns";
   }
+  if (args.all && args.lint && (args.graph_check || args.alias_check))
+    return std::string("--lint cannot be combined with ") +
+           (args.graph_check ? "--graph-check" : "--alias-check") +
+           " under --all: that gate sweeps lintDemo, which the lint flags "
+           "by design";
   return "";
 }
 
