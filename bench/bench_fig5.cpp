@@ -6,7 +6,8 @@
 // Also includes microbenches of the three checkpoint operations the
 // wrappers perform, as a function of object size (google-benchmark section
 // after the Figure 5 table): arena capture through a recycled pool, memcmp
-// compare, and restore (decode + Restorer).
+// compare, and restore (a replay of the checkpoint's records, with the
+// pool's restore scratch).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -148,9 +149,10 @@ BENCHMARK(BM_Capture)->Arg(64)->Arg(1024)->Arg(16384);
 void BM_Restore(benchmark::State& state) {
   Payload p;
   p.resize_bytes(static_cast<std::size_t>(state.range(0)));
-  const auto cp = fatomic::snapshot::arena_capture(p);
+  fatomic::snapshot::ArenaPool pool;
+  const auto cp = fatomic::snapshot::arena_capture(p, &pool);
   for (auto _ : state) {
-    fatomic::snapshot::restore(p, cp);
+    fatomic::snapshot::restore(p, cp, &pool);
   }
 }
 BENCHMARK(BM_Restore)->Arg(64)->Arg(1024)->Arg(16384);

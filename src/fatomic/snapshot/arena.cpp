@@ -8,57 +8,52 @@ namespace fatomic::snapshot {
 
 namespace {
 
-/// Replays the record stream into a node table.  Records are emitted in
+/// Builds the node table from the record stream.  Records are emitted in
 /// node-creation order, so `next_id_` reproduces the record ordinals and
 /// Ref records resolve to already-parsed nodes.  A full capture is one
 /// value; a partial capture is a run of top-level leaf records.
 class Reader {
  public:
-  Reader(const std::vector<std::byte>& bytes,
-         const std::vector<const void*>& addrs, std::vector<Node>& out)
-      : p_(bytes.data()), end_(bytes.data() + bytes.size()), addrs_(addrs),
-        nodes_(out) {}
+  Reader(const ArenaSnapshot& cp, std::vector<Node>& out)
+      : in_(cp.records()), nodes_(out) {}
 
-  bool done() const { return p_ == end_; }
+  bool done() const { return in_.done(); }
 
   NodeId parse() {
-    const std::uint8_t tag = u8();
-    if (tag == detail::kRecRef) return static_cast<NodeId>(u32());
+    const std::uint8_t tag = in_.u8();
+    if (tag == detail::kRecRef) return static_cast<NodeId>(in_.u32());
     const NodeId id = next_id_++;
-    nodes().emplace_back();
-    nodes()[id].src_addr = id < addrs_.size() ? addrs_[id] : nullptr;
+    nodes_.emplace_back();
+    // Recursion grows nodes_; never hold a Node& across parse().
     switch (tag) {
       case detail::kRecPrim:
-        parse_prim(id);
+        name_leaf(nodes_[id], in_.prim());
         break;
       case detail::kRecObject:
       case detail::kRecSequence: {
-        const auto* desc = reinterpret_cast<const detail::TypeDesc*>(
-            static_cast<std::uintptr_t>(u64()));
-        const std::uint32_t count = u32();
-        nodes()[id].kind = tag == detail::kRecObject ? NodeKind::Object
-                                                     : NodeKind::Sequence;
-        nodes()[id].type_name = desc->name;
-        nodes()[id].field_names = desc->field_names;
+        const ArenaCursor::Composite c = in_.composite();
+        nodes_[id].kind = tag == detail::kRecObject ? NodeKind::Object
+                                                    : NodeKind::Sequence;
+        nodes_[id].type_name = c.desc->name;
+        nodes_[id].field_names = c.desc->field_names;
         std::vector<NodeId> kids;
-        kids.reserve(count);
-        // Recursion may grow nodes(); never hold a Node& across parse().
-        for (std::uint32_t i = 0; i < count; ++i) kids.push_back(parse());
-        nodes()[id].children = std::move(kids);
+        kids.reserve(c.count);
+        for (std::uint32_t i = 0; i < c.count; ++i) kids.push_back(parse());
+        nodes_[id].children = std::move(kids);
         break;
       }
       case detail::kRecPointer: {
-        const bool owned = u8() != 0;
-        nodes()[id].kind = NodeKind::Pointer;
-        nodes()[id].type_name = owned ? "owned_ptr" : "ptr";
-        nodes()[id].owned_edge = owned;
+        const bool owned = in_.u8() != 0;
+        nodes_[id].kind = NodeKind::Pointer;
+        nodes_[id].type_name = owned ? "owned_ptr" : "ptr";
+        nodes_[id].owned_edge = owned;
         const NodeId pointee = parse();
-        nodes()[id].pointee = pointee;
+        nodes_[id].pointee = pointee;
         break;
       }
       case detail::kRecNull:
-        nodes()[id].kind = NodeKind::NullPointer;
-        nodes()[id].type_name = "nullptr";
+        nodes_[id].kind = NodeKind::NullPointer;
+        nodes_[id].type_name = "nullptr";
         break;
       default:
         throw SnapshotError("corrupt arena snapshot: unknown record tag");
@@ -67,79 +62,36 @@ class Reader {
   }
 
  private:
-  void parse_prim(NodeId id) {
-    Node& n = nodes()[id];  // leaf record: no recursion below
+  static void name_leaf(Node& n, const ArenaCursor::Leaf& leaf) {
+    static constexpr const char* kNames[] = {"bool", "char",  "enum",  "int",
+                                             "uint", "float", "float", "string"};
     n.kind = NodeKind::Primitive;
-    switch (u8()) {
+    n.type_name = kNames[leaf.code];
+    switch (leaf.code) {
       case detail::kPrimBool:
-        n.type_name = "bool";
-        n.value = u8() != 0;
+        n.value = leaf.bits != 0;
         break;
       case detail::kPrimChar:
-        n.type_name = "char";
-        n.value = static_cast<char>(u8());
-        break;
-      case detail::kPrimEnum:
-        n.type_name = "enum";
-        n.value = static_cast<std::int64_t>(u64());
-        break;
-      case detail::kPrimInt:
-        n.type_name = "int";
-        n.value = static_cast<std::int64_t>(u64());
+        n.value = static_cast<char>(leaf.bits);
         break;
       case detail::kPrimUint:
-        n.type_name = "uint";
-        n.value = u64();
+        n.value = leaf.bits;
         break;
       case detail::kPrimF32:
-        n.type_name = "float";
-        n.value = F32Bits{u32()};
+        n.value = F32Bits{static_cast<std::uint32_t>(leaf.bits)};
         break;
       case detail::kPrimF64:
-        n.type_name = "float";
-        n.value = F64Bits{u64()};
+        n.value = F64Bits{leaf.bits};
         break;
-      case detail::kPrimString: {
-        n.type_name = "string";
-        const std::uint32_t len = u32();
-        need(len);
-        n.value = std::string_view(reinterpret_cast<const char*>(p_), len);
-        p_ += len;
+      case detail::kPrimString:
+        n.value = leaf.text;
         break;
-      }
-      default:
-        throw SnapshotError("corrupt arena snapshot: unknown primitive code");
+      default:  // enum, int
+        n.value = static_cast<std::int64_t>(leaf.bits);
     }
   }
 
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(*p_++);
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v;
-    std::memcpy(&v, p_, sizeof v);
-    p_ += sizeof v;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v;
-    std::memcpy(&v, p_, sizeof v);
-    p_ += sizeof v;
-    return v;
-  }
-  void need(std::size_t n) const {
-    if (static_cast<std::size_t>(end_ - p_) < n)
-      throw SnapshotError("corrupt arena snapshot: truncated record stream");
-  }
-
-  std::vector<Node>& nodes() { return nodes_; }
-
-  const std::byte* p_;
-  const std::byte* end_;
-  const std::vector<const void*>& addrs_;
+  ArenaCursor in_;
   std::vector<Node>& nodes_;
   NodeId next_id_ = 0;
 };
@@ -161,7 +113,7 @@ Snapshot ArenaSnapshot::decode() const& {
   Snapshot s;
   if (node_count_ == 0) return s;
   s.nodes_.reserve(node_count_);
-  Reader r(bytes_, addrs_, s.nodes_);
+  Reader r(*this, s.nodes_);
   s.root_ = r.parse();
   while (!r.done()) r.parse();
   return s;

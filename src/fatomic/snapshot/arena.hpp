@@ -26,19 +26,24 @@
 // The type word of a composite record is the address of the type's static
 // descriptor (detail::TypeDesc): its name and, for reflected classes, its
 // field names.  decode() names fields from it — no registry, no slab bytes.
-// Source addresses (Node::src_addr, needed by the restorer's external-alias
-// fixups) live in a side vector parallel to record ordinals — deliberately
-// *outside* the slab, so address churn between runs never breaks memcmp.
+// Source addresses (ArenaSnapshot::src_addr, needed by the restorer's
+// external-alias fixups) live in a side vector parallel to record ordinals —
+// deliberately *outside* the slab, so address churn between runs never
+// breaks memcmp.
+// ArenaCursor is the one reader of this grammar: decode() and the restore
+// replayer (restore.hpp) both read records through it.
 //
 // Slabs and address vectors are recycled through a per-weave::Runtime
 // ArenaPool: steady-state captures, full and partial, perform no allocation
-// beyond amortized vector growth.
+// beyond amortized vector growth, and restores reuse the pool's restore
+// scratch the same way.
 #pragma once
 
 #include <array>
 #include <bit>
 #include <cstddef>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -56,6 +61,7 @@ namespace fatomic::snapshot {
 
 class ArenaEncoder;
 class ArenaPool;
+class Replayer;
 
 namespace detail {
 
@@ -204,7 +210,133 @@ enum ArenaPrimCode : std::uint8_t {
   kPrimString = 7,
 };
 
+inline constexpr std::uint32_t kNoHolder = 0xFFFFFFFFu;
+
+/// Per-ordinal state of one restore (restore.hpp): where the record's value
+/// lives now (null until placed), the record's byte offset in the slab, and
+/// for a shared pointee the index of its first holder.
+struct ReplayEntry {
+  void* addr = nullptr;
+  std::uint32_t offset = 0;
+  std::uint32_t holder = kNoHolder;
+};
+
+/// A deferred restore step: a non-owned pointer to resolve after the walk,
+/// or a replaced owned pointee to delete after a successful replay.
+struct ReplayStep {
+  void (*fn)(Replayer& r, void* ptr, NodeId ordinal);
+  void* ptr;
+  NodeId ordinal;
+};
+
+/// What a restore reuses between calls: the ordinal table, the deferred
+/// steps, the shared holders and one alias map (phase 0's visited set, the
+/// partial restore's walk guard).
+struct RestoreScratch {
+  std::vector<ReplayEntry> entries;
+  std::vector<ReplayStep> fixups;
+  std::vector<ReplayStep> deleters;
+  std::vector<std::shared_ptr<void>> holders;
+  ArenaSeenMap seen;
+};
+
 }  // namespace detail
+
+/// The one reader of the record stream grammar above.  Reads are
+/// bounds-checked: a truncated stream, an unknown primitive code or a
+/// composite count the remaining bytes cannot hold throws SnapshotError.
+/// Record ordinals are the caller's to count.
+class ArenaCursor {
+ public:
+  struct Composite {
+    const detail::TypeDesc* desc;
+    std::uint32_t count;
+  };
+  /// A primitive record's payload: `bits` holds a bool, char, integer or
+  /// float image, `text` a string leaf's bytes (a view into the slab).
+  struct Leaf {
+    std::uint8_t code;
+    std::uint64_t bits;
+    std::string_view text;
+  };
+
+  ArenaCursor() = default;
+  ArenaCursor(const std::byte* begin, const std::byte* end)
+      : begin_(begin), p_(begin), end_(end) {}
+
+  bool done() const { return p_ == end_; }
+  std::size_t offset() const { return static_cast<std::size_t>(p_ - begin_); }
+  /// Moves to a record boundary this stream was read at before.
+  void seek(std::size_t offset) { p_ = begin_ + offset; }
+
+  std::uint8_t peek() const {
+    need(1);
+    return static_cast<std::uint8_t>(*p_);
+  }
+  std::uint8_t u8() {
+    need(1);
+    return static_cast<std::uint8_t>(*p_++);
+  }
+  std::uint32_t u32() { return word<std::uint32_t>(); }
+  std::uint64_t u64() { return word<std::uint64_t>(); }
+
+  /// A composite record's type word and count (its tag already read).
+  Composite composite() {
+    const auto* desc = reinterpret_cast<const detail::TypeDesc*>(
+        static_cast<std::uintptr_t>(u64()));
+    const std::uint32_t count = u32();
+    need(count);  // every value record takes at least one byte
+    return {desc, count};
+  }
+
+  /// A primitive record's code and payload (its tag already read).
+  Leaf prim() {
+    Leaf leaf{u8(), 0, {}};
+    switch (leaf.code) {
+      case detail::kPrimBool:
+      case detail::kPrimChar:
+        leaf.bits = u8();
+        break;
+      case detail::kPrimF32:
+        leaf.bits = u32();
+        break;
+      case detail::kPrimEnum:
+      case detail::kPrimInt:
+      case detail::kPrimUint:
+      case detail::kPrimF64:
+        leaf.bits = u64();
+        break;
+      case detail::kPrimString: {
+        const std::uint32_t len = u32();
+        need(len);
+        leaf.text = std::string_view(reinterpret_cast<const char*>(p_), len);
+        p_ += len;
+        break;
+      }
+      default:
+        throw SnapshotError("corrupt arena snapshot: unknown primitive code");
+    }
+    return leaf;
+  }
+
+ private:
+  template <class W>
+  W word() {
+    need(sizeof(W));
+    W v;
+    std::memcpy(&v, p_, sizeof v);
+    p_ += sizeof v;
+    return v;
+  }
+  void need(std::size_t n) const {
+    if (static_cast<std::size_t>(end_ - p_) < n)
+      throw SnapshotError("corrupt arena snapshot: truncated record stream");
+  }
+
+  const std::byte* begin_ = nullptr;
+  const std::byte* p_ = nullptr;
+  const std::byte* end_ = nullptr;
+};
 
 /// Reusable capture scratch: free slabs, free address vectors and the alias
 /// map, all retaining their capacity between captures.  Owned by
@@ -240,11 +372,18 @@ class ArenaPool {
     seen_.clear();
     return seen_;
   }
+  /// The restore scratch, lent to one restore at a time: a restore nested
+  /// inside another finds it gone and starts from fresh buffers.
+  detail::RestoreScratch take_restore_scratch() { return std::move(restore_); }
+  void give_back(detail::RestoreScratch&& scratch) {
+    restore_ = std::move(scratch);
+  }
 
  private:
   std::vector<std::vector<std::byte>> free_bytes_;
   std::vector<std::vector<const void*>> free_addrs_;
   detail::ArenaSeenMap seen_;
+  detail::RestoreScratch restore_;
 };
 
 /// One arena capture: the record slab plus the src_addr side vector.
@@ -307,12 +446,21 @@ class ArenaSnapshot {
   /// stats.memcmp_compares / stats.compare_fallbacks).
   bool equals(const ArenaSnapshot& o, bool* used_memcmp = nullptr) const;
 
+  /// The record stream, for a reader that walks it itself (restore.hpp).
+  ArenaCursor records() const {
+    return ArenaCursor(bytes_.data(), bytes_.data() + bytes_.size());
+  }
+  /// The live address record `id` was captured from (null if none).
+  const void* src_addr(NodeId id) const {
+    return id < addrs_.size() ? addrs_[id] : nullptr;
+  }
+
   /// The named node-table view of this capture (node.hpp): record ordinals
   /// become NodeIds, type words name types and fields, string leaves view
   /// the slab.  This overload borrows — the view must not outlive *this.
-  /// The one reader of the record stream: restore (decode + Restorer), the
-  /// partial restore, the compare fallback, diffs and footprints all read
-  /// it.  A partial capture decodes to one Primitive node per leaf.
+  /// Diffs, footprints, the compare fallback and tests read it; restores
+  /// replay the records instead.  A partial capture decodes to one
+  /// Primitive node per leaf.
   Snapshot decode() const&;
   /// The same view, owning this capture (snapshot::capture is
   /// `arena_capture(root).decode()`).

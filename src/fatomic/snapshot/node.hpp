@@ -7,8 +7,8 @@
 // objects, iteration order for containers), so two captures of structurally
 // equal object graphs decode to identical tables, and object-graph equality
 // — including pointer-sharing structure — reduces to an elementwise table
-// comparison.  Diffs, footprints, the structural compare fallback and the
-// restorer all read this view.
+// comparison.  Diffs, footprints and the structural compare fallback read
+// this view; restore replays the record stream itself (restore.hpp).
 #pragma once
 
 #include <bit>
@@ -61,7 +61,7 @@ struct Node {
   NodeKind kind = NodeKind::Primitive;
   /// Static type name (Reflect<T>::name for objects, a fixed tag otherwise);
   /// for pointers to polymorphic bases this is the *dynamic* class name,
-  /// which the restorer uses to re-create the right derived object.
+  /// the name restore re-creates the derived object from.
   const char* type_name = "";
   Prim value{};                   ///< Primitive only
   std::vector<NodeId> children;   ///< Object / Sequence only
@@ -72,12 +72,8 @@ struct Node {
   const char* const* field_names = nullptr;
   NodeId pointee = kInvalidNode;  ///< Pointer only
   bool owned_edge = false;        ///< Pointer only: edge owns the pointee
-  /// Address of the live value this node was captured from.  Not part of
-  /// graph equality; used by the restorer to restore external (unowned,
-  /// unmaterialized) pointees in place.
-  const void* src_addr = nullptr;
 
-  /// Structural equality — ignores src_addr.
+  /// Structural equality.
   friend bool operator==(const Node& a, const Node& b) {
     return a.kind == b.kind && a.pointee == b.pointee &&
            a.owned_edge == b.owned_edge && a.children == b.children &&

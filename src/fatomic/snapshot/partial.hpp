@@ -11,8 +11,8 @@
 // order) visits the same leaves in the same order, and restore is a plain
 // positional overwrite.  A partial checkpoint is an ordinary pooled
 // ArenaSnapshot holding one primitive record per leaf (arena.hpp); restore
-// reads it back through decode().  Every assumption is still checked at
-// runtime:
+// reads those records back in walk order through an ArenaCursor.  Every
+// assumption is still checked at runtime:
 //
 //  - a capture-named field that is not primitive at runtime, a polymorphic
 //    pointee, or a leaf reachable only through const (set-key) storage makes
@@ -57,20 +57,20 @@ namespace detail {
 
 /// One walker for both directions: it chooses the leaves.  Capture emits
 /// each through the arena encoder; restore replays the identical traversal
-/// and overwrites leaves positionally from the decoded capture.
+/// and overwrites leaves positionally from the captured records.
 class PartialWalker {
  public:
   PartialWalker(const CheckpointPlan& plan, ArenaSeenMap& seen,
                 ArenaEncoder& out)
       : plan_(plan), seen_(seen), out_(&out) {}
   PartialWalker(const CheckpointPlan& plan, ArenaSeenMap& seen,
-                const Snapshot& leaves)
-      : plan_(plan), seen_(seen), leaves_(&leaves) {}
+                ArenaCursor leaves)
+      : plan_(plan), seen_(seen), leaves_(leaves) {}
 
   bool failed() const { return failed_; }
 
   void finish() {
-    if (cursor_ != leaves_->node_count())
+    if (!leaves_.done())
       throw SnapshotError("partial restore: leaf count mismatch (write set "
                           "missed a structural mutation?)");
   }
@@ -161,9 +161,11 @@ class PartialWalker {
     } else if (out_ != nullptr) {
       out_->emit_primitive(v);
     } else {
-      if (cursor_ >= leaves_->node_count())
+      if (leaves_.done())
         throw SnapshotError("partial restore: more leaves than captured");
-      write_primitive(v, leaves_->node(cursor_++));
+      if (leaves_.u8() != kRecPrim)
+        throw SnapshotError("partial restore: leaf record is not a primitive");
+      write_leaf(v, leaves_.prim());
     }
   }
 
@@ -184,9 +186,8 @@ class PartialWalker {
 
   const CheckpointPlan& plan_;
   ArenaSeenMap& seen_;
-  ArenaEncoder* out_ = nullptr;      ///< capture: the leaves' emitter
-  const Snapshot* leaves_ = nullptr;  ///< restore: the decoded capture
-  std::size_t cursor_ = 0;
+  ArenaEncoder* out_ = nullptr;  ///< capture: the leaves' emitter
+  ArenaCursor leaves_;           ///< restore: the captured leaf records
   bool failed_ = false;
 };
 
@@ -212,15 +213,17 @@ std::optional<ArenaSnapshot> partial_capture(const T& root,
   return out;
 }
 
-/// Writes the leaves of partial checkpoint `cp` back into the live graph.
-/// Throws SnapshotError when the traversal does not line up with the
-/// captured leaves — the signature of an unsound write set.
+/// Writes the leaves of partial checkpoint `cp` back into the live graph,
+/// reading its records in walk order; with a pool the walk guard is the
+/// pool's restore scratch.  Throws SnapshotError when the traversal does
+/// not line up with the captured leaves — the signature of an unsound
+/// write set.
 template <class T>
 void partial_restore(T& root, const ArenaSnapshot& cp,
-                     const CheckpointPlan& plan) {
-  const Snapshot leaves = cp.decode();
-  detail::ArenaSeenMap seen;
-  detail::PartialWalker w(plan, seen, leaves);
+                     const CheckpointPlan& plan, ArenaPool* pool = nullptr) {
+  detail::ScratchLoan loan(pool);
+  loan.s.seen.clear();
+  detail::PartialWalker w(plan, loan.s.seen, cp.records());
   w.visit(root);
   w.finish();
 }

@@ -4,7 +4,8 @@
 // objects through base-class references; in C++ we register each concrete
 // class reachable through a polymorphic pointer with FAT_POLY(Base, Derived)
 // (defined in restore.hpp).  Capture dispatches on typeid(*p); restore
-// re-creates the derived object from the class name recorded in the node.
+// re-creates the derived object from the class name recorded in the
+// pointee's object record.
 #pragma once
 
 #include <map>
@@ -18,7 +19,7 @@
 namespace fatomic::snapshot {
 
 class ArenaEncoder;
-class Restorer;
+class Replayer;
 
 /// Type-erased operations for one registered (Base, Derived) pair.  All
 /// void* values are Base* in disguise.
@@ -26,7 +27,8 @@ struct PolyOps {
   const char* class_name;
   NodeId (*encode)(const void* base_ptr, ArenaEncoder& e);
   void* (*create)();  // new Derived, returned as Base*
-  void (*restore)(void* base_ptr, Restorer& r, NodeId object_node);
+  /// Replays the object record at the replayer's cursor into the Derived.
+  void (*restore)(void* base_ptr, Replayer& r);
 };
 
 class PolyRegistry {

@@ -1,21 +1,31 @@
 // Object-graph restore (the paper's replace, Listing 2 line 6): rolls a live
-// object back to a previously captured checkpoint, read through its decoded
-// view (node.hpp).
+// object back to a checkpoint by replaying its record stream (arena.hpp)
+// front to back, straight into the live object — no decoded node table.
 //
 // The restore proceeds in four phases:
 //   0. collect — walk the *current* live graph and schedule every owned
 //      raw-pointer pointee for deletion (cycle-safe, set-based; this is the
 //      reclamation role the paper fills with reference counting + GC).
-//   1. restore — rebuild the checkpointed graph in place: inline values are
-//      overwritten, owned pointers (raw and smart) get freshly allocated
-//      pointees, and each materialized node registers its new address and
-//      is handed to its owner before it is walked, so back edges through
-//      shared_ptr cycles find their holder.
+//   1. replay — read the records once, in capture order, and rebuild the
+//      checkpointed graph in place: inline values are overwritten, owned
+//      pointers (raw and smart) get freshly allocated pointees, and each
+//      fresh pointee registers its address and is handed to its owner
+//      before it is replayed, so back edges through shared_ptr cycles find
+//      their holder.  A non-owned pointer's inline pointee record is skipped
+//      and its resolution deferred; a back-reference in a value position
+//      (tuple roots, an alias walked before its target) replays the
+//      referenced record at this position.
 //   2. fixups — non-owned (alias) pointers are resolved against the
 //      registered addresses, preserving sharing; aliases to external
 //      pointees (captured but owned outside the root) are restored in place
-//      at their original address.
+//      at their original address by replaying their skipped record.
 //   3. reclaim — delete the pointees collected in phase 0.
+//
+// Record ordinals are dense preorder NodeIds, so the per-ordinal state
+// (address, record offset, shared holder) is one vector indexed by ordinal,
+// and deferred steps are typed {fn, ptr, ordinal} records.  All of it is
+// scratch lent by the runtime's ArenaPool, so a steady-state restore
+// allocates only the graph's own objects.
 //
 // Conventions required of subject classes (documented in DESIGN.md):
 //  - owned raw-pointer pointees are reclaimed individually, so their
@@ -29,72 +39,109 @@
 //    control block.
 #pragma once
 
-#include <functional>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
 
-#include "fatomic/snapshot/capture.hpp"
+#include "fatomic/snapshot/arena.hpp"
 
 namespace fatomic::snapshot {
 
 namespace detail {
 
-/// Writes decoded primitive node `n` into the live value `dst`: the one leaf
-/// writer, shared by the Restorer and the partial restore (partial.hpp).
+/// Writes primitive record `leaf` into the live value `dst`: the one leaf
+/// writer, shared by the replayer and the partial restore (partial.hpp).
+/// A leaf of another kind than `dst`'s throws.
 template <class T>
-void write_primitive(T& dst, const Node& n) {
+void write_leaf(T& dst, const ArenaCursor::Leaf& leaf) {
+  const auto expect = [&](bool same_kind) {
+    if (!same_kind)
+      throw SnapshotError("snapshot/type mismatch restoring primitive");
+  };
   if constexpr (std::is_same_v<T, bool>) {
-    dst = std::get<bool>(n.value);
+    expect(leaf.code == kPrimBool);
+    dst = leaf.bits != 0;
   } else if constexpr (std::is_same_v<T, char>) {
-    dst = std::get<char>(n.value);
-  } else if constexpr (std::is_enum_v<T>) {
-    dst = static_cast<T>(std::get<std::int64_t>(n.value));
-  } else if constexpr (std::is_integral_v<T> && std::is_signed_v<T>) {
-    dst = static_cast<T>(std::get<std::int64_t>(n.value));
+    expect(leaf.code == kPrimChar);
+    dst = static_cast<char>(leaf.bits);
+  } else if constexpr (std::is_enum_v<T> ||
+                       (std::is_integral_v<T> && std::is_signed_v<T>)) {
+    expect(leaf.code == kPrimInt || leaf.code == kPrimEnum);
+    dst = static_cast<T>(static_cast<std::int64_t>(leaf.bits));
   } else if constexpr (std::is_integral_v<T>) {
-    dst = static_cast<T>(std::get<std::uint64_t>(n.value));
+    expect(leaf.code == kPrimUint);
+    dst = static_cast<T>(leaf.bits);
   } else if constexpr (std::is_same_v<T, float>) {
-    dst = std::get<F32Bits>(n.value).value();
+    expect(leaf.code == kPrimF32);
+    dst = std::bit_cast<float>(static_cast<std::uint32_t>(leaf.bits));
   } else if constexpr (std::is_floating_point_v<T>) {
-    dst = static_cast<T>(std::get<F64Bits>(n.value).value());
+    expect(leaf.code == kPrimF64);
+    dst = static_cast<T>(std::bit_cast<double>(leaf.bits));
   } else {
     // One copy, from the slab straight into the live string.
-    const std::string_view v = std::get<std::string_view>(n.value);
-    dst.assign(v.data(), v.size());
+    expect(leaf.code == kPrimString);
+    dst.assign(leaf.text.data(), leaf.text.size());
   }
 }
 
+/// Restore scratch lent by `pool` for one restore (fresh without a pool) and
+/// handed back with its capacity when the restore ends, thrown or not.
+class ScratchLoan {
+ public:
+  explicit ScratchLoan(ArenaPool* pool) : pool_(pool) {
+    if (pool_ != nullptr) s = pool_->take_restore_scratch();
+  }
+  ~ScratchLoan() {
+    s.holders.clear();  // a restore keeps no shared pointee alive
+    if (pool_ != nullptr) pool_->give_back(std::move(s));
+  }
+  ScratchLoan(const ScratchLoan&) = delete;
+  ScratchLoan& operator=(const ScratchLoan&) = delete;
+
+  RestoreScratch s;
+
+ private:
+  ArenaPool* pool_;
+};
+
 }  // namespace detail
 
-class Restorer {
+class Replayer {
  public:
-  /// Rolls `root` back to the state recorded in `s` (the paper's replace()).
+  /// Rolls `root` back to checkpoint `cp` (the paper's replace()).
   ///
   /// Partial-restore exception safety: restore either completes or throws a
-  /// RestoreError.  The rebuild phases overwrite the receiver in place, so a
+  /// RestoreError.  The replay overwrites the receiver in place, so a
   /// mid-replay exception (a throwing element constructor, a failed
-  /// allocation) leaves the graph half-restored — there is no way to roll
-  /// the rollback back.  What we guarantee instead is a *distinct, loud*
-  /// failure: the error is re-raised as RestoreError with a diagnostic, the
-  /// wrappers count it (stats.restore_errors), and the scheduled deletions
-  /// are skipped — the old pointees may still be referenced by the
-  /// half-restored graph, so reclaiming them would turn a reported
-  /// inconsistency into a use-after-free.  (Leaking them is the safe side.)
+  /// allocation, a record that does not fit the live type) leaves the graph
+  /// half-restored — there is no way to roll the rollback back.  What we
+  /// guarantee instead is a *distinct, loud* failure: the error is re-raised
+  /// as RestoreError with a diagnostic, the wrappers count it
+  /// (stats.restore_errors), and the scheduled deletions are skipped — the
+  /// old pointees may still be referenced by the half-restored graph, so
+  /// reclaiming them would turn a reported inconsistency into a
+  /// use-after-free.  (Leaking them is the safe side.)
   template <class T>
-  static void apply(T& root, const Snapshot& s) {
-    if (s.empty()) throw SnapshotError("restore from an empty snapshot");
-    Restorer r;
-    r.snap_ = &s;
+  static void apply(T& root, const ArenaSnapshot& cp, ArenaPool* pool) {
+    if (cp.empty()) throw SnapshotError("restore from an empty snapshot");
+    if (cp.byte_size() > std::numeric_limits<std::uint32_t>::max())
+      throw SnapshotError("checkpoint too large to restore");
+    detail::ScratchLoan loan(pool);
+    Replayer r(cp, loan.s);
     r.collect_value(root, /*owned=*/false);
     try {
-      r.restore_value(root, s.root(), /*owned=*/false);
+      r.replay(root);
+      if (!r.in_.done())
+        throw SnapshotError("corrupt arena snapshot: records after the root");
       // Fixups may enqueue further fixups (in-place restore of external
       // pointees can contain aliases of its own), so index, don't iterate.
-      for (std::size_t i = 0; i < r.fixups_.size(); ++i) r.fixups_[i]();
+      for (std::size_t i = 0; i < r.s_.fixups.size(); ++i) {
+        const detail::ReplayStep f = r.s_.fixups[i];
+        f.fn(r, f.ptr, f.ordinal);
+      }
     } catch (const RestoreError&) {
       throw;
     } catch (const std::exception& e) {
@@ -106,73 +153,116 @@ class Restorer {
       throw RestoreError(
           "restore failed mid-replay, receiver may be partially restored");
     }
-    for (auto& del : r.deleters_) del();
+    for (const detail::ReplayStep& d : r.s_.deleters) d.fn(r, d.ptr, d.ordinal);
   }
 
-  /// Restores one value from node `id`.  `owned` applies to raw pointers.
+  /// Replays the object record at the cursor into `dst`; public because
+  /// polymorphic dispatch (PolyOps::restore) re-enters with the concrete
+  /// type.
+  template <reflect::Reflected T>
+  void replay_object(T& dst) {
+    replay_record(dst, /*owned=*/false);
+  }
+
+ private:
+  /// Where a pointer record's pointee is: a back-reference to ordinal `t`,
+  /// or a fresh record at the cursor that will take ordinal `t`.
+  struct Pointee {
+    NodeId t;
+    bool ref;
+  };
+  /// A cursor position to come back to after replaying a referenced record.
+  struct Mark {
+    std::size_t offset;
+    NodeId next;
+  };
+
+  Replayer(const ArenaSnapshot& cp, detail::RestoreScratch& s)
+      : cp_(cp), in_(cp.records()), s_(s) {
+    s_.entries.clear();
+    s_.entries.reserve(cp.node_count());
+    s_.fixups.clear();
+    s_.deleters.clear();
+    s_.holders.clear();
+    s_.seen.clear();
+  }
+
+  /// Replays one value position: the record at the cursor, or the record a
+  /// back-reference there names.
   template <class T>
-  void restore_value(T& dst, NodeId id, bool owned = false) {
+  void replay(T& dst, bool owned = false) {
+    if (in_.peek() != detail::kRecRef) return replay_record(dst, owned);
+    in_.u8();
+    const Mark back = jump(ref_target());
+    replay_record(dst, owned);
+    land(back);
+  }
+
+  template <class T>
+  void replay_record(T& dst, bool owned) {
     namespace tr = traits;
-    const Node& n = snap_->node(id);
+    // Pointers and tuples are never alias targets: capture registers no
+    // address for them.
+    constexpr bool kPlaced = !std::is_pointer_v<T> &&
+                             !tr::is_smart_ptr_v<T> && !tr::is_tuple_v<T>;
+    const std::uint8_t tag = in_.u8();
+    open(kPlaced ? &dst : nullptr);
     if constexpr (tr::is_primitive_v<T>) {
-      expect(n, NodeKind::Primitive, "primitive");
-      made_.emplace(id, static_cast<void*>(&dst));
-      detail::write_primitive(dst, n);
+      expect(tag, detail::kRecPrim, "primitive");
+      detail::write_leaf(dst, in_.prim());
     } else if constexpr (std::is_pointer_v<T>) {
-      restore_raw_pointer(dst, id, owned);
+      replay_raw_pointer(dst, tag, owned);
     } else if constexpr (tr::is_unique_ptr<T>::value) {
-      restore_unique(dst, id);
+      replay_unique(dst, tag);
     } else if constexpr (tr::is_shared_ptr<T>::value) {
-      restore_shared(dst, id);
+      replay_shared(dst, tag);
     } else if constexpr (tr::is_optional_v<T>) {
-      expect(n, NodeKind::Sequence, "optional");
-      made_.emplace(id, static_cast<void*>(&dst));
-      if (n.children.empty()) {
+      const std::uint32_t n = composite(tag, detail::kRecSequence, "optional");
+      if (n > 1) throw SnapshotError("snapshot/type mismatch restoring optional");
+      if (n == 0) {
         dst.reset();
       } else {
         if (!dst.has_value()) dst.emplace();
-        restore_value(*dst, n.children[0]);
+        replay(*dst);
       }
     } else if constexpr (tr::is_tuple_v<T>) {
-      expect(n, NodeKind::Object, "tuple");
-      if (n.children.size() != std::tuple_size_v<T>)
+      if (composite(tag, detail::kRecObject, "tuple") != std::tuple_size_v<T>)
         throw SnapshotError("snapshot/type mismatch restoring tuple");
-      std::size_t i = 0;
-      std::apply([&](auto&... elems) { (restore_value(elems, n.children[i++]), ...); },
-                 dst);
+      std::apply([&](auto&... elems) { (replay(elems), ...); }, dst);
     } else if constexpr (tr::is_pair_v<T>) {
-      expect(n, NodeKind::Object, "pair");
-      if (n.children.size() != 2)
+      if (composite(tag, detail::kRecObject, "pair") != 2)
         throw SnapshotError("snapshot/type mismatch restoring pair");
-      made_.emplace(id, static_cast<void*>(&dst));
-      restore_value(dst.first, n.children[0]);
-      restore_value(dst.second, n.children[1]);
+      replay(dst.first);
+      replay(dst.second);
     } else if constexpr (tr::is_std_array_v<T>) {
-      expect(n, NodeKind::Sequence, "array");
-      if (n.children.size() != dst.size())
+      if (composite(tag, detail::kRecSequence, "array") != dst.size())
         throw SnapshotError("std::array size mismatch during restore");
-      made_.emplace(id, static_cast<void*>(&dst));
-      for (std::size_t i = 0; i < dst.size(); ++i)
-        restore_value(dst[i], n.children[i]);
+      for (auto& e : dst) replay(e);
     } else if constexpr (std::is_same_v<T, std::vector<bool>>) {
-      expect(n, NodeKind::Sequence, "vector<bool>");
-      made_.emplace(id, static_cast<void*>(&dst));
-      dst.assign(n.children.size(), false);
-      for (std::size_t i = 0; i < n.children.size(); ++i)
-        dst[i] = std::get<bool>(snap_->node(n.children[i]).value);
+      const std::uint32_t n =
+          composite(tag, detail::kRecSequence, "vector<bool>");
+      dst.assign(n, false);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        expect(in_.u8(), detail::kRecPrim, "vector<bool>");
+        open(nullptr);  // bits have no address
+        bool bit = false;
+        detail::write_leaf(bit, in_.prim());
+        dst[i] = bit;
+      }
     } else if constexpr (tr::is_sequence_v<T>) {
-      expect(n, NodeKind::Sequence, "sequence");
-      made_.emplace(id, static_cast<void*>(&dst));
+      const std::uint32_t n = composite(tag, detail::kRecSequence, "sequence");
       dst.clear();
-      dst.resize(n.children.size());
-      std::size_t i = 0;
-      for (auto& e : dst) restore_value(e, n.children[i++]);
-    } else if constexpr (tr::is_map_v<T>) {
-      restore_map(dst, n);
-    } else if constexpr (tr::is_set_v<T>) {
-      restore_set(dst, n);
+      dst.resize(n);
+      for (auto& e : dst) replay(e);
+    } else if constexpr (tr::is_map_v<T> || tr::is_set_v<T>) {
+      replay_associative(dst, tag);
     } else if constexpr (reflect::is_reflected_v<T>) {
-      restore_object(dst, id);
+      const std::uint32_t n = composite(tag, detail::kRecObject, "object");
+      if (n != reflect::field_count<T>())
+        throw SnapshotError(std::string("field count mismatch restoring ") +
+                            reflect::Reflect<std::remove_cv_t<T>>::name);
+      reflect::for_each_field<T>(
+          [&](const auto& f) { replay(dst.*(f.member), f.owned); });
     } else {
       static_assert(detail::dependent_false<T>,
                     "type is not restorable: register it with FAT_REFLECT or "
@@ -180,191 +270,293 @@ class Restorer {
     }
   }
 
-  /// Restores a reflected object in place; public because polymorphic
-  /// dispatch (PolyOps) re-enters the restorer with the concrete type.
-  template <reflect::Reflected T>
-  void restore_object(T& dst, NodeId id) {
-    const Node& n = snap_->node(id);
-    expect(n, NodeKind::Object, "object");
-    made_.emplace(id, static_cast<void*>(&dst));  // before fields: cycles
-    if (n.children.size() != reflect::field_count<T>())
-      throw SnapshotError(std::string("field count mismatch restoring ") +
-                          reflect::Reflect<std::remove_cv_t<T>>::name);
-    std::size_t i = 0;
-    reflect::for_each_field<T>([&](const auto& f) {
-      restore_value(dst.*(f.member), n.children[i++], f.owned);
-    });
+  // ---- the cursor and the ordinal table ------------------------------------
+
+  /// Gives the record whose tag was just read its ordinal and registers
+  /// `addr`, the live value it is replayed into (before its children, so
+  /// cycles resolve).  The table grows by one the first time the stream
+  /// reaches an ordinal, from whichever cursor position gets there first.
+  void open(const void* addr) {
+    const NodeId id = next_++;
+    if (id == s_.entries.size())
+      s_.entries.push_back({const_cast<void*>(addr),
+                            static_cast<std::uint32_t>(in_.offset() - 1),
+                            detail::kNoHolder});
+    else if (id < s_.entries.size())
+      note(id, addr);
+    else
+      throw SnapshotError("corrupt arena snapshot: record ordinals out of "
+                          "order");
   }
 
- private:
-  void expect(const Node& n, NodeKind k, const char* what) const {
-    if (n.kind != k)
+  /// The ordinal of a record at the cursor that open() has not seen yet
+  /// registers here, before its tag is read.
+  void enter_here(NodeId t, void* addr) {
+    if (t == s_.entries.size())
+      s_.entries.push_back({nullptr, static_cast<std::uint32_t>(in_.offset()),
+                            detail::kNoHolder});
+    note(t, addr);
+  }
+
+  /// Registers the live address of ordinal `id`; the first one stays.
+  void note(NodeId id, const void* addr) {
+    if (s_.entries[id].addr == nullptr)
+      s_.entries[id].addr = const_cast<void*>(addr);
+  }
+
+  NodeId ref_target() {
+    const NodeId t = in_.u32();
+    if (t >= s_.entries.size())
+      throw SnapshotError("corrupt arena snapshot: reference to an unknown "
+                          "record");
+    return t;
+  }
+  Mark jump(NodeId t) {
+    const Mark back{in_.offset(), next_};
+    in_.seek(s_.entries[t].offset);
+    next_ = t;
+    return back;
+  }
+  void land(Mark back) {
+    in_.seek(back.offset);
+    next_ = back.next;
+  }
+
+  void expect(std::uint8_t tag, std::uint8_t want, const char* what) const {
+    if (tag != want)
       throw SnapshotError(std::string("snapshot/type mismatch restoring ") +
                           what);
   }
+  std::uint32_t composite(std::uint8_t tag, std::uint8_t want,
+                          const char* what) {
+    expect(tag, want, what);
+    return in_.composite().count;
+  }
+
+  /// Reads past one value without writing it, opening every ordinal in it.
+  void skip() {
+    const std::uint8_t tag = in_.u8();
+    if (tag == detail::kRecRef) {
+      ref_target();
+      return;
+    }
+    open(nullptr);
+    switch (tag) {
+      case detail::kRecPrim:
+        in_.prim();
+        return;
+      case detail::kRecObject:
+      case detail::kRecSequence:
+        for (std::uint32_t n = in_.composite().count; n > 0; --n) skip();
+        return;
+      case detail::kRecPointer:
+        in_.u8();
+        skip();
+        return;
+      case detail::kRecNull:
+        return;
+      default:
+        throw SnapshotError("corrupt arena snapshot: unknown record tag");
+    }
+  }
+
+  /// Reads a pointer record's tail: the owned flag (the field declaration
+  /// decides ownership, as at capture) and where the pointee is.
+  Pointee pointee() {
+    in_.u8();
+    if (in_.peek() != detail::kRecRef) return {next_, false};
+    in_.u8();
+    return {ref_target(), true};
+  }
+
+  /// Where pointee `p` already lives, when an earlier reading placed it: a
+  /// back-reference, or a record a jump reads a second time (skipped here,
+  /// so a placed pointee is shared, never built twice).
+  void* placed(Pointee p) {
+    void* at = p.t < s_.entries.size() ? s_.entries[p.t].addr : nullptr;
+    if (at != nullptr && !p.ref) skip();
+    return at;
+  }
+
+  // ---- pointers --------------------------------------------------------------
 
   template <class U>
-  void restore_raw_pointer(U*& dst, NodeId id, bool owned) {
-    const Node& n = snap_->node(id);
-    if (n.kind == NodeKind::NullPointer) {
+  void replay_raw_pointer(U*& dst, std::uint8_t tag, bool owned) {
+    if (tag == detail::kRecNull) {
       // The old pointee (if owned) was scheduled for deletion in phase 0.
       dst = nullptr;
       return;
     }
-    expect(n, NodeKind::Pointer, "pointer");
+    expect(tag, detail::kRecPointer, "pointer");
+    const Pointee p = pointee();
     if (!owned) {
-      fixups_.push_back([this, &dst, id] { resolve_alias(dst, id); });
+      if (!p.ref) skip();
+      s_.fixups.push_back({&resolve_fn<U>, static_cast<void*>(&dst), p.t});
       return;
     }
-    NodeId t = n.pointee;
-    if (auto it = made_.find(t); it != made_.end()) {
-      dst = static_cast<U*>(it->second);
+    if (void* at = placed(p)) {
+      dst = static_cast<U*>(at);
       return;
     }
-    dst = materialize<U>(t, [](U*) {});
-  }
-
-  /// Allocates a fresh pointee for node `t` and registers it, hands it to
-  /// its owner through `adopt`, and only then restores it.
-  template <class U, class Adopt>
-  U* materialize(NodeId t, Adopt&& adopt) {
-    if constexpr (std::is_polymorphic_v<U>) {
-      const Node& tn = snap_->node(t);
-      const PolyOps* ops = PolyRegistry::instance().find(
-          typeid(U), std::string(tn.type_name));
-      if (ops != nullptr) {
-        void* bp = ops->create();
-        U* fresh = static_cast<U*>(bp);
-        made_.emplace(t, static_cast<void*>(fresh));
-        adopt(fresh);
-        ops->restore(bp, *this, t);
-        return fresh;
-      }
-    }
-    if constexpr (std::is_default_constructible_v<U> &&
-                  !std::is_abstract_v<U> &&
-                  (traits::is_walkable_v<U> || reflect::is_reflected_v<U>)) {
-      U* fresh = new U();
-      made_.emplace(t, static_cast<void*>(fresh));
-      adopt(fresh);
-      restore_value(*fresh, t);
-      return fresh;
-    } else {
-      throw SnapshotError(
-          "cannot materialize pointee: type is abstract or not "
-          "default-constructible and not in the polymorphic registry");
-    }
+    dst = materialize<U>(p, [](U*) {});
   }
 
   template <class U, class D>
-  void restore_unique(std::unique_ptr<U, D>& dst, NodeId id) {
+  void replay_unique(std::unique_ptr<U, D>& dst, std::uint8_t tag) {
     static_assert(std::is_same_v<D, std::default_delete<U>>,
                   "custom unique_ptr deleters are not supported");
-    const Node& n = snap_->node(id);
-    if (n.kind == NodeKind::NullPointer) {
+    if (tag == detail::kRecNull) {
       dst.reset();
       return;
     }
-    expect(n, NodeKind::Pointer, "unique_ptr");
-    dst.reset(materialize<U>(n.pointee, [](U*) {}));
+    expect(tag, detail::kRecPointer, "unique_ptr");
+    dst.reset(materialize<U>(pointee(), [](U*) {}));
   }
 
   template <class U>
-  void restore_shared(std::shared_ptr<U>& dst, NodeId id) {
-    const Node& n = snap_->node(id);
-    if (n.kind == NodeKind::NullPointer) {
+  void replay_shared(std::shared_ptr<U>& dst, std::uint8_t tag) {
+    if (tag == detail::kRecNull) {
       dst.reset();
       return;
     }
-    expect(n, NodeKind::Pointer, "shared_ptr");
-    NodeId t = n.pointee;
-    if (auto it = holders_.find(t); it != holders_.end()) {
-      // The aliasing constructor shares the first holder's control block,
-      // whatever static type that holder had.
-      dst = std::shared_ptr<U>(it->second, static_cast<U*>(it->second.get()));
-      return;
+    expect(tag, detail::kRecPointer, "shared_ptr");
+    const Pointee p = pointee();
+    if (p.t < s_.entries.size()) {
+      if (const std::uint32_t h = s_.entries[p.t].holder;
+          h != detail::kNoHolder) {
+        if (!p.ref) skip();
+        // The aliasing constructor shares the first holder's control block,
+        // whatever static type that holder had.
+        dst = std::shared_ptr<U>(s_.holders[h],
+                                 static_cast<U*>(s_.holders[h].get()));
+        return;
+      }
     }
-    // The holder is entered before the pointee is walked: a back edge
+    // The holder is entered before the pointee is replayed: a back edge
     // through a shared_ptr cycle shares it instead of recursing.
-    materialize<U>(t, [&](U* fresh) {
+    materialize<U>(p, [&](U* fresh) {
       dst = std::shared_ptr<U>(fresh);
-      holders_.emplace(t, dst);
+      s_.entries[p.t].holder = static_cast<std::uint32_t>(s_.holders.size());
+      s_.holders.push_back(dst);
     });
   }
 
-  template <class T>
-  void restore_map(T& dst, const Node& n) {
-    expect(n, NodeKind::Sequence, "map");
-    dst.clear();
-    for (NodeId pid : n.children) {
-      const Node& pn = snap_->node(pid);
-      if (pn.kind != NodeKind::Object || pn.children.size() != 2)
-        throw SnapshotError("snapshot/type mismatch restoring map entry");
-      typename T::key_type key{};
-      restore_value(key, pn.children[0]);
-      auto res = dst.emplace(std::move(key), typename T::mapped_type{});
-      auto& slot = [&]() -> typename T::mapped_type& {
-        if constexpr (requires { res.first->second; })
-          return res.first->second;  // map / unique keys
-        else
-          return res->second;  // multimap
-      }();
-      // Re-register the key node at its final (in-map) address.
-      auto key_addr = [&]() -> const void* {
-        if constexpr (requires { res.first->first; })
-          return &res.first->first;
-        else
-          return &res->first;
-      }();
-      made_.insert_or_assign(pn.children[0],
-                             const_cast<void*>(key_addr));
-      restore_value(slot, pn.children[1]);
+  /// Allocates a fresh pointee for record `p.t`, registers it, hands it to
+  /// its owner through `adopt`, and only then replays the record into it.
+  template <class U, class Adopt>
+  U* materialize(Pointee p, Adopt&& adopt) {
+    const Mark back = p.ref ? jump(p.t) : Mark{0, 0};
+    U* fresh = nullptr;
+    if constexpr (std::is_polymorphic_v<U>) {
+      if (const PolyOps* ops = PolyRegistry::instance().find(
+              typeid(U), std::string(object_name_here()))) {
+        void* bp = ops->create();
+        fresh = static_cast<U*>(bp);
+        enter_here(p.t, bp);
+        adopt(fresh);
+        ops->restore(bp, *this);
+      }
     }
+    if (fresh == nullptr) {
+      if constexpr (std::is_default_constructible_v<U> &&
+                    !std::is_abstract_v<U> &&
+                    (traits::is_walkable_v<U> || reflect::is_reflected_v<U>)) {
+        fresh = new U();
+        enter_here(p.t, fresh);
+        adopt(fresh);
+        replay_record(*fresh, /*owned=*/false);
+      } else {
+        throw SnapshotError(
+            "cannot materialize pointee: type is abstract or not "
+            "default-constructible and not in the polymorphic registry");
+      }
+    }
+    if (p.ref) land(back);
+    return fresh;
   }
 
-  template <class T>
-  void restore_set(T& dst, const Node& n) {
-    expect(n, NodeKind::Sequence, "set");
-    dst.clear();
-    for (NodeId eid : n.children) {
-      typename T::key_type key{};
-      restore_value(key, eid);
-      auto it = dst.insert(std::move(key));
-      auto addr = [&]() -> const void* {
-        if constexpr (requires { *it.first; })
-          return &*it.first;  // set: pair<iterator,bool>
-        else
-          return &*it;  // multiset: iterator
-      }();
-      made_.insert_or_assign(eid, const_cast<void*>(addr));
-    }
+  /// The class name of the object record at the cursor ("" for any other
+  /// record); the cursor does not move.
+  const char* object_name_here() {
+    const std::size_t at = in_.offset();
+    const char* name =
+        in_.u8() == detail::kRecObject ? in_.composite().desc->name : "";
+    in_.seek(at);
+    return name;
   }
 
-  /// Resolves a non-owned pointer against materialized nodes; falls back to
+  /// Resolves a non-owned pointer against the placed records; falls back to
   /// restoring the external pointee in place at its captured address.
   template <class U>
-  void resolve_alias(U*& dst, NodeId pointer_node) {
-    NodeId target = snap_->node(pointer_node).pointee;
-    if (auto it = made_.find(target); it != made_.end()) {
-      dst = static_cast<U*>(it->second);
+  static void resolve_fn(Replayer& r, void* slot, NodeId t) {
+    r.resolve(*static_cast<U**>(slot), t);
+  }
+  template <class U>
+  void resolve(U*& dst, NodeId t) {
+    if (void* at = s_.entries[t].addr) {
+      dst = static_cast<U*>(at);
       return;
     }
-    const Node& tn = snap_->node(target);
-    if (tn.src_addr == nullptr)
+    const void* src = cp_.src_addr(t);
+    if (src == nullptr)
       throw SnapshotError("alias target was never materialized and has no "
                           "captured address");
     if constexpr (std::is_polymorphic_v<U>) {
       throw SnapshotError(
           "cannot restore an external polymorphic pointee in place");
     } else {
-      U* live = static_cast<U*>(const_cast<void*>(tn.src_addr));
-      made_.emplace(target, static_cast<void*>(live));
-      restore_value(*live, target);
+      auto* live = static_cast<std::remove_const_t<U>*>(const_cast<void*>(src));
+      note(t, live);
+      const Mark back = jump(t);
+      replay_record(*live, /*owned=*/false);
+      land(back);
       dst = live;
     }
   }
 
+  // ---- maps and sets -----------------------------------------------------------
+
+  /// Each entry is replayed into a node handle's key (and mapped value) and
+  /// the node is then linked in: node addresses survive insert, so every
+  /// record inside a key registers at its final in-container address.  The
+  /// live container's nodes are reused while they last, each entry reset to
+  /// value-initialized state first, as a fresh node would hold.
+  template <class T>
+  void replay_associative(T& dst, std::uint8_t tag) {
+    constexpr bool kMap = traits::is_map_v<T>;
+    const std::uint32_t n =
+        composite(tag, detail::kRecSequence, kMap ? "map" : "set");
+    T old = std::move(dst);
+    dst.clear();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (old.empty()) old.emplace();
+      auto node = old.extract(old.begin());
+      if constexpr (kMap) {
+        node.key() = typename T::key_type{};
+        node.mapped() = typename T::mapped_type{};
+        const std::uint8_t entry = in_.u8();
+        open(nullptr);  // the entry pair: never an alias target
+        if (entry != detail::kRecObject || in_.composite().count != 2)
+          throw SnapshotError("snapshot/type mismatch restoring map entry");
+        replay(node.key());
+        replay(node.mapped());
+      } else {
+        node.value() = typename T::value_type{};
+        replay(node.value());
+      }
+      dst.insert(dst.end(), std::move(node));
+      if (!node.empty())
+        throw SnapshotError(kMap ? "duplicate key restoring map"
+                                 : "duplicate element restoring set");
+    }
+  }
+
   // ---- phase 0: collect owned raw pointees of the current live graph ----
+
+  template <class U>
+  static void delete_fn(Replayer&, void* p, NodeId) {
+    delete static_cast<U*>(p);
+  }
 
   template <class T>
   void collect_value(const T& v, bool owned) {
@@ -373,10 +565,14 @@ class Restorer {
       (void)v;
       (void)owned;
     } else if constexpr (std::is_pointer_v<T>) {
-      if (v != nullptr && owned && visited_.insert(v).second) {
-        deleters_.push_back([p = v] { delete p; });
-        collect_value(*v, false);
-      }
+      if (v == nullptr || !owned) return;
+      NodeId* seen = s_.seen.find_or_insert(v, "owned");
+      if (*seen != kInvalidNode) return;
+      *seen = 0;
+      using U = std::remove_pointer_t<T>;
+      s_.deleters.push_back(
+          {&delete_fn<U>, const_cast<void*>(static_cast<const void*>(v)), 0});
+      collect_value(*v, false);
     } else if constexpr (tr::is_smart_ptr_v<T>) {
       // Smart-pointer chains reclaim themselves when overwritten.
     } else if constexpr (tr::is_optional_v<T>) {
@@ -400,24 +596,17 @@ class Restorer {
     }
   }
 
-  const Snapshot* snap_ = nullptr;
-  std::unordered_map<NodeId, void*> made_;
-  std::unordered_map<NodeId, std::shared_ptr<void>> holders_;
-  std::vector<std::function<void()>> fixups_;
-  std::vector<std::function<void()>> deleters_;
-  std::unordered_set<const void*> visited_;
+  const ArenaSnapshot& cp_;
+  ArenaCursor in_;
+  detail::RestoreScratch& s_;
+  NodeId next_ = 0;  ///< the ordinal of the next record the cursor opens
 };
 
-/// Rolls `root` back to the decoded view `s`.
+/// Rolls `root` back to checkpoint `cp`.  With a pool the restore reuses
+/// its scratch; without one (tests, ad-hoc callers) it allocates its own.
 template <class T>
-void restore(T& root, const Snapshot& s) {
-  Restorer::apply(root, s);
-}
-
-/// Rolls `root` back to checkpoint `cp`: decode + Restorer.
-template <class T>
-void restore(T& root, const ArenaSnapshot& cp) {
-  Restorer::apply(root, cp.decode());
+void restore(T& root, const ArenaSnapshot& cp, ArenaPool* pool = nullptr) {
+  Replayer::apply(root, cp, pool);
 }
 
 // ---- polymorphic registration ---------------------------------------------
@@ -433,9 +622,9 @@ struct PolyOpsFor {
   static void* create_fn() {
     return static_cast<void*>(static_cast<Base*>(new Derived()));
   }
-  static void restore_fn(void* bp, Restorer& r, NodeId id) {
+  static void restore_fn(void* bp, Replayer& r) {
     Base* base = static_cast<Base*>(bp);
-    r.restore_object(*static_cast<Derived*>(base), id);
+    r.replay_object(*static_cast<Derived*>(base));
   }
 };
 

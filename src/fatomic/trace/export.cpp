@@ -43,15 +43,14 @@ void emit_process(std::ostringstream& os, int pid, const Trace& trace,
   for (const Event& e : trace.events) {
     if (!first) os << ',';
     first = false;
-    os << "{\"ph\":\"" << (e.dur_ns != 0 || e.kind == EventKind::Campaign ||
-                                   e.kind == EventKind::Baseline ||
-                                   e.kind == EventKind::Run
-                               ? "X"
-                               : "i")
-       << "\",\"pid\":" << pid << ",\"tid\":" << e.worker
-       << ",\"ts\":" << us(e.ts_ns);
-    if (e.dur_ns != 0 || e.kind == EventKind::Campaign ||
-        e.kind == EventKind::Baseline || e.kind == EventKind::Run)
+    // The span kinds a reader expects as spans even when the clock read
+    // the same value at both ends.
+    const bool span = e.dur_ns != 0 || e.kind == EventKind::Campaign ||
+                      e.kind == EventKind::Baseline ||
+                      e.kind == EventKind::Run || e.kind == EventKind::Rollback;
+    os << "{\"ph\":\"" << (span ? "X" : "i") << "\",\"pid\":" << pid
+       << ",\"tid\":" << e.worker << ",\"ts\":" << us(e.ts_ns);
+    if (span)
       os << ",\"dur\":" << us(e.dur_ns);
     else
       os << ",\"s\":\"t\"";

@@ -42,7 +42,9 @@ enum class EventKind : std::uint8_t {
   PartialCheckpoint,  ///< span: field-granular checkpoint; value = leaves
   PartialFallback,    ///< instant: partial capture bailed, full copy follows
   Compare,            ///< span: post-exception graph compare; value = atomic
-  Rollback,           ///< instant: checkpoint restored after an exception
+  Rollback,           ///< span: the restore of a checkpoint after an
+                      ///< exception, full or partial (value = 1 for
+                      ///< partial); excludes the validator's shadow compare
   PlanLookup,         ///< instant: wrap consulted the plan map; value = hit
   MaskScope,          ///< instant: MaskedScope entered (1) / left (0)
   Validator,          ///< instant: shadow-checkpoint divergence detected

@@ -15,23 +15,26 @@
 
 #include <cstdlib>
 #include <typeinfo>
+#include <unordered_map>
 #endif
 
 namespace fatomic::weave {
 
 /// Demangled type name of the exception being handled by the innermost
 /// enclosing catch block, or "" when unavailable.  Must be called from
-/// inside a catch handler.
+/// inside a catch handler.  Each thread demangles a type once: a typed
+/// recovery policy asks for the name of every exception it catches.
 inline std::string current_exception_type_name() {
 #if defined(__GNUG__)
   const std::type_info* ti = abi::__cxa_current_exception_type();
   if (ti == nullptr) return {};
+  thread_local std::unordered_map<const std::type_info*, std::string> names;
+  if (auto it = names.find(ti); it != names.end()) return it->second;
   int status = 0;
   char* demangled = abi::__cxa_demangle(ti->name(), nullptr, nullptr, &status);
-  if (status != 0 || demangled == nullptr) return ti->name();
-  std::string out(demangled);
+  std::string name = status == 0 && demangled != nullptr ? demangled : ti->name();
   std::free(demangled);
-  return out;
+  return names.emplace(ti, std::move(name)).first->second;
 #else
   return {};
 #endif

@@ -191,15 +191,16 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
     // Retry-without-rollback: nothing captured, nothing to restore — the
     // atomicity proof is the checkpoint.
     if (!cp) return;
+    const std::uint64_t t0 = rt.trace.begin_span();
     try {
       // Restoring containers of instrumented objects re-runs their
       // constructors; those entries must not fire injection points of
       // their own (the engine would sabotage its own rollback).
       EngineScope engine(rt);
       if (partial)
-        snapshot::partial_restore(root, *cp, *plan);
+        snapshot::partial_restore(root, *cp, *plan, &rt.arena_pool);
       else
-        snapshot::restore(root, *cp);
+        snapshot::restore(root, *cp, &rt.arena_pool);
     } catch (const RestoreError&) {
       // A full restore failed mid-replay: the receiver may be partially
       // restored, and masking anything now would hide corruption.
@@ -208,7 +209,7 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
       throw;
     }
     ++rt.stats.rollbacks;
-    rt.trace.instant(trace::EventKind::Rollback, &mi, partial ? 1 : 0);
+    rt.trace.span(trace::EventKind::Rollback, t0, &mi, partial ? 1 : 0);
     // Completeness validator: the partially restored receiver must equal
     // the shadow full checkpoint taken next to the partial one.
     if (partial && rt.validate_checkpoints &&

@@ -286,14 +286,14 @@ TEST(BitwiseFloats, SignedZeroAndDenormalsDistinguished) {
 
 TEST(BitwiseFloats, NanRoundTripsThroughRestore) {
   Plain p{1, -0.0, false, "nan"};
-  snap::Snapshot before = snap::capture(p);
+  const snap::ArenaSnapshot before = snap::arena_capture(p);
   p.d = 3.25;
   snap::restore(p, before);
   EXPECT_TRUE(std::signbit(p.d));
   EXPECT_EQ(p.d, 0.0);
 
   p.d = std::numeric_limits<double>::quiet_NaN();
-  snap::Snapshot nan_state = snap::capture(p);
+  const snap::ArenaSnapshot nan_state = snap::arena_capture(p);
   p.d = 0.0;
   snap::restore(p, nan_state);
   EXPECT_TRUE(std::isnan(p.d));
@@ -377,7 +377,7 @@ FAT_REFLECT(fragile_types::Fragile,
 TEST(RestoreSafety, MidReplayAllocationFailureRaisesRestoreError) {
   fragile_types::Fragile f;
   f.values = {1, 2, 3};
-  snap::Snapshot before = snap::capture(f);
+  const snap::ArenaSnapshot before = snap::arena_capture(f);
   f.values.clear();
   f.values.shrink_to_fit();  // force restore to reallocate
 
@@ -388,7 +388,7 @@ TEST(RestoreSafety, MidReplayAllocationFailureRaisesRestoreError) {
   // Once allocation works again the same snapshot must restore cleanly.
   snap::restore(f, before);
   EXPECT_EQ(f.values.size(), 3u);
-  EXPECT_TRUE(before.equals(snap::capture(f)));
+  EXPECT_TRUE(before.equals(snap::arena_capture(f)));
 }
 
 TEST(RestoreSafety, RestoreErrorIsDistinctFromSnapshotError) {

@@ -129,25 +129,25 @@ TEST_P(SnapshotProperty, RestoreRoundTripsArbitraryMutations) {
   std::mt19937 rng(GetParam() + 2000);
   World w;
   populate(w, rng, 25);
-  snap::Snapshot checkpoint = snap::capture(w);
+  const snap::ArenaSnapshot checkpoint = snap::arena_capture(w);
   populate(w, rng, 25);  // arbitrary further damage
   snap::restore(w, checkpoint);
-  snap::Snapshot after = snap::capture(w);
+  const snap::ArenaSnapshot after = snap::arena_capture(w);
   EXPECT_TRUE(checkpoint.equals(after))
       << "restore must reproduce the checkpointed graph\nbefore:\n"
-      << checkpoint.to_string() << "\nafter:\n"
-      << after.to_string();
+      << checkpoint.decode().to_string() << "\nafter:\n"
+      << after.decode().to_string();
 }
 
 TEST_P(SnapshotProperty, RestoreIsIdempotent) {
   std::mt19937 rng(GetParam() + 3000);
   World w;
   populate(w, rng, 15);
-  snap::Snapshot checkpoint = snap::capture(w);
+  const snap::ArenaSnapshot checkpoint = snap::arena_capture(w);
   populate(w, rng, 5);
   snap::restore(w, checkpoint);
   snap::restore(w, checkpoint);
-  EXPECT_TRUE(checkpoint.equals(snap::capture(w)));
+  EXPECT_TRUE(checkpoint.equals(snap::arena_capture(w)));
 }
 
 TEST_P(SnapshotProperty, RepeatedCheckpointRestoreCycles) {
@@ -155,10 +155,10 @@ TEST_P(SnapshotProperty, RepeatedCheckpointRestoreCycles) {
   World w;
   for (int cycle = 0; cycle < 5; ++cycle) {
     populate(w, rng, 8);
-    snap::Snapshot cp = snap::capture(w);
+    const snap::ArenaSnapshot cp = snap::arena_capture(w);
     populate(w, rng, 8);
     snap::restore(w, cp);
-    ASSERT_TRUE(cp.equals(snap::capture(w))) << "cycle " << cycle;
+    ASSERT_TRUE(cp.equals(snap::arena_capture(w))) << "cycle " << cycle;
   }
 }
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
 #include <memory>
+#include <set>
+#include <utility>
 
 #include "testing/types.hpp"
 
@@ -51,6 +55,27 @@ struct DerivedHolderFirst {
   std::shared_ptr<HeldBase> base;
 };
 
+/// A non-owned alias into a member of a composite map key or set element.
+struct KeyedTable {
+  std::map<std::pair<int, int>, int> table;
+  int* alias = nullptr;
+};
+
+struct KeyedSet {
+  std::set<std::pair<int, int>> keys;
+  int* alias = nullptr;
+};
+
+/// A map value with a member the checkpoint does not record.
+struct Tally {
+  int count = 0;
+  int unrecorded = 0;
+};
+
+struct TallyTable {
+  std::map<int, Tally> tallies;
+};
+
 }  // namespace
 
 FAT_REFLECT(WeightedLink, FAT_FIELD(WeightedLink, value),
@@ -64,6 +89,11 @@ FAT_REFLECT(BaseHolderFirst, FAT_FIELD(BaseHolderFirst, base),
 FAT_REFLECT(DerivedHolderFirst, FAT_FIELD(DerivedHolderFirst, derived),
             FAT_FIELD(DerivedHolderFirst, base));
 FAT_POLY(HeldBase, HeldDerived);
+FAT_REFLECT(KeyedTable, FAT_FIELD(KeyedTable, table),
+            FAT_FIELD(KeyedTable, alias));
+FAT_REFLECT(KeyedSet, FAT_FIELD(KeyedSet, keys), FAT_FIELD(KeyedSet, alias));
+FAT_REFLECT(Tally, FAT_FIELD(Tally, count));
+FAT_REFLECT(TallyTable, FAT_FIELD(TallyTable, tallies));
 
 namespace {
 
@@ -100,12 +130,12 @@ void restore_mixed_holders() {
 /// Capture, mutate via `mutate`, restore, and check the graph round-trips.
 template <class T, class Mutate>
 void roundtrip(T& value, Mutate&& mutate) {
-  snap::Snapshot before = snap::capture(value);
+  const snap::ArenaSnapshot before = snap::arena_capture(value);
   mutate(value);
-  ASSERT_FALSE(before.equals(snap::capture(value)))
+  ASSERT_FALSE(before.equals(snap::arena_capture(value)))
       << "mutation must be visible to the snapshot";
   snap::restore(value, before);
-  EXPECT_TRUE(before.equals(snap::capture(value)))
+  EXPECT_TRUE(before.equals(snap::arena_capture(value)))
       << "restore must reproduce the checkpointed object graph";
 }
 
@@ -197,7 +227,7 @@ TEST(Restore, AliasSharingPreserved) {
   AliasPair p;
   p.owner = std::make_unique<Plain>(Plain{5, 0, false, ""});
   p.alias = p.owner.get();
-  snap::Snapshot before = snap::capture(p);
+  const snap::ArenaSnapshot before = snap::arena_capture(p);
   p.owner->i = 42;
   p.alias = nullptr;
   snap::restore(p, before);
@@ -321,7 +351,7 @@ TEST(Restore, SharedPtrSharingPreserved) {
   SharedDiamond d;
   d.left = std::make_shared<Plain>(Plain{1, 0, false, ""});
   d.right = d.left;
-  snap::Snapshot before = snap::capture(d);
+  const snap::ArenaSnapshot before = snap::arena_capture(d);
   d.right = std::make_shared<Plain>(Plain{2, 0, false, ""});
   d.left->i = 99;
   snap::restore(d, before);
@@ -354,7 +384,7 @@ TEST(Restore, ExternalAliasRestoredInPlace) {
   Plain external{5, 0, false, "ext"};
   AliasPair p;
   p.alias = &external;
-  snap::Snapshot before = snap::capture(p);
+  const snap::ArenaSnapshot before = snap::arena_capture(p);
   external.i = 77;
   external.s = "changed";
   snap::restore(p, before);
@@ -457,11 +487,54 @@ TEST(Restore, OneCheckpointRestoresAnExternalAliasTwice) {
   EXPECT_EQ(other.i, 6);
 }
 
+TEST(Restore, AliasIntoACompositeMapKeyFollowsTheRestoredKey) {
+  // Every record inside a key must register at its in-map address, not at
+  // a temporary the key was built in.
+  KeyedTable t;
+  t.table[{1, 2}] = 3;
+  t.alias = const_cast<int*>(&t.table.begin()->first.first);
+  const snap::ArenaSnapshot cp = snap::arena_capture(t);
+  t.table[{0, 0}] = 9;
+  t.alias = nullptr;
+  snap::restore(t, cp);
+  ASSERT_EQ(t.table.size(), 1u);
+  EXPECT_EQ(t.alias, &t.table.begin()->first.first);
+  EXPECT_EQ(*t.alias, 1);
+  EXPECT_TRUE(cp.identical(snap::arena_capture(t)));
+}
+
+TEST(Restore, AliasIntoACompositeSetElementFollowsTheRestoredElement) {
+  KeyedSet k;
+  k.keys = {{4, 5}, {6, 7}};
+  k.alias = const_cast<int*>(&std::next(k.keys.begin())->second);
+  const snap::ArenaSnapshot cp = snap::arena_capture(k);
+  k.keys.insert({0, 1});
+  snap::restore(k, cp);
+  ASSERT_EQ(k.keys.size(), 2u);
+  EXPECT_EQ(k.alias, &std::next(k.keys.begin())->second);
+  EXPECT_EQ(*k.alias, 7);
+  EXPECT_TRUE(cp.identical(snap::arena_capture(k)));
+}
+
+TEST(Restore, MapEntriesStartFromValueInitializedValues) {
+  // Restore may reuse the live map's nodes, but every entry starts from a
+  // value-initialized value, as a freshly built entry would.
+  TallyTable t;
+  t.tallies[1].count = 5;
+  const snap::ArenaSnapshot cp = snap::arena_capture(t);
+  t.tallies[1].unrecorded = 7;
+  t.tallies[2].count = 1;
+  snap::restore(t, cp);
+  ASSERT_EQ(t.tallies.size(), 1u);
+  EXPECT_EQ(t.tallies.at(1).count, 5);
+  EXPECT_EQ(t.tallies.at(1).unrecorded, 0);
+}
+
 TEST(Restore, TupleRootRestoresArguments) {
   Plain p{1, 0, false, "a"};
   int arg = 10;
   auto root = std::tie(p, arg);
-  snap::Snapshot before = snap::capture(root);
+  const snap::ArenaSnapshot before = snap::arena_capture(root);
   p.i = 2;
   arg = 20;
   snap::restore(root, before);
@@ -473,15 +546,15 @@ TEST(Restore, IdempotentOnUnchangedObject) {
   Nested n;
   n.values = {1, 2};
   n.table = {{"k", 1}};
-  snap::Snapshot before = snap::capture(n);
+  const snap::ArenaSnapshot before = snap::arena_capture(n);
   snap::restore(n, before);
   snap::restore(n, before);
-  EXPECT_TRUE(before.equals(snap::capture(n)));
+  EXPECT_TRUE(before.equals(snap::arena_capture(n)));
 }
 
 TEST(Restore, MismatchedSnapshotThrows) {
   Plain p;
   Nested n;
-  snap::Snapshot s = snap::capture(p);
+  const snap::ArenaSnapshot s = snap::arena_capture(p);
   EXPECT_THROW(snap::restore(n, s), fatomic::SnapshotError);
 }

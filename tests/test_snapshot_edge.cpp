@@ -75,7 +75,7 @@ Exotic make_exotic() {
 
 TEST(SnapshotEdge, ExoticTypesRoundTrip) {
   Exotic e = make_exotic();
-  snap::Snapshot before = snap::capture(e);
+  const snap::ArenaSnapshot before = snap::arena_capture(e);
 
   // Damage every field.
   e.byte = 0;
@@ -93,10 +93,10 @@ TEST(SnapshotEdge, ExoticTypesRoundTrip) {
   e.pr = {0, ""};
   e.bits = {false};
   e.maybe_vec.reset();
-  ASSERT_FALSE(before.equals(snap::capture(e)));
+  ASSERT_FALSE(before.equals(snap::arena_capture(e)));
 
   snap::restore(e, before);
-  EXPECT_TRUE(before.equals(snap::capture(e)));
+  EXPECT_TRUE(before.equals(snap::arena_capture(e)));
   EXPECT_EQ(e.byte, 200);
   EXPECT_EQ(e.sbyte, -100);
   EXPECT_EQ(e.s, -12345);
@@ -139,7 +139,7 @@ TEST(SnapshotEdge, VectorBoolBitsMatter) {
 TEST(SnapshotEdge, DeepRecursiveChain) {
   testing_types::LinkList l;
   for (int i = 0; i < 2000; ++i) l.push_front(i);
-  snap::Snapshot s = snap::capture(l);
+  const snap::ArenaSnapshot s = snap::arena_capture(l);
   EXPECT_GT(s.node_count(), 4000u);
   l.push_front(-1);
   snap::restore(l, s);
@@ -151,9 +151,9 @@ TEST(SnapshotEdge, WideGraph) {
   std::vector<Plain> wide(5000);
   for (std::size_t i = 0; i < wide.size(); ++i)
     wide[i].i = static_cast<int>(i);
-  snap::Snapshot s = snap::capture(wide);
+  const snap::ArenaSnapshot s = snap::arena_capture(wide);
   wide[4999].i = -1;
-  EXPECT_FALSE(s.equals(snap::capture(wide)));
+  EXPECT_FALSE(s.equals(snap::arena_capture(wide)));
   snap::restore(wide, s);
   EXPECT_EQ(wide[4999].i, 4999);
 }
@@ -191,14 +191,14 @@ TEST(SnapshotEdge, SignednessDistinguishedByKind) {
 TEST(SnapshotEdge, RestoreMismatchedContainerKindThrows) {
   std::vector<int> vec{1, 2};
   std::map<std::string, int> map_{{"a", 1}};
-  snap::Snapshot s = snap::capture(vec);
+  const snap::ArenaSnapshot s = snap::arena_capture(vec);
   EXPECT_THROW(snap::restore(map_, s), fatomic::SnapshotError);
 }
 
 TEST(SnapshotEdge, RestoreArraySizeMismatchThrows) {
   std::array<int, 3> three{1, 2, 3};
   std::array<int, 4> four{};
-  snap::Snapshot s = snap::capture(three);
+  const snap::ArenaSnapshot s = snap::arena_capture(three);
   // Same node kind (Sequence) but wrong arity.
   EXPECT_THROW(snap::restore(four, s), fatomic::SnapshotError);
 }
@@ -215,7 +215,7 @@ TEST(SnapshotEdge, SelfReferentialAliasRoundTrips) {
   SelfRef s;
   s.v = 9;
   s.me = &s;
-  snap::Snapshot cp = snap::capture(s);
+  const snap::ArenaSnapshot cp = snap::arena_capture(s);
   s.v = 0;
   s.me = nullptr;
   snap::restore(s, cp);
@@ -224,7 +224,7 @@ TEST(SnapshotEdge, SelfReferentialAliasRoundTrips) {
   // And the self-loop vs null distinction is part of graph equality.
   SelfRef t;
   t.v = 9;
-  EXPECT_FALSE(cp.equals(snap::capture(t)));
+  EXPECT_FALSE(cp.equals(snap::arena_capture(t)));
 }
 
 TEST(SnapshotEdge, UnchangedAfterReadOnlyTraversal) {

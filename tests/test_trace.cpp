@@ -292,6 +292,31 @@ TEST_F(TraceTest, MaskVerificationTraceCoversCheckpoints) {
   EXPECT_EQ(rollbacks, verified.campaign.stats.rollbacks);
 }
 
+TEST_F(TraceTest, RollbacksAreSpansWithADuration) {
+  auto cls = detect::classify(detect::Experiment(synthetic::workload).run());
+  fatomic::Config config;
+  config.tracing(true).mask(fatomic::mask::wrap_pure(cls));
+  const auto verified =
+      fatomic::mask::verify_masked_full(synthetic::workload, config);
+  std::size_t rollbacks = 0;
+  for (const trace::Event& e : verified.campaign.trace.events) {
+    if (e.kind != trace::EventKind::Rollback) continue;
+    ++rollbacks;
+    EXPECT_GT(e.dur_ns, 0u) << "a rollback span times its restore";
+  }
+  ASSERT_GT(rollbacks, 0u);
+  // The Chrome export shows every rollback as a complete ("X") event.
+  const report::JsonValue doc = report::json_parse(
+      trace::chrome_trace_json(verified.campaign.trace, "masked"));
+  std::size_t exported = 0;
+  for (const report::JsonValue& e : doc.at("traceEvents").array) {
+    if (e.at("name").string != "rollback") continue;
+    ++exported;
+    EXPECT_EQ(e.at("ph").string, "X");
+  }
+  EXPECT_EQ(exported, rollbacks);
+}
+
 // ---- metrics registry (independent of tracing) ------------------------------
 
 TEST(Metrics, HistogramNearestRankPercentiles) {

@@ -267,3 +267,33 @@ TEST_F(WeaveTest, StatsCountSnapshotsAndComparisons) {
   EXPECT_THROW(a.sloppy_withdraw(100), synthetic::BankError);
   EXPECT_GE(rt.stats.comparisons, 1u);
 }
+
+namespace name_probe {
+struct Oops : std::exception {};
+template <class T>
+struct Boxed : std::exception {};
+}  // namespace name_probe
+
+namespace {
+
+/// The demangled name of `ex`'s type as seen from inside its catch block.
+template <class E>
+std::string caught_name(const E& ex) {
+  try {
+    throw ex;
+  } catch (...) {
+    return weave::current_exception_type_name();
+  }
+}
+
+}  // namespace
+
+TEST(ExceptionName, NamespacedAndTemplatedTypesDemangleTheSameEveryTime) {
+  // The second call of each is answered from the thread's memo.
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(caught_name(name_probe::Oops{}), "name_probe::Oops");
+    EXPECT_EQ(caught_name(name_probe::Boxed<int>{}), "name_probe::Boxed<int>");
+  }
+  EXPECT_EQ(weave::current_exception_type_name(), "")
+      << "outside a handler there is no exception";
+}
