@@ -90,8 +90,9 @@ void workload() {
 /// two legs) and reports whether the ledger conserved money.
 bool demonstrate(bool masked, fatomic::weave::Runtime::WrapPredicate wrap) {
   auto& rt = fatomic::weave::Runtime::instance();
-  fatomic::weave::ScopedMode mode(masked ? fatomic::weave::Mode::InjectMask
-                                         : fatomic::weave::Mode::Inject);
+  // The injector wraps a call in an atomicity wrapper only when the
+  // predicate selects it.
+  fatomic::weave::ScopedMode mode(fatomic::weave::Mode::Inject);
   if (masked) rt.set_wrap_predicate(wrap);
   rt.begin_run(0);
   Ledger ledger;

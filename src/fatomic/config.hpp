@@ -5,7 +5,7 @@
 // policies, static pruning, programmer policy (exception-free / no-wrap
 // declarations), diff and footprint recording, tracing and provenance.
 // detect::Experiment and mask::verify_masked_full take it as their only
-// settings parameter.
+// settings parameter, and a campaign runs exactly its Config.
 //
 //   fatomic::Config cfg;
 //   cfg.jobs(8).tracing(true).prune_atomic(report.prune_set());
@@ -66,20 +66,18 @@ class Config {
   bool record_diffs() const { return record_diffs_; }
 
   // --- masking ------------------------------------------------------------
-  /// Runs campaigns against the corrected program P_C: flips them to
-  /// InjectMask and installs `wrap` as the atomicity-wrapper predicate for
-  /// their duration.  A null `wrap` keeps the predicate the runtime holds.
+  /// Runs campaigns against the corrected program P_C: `wrap` selects the
+  /// methods whose calls get an atomicity wrapper inside the injection
+  /// wrapper.  Null (the default) wraps nothing: the campaign detects.
   Config& mask(weave::Runtime::WrapPredicate wrap) {
-    masked_ = true;
     wrap_ = std::move(wrap);
     return *this;
   }
-  bool masked() const { return masked_; }
   const weave::Runtime::WrapPredicate& wrap() const { return wrap_; }
 
   /// Field-granular checkpoint plans (mask::make_plans) the atomicity
-  /// wrappers of a masked campaign consult; null keeps whatever plans the
-  /// runtime holds (none: full deep checkpoints everywhere).
+  /// wrappers of a masked campaign consult; null (the default) means full
+  /// deep checkpoints everywhere.
   Config& checkpoint_plans(std::shared_ptr<const weave::PlanMap> plans) {
     checkpoint_plans_ = std::move(plans);
     return *this;
@@ -100,7 +98,7 @@ class Config {
   // --- recovery (DESIGN.md §14) -------------------------------------------
   /// Installs a complete recovery policy table for masked campaigns: masked
   /// methods with an entry recover by their policy; the others roll back and
-  /// rethrow.  Null (the default) keeps the table the runtime holds.
+  /// rethrow.  Null (the default) means recovery::kRollbackPolicy for all.
   /// Typically fed from recovery::derive_policy_table or a `--policy-file`
   /// JSON document (recovery::load_policy_file).
   Config& recovery(std::shared_ptr<const recovery::PolicyTable> table) {
@@ -182,7 +180,6 @@ class Config {
   unsigned jobs_ = 1;
   std::uint64_t max_runs_ = 10'000'000;
   bool record_diffs_ = false;
-  bool masked_ = false;
   weave::Runtime::WrapPredicate wrap_;
   std::shared_ptr<const weave::PlanMap> checkpoint_plans_;
   bool validate_checkpoints_ = false;

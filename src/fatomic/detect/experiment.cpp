@@ -77,8 +77,8 @@ void attempt(const std::function<void()>& program, weave::Runtime& rt,
 /// Executes the injector program at `threshold` against the calling
 /// thread's current runtime `rt` and packages the observations.  When a
 /// wrapper that skipped its before-snapshot caught an exception, the attempt
-/// is discarded — stats, events and the production-fault phase included —
-/// and the threshold re-runs with every wrapper capturing (DESIGN.md §15).
+/// is discarded — stats and events included — and the threshold re-runs
+/// with every wrapper capturing (DESIGN.md §15).
 RunOutcome run_once(const std::function<void()>& program, weave::Runtime& rt,
                     std::uint64_t threshold, const weave::CallTable& baseline) {
   // Throw-stack captures stop at this frame: everything outside run_once
@@ -88,14 +88,12 @@ RunOutcome run_once(const std::function<void()>& program, weave::Runtime& rt,
   char capture_floor = 0;
   unwind::ScopedCaptureFloor floor(&capture_floor);
   const weave::RuntimeStats before = rt.stats;
-  const std::uint64_t faults_before = rt.fault_counter;
   const std::size_t trace_base = rt.trace.size();
 
   RunOutcome out;
   attempt(program, rt, threshold, &baseline, out);
   if (rt.capture_missed) {
     rt.stats = before;
-    rt.fault_counter = faults_before;
     rt.trace.take(trace_base);
     ++rt.stats.capture_reruns;
     attempt(program, rt, threshold, nullptr, out);
@@ -138,9 +136,15 @@ Campaign Experiment::run() {
 
   // Everything below installs into the calling thread's runtime, and
   // parallel workers copy it from there (adopt_config); the guard gives the
-  // enclosing configuration back — e.g. a mask-verify campaign launched from
-  // inside a MaskedScope keeps the scope's predicate and plans.
+  // enclosing configuration back.  Every setting comes from the Config alone
+  // and production faults stay off, so a campaign runs as it would bare.
   weave::ScopedConfig config;
+  rt.set_wrap_predicate(config_.wrap());
+  rt.set_checkpoint_plans(config_.checkpoint_plans());
+  rt.set_recovery_policies(config_.recovery());
+  rt.validate_checkpoints = config_.validate_checkpoints();
+  rt.record_diffs = config_.record_diffs();
+  rt.fault_period = 0;
 
   // A traced campaign arms the driving buffer with a fresh epoch; an
   // untraced one disables it, so an untraced inner campaign stays invisible
@@ -220,19 +224,7 @@ Campaign Experiment::run() {
   // the closing campaign span lands last.
   if (campaign.trace.enabled) campaign.trace.events = rt.trace.take(0);
 
-  // The injector runs' configuration.  A masked campaign's predicate, plans
-  // and policies replace the runtime's only where the config gives them.
-  if (config_.masked()) {
-    rt.set_mode(weave::Mode::InjectMask);
-    if (config_.wrap()) rt.set_wrap_predicate(config_.wrap());
-    if (config_.checkpoint_plans())
-      rt.set_checkpoint_plans(config_.checkpoint_plans());
-    if (config_.recovery()) rt.set_recovery_policies(config_.recovery());
-  } else {
-    rt.set_mode(weave::Mode::Inject);
-  }
-  if (config_.validate_checkpoints()) rt.validate_checkpoints = true;
-  rt.record_diffs = config_.record_diffs();
+  rt.set_mode(weave::Mode::Inject);
 
   // No more workers than runs to claim: the baseline's thresholds plus the
   // terminal run, at most max_runs.

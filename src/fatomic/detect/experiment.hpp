@@ -4,6 +4,9 @@
 // The campaign terminates when a run's counter never reaches the threshold —
 // all injection points of the (deterministic) program are then exhausted.
 //
+// A campaign runs exactly its Config: no setting comes from the calling
+// thread's runtime, and production faults stay off (DESIGN.md §6).
+//
 // Runs at distinct thresholds are independent re-executions of the same
 // deterministic program, so with Config::jobs > 1 the driver
 // shards them across a worker pool of isolated thread-local runtimes and
@@ -38,12 +41,11 @@ class Experiment {
   Campaign run();
 
  private:
-  /// Both run the injector runs in the calling thread runtime's mode
-  /// (Inject or InjectMask; workers copy it with the rest of the
-  /// configuration).  `baseline` is the Count run's per-call table every
-  /// injector run follows (DESIGN.md §15); workers share it read-only.
-  /// prunable[t] == true means threshold t is statically skippable; the
-  /// vector is empty when pruning is off.
+  /// Both run the injector runs in the configuration run() installed in the
+  /// calling thread's runtime (workers copy it).  `baseline` is the Count
+  /// run's per-call table every injector run follows (DESIGN.md §15);
+  /// workers share it read-only.  prunable[t] == true means threshold t is
+  /// statically skippable; the vector is empty when pruning is off.
   void run_sequential(Campaign& campaign, const weave::CallTable& baseline,
                       const std::vector<bool>& prunable);
   void run_parallel(Campaign& campaign, unsigned jobs,

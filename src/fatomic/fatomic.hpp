@@ -15,13 +15,13 @@
 //   fatomic::detect::Experiment exp([] { run_my_workload(); }, config);
 //   auto campaign = exp.run();
 //   auto cls = fatomic::detect::classify(campaign);
-//   // 3. Mask the pure failure non-atomic methods:
+//   // 3. Mask the pure failure non-atomic methods (full checkpoints):
 //   auto wrap = fatomic::mask::wrap_pure(cls);
 //   {
 //     fatomic::mask::MaskedScope masked(wrap);
 //     run_my_workload();  // rolls back on every escaping exception
 //   }
-//   // 4. Verify with the same config:
+//   // 4. Verify with the same config; a campaign runs exactly its Config:
 //   config.mask(wrap);
 //   auto verified = fatomic::mask::verify_masked_full(
 //       [] { run_my_workload(); }, config);

@@ -55,22 +55,17 @@ std::shared_ptr<const weave::PlanMap> make_plans(
   return plans;
 }
 
-MaskedScope::MaskedScope(weave::Runtime::WrapPredicate wrap) {
+MaskedScope::MaskedScope(
+    weave::Runtime::WrapPredicate wrap,
+    std::shared_ptr<const weave::PlanMap> plans, bool validate,
+    std::shared_ptr<const recovery::PolicyTable> policies) {
   auto& rt = weave::Runtime::instance();
   rt.set_mode(weave::Mode::Mask);
   rt.set_wrap_predicate(std::move(wrap));
-  rt.trace.instant(trace::EventKind::MaskScope, nullptr, /*entered=*/1);
-}
-
-MaskedScope::MaskedScope(weave::Runtime::WrapPredicate wrap,
-                         std::shared_ptr<const weave::PlanMap> plans,
-                         bool validate,
-                         std::shared_ptr<const recovery::PolicyTable> policies)
-    : MaskedScope(std::move(wrap)) {
-  auto& rt = weave::Runtime::instance();
   rt.set_checkpoint_plans(std::move(plans));
   rt.validate_checkpoints = validate;
-  if (policies != nullptr) rt.set_recovery_policies(std::move(policies));
+  rt.set_recovery_policies(std::move(policies));
+  rt.trace.instant(trace::EventKind::MaskScope, nullptr, /*entered=*/1);
 }
 
 MaskedScope::~MaskedScope() {
@@ -80,12 +75,8 @@ MaskedScope::~MaskedScope() {
 
 MaskVerification verify_masked_full(std::function<void()> program,
                                     const fatomic::Config& config) {
-  fatomic::Config corrected = config;
-  // A null predicate keeps the one the runtime holds.
-  if (!corrected.masked()) corrected.mask(nullptr);
   MaskVerification out;
-  out.campaign =
-      detect::Experiment(std::move(program), std::move(corrected)).run();
+  out.campaign = detect::Experiment(std::move(program), config).run();
   out.classification = detect::classify(out.campaign, config.policy());
   return out;
 }

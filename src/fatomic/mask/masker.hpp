@@ -34,19 +34,19 @@ weave::Runtime::WrapPredicate wrap_all_nonatomic(
 std::shared_ptr<const weave::PlanMap> make_plans(
     const analyze::StaticReport& report);
 
-/// RAII: switches the runtime to the corrected program P_C — Mask mode plus
-/// the given wrap predicate — for the lifetime of the scope.  The enclosing
+/// RAII: switches the runtime to the corrected program P_C for the lifetime
+/// of the scope — Mask mode with all four masking values installed, none
+/// inherited from an enclosing scope: the wrap predicate, field-granular
+/// checkpoint `plans` (null: full checkpoints), the completeness-validator
+/// flag and a recovery policy table (null: kRollbackPolicy).  The enclosing
 /// runtime configuration is restored on exit (weave::ScopedConfig).
 class MaskedScope {
  public:
-  explicit MaskedScope(weave::Runtime::WrapPredicate wrap);
-  /// P_C with field-granular checkpoints: additionally installs `plans`,
-  /// the completeness-validator flag and (optionally) a recovery policy
-  /// table for the scope's lifetime.
-  MaskedScope(weave::Runtime::WrapPredicate wrap,
-              std::shared_ptr<const weave::PlanMap> plans,
-              bool validate = false,
-              std::shared_ptr<const recovery::PolicyTable> policies = nullptr);
+  explicit MaskedScope(
+      weave::Runtime::WrapPredicate wrap,
+      std::shared_ptr<const weave::PlanMap> plans = nullptr,
+      bool validate = false,
+      std::shared_ptr<const recovery::PolicyTable> policies = nullptr);
   ~MaskedScope();
   MaskedScope(const MaskedScope&) = delete;
   MaskedScope& operator=(const MaskedScope&) = delete;
@@ -64,11 +64,10 @@ struct MaskVerification {
 };
 
 /// Re-runs the full injection campaign against the masked program —
-/// detect::Experiment(program, config) run masked, classified under
-/// config.policy() — and honours every other Config value as a detection
-/// campaign does.  The wrap predicate comes from Config::mask(); without it
-/// the runtime's current predicate applies.  An effective mask yields zero
-/// non-atomic methods.
+/// detect::Experiment(program, config), classified under config.policy() —
+/// and honours every Config value as a detection campaign does.  The wrap
+/// predicate comes from Config::mask(); without one nothing is wrapped.  An
+/// effective mask yields zero non-atomic methods.
 MaskVerification verify_masked_full(std::function<void()> program,
                                     const fatomic::Config& config);
 

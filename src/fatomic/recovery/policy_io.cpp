@@ -1,8 +1,10 @@
 #include "fatomic/recovery/policy_io.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -136,6 +138,17 @@ PolicyTable parse_policy_table(const std::string& text,
   }
 
   if (!root.is_object()) fail(origin, "document must be an object");
+  // A key outside the schema would leave its field at the default without a
+  // word: refuse it where it stands.
+  auto schema = [&](const report::JsonValue& obj,
+                    std::initializer_list<const char*> keys,
+                    const std::string& where) {
+    for (const auto& [key, value] : obj.object)
+      if (std::find(keys.begin(), keys.end(), key) == keys.end())
+        fail_at_token(origin, text, key,
+                      "unknown key \"" + key + "\" in " + where);
+  };
+  schema(root, {"schema_version", "policies"}, "the document");
   const report::JsonValue* version = root.find("schema_version");
   if (version == nullptr || !version->is_number())
     fail(origin, "missing \"schema_version\"");
@@ -152,6 +165,10 @@ PolicyTable parse_policy_table(const std::string& text,
     const report::JsonValue* method = entry.find("method");
     if (method == nullptr || !method->is_string() || method->string.empty())
       fail(origin, "policy entry missing \"method\"");
+    schema(entry,
+           {"method", "action", "retry_budget", "backoff_us",
+            "rollback_before_retry", "rethrow_type", "overrides"},
+           "the policy for '" + method->string + "'");
     const report::JsonValue* action = entry.find("action");
     if (action == nullptr || !action->is_string())
       fail(origin, "policy for '" + method->string + "' missing \"action\"");
@@ -182,6 +199,8 @@ PolicyTable parse_policy_table(const std::string& text,
         if (type == nullptr || !type->is_string() || oact == nullptr ||
             !oact->is_string())
           fail(origin, "overrides need \"exception\" and \"action\" strings");
+        schema(ov, {"exception", "action"},
+               "an override of '" + method->string + "'");
         try {
           pol.exception_overrides[type->string] = parse_action(oact->string);
         } catch (const std::invalid_argument& e) {

@@ -14,8 +14,9 @@
 //       "overrides": [                   // optional per-exception-type map
 //         {"exception": "subjects::net::NetError", "action": "degrade"}]}]}
 //
-// Emit and parse are exact inverses: parse(emit(t)) == t, and the emitted
-// document round-trips byte-for-byte through report::json_parse's dump().
+// No other key is accepted at any level.  Emit and parse are exact
+// inverses: parse(emit(t)) == t, and the emitted document round-trips
+// byte-for-byte through report::json_parse's dump().
 #pragma once
 
 #include <string>
@@ -29,10 +30,10 @@ namespace fatomic::recovery {
 std::string policy_table_json(const PolicyTable& table);
 
 /// Parses the schema above.  Malformed JSON and semantic errors (unknown
-/// action tags, missing fields, wrong types) throw std::runtime_error whose
-/// message carries `line N, column M` resolved from the failing byte —
-/// the same convention the other CLI loaders use.  `origin` (typically the
-/// file name) prefixes every error when non-empty.
+/// action tags, keys outside the schema, missing fields, wrong types) throw
+/// std::runtime_error whose message carries `line N, column M` resolved
+/// from the failing byte — the same convention the other CLI loaders use.
+/// `origin` (typically the file name) prefixes every error when non-empty.
 PolicyTable parse_policy_table(const std::string& text,
                                const std::string& origin = "");
 

@@ -398,7 +398,9 @@ class Replayer {
       dst = static_cast<U*>(at);
       return;
     }
-    dst = materialize<U>(p, [](U*) {});
+    // Owned before its replay: a replay that throws leaves the fresh pointee
+    // reachable, for the next restore to reclaim.
+    materialize<U>(p, [&](U* fresh) { dst = fresh; });
   }
 
   template <class U, class D>

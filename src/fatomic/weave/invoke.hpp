@@ -1,17 +1,17 @@
 // The wrapper engine: every instrumented subject method routes its body
 // through invoke(), which applies the behaviour of the active Mode:
 //
-//   Inject      — the paper's injection wrapper (Listing 1): fire injection
-//                 points, deep-copy the receiver, call, and on an exception
-//                 compare object graphs, mark atomic/non-atomic, rethrow.
-//   Mask        — the paper's atomicity wrapper (Listing 2) for methods
-//                 selected by the wrap predicate: checkpoint, call, and on
-//                 an exception the action of the method's recovery policy —
-//                 roll back and rethrow unless a policy table says otherwise.
-//   InjectMask  — injection wrapper around the atomicity wrapper, used to
-//                 verify that the corrected program P_C is failure atomic.
-//   Count       — call counting for the call-weighted figures.
-//   Direct      — the original program P.
+//   Inject  — the paper's injection wrapper (Listing 1): fire injection
+//             points, deep-copy the receiver, call, and on an exception
+//             compare object graphs, mark atomic/non-atomic, rethrow.  It
+//             nests the atomicity gate: with a wrap predicate installed it
+//             verifies that the corrected program P_C is failure atomic.
+//   Mask    — the paper's atomicity wrapper (Listing 2) for methods
+//             selected by the wrap predicate: checkpoint, call, and on an
+//             exception the action of the method's recovery policy — roll
+//             back and rethrow unless a policy table says otherwise.
+//   Count   — call counting for the call-weighted figures.
+//   Direct  — the original program P.
 #pragma once
 
 #include <chrono>
@@ -318,46 +318,43 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
 }
 
 /// Atomicity wrapper around `body` for checkpoint root `root` (the receiver,
-/// or a tuple of receiver + by-reference arguments): the gate in front of
-/// recovered_call.  Every wrapped call runs the method's installed policy,
+/// or a tuple of receiver + by-reference arguments), for a call the wrap
+/// predicate selected: recovered_call under the method's installed policy,
 /// or recovery::kRollbackPolicy without one.  No reflection traits are
-/// queried here: masked_call's deduced return type instantiates its body at
+/// queried here: the gates' deduced return types instantiate this body at
 /// the FAT_INVOKE call site, which in subject layouts with trailing
 /// FAT_REFLECT blocks precedes the Reflect specialization, whereas
 /// recovered_call's concrete return type defers its capture code to the end
 /// of the translation unit, after every FAT_REFLECT.
 template <class Root, class Fn>
-decltype(auto) masked_call(const MethodInfo& mi, Root& root, Fn&& body,
-                           Runtime& rt) {
-  if constexpr (std::is_const_v<Root>) {
-    // A const receiver cannot be rolled back (and cannot be mutated through
-    // this path); run the body unwrapped.
-    (void)mi;
-    (void)root;
-    (void)rt;
-    return body();
-  } else {
-    if (!rt.should_wrap(mi)) return body();
-    ++rt.stats.wrapped_calls;
-    const recovery::RecoveryPolicy* pol = rt.recovery_policy(mi);
-    return recovered_call(mi, root, body, rt,
-                          pol != nullptr ? *pol : recovery::kRollbackPolicy);
-  }
+decltype(auto) wrapped_call(const MethodInfo& mi, Root& root, Fn&& body,
+                            Runtime& rt) {
+  ++rt.stats.wrapped_calls;
+  const recovery::RecoveryPolicy* pol = rt.recovery_policy(mi);
+  return recovered_call(mi, root, body, rt,
+                        pol != nullptr ? *pol : recovery::kRollbackPolicy);
 }
 
-/// Injection wrapper (Listing 1).  With mask_inner, the atomicity wrapper
-/// runs inside the injection wrapper, mirroring the paper's P_C-under-test.
+/// The atomicity gate (Mask mode): the calls the predicate selects run
+/// wrapped, the others bare.  A const receiver cannot be rolled back (and
+/// cannot be mutated through this path), so it always runs bare.
+template <class Root, class Fn>
+decltype(auto) masked_call(const MethodInfo& mi, Root& root, Fn&& body,
+                           Runtime& rt) {
+  if constexpr (!std::is_const_v<Root>)
+    if (rt.should_wrap(mi)) return wrapped_call(mi, root, body, rt);
+  return body();
+}
+
+/// Injection wrapper (Listing 1) around the atomicity gate, mirroring the
+/// paper's P_C-under-test; the gate wraps only what the predicate selects.
 /// The before-snapshot is taken only when the call can observe an exception
 /// (observer-set capture, DESIGN.md §15); no other path reads it.
 template <class Root, class Fn>
 decltype(auto) injected_call(const MethodInfo& mi, Root& root, Fn&& body,
-                             Runtime& rt, bool mask_inner) {
+                             Runtime& rt) {
   // May throw into our caller's wrapper.
   const std::uint64_t entry = fire_injection_points(mi, rt);
-  auto inner = [&]() -> decltype(auto) {
-    if (mask_inner) return masked_call(mi, root, body, rt);
-    return body();
-  };
   struct DepthGuard {
     Runtime& rt;
     explicit DepthGuard(Runtime& r) : rt(r) { ++rt.depth; }
@@ -367,7 +364,11 @@ decltype(auto) injected_call(const MethodInfo& mi, Root& root, Fn&& body,
   if (rt.may_observe(entry, mi))
     before.emplace(take_full_checkpoint(mi, root, rt));
   try {
-    return inner();
+    // masked_call's gate, written out: as a call it would add a frame to
+    // every detection stack, which each injected exception unwinds.
+    if constexpr (!std::is_const_v<Root>)
+      if (rt.should_wrap(mi)) return wrapped_call(mi, root, body, rt);
+    return body();
   } catch (...) {
     if (!before) {
       // The baseline said no exception could cross this call, yet one did:
@@ -462,11 +463,9 @@ decltype(auto) dispatch(const MethodInfo& mi, Root& root, Fn&& body) {
       return body();
     }
     case Mode::Inject:
-      return injected_call(mi, root, body, rt, /*mask_inner=*/false);
+      return injected_call(mi, root, body, rt);
     case Mode::Mask:
       return masked_call(mi, root, body, rt);
-    case Mode::InjectMask:
-      return injected_call(mi, root, body, rt, /*mask_inner=*/true);
   }
   return body();  // unreachable
 }
@@ -496,13 +495,6 @@ template <class Fn>
 decltype(auto) invoke_static(const MethodInfo& mi, Fn&& body) {
   Runtime& rt = Runtime::instance();
   if (rt.engine_depth != 0) return body();
-  // A receiverless method selected by the wrap predicate still counts as a
-  // wrapped call — its atomicity wrapper is degenerate (nothing to
-  // checkpoint), but the stats must reflect every call the mask routed
-  // through a wrapper or the per-campaign totals undercount.
-  auto count_wrapped = [&] {
-    if (rt.should_wrap(mi)) ++rt.stats.wrapped_calls;
-  };
   switch (rt.mode()) {
     case Mode::Direct:
       return body();
@@ -512,13 +504,13 @@ decltype(auto) invoke_static(const MethodInfo& mi, Fn&& body) {
     }
     case Mode::Inject:
       detail::fire_injection_points(mi, rt);
-      return body();
-    case Mode::InjectMask:
-      detail::fire_injection_points(mi, rt);
-      count_wrapped();
-      return body();
+      [[fallthrough]];
     case Mode::Mask:
-      count_wrapped();
+      // A receiverless method selected by the wrap predicate still counts
+      // as a wrapped call — its atomicity wrapper is degenerate (nothing to
+      // checkpoint), but the stats must reflect every call the mask routed
+      // through a wrapper or the per-campaign totals undercount.
+      if (rt.should_wrap(mi)) ++rt.stats.wrapped_calls;
       return body();
   }
   return body();  // unreachable

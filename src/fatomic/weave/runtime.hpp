@@ -40,12 +40,12 @@ namespace fatomic::weave {
 using PlanMap = std::map<std::string, snapshot::CheckpointPlan>;
 
 enum class Mode : std::uint8_t {
-  Direct,      ///< call through, no instrumentation (original program P)
-  Count,       ///< count calls per method (baseline for Figures 2b/3b)
-  Inject,      ///< exception injector program P_I (Listing 1)
-  Mask,        ///< corrected program P_C (Listing 2)
-  InjectMask,  ///< P_C under re-injection: verifies masking removed all
-               ///< non-atomic behaviour
+  Direct,  ///< call through, no instrumentation (original program P)
+  Count,   ///< count calls per method (baseline for Figures 2b/3b)
+  Inject,  ///< exception injector program P_I (Listing 1) around the
+           ///< atomicity wrappers the predicate selects: P_I itself with no
+           ///< predicate, P_C under re-injection with one
+  Mask,    ///< corrected program P_C (Listing 2)
 };
 
 /// One atomicity observation made by an injection wrapper when an exception
@@ -307,7 +307,7 @@ class Runtime {
   /// When nonzero, masking wrappers raise an InjectedRuntimeError inside the
   /// protected region on every fault_period-th wrapped attempt — the live
   /// fault source the recovery bench drives.  0 (the default) disables the
-  /// injector entirely; campaign semantics are bit-identical.
+  /// injector entirely; a campaign holds it at 0 for its duration.
   std::uint64_t fault_period = 0;
   /// Attempts seen by the production-fault injector.  Advances per attempt
   /// (retries included), so a retried call faces a fresh fault decision.

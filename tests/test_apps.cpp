@@ -159,7 +159,7 @@ TEST_F(AppsTest, MaskedRotateNoLongerLosesElements) {
   detect::Experiment exp(subjects::apps::app("CircularList").program);
   auto cls = detect::classify(exp.run());
   mask::MaskedScope scope(mask::wrap_pure(cls));
-  fatomic::weave::ScopedMode m(fatomic::weave::Mode::InjectMask);
+  fatomic::weave::ScopedMode m(fatomic::weave::Mode::Inject);
 
   rt.begin_run(0);
   CircularList l;

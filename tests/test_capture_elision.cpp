@@ -6,9 +6,14 @@
 // tests pin the Count baseline's per-call table, the safety fallback for
 // programs that stray from the baseline, masked runs that leave it, the
 // capture counts of the synthetic workload, and the eager wrapper outside
-// campaigns.
+// campaigns.  The witness also runs under a hostile ambient configuration —
+// a MaskedScope wrapping every method with plans, the validator, a policy
+// table and production faults armed — which a campaign, running exactly its
+// Config, must not see.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -17,6 +22,7 @@
 #include "fatomic/detect/classify.hpp"
 #include "fatomic/detect/experiment.hpp"
 #include "fatomic/mask/masker.hpp"
+#include "fatomic/recovery/derive.hpp"
 #include "fatomic/weave/macros.hpp"
 #include "testing/mark_stream.hpp"
 
@@ -149,6 +155,54 @@ class CaptureElision : public ::testing::Test {
   void TearDown() override { reset_runtime(); }
 };
 
+const fatomic::analyze::StaticReport& static_report() {
+  static const auto report = fatomic::analyze::analyze_sources(
+      std::string(FATOMIC_SOURCE_DIR) + "/subjects");
+  return report;
+}
+
+const std::shared_ptr<const weave::PlanMap>& static_plans() {
+  static const auto plans = mask::make_plans(static_report());
+  return plans;
+}
+
+/// The most hostile configuration a campaign can be launched from: a
+/// MaskedScope that wraps every method, with the static plans, the
+/// validator and the derived policy table, and a production fault on every
+/// third wrapped attempt.  A campaign runs exactly its Config, so none of
+/// it may reach the campaigns run inside, and all of it is back after them.
+/// The scope's guard gives fault_period back with the rest.
+class HostileAmbient {
+ public:
+  HostileAmbient()
+      : policies_(
+            fatomic::recovery::derive_policy_table(static_report(), nullptr)
+                .table),
+        scope_([](const weave::MethodInfo&) { return true; }, static_plans(),
+               /*validate=*/true, policies_) {
+    weave::Runtime::instance().fault_period = 3;
+  }
+  HostileAmbient(const HostileAmbient&) = delete;
+  HostileAmbient& operator=(const HostileAmbient&) = delete;
+
+  void expect_intact() const {
+    const weave::Runtime& rt = weave::Runtime::instance();
+    EXPECT_EQ(rt.mode(), weave::Mode::Mask);
+    ASSERT_TRUE(static_cast<bool>(rt.wrap_predicate()));
+    EXPECT_EQ(rt.checkpoint_plans(), static_plans());
+    EXPECT_EQ(rt.recovery_policies(), policies_);
+    EXPECT_TRUE(rt.validate_checkpoints);
+    EXPECT_EQ(rt.fault_period, 3u);
+    EXPECT_EQ(rt.fault_counter, fault_counter_)
+        << "no production fault may fire inside a campaign";
+  }
+
+ private:
+  std::shared_ptr<const fatomic::recovery::PolicyTable> policies_;
+  mask::MaskedScope scope_;
+  std::uint64_t fault_counter_ = weave::Runtime::instance().fault_counter;
+};
+
 std::string method_of(const weave::BaselineCall& call) {
   return call.method->qualified_name();
 }
@@ -182,14 +236,11 @@ class MarkStreamWitness : public ::testing::TestWithParam<std::string> {
   }
 
   void expect_mask_verify(unsigned jobs) {
-    static const auto plans =
-        mask::make_plans(fatomic::analyze::analyze_sources(
-            std::string(FATOMIC_SOURCE_DIR) + "/subjects"));
     const detect::Classification cls =
         detect::classify(detect::Experiment(program()).run());
     fatomic::Config cfg;
     cfg.mask(mask::wrap_pure(cls))
-        .checkpoint_plans(plans)
+        .checkpoint_plans(static_plans())
         .validate_checkpoints(true)
         .jobs(jobs);
     const mask::MaskVerification verified =
@@ -221,6 +272,27 @@ TEST_P(MarkStreamWitness, DetectJobs4) { expect_witness(4); }
 TEST_P(MarkStreamWitness, MaskVerifyPlansNoReruns) { expect_mask_verify(1); }
 
 TEST_P(MarkStreamWitness, MaskVerifyJobs4) { expect_mask_verify(4); }
+
+/// Both halves again, launched from the hostile ambient configuration: the
+/// streams, counters and hashes must not move.  The detection half pins
+/// that the ambient predicate never masks an unmasked campaign.
+TEST_P(MarkStreamWitness, HostileAmbientDetectJobs4) {
+  HostileAmbient ambient;
+  expect_witness(4);
+  ambient.expect_intact();
+}
+
+TEST_P(MarkStreamWitness, HostileAmbientMaskVerifyJobs1) {
+  HostileAmbient ambient;
+  expect_mask_verify(1);
+  ambient.expect_intact();
+}
+
+TEST_P(MarkStreamWitness, HostileAmbientMaskVerifyJobs4) {
+  HostileAmbient ambient;
+  expect_mask_verify(4);
+  ambient.expect_intact();
+}
 
 std::vector<std::string> family_names() {
   std::vector<std::string> names;
@@ -357,6 +429,34 @@ TEST_F(CaptureElision, MaskedRollbackLeavesTheBaselineWithoutReruns) {
   ASSERT_EQ(second_bonus.marks.size(), 2u);
   EXPECT_EQ(second_bonus.marks[1].method->method_name(), "settle");
   EXPECT_FALSE(second_bonus.marks[1].atomic) << "the first bonus stuck";
+}
+
+// ---- a campaign runs exactly its Config -------------------------------------
+
+// A masked verification of LinkedList that sets no plans and no validator
+// takes full checkpoints only, whatever plans and validator the scope it is
+// launched from holds: as many pool captures as the same campaign run bare,
+// none of them partial and none of them a validator shadow.
+TEST_F(CaptureElision, AmbientPlansAndValidatorStayOutOfTheCampaign) {
+  const auto& program = subjects::apps::app("LinkedList").program;
+  const auto wrap = mask::wrap_pure(
+      detect::classify(detect::Experiment(program).run()));
+  fatomic::Config cfg;
+  cfg.mask(wrap);
+  auto& pool = weave::Runtime::instance().arena_pool;
+
+  std::uint64_t before = pool.captures;
+  const detect::Campaign bare = mask::verify_masked_full(program, cfg).campaign;
+  const std::uint64_t bare_captures = pool.captures - before;
+  EXPECT_EQ(bare.stats.partial_checkpoints, 0u);
+
+  mask::MaskedScope scope(wrap, static_plans(), /*validate=*/true);
+  before = pool.captures;
+  const detect::Campaign inside =
+      mask::verify_masked_full(program, cfg).campaign;
+  EXPECT_EQ(inside.stats.partial_checkpoints, 0u);
+  EXPECT_EQ(pool.captures - before, bare_captures);
+  EXPECT_EQ(mark_stream::render(inside), mark_stream::render(bare));
 }
 
 // ---- frozen capture counts -------------------------------------------------

@@ -44,7 +44,7 @@ TEST_F(ConfigTest, BuilderSettersChainAndGettersReflect) {
       .provenance(true);
   EXPECT_EQ(cfg.jobs(), 8u);
   EXPECT_TRUE(cfg.tracing());
-  EXPECT_FALSE(cfg.masked());
+  EXPECT_FALSE(static_cast<bool>(cfg.wrap())) << "unmasked: wraps nothing";
   EXPECT_EQ(cfg.max_runs(), 42u);
   EXPECT_TRUE(cfg.record_diffs());
   EXPECT_TRUE(cfg.validate_checkpoints());
@@ -57,8 +57,10 @@ TEST_F(ConfigTest, BuilderSettersChainAndGettersReflect) {
 TEST_F(ConfigTest, MaskInstallsPredicateAndFlipsMasked) {
   fatomic::Config cfg;
   cfg.mask([](const weave::MethodInfo&) { return true; });
-  EXPECT_TRUE(cfg.masked());
   ASSERT_TRUE(static_cast<bool>(cfg.wrap()));
+  // A masked config is one with a predicate; mask(nullptr) unmasks.
+  cfg.mask(nullptr);
+  EXPECT_FALSE(static_cast<bool>(cfg.wrap()));
 }
 
 TEST_F(ConfigTest, PolicyFlowsIntoClassification) {

@@ -83,8 +83,7 @@ FAT_REFLECT(Widget, FAT_FIELD(Widget, label_), FAT_FIELD(Widget, tally_));
 
 TEST_F(InvokeModesTest, ValueReturnsWorkInEveryMode) {
   Widget w;
-  for (Mode m : {Mode::Direct, Mode::Count, Mode::Inject, Mode::Mask,
-                 Mode::InjectMask}) {
+  for (Mode m : {Mode::Direct, Mode::Count, Mode::Inject, Mode::Mask}) {
     weave::ScopedMode scope(m);
     Runtime::instance().begin_run(0);
     EXPECT_EQ(w.label(), "w");

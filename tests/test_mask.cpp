@@ -130,7 +130,7 @@ TEST_F(MaskTest, MaskingChangesSemanticsOfIntendedNonAtomicity) {
   // Masked: rollback erases the partial progress.
   {
     mask::MaskedScope scope(mask::wrap_pure(classification()));
-    weave::ScopedMode m(weave::Mode::InjectMask);
+    weave::ScopedMode m(weave::Mode::Inject);
     rt.begin_run(0);
     synthetic::Account a;
     a.set(0);

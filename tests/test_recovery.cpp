@@ -180,6 +180,41 @@ TEST_F(RecoveryTest, ParseErrorsReportOriginLineAndColumn) {
       EXPECT_NE(what.find(field), std::string::npos) << what;
     }
   }
+
+  // A key outside the schema is refused at every level, where it stands: a
+  // misspelled key would otherwise leave its field at the default.
+  struct Misspelled {
+    std::string document;
+    const char* key;
+    const char* line;
+  };
+  const Misspelled misspelled[] = {
+      {"{\"schema_version\": 2, \"policies\": [],\n"
+       " \"polices\": [{\"method\": \"A::f\", \"action\": \"retry\"}]}",
+       "polices", "line 2, column 3"},
+      {"{\"schema_version\": 2, \"policies\": [\n"
+       " {\"method\": \"A::f\", \"action\": \"retry\",\n"
+       "  \"retry_budgte\": 3}]}",
+       "retry_budgte", "line 3, column 4"},
+      {"{\"schema_version\": 2, \"policies\": [\n"
+       " {\"method\": \"A::f\", \"action\": \"retry\", \"overrides\": [\n"
+       "  {\"exception\": \"E\", \"action\": \"degrade\","
+       " \"actoin\": \"retry\"}]}]}",
+       "actoin", "line 3, column 44"},
+  };
+  for (const Misspelled& m : misspelled) {
+    try {
+      recovery::parse_policy_table(m.document, "keys.json");
+      ADD_FAILURE() << "must throw: " << m.document;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("keys.json"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("unknown key \"") + m.key + '"'),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(m.line), std::string::npos) << what;
+    }
+  }
 }
 
 TEST_F(RecoveryTest, LoadPolicyFileReportsUnreadablePath) {

@@ -209,8 +209,9 @@ TEST_F(WeaveTest, MaskedArgumentsRestoredToo) {
   rt.set_wrap_predicate([](const weave::MethodInfo& mi) {
     return mi.method_name() == "transfer_all";
   });
-  // Arrange an injection mid-transfer under InjectMask.
-  weave::ScopedMode m(Mode::InjectMask);
+  // Arrange an injection mid-transfer: Inject mode with a predicate
+  // installed nests the atomicity wrapper.
+  weave::ScopedMode m(Mode::Inject);
   bool exercised = false;
   for (std::uint64_t t = 1; t < 200; ++t) {
     Account a, b;
