@@ -12,9 +12,7 @@ ExceptionFlow propagate_exceptions(const detect::Campaign& campaign) {
 
   // Local seeds: declared exceptions plus the generic runtime set the
   // injector appends to every method (the paper's E_{k+1}..E_n).
-  std::set<std::string> runtime_names;
-  for (const auto& spec : weave::Runtime::instance().runtime_exceptions())
-    runtime_names.insert(spec.type_name);
+  const std::set<std::string> runtime_names = weave::runtime_exception_names();
   for (const weave::MethodInfo* mi : weave::MethodRegistry::instance().all()) {
     std::set<std::string>& s = flow.may_propagate[mi->qualified_name()];
     for (const auto& spec : mi->declared()) s.insert(spec.type_name);

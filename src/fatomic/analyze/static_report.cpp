@@ -3,7 +3,7 @@
 #include <map>
 #include <sstream>
 
-#include "fatomic/weave/runtime.hpp"
+#include "fatomic/weave/method_info.hpp"
 
 namespace fatomic::analyze {
 
@@ -48,10 +48,8 @@ StaticReport analyze_sources(const std::string& root) {
   report.model = scan_sources(root);
   report.effects = analyze_effects(report.model);
   report.write_sets = analyze_write_sets(report.model, report.effects);
-  std::set<std::string> runtime_names;
-  for (const auto& spec : weave::Runtime::instance().runtime_exceptions())
-    runtime_names.insert(spec.type_name);
-  report.graph = build_static_call_graph(report.model, runtime_names);
+  report.graph =
+      build_static_call_graph(report.model, weave::runtime_exception_names());
   return report;
 }
 

@@ -36,11 +36,12 @@ class Config {
  public:
   // --- campaign shape -----------------------------------------------------
   /// Worker threads running injector runs concurrently: 1 (the default)
-  /// keeps the sequential loop on the calling thread, 0 means one per
-  /// hardware thread.  Any value yields the sequential Campaign provided the
-  /// program is deterministic and shares no mutable state across
-  /// invocations (every subject workload constructs fresh objects per run).
-  /// A campaign starts no more workers than it has runs to claim.
+  /// drains the campaign's one run loop on the calling thread, on the
+  /// campaign's own runtime; 0 means one per hardware thread.  Any value
+  /// yields the same Campaign provided the program is deterministic and
+  /// shares no mutable state across invocations (every subject workload
+  /// constructs fresh objects per run).  A campaign starts no more workers
+  /// than it has runs to claim.
   Config& jobs(unsigned n) {
     jobs_ = n;
     return *this;

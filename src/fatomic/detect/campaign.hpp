@@ -30,8 +30,8 @@ struct RunRecord {
   std::uint64_t escape_stack = 0;
 };
 
-/// Stats attributable to one campaign worker (0 = the driving thread for
-/// sequential campaigns, 1..N for parallel workers).  Which worker executed
+/// Stats attributable to one campaign worker (0 = the driving thread at
+/// jobs 1, 1..N for parallel workers).  Which worker executed
 /// which threshold is a scheduling artifact, so per-worker rows vary between
 /// executions even though their sums are deterministic — reports expose them
 /// as observability metadata, never as part of the canonical result.

@@ -7,6 +7,7 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -82,9 +83,9 @@ void attempt(const std::function<void()>& program, weave::Runtime& rt,
 RunOutcome run_once(const std::function<void()>& program, weave::Runtime& rt,
                     std::uint64_t threshold, const weave::CallTable& baseline) {
   // Throw-stack captures stop at this frame: everything outside run_once
-  // (the sequential driver loop vs a worker's std::thread trampoline) is
-  // scheduling context that would otherwise make equal throw stacks hash to
-  // different ids across jobs values.
+  // (the driving thread's frames at jobs 1, a worker's std::thread
+  // trampoline otherwise) is scheduling context that would otherwise make
+  // equal throw stacks hash to different ids across jobs values.
   char capture_floor = 0;
   unwind::ScopedCaptureFloor floor(&capture_floor);
   const weave::RuntimeStats before = rt.stats;
@@ -105,11 +106,11 @@ RunOutcome run_once(const std::function<void()>& program, weave::Runtime& rt,
 }
 
 /// Appends a run's contribution to the campaign — merged stats, per-worker
-/// attribution, trace slice — applying the terminal-run rule: an exhausted,
-/// uninjected run ends the campaign, but its record is kept when the subject
-/// program escaped an exception of its own — only the truly empty terminal
-/// run is dropped.  Returns true when the campaign is over.
-bool absorb(Campaign& campaign, std::map<unsigned, WorkerStats>& workers,
+/// attribution, trace slice — applying the terminal-run rule: the
+/// exhausted, uninjected run that ends the campaign keeps its record only
+/// when the subject program escaped an exception of its own — the truly
+/// empty terminal run is dropped.
+void absorb(Campaign& campaign, std::map<unsigned, WorkerStats>& workers,
             RunOutcome&& out) {
   campaign.stats += out.stats;
   WorkerStats& w = workers[out.worker];
@@ -120,74 +121,84 @@ bool absorb(Campaign& campaign, std::map<unsigned, WorkerStats>& workers,
     campaign.trace.events.insert(campaign.trace.events.end(),
                                  std::make_move_iterator(out.events.begin()),
                                  std::make_move_iterator(out.events.end()));
-  if (out.terminal) {
-    if (out.rec.escaped) campaign.runs.push_back(std::move(out.rec));
-    return true;
-  }
-  campaign.runs.push_back(std::move(out.rec));
-  return false;
+  if (!out.terminal || out.rec.escaped)
+    campaign.runs.push_back(std::move(out.rec));
+}
+
+bool is_prunable(const std::vector<bool>& prunable, std::uint64_t threshold) {
+  return threshold < prunable.size() && prunable[threshold];
+}
+
+/// Skipped runs below the campaign's final cutoff (the terminal run's
+/// threshold, itself never pruned, or max_runs).
+std::uint64_t count_pruned(const std::vector<bool>& prunable,
+                           std::uint64_t cutoff) {
+  std::uint64_t n = 0;
+  for (std::uint64_t t = 1; t <= cutoff && t < prunable.size(); ++t)
+    if (prunable[t]) ++n;
+  return n;
+}
+
+/// Sets a fresh runtime up to run the campaign's injector program: every
+/// value comes from `config` (a null predicate wraps nothing, null plans
+/// mean full checkpoints, a null table kRollbackPolicy, and production
+/// faults stay off), and a traced campaign's buffers share `epoch`.  The
+/// driving runtime and every worker's are set up by it alone, so nothing is
+/// inherited, saved or restored.
+void set_up(weave::Runtime& rt, const fatomic::Config& config,
+            std::uint64_t epoch, std::uint16_t worker) {
+  rt.set_mode(weave::Mode::Inject);
+  rt.set_wrap_predicate(config.wrap());
+  rt.set_checkpoint_plans(config.checkpoint_plans());
+  rt.set_recovery_policies(config.recovery());
+  rt.validate_checkpoints = config.validate_checkpoints();
+  rt.record_diffs = config.record_diffs();
+  rt.provenance = config.provenance() && unwind::available();
+  if (config.tracing()) rt.trace.enable(epoch);
+  rt.trace.set_worker(worker);
 }
 
 }  // namespace
 
 Campaign Experiment::run() {
-  auto& rt = weave::Runtime::instance();
   Campaign campaign;
 
-  // Everything below installs into the calling thread's runtime, and
-  // parallel workers copy it from there (adopt_config); the guard gives the
-  // enclosing configuration back.  Every setting comes from the Config alone
-  // and production faults stay off, so a campaign runs as it would bare.
-  weave::ScopedConfig config;
-  rt.set_wrap_predicate(config_.wrap());
-  rt.set_checkpoint_plans(config_.checkpoint_plans());
-  rt.set_recovery_policies(config_.recovery());
-  rt.validate_checkpoints = config_.validate_checkpoints();
-  rt.record_diffs = config_.record_diffs();
-  rt.fault_period = 0;
+  // Throw-site provenance: arm the __cxa_throw interposer for the whole
+  // campaign (process-wide, so parallel workers are covered); set_up tells
+  // the wrappers to attribute captures.  Degrades to off when the
+  // interposer is compiled out (FATOMIC_PROVENANCE=OFF) or unavailable on
+  // this platform.
+  campaign.provenance = config_.provenance() && unwind::available();
+  unwind::ScopedArm arm(campaign.provenance);
 
-  // A traced campaign arms the driving buffer with a fresh epoch; an
-  // untraced one disables it, so an untraced inner campaign stays invisible
-  // to an outer traced one.
-  if (config_.tracing()) {
-    const auto now = std::chrono::steady_clock::now().time_since_epoch();
-    rt.trace.enable(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(now).count()));
-    rt.trace.set_worker(0);
-    rt.trace.set_run(0);
-    rt.trace.take(0);  // drop leftovers from an interrupted campaign
-  } else {
-    rt.trace.disable();
-  }
+  // The campaign's own runtime, installed on this thread for the baseline
+  // and, at jobs 1, the injector runs.  All runtimes of a traced campaign
+  // share one epoch.
+  const auto epoch = static_cast<std::uint64_t>(
+      std::chrono::steady_clock::now().time_since_epoch() /
+      std::chrono::nanoseconds(1));
+  weave::Runtime rt;
+  set_up(rt, config_, epoch, /*worker=*/0);
+  weave::ScopedRuntime install(rt);
   campaign.trace.enabled = rt.trace.enabled();
   const std::uint64_t campaign_t0 = rt.trace.begin_span();
-
-  // Throw-site provenance: arm the __cxa_throw interposer for the whole
-  // campaign (process-wide, so parallel workers are covered) and tell the
-  // wrappers to attribute captures.  Degrades to off when the interposer is
-  // compiled out (FATOMIC_PROVENANCE=OFF) or unavailable on this platform.
-  const bool provenance = config_.provenance() && unwind::available();
-  campaign.provenance = provenance;
-  unwind::ScopedArm arm(provenance);
-  rt.provenance = provenance;
 
   // Baseline: call counts of the original program (Figures 2b / 3b) and
   // its per-call table, which every injector run of this campaign follows
   // (DESIGN.md §15).  A program that escapes an exception even uninjected
   // still yields a baseline — the calls observed up to the escape — and its
   // terminal injector run records the escape (see absorb()).
-  weave::CallTable baseline;
   rt.set_mode(weave::Mode::Count);
-  rt.reset_counts();
   const std::uint64_t baseline_t0 = rt.trace.begin_span();
   try {
     program_();
   } catch (...) {
   }
+  rt.set_mode(weave::Mode::Inject);
   const std::uint64_t thresholds = rt.point;  // injection points counted
-  campaign.call_counts = rt.call_counts;
-  campaign.call_edges = rt.call_edges;
-  baseline.swap(rt.calls);
+  campaign.call_counts = std::move(rt.call_counts);
+  campaign.call_edges = std::move(rt.call_edges);
+  const weave::CallTable baseline = std::move(rt.calls);
   rt.trace.span(trace::EventKind::Baseline, baseline_t0, nullptr,
                 campaign.total_calls());
 
@@ -204,7 +215,6 @@ Campaign Experiment::run() {
   const std::set<std::string>& prune_atomic = config_.prune_atomic();
   if (!prune_atomic.empty()) {
     prunable.assign(1, false);  // thresholds are 1-based
-    const std::size_t runtime_specs = rt.runtime_exceptions().size();
     std::vector<bool> skippable(baseline.size());
     for (std::size_t k = 0; k < baseline.size(); ++k) {
       const weave::BaselineCall& call = baseline[k];
@@ -213,18 +223,63 @@ Campaign Experiment::run() {
            prune_atomic.count(call.method->qualified_name()) != 0) &&
           (call.parent == weave::BaselineCall::kTopLevel ||
            skippable[call.parent]);
-      prunable.insert(prunable.end(),
-                      call.method->declared().size() + runtime_specs,
-                      skippable[k]);
+      prunable.insert(
+          prunable.end(),
+          call.method->declared().size() + weave::kRuntimeExceptions.size(),
+          skippable[k]);
     }
   }
+  const auto unpruned = [&](std::uint64_t t) {
+    while (is_prunable(prunable, t)) ++t;
+    return t;
+  };
 
   // Campaign-scope events recorded so far (the baseline span) open the
   // merged stream; every kept run's slice follows in threshold order, and
   // the closing campaign span lands last.
   if (campaign.trace.enabled) campaign.trace.events = rt.trace.take(0);
 
-  rt.set_mode(weave::Mode::Inject);
+  // One run loop for every jobs value.  A worker claims the next threshold,
+  // runs it on its own runtime and hands the outcome in; outcomes are
+  // absorbed in threshold order as soon as every lower threshold is in.
+  // `stop` is the lowest terminal threshold found so far (max_runs before
+  // one is, 0 once cancelled), and nothing past it is claimed or absorbed.
+  // So any number of workers builds the one-worker Campaign, and a lone
+  // worker holds one outcome at a time.
+  std::atomic<std::uint64_t> next{1};
+  std::atomic<std::uint64_t> stop{config_.max_runs()};
+  std::mutex mu;  // guards `campaign` and the four below
+  std::uint64_t frontier = unpruned(1);  // the next threshold to absorb
+  std::map<std::uint64_t, RunOutcome> finished;  // runs at frontier and up
+  std::map<unsigned, WorkerStats> workers;
+  std::exception_ptr failure;  // the first a worker hit (cancel)
+  const auto drain = [&](weave::Runtime& own) {
+    for (std::uint64_t t = next++; t <= stop.load(); t = next++) {
+      if (is_prunable(prunable, t)) continue;
+      RunOutcome out = run_once(program_, own, t, baseline);
+      if (out.terminal) {
+        std::uint64_t cur = stop.load();
+        while (t < cur && !stop.compare_exchange_weak(cur, t)) {
+        }
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      finished.emplace(t, std::move(out));
+      while (!finished.empty() && finished.begin()->first == frontier &&
+             frontier <= stop.load()) {
+        absorb(campaign, workers, std::move(finished.begin()->second));
+        finished.erase(finished.begin());
+        frontier = unpruned(frontier + 1);
+      }
+    }
+  };
+  // A failure that is not the subject program's (run_once absorbs those),
+  // e.g. bad_alloc or a thread the system refused, stops every worker at
+  // its next claim and is rethrown once all have joined.
+  const auto cancel = [&](std::exception_ptr e) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (!failure) failure = std::move(e);
+    stop.store(0);
+  };
 
   // No more workers than runs to claim: the baseline's thresholds plus the
   // terminal run, at most max_runs.
@@ -232,11 +287,32 @@ Campaign Experiment::run() {
       {config_.jobs() != 0 ? config_.jobs()
                            : std::max(1u, std::thread::hardware_concurrency()),
        thresholds + 1, config_.max_runs()});
-
-  if (jobs > 1)
-    run_parallel(campaign, static_cast<unsigned>(jobs), baseline, prunable);
-  else
-    run_sequential(campaign, baseline, prunable);
+  if (jobs <= 1) {
+    drain(rt);
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(jobs);
+    try {
+      for (unsigned ordinal = 1; ordinal <= jobs; ++ordinal)
+        pool.emplace_back([&, ordinal] {
+          try {
+            weave::Runtime own;
+            set_up(own, config_, epoch, static_cast<std::uint16_t>(ordinal));
+            weave::ScopedRuntime install_own(own);
+            drain(own);
+          } catch (...) {
+            cancel(std::current_exception());
+          }
+        });
+    } catch (...) {
+      cancel(std::current_exception());  // then join the threads started
+    }
+    for (std::thread& t : pool) t.join();
+    if (failure) std::rethrow_exception(failure);
+  }
+  campaign.pruned_runs = count_pruned(prunable, stop.load());
+  for (auto& [ordinal, w] : workers)
+    campaign.worker_stats.push_back(std::move(w));
 
   if (campaign.trace.enabled) {
     rt.trace.set_run(0);
@@ -248,130 +324,6 @@ Campaign Experiment::run() {
                                  std::make_move_iterator(tail.end()));
   }
   return campaign;
-}
-
-namespace {
-
-bool is_prunable(const std::vector<bool>& prunable, std::uint64_t threshold) {
-  return threshold < prunable.size() && prunable[threshold];
-}
-
-/// Skipped runs the sequential loop would have executed: every prunable
-/// threshold up to the campaign's final cutoff (the terminal run's threshold,
-/// itself never pruned, or max_runs).
-std::uint64_t count_pruned(const std::vector<bool>& prunable,
-                           std::uint64_t cutoff) {
-  std::uint64_t n = 0;
-  for (std::uint64_t t = 1; t <= cutoff && t < prunable.size(); ++t)
-    if (prunable[t]) ++n;
-  return n;
-}
-
-std::vector<WorkerStats> sorted_workers(
-    std::map<unsigned, WorkerStats>&& workers) {
-  std::vector<WorkerStats> out;
-  out.reserve(workers.size());
-  for (auto& [ordinal, w] : workers) out.push_back(std::move(w));
-  return out;
-}
-
-}  // namespace
-
-void Experiment::run_sequential(Campaign& campaign,
-                                const weave::CallTable& baseline,
-                                const std::vector<bool>& prunable) {
-  auto& rt = weave::Runtime::instance();
-  std::map<unsigned, WorkerStats> workers;
-  std::uint64_t cutoff = config_.max_runs();
-  for (std::uint64_t threshold = 1; threshold <= config_.max_runs();
-       ++threshold) {
-    if (is_prunable(prunable, threshold)) continue;
-    if (absorb(campaign, workers,
-               run_once(program_, rt, threshold, baseline))) {
-      cutoff = threshold;
-      break;
-    }
-  }
-  campaign.pruned_runs = count_pruned(prunable, cutoff);
-  campaign.worker_stats = sorted_workers(std::move(workers));
-}
-
-void Experiment::run_parallel(Campaign& campaign, unsigned jobs,
-                              const weave::CallTable& baseline,
-                              const std::vector<bool>& prunable) {
-  auto& parent = weave::Runtime::instance();
-
-  // Workers claim thresholds from a shared counter; `stop` carries the
-  // lowest terminal threshold discovered so far, cancelling runs past it
-  // (the sequential loop would never have executed them).
-  std::atomic<std::uint64_t> next{1};
-  std::atomic<std::uint64_t> stop{config_.max_runs()};
-
-  std::mutex mu;
-  std::vector<std::pair<std::uint64_t, RunOutcome>> collected;
-  std::exception_ptr failure;
-
-  auto worker = [&](unsigned ordinal) {
-    // An isolated runtime mirroring the driving thread's configuration;
-    // installing it makes every Runtime::instance() hit on this thread —
-    // i.e. every FAT_INVOKE wrapper of the subject program — see it.
-    weave::Runtime rt;
-    rt.adopt_config(parent);
-    rt.trace.set_worker(static_cast<std::uint16_t>(ordinal));
-    weave::ScopedRuntime install(rt);
-    try {
-      for (;;) {
-        const std::uint64_t threshold = next.fetch_add(1);
-        if (threshold > stop.load()) break;
-        if (is_prunable(prunable, threshold)) continue;
-        RunOutcome out = run_once(program_, rt, threshold, baseline);
-        if (out.terminal) {
-          std::uint64_t cur = stop.load();
-          while (threshold < cur &&
-                 !stop.compare_exchange_weak(cur, threshold)) {
-          }
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        collected.emplace_back(threshold, std::move(out));
-      }
-    } catch (...) {
-      // Propagate the first non-run failure (run_once absorbs subject
-      // exceptions; this is e.g. bad_alloc) to the caller, as the
-      // sequential loop would, and cancel the remaining workers.
-      std::lock_guard<std::mutex> lock(mu);
-      if (!failure) failure = std::current_exception();
-      stop.store(0);
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(jobs);
-  try {
-    for (unsigned i = 0; i < jobs; ++i) pool.emplace_back(worker, i + 1);
-  } catch (...) {
-    // The system refused a thread: cancel and join the workers already
-    // running (a joinable std::thread would terminate the process on
-    // unwind), then report the failure to the caller.
-    stop.store(0);
-    for (std::thread& t : pool) t.join();
-    throw;
-  }
-  for (std::thread& t : pool) t.join();
-  if (failure) std::rethrow_exception(failure);
-
-  // Merge in threshold order.  Thresholds are handed out contiguously, so
-  // every run below the final cutoff exists exactly once; speculative runs
-  // past it are discarded, reproducing the sequential loop bit for bit.
-  const std::uint64_t cutoff = stop.load();
-  std::sort(collected.begin(), collected.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::map<unsigned, WorkerStats> workers;
-  for (auto& [threshold, out] : collected) {
-    if (threshold > cutoff) continue;
-    absorb(campaign, workers, std::move(out));
-  }
-  campaign.pruned_runs = count_pruned(prunable, cutoff);
-  campaign.worker_stats = sorted_workers(std::move(workers));
 }
 
 }  // namespace fatomic::detect

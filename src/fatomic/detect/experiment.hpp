@@ -4,22 +4,22 @@
 // The campaign terminates when a run's counter never reaches the threshold —
 // all injection points of the (deterministic) program are then exhausted.
 //
-// A campaign runs exactly its Config: no setting comes from the calling
-// thread's runtime, and production faults stay off (DESIGN.md §6).
+// A campaign owns its runtime: it sets up a fresh weave::Runtime from its
+// Config alone and installs it for the Count baseline and the injector runs,
+// so it never reads or writes the calling thread's runtime (DESIGN.md §6).
 //
 // Runs at distinct thresholds are independent re-executions of the same
-// deterministic program, so with Config::jobs > 1 the driver
-// shards them across a worker pool of isolated thread-local runtimes and
-// merges the records back in threshold order — producing exactly the
-// Campaign the sequential loop would, including the
+// deterministic program.  One loop claims thresholds, runs them and absorbs
+// each outcome in threshold order as soon as every lower threshold is in:
+// the driving thread drains it at Config::jobs == 1, and that many worker
+// threads, each on a runtime set up the same way, otherwise.  Every jobs
+// value therefore yields the same Campaign, including the
 // stop-at-first-exhausted-run cutoff.  With tracing enabled each run's event
 // slice rides along and merges in the same order, so the trace stream is
 // deterministic by construction (trace/trace.hpp).
 #pragma once
 
-#include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "fatomic/config.hpp"
 #include "fatomic/detect/campaign.hpp"
@@ -41,17 +41,6 @@ class Experiment {
   Campaign run();
 
  private:
-  /// Both run the injector runs in the configuration run() installed in the
-  /// calling thread's runtime (workers copy it).  `baseline` is the Count
-  /// run's per-call table every injector run follows (DESIGN.md §15);
-  /// workers share it read-only.  prunable[t] == true means threshold t is
-  /// statically skippable; the vector is empty when pruning is off.
-  void run_sequential(Campaign& campaign, const weave::CallTable& baseline,
-                      const std::vector<bool>& prunable);
-  void run_parallel(Campaign& campaign, unsigned jobs,
-                    const weave::CallTable& baseline,
-                    const std::vector<bool>& prunable);
-
   std::function<void()> program_;
   fatomic::Config config_;
 };

@@ -39,7 +39,9 @@ std::shared_ptr<const weave::PlanMap> make_plans(
 /// inherited from an enclosing scope: the wrap predicate, field-granular
 /// checkpoint `plans` (null: full checkpoints), the completeness-validator
 /// flag and a recovery policy table (null: kRollbackPolicy).  The enclosing
-/// runtime configuration is restored on exit (weave::ScopedConfig).
+/// runtime configuration is restored on exit (weave::ScopedConfig).  A
+/// campaign run inside the scope does not see it: it runs on its own
+/// runtime (detect::Experiment::run).
 class MaskedScope {
  public:
   explicit MaskedScope(

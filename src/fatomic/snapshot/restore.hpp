@@ -19,7 +19,8 @@
 //      registered addresses, preserving sharing; aliases to external
 //      pointees (captured but owned outside the root) are restored in place
 //      at their original address by replaying their skipped record.
-//   3. reclaim — delete the pointees collected in phase 0.
+//   3. reclaim — delete the pointees collected in phase 0 and the
+//      unique_ptr pointees the replay replaced.
 //
 // Record ordinals are dense preorder NodeIds, so the per-ordinal state
 // (address, record offset, shared holder) is one vector indexed by ordinal,
@@ -407,12 +408,16 @@ class Replayer {
   void replay_unique(std::unique_ptr<U, D>& dst, std::uint8_t tag) {
     static_assert(std::is_same_v<D, std::default_delete<U>>,
                   "custom unique_ptr deleters are not supported");
-    if (tag == detail::kRecNull) {
-      dst.reset();
-      return;
-    }
+    // The replaced pointee is reclaimed in phase 3, as an owned raw pointee
+    // is, so a replay that throws frees nothing the half-restored graph's
+    // aliases may still reach.
+    if (U* old = dst.release())
+      s_.deleters.push_back({&delete_fn<U>, static_cast<void*>(old), 0});
+    if (tag == detail::kRecNull) return;
     expect(tag, detail::kRecPointer, "unique_ptr");
-    dst.reset(materialize<U>(pointee(), [](U*) {}));
+    // Owned before its replay: a replay that throws leaves the fresh pointee
+    // reachable, for the next restore to reclaim.
+    materialize<U>(pointee(), [&](U* fresh) { dst.reset(fresh); });
   }
 
   template <class U>

@@ -88,7 +88,7 @@ class TraceBuffer {
   bool enabled() const { return enabled_; }
 
   /// Arms the buffer.  `epoch_ns` is the campaign's steady-clock start —
-  /// adopt the driving buffer's epoch() on workers so timelines align.
+  /// every runtime of one campaign gets the same, so timelines align.
   void enable(std::uint64_t epoch_ns) {
     enabled_ = true;
     epoch_ns_ = epoch_ns;

@@ -56,7 +56,7 @@ inline std::uint64_t fire_injection_points(const MethodInfo& mi, Runtime& rt) {
     }
   };
   for (const ExceptionSpec& e : mi.declared()) fire(e);
-  for (const ExceptionSpec& e : rt.runtime_exceptions()) fire(e);
+  for (const ExceptionSpec& e : kRuntimeExceptions) fire(e);
   return entry;
 }
 
@@ -435,7 +435,7 @@ struct CountFrame {
     const MethodInfo* caller =
         parent == BaselineCall::kTopLevel ? nullptr : rt.calls[parent].method;
     ++rt.call_edges[{caller, &mi}];
-    rt.point += mi.declared().size() + rt.runtime_exceptions().size();
+    rt.point += mi.declared().size() + kRuntimeExceptions.size();
     rt.calls.push_back({&mi, parent, 0});
     rt.open_calls.push_back(index);
   }

@@ -2,7 +2,20 @@
 
 #include <utility>
 
+#include "fatomic/common/error.hpp"
+
 namespace fatomic::weave {
+
+const std::array<ExceptionSpec, 1> kRuntimeExceptions{{
+    {"fatomic::InjectedRuntimeError", [] { throw InjectedRuntimeError(); }},
+}};
+
+std::set<std::string> runtime_exception_names() {
+  std::set<std::string> names;
+  for (const ExceptionSpec& spec : kRuntimeExceptions)
+    names.insert(spec.type_name);
+  return names;
+}
 
 MethodInfo::MethodInfo(std::string class_name, std::string method_name,
                        std::vector<ExceptionSpec> declared, MethodKind kind)

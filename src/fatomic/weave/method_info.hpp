@@ -8,10 +8,12 @@
 // global registry the detection and masking phases consult.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -24,6 +26,15 @@ struct ExceptionSpec {
   std::string type_name;
   std::function<void()> raise;
 };
+
+/// The generic runtime exceptions E_{k+1}..E_n that every method may raise
+/// on top of its declared ones (Section 4.1): one InjectedRuntimeError.  The
+/// injector fires them after a call's declared exceptions.
+extern const std::array<ExceptionSpec, 1> kRuntimeExceptions;
+
+/// The type names of kRuntimeExceptions: the seed set of both exception-flow
+/// passes.
+std::set<std::string> runtime_exception_names();
 
 enum class MethodKind : std::uint8_t {
   Regular,      ///< instance method with a receiver to checkpoint

@@ -1,7 +1,5 @@
 #include "fatomic/weave/runtime.hpp"
 
-#include "fatomic/common/error.hpp"
-
 namespace fatomic::weave {
 
 namespace {
@@ -11,11 +9,6 @@ namespace {
 thread_local Runtime* tl_current = nullptr;
 
 }  // namespace
-
-Runtime::Runtime() {
-  runtime_exceptions_.push_back(ExceptionSpec{
-      "fatomic::InjectedRuntimeError", [] { throw InjectedRuntimeError(); }});
-}
 
 Runtime& Runtime::instance() {
   if (tl_current != nullptr) return *tl_current;
@@ -43,7 +36,6 @@ void Runtime::begin_run(std::uint64_t threshold, const CallTable* calls) {
 
 void Runtime::adopt_config(const Runtime& src) {
   mode_ = src.mode_;
-  runtime_exceptions_ = src.runtime_exceptions_;
   wrap_ = src.wrap_;
   record_diffs = src.record_diffs;
   provenance = src.provenance;
@@ -91,15 +83,10 @@ ScopedMode::ScopedMode(Mode m) : saved_(Runtime::instance().mode()) {
 
 ScopedMode::~ScopedMode() { Runtime::instance().set_mode(saved_); }
 
-ScopedConfig::ScopedConfig()
-    : rt_(Runtime::instance()), saved_worker_(rt_.trace.worker()) {
+ScopedConfig::ScopedConfig() : rt_(Runtime::instance()) {
   saved_.adopt_config(rt_);
 }
 
-ScopedConfig::~ScopedConfig() {
-  rt_.adopt_config(saved_);
-  rt_.trace.set_worker(saved_worker_);
-  rt_.trace.set_run(0);
-}
+ScopedConfig::~ScopedConfig() { rt_.adopt_config(saved_); }
 
 }  // namespace fatomic::weave

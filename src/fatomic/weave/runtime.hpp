@@ -150,7 +150,7 @@ class Runtime {
   /// injection state.
   static Runtime& instance();
 
-  Runtime();
+  Runtime() = default;
 
   // A runtime is an identity (wrappers hold references to it across a run);
   // configuration moves between runtimes via adopt_config().
@@ -192,12 +192,6 @@ class Runtime {
   /// innermost wrapper already made.
   std::uint64_t last_throw_serial = 0;
 
-  /// Generic runtime exceptions appended to every method's declared list
-  /// (the paper's E_{k+1}..E_n).  Defaults to one InjectedRuntimeError.
-  std::vector<ExceptionSpec>& runtime_exceptions() {
-    return runtime_exceptions_;
-  }
-
   // --- observer-set capture (DESIGN.md §15) --------------------------------
   /// The campaign's Count baseline while this run still follows it: null
   /// outside campaign runs, and from the moment the run leaves the baseline
@@ -231,12 +225,11 @@ class Runtime {
   /// exception can read; the caller keeps it alive for the run.
   void begin_run(std::uint64_t threshold, const CallTable* calls = nullptr);
 
-  /// Copies the configuration — mode, wrap predicate, generic runtime
-  /// exception set, diff, footprint and provenance recording, checkpoint
-  /// plans, recovery policies, fault_period, the validator flag and the
-  /// trace's enabled state and epoch — from `src`, leaving this runtime's
-  /// per-run state untouched.  Campaign workers mirror the driving thread's
-  /// runtime through it; ScopedConfig saves and restores through it.
+  /// Copies the configuration — mode, wrap predicate, diff, footprint and
+  /// provenance recording, checkpoint plans, recovery policies,
+  /// fault_period, the validator flag and the trace's enabled state and
+  /// epoch — from `src`, leaving this runtime's per-run state untouched.
+  /// ScopedConfig, mask::MaskedScope's guard, saves and restores through it.
   void adopt_config(const Runtime& src);
 
   // --- per-run observations -------------------------------------------------
@@ -307,7 +300,7 @@ class Runtime {
   /// When nonzero, masking wrappers raise an InjectedRuntimeError inside the
   /// protected region on every fault_period-th wrapped attempt — the live
   /// fault source the recovery bench drives.  0 (the default) disables the
-  /// injector entirely; a campaign holds it at 0 for its duration.
+  /// injector entirely, and a campaign's runtimes keep it there.
   std::uint64_t fault_period = 0;
   /// Attempts seen by the production-fault injector.  Advances per attempt
   /// (retries included), so a retried call faces a fresh fault decision.
@@ -328,15 +321,13 @@ class Runtime {
   RuntimeStats stats;
 
   /// Structured event sink for this runtime's wrappers (trace/trace.hpp).
-  /// Disabled by default; the campaign driver enables it for traced
-  /// campaigns and slices per-run events off it.  Runtimes are per-thread,
-  /// so appends are unsynchronized; adopt_config copies the enabled state
-  /// and epoch (worker ordinals are assigned by the campaign driver).
+  /// Disabled by default; the campaign driver enables it on a traced
+  /// campaign's runtimes and slices per-run events off them.  Runtimes are
+  /// per-thread, so appends are unsynchronized.
   trace::TraceBuffer trace;
 
  private:
   Mode mode_ = Mode::Direct;
-  std::vector<ExceptionSpec> runtime_exceptions_;
   WrapPredicate wrap_;
   std::shared_ptr<const PlanMap> plans_;
   std::unordered_map<const MethodInfo*, const snapshot::CheckpointPlan*>
@@ -348,8 +339,9 @@ class Runtime {
 
 /// RAII: installs a runtime as the calling thread's current one — every
 /// Runtime::instance() call on this thread resolves to it until the scope
-/// ends.  Campaign worker threads use this to run the injector program
-/// against an isolated runtime without touching any wrapper call site.
+/// ends.  A campaign installs its own runtime on the driving thread and on
+/// each worker, so the injector program runs against it without touching
+/// any wrapper call site.
 class ScopedRuntime {
  public:
   explicit ScopedRuntime(Runtime& rt);
@@ -375,10 +367,10 @@ class ScopedMode {
 };
 
 /// RAII: saves the calling thread's runtime configuration (everything
-/// adopt_config copies) and its trace worker ordinal, and on exit restores
-/// both and resets the trace run stamp.  The one guard around a campaign
-/// (detect::Experiment::run) or a mask::MaskedScope: whatever the scope
-/// installs, the enclosing configuration comes back intact.
+/// adopt_config copies) and restores it on exit.  mask::MaskedScope's guard:
+/// whatever the scope installs, fault_period included, the enclosing
+/// configuration comes back intact.  A campaign needs no guard: it runs on
+/// runtimes of its own (detect::Experiment::run).
 class ScopedConfig {
  public:
   ScopedConfig();
@@ -389,7 +381,6 @@ class ScopedConfig {
  private:
   Runtime& rt_;
   Runtime saved_;
-  std::uint16_t saved_worker_;
 };
 
 }  // namespace fatomic::weave

@@ -403,6 +403,99 @@ TEST(RestoreSafety, RestoreErrorIsDistinctFromSnapshotError) {
   }
 }
 
+namespace owned_chain {
+
+/// Every live Box and Leaf, by address: the counting check that a failed
+/// restore leaks nothing and frees nothing an alias still reaches.
+std::set<const void*> g_live;
+
+/// Leaf construction countdown, disarmed (0) by default: armed at k, the
+/// k-th Leaf constructed from then on throws, as an allocation that fails
+/// mid-replay would.
+int g_leaf_countdown = 0;
+
+struct Leaf {
+  Leaf() {
+    if (g_leaf_countdown != 0 && --g_leaf_countdown == 0)
+      throw std::bad_alloc();
+    g_live.insert(this);
+  }
+  ~Leaf() { g_live.erase(this); }
+  int value = 0;
+};
+
+struct Box {
+  Box() { g_live.insert(this); }
+  ~Box() { g_live.erase(this); }
+  std::unique_ptr<Leaf> leaf;
+};
+
+struct BoxRoot {
+  std::unique_ptr<Box> box;
+};
+
+/// An alias into the box's leaf, replayed before `later`.
+struct AliasRoot {
+  std::unique_ptr<Box> box;
+  Leaf* alias = nullptr;  // not owned
+  std::unique_ptr<Leaf> later;
+};
+
+}  // namespace owned_chain
+
+FAT_REFLECT(owned_chain::Leaf, FAT_FIELD(owned_chain::Leaf, value));
+FAT_REFLECT(owned_chain::Box, FAT_FIELD(owned_chain::Box, leaf));
+FAT_REFLECT(owned_chain::BoxRoot, FAT_FIELD(owned_chain::BoxRoot, box));
+FAT_REFLECT(owned_chain::AliasRoot, FAT_FIELD(owned_chain::AliasRoot, box),
+            FAT_FIELD(owned_chain::AliasRoot, alias),
+            FAT_FIELD(owned_chain::AliasRoot, later));
+
+// A restore that fails inside a fresh unique_ptr pointee's replay must not
+// leak it: the pointee is owned before it is replayed.  The replaced box is
+// reclaimed only when the restore completes, so the test frees it.
+TEST(RestoreSafety, FailedUniquePointeeReplayLeaksNothing) {
+  using namespace owned_chain;
+  g_live.clear();
+  {
+    BoxRoot root;
+    root.box = std::make_unique<Box>();
+    root.box->leaf = std::make_unique<Leaf>();
+    const snap::ArenaSnapshot cp = snap::arena_capture(root);
+    Box* const old = root.box.get();
+    g_leaf_countdown = 1;  // the replay's first Leaf throws
+    EXPECT_THROW(snap::restore(root, cp), fatomic::RestoreError);
+    g_leaf_countdown = 0;
+    if (root.box.get() != old) delete old;  // cut loose by the restore
+  }
+  EXPECT_TRUE(g_live.empty()) << g_live.size() << " objects outlived the root";
+}
+
+// A failed restore skips its deletions, so a half-restored graph's alias
+// into a replaced unique_ptr pointee still reaches a live object.
+TEST(RestoreSafety, FailedReplayFreesNoPointeeAnAliasReaches) {
+  using namespace owned_chain;
+  g_live.clear();
+  {
+    AliasRoot root;
+    root.box = std::make_unique<Box>();
+    root.box->leaf = std::make_unique<Leaf>();
+    root.alias = root.box->leaf.get();
+    root.later = std::make_unique<Leaf>();
+    const snap::ArenaSnapshot cp = snap::arena_capture(root);
+    Box* const old_box = root.box.get();
+    Leaf* const old_later = root.later.get();
+    g_leaf_countdown = 2;  // the box's Leaf replays, `later`'s throws
+    EXPECT_THROW(snap::restore(root, cp), fatomic::RestoreError);
+    g_leaf_countdown = 0;
+    EXPECT_EQ(g_live.count(root.alias), 1u)
+        << "the half-restored graph's alias reaches a freed Leaf";
+    // Free what the restore cut loose.
+    if (root.box.get() != old_box) delete old_box;
+    if (root.later.get() != old_later) delete old_later;
+  }
+  EXPECT_TRUE(g_live.empty()) << g_live.size() << " objects outlived the root";
+}
+
 TEST(CampaignJson, StatsCarryArenaAndRestoreCounters) {
   fatomic::detect::Campaign campaign;
   campaign.stats.arena_bytes = 4;

@@ -435,27 +435,25 @@ TEST_F(CaptureElision, MaskedRollbackLeavesTheBaselineWithoutReruns) {
 
 // A masked verification of LinkedList that sets no plans and no validator
 // takes full checkpoints only, whatever plans and validator the scope it is
-// launched from holds: as many pool captures as the same campaign run bare,
-// none of them partial and none of them a validator shadow.
+// launched from holds: every counter of the campaign, partial checkpoints,
+// snapshots and arena bytes included, and its mark stream equal the same
+// campaign's run bare.
 TEST_F(CaptureElision, AmbientPlansAndValidatorStayOutOfTheCampaign) {
   const auto& program = subjects::apps::app("LinkedList").program;
   const auto wrap = mask::wrap_pure(
       detect::classify(detect::Experiment(program).run()));
   fatomic::Config cfg;
   cfg.mask(wrap);
-  auto& pool = weave::Runtime::instance().arena_pool;
 
-  std::uint64_t before = pool.captures;
   const detect::Campaign bare = mask::verify_masked_full(program, cfg).campaign;
-  const std::uint64_t bare_captures = pool.captures - before;
   EXPECT_EQ(bare.stats.partial_checkpoints, 0u);
+  EXPECT_GT(bare.stats.snapshots_taken, 0u);
 
   mask::MaskedScope scope(wrap, static_plans(), /*validate=*/true);
-  before = pool.captures;
   const detect::Campaign inside =
       mask::verify_masked_full(program, cfg).campaign;
-  EXPECT_EQ(inside.stats.partial_checkpoints, 0u);
-  EXPECT_EQ(pool.captures - before, bare_captures);
+  for (const weave::StatField& f : weave::kStatFields)
+    EXPECT_EQ(inside.stats.*f.member, bare.stats.*f.member) << f.name;
   EXPECT_EQ(mark_stream::render(inside), mark_stream::render(bare));
 }
 

@@ -1,6 +1,6 @@
-// Configurability of the injected exception set: the paper injects declared
-// exceptions E_1..E_k plus generic runtime exceptions E_{k+1}..E_n
-// (Section 4.1); the runtime exception list is configurable.
+// The injected exception set: the paper injects declared exceptions
+// E_1..E_k plus generic runtime exceptions E_{k+1}..E_n (Section 4.1); the
+// runtime set is the constant weave::kRuntimeExceptions.
 #include <gtest/gtest.h>
 
 #include "fatomic/common/error.hpp"
@@ -14,76 +14,23 @@ using weave::Runtime;
 
 namespace {
 
-class OutOfMemoryish : public std::runtime_error {
- public:
-  OutOfMemoryish() : std::runtime_error("simulated OOM") {}
-};
-
 class ExceptionSpecTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    saved_ = Runtime::instance().runtime_exceptions();
     Runtime::instance().set_mode(Mode::Direct);
     Runtime::instance().begin_run(0);
   }
-  void TearDown() override {
-    Runtime::instance().runtime_exceptions() = saved_;
-    Runtime::instance().set_mode(Mode::Direct);
-  }
-  std::vector<weave::ExceptionSpec> saved_;
+  void TearDown() override { Runtime::instance().set_mode(Mode::Direct); }
 };
 
 }  // namespace
 
 TEST_F(ExceptionSpecTest, DefaultRuntimeExceptionIsInjected) {
-  ASSERT_EQ(Runtime::instance().runtime_exceptions().size(), 1u);
-  EXPECT_EQ(Runtime::instance().runtime_exceptions()[0].type_name,
+  ASSERT_EQ(weave::kRuntimeExceptions.size(), 1u);
+  EXPECT_EQ(weave::kRuntimeExceptions[0].type_name,
             "fatomic::InjectedRuntimeError");
-}
-
-TEST_F(ExceptionSpecTest, AdditionalRuntimeExceptionsAddInjectionPoints) {
-  auto& rt = Runtime::instance();
-  weave::ScopedMode m(Mode::Inject);
-  Account a;
-
-  // Baseline: points consumed by one set() call with the default list.
-  rt.begin_run(1000000);
-  a.set(1);
-  const std::uint64_t base_points = rt.point;
-
-  rt.runtime_exceptions().push_back(
-      weave::ExceptionSpec{"OutOfMemoryish", [] { throw OutOfMemoryish(); }});
-  rt.begin_run(1000000);
-  a.set(2);
-  EXPECT_EQ(rt.point, base_points + 1)
-      << "each extra runtime exception adds one point per call";
-}
-
-TEST_F(ExceptionSpecTest, CustomExceptionTypeActuallyThrown) {
-  auto& rt = Runtime::instance();
-  rt.runtime_exceptions().push_back(
-      weave::ExceptionSpec{"OutOfMemoryish", [] { throw OutOfMemoryish(); }});
-  weave::ScopedMode m(Mode::Inject);
-  Account a;
-  // set() has no declared exceptions: point 1 = default runtime error,
-  // point 2 = our custom one.
-  rt.begin_run(2);
-  EXPECT_THROW(a.set(1), OutOfMemoryish);
-  EXPECT_EQ(rt.injected_exception, "OutOfMemoryish");
-}
-
-TEST_F(ExceptionSpecTest, EmptyRuntimeListInjectsDeclaredOnly) {
-  auto& rt = Runtime::instance();
-  rt.runtime_exceptions().clear();
-  weave::ScopedMode m(Mode::Inject);
-  Account a;
-  // set() declares nothing -> zero points; nonatomic_update declares
-  // BankError -> exactly one point.
-  rt.begin_run(1000000);
-  a.set(1);
-  EXPECT_EQ(rt.point, 0u);
-  rt.begin_run(1);
-  EXPECT_THROW(a.nonatomic_update(1), synthetic::BankError);
+  EXPECT_THROW(weave::kRuntimeExceptions[0].raise(),
+               fatomic::InjectedRuntimeError);
 }
 
 TEST_F(ExceptionSpecTest, DeclaredExceptionsPrecedeRuntimeOnes) {

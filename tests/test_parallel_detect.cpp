@@ -3,12 +3,14 @@
 // the sequential campaign bit for bit — runs, marks, classification, report
 // JSON and aggregated stats — on real subjects.  Also covers the
 // campaign-loop regressions fixed alongside: the terminal-run record of a
-// genuinely escaping program, and restoration of the runtime configuration
-// around masked experiments and scopes.
+// genuinely escaping program, a campaign that leaves the calling runtime as
+// it found it, and restoration of the runtime configuration around masked
+// scopes.
 #include "fatomic/detect/experiment.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -19,6 +21,7 @@
 #include "fatomic/detect/classify.hpp"
 #include "fatomic/mask/masker.hpp"
 #include "fatomic/report/json.hpp"
+#include "fatomic/trace/trace.hpp"
 #include "subjects/apps/apps.hpp"
 #include "testing/synthetic.hpp"
 
@@ -326,4 +329,111 @@ TEST_F(ParallelDetectTest, ConfigGuardRestoresEveryValue) {
   rt.adopt_config(defaults);
   rt.trace.set_worker(0);
   rt.trace.take(0);
+}
+
+// A campaign owns its runtime.  Launched from a caller whose runtime is
+// traced, inside a MaskedScope with plans, the validator, policies and
+// production faults armed, and holds counters, pool captures, a Count table
+// and a pending trace event, a traced campaign leaves every one of them as
+// it found it, and none of them reaches the campaign's own trace.
+TEST_F(ParallelDetectTest, CampaignLeavesTheCallersRuntimeAsItWas) {
+  auto& rt = weave::Runtime::instance();
+  {
+    // Counters and a pool capture from a masked call, then a Count table.
+    fatomic::mask::MaskedScope scope(
+        [](const weave::MethodInfo&) { return true; });
+    synthetic::Account a;
+    a.set(1);
+  }
+  {
+    weave::ScopedMode count(weave::Mode::Count);
+    rt.reset_counts();
+    synthetic::Account a;
+    a.set(2);
+    a.atomic_update(3);
+  }
+  ASSERT_GT(rt.stats.wrapped_calls, 0u);
+  ASSERT_GT(rt.arena_pool.captures, 0u);
+  ASSERT_FALSE(rt.calls.empty());
+
+  const auto plans = std::make_shared<const weave::PlanMap>();
+  const auto policies =
+      std::make_shared<const fatomic::recovery::PolicyTable>();
+  rt.provenance = true;
+  rt.trace.enable(12345);
+  rt.trace.set_worker(7);
+  for (const unsigned jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    rt.trace.take(0);
+    fatomic::mask::MaskedScope scope(outer_wrap, plans, /*validate=*/true,
+                                     policies);
+    rt.fault_period = 1'000'000'007;  // never reached: no fault fires
+    ASSERT_EQ(rt.trace.size(), 1u) << "the scope's entry event";
+
+    const weave::RuntimeStats stats = rt.stats;
+    const std::uint64_t point = rt.point;
+    const auto call_counts = rt.call_counts;
+    const auto call_edges = rt.call_edges;
+    const weave::CallTable calls = rt.calls;
+    const std::uint64_t captures = rt.arena_pool.captures;
+    const std::uint64_t fault_counter = rt.fault_counter;
+
+    fatomic::Config cfg;
+    cfg.mask([](const weave::MethodInfo&) { return true; })
+        .tracing(true)
+        .record_diffs(true)
+        .jobs(jobs);
+    const detect::Campaign c =
+        detect::Experiment(synthetic::workload, cfg).run();
+    EXPECT_GT(c.stats.wrapped_calls, 0u);
+    ASSERT_TRUE(c.trace.enabled);
+    EXPECT_FALSE(c.trace.events.empty());
+    for (const fatomic::trace::Event& e : c.trace.events)
+      EXPECT_NE(e.kind, fatomic::trace::EventKind::MaskScope);
+
+    // Every configuration value.
+    EXPECT_EQ(rt.mode(), weave::Mode::Mask);
+    const auto* wrap =
+        rt.wrap_predicate().target<bool (*)(const weave::MethodInfo&)>();
+    ASSERT_NE(wrap, nullptr);
+    EXPECT_EQ(*wrap, &outer_wrap);
+    EXPECT_EQ(rt.checkpoint_plans(), plans);
+    EXPECT_EQ(rt.recovery_policies(), policies);
+    EXPECT_TRUE(rt.validate_checkpoints);
+    EXPECT_FALSE(rt.record_diffs);
+    EXPECT_TRUE(rt.provenance);
+    EXPECT_EQ(rt.fault_period, 1'000'000'007u);
+    EXPECT_EQ(rt.fault_counter, fault_counter);
+    EXPECT_TRUE(rt.trace.enabled());
+    EXPECT_EQ(rt.trace.epoch(), 12345u);
+    EXPECT_EQ(rt.trace.worker(), 7u);
+    // The counters, the Count table and the pool.
+    for (const weave::StatField& f : weave::kStatFields)
+      EXPECT_EQ(rt.stats.*f.member, stats.*f.member) << f.name;
+    EXPECT_EQ(rt.point, point);
+    EXPECT_EQ(rt.call_counts, call_counts);
+    EXPECT_EQ(rt.call_edges, call_edges);
+    EXPECT_EQ(rt.calls.size(), calls.size());
+    for (std::size_t k = 0; k < std::min(rt.calls.size(), calls.size()); ++k) {
+      EXPECT_EQ(rt.calls[k].method, calls[k].method) << "call " << k;
+      EXPECT_EQ(rt.calls[k].parent, calls[k].parent) << "call " << k;
+      EXPECT_EQ(rt.calls[k].bound, calls[k].bound) << "call " << k;
+    }
+    EXPECT_EQ(rt.arena_pool.captures, captures);
+    // The pending event.
+    const std::vector<fatomic::trace::Event> pending = rt.trace.take(0);
+    EXPECT_EQ(pending.size(), 1u);
+    for (const fatomic::trace::Event& e : pending) {
+      EXPECT_EQ(e.kind, fatomic::trace::EventKind::MaskScope);
+      EXPECT_EQ(e.value, 1u);
+      EXPECT_EQ(e.worker, 7u);
+    }
+  }
+
+  const weave::Runtime defaults;
+  rt.adopt_config(defaults);
+  rt.trace.set_worker(0);
+  rt.trace.take(0);
+  rt.reset_counts();
+  rt.stats = {};
 }

@@ -448,15 +448,6 @@ std::string subject_root() {
   return std::string(FATOMIC_SOURCE_DIR) + "/subjects";
 }
 
-/// The injector's generic runtime exception names (E_{k+1}..E_n), the seed
-/// set of both exception-flow passes.
-std::set<std::string> runtime_exception_names() {
-  std::set<std::string> names;
-  for (const auto& spec : fatomic::weave::Runtime::instance().runtime_exceptions())
-    names.insert(spec.type_name);
-  return names;
-}
-
 int print_lint(const std::string& app_name, const detect::Campaign& campaign,
                const fatomic::analyze::StaticReport& sreport) {
   // Dynamic lint (observed marks vs. declared sets), then the Pass 4
@@ -464,7 +455,8 @@ int print_lint(const std::string& app_name, const detect::Campaign& campaign,
   // — the dynamic graph's blind spot.
   auto findings = fatomic::analyze::lint(campaign);
   const auto uncovered = fatomic::analyze::lint_static(
-      campaign, sreport.model, sreport.graph, runtime_exception_names());
+      campaign, sreport.model, sreport.graph,
+      fatomic::weave::runtime_exception_names());
   findings.insert(findings.end(), uncovered.begin(), uncovered.end());
   if (findings.empty()) {
     std::cout << app_name << ": lint clean (every observed exception type "
