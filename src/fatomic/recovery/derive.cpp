@@ -10,13 +10,9 @@ namespace {
 
 /// Retry attempts granted to methods whose evidence admits retry.
 constexpr unsigned kRetryBudget = 2;
-/// Backoff base for derived retry policies (microseconds; 0 = immediate).
-constexpr unsigned kBackoffUs = 0;
 /// Observations of an exception type required before its histogram may
 /// weight an override — a single sighting is not a pattern.
 constexpr std::uint64_t kMinObservations = 2;
-/// Diagnostic boundary-type name stamped into rethrow_as transformations.
-constexpr const char* kRethrowType = "ServiceError";
 
 /// Per-(method, exception-type) tally off the campaign's marks: how often
 /// the type was observed passing through the method's wrapper, whether the
@@ -63,7 +59,6 @@ DerivedPolicies derive_policy_table(const analyze::StaticReport& report,
       // mutated the receiver, so re-execution needs no checkpoint.
       pol.action = Action::Retry;
       pol.retry_budget = kRetryBudget;
-      pol.backoff_us = kBackoffUs;
       pol.rollback_before_retry = false;
       out.evidence[name] = "proven-atomic (prune set)";
     } else if (w.plan.partial) {
@@ -71,7 +66,6 @@ DerivedPolicies derive_policy_table(const analyze::StaticReport& report,
       // restore re-establish the entry state before every attempt.
       pol.action = Action::Retry;
       pol.retry_budget = kRetryBudget;
-      pol.backoff_us = kBackoffUs;
       pol.rollback_before_retry = true;
       out.evidence[name] =
           "partial plan (" + std::to_string(w.plan.capture.size()) +
@@ -99,7 +93,6 @@ DerivedPolicies derive_policy_table(const analyze::StaticReport& report,
             // Never handled anywhere in the program: transform into the
             // stable boundary type.
             pol.exception_overrides[type] = Action::RethrowAs;
-            if (pol.rethrow_type.empty()) pol.rethrow_type = kRethrowType;
           }
         }
       }

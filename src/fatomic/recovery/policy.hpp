@@ -2,7 +2,7 @@
 // recovery strategy (rollback-and-rethrow, Listing 2 lines 8-10) into a
 // per-method decision on the lattice
 //
-//   rollback | rethrow_as(T) | early_return | retry(n, backoff) | degrade
+//   rollback | rethrow_as | early_return | retry(n) | degrade
 //
 // following Ares' recovery operators and TripleAgent's perturbation/recovery
 // split (PAPERS.md).  A PolicyTable maps qualified method names to policies.
@@ -68,21 +68,9 @@ Action parse_action(const std::string& tag);
 struct RecoveryPolicy {
   Action action = Action::Rollback;
 
-  /// RethrowAs: demangled name of the boundary exception type recorded in
-  /// the transformed exception's what() — diagnostic only, the thrown C++
-  /// type is always recovery::ServiceError.
-  std::string rethrow_type;
-
   /// Retry: additional attempts after the first failure.  0 with
   /// action == Retry degenerates to rollback + rethrow.
   unsigned retry_budget = 0;
-
-  /// Retry: microseconds slept before attempt k+1 is backoff_us << k —
-  /// bounded exponential backoff for transient-fault workloads.  0 retries
-  /// immediately (the injector's faults are deterministic, so campaign
-  /// verification keeps this at 0).  Derivation writes 0 and no bench sets
-  /// it; only test_recovery's JSON round trip uses a nonzero value.
-  unsigned backoff_us = 0;
 
   /// Retry: take (and restore before each attempt) the entry checkpoint.
   /// False only for statically proven-atomic methods, whose failed attempts
@@ -136,16 +124,12 @@ class PolicyTable {
 };
 
 /// The stable boundary exception RethrowAs transforms into: what() carries
-/// the original type and the policy's rethrow_type so logs stay diagnosable
-/// after the transformation.
+/// the original type so logs stay diagnosable after the transformation.
 class ServiceError : public std::runtime_error {
  public:
-  ServiceError(const std::string& original_type,
-               const std::string& boundary_type)
-      : std::runtime_error("recovery: " +
-                           (boundary_type.empty() ? std::string("ServiceError")
-                                                  : boundary_type) +
-                           " (transformed from " + original_type + ")"),
+  explicit ServiceError(const std::string& original_type)
+      : std::runtime_error("recovery: ServiceError (transformed from " +
+                           original_type + ")"),
         original_type_(original_type) {}
 
   const std::string& original_type() const { return original_type_; }

@@ -92,11 +92,7 @@ std::string policy_table_json(const PolicyTable& table) {
     os << "{\"method\":\"" << report::json_escape(name) << "\",\"action\":\""
        << to_string(pol.action) << '"';
     if (pol.retry_budget != 0) os << ",\"retry_budget\":" << pol.retry_budget;
-    if (pol.backoff_us != 0) os << ",\"backoff_us\":" << pol.backoff_us;
     if (!pol.rollback_before_retry) os << ",\"rollback_before_retry\":false";
-    if (!pol.rethrow_type.empty())
-      os << ",\"rethrow_type\":\"" << report::json_escape(pol.rethrow_type)
-         << '"';
     if (!pol.exception_overrides.empty()) {
       os << ",\"overrides\":[";
       bool ofirst = true;
@@ -166,8 +162,8 @@ PolicyTable parse_policy_table(const std::string& text,
     if (method == nullptr || !method->is_string() || method->string.empty())
       fail(origin, "policy entry missing \"method\"");
     schema(entry,
-           {"method", "action", "retry_budget", "backoff_us",
-            "rollback_before_retry", "rethrow_type", "overrides"},
+           {"method", "action", "retry_budget", "rollback_before_retry",
+            "overrides"},
            "the policy for '" + method->string + "'");
     const report::JsonValue* action = entry.find("action");
     if (action == nullptr || !action->is_string())
@@ -181,15 +177,10 @@ PolicyTable parse_policy_table(const std::string& text,
                     "policy for '" + method->string + "': " + e.what());
     }
     pol.retry_budget = count_field(entry, "retry_budget", origin);
-    pol.backoff_us = count_field(entry, "backoff_us", origin);
     if (const report::JsonValue* rb = entry.find("rollback_before_retry")) {
       if (!rb->is_bool())
         fail(origin, "'rollback_before_retry' must be a boolean");
       pol.rollback_before_retry = rb->boolean;
-    }
-    if (const report::JsonValue* rt = entry.find("rethrow_type")) {
-      if (!rt->is_string()) fail(origin, "'rethrow_type' must be a string");
-      pol.rethrow_type = rt->string;
     }
     if (const report::JsonValue* overrides = entry.find("overrides")) {
       if (!overrides->is_array()) fail(origin, "'overrides' must be an array");

@@ -8,9 +8,7 @@
 //       "action": "retry",               // rollback | rethrow_as |
 //                                        // early_return | retry | degrade
 //       "retry_budget": 2,               // retry only (optional, default 0)
-//       "backoff_us": 0,                 // retry only (optional, default 0)
 //       "rollback_before_retry": true,   // optional, default true
-//       "rethrow_type": "ServiceError",  // rethrow_as only (optional)
 //       "overrides": [                   // optional per-exception-type map
 //         {"exception": "subjects::net::NetError", "action": "degrade"}]}]}
 //

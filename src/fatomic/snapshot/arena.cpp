@@ -98,17 +98,6 @@ class Reader {
 
 }  // namespace
 
-bool ArenaSnapshot::equals(const ArenaSnapshot& o, bool* used_memcmp) const {
-  if (used_memcmp != nullptr) *used_memcmp = true;
-  if (identical(o)) return true;
-  if (bytes_.size() != o.bytes_.size()) return false;
-  // Same length, different bytes: equal graphs can still differ in a type
-  // word (one type name with two descriptors, e.g. duplicated across shared
-  // objects), so the decoded tables decide.
-  if (used_memcmp != nullptr) *used_memcmp = false;
-  return decode().equals(o.decode());
-}
-
 Snapshot ArenaSnapshot::decode() const& {
   Snapshot s;
   if (node_count_ == 0) return s;

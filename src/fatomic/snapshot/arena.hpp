@@ -8,10 +8,9 @@
 // already captured becomes a back-reference, so shared pointees stay shared
 // exactly as Definition 1 requires; cycles resolve because a node registers
 // before its children are walked.  Record ordinals are the NodeIds of the
-// decoded view (node.hpp).  Because captures of structurally equal graphs
-// produce byte-identical slabs, graph equality is a single memcmp; only a
-// same-length byte mismatch consults the structural oracle (decode both,
-// compare the tables — see ArenaSnapshot::equals).
+// decoded view (node.hpp).  Captures of structurally equal graphs produce
+// byte-identical slabs and unequal graphs differing ones, so graph equality
+// is a single memcmp (ArenaSnapshot::equals).
 //
 // Record stream grammar (little-endian, in-process only — never persisted):
 //   capture := value                        (arena_capture: one tree)
@@ -429,22 +428,15 @@ class ArenaSnapshot {
   std::size_t node_count() const { return node_count_; }
   std::size_t byte_size() const { return bytes_.size(); }
 
-  /// The fast path: byte equality of the slabs.  Sound in one direction
-  /// only — identical bytes imply equal graphs; differing bytes need the
-  /// structural oracle (see equals).
-  bool identical(const ArenaSnapshot& o) const {
+  /// Graph equality (the paper's compare): the slabs are byte-identical.
+  /// Every record is a function of its decoded node and each type has one
+  /// descriptor, so equal graphs give equal bytes and unequal graphs
+  /// differing ones (DESIGN.md §10).
+  bool equals(const ArenaSnapshot& o) const {
     return bytes_.size() == o.bytes_.size() &&
            (bytes_.empty() ||
             std::memcmp(bytes_.data(), o.bytes_.data(), bytes_.size()) == 0);
   }
-
-  /// Graph equality (the paper's compare): one memcmp over the slabs,
-  /// falling back to a structural compare of the decoded tables only for a
-  /// same-length byte mismatch.  A length mismatch is already conclusive —
-  /// record sizes depend only on kinds, counts and values.  `used_memcmp`,
-  /// when non-null, reports whether the memcmp alone decided (feeds
-  /// stats.memcmp_compares / stats.compare_fallbacks).
-  bool equals(const ArenaSnapshot& o, bool* used_memcmp = nullptr) const;
 
   /// The record stream, for a reader that walks it itself (restore.hpp).
   ArenaCursor records() const {
@@ -458,9 +450,9 @@ class ArenaSnapshot {
   /// The named node-table view of this capture (node.hpp): record ordinals
   /// become NodeIds, type words name types and fields, string leaves view
   /// the slab.  This overload borrows — the view must not outlive *this.
-  /// Diffs, footprints, the compare fallback and tests read it; restores
-  /// replay the records instead.  A partial capture decodes to one
-  /// Primitive node per leaf.
+  /// Diffs, footprints and tests read it; compares and restores read the
+  /// records instead.  A partial capture decodes to one Primitive node per
+  /// leaf.
   Snapshot decode() const&;
   /// The same view, owning this capture (snapshot::capture is
   /// `arena_capture(root).decode()`).

@@ -7,8 +7,9 @@
 // objects, iteration order for containers), so two captures of structurally
 // equal object graphs decode to identical tables, and object-graph equality
 // — including pointer-sharing structure — reduces to an elementwise table
-// comparison.  Diffs, footprints and the structural compare fallback read
-// this view; restore replays the record stream itself (restore.hpp).
+// comparison.  Diffs, footprints and the tests' oracle read this view;
+// compare and restore read the record stream itself (arena.hpp,
+// restore.hpp).
 #pragma once
 
 #include <bit>
@@ -102,9 +103,6 @@ class Snapshot {
   bool equals(const Snapshot& other) const {
     return root_ == other.root_ && nodes_ == other.nodes_;
   }
-
-  /// Structural hash; equal snapshots hash equally.
-  std::size_t hash() const;
 
   /// Human-readable dump for diagnostics and tests.
   std::string to_string() const;

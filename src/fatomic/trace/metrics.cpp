@@ -121,20 +121,10 @@ std::string MetricsRegistry::to_text() const {
 MetricsRegistry campaign_metrics(const detect::Campaign& campaign) {
   MetricsRegistry m;
 
-  // The legacy aggregate counters, subsumed under a stable namespace.
-  const weave::RuntimeStats& s = campaign.stats;
+  // Every RuntimeStats counter, once, under a stable namespace.
   for (const weave::StatField& f : weave::kStatFields)
-    m.add(std::string("stats.") + f.name, s.*f.member);
+    m.add(std::string("stats.") + f.name, campaign.stats.*f.member);
 
-  // Recovery policy engine rollup (DESIGN.md §14): completed recoveries by
-  // the action that resolved them.
-  m.add("recoveries_by_policy.retry", s.retry_successes);
-  m.add("recoveries_by_policy.rollback", s.policy_rollbacks);
-  m.add("recoveries_by_policy.rethrow_as", s.transformed_rethrows);
-  m.add("recoveries_by_policy.early_return", s.early_returns);
-  m.add("recoveries_by_policy.degrade", s.degraded_calls);
-  m.add("retry_exhaustions", s.retry_exhaustions);
-  m.add("degraded_calls", s.degraded_calls);
   m.add("campaign.runs", campaign.runs.size());
   m.add("campaign.injections", campaign.injections());
   m.add("campaign.pruned_runs", campaign.pruned_runs);
@@ -186,9 +176,6 @@ MetricsRegistry campaign_metrics(const detect::Campaign& campaign) {
       case EventKind::Recovery:
         // Per-action recovery latency ("recovery_ns.retry", ...).
         m.histogram("recovery_ns." + e.detail).observe(e.dur_ns);
-        break;
-      case EventKind::Fault:
-        m.add("faults.production");
         break;
       default:
         break;

@@ -14,11 +14,9 @@
 //   Direct  — the original program P.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <exception>
 #include <optional>
-#include <thread>
 #include <tuple>
 #include <type_traits>
 #include <utility>
@@ -243,11 +241,6 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
             ++rt.stats.retry_attempts;
             rt.trace.span(trace::EventKind::Recovery, t0, &mi, attempt + 1,
                           "retry");
-            if (pol.backoff_us != 0) {
-              const unsigned shift = attempt < 10 ? attempt : 10;
-              std::this_thread::sleep_for(std::chrono::microseconds(
-                  static_cast<std::uint64_t>(pol.backoff_us) << shift));
-            }
             break;  // next attempt
           }
           // Budget exhausted: the policy's fallback is the paper's strategy.
@@ -265,7 +258,7 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
           restore();
           ++rt.stats.transformed_rethrows;
           rt.trace.span(trace::EventKind::Recovery, t0, &mi, 0, "rethrow_as");
-          throw recovery::ServiceError(ex_type, pol.rethrow_type);
+          throw recovery::ServiceError(ex_type);
         case Action::EarlyReturn:
           restore();
           if constexpr (kNeutralReturn) {
@@ -381,9 +374,7 @@ decltype(auto) injected_call(const MethodInfo& mi, Root& root, Fn&& body,
     const snapshot::ArenaSnapshot after =
         snapshot::arena_capture(root, &rt.arena_pool);
     ++rt.stats.comparisons;
-    bool used_memcmp = false;
-    const bool atomic = before->equals(after, &used_memcmp);
-    ++(used_memcmp ? rt.stats.memcmp_compares : rt.stats.compare_fallbacks);
+    const bool atomic = before->equals(after);
     rt.trace.span(trace::EventKind::Compare, c0, &mi, atomic ? 1 : 0);
     // Episode accounting: marks are appended in propagation order and
     // within one episode depths strictly decrease, so this wrapper is the

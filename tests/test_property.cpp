@@ -5,7 +5,7 @@
 //   P2  any effective mutation changes the snapshot (no false atomics)
 //   P3  restore after arbitrary mutations reproduces the original graph
 //       (no false non-atomics after masking)
-//   P4  hash() is consistent with equals()
+//   P4  the byte compare agrees with equality of the decoded tables
 #include <gtest/gtest.h>
 
 #include <random>
@@ -102,7 +102,6 @@ TEST_P(SnapshotProperty, CaptureIsDeterministic) {
   snap::Snapshot a = snap::capture(w);
   snap::Snapshot b = snap::capture(w);
   EXPECT_TRUE(a.equals(b));
-  EXPECT_EQ(a.hash(), b.hash());
 }
 
 TEST_P(SnapshotProperty, EffectiveMutationsAreVisible) {
@@ -110,17 +109,16 @@ TEST_P(SnapshotProperty, EffectiveMutationsAreVisible) {
   World w;
   populate(w, rng, 10);
   for (int i = 0; i < 20; ++i) {
-    snap::Snapshot before = snap::capture(w);
+    const snap::ArenaSnapshot before = snap::arena_capture(w);
     // Case 2 can overwrite a map slot with an identical value, which is a
-    // graph no-op; skip the visibility check for that case by comparing.
+    // graph no-op: a mutation is effective when the decoded tables differ.
     bool mutated = mutate_once(w, rng);
-    snap::Snapshot after = snap::capture(w);
-    if (mutated && !before.equals(after)) {
-      EXPECT_NE(before.hash(), after.hash());
-    }
+    const snap::ArenaSnapshot after = snap::arena_capture(w);
+    const bool effective = !before.decode().equals(after.decode());
+    EXPECT_EQ(before.equals(after), !effective)
+        << "the byte compare must see exactly the effective mutations";
     if (!mutated) {
-      EXPECT_TRUE(before.equals(after))
-          << "a reported no-op must not change the graph";
+      EXPECT_FALSE(effective) << "a reported no-op must not change the graph";
     }
   }
 }

@@ -92,7 +92,6 @@ TEST_F(RecoveryTest, PolicyTableJsonRoundTrips) {
     recovery::RecoveryPolicy p;
     p.action = recovery::Action::Retry;
     p.retry_budget = 3;
-    p.backoff_us = 50;
     p.rollback_before_retry = false;
     p.exception_overrides["subjects::net::NetError"] =
         recovery::Action::Degrade;
@@ -102,7 +101,6 @@ TEST_F(RecoveryTest, PolicyTableJsonRoundTrips) {
   {
     recovery::RecoveryPolicy p;
     p.action = recovery::Action::RethrowAs;
-    p.rethrow_type = "ServiceError";
     table.set("A::g", p);
   }
   table.set("A::h", recovery::RecoveryPolicy{});  // all defaults
@@ -167,7 +165,6 @@ TEST_F(RecoveryTest, ParseErrorsReportOriginLineAndColumn) {
       {entry(R"("retry_budget": 4294967296)"), "retry_budget"},
       {entry(R"("retry_budget": 2.5)"), "retry_budget"},
       {entry(R"("retry_budget": 1e20)"), "retry_budget"},
-      {entry(R"("backoff_us": 4294967297)"), "backoff_us"},
       {R"({"schema_version": 1.9, "policies": []})", "schema_version"},
   };
   for (const auto& [document, field] : bad_numbers) {
@@ -182,7 +179,8 @@ TEST_F(RecoveryTest, ParseErrorsReportOriginLineAndColumn) {
   }
 
   // A key outside the schema is refused at every level, where it stands: a
-  // misspelled key would otherwise leave its field at the default.
+  // misspelled key would otherwise leave its field at the default.  So is a
+  // retired one: backoff_us and rethrow_type are no longer policy fields.
   struct Misspelled {
     std::string document;
     const char* key;
@@ -201,6 +199,9 @@ TEST_F(RecoveryTest, ParseErrorsReportOriginLineAndColumn) {
        "  {\"exception\": \"E\", \"action\": \"degrade\","
        " \"actoin\": \"retry\"}]}]}",
        "actoin", "line 3, column 44"},
+      {entry(R"("backoff_us": 4294967297)"), "backoff_us", "line 1, column 75"},
+      {entry(R"("rethrow_type": "ServiceError")"), "rethrow_type",
+       "line 1, column 75"},
   };
   for (const Misspelled& m : misspelled) {
     try {
@@ -330,7 +331,6 @@ TEST_F(RecoveryTest, CampaignHistogramsWeightOverridesOnNonPinnedOnly) {
             recovery::Action::Degrade);
   EXPECT_EQ(open_pol->action_for("custom::Fatal"),
             recovery::Action::RethrowAs);
-  EXPECT_EQ(open_pol->rethrow_type, "ServiceError");
   EXPECT_EQ(open_pol->action_for("custom::Rare"), open_pol->action)
       << "a single observation is not a pattern";
 
@@ -542,7 +542,6 @@ TEST_F(RecoveryTest, RethrowAsTransformsIntoServiceError) {
   auto& rt = weave::Runtime::instance();
   recovery::RecoveryPolicy pol;
   pol.action = recovery::Action::RethrowAs;
-  pol.rethrow_type = "ServiceError";
   mask::MaskedScope scope(
       wrap_only("synthetic::Account::sloppy_withdraw"), nullptr, false,
       one_policy("synthetic::Account::sloppy_withdraw", pol));

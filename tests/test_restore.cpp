@@ -124,7 +124,7 @@ void restore_mixed_holders() {
   EXPECT_EQ(h.derived.use_count(), 2);
   EXPECT_EQ(h.derived->id, 1);
   EXPECT_EQ(h.derived->weight, 0.5);
-  EXPECT_TRUE(before.identical(snap::arena_capture(h)));
+  EXPECT_TRUE(before.equals(snap::arena_capture(h)));
 }
 
 /// Capture, mutate via `mutate`, restore, and check the graph round-trips.
@@ -151,7 +151,7 @@ void restore_repeatedly(const snap::ArenaSnapshot& cp, T& value,
         ASSERT_FALSE(cp.equals(snap::arena_capture(value)))
             << "mutation must be visible to the snapshot";
         snap::restore(value, cp);
-        EXPECT_TRUE(cp.identical(snap::arena_capture(value)))
+        EXPECT_TRUE(cp.equals(snap::arena_capture(value)))
             << "every restore from one checkpoint reproduces it";
       }(),
       ...);
@@ -314,7 +314,7 @@ TEST(Restore, SharedPtrPolymorphicRingRestores) {
   a->value = 9;
   ASSERT_FALSE(before.equals(snap::arena_capture(r)));
   snap::restore(r, before);
-  EXPECT_TRUE(before.identical(snap::arena_capture(r)));
+  EXPECT_TRUE(before.equals(snap::arena_capture(r)));
   EXPECT_NE(r.head, a);
   EXPECT_EQ(r.head->next->next, r.head);
   const auto* second = dynamic_cast<const WeightedLink*>(r.head->next.get());
@@ -339,7 +339,7 @@ TEST(Restore, SharedChainRollbackReleasesReplacedPointees) {
   snap::restore(l, before);
   EXPECT_TRUE(old_head.expired());
   EXPECT_TRUE(old_tail.expired());
-  EXPECT_TRUE(before.identical(snap::arena_capture(l)));
+  EXPECT_TRUE(before.equals(snap::arena_capture(l)));
 }
 
 TEST(Restore, SharedPtrBaseAndDerivedHoldersShareOnePointee) {
@@ -500,7 +500,7 @@ TEST(Restore, AliasIntoACompositeMapKeyFollowsTheRestoredKey) {
   ASSERT_EQ(t.table.size(), 1u);
   EXPECT_EQ(t.alias, &t.table.begin()->first.first);
   EXPECT_EQ(*t.alias, 1);
-  EXPECT_TRUE(cp.identical(snap::arena_capture(t)));
+  EXPECT_TRUE(cp.equals(snap::arena_capture(t)));
 }
 
 TEST(Restore, AliasIntoACompositeSetElementFollowsTheRestoredElement) {
@@ -513,7 +513,7 @@ TEST(Restore, AliasIntoACompositeSetElementFollowsTheRestoredElement) {
   ASSERT_EQ(k.keys.size(), 2u);
   EXPECT_EQ(k.alias, &std::next(k.keys.begin())->second);
   EXPECT_EQ(*k.alias, 7);
-  EXPECT_TRUE(cp.identical(snap::arena_capture(k)));
+  EXPECT_TRUE(cp.equals(snap::arena_capture(k)));
 }
 
 TEST(Restore, MapEntriesStartFromValueInitializedValues) {

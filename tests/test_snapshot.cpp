@@ -200,14 +200,6 @@ TEST(Capture, TupleRoots) {
   EXPECT_FALSE(s1.equals(s2));
 }
 
-TEST(Snapshot, HashConsistentWithEquality) {
-  Plain a{1, 2.0, false, "x"};
-  Plain b{1, 2.0, false, "x"};
-  Plain c{2, 2.0, false, "x"};
-  EXPECT_EQ(snap::capture(a).hash(), snap::capture(b).hash());
-  EXPECT_NE(snap::capture(a).hash(), snap::capture(c).hash());
-}
-
 TEST(Snapshot, ToStringMentionsStructure) {
   Plain p{1, 2.0, false, "x"};
   std::string dump = snap::capture(p).to_string();

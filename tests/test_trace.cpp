@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -34,6 +38,31 @@ detect::Campaign traced_campaign(std::function<void()> program,
   fatomic::Config config;
   config.jobs(jobs).tracing(true);
   return detect::Experiment(std::move(program), config).run();
+}
+
+/// `program`, except that each worker's first injector run waits (at most
+/// five seconds) until a second worker has entered a run, so a worker that
+/// starts first cannot drain every threshold alone.  The Count baseline
+/// never waits.
+std::function<void()> two_workers_enter(std::function<void()> program) {
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable entered_cv;
+    std::set<const weave::Runtime*> entered;
+  };
+  auto gate = std::make_shared<Gate>();
+  return [gate, program = std::move(program)] {
+    const weave::Runtime& rt = weave::Runtime::instance();
+    if (rt.mode() == weave::Mode::Inject) {
+      std::unique_lock<std::mutex> lock(gate->mu);
+      if (gate->entered.insert(&rt).second) {
+        gate->entered_cv.notify_all();
+        gate->entered_cv.wait_for(lock, std::chrono::seconds(5),
+                                  [&] { return gate->entered.size() > 1; });
+      }
+    }
+    program();
+  };
 }
 
 class TraceTest : public ::testing::Test {
@@ -112,7 +141,8 @@ TEST_F(TraceTest, CanonicalStreamStableAcrossRepeatedRuns) {
 }
 
 TEST_F(TraceTest, WorkerStatsSumToCampaignStats) {
-  detect::Campaign c = traced_campaign(subjects::apps::app("LinkedList").program, 4);
+  detect::Campaign c = traced_campaign(
+      two_workers_enter(subjects::apps::app("LinkedList").program), 4);
   ASSERT_FALSE(c.worker_stats.empty());
   weave::RuntimeStats sum;
   std::uint64_t runs = 0;
@@ -120,12 +150,8 @@ TEST_F(TraceTest, WorkerStatsSumToCampaignStats) {
     sum += w.stats;
     runs += w.runs;
   }
-  EXPECT_EQ(sum.snapshots_taken, c.stats.snapshots_taken);
-  EXPECT_EQ(sum.comparisons, c.stats.comparisons);
-  EXPECT_EQ(sum.rollbacks, c.stats.rollbacks);
-  EXPECT_EQ(sum.wrapped_calls, c.stats.wrapped_calls);
-  EXPECT_EQ(sum.checkpoint_units, c.stats.checkpoint_units);
-  EXPECT_EQ(sum.exceptions_thrown, c.stats.exceptions_thrown);
+  for (const weave::StatField& f : weave::kStatFields)
+    EXPECT_EQ(sum.*f.member, c.stats.*f.member) << f.name;
   EXPECT_GE(runs, c.runs.size());
   // With jobs=4 more than one worker must actually have contributed.
   EXPECT_GT(c.worker_stats.size(), 1u);
