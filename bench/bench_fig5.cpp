@@ -7,7 +7,9 @@
 // wrappers perform, as a function of object size (google-benchmark section
 // after the Figure 5 table): arena capture through a recycled pool, memcmp
 // compare, and restore (a replay of the checkpoint's records, with the
-// pool's restore scratch).
+// pool's restore scratch); and of the injector program P_I's two per-call
+// costs: an intercepted call that throws nothing, and one injected
+// exception unwinding through K nested instrumented calls.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -52,9 +54,27 @@ class Payload {
   long acc_ = 0;
 };
 
+/// K nested instrumented calls over a one-field receiver: descend(k) calls
+/// descend(k - 1) down to descend(1).
+class Chain {
+ public:
+  void descend(int k) {
+    FAT_INVOKE(descend, [&] {
+      if (k > 1) descend(k - 1);
+    });
+  }
+
+ private:
+  FAT_REFLECT_FRIEND(Chain);
+  FAT_METHOD_INFO(Chain, descend);
+
+  long tag_ = 0;
+};
+
 }  // namespace
 
 FAT_REFLECT(Payload, FAT_FIELD(Payload, data_), FAT_FIELD(Payload, acc_));
+FAT_REFLECT(Chain, FAT_FIELD(Chain, tag_));
 
 namespace {
 
@@ -183,6 +203,27 @@ void BM_InjectionWrapperCost(benchmark::State& state) {
   rt.set_mode(fatomic::weave::Mode::Direct);
 }
 BENCHMARK(BM_InjectionWrapperCost)->Arg(64)->Arg(4096);
+
+void BM_InjectedException(benchmark::State& state) {
+  // One injector run's exception: raised at the entry of the innermost of K
+  // nested calls (descend declares nothing, so call k's only injection
+  // point is point k) and caught at the top level, after the K - 1
+  // enclosing injection wrappers compared, marked and rethrew it.  begin_run
+  // gets no baseline table, so every call takes its before-snapshot.
+  auto& rt = fatomic::weave::Runtime::instance();
+  const int k = static_cast<int>(state.range(0));
+  Chain chain;
+  rt.set_mode(fatomic::weave::Mode::Inject);
+  for (auto _ : state) {
+    rt.begin_run(static_cast<std::uint64_t>(k));
+    try {
+      chain.descend(k);
+    } catch (const fatomic::InjectedRuntimeError&) {
+    }
+  }
+  rt.set_mode(fatomic::weave::Mode::Direct);
+}
+BENCHMARK(BM_InjectedException)->Arg(1)->Arg(4)->Arg(16);
 
 }  // namespace
 

@@ -32,8 +32,10 @@ bool real_throw_ok() noexcept { return real_cxa_throw() != nullptr; }
 
 }  // namespace fatomic::unwind::detail
 
-extern "C" [[noreturn]] void __cxa_throw(void* thrown, std::type_info* tinfo,
-                                         void (*dest)(void*)) {
+// Not [[noreturn]]: the call to the real __cxa_throw is then a tail call,
+// so no throw's unwind steps through this frame (DESIGN.md §11).
+extern "C" void __cxa_throw(void* thrown, std::type_info* tinfo,
+                            void (*dest)(void*)) {
   namespace det = fatomic::unwind::detail;
   const det::CxaThrowFn real = det::real_cxa_throw();
   if (real == nullptr) {
@@ -49,7 +51,6 @@ extern "C" [[noreturn]] void __cxa_throw(void* thrown, std::type_info* tinfo,
     det::record_throw(thrown, tinfo);
   }
   real(thrown, tinfo, dest);
-  __builtin_unreachable();
 }
 
 #else  // !FATOMIC_PROVENANCE_ACTIVE

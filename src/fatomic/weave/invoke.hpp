@@ -12,6 +12,20 @@
 //             back and rethrow unless a policy table says otherwise.
 //   Count   — call counting for the call-weighted figures.
 //   Direct  — the original program P.
+//
+// Frame budget: an instrumented call is one frame on the stack, its
+// method's.  invoke, invoke_with, invoke_static, dispatch, injected_call and
+// fire_injection_points are forced inline (at -O0 too, where nothing else
+// is), so an injected exception crosses no engine frame between its throw
+// and the handler of the injection wrapper it reaches.  A detection
+// campaign re-runs the program once per injection point and each run ends
+// in an exception, so the budget is paid per run: the unwinder steps every
+// frame between a throw or rethrow and its handler at least twice (search,
+// then cleanup), about 0.2 us per step on a 4-vCPU Xeon VM
+// (BM_InjectedException in bench_fig5).  wrapped_call and recovered_call
+// stay out of line: they run only where the predicate wraps, and inlining
+// them saves few further steps for a larger binary.
+// ProvenanceTest.InjectedThrowStacksHoldNoEngineFrames pins the budget.
 #pragma once
 
 #include <cstddef>
@@ -20,6 +34,7 @@
 #include <tuple>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "fatomic/common/error.hpp"
 #include "fatomic/recovery/policy.hpp"
@@ -36,25 +51,38 @@ namespace fatomic::weave {
 
 namespace detail {
 
+/// The injection that fires at the `k`-th of `mi`'s points this call: marks
+/// the run injected and returns the spec to raise.  Out of line and cold
+/// (once per run), and it returns before the raise, so no unwind steps
+/// through its frame.
+[[gnu::noinline, gnu::cold]] inline const ExceptionSpec& arm_injection(
+    const MethodInfo& mi, Runtime& rt, std::uint64_t k) {
+  const std::vector<ExceptionSpec>& declared = mi.declared();
+  const ExceptionSpec& e = k < declared.size()
+                               ? declared[k]
+                               : kRuntimeExceptions[k - declared.size()];
+  rt.point = rt.injection_point;  // where the paper's loop raises
+  rt.injected = true;
+  rt.injected_method = &mi;
+  rt.injected_exception = e.type_name;
+  if (rt.trace.enabled())
+    rt.trace.instant(trace::EventKind::Injection, &mi, rt.point, e.type_name);
+  return e;
+}
+
 /// Listing 1, lines 2-5: one potential injection point per exception type
 /// (declared first, then the generic runtime exceptions), gated by the
-/// global counter against the run threshold.  Returns the call's entry
-/// ordinal in this run — its row in the Count baseline (DESIGN.md §15).
-inline std::uint64_t fire_injection_points(const MethodInfo& mi, Runtime& rt) {
+/// global counter against the run threshold.  The call's points are
+/// point+1 .. point+n, so the threshold names the one to fire, if any.
+/// Returns the call's entry ordinal in this run — its row in the Count
+/// baseline (DESIGN.md §15).
+[[gnu::always_inline]] inline std::uint64_t fire_injection_points(
+    const MethodInfo& mi, Runtime& rt) {
   const std::uint64_t entry = rt.entries++;
-  auto fire = [&](const ExceptionSpec& e) {
-    if (++rt.point == rt.injection_point) {
-      rt.injected = true;
-      rt.injected_method = &mi;
-      rt.injected_exception = e.type_name;
-      if (rt.trace.enabled())
-        rt.trace.instant(trace::EventKind::Injection, &mi, rt.point,
-                         e.type_name);
-      e.raise();
-    }
-  };
-  for (const ExceptionSpec& e : mi.declared()) fire(e);
-  for (const ExceptionSpec& e : kRuntimeExceptions) fire(e);
+  const std::uint64_t first = rt.point + 1;
+  rt.point += mi.declared().size() + kRuntimeExceptions.size();
+  if (rt.injection_point >= first && rt.injection_point <= rt.point)
+    arm_injection(mi, rt, rt.injection_point - first).raise();  // throws
   return entry;
 }
 
@@ -342,10 +370,11 @@ decltype(auto) masked_call(const MethodInfo& mi, Root& root, Fn&& body,
 /// Injection wrapper (Listing 1) around the atomicity gate, mirroring the
 /// paper's P_C-under-test; the gate wraps only what the predicate selects.
 /// The before-snapshot is taken only when the call can observe an exception
-/// (observer-set capture, DESIGN.md §15); no other path reads it.
+/// (observer-set capture, DESIGN.md §15); no other path reads it, and a
+/// selected call that took none skips its atomicity wrapper's checkpoint.
 template <class Root, class Fn>
-decltype(auto) injected_call(const MethodInfo& mi, Root& root, Fn&& body,
-                             Runtime& rt) {
+[[gnu::always_inline]] inline decltype(auto) injected_call(
+    const MethodInfo& mi, Root& root, Fn&& body, Runtime& rt) {
   // May throw into our caller's wrapper.
   const std::uint64_t entry = fire_injection_points(mi, rt);
   struct DepthGuard {
@@ -357,16 +386,23 @@ decltype(auto) injected_call(const MethodInfo& mi, Root& root, Fn&& body,
   if (rt.may_observe(entry, mi))
     before.emplace(take_full_checkpoint(mi, root, rt));
   try {
-    // masked_call's gate, written out: as a call it would add a frame to
-    // every detection stack, which each injected exception unwinds.
+    // masked_call's gate, written out (as a call it would add a frame to
+    // every detection stack), except that a selected call without a
+    // before-snapshot runs bare: no exception crosses it, so no rollback
+    // could read its checkpoint.
     if constexpr (!std::is_const_v<Root>)
-      if (rt.should_wrap(mi)) return wrapped_call(mi, root, body, rt);
+      if (rt.should_wrap(mi)) {
+        if (before) return wrapped_call(mi, root, body, rt);
+        ++rt.stats.wrapped_calls;
+        return body();
+      }
     return body();
   } catch (...) {
     if (!before) {
       // The baseline said no exception could cross this call, yet one did:
       // the program strayed from it.  Mark nothing — the campaign discards
-      // this run and re-runs the threshold with every wrapper capturing.
+      // this run and re-runs the threshold with every wrapper capturing and
+      // every selected call checkpointed.
       rt.capture_missed = true;
       throw;
     }
@@ -419,7 +455,10 @@ struct CountFrame {
   Runtime& rt;
   std::size_t index;
   int uncaught = std::uncaught_exceptions();
-  CountFrame(Runtime& r, const MethodInfo& mi) : rt(r), index(r.calls.size()) {
+  // Out of line: every instrumented method inlines the dispatch, and the
+  // baseline runs once per campaign.
+  [[gnu::noinline]] CountFrame(Runtime& r, const MethodInfo& mi)
+      : rt(r), index(r.calls.size()) {
     ++rt.call_counts[&mi];
     const std::size_t parent =
         rt.open_calls.empty() ? BaselineCall::kTopLevel : rt.open_calls.back();
@@ -441,7 +480,8 @@ struct CountFrame {
 };
 
 template <class Root, class Fn>
-decltype(auto) dispatch(const MethodInfo& mi, Root& root, Fn&& body) {
+[[gnu::always_inline]] inline decltype(auto) dispatch(const MethodInfo& mi,
+                                                      Root& root, Fn&& body) {
   Runtime& rt = Runtime::instance();
   // Subject code reached from the engine's own replay (EngineScope) runs
   // as the original program: no injection, wrapping or counting.
@@ -465,7 +505,8 @@ decltype(auto) dispatch(const MethodInfo& mi, Root& root, Fn&& body) {
 
 /// Instance-method entry point: checkpoint root is the receiver.
 template <class Self, class Fn>
-decltype(auto) invoke(const MethodInfo& mi, Self* self, Fn&& body) {
+[[gnu::always_inline]] inline decltype(auto) invoke(const MethodInfo& mi,
+                                                    Self* self, Fn&& body) {
   return detail::dispatch(mi, *self, std::forward<Fn>(body));
 }
 
@@ -474,8 +515,8 @@ decltype(auto) invoke(const MethodInfo& mi, Self* self, Fn&& body) {
 /// in as non-constant references", Section 4.1).  `extra` is a std::tie of
 /// those arguments.
 template <class Self, class... Refs, class Fn>
-decltype(auto) invoke_with(const MethodInfo& mi, Self* self,
-                           std::tuple<Refs...> extra, Fn&& body) {
+[[gnu::always_inline]] inline decltype(auto) invoke_with(
+    const MethodInfo& mi, Self* self, std::tuple<Refs...> extra, Fn&& body) {
   auto root = std::tuple_cat(std::tie(*self), extra);
   return detail::dispatch(mi, root, std::forward<Fn>(body));
 }
@@ -483,7 +524,8 @@ decltype(auto) invoke_with(const MethodInfo& mi, Self* self,
 /// Constructor / static entry point: no receiver, so only the injection
 /// points run (an exception here tests the *callers*' atomicity).
 template <class Fn>
-decltype(auto) invoke_static(const MethodInfo& mi, Fn&& body) {
+[[gnu::always_inline]] inline decltype(auto) invoke_static(
+    const MethodInfo& mi, Fn&& body) {
   Runtime& rt = Runtime::instance();
   if (rt.engine_depth != 0) return body();
   switch (rt.mode()) {

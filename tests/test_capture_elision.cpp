@@ -1,15 +1,16 @@
 // Observer-set capture (DESIGN.md §15): an injection wrapper takes its
-// before-snapshot only when its call can observe an exception.  The witness
-// is the canonical mark stream of every subject family, frozen from the
-// eager wrapper under tests/golden/marks_*.txt: campaigns must reproduce it
-// at any jobs value without re-running a single threshold.  The remaining
-// tests pin the Count baseline's per-call table, the safety fallback for
-// programs that stray from the baseline, masked runs that leave it, the
-// capture counts of the synthetic workload, and the eager wrapper outside
-// campaigns.  The witness also runs under a hostile ambient configuration —
-// a MaskedScope wrapping every method with plans, the validator, a policy
-// table and production faults armed — which a campaign, running exactly its
-// Config, must not see.
+// before-snapshot, and a nested atomicity wrapper its checkpoint, only when
+// its call can observe an exception.  The witness is the canonical mark
+// stream of every subject family, frozen from the eager wrapper under
+// tests/golden/marks_*.txt: campaigns must reproduce it at any jobs value
+// without re-running a single threshold.  The remaining tests pin the Count
+// baseline's per-call table, the safety fallback for programs that stray
+// from the baseline (across a skipped checkpoint too), masked runs that
+// leave it, the capture counts of the synthetic workload, and the eager
+// wrapper outside campaigns.  The witness also runs under a hostile ambient
+// configuration — a MaskedScope wrapping every method with plans, the
+// validator, a policy table and production faults armed — which a
+// campaign, running exactly its Config, must not see.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -396,6 +397,46 @@ TEST_F(CaptureElision, StrayCallThatThrowsReRunsTheThreshold) {
   EXPECT_STREQ(cls_of("middle"), "conditional non-atomic");
   EXPECT_STREQ(cls_of("risky"), "pure non-atomic");
   EXPECT_STREQ(cls_of("helper"), "atomic");
+}
+
+// The masked twin: middle is wrapped.  Its baseline bound (3) lies below
+// thresholds 4-6, so there it takes neither a before-snapshot nor its
+// atomicity wrapper's checkpoint, and runs bare.  The injection at risky's
+// entry and the stray Oops then cross it with nothing to roll back to, and
+// the campaign re-runs those thresholds with every selected call
+// checkpointed: middle rolls back, and its Oops mark at threshold 5 is
+// atomic.  The reference is the same campaign with no baseline: a program
+// that makes no call under Count leaves an empty table, which every run
+// leaves at its first entry.
+TEST_F(CaptureElision, MaskedStrayThrowReRunsWithTheSkippedCheckpoint) {
+  fatomic::Config cfg;
+  cfg.mask([](const weave::MethodInfo& mi) {
+    return mi.method_name() == "middle";
+  });
+  const detect::Campaign campaign = detect::Experiment(box_program, cfg).run();
+  const detect::Campaign eager =
+      detect::Experiment(
+          [] {
+            if (weave::Runtime::instance().mode() != weave::Mode::Count)
+              box_program();
+          },
+          cfg)
+          .run();
+  EXPECT_EQ(eager.stats.capture_reruns, 0u);
+  EXPECT_EQ(eager.stats.rollbacks, 3u)
+      << "the injection at threshold 4 and Oops at 5 and 6";
+  EXPECT_EQ(campaign.stats.capture_reruns, 3u)
+      << "thresholds 4 and 5, and the terminal probe at 6";
+  EXPECT_EQ(campaign.stats.rollbacks, eager.stats.rollbacks);
+  EXPECT_EQ(campaign.stats.wrapped_calls, eager.stats.wrapped_calls);
+  const std::string stream = mark_stream::render(campaign);
+  EXPECT_EQ(stream, mark_stream::render(eager));
+  EXPECT_NE(stream.find("run 5 4 0 escaped\n"
+                        "  mark 3 nonatomic 3 1\n"
+                        "  mark 2 atomic 2 1\n"
+                        "  mark 1 nonatomic 1 0\n"),
+            std::string::npos)
+      << stream;
 }
 
 // The masked rollback of the second deposit leaves the balance at 5, so

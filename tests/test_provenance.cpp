@@ -1,7 +1,8 @@
 // Exception provenance (DESIGN.md §11): the bounded stack intern table,
 // __cxa_throw capture arming and record matching, campaign integration
-// (marks / escapes / counters), determinism across jobs values, and the
-// exception_provenance report section.
+// (marks / escapes / counters), determinism across jobs values, the
+// exception_provenance report section, and the wrapper engine's frame
+// budget read back from captured stacks.
 //
 // Every capture-dependent test degrades to GTEST_SKIP when the interposer is
 // compiled out (-DFATOMIC_PROVENANCE=OFF) or unavailable on this toolchain,
@@ -14,6 +15,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "fatomic/config.hpp"
@@ -24,7 +26,49 @@
 #include "fatomic/trace/metrics.hpp"
 #include "fatomic/trace/trace.hpp"
 #include "fatomic/unwind/stack_table.hpp"
+#include "fatomic/weave/macros.hpp"
 #include "testing/synthetic.hpp"
+
+// A named namespace: -rdynamic exports these frames' symbols, so the frame
+// budget test can read the method names back from the captured stacks.
+namespace budget_subject {
+
+/// A two-level instrumented call through every wrapper entry point: the
+/// constructor through invoke_static, outer through invoke and inner, which
+/// checkpoints its by-reference argument too, through invoke_with.  noinline
+/// keeps both methods as frames of their own on every build.
+class Pair {
+ public:
+  Pair() { FAT_CTOR_ENTRY(); }
+
+  [[gnu::noinline]] void outer(int& n) {
+    FAT_INVOKE(outer, [&] {
+      ++value_;
+      inner(n);
+    });
+  }
+  [[gnu::noinline]] void inner(int& n) {
+    FAT_INVOKE_ARGS(inner, std::tie(n), [&] { n += value_; });
+  }
+
+ private:
+  FAT_REFLECT_FRIEND(Pair);
+  FAT_CTOR_INFO(budget_subject::Pair);
+  FAT_METHOD_INFO(budget_subject::Pair, outer);
+  FAT_METHOD_INFO(budget_subject::Pair, inner);
+
+  int value_ = 0;
+};
+
+void program() {
+  Pair pair;
+  int n = 0;
+  pair.outer(n);
+}
+
+}  // namespace budget_subject
+
+FAT_REFLECT(budget_subject::Pair, FAT_FIELD(budget_subject::Pair, value_));
 
 namespace detect = fatomic::detect;
 namespace report = fatomic::report;
@@ -339,6 +383,46 @@ TEST_F(ProvenanceTest, ProvenanceJsonNamesARealThrowSite) {
     for (const report::JsonValue& s : m.at("sites").array)
       named |= s.at("site").string.rfind("0x", 0) != 0;
   EXPECT_TRUE(named) << doc;
+}
+
+// ---- frame budget -----------------------------------------------------------
+
+// An instrumented call is one frame, its method's (weave/invoke.hpp): no
+// throw stack a campaign captures may hold a frame of the wrapper engine's
+// entry path, whose every frame each injected exception would unwind.
+TEST_F(ProvenanceTest, InjectedThrowStacksHoldNoEngineFrames) {
+  if (!unwind::available()) GTEST_SKIP() << "provenance compiled out";
+  const detect::Campaign c = provenance_campaign(budget_subject::program);
+  std::set<std::uint64_t> stacks;
+  for (const auto& run : c.runs) {
+    if (run.escape_stack != 0) stacks.insert(run.escape_stack);
+    for (const auto& mark : run.marks)
+      if (mark.throw_stack != 0) stacks.insert(mark.throw_stack);
+  }
+  ASSERT_FALSE(stacks.empty());
+  const char* const engine[] = {
+      "fatomic::weave::invoke<",
+      "fatomic::weave::invoke_with<",
+      "fatomic::weave::invoke_static<",
+      "fatomic::weave::detail::dispatch<",
+      "fatomic::weave::detail::injected_call<",
+      "fatomic::weave::detail::fire_injection_points(",
+  };
+  bool two_levels = false;  // some stack names both methods
+  for (const std::uint64_t id : stacks) {
+    const std::vector<std::string> frames =
+        unwind::symbolize_stack(id, unwind::kMaxFrames);
+    bool outer = false, inner = false;
+    for (const std::string& frame : frames) {
+      for (const char* name : engine)
+        EXPECT_EQ(frame.find(name), std::string::npos)
+            << "engine frame " << frame << " in stack " << id;
+      outer |= frame.find("budget_subject::Pair::outer(") != std::string::npos;
+      inner |= frame.find("budget_subject::Pair::inner(") != std::string::npos;
+    }
+    two_levels |= outer && inner;
+  }
+  EXPECT_TRUE(two_levels) << "no captured stack crosses outer and inner";
 }
 
 // ---- metrics ----------------------------------------------------------------
