@@ -51,7 +51,6 @@
 #include "fatomic/report/json.hpp"
 #include "fatomic/report/json_parse.hpp"
 #include "fatomic/report/report.hpp"
-#include "fatomic/snapshot/capture.hpp"
 #include "fatomic/snapshot/diff.hpp"
 #include "fatomic/snapshot/restore.hpp"
 #include "fatomic/trace/export.hpp"

@@ -7,10 +7,11 @@
 // value registers its address, and a value whose address (and type tag) was
 // already captured becomes a back-reference, so shared pointees stay shared
 // exactly as Definition 1 requires; cycles resolve because a node registers
-// before its children are walked.  Record ordinals are the NodeIds of the
-// decoded view (node.hpp).  Captures of structurally equal graphs produce
-// byte-identical slabs and unequal graphs differing ones, so graph equality
-// is a single memcmp (ArenaSnapshot::equals).
+// before its children are walked.  Every record but a back-reference is a
+// node, numbered by its ordinal (NodeId) in stream order.  Captures of
+// structurally equal graphs produce byte-identical slabs and unequal graphs
+// differing ones, so graph equality is a single memcmp
+// (ArenaSnapshot::equals).
 //
 // Record stream grammar (little-endian, in-process only — never persisted):
 //   capture := value                        (arena_capture: one tree)
@@ -24,13 +25,14 @@
 //   ref     := 0x05 ordinal:u32             (back-reference; creates no node)
 // The type word of a composite record is the address of the type's static
 // descriptor (detail::TypeDesc): its name and, for reflected classes, its
-// field names.  decode() names fields from it — no registry, no slab bytes.
+// field names.  The diff names fields from it — no registry, no slab bytes.
 // Source addresses (ArenaSnapshot::src_addr, needed by the restorer's
 // external-alias fixups) live in a side vector parallel to record ordinals —
 // deliberately *outside* the slab, so address churn between runs never
 // breaks memcmp.
-// ArenaCursor is the one reader of this grammar: decode() and the restore
-// replayer (restore.hpp) both read records through it.
+// ArenaCursor is the one reader of this grammar: the restore replayer
+// (restore.hpp), the partial restore (partial.hpp) and the diff (diff.hpp)
+// all read records through it, with no decoded node table.
 //
 // Slabs and address vectors are recycled through a per-weave::Runtime
 // ArenaPool: steady-state captures, full and partial, perform no allocation
@@ -41,9 +43,11 @@
 #include <array>
 #include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <type_traits>
 #include <typeinfo>
@@ -52,11 +56,14 @@
 
 #include "fatomic/common/error.hpp"
 #include "fatomic/reflect/reflect.hpp"
-#include "fatomic/snapshot/node.hpp"
 #include "fatomic/snapshot/poly.hpp"
 #include "fatomic/snapshot/traits.hpp"
 
 namespace fatomic::snapshot {
+
+/// A record's ordinal: its position among the stream's node records.
+using NodeId = std::uint32_t;
+inline constexpr NodeId kInvalidNode = 0xFFFFFFFFu;
 
 class ArenaEncoder;
 class ArenaPool;
@@ -67,8 +74,7 @@ namespace detail {
 template <class>
 inline constexpr bool dependent_false = false;
 
-/// Type tag of a primitive leaf: part of its alias key and its decoded
-/// Node::type_name.
+/// Type tag of a primitive leaf: part of its alias key.
 template <class T>
 constexpr const char* prim_tag() {
   if constexpr (std::is_same_v<T, bool>) return "bool";
@@ -429,16 +435,17 @@ class ArenaSnapshot {
   std::size_t byte_size() const { return bytes_.size(); }
 
   /// Graph equality (the paper's compare): the slabs are byte-identical.
-  /// Every record is a function of its decoded node and each type has one
-  /// descriptor, so equal graphs give equal bytes and unequal graphs
-  /// differing ones (DESIGN.md §10).
+  /// Every record is a function of the node it encodes (kind, type, value,
+  /// sharing) and each type has one descriptor, so equal graphs give equal
+  /// bytes and unequal graphs differing ones (DESIGN.md §10).
   bool equals(const ArenaSnapshot& o) const {
     return bytes_.size() == o.bytes_.size() &&
            (bytes_.empty() ||
             std::memcmp(bytes_.data(), o.bytes_.data(), bytes_.size()) == 0);
   }
 
-  /// The record stream, for a reader that walks it itself (restore.hpp).
+  /// The record stream, for a reader that walks it itself (restore.hpp,
+  /// diff.cpp).
   ArenaCursor records() const {
     return ArenaCursor(bytes_.data(), bytes_.data() + bytes_.size());
   }
@@ -446,17 +453,6 @@ class ArenaSnapshot {
   const void* src_addr(NodeId id) const {
     return id < addrs_.size() ? addrs_[id] : nullptr;
   }
-
-  /// The named node-table view of this capture (node.hpp): record ordinals
-  /// become NodeIds, type words name types and fields, string leaves view
-  /// the slab.  This overload borrows — the view must not outlive *this.
-  /// Diffs, footprints and tests read it; compares and restores read the
-  /// records instead.  A partial capture decodes to one Primitive node per
-  /// leaf.
-  Snapshot decode() const&;
-  /// The same view, owning this capture (snapshot::capture is
-  /// `arena_capture(root).decode()`).
-  Snapshot decode() &&;
 
  private:
   friend class ArenaEncoder;
@@ -479,7 +475,8 @@ class ArenaSnapshot {
 /// encode_value/encode_object; the latter is the re-entry point for
 /// polymorphic dispatch (PolyOps::encode).  emit_primitive is the record
 /// emission alone, for the partial walker's leaves (partial.hpp).
-/// tests/golden/ freezes the node tables its decoded output must reproduce.
+/// tests/golden/ freezes the node tables its records must read back into
+/// (the tests' oracle, tests/testing/decoded.hpp).
 class ArenaEncoder {
  public:
   ArenaEncoder(ArenaSnapshot& out, detail::ArenaSeenMap& seen)
@@ -636,7 +633,7 @@ class ArenaEncoder {
   }
 
   template <class U>
-  NodeId encode_pointee(const U* p) {
+  void encode_pointee(const U* p) {
     if constexpr (std::is_polymorphic_v<U>) {
       const PolyOps* ops = PolyRegistry::instance().find(typeid(U), typeid(*p));
       if (ops != nullptr) {
@@ -647,20 +644,23 @@ class ArenaEncoder {
         // probe claimed — a claimed-but-unfilled slot reads as unseen.
         const void* mda = dynamic_cast<const void*>(p);
         NodeId* slot = seen_.find_or_insert(mda, ops->class_name);
-        if (*slot != kInvalidNode) return emit_ref(*slot);
-        return ops->encode(static_cast<const void*>(p), *this);
+        if (*slot != kInvalidNode)
+          emit_ref(*slot);
+        else
+          ops->encode(static_cast<const void*>(p), *this);
+        return;
       }
       if constexpr (reflect::is_reflected_v<U>) {
         // Unregistered dynamic type: fall back to the static type (sliced
         // capture) — mirrors the paper's "incomplete object graphs" caveat
         // (Section 5.1); it can only under- not over-report atomicity.
-        return encode_object(*p);
+        encode_object(*p);
       } else {
         throw SnapshotError(std::string("unregistered polymorphic pointee: ") +
                             typeid(*p).name());
       }
     } else {
-      return encode_value(*p);
+      encode_value(*p);
     }
   }
 

@@ -14,8 +14,6 @@
 #include <typeinfo>
 #include <utility>
 
-#include "fatomic/snapshot/node.hpp"
-
 namespace fatomic::snapshot {
 
 class ArenaEncoder;
@@ -25,7 +23,7 @@ class Replayer;
 /// void* values are Base* in disguise.
 struct PolyOps {
   const char* class_name;
-  NodeId (*encode)(const void* base_ptr, ArenaEncoder& e);
+  void (*encode)(const void* base_ptr, ArenaEncoder& e);
   void* (*create)();  // new Derived, returned as Base*
   /// Replays the object record at the replayer's cursor into the Derived.
   void (*restore)(void* base_ptr, Replayer& r);

@@ -622,9 +622,9 @@ namespace detail {
 
 template <class Base, class Derived>
 struct PolyOpsFor {
-  static NodeId encode_fn(const void* bp, ArenaEncoder& e) {
+  static void encode_fn(const void* bp, ArenaEncoder& e) {
     const Base* base = static_cast<const Base*>(bp);
-    return e.encode_object(*static_cast<const Derived*>(base));
+    e.encode_object(*static_cast<const Derived*>(base));
   }
   static void* create_fn() {
     return static_cast<void*>(static_cast<Base*>(new Derived()));

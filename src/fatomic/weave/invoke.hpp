@@ -439,7 +439,7 @@ template <class Root, class Fn>
     if (!atomic && rt.record_diffs) {
       // One diff serves both fields: the walk is deterministic depth-first,
       // so its first entry does not depend on the limit.
-      auto diffs = snapshot::diff(before->decode(), after.decode(), 256);
+      auto diffs = snapshot::diff(*before, after, 256);
       if (!diffs.empty()) mark.detail = snapshot::to_string(diffs.front());
       for (auto& d : diffs) mark.footprint.push_back(std::move(d.path));
     }

@@ -21,9 +21,9 @@
 #include "fatomic/report/json.hpp"
 #include "fatomic/snapshot/arena.hpp"
 #include "fatomic/snapshot/backend.hpp"
-#include "fatomic/snapshot/capture.hpp"
 #include "fatomic/snapshot/partial.hpp"
 #include "fatomic/snapshot/restore.hpp"
+#include "testing/decoded.hpp"
 #include "testing/types.hpp"
 #include "testing/witness.hpp"
 
@@ -41,7 +41,7 @@ template <class T>
 void expect_witness(const T& value, const std::string& name) {
   const std::string expected = witness::golden(name);
   ASSERT_FALSE(expected.empty()) << "missing tests/golden/" << name << ".txt";
-  EXPECT_EQ(witness::dump(snap::arena_capture(value).decode()), expected)
+  EXPECT_EQ(witness::dump(decoded::capture(value)), expected)
       << "decoded capture diverges from the witness " << name;
 }
 
@@ -65,15 +65,15 @@ const std::vector<std::string> kWitnessCases = {
 
 /// Every witness fixture, captured and decoded once per test binary.
 const std::vector<std::pair<std::string, std::string>>& decoded_cases() {
-  static const auto cases = witness::cases(
-      [](const auto& v) { return snap::arena_capture(v).decode(); });
+  static const auto cases =
+      witness::cases([](const auto& v) { return decoded::capture(v); });
   return cases;
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Golden witness: decode() reproduces the frozen node tables.
+// Golden witness: the decoded records reproduce the frozen node tables.
 
 class GoldenWitness : public ::testing::TestWithParam<std::string> {};
 
@@ -201,7 +201,7 @@ TEST(ArenaCompare, SameSizeMismatchFallsBackStructurally) {
   const snap::ArenaSnapshot b = snap::arena_capture(p);
   ASSERT_EQ(a.byte_size(), b.byte_size());
   EXPECT_FALSE(a.equals(b));
-  EXPECT_FALSE(a.decode().equals(b.decode()));
+  EXPECT_FALSE(decoded::decode(a).equals(decoded::decode(b)));
 }
 
 TEST(ArenaPool, SlabsAreRecycledAcrossCaptures) {
@@ -245,7 +245,7 @@ TEST(AliasKeyRegression, ArenaMapKeepsSameAddressDifferentTagDistinct) {
 TEST(AliasKeyRegression, FirstMemberSharesAddressWithOwner) {
   witness_types::Outer o;
   witness::fill(o);
-  snap::Snapshot s = snap::capture(o);
+  decoded::Snapshot s = decoded::capture(o);
   // Outer + inner + two primitives; a conflated alias map would collapse the
   // inner object into a self-reference.
   EXPECT_EQ(s.node_count(), 4u);
@@ -263,7 +263,7 @@ TEST(BitwiseFloats, NanIsStableStateOnBothBackends) {
   witness::fill_floats(floats);
   expect_witness(floats, "floats");
   Plain p{0, std::numeric_limits<double>::quiet_NaN(), false, ""};
-  EXPECT_TRUE(snap::capture(p).equals(snap::capture(p)));
+  EXPECT_TRUE(decoded::capture(p).equals(decoded::capture(p)));
   EXPECT_TRUE(snap::arena_capture(p).equals(snap::arena_capture(p)));
 }
 
@@ -272,11 +272,11 @@ TEST(BitwiseFloats, SignedZeroAndDenormalsDistinguished) {
   Plain neg{0, -0.0, false, ""};
   // 0.0 == -0.0 as values; as bit-state they differ, in the slab and in
   // the decoded view alike.
-  EXPECT_FALSE(snap::capture(pos).equals(snap::capture(neg)));
+  EXPECT_FALSE(decoded::capture(pos).equals(decoded::capture(neg)));
   EXPECT_FALSE(snap::arena_capture(pos).equals(snap::arena_capture(neg)));
 
   Plain denorm{0, std::numeric_limits<double>::denorm_min(), false, ""};
-  EXPECT_FALSE(snap::capture(pos).equals(snap::capture(denorm)));
+  EXPECT_FALSE(decoded::capture(pos).equals(decoded::capture(denorm)));
 }
 
 TEST(BitwiseFloats, NanRoundTripsThroughRestore) {

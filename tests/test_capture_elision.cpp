@@ -3,13 +3,14 @@
 // its call can observe an exception.  The witness is the canonical mark
 // stream of every subject family, frozen from the eager wrapper under
 // tests/golden/marks_*.txt: campaigns must reproduce it at any jobs value
-// without re-running a single threshold.  The remaining tests pin the Count
-// baseline's per-call table, the safety fallback for programs that stray
-// from the baseline (across a skipped checkpoint too), masked runs that
-// leave it, the capture counts of the synthetic workload, and the eager
-// wrapper outside campaigns.  The witness also runs under a hostile ambient
-// configuration — a MaskedScope wrapping every method with plans, the
-// validator, a policy table and production faults armed — which a
+// without re-running a single threshold, and with record_diffs on they must
+// name the differences tests/golden/diffs.txt records.  The remaining tests
+// pin the Count baseline's per-call table, the safety fallback for programs
+// that stray from the baseline (across a skipped checkpoint too), masked
+// runs that leave it, the capture counts of the synthetic workload, and the
+// eager wrapper outside campaigns.  The witness also runs under a hostile
+// ambient configuration — a MaskedScope wrapping every method with plans,
+// the validator, a policy table and production faults armed — which a
 // campaign, running exactly its Config, must not see.
 #include <gtest/gtest.h>
 
@@ -261,6 +262,22 @@ class MarkStreamWitness : public ::testing::TestWithParam<std::string> {
     EXPECT_EQ(campaign.stats.policy_rollbacks, campaign.stats.rollbacks);
     EXPECT_TRUE(verified.classification.nonatomic_names().empty());
   }
+
+  void expect_diffs() {
+    fatomic::Config cfg;
+    cfg.record_diffs(true).jobs(1);
+    const detect::Campaign campaign = detect::Experiment(program(), cfg).run();
+    const std::string line = mark_stream::diffs_line(GetParam(), campaign);
+    const std::string expected =
+        mark_stream::golden_line(mark_stream::diffs_path(), GetParam());
+    ASSERT_FALSE(expected.empty())
+        << "no line for " << GetParam() << " in " << mark_stream::diffs_path()
+        << "; this build renders\n"
+        << line;
+    EXPECT_EQ(line, expected);
+    // Naming the differences moves no mark.
+    EXPECT_EQ(mark_stream::render(campaign), mark_stream::golden(GetParam()));
+  }
 };
 
 TEST_P(MarkStreamWitness, DetectJobs1) { expect_witness(1); }
@@ -273,6 +290,10 @@ TEST_P(MarkStreamWitness, DetectJobs4) { expect_witness(4); }
 TEST_P(MarkStreamWitness, MaskVerifyPlansNoReruns) { expect_mask_verify(1); }
 
 TEST_P(MarkStreamWitness, MaskVerifyJobs4) { expect_mask_verify(4); }
+
+/// What the diff names: every non-atomic mark's detail and footprint
+/// reproduce the family's tests/golden/diffs.txt line.
+TEST_P(MarkStreamWitness, DiffDetailsAndFootprints) { expect_diffs(); }
 
 /// Both halves again, launched from the hostile ambient configuration: the
 /// streams, counters and hashes must not move.  The detection half pins

@@ -13,6 +13,11 @@
 // map and set keys, optionals, vector<bool>, nested maps, sets and
 // sequences, and NaN, -0.0 and denormal leaves.
 //
+// Every mutated graph is also read against the tests' decoded node table
+// (testing/decoded.hpp), the oracle: the byte compare says equal exactly
+// when the tables are equal, and snapshot::diff, which walks the record
+// streams, names exactly what the table diff names.
+//
 // After its round trips each seed also fails a restore on purpose: a Cell
 // construction countdown makes the k-th cell the replay builds throw, and
 // the RestoreError property must hold — the half-restored graph can still be
@@ -45,7 +50,9 @@
 #include <vector>
 
 #include "fatomic/common/error.hpp"
+#include "fatomic/snapshot/diff.hpp"
 #include "fatomic/snapshot/restore.hpp"
+#include "testing/decoded.hpp"
 #include "testing/types.hpp"
 
 namespace snap = fatomic::snapshot;
@@ -652,6 +659,28 @@ struct AliasHomes {
 /// Restores that failed on purpose in this process (run_seed's last step).
 std::uint32_t g_failed_restores = 0;
 
+/// The record-stream diff names exactly what the table diff of the decoded
+/// tables names, entry by entry, at the tightest limit and at the one
+/// campaigns use; both are empty exactly when the bytes are equal.
+void expect_diff_matches_table(const snap::ArenaSnapshot& a,
+                               const snap::ArenaSnapshot& b) {
+  const decoded::Snapshot ta = decoded::decode(a);
+  const decoded::Snapshot tb = decoded::decode(b);
+  for (const std::size_t limit : {std::size_t{1}, std::size_t{256}}) {
+    SCOPED_TRACE("diff limit " + std::to_string(limit));
+    const std::vector<snap::Difference> records = snap::diff(a, b, limit);
+    const std::vector<snap::Difference> table = decoded::diff(ta, tb, limit);
+    ASSERT_EQ(records.empty(), a.equals(b));
+    ASSERT_EQ(records.size(), table.size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      SCOPED_TRACE("diff entry " + std::to_string(i));
+      ASSERT_EQ(records[i].path, table[i].path);
+      ASSERT_EQ(records[i].before, table[i].before);
+      ASSERT_EQ(records[i].after, table[i].after);
+    }
+  }
+}
+
 void run_seed(std::uint32_t seed) {
   SCOPED_TRACE("seed " + std::to_string(seed));
   Harness h(seed);
@@ -660,7 +689,7 @@ void run_seed(std::uint32_t seed) {
   // Every owned cell of the checkpoint is built afresh by each restore.
   const auto cp_cells = static_cast<std::uint32_t>(owned_cells(h.u).size());
   // Byte equality and decoded-table equality agree on the checkpoint.
-  ASSERT_TRUE(cp.decode().equals(snap::arena_capture(h.u).decode()));
+  ASSERT_TRUE(decoded::decode(cp).equals(decoded::capture(h.u)));
 
   const std::uint32_t rounds = 2 + h.rng.below(2);
   for (std::uint32_t round = 0; round < rounds; ++round) {
@@ -669,8 +698,10 @@ void run_seed(std::uint32_t seed) {
     // On the mutated graph too, the bytes are equal exactly when the decoded
     // tables are: differing bytes never stand for an equal graph.
     const snap::ArenaSnapshot mutated = snap::arena_capture(h.u);
-    ASSERT_EQ(cp.equals(mutated), cp.decode().equals(mutated.decode()))
+    ASSERT_EQ(cp.equals(mutated),
+              decoded::decode(cp).equals(decoded::decode(mutated)))
         << "byte and decoded equality disagree on the mutated graph";
+    ASSERT_NO_FATAL_FAILURE(expect_diff_matches_table(cp, mutated));
     open_rings(h.u);  // what the restore drops must not stay alive
     snap::restore(h.u, cp);
     ASSERT_TRUE(cp.equals(snap::arena_capture(h.u)))

@@ -10,8 +10,8 @@
 
 #include <random>
 
-#include "fatomic/snapshot/capture.hpp"
 #include "fatomic/snapshot/restore.hpp"
+#include "testing/decoded.hpp"
 #include "testing/types.hpp"
 
 namespace snap = fatomic::snapshot;
@@ -99,8 +99,8 @@ TEST_P(SnapshotProperty, CaptureIsDeterministic) {
   std::mt19937 rng(GetParam());
   World w;
   populate(w, rng, 30);
-  snap::Snapshot a = snap::capture(w);
-  snap::Snapshot b = snap::capture(w);
+  decoded::Snapshot a = decoded::capture(w);
+  decoded::Snapshot b = decoded::capture(w);
   EXPECT_TRUE(a.equals(b));
 }
 
@@ -114,7 +114,8 @@ TEST_P(SnapshotProperty, EffectiveMutationsAreVisible) {
     // graph no-op: a mutation is effective when the decoded tables differ.
     bool mutated = mutate_once(w, rng);
     const snap::ArenaSnapshot after = snap::arena_capture(w);
-    const bool effective = !before.decode().equals(after.decode());
+    const bool effective =
+        !decoded::decode(before).equals(decoded::decode(after));
     EXPECT_EQ(before.equals(after), !effective)
         << "the byte compare must see exactly the effective mutations";
     if (!mutated) {
@@ -133,8 +134,8 @@ TEST_P(SnapshotProperty, RestoreRoundTripsArbitraryMutations) {
   const snap::ArenaSnapshot after = snap::arena_capture(w);
   EXPECT_TRUE(checkpoint.equals(after))
       << "restore must reproduce the checkpointed graph\nbefore:\n"
-      << checkpoint.decode().to_string() << "\nafter:\n"
-      << after.decode().to_string();
+      << decoded::decode(checkpoint).to_string() << "\nafter:\n"
+      << decoded::decode(after).to_string();
 }
 
 TEST_P(SnapshotProperty, RestoreIsIdempotent) {

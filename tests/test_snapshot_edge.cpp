@@ -9,8 +9,8 @@
 #include <map>
 #include <set>
 
-#include "fatomic/snapshot/capture.hpp"
 #include "fatomic/snapshot/restore.hpp"
+#include "testing/decoded.hpp"
 #include "testing/types.hpp"
 
 namespace snap = fatomic::snapshot;
@@ -119,21 +119,21 @@ TEST(SnapshotEdge, EnumValuesDistinguished) {
   Exotic a = make_exotic();
   Exotic b = make_exotic();
   b.flavour = Flavour::Chocolate;
-  EXPECT_FALSE(snap::capture(a).equals(snap::capture(b)));
+  EXPECT_FALSE(decoded::capture(a).equals(decoded::capture(b)));
 }
 
 TEST(SnapshotEdge, MultisetMultiplicityMatters) {
   Exotic a = make_exotic();
   Exotic b = make_exotic();
   b.multi.insert(2);  // {2,2,2,4} vs {2,2,4}
-  EXPECT_FALSE(snap::capture(a).equals(snap::capture(b)));
+  EXPECT_FALSE(decoded::capture(a).equals(decoded::capture(b)));
 }
 
 TEST(SnapshotEdge, VectorBoolBitsMatter) {
   Exotic a = make_exotic();
   Exotic b = make_exotic();
   b.bits[1] = true;
-  EXPECT_FALSE(snap::capture(a).equals(snap::capture(b)));
+  EXPECT_FALSE(decoded::capture(a).equals(decoded::capture(b)));
 }
 
 TEST(SnapshotEdge, DeepRecursiveChain) {
@@ -161,23 +161,23 @@ TEST(SnapshotEdge, WideGraph) {
 TEST(SnapshotEdge, EmptyContainersVsMissing) {
   std::vector<int> empty_vec;
   std::vector<int> one{0};
-  EXPECT_FALSE(snap::capture(empty_vec).equals(snap::capture(one)));
+  EXPECT_FALSE(decoded::capture(empty_vec).equals(decoded::capture(one)));
   std::optional<int> none;
   std::optional<int> zero = 0;
-  EXPECT_FALSE(snap::capture(none).equals(snap::capture(zero)));
+  EXPECT_FALSE(decoded::capture(none).equals(decoded::capture(zero)));
 }
 
 TEST(SnapshotEdge, StringContentAndLength) {
   std::string a = "abc";
   std::string b = "abd";
   std::string c = "abcd";
-  snap::Snapshot sa = snap::capture(a);
-  EXPECT_FALSE(sa.equals(snap::capture(b)));
-  EXPECT_FALSE(sa.equals(snap::capture(c)));
+  decoded::Snapshot sa = decoded::capture(a);
+  EXPECT_FALSE(sa.equals(decoded::capture(b)));
+  EXPECT_FALSE(sa.equals(decoded::capture(c)));
   std::string embedded_nul1 = std::string("a\0b", 3);
   std::string embedded_nul2 = std::string("a\0c", 3);
-  EXPECT_FALSE(snap::capture(embedded_nul1)
-                   .equals(snap::capture(embedded_nul2)));
+  EXPECT_FALSE(decoded::capture(embedded_nul1)
+                   .equals(decoded::capture(embedded_nul2)));
 }
 
 TEST(SnapshotEdge, SignednessDistinguishedByKind) {
@@ -185,7 +185,7 @@ TEST(SnapshotEdge, SignednessDistinguishedByKind) {
   // alternatives), which keeps comparisons exact across the type system.
   std::int32_t si = 5;
   std::uint32_t ui = 5;
-  EXPECT_FALSE(snap::capture(si).equals(snap::capture(ui)));
+  EXPECT_FALSE(decoded::capture(si).equals(decoded::capture(ui)));
 }
 
 TEST(SnapshotEdge, RestoreMismatchedContainerKindThrows) {
@@ -229,15 +229,15 @@ TEST(SnapshotEdge, SelfReferentialAliasRoundTrips) {
 
 TEST(SnapshotEdge, UnchangedAfterReadOnlyTraversal) {
   Exotic e = make_exotic();
-  snap::Snapshot s1 = snap::capture(e);
-  snap::Snapshot s2 = snap::capture(e);
-  snap::Snapshot s3 = snap::capture(e);
+  decoded::Snapshot s1 = decoded::capture(e);
+  decoded::Snapshot s2 = decoded::capture(e);
+  decoded::Snapshot s3 = decoded::capture(e);
   EXPECT_TRUE(s1.equals(s2));
   EXPECT_TRUE(s2.equals(s3));
 }
 
 TEST(SnapshotEdge, NodeDumpIsStable) {
   Exotic e = make_exotic();
-  snap::Snapshot s = snap::capture(e);
-  EXPECT_EQ(s.to_string(), snap::capture(e).to_string());
+  decoded::Snapshot s = decoded::capture(e);
+  EXPECT_EQ(s.to_string(), decoded::capture(e).to_string());
 }

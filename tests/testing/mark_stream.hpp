@@ -13,6 +13,11 @@
 // its own checkpoint and restore code, before every protected call went
 // through the recovery engine's constant rollback policy.
 //
+// tests/golden/diffs.txt pins what the diff names: one line per family with
+// the hash of every non-atomic mark's detail and footprint (diffs_line).  It
+// was written by the diff over decoded node tables, before the diff walked
+// the record streams.
+//
 // Format: the method and exception names a family's stream mentions, each
 // numbered in first-seen order, then one line per run and one indented line
 // per mark:
@@ -139,13 +144,49 @@ inline std::string mask_verify_path() {
   return std::string(FATOMIC_GOLDEN_DIR) + "/mask_verify.txt";
 }
 
-/// The committed mask_verify.txt line for `family`; empty when absent.
-inline std::string golden_mask_verify(const std::string& family) {
-  std::ifstream in(mask_verify_path());
+/// The line for `family` in the committed golden file `path`; empty when
+/// absent.
+inline std::string golden_line(const std::string& path,
+                               const std::string& family) {
+  std::ifstream in(path);
   std::string line;
   while (std::getline(in, line))
     if (line.compare(0, family.size() + 1, family + ' ') == 0) return line;
   return {};
+}
+
+/// The committed mask_verify.txt line for `family`; empty when absent.
+inline std::string golden_mask_verify(const std::string& family) {
+  return golden_line(mask_verify_path(), family);
+}
+
+/// One line of tests/golden/diffs.txt: the family name, its non-atomic mark
+/// count, its footprint path count, and the FNV-1a hash of every non-atomic
+/// mark's detail and footprint in stream order, from a record_diffs
+/// campaign.
+inline std::string diffs_line(const std::string& family,
+                              const fatomic::detect::Campaign& campaign) {
+  std::size_t nonatomic = 0;
+  std::size_t paths = 0;
+  std::ostringstream text;
+  for (const fatomic::detect::RunRecord& run : campaign.runs)
+    for (const fatomic::weave::Mark& mark : run.marks) {
+      if (mark.atomic) continue;
+      ++nonatomic;
+      paths += mark.footprint.size();
+      text << mark.detail << '\n';
+      for (const std::string& path : mark.footprint)
+        text << "  " << path << '\n';
+    }
+  std::ostringstream os;
+  os << family << " nonatomic=" << nonatomic << " footprint=" << paths
+     << " diffs " << std::hex << std::setw(16) << std::setfill('0')
+     << fnv1a(text.str());
+  return os.str();
+}
+
+inline std::string diffs_path() {
+  return std::string(FATOMIC_GOLDEN_DIR) + "/diffs.txt";
 }
 
 }  // namespace mark_stream

@@ -4,8 +4,10 @@
 // node-table capture walker (the graph backend's Builder) before that walker
 // was removed.  They are an independent record of what a capture of each
 // fixture must decode to: node order, kinds, type names, field names, alias
-// structure and exact leaf values.  test_backend.cpp asserts that
-// arena_capture(x).decode() reproduces every one of them byte for byte.
+// structure and exact leaf values.  test_backend.cpp asserts that the
+// records of arena_capture(x), read back into the tests' node table
+// (decoded.hpp, the library keeps no such table), reproduce every one of
+// them byte for byte.
 //
 // The fixtures cover every shape in tests/testing/types.hpp plus one driven
 // receiver per subject family (collections, xml, regexp, selfstar, net).
@@ -24,7 +26,7 @@
 #include <variant>
 #include <vector>
 
-#include "fatomic/snapshot/node.hpp"
+#include "decoded.hpp"
 #include "subjects/collections/rb_map.hpp"
 #include "subjects/net/server.hpp"
 #include "subjects/regexp/regexp.hpp"
@@ -95,12 +97,12 @@ struct LeafPrinter {
   void operator()(char v) { os << "char:" << static_cast<int>(v); }
   void operator()(std::int64_t v) { os << "i64:" << v; }
   void operator()(std::uint64_t v) { os << "u64:" << v; }
-  void operator()(snap::F32Bits v) {
+  void operator()(decoded::F32Bits v) {
     char buf[16];
     std::snprintf(buf, sizeof buf, "0x%08" PRIx32, v.bits);
     os << "f32:" << buf;
   }
-  void operator()(snap::F64Bits v) {
+  void operator()(decoded::F64Bits v) {
     char buf[24];
     std::snprintf(buf, sizeof buf, "0x%016" PRIx64, v.bits);
     os << "f64:" << buf;
@@ -111,20 +113,20 @@ struct LeafPrinter {
 /// Renders a node table: one line per node in id order, with field names,
 /// floats as bit patterns and strings escaped.  Source addresses are left
 /// out (they differ between runs).
-inline std::string dump(const snap::Snapshot& s) {
+inline std::string dump(const decoded::Snapshot& s) {
   std::ostringstream os;
   os << "root #" << s.root() << ", " << s.node_count() << " nodes\n";
   for (std::size_t i = 0; i < s.node_count(); ++i) {
-    const snap::Node& n = s.node(static_cast<snap::NodeId>(i));
+    const decoded::Node& n = s.node(static_cast<decoded::NodeId>(i));
     os << '#' << i << ' ';
     switch (n.kind) {
-      case snap::NodeKind::Primitive:
+      case decoded::NodeKind::Primitive:
         os << "prim " << n.type_name << ' ';
         std::visit(LeafPrinter{os}, n.value);
         break;
-      case snap::NodeKind::Object:
-      case snap::NodeKind::Sequence: {
-        os << (n.kind == snap::NodeKind::Object ? "object " : "seq ")
+      case decoded::NodeKind::Object:
+      case decoded::NodeKind::Sequence: {
+        os << (n.kind == decoded::NodeKind::Object ? "object " : "seq ")
            << n.type_name << " [";
         for (std::size_t c = 0; c < n.children.size(); ++c) {
           if (c != 0) os << ' ';
@@ -134,11 +136,11 @@ inline std::string dump(const snap::Snapshot& s) {
         os << ']';
         break;
       }
-      case snap::NodeKind::Pointer:
+      case decoded::NodeKind::Pointer:
         os << "ptr " << n.type_name << (n.owned_edge ? " owns #" : " -> #")
            << n.pointee;
         break;
-      case snap::NodeKind::NullPointer:
+      case decoded::NodeKind::NullPointer:
         os << "null " << n.type_name;
         break;
     }
@@ -284,7 +286,7 @@ inline void fill(subjects::net::Server& server) {
 }
 
 /// Builds every witness fixture and returns (name, dump(capture(fixture)))
-/// pairs.  `capture` maps a const value to a snap::Snapshot.
+/// pairs.  `capture` maps a const value to a decoded::Snapshot.
 template <class Capture>
 std::vector<std::pair<std::string, std::string>> cases(Capture capture) {
   std::vector<std::pair<std::string, std::string>> out;

@@ -665,7 +665,7 @@ int print_mask_verify(const subjects::apps::App& app, const Args& args,
   const auto& stats = verified.campaign.stats;
   if (args.mask_partial)
     std::cout << label << "checkpoints: " << stats.partial_checkpoints
-              << " partial, " << stats.snapshots_taken << " full ("
+              << " partial, " << stats.snapshots_taken << " full captures ("
               << stats.partial_fallbacks << " fallbacks), "
               << stats.checkpoint_units << " units\n";
   if (args.validate_checkpoints)
