@@ -47,7 +47,7 @@ std::vector<LintFinding> lint(const detect::Campaign& campaign) {
   std::set<std::pair<std::string, std::string>> seen;
   for (const detect::RunRecord& run : campaign.runs) {
     for (const weave::Mark& mark : run.marks) {
-      if (mark.exception_type.empty()) continue;  // no ABI introspection
+      if (mark.exception_type.empty()) continue;  // a foreign exception
       const std::string& method = mark.method->qualified_name();
       const std::set<std::string>* allowed = flow.find(method);
       if (allowed != nullptr && allowed->count(mark.exception_type)) continue;

@@ -51,7 +51,7 @@ struct ExceptionFlow {
 ExceptionFlow propagate_exceptions(const detect::Campaign& campaign);
 
 /// Checks every mark of the campaign against the static sets.  Marks with
-/// an empty exception_type (no ABI introspection) are skipped.  An empty
+/// an empty exception_type (a foreign exception) are skipped.  An empty
 /// result means every dynamically observed exception was statically
 /// predicted.
 std::vector<LintFinding> lint(const detect::Campaign& campaign);

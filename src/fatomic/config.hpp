@@ -169,8 +169,7 @@ class Config {
   /// Captures throw-site backtraces for every campaign exception (the
   /// __cxa_throw interposer, unwind/provenance.hpp): marks and escape
   /// records carry interned stack ids and campaign JSON gains an
-  /// "exception_provenance" section.  A no-op on builds with the
-  /// FATOMIC_PROVENANCE kill switch off.
+  /// "exception_provenance" section.
   Config& provenance(bool on) {
     provenance_ = on;
     return *this;

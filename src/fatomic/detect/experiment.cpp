@@ -153,7 +153,7 @@ void set_up(weave::Runtime& rt, const fatomic::Config& config,
   rt.set_recovery_policies(config.recovery());
   rt.validate_checkpoints = config.validate_checkpoints();
   rt.record_diffs = config.record_diffs();
-  rt.provenance = config.provenance() && unwind::available();
+  rt.provenance = config.provenance();
   if (config.tracing()) rt.trace.enable(epoch);
   rt.trace.set_worker(worker);
 }
@@ -165,10 +165,8 @@ Campaign Experiment::run() {
 
   // Throw-site provenance: arm the __cxa_throw interposer for the whole
   // campaign (process-wide, so parallel workers are covered); set_up tells
-  // the wrappers to attribute captures.  Degrades to off when the
-  // interposer is compiled out (FATOMIC_PROVENANCE=OFF) or unavailable on
-  // this platform.
-  campaign.provenance = config_.provenance() && unwind::available();
+  // the wrappers to attribute captures.
+  campaign.provenance = config_.provenance();
   unwind::ScopedArm arm(campaign.provenance);
 
   // The campaign's own runtime, installed on this thread for the baseline

@@ -29,7 +29,7 @@ std::map<std::string, std::map<std::string, TypeTally>> tally_marks(
   std::map<std::string, std::map<std::string, TypeTally>> out;
   for (const detect::RunRecord& run : campaign.runs) {
     for (const weave::Mark& mark : run.marks) {
-      if (mark.exception_type.empty()) continue;
+      if (mark.exception_type.empty()) continue;  // a foreign exception
       TypeTally& t =
           out[mark.method->qualified_name()][mark.exception_type];
       ++t.count;

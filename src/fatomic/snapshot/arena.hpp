@@ -235,13 +235,15 @@ struct ReplayStep {
 };
 
 /// What a restore reuses between calls: the ordinal table, the deferred
-/// steps, the shared holders and one alias map (phase 0's visited set, the
-/// partial restore's walk guard).
+/// steps, the shared holders, what the replay replaced and releases in
+/// phase 3 (shared holders, map and set nodes), and one alias map (phase
+/// 0's visited set, the partial restore's walk guard).
 struct RestoreScratch {
   std::vector<ReplayEntry> entries;
   std::vector<ReplayStep> fixups;
   std::vector<ReplayStep> deleters;
   std::vector<std::shared_ptr<void>> holders;
+  std::vector<std::shared_ptr<void>> replaced;
   ArenaSeenMap seen;
 };
 

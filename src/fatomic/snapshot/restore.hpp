@@ -19,8 +19,12 @@
 //      registered addresses, preserving sharing; aliases to external
 //      pointees (captured but owned outside the root) are restored in place
 //      at their original address by replaying their skipped record.
-//   3. reclaim — delete the pointees collected in phase 0 and the
-//      unique_ptr pointees the replay replaced.
+//   3. reclaim — release what the replay replaced and delete the pointees
+//      collected in phase 0.  Until then the replay parks the smart-pointer
+//      pointees it would drop (an overwritten field, a cleared sequence's
+//      elements, a reused map node's value) and the map and set nodes it
+//      does not reuse, so a replay that throws frees nothing an alias of
+//      the half-restored graph may still reach.
 //
 // Record ordinals are dense preorder NodeIds, so the per-ordinal state
 // (address, record offset, shared holder) is one vector indexed by ordinal,
@@ -44,8 +48,10 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "fatomic/snapshot/arena.hpp"
 
@@ -88,6 +94,19 @@ void write_leaf(T& dst, const ArenaCursor::Leaf& leaf) {
   }
 }
 
+/// Keeps what a failed restore parked in shared holders (replaced shared
+/// pointees, map and set nodes it did not reuse) alive for the rest of the
+/// process: an alias of the half-restored graph may still reach them, and
+/// nothing tells when the last such alias dies.  The list stays reachable,
+/// so LeakSanitizer does not count them as leaks.
+inline void keep_for_life(std::vector<std::shared_ptr<void>>& replaced) {
+  static std::mutex mu;
+  static auto* const kept = new std::vector<std::shared_ptr<void>>();
+  const std::lock_guard<std::mutex> lock(mu);
+  for (std::shared_ptr<void>& p : replaced) kept->push_back(std::move(p));
+  replaced.clear();
+}
+
 /// Restore scratch lent by `pool` for one restore (fresh without a pool) and
 /// handed back with its capacity when the restore ends, thrown or not.
 class ScratchLoan {
@@ -97,6 +116,7 @@ class ScratchLoan {
   }
   ~ScratchLoan() {
     s.holders.clear();  // a restore keeps no shared pointee alive
+    if (!s.replaced.empty()) keep_for_life(s.replaced);  // it threw
     if (pool_ != nullptr) pool_->give_back(std::move(s));
   }
   ScratchLoan(const ScratchLoan&) = delete;
@@ -124,7 +144,8 @@ class Replayer {
   /// (stats.restore_errors), and the scheduled deletions are skipped — the
   /// old pointees may still be referenced by the half-restored graph, so
   /// reclaiming them would turn a reported inconsistency into a
-  /// use-after-free.  (Leaking them is the safe side.)
+  /// use-after-free.  (Leaking them is the safe side; what the replay
+  /// parked in shared holders goes to keep_for_life.)
   template <class T>
   static void apply(T& root, const ArenaSnapshot& cp, ArenaPool* pool) {
     if (cp.empty()) throw SnapshotError("restore from an empty snapshot");
@@ -154,6 +175,7 @@ class Replayer {
       throw RestoreError(
           "restore failed mid-replay, receiver may be partially restored");
     }
+    r.s_.replaced.clear();
     for (const detail::ReplayStep& d : r.s_.deleters) d.fn(r, d.ptr, d.ordinal);
   }
 
@@ -252,6 +274,8 @@ class Replayer {
       }
     } else if constexpr (tr::is_sequence_v<T>) {
       const std::uint32_t n = composite(tag, detail::kRecSequence, "sequence");
+      if constexpr (tr::is_smart_ptr_v<typename T::value_type>)
+        for (auto& e : dst) park(e);
       dst.clear();
       dst.resize(n);
       for (auto& e : dst) replay(e);
@@ -404,15 +428,26 @@ class Replayer {
     materialize<U>(p, [&](U* fresh) { dst = fresh; });
   }
 
+  /// Parks the owned pointee `v` holds, when `v` is a smart pointer about to
+  /// be overwritten or destroyed: a unique_ptr pointee is deleted in phase 3,
+  /// as an owned raw pointee is, and a shared_ptr holder released there.
+  template <class T>
+  void park(T& v) {
+    if constexpr (traits::is_unique_ptr<T>::value) {
+      using U = typename T::element_type;
+      static_assert(
+          std::is_same_v<typename T::deleter_type, std::default_delete<U>>,
+          "custom unique_ptr deleters are not supported");
+      if (U* old = v.release())
+        s_.deleters.push_back({&delete_fn<U>, static_cast<void*>(old), 0});
+    } else if constexpr (traits::is_shared_ptr<T>::value) {
+      if (v != nullptr) s_.replaced.push_back(std::move(v));
+    }
+  }
+
   template <class U, class D>
   void replay_unique(std::unique_ptr<U, D>& dst, std::uint8_t tag) {
-    static_assert(std::is_same_v<D, std::default_delete<U>>,
-                  "custom unique_ptr deleters are not supported");
-    // The replaced pointee is reclaimed in phase 3, as an owned raw pointee
-    // is, so a replay that throws frees nothing the half-restored graph's
-    // aliases may still reach.
-    if (U* old = dst.release())
-      s_.deleters.push_back({&delete_fn<U>, static_cast<void*>(old), 0});
+    park(dst);
     if (tag == detail::kRecNull) return;
     expect(tag, detail::kRecPointer, "unique_ptr");
     // Owned before its replay: a replay that throws leaves the fresh pointee
@@ -422,10 +457,8 @@ class Replayer {
 
   template <class U>
   void replay_shared(std::shared_ptr<U>& dst, std::uint8_t tag) {
-    if (tag == detail::kRecNull) {
-      dst.reset();
-      return;
-    }
+    park(dst);
+    if (tag == detail::kRecNull) return;
     expect(tag, detail::kRecPointer, "shared_ptr");
     const Pointee p = pointee();
     if (p.t < s_.entries.size()) {
@@ -535,27 +568,43 @@ class Replayer {
         composite(tag, detail::kRecSequence, kMap ? "map" : "set");
     T old = std::move(dst);
     dst.clear();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (old.empty()) old.emplace();
-      auto node = old.extract(old.begin());
-      if constexpr (kMap) {
-        node.key() = typename T::key_type{};
-        node.mapped() = typename T::mapped_type{};
-        const std::uint8_t entry = in_.u8();
-        open(nullptr);  // the entry pair: never an alias target
-        if (entry != detail::kRecObject || in_.composite().count != 2)
-          throw SnapshotError("snapshot/type mismatch restoring map entry");
-        replay(node.key());
-        replay(node.mapped());
-      } else {
-        node.value() = typename T::value_type{};
-        replay(node.value());
+    // The nodes the loop leaves in `old` — entries the checkpoint no longer
+    // holds, or, when a replay throws, those it did not reach — are parked
+    // whole; their smart-pointer values are parked as a reused node's is.
+    const auto park_rest = [&] {
+      if (old.empty()) return;
+      if constexpr (kMap)
+        for (auto& entry : old) park(entry.second);
+      s_.replaced.push_back(std::make_shared<T>(std::move(old)));
+    };
+    try {
+      for (std::uint32_t i = 0; i < n; ++i) {
+        if (old.empty()) old.emplace();
+        auto node = old.extract(old.begin());
+        if constexpr (kMap) {
+          park(node.mapped());
+          node.key() = typename T::key_type{};
+          node.mapped() = typename T::mapped_type{};
+          const std::uint8_t entry = in_.u8();
+          open(nullptr);  // the entry pair: never an alias target
+          if (entry != detail::kRecObject || in_.composite().count != 2)
+            throw SnapshotError("snapshot/type mismatch restoring map entry");
+          replay(node.key());
+          replay(node.mapped());
+        } else {
+          node.value() = typename T::value_type{};
+          replay(node.value());
+        }
+        dst.insert(dst.end(), std::move(node));
+        if (!node.empty())
+          throw SnapshotError(kMap ? "duplicate key restoring map"
+                                   : "duplicate element restoring set");
       }
-      dst.insert(dst.end(), std::move(node));
-      if (!node.empty())
-        throw SnapshotError(kMap ? "duplicate key restoring map"
-                                 : "duplicate element restoring set");
+    } catch (...) {
+      park_rest();
+      throw;
     }
+    park_rest();
   }
 
   // ---- phase 0: collect owned raw pointees of the current live graph ----

@@ -1,24 +1,10 @@
-// Shared internals of the provenance subsystem: the arming counters and the
-// capture entry point the __cxa_throw interposer (interpose.cpp) calls into,
-// plus the platform gate.  Private to src/fatomic/unwind/.
+// Shared internals of the provenance subsystem: the arming counter and the
+// capture entry point the __cxa_throw interposer (interpose.cpp) calls into.
+// Private to src/fatomic/unwind/.
 #pragma once
 
-#include <cstdint>
-#include <typeinfo>
-
-// The interposer needs ELF symbol interposition semantics and the Itanium
-// C++ ABI (GCC/Clang).  Anywhere else — or under the FATOMIC_PROVENANCE=OFF
-// kill switch — the whole subsystem compiles to inert stubs.
-#if !defined(FATOMIC_PROVENANCE_DISABLED) && defined(__GNUG__) && \
-    defined(__ELF__)
-#define FATOMIC_PROVENANCE_ACTIVE 1
-#else
-#define FATOMIC_PROVENANCE_ACTIVE 0
-#endif
-
-#if FATOMIC_PROVENANCE_ACTIVE
-
 #include <atomic>
+#include <typeinfo>
 
 namespace fatomic::unwind::detail {
 
@@ -39,5 +25,3 @@ bool interposer_linked() noexcept;
 bool real_throw_ok() noexcept;
 
 }  // namespace fatomic::unwind::detail
-
-#endif  // FATOMIC_PROVENANCE_ACTIVE

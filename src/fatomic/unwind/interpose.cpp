@@ -8,8 +8,6 @@
 // compiler versions.  See DESIGN.md §11.
 #include "fatomic/unwind/internal.hpp"
 
-#if FATOMIC_PROVENANCE_ACTIVE
-
 #include <dlfcn.h>
 
 #include <cstdio>
@@ -52,14 +50,3 @@ extern "C" void __cxa_throw(void* thrown, std::type_info* tinfo,
   }
   real(thrown, tinfo, dest);
 }
-
-#else  // !FATOMIC_PROVENANCE_ACTIVE
-
-namespace fatomic::unwind::detail {
-
-bool interposer_linked() noexcept { return false; }
-bool real_throw_ok() noexcept { return false; }
-
-}  // namespace fatomic::unwind::detail
-
-#endif  // FATOMIC_PROVENANCE_ACTIVE

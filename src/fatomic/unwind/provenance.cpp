@@ -3,15 +3,12 @@
 #include "fatomic/unwind/internal.hpp"
 #include "fatomic/unwind/stack_table.hpp"
 
-#include <cstdio>
-
-#if FATOMIC_PROVENANCE_ACTIVE
-
 #include <cxxabi.h>
 #include <dlfcn.h>
 #include <unwind.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <mutex>
@@ -177,40 +174,6 @@ Frame symbolize(const void* pc) {
   cache.emplace(pc, f);
   return f;
 }
-
-#else  // !FATOMIC_PROVENANCE_ACTIVE
-
-namespace fatomic::unwind {
-
-bool available() { return false; }
-bool capture_armed() { return false; }
-std::uint64_t throws_captured() { return 0; }
-
-ScopedArm::ScopedArm(bool arm) : armed_(arm) {}
-ScopedArm::~ScopedArm() = default;
-
-ScopedCaptureFloor::ScopedCaptureFloor(const void* frame_floor)
-    : prev_(nullptr) {
-  (void)frame_floor;
-}
-ScopedCaptureFloor::~ScopedCaptureFloor() = default;
-
-const ThrowRecord* last_throw() { return nullptr; }
-
-std::uint64_t current_throw_stack(std::uint64_t* serial_out) {
-  if (serial_out != nullptr) *serial_out = 0;
-  return 0;
-}
-
-Frame symbolize(const void* pc) {
-  Frame f;
-  f.pc = pc;
-  return f;
-}
-
-#endif  // FATOMIC_PROVENANCE_ACTIVE
-
-// --- shared by both variants ----------------------------------------------
 
 std::string frame_to_string(const Frame& frame) {
   char buf[32];

@@ -21,10 +21,10 @@
 // frames in Perfetto JSON, --trace-summary and campaign_json's
 // "exception_provenance" section.
 //
-// Kill switch: configuring with -DFATOMIC_PROVENANCE=OFF defines
-// FATOMIC_PROVENANCE_DISABLED, which compiles the interposer out entirely;
-// every entry point below degrades to an inert stub (available() == false).
-// Non-ELF / non-GNU toolchains degrade the same way.
+// The interposer is part of every build, so the library needs GCC or Clang
+// on an ELF platform (the root CMakeLists.txt checks this).  Unarmed, it
+// costs a throw one relaxed atomic load; a campaign arms it only with
+// Config::provenance.
 #pragma once
 
 #include <cstddef>
@@ -53,8 +53,10 @@ struct ThrowRecord {
   const void* pc[kMaxFrames] = {};
 };
 
-/// True when the interposer is compiled in, linked into this binary ahead of
-/// the C++ runtime's definition, and able to reach the real __cxa_throw.
+/// True when the interposer is linked into this binary ahead of the C++
+/// runtime's definition and able to reach the real __cxa_throw.  A process
+/// that has thrown can only see true: without a real __cxa_throw the
+/// interposer aborts on the first throw.
 bool available();
 
 /// True while at least one ScopedArm is live.  The interposer checks this

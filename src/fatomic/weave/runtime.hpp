@@ -67,7 +67,7 @@ struct Mark {
   /// non-atomic marks, and only when Runtime::record_diffs is set).
   std::string detail;
   /// Demangled type name of the exception that passed through the wrapper
-  /// (injected or real); empty on toolchains without ABI introspection.
+  /// (injected or real); empty only for a foreign (non-C++) exception.
   /// Consumed by the exception-flow lint, which checks every observed type
   /// against the method's statically computed may-propagate set.
   std::string exception_type;

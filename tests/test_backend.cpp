@@ -11,10 +11,12 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <memory>
 #include <new>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fatomic/detect/campaign.hpp"
@@ -400,9 +402,18 @@ TEST(RestoreSafety, RestoreErrorIsDistinctFromSnapshotError) {
 
 namespace owned_chain {
 
-/// Every live Box and Leaf, by address: the counting check that a failed
-/// restore leaks nothing and frees nothing an alias still reaches.
-std::set<const void*> g_live;
+/// Every live Box and Leaf: its address and its serial, the object's
+/// identity.  The counting check that a failed restore leaks nothing and
+/// frees nothing an alias still reaches.
+std::map<const void*, std::uint64_t> g_live;
+std::uint64_t g_serial = 0;
+
+/// The serial of the object living at `p`, 0 when none does.  A freed
+/// object's address may go to a fresh one; its serial never does.
+std::uint64_t serial_at(const void* p) {
+  const auto it = g_live.find(p);
+  return it == g_live.end() ? 0 : it->second;
+}
 
 /// Leaf construction countdown, disarmed (0) by default: armed at k, the
 /// k-th Leaf constructed from then on throws, as an allocation that fails
@@ -413,14 +424,14 @@ struct Leaf {
   Leaf() {
     if (g_leaf_countdown != 0 && --g_leaf_countdown == 0)
       throw std::bad_alloc();
-    g_live.insert(this);
+    g_live[this] = ++g_serial;
   }
   ~Leaf() { g_live.erase(this); }
   int value = 0;
 };
 
 struct Box {
-  Box() { g_live.insert(this); }
+  Box() { g_live[this] = ++g_serial; }
   ~Box() { g_live.erase(this); }
   std::unique_ptr<Leaf> leaf;
 };
@@ -436,6 +447,53 @@ struct AliasRoot {
   std::unique_ptr<Leaf> later;
 };
 
+/// Aliases into the pointees a replay drops before `later`: unique_ptr
+/// elements of a sequence, unique_ptr values of a map, and a pointee whose
+/// last owner is a shared_ptr field.
+struct SequenceRoot {
+  std::vector<std::unique_ptr<Leaf>> leaves;
+  Leaf* alias = nullptr;  // not owned
+  std::unique_ptr<Leaf> later;
+};
+
+struct MapRoot {
+  std::map<int, std::unique_ptr<Leaf>> leaves;
+  Leaf* alias = nullptr;  // not owned
+  std::unique_ptr<Leaf> later;
+};
+
+struct SharedRoot {
+  std::shared_ptr<Leaf> leaf;
+  Leaf* alias = nullptr;  // not owned
+  std::unique_ptr<Leaf> later;
+};
+
+/// Restores `root` from `cp` with its `k`-th Leaf construction failing, and
+/// expects the alias, whose fixup a failed replay never runs, to reach the
+/// Leaf it reached before: the same object, not only a live one at the
+/// same address.
+template <class Root>
+void expect_alias_outlives_failed_restore(Root& root,
+                                          const snap::ArenaSnapshot& cp,
+                                          int k) {
+  const std::uint64_t aliased = serial_at(root.alias);
+  ASSERT_NE(aliased, 0u);
+  g_leaf_countdown = k;
+  EXPECT_THROW(snap::restore(root, cp), fatomic::RestoreError);
+  g_leaf_countdown = 0;
+  EXPECT_EQ(serial_at(root.alias), aliased)
+      << "the half-restored graph's alias reaches a freed Leaf";
+}
+
+/// Frees the Leafs of `before` (address and serial, taken before a failed
+/// restore) that still live as themselves but that `owned` no longer holds:
+/// the restore cut them loose.
+void free_cut_loose(const std::map<Leaf*, std::uint64_t>& before,
+                    const std::set<const Leaf*>& owned) {
+  for (const auto& [leaf, serial] : before)
+    if (serial_at(leaf) == serial && owned.count(leaf) == 0) delete leaf;
+}
+
 }  // namespace owned_chain
 
 FAT_REFLECT(owned_chain::Leaf, FAT_FIELD(owned_chain::Leaf, value));
@@ -444,6 +502,16 @@ FAT_REFLECT(owned_chain::BoxRoot, FAT_FIELD(owned_chain::BoxRoot, box));
 FAT_REFLECT(owned_chain::AliasRoot, FAT_FIELD(owned_chain::AliasRoot, box),
             FAT_FIELD(owned_chain::AliasRoot, alias),
             FAT_FIELD(owned_chain::AliasRoot, later));
+FAT_REFLECT(owned_chain::SequenceRoot,
+            FAT_FIELD(owned_chain::SequenceRoot, leaves),
+            FAT_FIELD(owned_chain::SequenceRoot, alias),
+            FAT_FIELD(owned_chain::SequenceRoot, later));
+FAT_REFLECT(owned_chain::MapRoot, FAT_FIELD(owned_chain::MapRoot, leaves),
+            FAT_FIELD(owned_chain::MapRoot, alias),
+            FAT_FIELD(owned_chain::MapRoot, later));
+FAT_REFLECT(owned_chain::SharedRoot, FAT_FIELD(owned_chain::SharedRoot, leaf),
+            FAT_FIELD(owned_chain::SharedRoot, alias),
+            FAT_FIELD(owned_chain::SharedRoot, later));
 
 // A restore that fails inside a fresh unique_ptr pointee's replay must not
 // leak it: the pointee is owned before it is replayed.  The replaced box is
@@ -489,6 +557,97 @@ TEST(RestoreSafety, FailedReplayFreesNoPointeeAnAliasReaches) {
     if (root.later.get() != old_later) delete old_later;
   }
   EXPECT_TRUE(g_live.empty()) << g_live.size() << " objects outlived the root";
+}
+
+// vector::clear frees the replaced unique_ptr elements unless the replay
+// parks them: the alias must still reach its element after `later` fails.
+TEST(RestoreSafety, FailedReplayKeepsSequenceElementsAnAliasReaches) {
+  using namespace owned_chain;
+  g_live.clear();
+  {
+    SequenceRoot root;
+    root.leaves.push_back(std::make_unique<Leaf>());
+    root.leaves.push_back(std::make_unique<Leaf>());
+    root.alias = root.leaves.back().get();
+    root.later = std::make_unique<Leaf>();
+    const snap::ArenaSnapshot cp = snap::arena_capture(root);
+    std::map<Leaf*, std::uint64_t> before;
+    for (Leaf* leaf : {root.leaves[0].get(), root.leaves[1].get(),
+                       root.later.get()})
+      before[leaf] = serial_at(leaf);
+    // Both elements replay; `later`'s Leaf throws.
+    expect_alias_outlives_failed_restore(root, cp, 3);
+    std::set<const Leaf*> owned = {root.later.get()};
+    for (const auto& leaf : root.leaves) owned.insert(leaf.get());
+    free_cut_loose(before, owned);
+  }
+  EXPECT_TRUE(g_live.empty()) << g_live.size() << " objects outlived the root";
+}
+
+// A reused map node's value is reset, and the nodes the checkpoint no longer
+// holds, or that a throwing replay did not reach, are destroyed with the old
+// map: the replay parks the unique_ptr values of all of them, so an alias
+// into any one still reaches its Leaf.
+TEST(RestoreSafety, FailedReplayKeepsMapValuesAnAliasReaches) {
+  using namespace owned_chain;
+  struct Case {
+    const char* what;
+    int target;     // the key whose Leaf the alias reaches
+    int countdown;  // 3: `later`'s Leaf throws; 2: the second entry's does
+  };
+  for (const Case& c : {Case{"reused entry", 1, 3},
+                        Case{"left-over entry", 3, 3},
+                        Case{"entry the replay did not reach", 3, 2}}) {
+    SCOPED_TRACE(c.what);
+    g_live.clear();
+    {
+      MapRoot root;
+      root.leaves[1] = std::make_unique<Leaf>();
+      root.leaves[2] = std::make_unique<Leaf>();
+      root.alias = root.leaves[1].get();  // the fixup a failed replay skips
+      root.later = std::make_unique<Leaf>();
+      const snap::ArenaSnapshot cp = snap::arena_capture(root);
+      root.leaves[3] = std::make_unique<Leaf>();  // not in the checkpoint
+      root.alias = root.leaves[c.target].get();
+      std::map<Leaf*, std::uint64_t> before = {
+          {root.later.get(), serial_at(root.later.get())}};
+      for (const auto& [key, leaf] : root.leaves)
+        before[leaf.get()] = serial_at(leaf.get());
+      expect_alias_outlives_failed_restore(root, cp, c.countdown);
+      std::set<const Leaf*> owned = {root.later.get()};
+      for (const auto& [key, leaf] : root.leaves) owned.insert(leaf.get());
+      free_cut_loose(before, owned);
+    }
+    EXPECT_TRUE(g_live.empty())
+        << g_live.size() << " objects outlived the root";
+  }
+}
+
+// A shared_ptr field that is its pointee's last owner frees it when the
+// replay assigns the fresh pointee, unless the replay parks the old holder.
+// A failed restore hands its parked holders to keep_for_life, so the old
+// Leaf outlives the root as well, for the rest of the process.
+TEST(RestoreSafety, FailedReplayKeepsSharedPointeeAnAliasReaches) {
+  using namespace owned_chain;
+  g_live.clear();
+  const Leaf* kept = nullptr;
+  std::uint64_t kept_serial = 0;
+  {
+    SharedRoot root;
+    root.leaf = std::make_shared<Leaf>();
+    root.alias = root.leaf.get();
+    root.later = std::make_unique<Leaf>();
+    const snap::ArenaSnapshot cp = snap::arena_capture(root);
+    kept = root.leaf.get();
+    kept_serial = serial_at(kept);
+    const std::map<Leaf*, std::uint64_t> before = {
+        {root.later.get(), serial_at(root.later.get())}};
+    // The fresh shared Leaf replays; `later`'s Leaf throws.
+    expect_alias_outlives_failed_restore(root, cp, 2);
+    free_cut_loose(before, {root.later.get()});
+  }
+  ASSERT_EQ(g_live.size(), 1u) << "objects outlived the root";
+  EXPECT_EQ(serial_at(kept), kept_serial);
 }
 
 TEST(CampaignJson, StatsCarryArenaAndRestoreCounters) {

@@ -11,7 +11,11 @@
 // pointees, aliases that precede their targets, external aliases restored in
 // place, self-aliases, aliases into sequence elements and into composite
 // map and set keys, optionals, vector<bool>, nested maps, sets and
-// sequences, and NaN, -0.0 and denormal leaves.
+// sequences, and NaN, -0.0 and denormal leaves.  Cells owned through smart
+// pointers — unique_ptr elements of a sequence, unique_ptr values of a map,
+// and one cell whose last owner is a shared_ptr field — each carry an alias
+// into them.  Their draws come from a second random stream, so every other
+// field of a seed's graph is what it was before they were added.
 //
 // Every mutated graph is also read against the tests' decoded node table
 // (testing/decoded.hpp), the oracle: the byte compare says equal exactly
@@ -20,8 +24,10 @@
 //
 // After its round trips each seed also fails a restore on purpose: a Cell
 // construction countdown makes the k-th cell the replay builds throw, and
-// the RestoreError property must hold — the half-restored graph can still be
-// captured (under ASan: it reaches no freed pointee), and the same
+// the RestoreError property must hold — every alias of the half-restored
+// graph still reaches the very cell it reached before (a live-cell registry
+// tells a cell from a fresh one at a reused address), the graph can still
+// be captured (under ASan: it reaches no freed pointee), and the same
 // checkpoint then restores in full.
 //
 // ctest runs the fixed corpus (seeds 1..kCorpusSeeds).  A longer sweep takes
@@ -67,13 +73,27 @@ namespace corpus {
 /// in the middle of a restore would.
 std::uint32_t g_cell_countdown = 0;
 
+/// Every live Cell and its serial, the cell's identity: a freed cell's
+/// address may go to a fresh one, its serial never does.
+std::map<const void*, std::uint64_t> g_cells;
+std::uint64_t g_cell_serial = 0;
+
+/// The serial of the cell living at `p`, 0 when none does.
+std::uint64_t serial_at(const void* p) {
+  const auto it = g_cells.find(p);
+  return it == g_cells.end() ? 0 : it->second;
+}
+
 /// A node of the owned raw-pointer graph: `next` owns the next cell (a
-/// chain, or a cycle when it links back), `peer` is a plain alias.
+/// chain, or a cycle when it links back), `peer` is a plain alias.  A cell
+/// held through a smart pointer owns nothing.
 struct Cell {
   Cell() {
     if (g_cell_countdown != 0 && --g_cell_countdown == 0)
       throw std::bad_alloc();
+    g_cells[this] = ++g_cell_serial;
   }
+  ~Cell() { g_cells.erase(this); }
 
   int value = 0;
   double weight = 0.0;
@@ -140,6 +160,14 @@ struct Universe {
   std::shared_ptr<Heavy> derived_first;  // ... in both field orders
   std::shared_ptr<Shared> base_second;
   std::vector<std::unique_ptr<Shape>> shapes;
+  // Cells owned through smart pointers, replayed after every raw-owned
+  // cell, each with an alias into it.
+  std::shared_ptr<Cell> shared_cell;  // its pointee's last owner
+  Cell* into_shared = nullptr;
+  std::map<int, std::unique_ptr<Cell>> cell_map;
+  Cell* into_map = nullptr;
+  std::vector<std::unique_ptr<Cell>> boxed;
+  Cell* into_boxed = nullptr;
 
   Universe() = default;
   Universe(const Universe&) = delete;
@@ -190,13 +218,29 @@ FAT_REFLECT(corpus::Universe, FAT_FIELD(corpus::Universe, early_cell),
             FAT_FIELD(corpus::Universe, as_derived),
             FAT_FIELD(corpus::Universe, derived_first),
             FAT_FIELD(corpus::Universe, base_second),
-            FAT_FIELD(corpus::Universe, shapes));
+            FAT_FIELD(corpus::Universe, shapes),
+            FAT_FIELD(corpus::Universe, shared_cell),
+            FAT_FIELD(corpus::Universe, into_shared),
+            FAT_FIELD(corpus::Universe, cell_map),
+            FAT_FIELD(corpus::Universe, into_map),
+            FAT_FIELD(corpus::Universe, boxed),
+            FAT_FIELD(corpus::Universe, into_boxed));
 using corpus::Heavy;
 FAT_POLY(corpus::Shared, Heavy);
 FAT_POLY(Shape, Circle);
 FAT_POLY(Shape, Rect);
 
 namespace corpus {
+
+/// The cells `u` holds through unique_ptr, in replay order.
+std::vector<Cell*> unique_cells(const Universe& u) {
+  std::vector<Cell*> out;
+  for (const auto& [key, cell] : u.cell_map)
+    if (cell != nullptr) out.push_back(cell.get());
+  for (const auto& cell : u.boxed)
+    if (cell != nullptr) out.push_back(cell.get());
+  return out;
+}
 
 /// Every cell reachable through owned edges, each once.
 std::vector<Cell*> owned_cells(const Universe& u) {
@@ -275,16 +319,20 @@ class Rng {
 };
 
 /// Harness-owned state around one Universe: the cells external aliases
-/// point at, and the cells mutations cut out of the owned graph.
+/// point at, and the cells mutations cut out of the owned graph.  `smart`
+/// draws the cells held through smart pointers.
 struct Harness {
   Rng rng;
+  Rng smart;
   std::deque<Cell> externals;  // stable addresses
   std::vector<std::unique_ptr<Cell>> graveyard;
   Universe u;
 
-  explicit Harness(std::uint32_t seed) : rng(seed), externals(3) {
+  explicit Harness(std::uint32_t seed)
+      : rng(seed), smart(seed ^ 0x9E3779B9u), externals(3) {
     for (Cell& e : externals) e.value = rng.small();
     build();
+    for (std::uint32_t i = smart.below(4); i > 0; --i) mutate_smart();
   }
 
   Cell* any_cell(bool allow_external) {
@@ -343,6 +391,60 @@ struct Harness {
     }
     if (rng.coin()) tail->next = head;
     return head;
+  }
+
+  /// A cell for a smart pointer: it owns nothing, and its peer is an
+  /// external cell or null.
+  Cell* smart_cell() {
+    auto* c = new Cell;
+    c->value = smart.small();
+    c->weight = smart.real();
+    c->peer = smart.coin() ? &externals[smart.below(3)] : nullptr;
+    return c;
+  }
+
+  /// One random change to the smart-pointer-held cells; each alias into
+  /// them is then re-pointed, so none dangles.
+  void mutate_smart() {
+    switch (smart.below(6)) {
+      case 0:
+        u.boxed.emplace_back(smart_cell());
+        break;
+      case 1:
+        if (!u.boxed.empty()) u.boxed.pop_back();
+        break;
+      case 2:
+        if (!u.boxed.empty())
+          u.boxed[smart.below(static_cast<std::uint32_t>(u.boxed.size()))]
+              .reset(smart_cell());
+        break;
+      case 3:
+        u.cell_map[smart.small()].reset(smart_cell());
+        break;
+      case 4:
+        if (!u.cell_map.empty()) u.cell_map.erase(u.cell_map.begin());
+        break;
+      default:
+        if (smart.coin())
+          u.shared_cell.reset(smart_cell());
+        else if (smart.coin())
+          u.shared_cell.reset();
+        else if (u.shared_cell != nullptr)
+          u.shared_cell->value += 1;
+        break;
+    }
+    u.into_shared = smart.coin() ? u.shared_cell.get() : nullptr;
+    u.into_map = nullptr;
+    if (!u.cell_map.empty() && smart.coin())
+      u.into_map =
+          std::next(u.cell_map.begin(),
+                    smart.below(static_cast<std::uint32_t>(u.cell_map.size())))
+              ->second.get();
+    u.into_boxed =
+        !u.boxed.empty() && smart.coin()
+            ? u.boxed[smart.below(static_cast<std::uint32_t>(u.boxed.size()))]
+                  .get()
+            : nullptr;
   }
 
   std::unique_ptr<Shape> shape() {
@@ -617,18 +719,35 @@ struct Harness {
         c->next = nullptr;
         graveyard.emplace_back(c);
       }
+    if (smart.coin()) mutate_smart();
+  }
+
+  /// Every alias of the graph: the root's, those in `cell_refs`, and the
+  /// peer of every cell the graph owns, raw or through a smart pointer.
+  std::vector<const Cell*> aliases() const {
+    std::vector<const Cell*> out = {u.early_cell, u.outside, u.into_shared,
+                                    u.into_map, u.into_boxed};
+    out.insert(out.end(), u.cell_refs.begin(), u.cell_refs.end());
+    for (const Cell* c : owned_cells(u)) out.push_back(c->peer);
+    for (const Cell* c : unique_cells(u)) out.push_back(c->peer);
+    if (u.shared_cell != nullptr) out.push_back(u.shared_cell->peer);
+    return out;
   }
 };
 
 /// Where the checkpoint's aliases with a known home must point after a
-/// restore: the external cell (by index), the root, and the element or key
-/// member (by position) of `ints`, `keyed` and `pairs`.
+/// restore: the external cell (by index), the root, the element or key
+/// member (by position) of `ints`, `keyed` and `pairs`, the smart-pointer
+/// cell of `cell_map` and `boxed` (by position), and `shared_cell`.
 struct AliasHomes {
   int outside = -1;
   bool self = false;
   int into_ints = -1;
   int into_key = -1;  // 2 * key index + member
   int into_set = -1;
+  int into_map = -1;
+  int into_boxed = -1;
+  bool into_shared = false;
 
   static AliasHomes of(const Harness& h) {
     AliasHomes a;
@@ -650,6 +769,15 @@ struct AliasHomes {
       if (u.into_set == &p.second) a.into_set = 2 * k + 1;
       ++k;
     }
+    k = 0;
+    for (const auto& [key, cell] : u.cell_map) {
+      if (u.into_map == cell.get()) a.into_map = k;
+      ++k;
+    }
+    for (std::size_t i = 0; i < u.boxed.size(); ++i)
+      if (u.into_boxed == u.boxed[i].get()) a.into_boxed = static_cast<int>(i);
+    a.into_shared =
+        u.into_shared != nullptr && u.into_shared == u.shared_cell.get();
     return a;
   }
 
@@ -686,8 +814,11 @@ void run_seed(std::uint32_t seed) {
   Harness h(seed);
   const snap::ArenaSnapshot cp = snap::arena_capture(h.u);
   const AliasHomes homes = AliasHomes::of(h);
-  // Every owned cell of the checkpoint is built afresh by each restore.
+  // Every owned cell of the checkpoint is built afresh by each restore: the
+  // raw-owned ones first, then those held through smart pointers.
   const auto cp_cells = static_cast<std::uint32_t>(owned_cells(h.u).size());
+  const auto cp_smart_cells = static_cast<std::uint32_t>(
+      unique_cells(h.u).size() + (h.u.shared_cell != nullptr ? 1 : 0));
   // Byte equality and decoded-table equality agree on the checkpoint.
   ASSERT_TRUE(decoded::decode(cp).equals(decoded::capture(h.u)));
 
@@ -711,12 +842,22 @@ void run_seed(std::uint32_t seed) {
   }
 
   // The RestoreError property.  The countdown fires while the replay builds
-  // the k-th of the checkpoint's cells (never, at k = cp_cells + 1).
+  // the k-th of the checkpoint's cells (never, at k = cp_cells +
+  // cp_smart_cells + 1); a k past the raw-owned cells is drawn from the
+  // smart stream, so the primary one draws what it drew before.
   SCOPED_TRACE("failing restore");
   for (std::uint32_t i = 1 + h.rng.below(8); i > 0; --i) h.mutate();
   open_rings(h.u);
   const std::vector<Cell*> recorded = owned_cells(h.u);
+  std::map<Cell*, std::uint64_t> recorded_unique;
+  for (Cell* c : unique_cells(h.u)) recorded_unique[c] = serial_at(c);
+  std::set<Shape*> recorded_shapes;
+  for (const auto& shape : h.u.shapes) recorded_shapes.insert(shape.get());
+  std::map<const Cell*, std::uint64_t> reached;
+  for (const Cell* c : h.aliases()) reached[c] = serial_at(c);
   g_cell_countdown = 1 + h.rng.below(cp_cells + 1);
+  if (g_cell_countdown > cp_cells)
+    g_cell_countdown += h.smart.below(cp_smart_cells + 1);
   bool failed = false;
   try {
     snap::restore(h.u, cp);
@@ -726,16 +867,33 @@ void run_seed(std::uint32_t seed) {
   g_cell_countdown = 0;
   if (failed) {
     ++g_failed_restores;
+    // A failed replay rewrites no alias but to null (the fixups never ran,
+    // and a fresh cell's peer starts null), so every alias of the
+    // half-restored graph reaches the very cell it reached before.
+    for (const Cell* c : h.aliases())
+      if (c != nullptr) {
+        ASSERT_EQ(reached.count(c), 1u) << "an alias moved to a new cell";
+        ASSERT_NE(reached[c], 0u);
+        ASSERT_EQ(serial_at(c), reached[c])
+            << "an alias of the half-restored graph reaches a freed cell";
+      }
     // The half-restored graph reaches no freed pointee: the restore skipped
     // its deletions, and every fresh cell already hangs off its owner.
     (void)snap::arena_capture(h.u);
     // Those skipped deletions are the harness's to make: free the cells the
     // restore cut loose.  What still points at them is an alias, which the
-    // next restore overwrites without reading.
+    // next restore overwrites without reading.  (A replaced shared_ptr
+    // pointee is the library's: a failed restore keeps it for life.)
     const std::vector<Cell*> owned = owned_cells(h.u);
     const std::set<Cell*> live(owned.begin(), owned.end());
     for (Cell* c : recorded)
       if (live.count(c) == 0) delete c;
+    const std::vector<Cell*> held = unique_cells(h.u);
+    const std::set<Cell*> still_held(held.begin(), held.end());
+    for (const auto& [c, serial] : recorded_unique)
+      if (serial_at(c) == serial && still_held.count(c) == 0) delete c;
+    for (const auto& shape : h.u.shapes) recorded_shapes.erase(shape.get());
+    for (Shape* shape : recorded_shapes) delete shape;
   }
   open_rings(h.u);
   snap::restore(h.u, cp);
@@ -750,7 +908,19 @@ std::uint32_t g_last_seed = kCorpusSeeds;
 /// Seeds that once failed.  They stay in every run.
 ///   9: the failing restore leaked the fresh cell it was replaying (its
 ///      owner got it only after the replay returned); LeakSanitizer.
-constexpr std::array<std::uint32_t, 1> kRegressionSeeds = {9};
+///   6, 23, 155, 183, 205, 249: the failing restore freed a cell that an
+///      alias of the half-restored graph still reached — the old pointee of
+///      `shared_cell` (6) as the replay assigned its fresh one, elements of
+///      `boxed` as the replay cleared the vector (23, 155, 205), and values
+///      of `cell_map` as the replay reset a reused node or destroyed the
+///      old map (183, 249).  Seen by the alias property without a
+///      sanitizer; 90 of seeds 1..3000 failed so.
+///   114, 772: once a failing restore could fail after the inline maps and
+///      sets were replayed, `into_key` (114) and `into_set` (772) reached a
+///      node the replay had destroyed with the old `keyed` map or `pairs`
+///      set; AddressSanitizer, in the capture of the half-restored graph.
+constexpr std::array<std::uint32_t, 9> kRegressionSeeds = {
+    9, 6, 23, 155, 183, 205, 249, 114, 772};
 
 }  // namespace corpus
 

@@ -556,12 +556,6 @@ bool derive_policies(const Args& args,
 
 /// Per-method throw-site histogram on stdout (--throw-stacks).
 void print_provenance(const report::AppResult& result) {
-  if (!result.campaign.provenance) {
-    std::cout << '\n'
-              << result.name
-              << ": throw-stack capture unavailable in this build\n";
-    return;
-  }
   struct SiteAgg {
     std::uint64_t count = 0;
     std::uint64_t escaped = 0;
