@@ -425,10 +425,15 @@ GraphCheckResult graph_check(const detect::Campaign& campaign,
     out.violations.push_back({kind, node, detail});
   };
 
-  for (const auto& [edge, count] : campaign.call_edges) {
-    const weave::MethodInfo* caller = edge.first;
-    const weave::MethodInfo* callee = edge.second;
-    if (caller == nullptr) continue;  // program top level: no static frame
+  // Each distinct caller -> callee pair of the baseline, once.
+  std::set<std::pair<const weave::MethodInfo*, const weave::MethodInfo*>>
+      edges;
+  for (const weave::BaselineCall& call : campaign.calls) {
+    // The program top level has no static frame.
+    if (call.parent == weave::BaselineCall::kTopLevel) continue;
+    const weave::MethodInfo* caller = campaign.calls[call.parent].method;
+    const weave::MethodInfo* callee = call.method;
+    if (!edges.emplace(caller, callee).second) continue;
     ++out.edges_checked;
     const std::string node = caller->qualified_name();
     if (graph.open.count(node)) continue;
@@ -472,16 +477,10 @@ std::vector<LintFinding> lint_static(
   // methods are the dynamic lint's job; classes never observed belong to
   // other subject families linked into the same binary.
   std::set<std::string> observed_methods, observed_classes;
-  auto observe = [&](const weave::MethodInfo* mi) {
-    if (mi == nullptr) return;
-    observed_methods.insert(mi->qualified_name());
-    observed_classes.insert(mi->class_name());
-  };
-  for (const auto& [edge, count] : campaign.call_edges) {
-    observe(edge.first);
-    observe(edge.second);
+  for (const weave::BaselineCall& call : campaign.calls) {
+    observed_methods.insert(call.method->qualified_name());
+    observed_classes.insert(call.method->class_name());
   }
-  for (const auto& [mi, count] : campaign.call_counts) observe(mi);
 
   std::vector<LintFinding> findings;
   for (const auto& [qn, cm] : model.classes) {

@@ -106,19 +106,6 @@ class Config {
     recovery_ = std::move(table);
     return *this;
   }
-  /// Builder form: installs a copy of the current table (empty when none)
-  /// with `policy` set for `qualified_name`, so a table already handed out,
-  /// or shared with a copied Config, never changes.  Later calls for the
-  /// same method overwrite.
-  Config& recovery_policy(const std::string& qualified_name,
-                          recovery::RecoveryPolicy policy) {
-    auto table = recovery_ == nullptr
-                     ? std::make_shared<recovery::PolicyTable>()
-                     : std::make_shared<recovery::PolicyTable>(*recovery_);
-    table->set(qualified_name, std::move(policy));
-    recovery_ = std::move(table);
-    return *this;
-  }
   const std::shared_ptr<const recovery::PolicyTable>& recovery() const {
     return recovery_;
   }
@@ -146,11 +133,6 @@ class Config {
   /// Excludes a method from automatic masking.  Repeatable.
   Config& no_wrap(const std::string& qualified_name) {
     policy_.no_wrap.insert(qualified_name);
-    return *this;
-  }
-  /// Replaces the whole policy at once.
-  Config& policy(detect::Policy p) {
-    policy_ = std::move(p);
     return *this;
   }
   const detect::Policy& policy() const { return policy_; }

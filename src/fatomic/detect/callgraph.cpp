@@ -7,10 +7,12 @@ namespace fatomic::detect {
 
 CallGraph CallGraph::from(const Campaign& campaign) {
   CallGraph g;
-  for (const auto& [edge, count] : campaign.call_edges) {
-    const auto& [caller, callee] = edge;
-    const std::string from = caller ? caller->qualified_name() : kRoot;
-    g.edges_[from][callee->qualified_name()] += count;
+  for (const weave::BaselineCall& call : campaign.calls) {
+    const std::string from =
+        call.parent == weave::BaselineCall::kTopLevel
+            ? kRoot
+            : campaign.calls[call.parent].method->qualified_name();
+    ++g.edges_[from][call.method->qualified_name()];
   }
   return g;
 }
@@ -77,7 +79,7 @@ std::string CallGraph::to_dot(const Classification* cls) const {
 Blame blame_analysis(const Campaign& campaign) {
   Blame blame;
   for (const RunRecord& run : campaign.runs) {
-    if (!run.injected || run.injected_method == nullptr) continue;
+    if (run.injected_method == nullptr) continue;
     const std::string site = run.injected_method->qualified_name();
     for (const weave::Mark& mark : run.marks) {
       if (mark.atomic) continue;

@@ -1,13 +1,10 @@
 // Raw results of an injection campaign: one RunRecord per execution of the
-// exception injector program (Figure 1, step 3), plus the call counts of the
-// uninstrumented program (used for the call-weighted figures).
+// exception injector program (Figure 1, step 3), plus the Count baseline's
+// per-call table, the campaign's one record of the original program.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "fatomic/trace/trace.hpp"
@@ -18,7 +15,8 @@ namespace fatomic::detect {
 /// Observations from one run of the injector program at a fixed threshold.
 struct RunRecord {
   std::uint64_t injection_point = 0;  ///< the run's threshold
-  bool injected = false;              ///< did the counter reach the threshold?
+  /// Where the injection fired; null when the counter never reached the
+  /// threshold.
   const weave::MethodInfo* injected_method = nullptr;
   std::string injected_exception;
   /// Atomicity marks in exception-propagation order (callee first).
@@ -46,12 +44,10 @@ struct WorkerStats {
 
 struct Campaign {
   std::vector<RunRecord> runs;
-  std::unordered_map<const weave::MethodInfo*, std::uint64_t> call_counts;
-  /// Dynamic call-graph edges from the Count baseline run; nullptr caller
-  /// means "called from the program top level".
-  std::map<std::pair<const weave::MethodInfo*, const weave::MethodInfo*>,
-           std::uint64_t>
-      call_edges;
+  /// The Count baseline's per-call table (DESIGN.md §15): the one record of
+  /// the original program, which every injector run follows and off which
+  /// every call count, Table 1 count and call-graph edge is read.
+  weave::CallTable calls;
   /// Snapshot/comparison/rollback/wrapped-call counters accumulated over the
   /// campaign's injector runs — aggregated across workers when the campaign
   /// ran with Config::jobs > 1, and restricted to the runs the campaign
@@ -76,21 +72,17 @@ struct Campaign {
   /// Number of exceptions actually injected (Table 1, #Injections).
   std::uint64_t injections() const {
     std::uint64_t n = 0;
-    for (const RunRecord& r : runs) n += r.injected ? 1 : 0;
+    for (const RunRecord& r : runs) n += r.injected_method != nullptr ? 1 : 0;
     return n;
   }
 
   /// Methods "defined and used" by the program (Table 1, #Methods).
-  std::size_t distinct_methods() const { return call_counts.size(); }
+  std::size_t distinct_methods() const;
 
   /// Distinct classes among the used methods (Table 1, #Classes).
   std::size_t distinct_classes() const;
 
-  std::uint64_t total_calls() const {
-    std::uint64_t n = 0;
-    for (const auto& [mi, c] : call_counts) n += c;
-    return n;
-  }
+  std::uint64_t total_calls() const { return calls.size(); }
 };
 
 }  // namespace fatomic::detect

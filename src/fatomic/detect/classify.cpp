@@ -63,6 +63,7 @@ std::vector<std::string> Classification::nonatomic_names() const {
 
 Classification classify(const Campaign& campaign, const Policy& policy) {
   struct Tally {
+    std::uint64_t calls = 0;  // in the original program
     std::uint64_t atomic = 0;
     std::uint64_t nonatomic = 0;
     bool marked_first = false;  // first non-atomic mark of some episode
@@ -71,12 +72,12 @@ Classification classify(const Campaign& campaign, const Policy& policy) {
   std::map<const weave::MethodInfo*, Tally> tallies;
 
   // Universe: every method called by the original program.
-  for (const auto& [mi, count] : campaign.call_counts) tallies[mi];
+  for (const weave::BaselineCall& call : campaign.calls)
+    ++tallies[call.method].calls;
 
   for (const RunRecord& run : campaign.runs) {
-    if (!run.injected) continue;
-    if (run.injected_method != nullptr &&
-        policy.exception_free.count(run.injected_method->qualified_name()))
+    if (run.injected_method == nullptr) continue;
+    if (policy.exception_free.count(run.injected_method->qualified_name()))
       continue;  // programmer ruled this injection out (Section 4.3)
 
     // Marks arrive callee-first within each exception-propagation episode
@@ -107,12 +108,10 @@ Classification classify(const Campaign& campaign, const Policy& policy) {
   for (const auto& [mi, t] : tallies) {
     MethodResult r;
     r.method = mi;
+    r.calls = t.calls;
     r.atomic_marks = t.atomic;
     r.nonatomic_marks = t.nonatomic;
     r.example_detail = t.example_detail;
-    if (auto it = campaign.call_counts.find(mi);
-        it != campaign.call_counts.end())
-      r.calls = it->second;
     if (t.nonatomic == 0)
       r.cls = MethodClass::Atomic;
     else if (t.marked_first)

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -16,9 +17,16 @@
 
 namespace fatomic::detect {
 
+std::size_t Campaign::distinct_methods() const {
+  std::set<const weave::MethodInfo*> methods;
+  for (const weave::BaselineCall& call : calls) methods.insert(call.method);
+  return methods.size();
+}
+
 std::size_t Campaign::distinct_classes() const {
-  std::set<std::string> classes;
-  for (const auto& [mi, count] : call_counts) classes.insert(mi->class_name());
+  std::set<std::string_view> classes;
+  for (const weave::BaselineCall& call : calls)
+    classes.insert(call.method->class_name());
   return classes.size();
 }
 
@@ -64,13 +72,12 @@ void attempt(const std::function<void()>& program, weave::Runtime& rt,
   }
   rt.baseline = nullptr;  // the table is the campaign's, not the runtime's
 
-  out.rec.injected = rt.injected;
   out.rec.injected_method = rt.injected_method;
   out.rec.injected_exception = rt.injected_exception;
   // The next begin_run clears marks anyway, so hand the vector over instead
   // of copying it (marks can carry per-injection diff strings).
   out.rec.marks = std::move(rt.marks);
-  out.terminal = !out.rec.injected && rt.point < threshold;
+  out.terminal = out.rec.injected_method == nullptr && rt.point < threshold;
   rt.trace.span(trace::EventKind::Run, run_t0, out.rec.injected_method,
                 out.rec.marks.size());
 }
@@ -181,11 +188,11 @@ Campaign Experiment::run() {
   campaign.trace.enabled = rt.trace.enabled();
   const std::uint64_t campaign_t0 = rt.trace.begin_span();
 
-  // Baseline: call counts of the original program (Figures 2b / 3b) and
-  // its per-call table, which every injector run of this campaign follows
-  // (DESIGN.md §15).  A program that escapes an exception even uninjected
-  // still yields a baseline — the calls observed up to the escape — and its
-  // terminal injector run records the escape (see absorb()).
+  // Baseline: the original program's per-call table, which the campaign
+  // keeps and every injector run of it follows (DESIGN.md §15).  A program
+  // that escapes an exception even uninjected still yields a baseline — the
+  // calls observed up to the escape — and its terminal injector run records
+  // the escape (see absorb()).
   rt.set_mode(weave::Mode::Count);
   const std::uint64_t baseline_t0 = rt.trace.begin_span();
   try {
@@ -194,9 +201,8 @@ Campaign Experiment::run() {
   }
   rt.set_mode(weave::Mode::Inject);
   const std::uint64_t thresholds = rt.point;  // injection points counted
-  campaign.call_counts = std::move(rt.call_counts);
-  campaign.call_edges = std::move(rt.call_edges);
-  const weave::CallTable baseline = std::move(rt.calls);
+  campaign.calls = std::move(rt.calls);
+  const weave::CallTable& baseline = campaign.calls;
   rt.trace.span(trace::EventKind::Baseline, baseline_t0, nullptr,
                 campaign.total_calls());
 
@@ -221,10 +227,8 @@ Campaign Experiment::run() {
            prune_atomic.count(call.method->qualified_name()) != 0) &&
           (call.parent == weave::BaselineCall::kTopLevel ||
            skippable[call.parent]);
-      prunable.insert(
-          prunable.end(),
-          call.method->declared().size() + weave::kRuntimeExceptions.size(),
-          skippable[k]);
+      prunable.insert(prunable.end(), call.method->injection_points(),
+                      skippable[k]);
     }
   }
   const auto unpruned = [&](std::uint64_t t) {

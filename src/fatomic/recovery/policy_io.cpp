@@ -51,17 +51,6 @@ std::pair<std::size_t, std::size_t> line_col(const std::string& text,
   throw std::runtime_error(os.str());
 }
 
-/// Semantic errors about a specific token (an unknown action tag, say) can
-/// recover a position by finding the quoted token in the source text.
-[[noreturn]] void fail_at_token(const std::string& origin,
-                                const std::string& text,
-                                const std::string& token,
-                                const std::string& what) {
-  const std::size_t pos = text.find('"' + token + '"');
-  if (pos != std::string::npos) fail(origin, text, pos + 1, what);
-  fail(origin, what);
-}
-
 /// True when `v` is a whole number in [lo, hi] — checked before any cast,
 /// because converting an out-of-range double to an integer is undefined.
 bool integer_in(const report::JsonValue& v, double lo, double hi) {
@@ -134,15 +123,30 @@ PolicyTable parse_policy_table(const std::string& text,
   }
 
   if (!root.is_object()) fail(origin, "document must be an object");
+  // Errors about a string point at its first character, inside the quotes.
+  auto fail_at = [&](const report::JsonValue& v, const std::string& what) {
+    fail(origin, text, v.offset + 1, what);
+  };
   // A key outside the schema would leave its field at the default without a
-  // word: refuse it where it stands.
+  // word, and a repeated one would let one of its values win the same way:
+  // refuse either where it stands.
   auto schema = [&](const report::JsonValue& obj,
                     std::initializer_list<const char*> keys,
                     const std::string& where) {
-    for (const auto& [key, value] : obj.object)
+    for (auto member = obj.object.begin(); member != obj.object.end();
+         ++member) {
+      const auto& [key, value] = *member;
+      // The key is the last quoted copy of itself before its value (none
+      // when it was written with escapes: then point at the value).
+      const std::size_t quote = text.rfind('"' + key + '"', value.offset - 1);
+      const std::size_t at =
+          quote != std::string::npos ? quote + 1 : value.offset;
       if (std::find(keys.begin(), keys.end(), key) == keys.end())
-        fail_at_token(origin, text, key,
-                      "unknown key \"" + key + "\" in " + where);
+        fail(origin, text, at, "unknown key \"" + key + "\" in " + where);
+      if (std::any_of(obj.object.begin(), member,
+                      [&](const auto& m) { return m.first == key; }))
+        fail(origin, text, at, "repeated key \"" + key + "\" in " + where);
+    }
   };
   schema(root, {"schema_version", "policies"}, "the document");
   const report::JsonValue* version = root.find("schema_version");
@@ -165,6 +169,8 @@ PolicyTable parse_policy_table(const std::string& text,
            {"method", "action", "retry_budget", "rollback_before_retry",
             "overrides"},
            "the policy for '" + method->string + "'");
+    if (table.find(method->string) != nullptr)
+      fail_at(*method, "second policy for '" + method->string + "'");
     const report::JsonValue* action = entry.find("action");
     if (action == nullptr || !action->is_string())
       fail(origin, "policy for '" + method->string + "' missing \"action\"");
@@ -173,8 +179,7 @@ PolicyTable parse_policy_table(const std::string& text,
     try {
       pol.action = parse_action(action->string);
     } catch (const std::invalid_argument& e) {
-      fail_at_token(origin, text, action->string,
-                    "policy for '" + method->string + "': " + e.what());
+      fail_at(*action, "policy for '" + method->string + "': " + e.what());
     }
     pol.retry_budget = count_field(entry, "retry_budget", origin);
     if (const report::JsonValue* rb = entry.find("rollback_before_retry")) {
@@ -192,11 +197,13 @@ PolicyTable parse_policy_table(const std::string& text,
           fail(origin, "overrides need \"exception\" and \"action\" strings");
         schema(ov, {"exception", "action"},
                "an override of '" + method->string + "'");
+        if (pol.exception_overrides.count(type->string) != 0)
+          fail_at(*type, "second override for '" + type->string +
+                             "' in the policy for '" + method->string + "'");
         try {
           pol.exception_overrides[type->string] = parse_action(oact->string);
         } catch (const std::invalid_argument& e) {
-          fail_at_token(origin, text, oact->string,
-                        "override for '" + type->string + "': " + e.what());
+          fail_at(*oact, "override for '" + type->string + "': " + e.what());
         }
       }
     }

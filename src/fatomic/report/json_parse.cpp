@@ -110,6 +110,13 @@ class Parser {
 
   JsonValue parse_value() {
     skip_ws();
+    const std::size_t start = pos_;
+    JsonValue v = parse_bare_value();
+    v.offset = start;
+    return v;
+  }
+
+  JsonValue parse_bare_value() {
     switch (peek()) {
       case '{':
       case '[': {

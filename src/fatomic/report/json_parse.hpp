@@ -5,6 +5,7 @@
 // insertion order so dump() round-trips our own emitters byte-for-byte.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -39,6 +40,8 @@ class JsonValue {
   std::string string;
   std::vector<JsonValue> array;
   std::vector<std::pair<std::string, JsonValue>> object;
+  /// Byte offset of the value's first character in the parsed document.
+  std::size_t offset = 0;
 
   /// First member with the given key, or null when absent / not an object.
   const JsonValue* find(const std::string& key) const;

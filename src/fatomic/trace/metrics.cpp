@@ -148,7 +148,7 @@ MetricsRegistry campaign_metrics(const detect::Campaign& campaign) {
   // Per-exception-type injection counts come straight off the run records —
   // available with or without tracing.
   for (const detect::RunRecord& r : campaign.runs)
-    if (r.injected && !r.injected_exception.empty())
+    if (!r.injected_exception.empty())
       m.add("injections." + r.injected_exception);
 
   // Trace-derived views: where checkpoint work and wall-clock go.

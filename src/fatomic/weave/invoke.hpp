@@ -10,7 +10,7 @@
 //             selected by the wrap predicate: checkpoint, call, and on an
 //             exception the action of the method's recovery policy — roll
 //             back and rethrow unless a policy table says otherwise.
-//   Count   — call counting for the call-weighted figures.
+//   Count   — the baseline: records the original program's calls.
 //   Direct  — the original program P.
 //
 // Frame budget: an instrumented call is one frame on the stack, its
@@ -62,7 +62,6 @@ namespace detail {
                                ? declared[k]
                                : kRuntimeExceptions[k - declared.size()];
   rt.point = rt.injection_point;  // where the paper's loop raises
-  rt.injected = true;
   rt.injected_method = &mi;
   rt.injected_exception = e.type_name;
   if (rt.trace.enabled())
@@ -80,7 +79,7 @@ namespace detail {
     const MethodInfo& mi, Runtime& rt) {
   const std::uint64_t entry = rt.entries++;
   const std::uint64_t first = rt.point + 1;
-  rt.point += mi.declared().size() + kRuntimeExceptions.size();
+  rt.point += mi.injection_points();
   if (rt.injection_point >= first && rt.injection_point <= rt.point)
     arm_injection(mi, rt, rt.injection_point - first).raise();  // throws
   return entry;
@@ -434,8 +433,8 @@ template <class Root, class Fn>
                            current_exception_type_name());
       }
     }
-    Mark mark{&mi, atomic, rt.injection_point, rt.depth, {},
-              current_exception_type_name(), throw_stack, {}};
+    Mark mark{&mi, atomic, rt.depth, {}, current_exception_type_name(),
+              throw_stack, {}};
     if (!atomic && rt.record_diffs) {
       // One diff serves both fields: the walk is deterministic depth-first,
       // so its first entry does not depend on the limit.
@@ -448,9 +447,9 @@ template <class Root, class Fn>
   }
 }
 
-/// RAII frame of the Count baseline: counts the call, records the dynamic
-/// call-graph edge from the enclosing call (nullptr = program top level),
-/// and appends the call's BaselineCall row, whose bound it sets on exit.
+/// RAII frame of the Count baseline: appends the call's BaselineCall row,
+/// under the enclosing call's (kTopLevel at the program top level), and sets
+/// its bound on exit.
 struct CountFrame {
   Runtime& rt;
   std::size_t index;
@@ -459,13 +458,9 @@ struct CountFrame {
   // baseline runs once per campaign.
   [[gnu::noinline]] CountFrame(Runtime& r, const MethodInfo& mi)
       : rt(r), index(r.calls.size()) {
-    ++rt.call_counts[&mi];
+    rt.point += mi.injection_points();
     const std::size_t parent =
         rt.open_calls.empty() ? BaselineCall::kTopLevel : rt.open_calls.back();
-    const MethodInfo* caller =
-        parent == BaselineCall::kTopLevel ? nullptr : rt.calls[parent].method;
-    ++rt.call_edges[{caller, &mi}];
-    rt.point += mi.declared().size() + kRuntimeExceptions.size();
     rt.calls.push_back({&mi, parent, 0});
     rt.open_calls.push_back(index);
   }

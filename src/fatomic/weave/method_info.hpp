@@ -11,6 +11,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <set>
@@ -56,6 +57,11 @@ class MethodInfo {
   /// "Class::method" — the stable key used by policies and reports.
   const std::string& qualified_name() const { return qualified_name_; }
   const std::vector<ExceptionSpec>& declared() const { return declared_; }
+  /// Injection points per call (Listing 1, lines 2-5): one per declared
+  /// exception, then one per generic runtime exception.
+  std::uint64_t injection_points() const {
+    return declared_.size() + std::size(kRuntimeExceptions);
+  }
   MethodKind kind() const { return kind_; }
   bool has_receiver() const { return kind_ == MethodKind::Regular; }
 

@@ -25,7 +25,6 @@ void Runtime::begin_run(std::uint64_t threshold, const CallTable* calls) {
   baseline = calls;
   entries = 0;
   capture_missed = false;
-  injected = false;
   injected_method = nullptr;
   injected_exception.clear();
   depth = 0;

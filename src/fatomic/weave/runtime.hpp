@@ -1,5 +1,6 @@
 // The weaving runtime: global mode switch, injection-point counter, marks of
-// the current run, call counting and the masking wrap predicate.
+// the current run, the Count baseline's call table and the masking wrap
+// predicate.
 //
 // The paper builds two distinct programs — an exception injector P_I and a
 // corrected program P_C (Figure 1).  Our load-time substitute keeps a single
@@ -41,7 +42,7 @@ using PlanMap = std::map<std::string, snapshot::CheckpointPlan>;
 
 enum class Mode : std::uint8_t {
   Direct,  ///< call through, no instrumentation (original program P)
-  Count,   ///< count calls per method (baseline for Figures 2b/3b)
+  Count,   ///< record the original program's calls (the baseline)
   Inject,  ///< exception injector program P_I (Listing 1) around the
            ///< atomicity wrappers the predicate selects: P_I itself with no
            ///< predicate, P_C under re-injection with one
@@ -55,7 +56,6 @@ enum class Mode : std::uint8_t {
 struct Mark {
   const MethodInfo* method;
   bool atomic;
-  std::uint64_t injection_point;
   /// Wrapper nesting depth at which the mark was recorded.  Within one
   /// exception-propagation episode depths strictly decrease (callee to
   /// caller); a mark at a depth >= its predecessor's starts a new episode.
@@ -164,7 +164,7 @@ class Runtime {
   // --- injection state (Listing 1) ----------------------------------------
   std::uint64_t point = 0;            ///< global counter `Point`
   std::uint64_t injection_point = 0;  ///< run threshold `InjectionPoint`
-  bool injected = false;              ///< did this run fire an injection?
+  /// Where this run's injection fired; null until one has.
   const MethodInfo* injected_method = nullptr;
   std::string injected_exception;
   int depth = 0;  ///< current injection-wrapper nesting depth
@@ -212,7 +212,7 @@ class Runtime {
   /// threshold or was crossed by an exception.  An entry that is not the
   /// table's row `entry` leaves the baseline.
   bool may_observe(std::uint64_t entry, const MethodInfo& mi) {
-    if (baseline == nullptr || injected) return true;
+    if (baseline == nullptr || injected_method != nullptr) return true;
     if (entry >= baseline->size() || (*baseline)[entry].method != &mi) {
       baseline = nullptr;  // a nondeterministic program left the baseline
       return true;
@@ -235,21 +235,14 @@ class Runtime {
   // --- per-run observations -------------------------------------------------
   std::vector<Mark> marks;
 
-  // --- call counting ---------------------------------------------------------
-  std::unordered_map<const MethodInfo*, std::uint64_t> call_counts;
-  /// Dynamic call-graph edges observed in Count mode: (caller, callee) with
-  /// call counts; nullptr caller means "called from the program top level".
-  std::map<std::pair<const MethodInfo*, const MethodInfo*>, std::uint64_t>
-      call_edges;
+  // --- the Count baseline -------------------------------------------------
   /// The Count baseline's per-call table, appended in call order; `point`
-  /// advances by each call's injection points as the injector's would.
-  /// Feeds capture elision and static campaign pruning (DESIGN.md §7, §15).
+  /// advances by each call's injection points as the injector's would.  A
+  /// campaign keeps it as detect::Campaign::calls (DESIGN.md §7, §15).
   CallTable calls;
   /// Indices into `calls` of the active Count-mode frames (innermost last).
   std::vector<std::size_t> open_calls;
   void reset_counts() {
-    call_counts.clear();
-    call_edges.clear();
     calls.clear();
     open_calls.clear();
     point = 0;

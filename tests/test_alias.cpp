@@ -284,8 +284,8 @@ detect::Campaign campaign_with_footprint(const weave::MethodInfo* mi,
   detect::Campaign campaign;
   detect::RunRecord run;
   run.injection_point = 1;
-  run.injected = true;
-  weave::Mark mark{mi, atomic, 1, 0, "", "", 0, std::move(paths)};
+  run.injected_method = mi;
+  weave::Mark mark{mi, atomic, 0, "", "", 0, std::move(paths)};
   run.marks.push_back(std::move(mark));
   campaign.runs.push_back(std::move(run));
   return campaign;

@@ -4,7 +4,8 @@
 // stream of every subject family, frozen from the eager wrapper under
 // tests/golden/marks_*.txt: campaigns must reproduce it at any jobs value
 // without re-running a single threshold, and with record_diffs on they must
-// name the differences tests/golden/diffs.txt records.  The remaining tests
+// name the differences tests/golden/diffs.txt records; the views derived from
+// the Count baseline must match tests/golden/baseline.txt.  The remaining tests
 // pin the Count baseline's per-call table, the safety fallback for programs
 // that stray from the baseline (across a skipped checkpoint too), masked
 // runs that leave it, the capture counts of the synthetic workload, and the
@@ -278,6 +279,18 @@ class MarkStreamWitness : public ::testing::TestWithParam<std::string> {
     // Naming the differences moves no mark.
     EXPECT_EQ(mark_stream::render(campaign), mark_stream::golden(GetParam()));
   }
+
+  void expect_baseline_views() {
+    const detect::Campaign campaign = detect::Experiment(program()).run();
+    const std::string line = mark_stream::baseline_line(GetParam(), campaign);
+    const std::string expected =
+        mark_stream::golden_line(mark_stream::baseline_path(), GetParam());
+    ASSERT_FALSE(expected.empty())
+        << "no line for " << GetParam() << " in "
+        << mark_stream::baseline_path() << "; this build renders\n"
+        << line;
+    EXPECT_EQ(line, expected);
+  }
 };
 
 TEST_P(MarkStreamWitness, DetectJobs1) { expect_witness(1); }
@@ -294,6 +307,11 @@ TEST_P(MarkStreamWitness, MaskVerifyJobs4) { expect_mask_verify(4); }
 /// What the diff names: every non-atomic mark's detail and footprint
 /// reproduce the family's tests/golden/diffs.txt line.
 TEST_P(MarkStreamWitness, DiffDetailsAndFootprints) { expect_diffs(); }
+
+/// What the campaign derives from its Count baseline: the Table 1 counts,
+/// total calls, injections, per-method call counts and the dynamic call
+/// graph reproduce the family's tests/golden/baseline.txt line.
+TEST_P(MarkStreamWitness, BaselineViews) { expect_baseline_views(); }
 
 /// Both halves again, launched from the hostile ambient configuration: the
 /// streams, counters and hashes must not move.  The detection half pins

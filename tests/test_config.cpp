@@ -32,6 +32,7 @@ class ConfigTest : public ::testing::Test {
 }  // namespace
 
 TEST_F(ConfigTest, BuilderSettersChainAndGettersReflect) {
+  const auto table = std::make_shared<fatomic::recovery::PolicyTable>();
   fatomic::Config cfg;
   cfg.jobs(8)
       .max_runs(42)
@@ -40,6 +41,7 @@ TEST_F(ConfigTest, BuilderSettersChainAndGettersReflect) {
       .prune_atomic({"A::f"})
       .exception_free("A::g")
       .no_wrap("A::h")
+      .recovery(table)
       .tracing(true)
       .provenance(true);
   EXPECT_EQ(cfg.jobs(), 8u);
@@ -52,6 +54,7 @@ TEST_F(ConfigTest, BuilderSettersChainAndGettersReflect) {
   EXPECT_EQ(cfg.prune_atomic(), (std::set<std::string>{"A::f"}));
   EXPECT_EQ(cfg.policy().exception_free.count("A::g"), 1u);
   EXPECT_EQ(cfg.policy().no_wrap.count("A::h"), 1u);
+  EXPECT_EQ(cfg.recovery(), table);
 }
 
 TEST_F(ConfigTest, MaskInstallsPredicateAndFlipsMasked) {
@@ -80,47 +83,4 @@ TEST_F(ConfigTest, ConfigDrivenMaskVerification) {
   const auto verified =
       fatomic::mask::verify_masked_full(synthetic::workload, cfg);
   EXPECT_TRUE(verified.classification.nonatomic_names().empty());
-}
-
-TEST_F(ConfigTest, RecoveryBuilderAccumulatesPolicies) {
-  namespace recovery = fatomic::recovery;
-  fatomic::Config cfg;
-  recovery::RecoveryPolicy retry;
-  retry.action = recovery::Action::Retry;
-  retry.retry_budget = 3;
-  cfg.recovery_policy("A::f", retry)
-      .recovery_policy("A::g", recovery::RecoveryPolicy{});
-  ASSERT_NE(cfg.recovery(), nullptr);
-  EXPECT_EQ(cfg.recovery()->size(), 2u);
-  const recovery::RecoveryPolicy* found = cfg.recovery()->find("A::f");
-  ASSERT_NE(found, nullptr);
-  EXPECT_EQ(found->action, recovery::Action::Retry);
-  EXPECT_EQ(found->retry_budget, 3u);
-
-  // Replacing the whole table drops the builder's accumulation; the builder
-  // then extends a copy of the installed table.
-  auto table = std::make_shared<recovery::PolicyTable>();
-  cfg.recovery(table);
-  EXPECT_EQ(cfg.recovery(), table);
-  cfg.recovery_policy("A::h", recovery::RecoveryPolicy{});
-  EXPECT_TRUE(table->empty());
-  EXPECT_EQ(cfg.recovery()->size(), 1u);
-}
-
-TEST_F(ConfigTest, CopiedConfigKeepsItsOwnRecoveryTable) {
-  namespace recovery = fatomic::recovery;
-  fatomic::Config a;
-  a.recovery_policy("A::f", recovery::RecoveryPolicy{});
-  const auto handed_out = a.recovery();
-
-  fatomic::Config b = a;
-  b.recovery_policy("A::g", recovery::RecoveryPolicy{});
-  EXPECT_EQ(b.recovery()->size(), 2u);
-  EXPECT_EQ(a.recovery()->size(), 1u) << "the original must not see A::g";
-  EXPECT_EQ(a.recovery()->find("A::g"), nullptr);
-
-  a.recovery_policy("A::h", recovery::RecoveryPolicy{});
-  EXPECT_EQ(handed_out->size(), 1u)
-      << "a table already handed out must not change";
-  EXPECT_EQ(a.recovery()->size(), 2u);
 }

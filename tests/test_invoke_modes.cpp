@@ -138,7 +138,7 @@ TEST_F(InvokeModesTest, StaticInjectionPointsFire) {
   weave::ScopedMode scope(Mode::Inject);
   rt.begin_run(1);
   EXPECT_THROW(Widget::answer(), fatomic::InjectedRuntimeError);
-  EXPECT_TRUE(rt.injected);
+  ASSERT_NE(rt.injected_method, nullptr);
   EXPECT_EQ(rt.injected_method->qualified_name(), "Widget::answer");
 }
 
@@ -156,9 +156,11 @@ TEST_F(InvokeModesTest, CountModeTracksStaticsAndCtors) {
   Widget::answer();
   Widget::answer();
   auto& reg = weave::MethodRegistry::instance();
-  auto& counts = Runtime::instance().call_counts;
-  EXPECT_EQ(counts.at(reg.find("Widget::(ctor)")), 1u);
-  EXPECT_EQ(counts.at(reg.find("Widget::answer")), 2u);
+  const weave::CallTable& calls = Runtime::instance().calls;
+  ASSERT_EQ(calls.size(), 3u);
+  EXPECT_EQ(calls[0].method, reg.find("Widget::(ctor)"));
+  EXPECT_EQ(calls[1].method, reg.find("Widget::answer"));
+  EXPECT_EQ(calls[2].method, reg.find("Widget::answer"));
 }
 
 TEST_F(InvokeModesTest, MaskPredicateConsultedPerCall) {
@@ -250,7 +252,7 @@ TEST_F(InvokeModesTest, InjectionExhaustionLeavesStateConsistent) {
   rt.begin_run(100);
   w.bump();
   w.set_label("z");
-  EXPECT_FALSE(rt.injected);
+  EXPECT_EQ(rt.injected_method, nullptr);
   EXPECT_LT(rt.point, 100u);
   EXPECT_EQ(w.label(), "z");
 }

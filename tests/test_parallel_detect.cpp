@@ -31,6 +31,15 @@ namespace weave = fatomic::weave;
 
 namespace {
 
+void expect_same_calls(const weave::CallTable& a, const weave::CallTable& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    EXPECT_EQ(a[k].method, b[k].method) << "call " << k;
+    EXPECT_EQ(a[k].parent, b[k].parent) << "call " << k;
+    EXPECT_EQ(a[k].bound, b[k].bound) << "call " << k;
+  }
+}
+
 void expect_same_campaign(const detect::Campaign& seq,
                           const detect::Campaign& par) {
   ASSERT_EQ(seq.runs.size(), par.runs.size());
@@ -38,7 +47,6 @@ void expect_same_campaign(const detect::Campaign& seq,
     const detect::RunRecord& a = seq.runs[i];
     const detect::RunRecord& b = par.runs[i];
     EXPECT_EQ(a.injection_point, b.injection_point);
-    EXPECT_EQ(a.injected, b.injected);
     EXPECT_EQ(a.injected_method, b.injected_method) << "run " << i;
     EXPECT_EQ(a.injected_exception, b.injected_exception);
     EXPECT_EQ(a.escaped, b.escaped);
@@ -47,13 +55,11 @@ void expect_same_campaign(const detect::Campaign& seq,
     for (std::size_t j = 0; j < a.marks.size(); ++j) {
       EXPECT_EQ(a.marks[j].method, b.marks[j].method);
       EXPECT_EQ(a.marks[j].atomic, b.marks[j].atomic);
-      EXPECT_EQ(a.marks[j].injection_point, b.marks[j].injection_point);
       EXPECT_EQ(a.marks[j].depth, b.marks[j].depth);
       EXPECT_EQ(a.marks[j].detail, b.marks[j].detail);
     }
   }
-  EXPECT_EQ(seq.call_counts, par.call_counts);
-  EXPECT_EQ(seq.call_edges, par.call_edges);
+  expect_same_calls(seq.calls, par.calls);
   EXPECT_EQ(seq.stats.snapshots_taken, par.stats.snapshots_taken);
   EXPECT_EQ(seq.stats.comparisons, par.stats.comparisons);
   EXPECT_EQ(seq.stats.rollbacks, par.stats.rollbacks);
@@ -196,12 +202,13 @@ TEST_F(ParallelDetectTest, TerminalEscapedRunIsRecorded) {
   detect::Campaign c = detect::Experiment(escaping_workload).run();
   ASSERT_FALSE(c.runs.empty());
   const detect::RunRecord& last = c.runs.back();
-  EXPECT_FALSE(last.injected) << "terminal run must be uninjected";
+  EXPECT_EQ(last.injected_method, nullptr)
+      << "terminal run must be uninjected";
   EXPECT_TRUE(last.escaped);
   EXPECT_EQ(last.escape_what, "genuine escape");
   // Every non-terminal run injected; only the terminal record is uninjected.
   for (std::size_t i = 0; i + 1 < c.runs.size(); ++i)
-    EXPECT_TRUE(c.runs[i].injected) << "run " << i;
+    EXPECT_NE(c.runs[i].injected_method, nullptr) << "run " << i;
 }
 
 TEST_F(ParallelDetectTest, TerminalEscapedRunIsRecordedInParallel) {
@@ -215,7 +222,8 @@ TEST_F(ParallelDetectTest, TerminalEscapedRunIsRecordedInParallel) {
 
 TEST_F(ParallelDetectTest, QuietTerminalRunIsStillDropped) {
   detect::Campaign c = detect::Experiment(synthetic::workload).run();
-  for (const detect::RunRecord& run : c.runs) EXPECT_TRUE(run.injected);
+  for (const detect::RunRecord& run : c.runs)
+    EXPECT_NE(run.injected_method, nullptr);
 }
 
 TEST_F(ParallelDetectTest, MaskedExperimentRestoresOuterWrapPredicate) {
@@ -372,8 +380,6 @@ TEST_F(ParallelDetectTest, CampaignLeavesTheCallersRuntimeAsItWas) {
 
     const weave::RuntimeStats stats = rt.stats;
     const std::uint64_t point = rt.point;
-    const auto call_counts = rt.call_counts;
-    const auto call_edges = rt.call_edges;
     const weave::CallTable calls = rt.calls;
     const std::uint64_t captures = rt.arena_pool.captures;
     const std::uint64_t fault_counter = rt.fault_counter;
@@ -411,14 +417,7 @@ TEST_F(ParallelDetectTest, CampaignLeavesTheCallersRuntimeAsItWas) {
     for (const weave::StatField& f : weave::kStatFields)
       EXPECT_EQ(rt.stats.*f.member, stats.*f.member) << f.name;
     EXPECT_EQ(rt.point, point);
-    EXPECT_EQ(rt.call_counts, call_counts);
-    EXPECT_EQ(rt.call_edges, call_edges);
-    EXPECT_EQ(rt.calls.size(), calls.size());
-    for (std::size_t k = 0; k < std::min(rt.calls.size(), calls.size()); ++k) {
-      EXPECT_EQ(rt.calls[k].method, calls[k].method) << "call " << k;
-      EXPECT_EQ(rt.calls[k].parent, calls[k].parent) << "call " << k;
-      EXPECT_EQ(rt.calls[k].bound, calls[k].bound) << "call " << k;
-    }
+    expect_same_calls(rt.calls, calls);
     EXPECT_EQ(rt.arena_pool.captures, captures);
     // The pending event.
     const std::vector<fatomic::trace::Event> pending = rt.trace.take(0);

@@ -181,39 +181,62 @@ TEST_F(RecoveryTest, ParseErrorsReportOriginLineAndColumn) {
   // A key outside the schema is refused at every level, where it stands: a
   // misspelled key would otherwise leave its field at the default.  So is a
   // retired one: backoff_us and rethrow_type are no longer policy fields.
-  struct Misspelled {
+  // A key given twice, two policies for one method and two overrides for one
+  // exception would each let one of the two win without a word: each is
+  // refused where the second stands.
+  struct Refused {
     std::string document;
-    const char* key;
+    const char* what;
     const char* line;
   };
-  const Misspelled misspelled[] = {
+  const Refused refused[] = {
       {"{\"schema_version\": 2, \"policies\": [],\n"
        " \"polices\": [{\"method\": \"A::f\", \"action\": \"retry\"}]}",
-       "polices", "line 2, column 3"},
+       "unknown key \"polices\" in the document", "line 2, column 3"},
       {"{\"schema_version\": 2, \"policies\": [\n"
        " {\"method\": \"A::f\", \"action\": \"retry\",\n"
        "  \"retry_budgte\": 3}]}",
-       "retry_budgte", "line 3, column 4"},
+       "unknown key \"retry_budgte\"", "line 3, column 4"},
       {"{\"schema_version\": 2, \"policies\": [\n"
        " {\"method\": \"A::f\", \"action\": \"retry\", \"overrides\": [\n"
        "  {\"exception\": \"E\", \"action\": \"degrade\","
        " \"actoin\": \"retry\"}]}]}",
-       "actoin", "line 3, column 44"},
-      {entry(R"("backoff_us": 4294967297)"), "backoff_us", "line 1, column 75"},
-      {entry(R"("rethrow_type": "ServiceError")"), "rethrow_type",
+       "unknown key \"actoin\"", "line 3, column 44"},
+      {entry(R"("backoff_us": 4294967297)"), "unknown key \"backoff_us\"",
        "line 1, column 75"},
+      {entry(R"("rethrow_type": "ServiceError")"),
+       "unknown key \"rethrow_type\"", "line 1, column 75"},
+      {"{\"schema_version\": 2,\n \"schema_version\": 1, \"policies\": []}",
+       "repeated key \"schema_version\" in the document", "line 2, column 3"},
+      {"{\"schema_version\": 2, \"policies\": [\n"
+       " {\"method\": \"A::f\", \"action\": \"retry\", \"retry_budget\": 3,\n"
+       "  \"retry_budget\": 0}]}",
+       "repeated key \"retry_budget\" in the policy for 'A::f'",
+       "line 3, column 4"},
+      {"{\"schema_version\": 2, \"policies\": [\n"
+       " {\"method\": \"A::f\", \"action\": \"retry\", \"overrides\": [\n"
+       "  {\"exception\": \"E\", \"action\": \"degrade\","
+       " \"action\": \"retry\"}]}]}",
+       "repeated key \"action\" in an override of 'A::f'", "line 3, column 44"},
+      {"{\"schema_version\": 2, \"policies\": [\n"
+       " {\"method\": \"A::f\", \"action\": \"retry\"},\n"
+       " {\"method\": \"A::f\", \"action\": \"rollback\"}]}",
+       "second policy for 'A::f'", "line 3, column 14"},
+      {"{\"schema_version\": 2, \"policies\": [\n"
+       " {\"method\": \"A::f\", \"action\": \"retry\", \"overrides\": [\n"
+       "  {\"exception\": \"E\", \"action\": \"degrade\"},"
+       " {\"exception\": \"E\", \"action\": \"retry\"}]}]}",
+       "second override for 'E' in the policy for 'A::f'", "line 3, column 59"},
   };
-  for (const Misspelled& m : misspelled) {
+  for (const Refused& r : refused) {
     try {
-      recovery::parse_policy_table(m.document, "keys.json");
-      ADD_FAILURE() << "must throw: " << m.document;
+      recovery::parse_policy_table(r.document, "keys.json");
+      ADD_FAILURE() << "must throw: " << r.document;
     } catch (const std::runtime_error& e) {
       const std::string what = e.what();
       EXPECT_NE(what.find("keys.json"), std::string::npos) << what;
-      EXPECT_NE(what.find(std::string("unknown key \"") + m.key + '"'),
-                std::string::npos)
-          << what;
-      EXPECT_NE(what.find(m.line), std::string::npos) << what;
+      EXPECT_NE(what.find(r.what), std::string::npos) << what;
+      EXPECT_NE(what.find(r.line), std::string::npos) << what;
     }
   }
 }
@@ -303,7 +326,6 @@ TEST_F(RecoveryTest, CampaignHistogramsWeightOverridesOnNonPinnedOnly) {
     weave::Mark m;
     m.method = mi;
     m.atomic = atomic;
-    m.injection_point = 1;
     m.depth = 1;
     m.exception_type = type;
     return m;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "fatomic/common/error.hpp"
 #include "fatomic/weave/macros.hpp"
 #include "testing/synthetic.hpp"
@@ -36,7 +38,7 @@ TEST_F(WeaveTest, DirectModePassesThrough) {
   a.set(5);
   EXPECT_EQ(a.value(), 5);
   EXPECT_TRUE(Runtime::instance().marks.empty());
-  EXPECT_TRUE(Runtime::instance().call_counts.empty());
+  EXPECT_TRUE(Runtime::instance().calls.empty());
 }
 
 TEST_F(WeaveTest, CountModeCountsEachCall) {
@@ -45,7 +47,12 @@ TEST_F(WeaveTest, CountModeCountsEachCall) {
   a.set(1);
   a.set(2);
   a.helper();
-  auto& counts = Runtime::instance().call_counts;
+  const weave::CallTable& calls = Runtime::instance().calls;
+  const auto count = [&](const weave::MethodInfo* mi) {
+    return std::count_if(
+        calls.begin(), calls.end(),
+        [mi](const weave::BaselineCall& call) { return call.method == mi; });
+  };
   const auto* set_mi = weave::MethodRegistry::instance().find("synthetic::Account::set");
   const auto* helper_mi =
       weave::MethodRegistry::instance().find("synthetic::Account::helper");
@@ -54,9 +61,10 @@ TEST_F(WeaveTest, CountModeCountsEachCall) {
   ASSERT_NE(set_mi, nullptr);
   ASSERT_NE(helper_mi, nullptr);
   ASSERT_NE(ctor_mi, nullptr);
-  EXPECT_EQ(counts.at(set_mi), 2u);
-  EXPECT_EQ(counts.at(helper_mi), 1u);
-  EXPECT_EQ(counts.at(ctor_mi), 1u);
+  EXPECT_EQ(count(set_mi), 2);
+  EXPECT_EQ(count(helper_mi), 1);
+  EXPECT_EQ(count(ctor_mi), 1);
+  EXPECT_EQ(calls.size(), 4u);
 }
 
 TEST_F(WeaveTest, InjectionFiresAtThreshold) {
@@ -71,7 +79,7 @@ TEST_F(WeaveTest, InjectionFiresAtThreshold) {
 
   rt.begin_run(points_per_iteration);  // fire at set()'s last point
   EXPECT_THROW(a.set(2), fatomic::InjectedRuntimeError);
-  EXPECT_TRUE(rt.injected);
+  ASSERT_NE(rt.injected_method, nullptr);
   EXPECT_EQ(rt.injected_method->qualified_name(), "synthetic::Account::set");
 }
 
@@ -95,7 +103,7 @@ TEST_F(WeaveTest, NoInjectionWhenThresholdNeverReached) {
   rt.begin_run(100000);
   a.set(1);
   a.helper();
-  EXPECT_FALSE(rt.injected);
+  EXPECT_EQ(rt.injected_method, nullptr);
   EXPECT_LT(rt.point, 100000u);
   EXPECT_EQ(a.value(), 1);
 }

@@ -18,6 +18,12 @@
 // was written by the diff over decoded node tables, before the diff walked
 // the record streams.
 //
+// tests/golden/baseline.txt pins the views of the original program that a
+// detection campaign derives from its Count baseline: one line per family
+// (baseline_line).  It was written while the Count run still kept per-method
+// call counts and call-graph edges in maps of their own, beside its per-call
+// table.
+//
 // Format: the method and exception names a family's stream mentions, each
 // numbered in first-seen order, then one line per run and one indented line
 // per mark:
@@ -37,7 +43,9 @@
 #include <utility>
 #include <vector>
 
+#include "fatomic/detect/callgraph.hpp"
 #include "fatomic/detect/campaign.hpp"
+#include "fatomic/detect/classify.hpp"
 #include "subjects/apps/apps.hpp"
 #include "synthetic.hpp"
 
@@ -187,6 +195,35 @@ inline std::string diffs_line(const std::string& family,
 
 inline std::string diffs_path() {
   return std::string(FATOMIC_GOLDEN_DIR) + "/diffs.txt";
+}
+
+/// One line of tests/golden/baseline.txt: the family name, its Table 1
+/// counts (#methods, #classes), its total calls, its distinct call-graph
+/// edges and its injections, then the FNV-1a hashes of the per-method call
+/// counts (classification order: sorted by name) and of the call graph's
+/// dot rendering.
+inline std::string baseline_line(const std::string& family,
+                                 const fatomic::detect::Campaign& campaign) {
+  std::ostringstream counts;
+  for (const fatomic::detect::MethodResult& m :
+       fatomic::detect::classify(campaign).methods)
+    counts << m.method->qualified_name() << ' ' << m.calls << '\n';
+  const fatomic::detect::CallGraph graph =
+      fatomic::detect::CallGraph::from(campaign);
+  std::ostringstream os;
+  os << family << " methods=" << campaign.distinct_methods()
+     << " classes=" << campaign.distinct_classes()
+     << " calls=" << campaign.total_calls()
+     << " edges=" << graph.edge_count()
+     << " injections=" << campaign.injections() << std::hex
+     << std::setfill('0') << " counts " << std::setw(16)
+     << fnv1a(counts.str()) << " dot " << std::setw(16)
+     << fnv1a(graph.to_dot());
+  return os.str();
+}
+
+inline std::string baseline_path() {
+  return std::string(FATOMIC_GOLDEN_DIR) + "/baseline.txt";
 }
 
 }  // namespace mark_stream
