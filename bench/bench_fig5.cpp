@@ -208,8 +208,9 @@ void BM_InjectedException(benchmark::State& state) {
   // One injector run's exception: raised at the entry of the innermost of K
   // nested calls (descend declares nothing, so call k's only injection
   // point is point k) and caught at the top level, after the K - 1
-  // enclosing injection wrappers compared, marked and rethrew it.  begin_run
-  // gets no baseline table, so every call takes its before-snapshot.
+  // enclosing injection wrappers compared and marked it as it unwound past
+  // them.  begin_run gets no baseline table, so every call takes its
+  // before-snapshot.
   auto& rt = fatomic::weave::Runtime::instance();
   const int k = static_cast<int>(state.range(0));
   Chain chain;

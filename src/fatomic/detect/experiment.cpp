@@ -59,16 +59,30 @@ void attempt(const std::function<void()>& program, weave::Runtime& rt,
 
   out.rec = RunRecord{};
   out.rec.injection_point = threshold;
+  const auto escape = [&](const char* what) {
+    out.rec.escaped = true;
+    out.rec.escape_what = what;
+    if (rt.provenance) out.rec.escape_stack = unwind::current_throw_stack();
+  };
   try {
     program();
   } catch (const std::exception& e) {
-    out.rec.escaped = true;
-    out.rec.escape_what = e.what();
-    if (rt.provenance) out.rec.escape_stack = unwind::current_throw_stack();
+    escape(e.what());
   } catch (...) {
-    out.rec.escaped = true;
-    out.rec.escape_what = "(non-standard exception)";
-    if (rt.provenance) out.rec.escape_stack = unwind::current_throw_stack();
+    escape("(non-standard exception)");
+  }
+  if (rt.observation_failure) {
+    // An injection wrapper failed to observe an exception unwinding it
+    // (weave::InjectionFrame).  The failure is the run's escape, whether or
+    // not the program caught the exception: no mark of this run can be
+    // trusted to be complete.
+    try {
+      std::rethrow_exception(std::exchange(rt.observation_failure, nullptr));
+    } catch (const std::exception& e) {
+      escape(e.what());
+    } catch (...) {
+      escape("(non-standard exception)");
+    }
   }
   rt.baseline = nullptr;  // the table is the campaign's, not the runtime's
 
@@ -83,8 +97,9 @@ void attempt(const std::function<void()>& program, weave::Runtime& rt,
 }
 
 /// Executes the injector program at `threshold` against the calling
-/// thread's current runtime `rt` and packages the observations.  When a
-/// wrapper that skipped its before-snapshot caught an exception, the attempt
+/// thread's current runtime `rt` and packages the observations.  Its
+/// handlers are the ones every injected exception unwinds to.  When an
+/// exception crossed a wrapper that skipped its before-snapshot, the attempt
 /// is discarded — stats and events included — and the threshold re-runs
 /// with every wrapper capturing (DESIGN.md §15).
 RunOutcome run_once(const std::function<void()>& program, weave::Runtime& rt,

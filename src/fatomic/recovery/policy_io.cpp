@@ -58,17 +58,6 @@ bool integer_in(const report::JsonValue& v, double lo, double hi) {
          v.number == std::floor(v.number);
 }
 
-unsigned count_field(const report::JsonValue& obj, const char* key,
-                     const std::string& origin) {
-  const report::JsonValue* v = obj.find(key);
-  if (v == nullptr) return 0;
-  constexpr unsigned kMax = std::numeric_limits<unsigned>::max();
-  if (!integer_in(*v, 0, kMax))
-    fail(origin, std::string("'") + key + "' must be an integer from 0 to " +
-                     std::to_string(kMax));
-  return static_cast<unsigned>(v->number);
-}
-
 }  // namespace
 
 std::string policy_table_json(const PolicyTable& table) {
@@ -123,9 +112,10 @@ PolicyTable parse_policy_table(const std::string& text,
   }
 
   if (!root.is_object()) fail(origin, "document must be an object");
-  // Errors about a string point at its first character, inside the quotes.
+  // Errors about a value point at it: at a string's first character, inside
+  // the quotes, and at the first character of any other value.
   auto fail_at = [&](const report::JsonValue& v, const std::string& what) {
-    fail(origin, text, v.offset + 1, what);
+    fail(origin, text, v.offset + (v.is_string() ? 1 : 0), what);
   };
   // A key outside the schema would leave its field at the default without a
   // word, and a repeated one would let one of its values win the same way:
@@ -165,10 +155,11 @@ PolicyTable parse_policy_table(const std::string& text,
     const report::JsonValue* method = entry.find("method");
     if (method == nullptr || !method->is_string() || method->string.empty())
       fail(origin, "policy entry missing \"method\"");
+    const std::string policy = "the policy for '" + method->string + "'";
     schema(entry,
            {"method", "action", "retry_budget", "rollback_before_retry",
             "overrides"},
-           "the policy for '" + method->string + "'");
+           policy);
     if (table.find(method->string) != nullptr)
       fail_at(*method, "second policy for '" + method->string + "'");
     const report::JsonValue* action = entry.find("action");
@@ -181,20 +172,28 @@ PolicyTable parse_policy_table(const std::string& text,
     } catch (const std::invalid_argument& e) {
       fail_at(*action, "policy for '" + method->string + "': " + e.what());
     }
-    pol.retry_budget = count_field(entry, "retry_budget", origin);
+    if (const report::JsonValue* budget = entry.find("retry_budget")) {
+      constexpr unsigned kMax = std::numeric_limits<unsigned>::max();
+      if (!integer_in(*budget, 0, kMax))
+        fail_at(*budget, "'retry_budget' must be an integer from 0 to " +
+                             std::to_string(kMax) + " in " + policy);
+      pol.retry_budget = static_cast<unsigned>(budget->number);
+    }
     if (const report::JsonValue* rb = entry.find("rollback_before_retry")) {
       if (!rb->is_bool())
-        fail(origin, "'rollback_before_retry' must be a boolean");
+        fail_at(*rb, "'rollback_before_retry' must be a boolean in " + policy);
       pol.rollback_before_retry = rb->boolean;
     }
     if (const report::JsonValue* overrides = entry.find("overrides")) {
-      if (!overrides->is_array()) fail(origin, "'overrides' must be an array");
+      if (!overrides->is_array())
+        fail_at(*overrides, "'overrides' must be an array in " + policy);
       for (const report::JsonValue& ov : overrides->array) {
         const report::JsonValue* type = ov.find("exception");
         const report::JsonValue* oact = ov.find("action");
         if (type == nullptr || !type->is_string() || oact == nullptr ||
             !oact->is_string())
-          fail(origin, "overrides need \"exception\" and \"action\" strings");
+          fail_at(ov, "overrides need \"exception\" and \"action\" strings in " +
+                          policy);
         schema(ov, {"exception", "action"},
                "an override of '" + method->string + "'");
         if (pol.exception_overrides.count(type->string) != 0)

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <map>
 #include <mutex>
 
@@ -18,6 +19,11 @@ namespace fatomic::unwind {
 namespace {
 
 thread_local ThrowRecord tl_record;
+
+/// The type of each exception this thread has in flight, by uncaught level
+/// (in_flight_type); entry 0 is unused.
+constexpr int kInFlightDepth = 16;
+thread_local const std::type_info* tl_in_flight[kInFlightDepth + 1] = {};
 
 /// Stack address bounding this thread's captures (ScopedCaptureFloor);
 /// 0 = capture to the root.
@@ -77,6 +83,15 @@ __attribute__((noinline)) void record_throw(void* obj,
   g_captured.fetch_add(1, std::memory_order_relaxed);
 }
 
+void note_raise(const std::type_info* type) noexcept {
+  const int level = std::uncaught_exceptions() + 1;
+  if (level <= kInFlightDepth) tl_in_flight[level] = type;
+}
+
+void note_rethrow() noexcept {
+  note_raise(abi::__cxa_current_exception_type());
+}
+
 }  // namespace detail
 
 bool available() {
@@ -112,18 +127,24 @@ const ThrowRecord* last_throw() {
   return tl_record.serial == 0 ? nullptr : &tl_record;
 }
 
-std::uint64_t current_throw_stack(std::uint64_t* serial_out) {
+const std::type_info* in_flight_type(int level) {
+  return level >= 1 && level <= kInFlightDepth ? tl_in_flight[level] : nullptr;
+}
+
+std::uint64_t throw_stack_of(const std::type_info* type,
+                             std::uint64_t* serial_out) {
   const ThrowRecord& rec = tl_record;
   if (rec.serial == 0 || rec.depth == 0) return 0;
-  const std::type_info* in_flight = abi::__cxa_current_exception_type();
   // The slot holds this thread's *last* armed throw; it describes the
-  // exception the handler caught only when the types line up.  A rethrow
-  // (`throw;`) does not re-enter __cxa_throw, so the record survives
-  // propagation through nested wrappers of the same exception.
-  if (in_flight == nullptr || rec.type == nullptr) return 0;
-  if (*in_flight != *rec.type) return 0;
+  // exception of `type` only when the types line up.
+  if (type == nullptr || rec.type == nullptr) return 0;
+  if (*type != *rec.type) return 0;
   if (serial_out != nullptr) *serial_out = rec.serial;
   return global_stack_table().intern(rec.pc, rec.depth);
+}
+
+std::uint64_t current_throw_stack(std::uint64_t* serial_out) {
+  return throw_stack_of(abi::__cxa_current_exception_type(), serial_out);
 }
 
 // --- symbolization ---------------------------------------------------------

@@ -21,9 +21,15 @@
 // frames in Perfetto JSON, --trace-summary and campaign_json's
 // "exception_provenance" section.
 //
-// The interposer is part of every build, so the library needs GCC or Clang
-// on an ELF platform (the root CMakeLists.txt checks this).  Unarmed, it
-// costs a throw one relaxed atomic load; a campaign arms it only with
+// The same interposer, with two siblings for `throw;` (__cxa_rethrow) and
+// std::rethrow_exception, also keeps the type of every exception in flight,
+// armed or not (in_flight_type): an injection wrapper observes the exception
+// crossing it in a destructor, where no handler can name it.
+//
+// The interposers are part of every build, so the library needs GCC or Clang
+// on an ELF platform with libstdc++ (the root CMakeLists.txt checks the
+// first two).  Unarmed, the throw interposer costs a throw one thread-local
+// store and one relaxed atomic load; a campaign arms it only with
 // Config::provenance.
 #pragma once
 
@@ -105,13 +111,33 @@ class ScopedCaptureFloor {
 /// next armed throw overwrites the slot.
 const ThrowRecord* last_throw();
 
-/// Matches the thread's pending record against the exception currently in
-/// flight (must be called from inside a catch handler): when the record's
-/// type_info equals the in-flight exception's, interns the captured stack
-/// into the global table and returns its id; 0 when there is no matching
-/// record.  `serial_out`, when non-null, receives the record's serial so a
-/// consumer can deduplicate the nested wrappers one propagating exception
-/// passes through.
+/// The type of the exception the calling thread has in flight at uncaught
+/// level `level`: inside a destructor that runs during an unwind, level
+/// std::uncaught_exceptions() names the exception unwinding it.  The raise
+/// interposers (throw, `throw;`, std::rethrow_exception) record each raise's
+/// type at the level it raises at, armed or not, so an exception thrown and
+/// caught inside such a destructor does not rename the one unwinding it.
+/// Null for level 0, for a level no raise has reached yet and past the
+/// record's depth (16).  The record is never cleared, so it is right only
+/// for raises that pass through the interposers: the executable's own, and
+/// libstdc++.so's, which reach __cxa_throw through the dynamic linker
+/// (WeaveTest.ExceptionRaisedInsideLibstdcxxIsNamed).  A library that binds
+/// __cxa_throw to a private copy (-static-libstdc++) bypasses them, and its
+/// exception reads as the last one raised at its level.
+const std::type_info* in_flight_type(int level);
+
+/// Matches the thread's pending record against an exception of type `type`:
+/// when the record's type_info equals it, interns the captured stack into
+/// the global table and returns its id; 0 when there is no matching record.
+/// A rethrow does not re-enter __cxa_throw, so the record survives the
+/// propagation of one exception through nested wrappers.  `serial_out`,
+/// when non-null, receives the record's serial so a consumer can
+/// deduplicate the nested wrappers one propagating exception passes through.
+std::uint64_t throw_stack_of(const std::type_info* type,
+                             std::uint64_t* serial_out = nullptr);
+
+/// throw_stack_of the exception the innermost catch handler is handling
+/// (must be called from inside one).
 std::uint64_t current_throw_stack(std::uint64_t* serial_out = nullptr);
 
 // --- symbolization (export time only; never on the throw path) -------------

@@ -2,10 +2,13 @@
 // through invoke(), which applies the behaviour of the active Mode:
 //
 //   Inject  — the paper's injection wrapper (Listing 1): fire injection
-//             points, deep-copy the receiver, call, and on an exception
-//             compare object graphs, mark atomic/non-atomic, rethrow.  It
-//             nests the atomicity gate: with a wrap predicate installed it
-//             verifies that the corrected program P_C is failure atomic.
+//             points, deep-copy the receiver, call, and when an exception
+//             leaves the call compare object graphs and mark
+//             atomic/non-atomic.  Listing 1 catches and rethrows; this
+//             wrapper observes the exception from a destructor as it
+//             unwinds past.  It nests the atomicity gate: with a wrap
+//             predicate installed it verifies that the corrected program
+//             P_C is failure atomic.
 //   Mask    — the paper's atomicity wrapper (Listing 2) for methods
 //             selected by the wrap predicate: checkpoint, call, and on an
 //             exception the action of the method's recovery policy — roll
@@ -14,17 +17,21 @@
 //   Direct  — the original program P.
 //
 // Frame budget: an instrumented call is one frame on the stack, its
-// method's.  invoke, invoke_with, invoke_static, dispatch, injected_call and
-// fire_injection_points are forced inline (at -O0 too, where nothing else
-// is), so an injected exception crosses no engine frame between its throw
-// and the handler of the injection wrapper it reaches.  A detection
-// campaign re-runs the program once per injection point and each run ends
-// in an exception, so the budget is paid per run: the unwinder steps every
-// frame between a throw or rethrow and its handler at least twice (search,
-// then cleanup), about 0.2 us per step on a 4-vCPU Xeon VM
-// (BM_InjectedException in bench_fig5).  wrapped_call and recovered_call
-// stay out of line: they run only where the predicate wraps, and inlining
-// them saves few further steps for a larger binary.
+// method's.  invoke, invoke_with, invoke_static, dispatch, injected_call,
+// injected_gate and fire_injection_points are forced inline (at -O0 too,
+// where nothing else is), so an injected exception crosses no engine frame
+// between its throw and its handler.  injected_call catches nothing: its
+// frame (InjectionFrame) observes the exception from a destructor, so one
+// raise unwinds every injection wrapper between the throw and run_once's
+// handler.  A detection campaign re-runs the program once per injection
+// point and each run ends in an exception, so the budget is paid per run:
+// the unwinder steps every frame between a throw and run_once's handler
+// twice (search, then cleanup), about 0.2 us per step on a 4-vCPU Xeon VM
+// (BM_InjectedException in bench_fig5).  recovered_call still catches,
+// since a policy can retry, swallow or transform an exception, so each of
+// its rollbacks rethrows.  wrapped_call and recovered_call stay out of
+// line: they run only where the predicate wraps, and inlining them saves
+// few further steps for a larger binary.
 // ProvenanceTest.InjectedThrowStacksHoldNoEngineFrames pins the budget.
 #pragma once
 
@@ -366,84 +373,140 @@ decltype(auto) masked_call(const MethodInfo& mi, Root& root, Fn&& body,
   return body();
 }
 
-/// Injection wrapper (Listing 1) around the atomicity gate, mirroring the
-/// paper's P_C-under-test; the gate wraps only what the predicate selects.
-/// The before-snapshot is taken only when the call can observe an exception
-/// (observer-set capture, DESIGN.md §15); no other path reads it, and a
-/// selected call that took none skips its atomicity wrapper's checkpoint.
-template <class Root, class Fn>
-[[gnu::always_inline]] inline decltype(auto) injected_call(
-    const MethodInfo& mi, Root& root, Fn&& body, Runtime& rt) {
-  // May throw into our caller's wrapper.
-  const std::uint64_t entry = fire_injection_points(mi, rt);
-  struct DepthGuard {
-    Runtime& rt;
-    explicit DepthGuard(Runtime& r) : rt(r) { ++rt.depth; }
-    ~DepthGuard() { --rt.depth; }
-  } depth_guard(rt);
+/// The frame of an injection wrapper (Listing 1): the depth guard and the
+/// before-snapshot, armed while the body runs.  An exception that leaves
+/// the body finds it armed, and its destructor observes the exception on
+/// its way to the handler, which is run_once's: nothing catches or
+/// rethrows, so one raise unwinds every wrapper it crosses.  A return
+/// disarms it, so the path that throws nothing runs no observer and asks
+/// the C++ runtime nothing.
+template <class Root>
+struct InjectionFrame {
+  const MethodInfo& mi;
+  const Root& root;
+  Runtime& rt;
+  /// Taken only when the call can observe an exception (observer-set
+  /// capture, DESIGN.md §15).
   std::optional<snapshot::ArenaSnapshot> before;
-  if (rt.may_observe(entry, mi))
-    before.emplace(take_full_checkpoint(mi, root, rt));
-  try {
-    // masked_call's gate, written out (as a call it would add a frame to
-    // every detection stack), except that a selected call without a
-    // before-snapshot runs bare: no exception crosses it, so no rollback
-    // could read its checkpoint.
-    if constexpr (!std::is_const_v<Root>)
-      if (rt.should_wrap(mi)) {
-        if (before) return wrapped_call(mi, root, body, rt);
-        ++rt.stats.wrapped_calls;
-        return body();
-      }
-    return body();
-  } catch (...) {
+  bool armed = false;
+
+  InjectionFrame(const MethodInfo& m, const Root& r, Runtime& t)
+      : mi(m), root(r), rt(t) {
+    ++rt.depth;
+  }
+  ~InjectionFrame() {
+    if (armed) observe();
+    --rt.depth;
+  }
+  InjectionFrame(const InjectionFrame&) = delete;
+  InjectionFrame& operator=(const InjectionFrame&) = delete;
+
+  /// Listing 1, lines 10-14, for the exception unwinding this frame:
+  /// compare the receiver with its before-snapshot and append the mark.
+  /// Out of line and cold: it runs once per wrapper an exception crosses.
+  /// It runs during unwinding, where a throw would reach std::terminate, so
+  /// a failure (an after-capture that throws SnapshotError, an allocation)
+  /// is recorded on the runtime, and the exception goes on unmarked here.
+  [[gnu::noinline, gnu::cold]] void observe() noexcept {
     if (!before) {
       // The baseline said no exception could cross this call, yet one did:
       // the program strayed from it.  Mark nothing — the campaign discards
       // this run and re-runs the threshold with every wrapper capturing and
       // every selected call checkpointed.
       rt.capture_missed = true;
-      throw;
+      return;
     }
-    const std::uint64_t c0 = rt.trace.begin_span();
-    const snapshot::ArenaSnapshot after =
-        snapshot::arena_capture(root, &rt.arena_pool);
-    ++rt.stats.comparisons;
-    const bool atomic = before->equals(after);
-    rt.trace.span(trace::EventKind::Compare, c0, &mi, atomic ? 1 : 0);
-    // Episode accounting: marks are appended in propagation order and
-    // within one episode depths strictly decrease, so this wrapper is the
-    // first observer of a new exception exactly when the previous mark sits
-    // at the same or a shallower depth (the classifier's episode rule).
-    const bool new_episode =
-        rt.marks.empty() || rt.marks.back().depth <= rt.depth;
-    if (new_episode) ++rt.stats.exceptions_thrown;
-    // Throw-site provenance: attach the pending capture's interned stack to
-    // the mark, and record one throw-site event per captured throw — the
-    // record serial dedupes the nested wrappers one propagating exception
-    // passes through.
-    std::uint64_t throw_stack = 0;
-    if (rt.provenance) {
-      std::uint64_t serial = 0;
-      throw_stack = unwind::current_throw_stack(&serial);
-      if (throw_stack != 0 && serial != rt.last_throw_serial) {
-        rt.last_throw_serial = serial;
-        if (rt.trace.enabled())
-          rt.trace.instant(trace::EventKind::ThrowSite, &mi, throw_stack,
-                           current_exception_type_name());
+    try {
+      const std::uint64_t c0 = rt.trace.begin_span();
+      const snapshot::ArenaSnapshot after =
+          snapshot::arena_capture(root, &rt.arena_pool);
+      ++rt.stats.comparisons;
+      const bool atomic = before->equals(after);
+      rt.trace.span(trace::EventKind::Compare, c0, &mi, atomic ? 1 : 0);
+      // Episode accounting: marks are appended in propagation order and
+      // within one episode depths strictly decrease, so this wrapper is the
+      // first observer of a new exception exactly when the previous mark
+      // sits at the same or a shallower depth (the classifier's episode
+      // rule).
+      const bool new_episode =
+          rt.marks.empty() || rt.marks.back().depth <= rt.depth;
+      if (new_episode) ++rt.stats.exceptions_thrown;
+      // The exception unwinding this frame is the innermost one in flight;
+      // the raise interposers recorded its type (unwind::in_flight_type).
+      const std::type_info* type =
+          unwind::in_flight_type(std::uncaught_exceptions());
+      std::string type_name = exception_type_name(type);
+      // Throw-site provenance: attach the pending capture's interned stack
+      // to the mark, and record one throw-site event per captured throw —
+      // the record serial dedupes the nested wrappers one propagating
+      // exception passes through.
+      std::uint64_t throw_stack = 0;
+      if (rt.provenance) {
+        std::uint64_t serial = 0;
+        throw_stack = unwind::throw_stack_of(type, &serial);
+        if (throw_stack != 0 && serial != rt.last_throw_serial) {
+          rt.last_throw_serial = serial;
+          if (rt.trace.enabled())
+            rt.trace.instant(trace::EventKind::ThrowSite, &mi, throw_stack,
+                             type_name);
+        }
       }
+      Mark mark{&mi, atomic, rt.depth, {}, std::move(type_name),
+                throw_stack, {}};
+      if (!atomic && rt.record_diffs) {
+        // One diff serves both fields: the walk is deterministic
+        // depth-first, so its first entry does not depend on the limit.
+        auto diffs = snapshot::diff(*before, after, 256);
+        if (!diffs.empty()) mark.detail = snapshot::to_string(diffs.front());
+        for (auto& d : diffs) mark.footprint.push_back(std::move(d.path));
+      }
+      rt.marks.push_back(std::move(mark));
+    } catch (...) {
+      if (!rt.observation_failure)
+        rt.observation_failure = std::current_exception();
     }
-    Mark mark{&mi, atomic, rt.depth, {}, current_exception_type_name(),
-              throw_stack, {}};
-    if (!atomic && rt.record_diffs) {
-      // One diff serves both fields: the walk is deterministic depth-first,
-      // so its first entry does not depend on the limit.
-      auto diffs = snapshot::diff(*before, after, 256);
-      if (!diffs.empty()) mark.detail = snapshot::to_string(diffs.front());
-      for (auto& d : diffs) mark.footprint.push_back(std::move(d.path));
+  }
+};
+
+/// masked_call's gate inside an injection wrapper, except that a selected
+/// call without a before-snapshot runs bare: no exception crosses it, so no
+/// rollback could read its checkpoint.
+template <class Root, class Fn>
+[[gnu::always_inline]] inline std::invoke_result_t<Fn&> injected_gate(
+    const MethodInfo& mi, Root& root, Fn& body, Runtime& rt,
+    bool checkpointed) {
+  if constexpr (!std::is_const_v<Root>)
+    if (rt.should_wrap(mi)) {
+      if (checkpointed) return wrapped_call(mi, root, body, rt);
+      ++rt.stats.wrapped_calls;
     }
-    rt.marks.push_back(std::move(mark));
-    throw;
+  return body();
+}
+
+/// Injection wrapper (Listing 1) around the atomicity gate, mirroring the
+/// paper's P_C-under-test; the gate wraps only what the predicate selects.
+/// The before-snapshot is taken only when the call can observe an exception
+/// (observer-set capture, DESIGN.md §15); no other path reads it, and a
+/// selected call that took none skips its atomicity wrapper's checkpoint.
+/// An exception is observed by the frame's destructor (InjectionFrame), so
+/// the wrapper catches nothing.
+template <class Root, class Fn>
+[[gnu::always_inline]] inline std::invoke_result_t<Fn&> injected_call(
+    const MethodInfo& mi, Root& root, Fn&& body, Runtime& rt) {
+  using R = std::invoke_result_t<Fn&>;
+  // May throw into our caller's wrapper.
+  const std::uint64_t entry = fire_injection_points(mi, rt);
+  InjectionFrame<Root> frame(mi, root, rt);
+  if (rt.may_observe(entry, mi))
+    frame.before.emplace(take_full_checkpoint(mi, root, rt));
+  frame.armed = true;
+  if constexpr (std::is_void_v<R>) {
+    injected_gate(mi, root, body, rt, frame.before.has_value());
+    frame.armed = false;
+  } else {
+    R result = injected_gate(mi, root, body, rt, frame.before.has_value());
+    frame.armed = false;
+    return result;
   }
 }
 

@@ -25,6 +25,7 @@ void Runtime::begin_run(std::uint64_t threshold, const CallTable* calls) {
   baseline = calls;
   entries = 0;
   capture_missed = false;
+  observation_failure = nullptr;
   injected_method = nullptr;
   injected_exception.clear();
   depth = 0;

@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -201,10 +202,16 @@ class Runtime {
   /// Wrapper and invoke_static entries this run has made: the index of the
   /// next entry's row in `baseline`.
   std::uint64_t entries = 0;
-  /// Set when an injection wrapper that skipped its before-snapshot caught
-  /// an exception.  The run's marks are then incomplete; the campaign
+  /// Set when an exception crossed an injection wrapper that skipped its
+  /// before-snapshot.  The run's marks are then incomplete; the campaign
   /// discards it and re-runs the threshold with every wrapper capturing.
   bool capture_missed = false;
+  /// The first failure of an injection wrapper's observation this run (an
+  /// after-capture that threw, e.g. SnapshotError): the wrapper observes
+  /// during unwinding, where a throw would reach std::terminate, so it
+  /// records the failure here, appends no mark and lets the exception it
+  /// observed go on.  The campaign reports the run as escaped with it.
+  std::exception_ptr observation_failure;
 
   /// Whether this run's `entry`-th entry, a call of `mi`, can observe an
   /// exception and so needs its before-snapshot.  Off the baseline every

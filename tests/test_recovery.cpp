@@ -241,6 +241,48 @@ TEST_F(RecoveryTest, ParseErrorsReportOriginLineAndColumn) {
   }
 }
 
+// A value of the wrong type is refused where it stands, naming the method.
+namespace {
+
+/// The message parse_policy_table refuses the one-policy document whose
+/// third line is `third_line` with.
+std::string refusal(const std::string& third_line) {
+  try {
+    recovery::parse_policy_table(
+        "{\"schema_version\": 2, \"policies\": [\n"
+        " {\"method\": \"A::f\", \"action\": \"retry\",\n" +
+            third_line + "}]}",
+        "types.json");
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "(accepted)";
+}
+
+}  // namespace
+
+TEST_F(RecoveryTest, FractionalRetryBudgetIsRefusedAtItsValue) {
+  EXPECT_EQ(refusal(R"(  "retry_budget": 2.5)"),
+            "types.json: policy table: line 3, column 19: 'retry_budget' must "
+            "be an integer from 0 to 4294967295 in the policy for 'A::f'");
+}
+
+TEST_F(RecoveryTest, NonBooleanRollbackBeforeRetryIsRefusedAtItsValue) {
+  EXPECT_EQ(refusal(R"(  "rollback_before_retry": 1)"),
+            "types.json: policy table: line 3, column 28: "
+            "'rollback_before_retry' must be a boolean in the policy for "
+            "'A::f'");
+}
+
+TEST_F(RecoveryTest, NonArrayOverridesAreRefusedAtTheirValue) {
+  EXPECT_EQ(refusal(R"(  "overrides": {})"),
+            "types.json: policy table: line 3, column 16: 'overrides' must be "
+            "an array in the policy for 'A::f'");
+  EXPECT_EQ(refusal(R"(  "overrides": [{"exception": "E"}])"),
+            "types.json: policy table: line 3, column 17: overrides need "
+            "\"exception\" and \"action\" strings in the policy for 'A::f'");
+}
+
 TEST_F(RecoveryTest, LoadPolicyFileReportsUnreadablePath) {
   try {
     recovery::load_policy_file("/nonexistent/policies.json");

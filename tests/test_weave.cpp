@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <exception>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "fatomic/common/error.hpp"
+#include "fatomic/detect/experiment.hpp"
 #include "fatomic/weave/macros.hpp"
 #include "testing/synthetic.hpp"
 
@@ -305,4 +311,242 @@ TEST(ExceptionName, NamespacedAndTemplatedTypesDemangleTheSameEveryTime) {
   }
   EXPECT_EQ(weave::current_exception_type_name(), "")
       << "outside a handler there is no exception";
+}
+
+// ---- the exception an injection wrapper names ----------------------------
+//
+// A wrapper observes an exception from its frame's destructor, where no
+// handler can name it, so the raise interposers record the type of every
+// exception in flight by its uncaught level (unwind::in_flight_type).  Each
+// probe below leaves its body by one raise while another exception has come
+// and gone, and every wrapper the raise crosses must name the raised one.
+
+namespace in_flight {
+
+struct E : std::exception {};
+struct F : std::exception {};
+struct G : std::exception {};
+
+/// Throws and catches F when destroyed: during E's unwinding, F is raised
+/// one uncaught level above E.
+struct CatchesF {
+  ~CatchesF() {
+    try {
+      throw F();
+    } catch (const F&) {
+    }
+  }
+};
+
+class Probe {
+ public:
+  /// Calls `probe` through a second wrapper, so two marks name its raise.
+  void outer(void (Probe::*probe)()) {
+    FAT_INVOKE(outer, [&] {
+      ++calls_;
+      (this->*probe)();
+    });
+  }
+
+  /// A handler catches E, throws and catches F, then runs `throw;`: the
+  /// __cxa_rethrow interposer names E again.
+  void rethrow_after_other() {
+    FAT_INVOKE(rethrow_after_other, [&] {
+      try {
+        throw E();
+      } catch (const E&) {
+        try {
+          throw F();
+        } catch (const F&) {
+        }
+        throw;
+      }
+    });
+  }
+  /// E is saved, F is thrown and caught, then E is raised from the saved
+  /// pointer: the std::rethrow_exception interposer names E again.
+  void rethrow_saved() {
+    FAT_INVOKE(rethrow_saved, [&] {
+      std::exception_ptr saved;
+      try {
+        throw E();
+      } catch (const E&) {
+        saved = std::current_exception();
+      }
+      try {
+        throw F();
+      } catch (const F&) {
+      }
+      std::rethrow_exception(saved);
+    });
+  }
+  /// E unwinds a destructor that throws and catches F: F's record sits one
+  /// level above E's and leaves it as it was.
+  void throw_past_destructor() {
+    FAT_INVOKE(throw_past_destructor, [&] {
+      CatchesF guard;
+      throw E();
+    });
+  }
+  /// E is thrown and caught, then libstdc++ raises std::out_of_range from
+  /// its own code, whose call to __cxa_throw goes through the dynamic
+  /// linker and so reaches the interposer too.
+  void throw_from_library() {
+    FAT_INVOKE(throw_from_library, [&] {
+      try {
+        throw E();
+      } catch (const E&) {
+      }
+      (void)std::vector<int>{}.at(1);
+    });
+  }
+  /// A handler catches E and throws G in its place.
+  void translate() {
+    FAT_INVOKE(translate, [&] {
+      try {
+        throw E();
+      } catch (const E&) {
+        throw G();
+      }
+    });
+  }
+
+ private:
+  FAT_REFLECT_FRIEND(Probe);
+  FAT_METHOD_INFO(in_flight::Probe, outer);
+  FAT_METHOD_INFO(in_flight::Probe, rethrow_after_other);
+  FAT_METHOD_INFO(in_flight::Probe, rethrow_saved);
+  FAT_METHOD_INFO(in_flight::Probe, throw_past_destructor);
+  FAT_METHOD_INFO(in_flight::Probe, throw_from_library);
+  FAT_METHOD_INFO(in_flight::Probe, translate);
+
+  int calls_ = 0;
+};
+
+/// The exception types named by the marks of one uninjected Inject-mode call
+/// of `probe` through Probe::outer, callee first.
+std::vector<std::string> marked_types(void (Probe::*probe)()) {
+  auto& rt = Runtime::instance();
+  weave::ScopedMode m(Mode::Inject);
+  Probe p;
+  rt.begin_run(1000000);  // nothing is injected: only the probe raises
+  try {
+    p.outer(probe);
+    ADD_FAILURE() << "the probe must raise";
+  } catch (...) {
+  }
+  std::vector<std::string> types;
+  for (const weave::Mark& mark : rt.marks) types.push_back(mark.exception_type);
+  return types;
+}
+
+const std::vector<std::string> kTwiceE = {"in_flight::E", "in_flight::E"};
+
+}  // namespace in_flight
+
+FAT_REFLECT(in_flight::Probe, FAT_FIELD(in_flight::Probe, calls_));
+
+TEST_F(WeaveTest, RethrowInHandlerNamesTheCaughtException) {
+  EXPECT_EQ(in_flight::marked_types(&in_flight::Probe::rethrow_after_other),
+            in_flight::kTwiceE);
+}
+
+TEST_F(WeaveTest, RethrowOfSavedExceptionNamesIt) {
+  EXPECT_EQ(in_flight::marked_types(&in_flight::Probe::rethrow_saved),
+            in_flight::kTwiceE);
+}
+
+TEST_F(WeaveTest, ExceptionCaughtInUnwoundDestructorDoesNotRename) {
+  EXPECT_EQ(in_flight::marked_types(&in_flight::Probe::throw_past_destructor),
+            in_flight::kTwiceE);
+}
+
+TEST_F(WeaveTest, ExceptionRaisedInsideLibstdcxxIsNamed) {
+  EXPECT_EQ(in_flight::marked_types(&in_flight::Probe::throw_from_library),
+            (std::vector<std::string>{"std::out_of_range",
+                                      "std::out_of_range"}));
+}
+
+TEST_F(WeaveTest, TranslatedExceptionNamesTheNewOne) {
+  EXPECT_EQ(in_flight::marked_types(&in_flight::Probe::translate),
+            (std::vector<std::string>{"in_flight::G", "in_flight::G"}));
+}
+
+// ---- an observation that fails during unwinding ----------------------------
+
+namespace unregistered {
+
+/// Reflected nowhere: a pointee of a type derived from it that no FAT_POLY
+/// registers cannot be captured.
+struct Shape {
+  virtual ~Shape() = default;
+};
+struct Circle : Shape {};
+
+class Holder {
+ public:
+  /// Installs a pointee the after-capture cannot walk, then throws.
+  void install_then_throw() {
+    FAT_INVOKE(install_then_throw, [&] {
+      shape_ = std::make_unique<Circle>();
+      throw std::runtime_error("thrown after the install");
+    });
+  }
+
+ private:
+  FAT_REFLECT_FRIEND(Holder);
+  FAT_METHOD_INFO(unregistered::Holder, install_then_throw);
+
+  std::unique_ptr<Shape> shape_;
+};
+
+/// A caller whose own receiver captures fine.
+class Caller {
+ public:
+  void call(Holder& holder) {
+    FAT_INVOKE(call, [&] {
+      ++calls_;
+      holder.install_then_throw();
+    });
+  }
+
+ private:
+  FAT_REFLECT_FRIEND(Caller);
+  FAT_METHOD_INFO(unregistered::Caller, call);
+
+  int calls_ = 0;
+};
+
+void program() {
+  Holder holder;
+  Caller caller;
+  caller.call(holder);
+}
+
+}  // namespace unregistered
+
+FAT_REFLECT(unregistered::Holder, FAT_FIELD(unregistered::Holder, shape_));
+FAT_REFLECT(unregistered::Caller, FAT_FIELD(unregistered::Caller, calls_));
+
+// The Holder's after-capture throws SnapshotError while the runtime_error
+// unwinds its wrapper.  Nothing reaches std::terminate: the run escapes with
+// the SnapshotError's message, as it did when the wrapper caught the
+// runtime_error and the failed capture replaced it, while the Caller's
+// wrapper, above the failed one, marks the runtime_error itself.
+TEST(ObservationFailure, FailedAfterCaptureEscapesTheRunWithoutTerminate) {
+  const fatomic::detect::Campaign c =
+      fatomic::detect::Experiment(unregistered::program).run();
+  std::size_t failed = 0;
+  for (const fatomic::detect::RunRecord& run : c.runs) {
+    if (run.escape_what.find("unregistered polymorphic pointee") ==
+        std::string::npos)
+      continue;
+    ++failed;
+    EXPECT_TRUE(run.escaped);
+    ASSERT_EQ(run.marks.size(), 1u) << "the failed wrapper marks nothing";
+    EXPECT_EQ(run.marks[0].method->qualified_name(),
+              "unregistered::Caller::call");
+    EXPECT_EQ(run.marks[0].exception_type, "std::runtime_error");
+  }
+  EXPECT_GT(failed, 0u) << "no run reached the body's throw";
 }
